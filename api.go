@@ -186,10 +186,12 @@ type NEONUnit = neon.Unit
 // SSE2Unit is the emulated SSE2 execution unit.
 type SSE2Unit = sse2.Unit
 
-// NewNEON returns a NEON unit recording into t (may be nil).
+// NewNEON returns a NEON unit recording into t (may be nil). The unit
+// tallies instructions privately; call its Flush before reading t.
 func NewNEON(t *trace.Counter) *NEONUnit { return neon.New(t) }
 
-// NewSSE2 returns an SSE2 unit recording into t (may be nil).
+// NewSSE2 returns an SSE2 unit recording into t (may be nil). The unit
+// tallies instructions privately; call its Flush before reading t.
 func NewSSE2(t *trace.Counter) *SSE2Unit { return sse2.New(t) }
 
 // --- Platforms and timing ---

@@ -79,6 +79,8 @@ func TestFacadeCustomKernelSurface(t *testing.T) {
 	if s.MulloEpi16(v, v).I16(3) != 49 {
 		t.Fatal("SSE2 unit arithmetic")
 	}
+	n.Flush()
+	s.Flush()
 	if tr.Total() == 0 {
 		t.Fatal("units must record")
 	}

@@ -318,28 +318,41 @@ func BenchmarkHostDetectEdgesStaged(b *testing.B) { benchHostPipeline(b, false, 
 func BenchmarkHostDetectEdgesFused(b *testing.B) { benchHostPipeline(b, true, hostEdges) }
 
 // BenchmarkHostTraceOverhead quantifies instruction-accounting cost by
-// running the same kernel with and without a trace attached.
+// running the same kernel with and without a trace attached, for both
+// emulated ISAs on an elementwise kernel (Threshold) and a stencil one
+// (GaussianBlur). Each traced/untraced pair shares a prefix; CI fails when
+// any pair's ns/op ratio exceeds 1.5 or a traced run allocates.
 func BenchmarkHostTraceOverhead(b *testing.B) {
 	res := Resolution{Width: 640, Height: 480}
 	src := Synthetic(res, 1)
 	dst := NewMat(640, 480, U8)
-	b.Run("untraced", func(b *testing.B) {
-		o := NewOps(ISANEON, nil)
-		for i := 0; i < b.N; i++ {
-			if err := o.Threshold(src, dst, 128, 255, ThreshTrunc); err != nil {
-				b.Fatal(err)
+	kernels := []struct {
+		name string
+		run  func(o *Ops) error
+	}{
+		{"threshold", func(o *Ops) error { return o.Threshold(src, dst, 128, 255, ThreshTrunc) }},
+		{"gaussian", func(o *Ops) error { return o.GaussianBlur(src, dst) }},
+	}
+	for _, isa := range []ISA{ISANEON, ISASSE2} {
+		for _, k := range kernels {
+			for _, traced := range []bool{false, true} {
+				name := fmt.Sprintf("%v/%s/untraced", isa, k.name)
+				var tr *Trace
+				if traced {
+					name = fmt.Sprintf("%v/%s/traced", isa, k.name)
+					tr = NewTrace()
+				}
+				o := NewOps(isa, tr)
+				b.Run(name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := k.run(o); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		tr := NewTrace()
-		o := NewOps(ISANEON, tr)
-		for i := 0; i < b.N; i++ {
-			if err := o.Threshold(src, dst, 128, 255, ThreshTrunc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // --- Ablations (DESIGN.md design-choice studies) ---

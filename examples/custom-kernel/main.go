@@ -35,6 +35,7 @@ func blendNEON(u *simdstudy.NEONUnit, a, b []uint8, alpha uint16, dst []uint8) {
 	for ; i < len(dst); i++ {
 		dst[i] = uint8((uint16(a[i])*alpha + uint16(b[i])*(256-alpha)) >> 8)
 	}
+	u.Flush() // publish the unit's instruction tally to its trace
 }
 
 // blendSSE2 blends 8 pixels per iteration via unpack + pmullw.
@@ -55,6 +56,7 @@ func blendSSE2(u *simdstudy.SSE2Unit, a, b []uint8, alpha uint16, dst []uint8) {
 	for ; i < len(dst); i++ {
 		dst[i] = uint8((uint16(a[i])*alpha + uint16(b[i])*(256-alpha)) >> 8)
 	}
+	u.Flush() // publish the unit's instruction tally to its trace
 }
 
 func main() {

@@ -70,3 +70,28 @@ func TestComparison(t *testing.T) {
 		}
 	}
 }
+
+// TestHandListingOrder pins the captured instruction sequence, in order:
+// sequence capture records straight into the counter, bypassing the
+// units' tallies, so the listing is the program order of the paper's loop.
+func TestHandListingOrder(t *testing.T) {
+	want := map[cv.ISA][]string{
+		cv.ISANEON: {"vld1.32", "vcvt.s32.f32", "vqmovn.s32", "vld1.32", "vcvt.s32.f32", "vqmovn.s32", "vorr", "vst1.16"},
+		cv.ISASSE2: {"movups", "cvtps2dq", "movups", "cvtps2dq", "packssdw", "movdqu"},
+	}
+	for isa, names := range want {
+		s, err := HandConvertListing(isa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(s, "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[1] == ";" {
+				got = append(got, f[0])
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(names, " ") {
+			t.Errorf("%v listing order:\n got %v\nwant %v", isa, got, names)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"simdstudy/internal/image"
 	"simdstudy/internal/par"
 	"simdstudy/internal/sat"
-	"simdstudy/internal/trace"
 )
 
 // Canny performs Canny edge detection: Sobel gradients, L1 gradient
@@ -160,8 +159,8 @@ func (o *Ops) cannyHysteresis(nms, dst []uint8, w, h int) {
 	*sp = stack
 	hystStackPool.Put(sp)
 	if o.T != nil {
-		o.T.RecordN("hysteresis", trace.ScalarALU, uint64(3*visits), 0)
-		o.T.RecordN("hysteresis(br)", trace.Branch, uint64(visits), 0)
+		o.count(opHysteresis, uint64(3*visits))
+		o.count(opHysteresisBr, uint64(visits))
 	}
 }
 
@@ -175,7 +174,7 @@ func cannyMagChunk(b *Ops, a cannyMagArgs, lo, hi int) {
 	}
 	if b.T != nil {
 		n := uint64(hi - lo)
-		b.T.RecordN("mag", trace.ScalarALU, 3*n, 0)
+		b.count(opMag, 3*n)
 		b.scalarOverhead(n)
 	}
 }
@@ -234,7 +233,7 @@ func cannyNMSRow(b *Ops, a cannyNMSArgs, y int) {
 	// Cost is modeled per full-width row (border rows included), matching
 	// the whole-image accounting of the serial implementation.
 	if b.T != nil {
-		b.T.RecordN("nms(cmp/sel)", trace.ScalarALU, uint64(8*w), 0)
-		b.T.RecordN("nms(branch)", trace.Branch, uint64(2*w), 0)
+		b.count(opNmsCmpSel, uint64(8*w))
+		b.count(opNmsBranch, uint64(2*w))
 	}
 }

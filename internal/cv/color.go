@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"simdstudy/internal/image"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -78,10 +77,10 @@ func grayScalarChunk(b *Ops, a grayArgs, lo, hi int) {
 		// Per pixel: three byte loads, three multiplies, two adds, a
 		// shift-round and a store.
 		n := uint64(hi - lo)
-		b.T.RecordN("ldrb(rgb)", trace.ScalarLoad, 3*n, 1)
-		b.T.RecordN("mul(luma)", trace.ScalarALU, 3*n, 0)
-		b.T.RecordN("add/shr", trace.ScalarALU, 3*n, 0)
-		b.T.RecordN("strb", trace.ScalarStore, n, 1)
+		b.count(opLdrbRgb, 3*n)
+		b.count(opMulLuma, 3*n)
+		b.count(opAddShr, 3*n)
+		b.count(opStrb, n)
 		b.scalarOverhead(n)
 	}
 }
@@ -111,7 +110,7 @@ func grayNEONChunk(b *Ops, a grayArgs, lo, hi int) {
 	for ; i < hi; i++ {
 		a.d[i] = grayPixel(a.rgb[3*i], a.rgb[3*i+1], a.rgb[3*i+2])
 		if b.T != nil {
-			b.T.RecordN("gray(tail)", trace.ScalarALU, 9, 0)
+			b.count(opGrayTail, 9)
 			b.scalarOverhead(1)
 		}
 	}

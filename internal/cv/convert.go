@@ -3,7 +3,6 @@ package cv
 import (
 	"simdstudy/internal/image"
 	"simdstudy/internal/sat"
-	"simdstudy/internal/trace"
 )
 
 // ConvertF32ToS16 is the paper's first benchmark: OpenCV's cvt_32f16s,
@@ -83,11 +82,11 @@ func convScalarChunk(b *Ops, a convArgs, lo, hi int) {
 		// conversion; on ARM the cvRound inlines to VFP ops), two-branch
 		// clamp folded to ALU ops, store.
 		n := uint64(hi - lo)
-		b.T.RecordN("ldr(f32)", trace.ScalarLoad, n, 4)
-		b.T.RecordN("round", trace.ScalarFP, n, 0)
-		b.T.RecordN("cvt(f2i)", trace.ScalarCvt, n, 0)
-		b.T.RecordN("clamp", trace.ScalarALU, 2*n, 0)
-		b.T.RecordN("strh(s16)", trace.ScalarStore, n, 2)
+		b.count(opLdrF32, n)
+		b.count(opRound, n)
+		b.count(opCvtF2i, n)
+		b.count(opClamp, 2*n)
+		b.count(opStrhS16, n)
 		b.scalarOverhead(n)
 	}
 }
@@ -132,7 +131,7 @@ func convNEONChunk(b *Ops, a convArgs, lo, hi int) {
 	for ; x < hi; x++ {
 		d[x] = sat.NarrowInt32ToInt16(sat.Float32ToInt32Truncate(s[x]))
 		if b.T != nil {
-			b.T.RecordN("vldr/vcvt/strh(tail)", trace.ScalarCvt, 1, 0)
+			b.count(opVldrVcvtStrhTail, 1)
 			b.scalarOverhead(1)
 		}
 	}
@@ -161,7 +160,7 @@ func convSSE2Chunk(b *Ops, a convArgs, lo, hi int) {
 	for ; x < hi; x++ {
 		d[x] = sat.NarrowInt32ToInt16(sat.RoundHalfToEvenIndefinite(float64(s[x])))
 		if b.T != nil {
-			b.T.RecordN("cvtss2si/clamp(tail)", trace.ScalarCvt, 1, 0)
+			b.count(opCvtss2siClampTail, 1)
 			b.scalarOverhead(1)
 		}
 	}

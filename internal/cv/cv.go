@@ -145,14 +145,22 @@ type Ops struct {
 // NewOps returns an Ops for the given ISA, recording dynamic instructions
 // into t (which may be nil). SIMD optimizations start enabled, as in
 // OpenCV builds with SSE2/NEON baked in.
+//
+// The Ops' own units are shared: a plain Ops may be called from several
+// goroutines, so they record straight into t. They retire only per-pass
+// setup (vector constants) and bulk accounting; the row and element loops
+// run on pooled clones whose units tally privately (see par.go).
 func NewOps(isa ISA, t *trace.Counter) *Ops {
-	return &Ops{
+	o := &Ops{
 		isa:          isa,
 		useOptimized: true,
 		T:            t,
 		n:            neon.New(t),
 		s:            sse2.New(t),
 	}
+	o.n.Share()
+	o.s.Share()
+	return o
 }
 
 // SetUseOptimized toggles the hand-optimized SIMD code paths, the
@@ -235,8 +243,19 @@ func (o *Ops) scalarOverhead(iters uint64) {
 	if o.T == nil {
 		return
 	}
-	o.T.RecordN("add(index)", trace.AddrCalc, iters, 0)
-	o.T.RecordN("cmp+b(loop)", trace.Branch, iters, 0)
+	o.count(opAddIndex, iters)
+	o.count(opCmpBLoop, iters)
+}
+
+// count tallies n instructions the kernel accounts for directly (scalar
+// bodies, tails, bookkeeping) on the unit of o's ISA, beside the unit's
+// own intrinsics.
+func (o *Ops) count(id trace.OpID, n uint64) {
+	if o.isa == ISASSE2 {
+		o.s.Count(id, n)
+	} else {
+		o.n.Count(id, n)
+	}
 }
 
 func sameShape(a, b *image.Mat) error {

@@ -4,7 +4,6 @@ import (
 	"simdstudy/internal/image"
 	"simdstudy/internal/par"
 	"simdstudy/internal/sat"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -102,9 +101,9 @@ func magThreshScalarChunk(b *Ops, a magThreshArgs, lo, hi int) {
 	}
 	if b.T != nil {
 		n := uint64(hi - lo)
-		b.T.RecordN("ldr(gx,gy)", trace.ScalarLoad, 2*n, 2)
-		b.T.RecordN("abs/add/cmp", trace.ScalarALU, 4*n, 0)
-		b.T.RecordN("strb", trace.ScalarStore, n, 1)
+		b.count(opLdrGxGy, 2*n)
+		b.count(opAbsAddCmp, 4*n)
+		b.count(opStrb, n)
 		b.scalarOverhead(n)
 	}
 }
@@ -132,7 +131,7 @@ func magThreshNEONChunk(b *Ops, a magThreshArgs, lo, hi int) {
 	for ; i < hi; i++ {
 		a.d[i] = magThreshPixel(a.gx[i], a.gy[i], a.thresh)
 		if b.T != nil {
-			b.T.RecordN("mag(tail)", trace.ScalarALU, 5, 0)
+			b.count(opMagTail, 5)
 			b.scalarOverhead(1)
 		}
 	}
@@ -168,7 +167,7 @@ func magThreshSSE2Chunk(b *Ops, a magThreshArgs, lo, hi int) {
 	for ; i < hi; i++ {
 		a.d[i] = magThreshPixel(a.gx[i], a.gy[i], a.thresh)
 		if b.T != nil {
-			b.T.RecordN("mag(tail)", trace.ScalarALU, 5, 0)
+			b.count(opMagTail, 5)
 			b.scalarOverhead(1)
 		}
 	}

@@ -3,7 +3,6 @@ package cv
 import (
 	"simdstudy/internal/image"
 	"simdstudy/internal/par"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -92,15 +91,15 @@ func gaussPixelV(pix []uint8, w, h, x, y int) uint8 {
 	return uint8((acc + 1<<(gaussShift-1)) >> gaussShift)
 }
 
-func (o *Ops) gaussScalarRowCost(pixels uint64, bytesPerLoad int) {
+func (o *Ops) gaussScalarRowCost(pixels uint64) {
 	if o.T == nil {
 		return
 	}
 	// Per pixel: 7 loads, 7 multiplies, 7 adds (one folded), shift, store.
-	o.T.RecordN("ldrb(tap)", trace.ScalarLoad, 7*pixels, bytesPerLoad)
-	o.T.RecordN("mul(tap)", trace.ScalarALU, 7*pixels, 0)
-	o.T.RecordN("add(acc)", trace.ScalarALU, 7*pixels, 0)
-	o.T.RecordN("shr+strb", trace.ScalarStore, pixels, 1)
+	o.count(opLdrbTap, 7*pixels)
+	o.count(opMulTap, 7*pixels)
+	o.count(opAddAcc, 7*pixels)
+	o.count(opShrStrb, pixels)
 	o.scalarOverhead(pixels)
 }
 
@@ -127,7 +126,7 @@ func gaussHorizScalarRow(b *Ops, a gaussArgs, y int) {
 	for x := 0; x < w; x++ {
 		out[x] = gaussPixelH(row, w, x)
 	}
-	b.gaussScalarRowCost(uint64(w), 1)
+	b.gaussScalarRowCost(uint64(w))
 }
 
 func (o *Ops) gaussVertScalar(src, dst *image.Mat) {
@@ -140,7 +139,7 @@ func gaussVertScalarRow(b *Ops, a gaussArgs, y int) {
 	for x := 0; x < w; x++ {
 		a.dst[y*w+x] = gaussPixelV(a.src, w, h, x, y)
 	}
-	b.gaussScalarRowCost(uint64(w), 1)
+	b.gaussScalarRowCost(uint64(w))
 }
 
 // scalarEdgeCost records the cost of SIMD-path border pixels computed in
@@ -149,7 +148,7 @@ func (o *Ops) scalarEdgeCost(pixels uint64) {
 	if o.T == nil || pixels == 0 {
 		return
 	}
-	o.T.RecordN("gauss(tail)", trace.ScalarALU, 15*pixels, 0)
+	o.count(opGaussTail, 15*pixels)
 	o.scalarOverhead(pixels)
 }
 

@@ -2,7 +2,6 @@ package cv
 
 import (
 	"simdstudy/internal/image"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -110,9 +109,9 @@ func medianScalarRow(b *Ops, a medianArgs, y int) {
 	}
 	if b.T != nil {
 		px := uint64(w)
-		b.T.RecordN("ldrb(9)", trace.ScalarLoad, 9*px, 1)
-		b.T.RecordN("cmp/sel(net)", trace.ScalarALU, 19*2*px, 0)
-		b.T.RecordN("strb", trace.ScalarStore, px, 1)
+		b.count(opLdrb9, 9*px)
+		b.count(opCmpSelNet, 19*2*px)
+		b.count(opStrb, px)
 		b.scalarOverhead(px)
 	}
 }
@@ -189,7 +188,7 @@ func (o *Ops) medianTailCost(pixels uint64) {
 	if o.T == nil || pixels == 0 {
 		return
 	}
-	o.T.RecordN("median(tail)", trace.ScalarALU, 47*pixels, 0)
+	o.count(opMedianTail, 47*pixels)
 	o.scalarOverhead(pixels)
 }
 

@@ -11,7 +11,6 @@ import (
 	"simdstudy/internal/par"
 	"simdstudy/internal/sse2"
 	"simdstudy/internal/super"
-	"simdstudy/internal/trace"
 )
 
 // This file is the kernel library's parallel dispatch layer. Every kernel
@@ -20,12 +19,13 @@ import (
 // deterministic bands (see internal/par) and run each band on a clone of
 // the Ops:
 //
-//   - the clone's NEON/SSE2 units record into a private trace.Counter that
-//     is merged into the parent's counter when the band completes, so the
-//     merged per-class instruction counts are bit-identical to a serial run
-//     (band boundaries never split a vector iteration: rows are the natural
-//     quantum for stencil passes, and flat passes band on flatQuantum-
-//     element boundaries, a multiple of every vector width used here);
+//   - the clone's NEON/SSE2 units tally into private, unsynchronized
+//     trace.Tally arrays that fold into the parent's counter under one lock
+//     when the band completes, so the per-class instruction counts are
+//     bit-identical to a serial run (band boundaries never split a vector
+//     iteration: rows are the natural quantum for stencil passes, and flat
+//     passes band on flatQuantum-element boundaries, a multiple of every
+//     vector width used here);
 //   - the clone's fault injector is a fork of the parent's plan, reseeded at
 //     every row/block boundary from (pass sequence number, row index), so
 //     the injection schedule is a pure function of the workload geometry —
@@ -37,9 +37,10 @@ import (
 //     their next row boundary.
 //
 // The serial case (Workers=1, the default) runs the same banded bodies
-// inline on the parent Ops with no cloning, no goroutines and no
-// allocation; parallelism is an opt-in scheduling change, never a semantic
-// one.
+// inline with no goroutines and no steady-state allocation: on the parent
+// Ops when it is untraced, else on one pooled clone (serialOps) whose units
+// tally for the parent's counter but share its injector unforked.
+// Parallelism is an opt-in scheduling change, never a semantic one.
 //
 // Stencil halos need no special machinery: the vertical passes read only
 // the source plane of the pass (never its destination), so a band may read
@@ -115,13 +116,25 @@ func (o *Ops) nBandsFlat(n int) int {
 }
 
 // getBand returns a pooled Ops clone wired for one band of a parallel
-// section: private counter feeding the same units, forked injector, the
-// parent's context and the section's shared stop flag.
-func (o *Ops) getBand(stop *atomic.Bool) *Ops {
+// section: units with private tallies for the parent's counter, forked
+// injector, the parent's context and the section's shared stop flag.
+func (o *Ops) getBand(stop *atomic.Bool) *Ops { return o.clone(stop, true) }
+
+// serialOps returns the Ops a plain serial pass runs on: o itself when
+// untraced; else a pooled clone whose units tally privately, since o's own
+// units are shared (see NewOps), holding o's injector unforked so the fault
+// stream is exactly the serial one. The caller returns a clone with putBand.
+func (o *Ops) serialOps() *Ops {
+	if o.T == nil {
+		return o
+	}
+	return o.clone(nil, false)
+}
+
+func (o *Ops) clone(stop *atomic.Bool, fork bool) *Ops {
 	b, _ := o.bandPool.Get().(*Ops)
 	if b == nil {
-		t := &trace.Counter{}
-		b = &Ops{T: t, n: neon.New(t), s: sse2.New(t)}
+		b = &Ops{n: neon.New(nil), s: sse2.New(nil)}
 	}
 	b.isa = o.isa
 	b.useOptimized = o.useOptimized
@@ -129,14 +142,10 @@ func (o *Ops) getBand(stop *atomic.Bool) *Ops {
 	b.stop = stop
 	b.ctx = o.ctx
 	b.ctxRows = 0
-	if o.T != nil {
-		b.n.T, b.s.T = b.T, b.T
-	} else {
-		b.n.T, b.s.T = nil, nil
-	}
+	b.T, b.n.T, b.s.T = o.T, o.T, o.T
 	if o.injector != nil {
 		inj := o.injector
-		if f, ok := inj.(faults.Forker); ok {
+		if f, ok := inj.(faults.Forker); ok && fork {
 			inj = f.Fork()
 		}
 		b.injector = inj
@@ -146,14 +155,12 @@ func (o *Ops) getBand(stop *atomic.Bool) *Ops {
 	return b
 }
 
-// putBand merges a band clone's results back into the parent — counter
-// fan-in via trace.Merge, injector counters via Forker.Join, context row
-// accounting — and recycles the clone.
+// putBand merges a band clone's results back into the parent — its unit
+// tallies fold into the parent's counter, injector counters via
+// Forker.Join, context row accounting — and recycles the clone.
 func (o *Ops) putBand(b *Ops) {
-	if o.T != nil {
-		o.T.Merge(b.T)
-	}
-	b.T.Reset()
+	b.n.Flush()
+	b.s.Flush()
 	if b.injector != nil {
 		if f, ok := o.injector.(faults.Forker); ok && b.injector != o.injector {
 			f.Join(b.injector)
@@ -228,10 +235,10 @@ func finishSection(sec *super.Section, panics []any) {
 	}
 }
 
-// watchSerial runs a serial pass under a watchdog section: the parent Ops
-// temporarily carries the section's single heart and stop flag, so the
-// existing rowTick/flatTick plumbing provides both the heartbeat and the
-// abort point, exactly as on a band clone.
+// watchSerial runs a serial pass under a watchdog section: the pass's Ops
+// (see serialOps) temporarily carries the section's single heart and stop
+// flag, so the existing rowTick/flatTick plumbing provides both the
+// heartbeat and the abort point, exactly as on a band clone.
 func (o *Ops) watchSerial(sec *super.Section, stop *atomic.Bool, loop func()) {
 	o.stop, o.heart = stop, sec.Heart(0)
 	defer func() {
@@ -272,12 +279,16 @@ func parRowsRange[A any](o *Ops, y0, y1 int, a A, body func(b *Ops, a A, y int))
 		salt = o.passSeq.Add(1)
 	}
 	if nb == 1 && o.wd == nil {
+		b := o.serialOps()
+		if b != o {
+			defer o.putBand(b)
+		}
 		for y := y0; y < y1; y++ {
 			if rs != nil {
 				rs.Reseed(stripeSalt(salt, y))
 			}
-			body(o, a, y)
-			o.rowTick()
+			body(b, a, y)
+			b.rowTick()
 		}
 		return
 	}
@@ -292,13 +303,17 @@ func parRowsRange[A any](o *Ops, y0, y1 int, a A, body func(b *Ops, a A, y int))
 		defer sec.Close()
 	}
 	if nb == 1 {
-		o.watchSerial(sec, &stop, func() {
+		b := o.serialOps()
+		if b != o {
+			defer o.putBand(b)
+		}
+		b.watchSerial(sec, &stop, func() {
 			for y := y0; y < y1; y++ {
 				if rs != nil {
 					rs.Reseed(stripeSalt(salt, y))
 				}
-				body(o, aa, y)
-				o.rowTick()
+				body(b, aa, y)
+				b.rowTick()
 			}
 		})
 		return
@@ -361,13 +376,17 @@ func parFlatRange[A any](o *Ops, e0, e1 int, a A, body func(b *Ops, a A, lo, hi 
 		salt = o.passSeq.Add(1)
 	}
 	if nb == 1 && o.wd == nil {
+		b := o.serialOps()
+		if b != o {
+			defer o.putBand(b)
+		}
 		for c := e0; c < e1; c += flatQuantum {
 			ce := min(c+flatQuantum, e1)
 			if rs != nil {
 				rs.Reseed(stripeSalt(salt, c/flatQuantum))
 			}
-			body(o, a, c, ce)
-			o.flatTick()
+			body(b, a, c, ce)
+			b.flatTick()
 		}
 		return
 	}
@@ -379,14 +398,18 @@ func parFlatRange[A any](o *Ops, e0, e1 int, a A, body func(b *Ops, a A, lo, hi 
 		defer sec.Close()
 	}
 	if nb == 1 {
-		o.watchSerial(sec, &stop, func() {
+		b := o.serialOps()
+		if b != o {
+			defer o.putBand(b)
+		}
+		b.watchSerial(sec, &stop, func() {
 			for c := e0; c < e1; c += flatQuantum {
 				ce := min(c+flatQuantum, e1)
 				if rs != nil {
 					rs.Reseed(stripeSalt(salt, c/flatQuantum))
 				}
-				body(o, aa, c, ce)
-				o.flatTick()
+				body(b, aa, c, ce)
+				b.flatTick()
 			}
 		})
 		return

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"simdstudy/internal/image"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -83,9 +82,9 @@ func resizeScalarRow(b *Ops, a resizeArgs, y int) {
 	}
 	if b.T != nil {
 		px := uint64(a.dw)
-		b.T.RecordN("ldrb(4)", trace.ScalarLoad, 4*px, 1)
-		b.T.RecordN("add/shr", trace.ScalarALU, 4*px, 0)
-		b.T.RecordN("strb", trace.ScalarStore, px, 1)
+		b.count(opLdrb4, 4*px)
+		b.count(opAddShr, 4*px)
+		b.count(opStrb, px)
 		b.scalarOverhead(px)
 	}
 }
@@ -123,7 +122,7 @@ func (o *Ops) resizeTailCost(pixels uint64) {
 	if o.T == nil || pixels == 0 {
 		return
 	}
-	o.T.RecordN("resize(tail)", trace.ScalarALU, 8*pixels, 0)
+	o.count(opResizeTail, 8*pixels)
 	o.scalarOverhead(pixels)
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"simdstudy/internal/image"
 	"simdstudy/internal/par"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -102,9 +101,9 @@ func (o *Ops) sobelRowCost(pixels uint64, taps int) {
 	if o.T == nil {
 		return
 	}
-	o.T.RecordN("ldr(tap)", trace.ScalarLoad, uint64(taps)*pixels, 1)
-	o.T.RecordN("add/sub", trace.ScalarALU, uint64(taps)*pixels, 0)
-	o.T.RecordN("str(s16)", trace.ScalarStore, pixels, 2)
+	o.count(opLdrTap, uint64(taps)*pixels)
+	o.count(opAddSub, uint64(taps)*pixels)
+	o.count(opStrS16, pixels)
 	o.scalarOverhead(pixels)
 }
 
@@ -193,7 +192,7 @@ func (o *Ops) sobelTailCost(pixels uint64) {
 	if o.T == nil || pixels == 0 {
 		return
 	}
-	o.T.RecordN("sobel(tail)", trace.ScalarALU, 5*pixels, 0)
+	o.count(opSobelTail, 5*pixels)
 	o.scalarOverhead(pixels)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"simdstudy/internal/image"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -133,9 +132,9 @@ func threshScalarChunk(b *Ops, a threshArgs, lo, hi int) {
 		// Per pixel: byte load, compare+conditional select (branchless at
 		// -O3), byte store.
 		n := uint64(hi - lo)
-		b.T.RecordN("ldrb", trace.ScalarLoad, n, 1)
-		b.T.RecordN("cmp+sel", trace.ScalarALU, 2*n, 0)
-		b.T.RecordN("strb", trace.ScalarStore, n, 1)
+		b.count(opLdrb, n)
+		b.count(opCmpSel, 2*n)
+		b.count(opStrb, n)
 		b.scalarOverhead(n)
 	}
 }
@@ -182,7 +181,7 @@ func threshNEONChunk(b *Ops, a threshArgs, lo, hi int) {
 	for ; x < hi; x++ {
 		d[x] = thresholdPixel(s[x], a.thresh, a.maxval, a.typ)
 		if b.T != nil {
-			b.T.RecordN("ldrb/cmp/strb(tail)", trace.ScalarALU, 3, 0)
+			b.count(opLdrbCmpStrbTail, 3)
 			b.scalarOverhead(1)
 		}
 	}
@@ -234,7 +233,7 @@ func threshSSE2Chunk(b *Ops, a threshArgs, lo, hi int) {
 	for ; x < hi; x++ {
 		d[x] = thresholdPixel(s[x], a.thresh, a.maxval, a.typ)
 		if b.T != nil {
-			b.T.RecordN("mov/cmp/mov(tail)", trace.ScalarALU, 3, 0)
+			b.count(opMovCmpMovTail, 3)
 			b.scalarOverhead(1)
 		}
 	}

@@ -29,13 +29,19 @@ func RunDecision(l *ir.Loop, d vectorizer.Decision, env *Env, n int, mode RoundM
 	return nil
 }
 
+// autoOps holds the interned "auto.<class>" op of every class, the
+// mnemonics an AUTO build's modeled profile is charged under.
+var autoOps = func() (ids [trace.NumClasses]trace.OpID) {
+	for c := range ids {
+		ids[c] = trace.Intern("auto."+trace.Class(c).String(), trace.Class(c), 0)
+	}
+	return ids
+}()
+
 // chargeProfile records a fractional per-class profile into a counter,
 // rounding each class to the nearest whole instruction.
 func chargeProfile(t *trace.Counter, p vectorizer.Profile) {
-	for c := 0; c < trace.NumClasses; c++ {
-		n := uint64(p[c] + 0.5)
-		if n > 0 {
-			t.RecordN("auto."+trace.Class(c).String(), trace.Class(c), n, 0)
-		}
+	for c, id := range autoOps {
+		t.RecordIDN(id, uint64(p[c]+0.5))
 	}
 }

@@ -104,3 +104,23 @@ func TestChargeProfileRounds(t *testing.T) {
 		t.Errorf("rounding down: %d", tr.Count(trace.Branch))
 	}
 }
+
+// TestChargeProfileInterned: the AUTO profile is charged under the
+// interned "auto.<class>" names, rounding each class, skipping empty ones,
+// and — the names being interned once at init — without allocating.
+func TestChargeProfileInterned(t *testing.T) {
+	var p vectorizer.Profile
+	p[trace.SIMDALU] = 2.6
+	p[trace.Branch] = 0.4
+	var tr trace.Counter
+	chargeProfile(&tr, p)
+	if got := tr.Opcode("auto.simd.alu"); got != 3 {
+		t.Fatalf("auto.simd.alu = %d, want 3", got)
+	}
+	if tr.Count(trace.SIMDALU) != 3 || tr.Total() != 3 {
+		t.Fatalf("classes %v, want only 3 simd.alu", tr.Classes())
+	}
+	if n := testing.AllocsPerRun(50, func() { chargeProfile(&tr, p) }); n != 0 {
+		t.Fatalf("chargeProfile allocates %v per call", n)
+	}
+}

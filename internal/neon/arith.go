@@ -5,7 +5,6 @@ import (
 
 	"simdstudy/internal/faults"
 	"simdstudy/internal/sat"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -13,7 +12,7 @@ import (
 
 // VaddqF32 adds four float lanes (vadd.f32).
 func (u *Unit) VaddqF32(a, b vec.V128) vec.V128 {
-	u.rec("vadd.f32", trace.SIMDALU)
+	u.rec(opVaddF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)+b.F32(i))
@@ -23,7 +22,7 @@ func (u *Unit) VaddqF32(a, b vec.V128) vec.V128 {
 
 // VaddqS16 adds eight int16 lanes with wraparound (vadd.i16).
 func (u *Unit) VaddqS16(a, b vec.V128) vec.V128 {
-	u.rec("vadd.i16", trace.SIMDALU)
+	u.rec(opVaddI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)+b.I16(i))
@@ -33,7 +32,7 @@ func (u *Unit) VaddqS16(a, b vec.V128) vec.V128 {
 
 // VaddqS32 adds four int32 lanes with wraparound (vadd.i32).
 func (u *Unit) VaddqS32(a, b vec.V128) vec.V128 {
-	u.rec("vadd.i32", trace.SIMDALU)
+	u.rec(opVaddI32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, a.I32(i)+b.I32(i))
@@ -43,7 +42,7 @@ func (u *Unit) VaddqS32(a, b vec.V128) vec.V128 {
 
 // VaddqU8 adds sixteen uint8 lanes with wraparound (vadd.i8).
 func (u *Unit) VaddqU8(a, b vec.V128) vec.V128 {
-	u.rec("vadd.i8", trace.SIMDALU)
+	u.rec(opVaddI8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, a.U8(i)+b.U8(i))
@@ -53,7 +52,7 @@ func (u *Unit) VaddqU8(a, b vec.V128) vec.V128 {
 
 // VaddqU16 adds eight uint16 lanes with wraparound (vadd.i16).
 func (u *Unit) VaddqU16(a, b vec.V128) vec.V128 {
-	u.rec("vadd.i16", trace.SIMDALU)
+	u.rec(opVaddI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, a.U16(i)+b.U16(i))
@@ -63,7 +62,7 @@ func (u *Unit) VaddqU16(a, b vec.V128) vec.V128 {
 
 // VqaddqS16 adds with signed saturation (vqadd.s16).
 func (u *Unit) VqaddqS16(a, b vec.V128) vec.V128 {
-	u.rec("vqadd.s16", trace.SIMDALU)
+	u.rec(opVqaddS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, sat.AddInt16(a.I16(i), b.I16(i)))
@@ -73,7 +72,7 @@ func (u *Unit) VqaddqS16(a, b vec.V128) vec.V128 {
 
 // VqaddqU8 adds with unsigned saturation (vqadd.u8).
 func (u *Unit) VqaddqU8(a, b vec.V128) vec.V128 {
-	u.rec("vqadd.u8", trace.SIMDALU)
+	u.rec(opVqaddU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, sat.AddUint8(a.U8(i), b.U8(i)))
@@ -84,7 +83,7 @@ func (u *Unit) VqaddqU8(a, b vec.V128) vec.V128 {
 // VaddlU8 widens and adds: sixteen->eight uint16 from the low halves
 // (vaddl.u8 q, d, d).
 func (u *Unit) VaddlU8(a, b vec.V64) vec.V128 {
-	u.rec("vaddl.u8", trace.SIMDALU)
+	u.rec(opVaddlU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, uint16(a.U8(i))+uint16(b.U8(i)))
@@ -94,7 +93,7 @@ func (u *Unit) VaddlU8(a, b vec.V64) vec.V128 {
 
 // VaddlS16 widens and adds int16 pairs into int32 lanes (vaddl.s16).
 func (u *Unit) VaddlS16(a, b vec.V64) vec.V128 {
-	u.rec("vaddl.s16", trace.SIMDALU)
+	u.rec(opVaddlS16)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, int32(a.I16(i))+int32(b.I16(i)))
@@ -105,7 +104,7 @@ func (u *Unit) VaddlS16(a, b vec.V64) vec.V128 {
 // VaddwU8 adds a widened D register of bytes to a Q register of uint16
 // (vaddw.u8).
 func (u *Unit) VaddwU8(a vec.V128, b vec.V64) vec.V128 {
-	u.rec("vaddw.u8", trace.SIMDALU)
+	u.rec(opVaddwU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, a.U16(i)+uint16(b.U8(i)))
@@ -115,7 +114,7 @@ func (u *Unit) VaddwU8(a vec.V128, b vec.V64) vec.V128 {
 
 // VhaddqU8 halving add: (a+b)>>1 without overflow (vhadd.u8).
 func (u *Unit) VhaddqU8(a, b vec.V128) vec.V128 {
-	u.rec("vhadd.u8", trace.SIMDALU)
+	u.rec(opVhaddU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, uint8((uint16(a.U8(i))+uint16(b.U8(i)))>>1))
@@ -125,7 +124,7 @@ func (u *Unit) VhaddqU8(a, b vec.V128) vec.V128 {
 
 // VrhaddqU8 rounding halving add: (a+b+1)>>1 (vrhadd.u8).
 func (u *Unit) VrhaddqU8(a, b vec.V128) vec.V128 {
-	u.rec("vrhadd.u8", trace.SIMDALU)
+	u.rec(opVrhaddU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, uint8((uint16(a.U8(i))+uint16(b.U8(i))+1)>>1))
@@ -136,7 +135,7 @@ func (u *Unit) VrhaddqU8(a, b vec.V128) vec.V128 {
 // VpaddlqU8 pairwise long add: adjacent byte pairs summed into uint16 lanes
 // (vpaddl.u8).
 func (u *Unit) VpaddlqU8(a vec.V128) vec.V128 {
-	u.rec("vpaddl.u8", trace.SIMDALU)
+	u.rec(opVpaddlU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, uint16(a.U8(2*i))+uint16(a.U8(2*i+1)))
@@ -146,7 +145,7 @@ func (u *Unit) VpaddlqU8(a vec.V128) vec.V128 {
 
 // VpaddlqU16 pairwise long add of uint16 lanes into uint32 (vpaddl.u16).
 func (u *Unit) VpaddlqU16(a vec.V128) vec.V128 {
-	u.rec("vpaddl.u16", trace.SIMDALU)
+	u.rec(opVpaddlU16)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, uint32(a.U16(2*i))+uint32(a.U16(2*i+1)))
@@ -156,7 +155,7 @@ func (u *Unit) VpaddlqU16(a vec.V128) vec.V128 {
 
 // VpaddF32 pairwise add of two D registers (vpadd.f32).
 func (u *Unit) VpaddF32(a, b vec.V64) vec.V64 {
-	u.rec("vpadd.f32", trace.SIMDALU)
+	u.rec(opVpaddF32)
 	var r vec.V64
 	r.SetF32(0, a.F32(0)+a.F32(1))
 	r.SetF32(1, b.F32(0)+b.F32(1))
@@ -167,7 +166,7 @@ func (u *Unit) VpaddF32(a, b vec.V64) vec.V64 {
 
 // VsubqF32 subtracts four float lanes (vsub.f32).
 func (u *Unit) VsubqF32(a, b vec.V128) vec.V128 {
-	u.rec("vsub.f32", trace.SIMDALU)
+	u.rec(opVsubF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)-b.F32(i))
@@ -177,7 +176,7 @@ func (u *Unit) VsubqF32(a, b vec.V128) vec.V128 {
 
 // VsubqS16 subtracts eight int16 lanes with wraparound (vsub.i16).
 func (u *Unit) VsubqS16(a, b vec.V128) vec.V128 {
-	u.rec("vsub.i16", trace.SIMDALU)
+	u.rec(opVsubI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)-b.I16(i))
@@ -187,7 +186,7 @@ func (u *Unit) VsubqS16(a, b vec.V128) vec.V128 {
 
 // VqsubqS16 subtracts with signed saturation (vqsub.s16).
 func (u *Unit) VqsubqS16(a, b vec.V128) vec.V128 {
-	u.rec("vqsub.s16", trace.SIMDALU)
+	u.rec(opVqsubS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, sat.SubInt16(a.I16(i), b.I16(i)))
@@ -197,7 +196,7 @@ func (u *Unit) VqsubqS16(a, b vec.V128) vec.V128 {
 
 // VqsubqU8 subtracts with unsigned saturation (vqsub.u8).
 func (u *Unit) VqsubqU8(a, b vec.V128) vec.V128 {
-	u.rec("vqsub.u8", trace.SIMDALU)
+	u.rec(opVqsubU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, sat.SubUint8(a.U8(i), b.U8(i)))
@@ -209,7 +208,7 @@ func (u *Unit) VqsubqU8(a, b vec.V128) vec.V128 {
 // reinterpreted signed (vsubl.u8). The Sobel horizontal pass uses this to
 // form pixel differences without overflow.
 func (u *Unit) VsublU8(a, b vec.V64) vec.V128 {
-	u.rec("vsubl.u8", trace.SIMDALU)
+	u.rec(opVsublU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, int16(uint16(a.U8(i)))-int16(uint16(b.U8(i))))
@@ -219,7 +218,7 @@ func (u *Unit) VsublU8(a, b vec.V64) vec.V128 {
 
 // VsublS16 widening subtract of int16 D registers into int32 lanes.
 func (u *Unit) VsublS16(a, b vec.V64) vec.V128 {
-	u.rec("vsubl.s16", trace.SIMDALU)
+	u.rec(opVsublS16)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, int32(a.I16(i))-int32(b.I16(i)))
@@ -231,7 +230,7 @@ func (u *Unit) VsublS16(a, b vec.V64) vec.V128 {
 
 // VmulqF32 multiplies four float lanes (vmul.f32).
 func (u *Unit) VmulqF32(a, b vec.V128) vec.V128 {
-	u.rec("vmul.f32", trace.SIMDMul)
+	u.rec(opVmulF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)*b.F32(i))
@@ -241,7 +240,7 @@ func (u *Unit) VmulqF32(a, b vec.V128) vec.V128 {
 
 // VmulqS16 multiplies eight int16 lanes, low half kept (vmul.i16).
 func (u *Unit) VmulqS16(a, b vec.V128) vec.V128 {
-	u.rec("vmul.i16", trace.SIMDMul)
+	u.rec(opVmulI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)*b.I16(i))
@@ -251,7 +250,7 @@ func (u *Unit) VmulqS16(a, b vec.V128) vec.V128 {
 
 // VmulqNF32 multiplies by a scalar (vmul.f32 q, q, d[0]).
 func (u *Unit) VmulqNF32(a vec.V128, s float32) vec.V128 {
-	u.rec("vmul.f32(n)", trace.SIMDMul)
+	u.rec(opVmulF32N)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)*s)
@@ -261,7 +260,7 @@ func (u *Unit) VmulqNF32(a vec.V128, s float32) vec.V128 {
 
 // VmulqNS16 multiplies eight int16 lanes by a scalar.
 func (u *Unit) VmulqNS16(a vec.V128, s int16) vec.V128 {
-	u.rec("vmul.i16(n)", trace.SIMDMul)
+	u.rec(opVmulI16N)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)*s)
@@ -271,7 +270,7 @@ func (u *Unit) VmulqNS16(a vec.V128, s int16) vec.V128 {
 
 // VmulqNU16 multiplies eight uint16 lanes by a scalar.
 func (u *Unit) VmulqNU16(a vec.V128, s uint16) vec.V128 {
-	u.rec("vmul.i16(n)", trace.SIMDMul)
+	u.rec(opVmulI16N)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, a.U16(i)*s)
@@ -281,7 +280,7 @@ func (u *Unit) VmulqNU16(a vec.V128, s uint16) vec.V128 {
 
 // VmlaqF32 fused multiply-accumulate a + b*c (vmla.f32).
 func (u *Unit) VmlaqF32(a, b, c vec.V128) vec.V128 {
-	u.rec("vmla.f32", trace.SIMDMul)
+	u.rec(opVmlaF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)+b.F32(i)*c.F32(i))
@@ -291,7 +290,7 @@ func (u *Unit) VmlaqF32(a, b, c vec.V128) vec.V128 {
 
 // VmlaqNF32 multiply-accumulate with scalar: a + b*s (vmla.f32 scalar).
 func (u *Unit) VmlaqNF32(a, b vec.V128, s float32) vec.V128 {
-	u.rec("vmla.f32(n)", trace.SIMDMul)
+	u.rec(opVmlaF32N)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)+b.F32(i)*s)
@@ -301,7 +300,7 @@ func (u *Unit) VmlaqNF32(a, b vec.V128, s float32) vec.V128 {
 
 // VmlaqS16 multiply-accumulate a + b*c on int16 lanes (vmla.i16).
 func (u *Unit) VmlaqS16(a, b, c vec.V128) vec.V128 {
-	u.rec("vmla.i16", trace.SIMDMul)
+	u.rec(opVmlaI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)+b.I16(i)*c.I16(i))
@@ -312,7 +311,7 @@ func (u *Unit) VmlaqS16(a, b, c vec.V128) vec.V128 {
 // VmlaqNU16 multiply-accumulate with scalar on uint16 lanes. The fixed
 // point Gaussian row filter accumulates weighted taps with this.
 func (u *Unit) VmlaqNU16(a, b vec.V128, s uint16) vec.V128 {
-	u.rec("vmla.i16(n)", trace.SIMDMul)
+	u.rec(opVmlaI16N)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, a.U16(i)+b.U16(i)*s)
@@ -322,7 +321,7 @@ func (u *Unit) VmlaqNU16(a, b vec.V128, s uint16) vec.V128 {
 
 // VmlaqNS16 multiply-accumulate with scalar on int16 lanes.
 func (u *Unit) VmlaqNS16(a, b vec.V128, s int16) vec.V128 {
-	u.rec("vmla.i16(n)", trace.SIMDMul)
+	u.rec(opVmlaI16N)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)+b.I16(i)*s)
@@ -333,7 +332,7 @@ func (u *Unit) VmlaqNS16(a, b vec.V128, s int16) vec.V128 {
 // VmlalU8 widening multiply-accumulate: acc + a*b into uint16 lanes
 // (vmlal.u8).
 func (u *Unit) VmlalU8(acc vec.V128, a, b vec.V64) vec.V128 {
-	u.rec("vmlal.u8", trace.SIMDMul)
+	u.rec(opVmlalU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, acc.U16(i)+uint16(a.U8(i))*uint16(b.U8(i)))
@@ -343,7 +342,7 @@ func (u *Unit) VmlalU8(acc vec.V128, a, b vec.V64) vec.V128 {
 
 // VmlalS16 widening multiply-accumulate into int32 lanes (vmlal.s16).
 func (u *Unit) VmlalS16(acc vec.V128, a, b vec.V64) vec.V128 {
-	u.rec("vmlal.s16", trace.SIMDMul)
+	u.rec(opVmlalS16)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, acc.I32(i)+int32(a.I16(i))*int32(b.I16(i)))
@@ -354,7 +353,7 @@ func (u *Unit) VmlalS16(acc vec.V128, a, b vec.V64) vec.V128 {
 // VmullU8 widening multiply of byte D registers into uint16 lanes
 // (vmull.u8).
 func (u *Unit) VmullU8(a, b vec.V64) vec.V128 {
-	u.rec("vmull.u8", trace.SIMDMul)
+	u.rec(opVmullU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, uint16(a.U8(i))*uint16(b.U8(i)))
@@ -365,7 +364,7 @@ func (u *Unit) VmullU8(a, b vec.V64) vec.V128 {
 // VmullS16 widening multiply of int16 D registers into int32 lanes
 // (vmull.s16).
 func (u *Unit) VmullS16(a, b vec.V64) vec.V128 {
-	u.rec("vmull.s16", trace.SIMDMul)
+	u.rec(opVmullS16)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, int32(a.I16(i))*int32(b.I16(i)))
@@ -375,7 +374,7 @@ func (u *Unit) VmullS16(a, b vec.V64) vec.V128 {
 
 // VmlsqF32 multiply-subtract a - b*c (vmls.f32).
 func (u *Unit) VmlsqF32(a, b, c vec.V128) vec.V128 {
-	u.rec("vmls.f32", trace.SIMDMul)
+	u.rec(opVmlsF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)-b.F32(i)*c.F32(i))
@@ -387,7 +386,7 @@ func (u *Unit) VmlsqF32(a, b, c vec.V128) vec.V128 {
 
 // VabsqS16 lane-wise absolute value with wraparound at MinInt16 (vabs.s16).
 func (u *Unit) VabsqS16(a vec.V128) vec.V128 {
-	u.rec("vabs.s16", trace.SIMDALU)
+	u.rec(opVabsS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		v := a.I16(i)
@@ -401,7 +400,7 @@ func (u *Unit) VabsqS16(a vec.V128) vec.V128 {
 
 // VqabsqS16 saturating absolute value (vqabs.s16).
 func (u *Unit) VqabsqS16(a vec.V128) vec.V128 {
-	u.rec("vqabs.s16", trace.SIMDALU)
+	u.rec(opVqabsS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, sat.AbsInt16(a.I16(i)))
@@ -411,7 +410,7 @@ func (u *Unit) VqabsqS16(a vec.V128) vec.V128 {
 
 // VabsqF32 lane-wise float absolute value (vabs.f32).
 func (u *Unit) VabsqF32(a vec.V128) vec.V128 {
-	u.rec("vabs.f32", trace.SIMDALU)
+	u.rec(opVabsF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(math.Abs(float64(a.F32(i)))))
@@ -421,7 +420,7 @@ func (u *Unit) VabsqF32(a vec.V128) vec.V128 {
 
 // VabdqU8 absolute difference |a-b| (vabd.u8).
 func (u *Unit) VabdqU8(a, b vec.V128) vec.V128 {
-	u.rec("vabd.u8", trace.SIMDALU)
+	u.rec(opVabdU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		x, y := int16(a.U8(i)), int16(b.U8(i))
@@ -436,7 +435,7 @@ func (u *Unit) VabdqU8(a, b vec.V128) vec.V128 {
 
 // VabaqU8 absolute difference and accumulate: acc + |a-b| (vaba.u8).
 func (u *Unit) VabaqU8(acc, a, b vec.V128) vec.V128 {
-	u.rec("vaba.u8", trace.SIMDALU)
+	u.rec(opVabaU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		x, y := int16(a.U8(i)), int16(b.U8(i))
@@ -454,7 +453,7 @@ func (u *Unit) VabaqU8(acc, a, b vec.V128) vec.V128 {
 // VminqU8 lane-wise unsigned byte minimum (vmin.u8). The truncation
 // threshold benchmark reduces to exactly this instruction.
 func (u *Unit) VminqU8(a, b vec.V128) vec.V128 {
-	u.rec("vmin.u8", trace.SIMDALU)
+	u.rec(opVminU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, min(a.U8(i), b.U8(i)))
@@ -464,7 +463,7 @@ func (u *Unit) VminqU8(a, b vec.V128) vec.V128 {
 
 // VmaxqU8 lane-wise unsigned byte maximum (vmax.u8).
 func (u *Unit) VmaxqU8(a, b vec.V128) vec.V128 {
-	u.rec("vmax.u8", trace.SIMDALU)
+	u.rec(opVmaxU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, max(a.U8(i), b.U8(i)))
@@ -474,7 +473,7 @@ func (u *Unit) VmaxqU8(a, b vec.V128) vec.V128 {
 
 // VminqS16 lane-wise int16 minimum (vmin.s16).
 func (u *Unit) VminqS16(a, b vec.V128) vec.V128 {
-	u.rec("vmin.s16", trace.SIMDALU)
+	u.rec(opVminS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, min(a.I16(i), b.I16(i)))
@@ -484,7 +483,7 @@ func (u *Unit) VminqS16(a, b vec.V128) vec.V128 {
 
 // VmaxqS16 lane-wise int16 maximum (vmax.s16).
 func (u *Unit) VmaxqS16(a, b vec.V128) vec.V128 {
-	u.rec("vmax.s16", trace.SIMDALU)
+	u.rec(opVmaxS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, max(a.I16(i), b.I16(i)))
@@ -494,7 +493,7 @@ func (u *Unit) VmaxqS16(a, b vec.V128) vec.V128 {
 
 // VminqF32 lane-wise float minimum (vmin.f32).
 func (u *Unit) VminqF32(a, b vec.V128) vec.V128 {
-	u.rec("vmin.f32", trace.SIMDALU)
+	u.rec(opVminF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(math.Min(float64(a.F32(i)), float64(b.F32(i)))))
@@ -504,7 +503,7 @@ func (u *Unit) VminqF32(a, b vec.V128) vec.V128 {
 
 // VmaxqF32 lane-wise float maximum (vmax.f32).
 func (u *Unit) VmaxqF32(a, b vec.V128) vec.V128 {
-	u.rec("vmax.f32", trace.SIMDALU)
+	u.rec(opVmaxF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(math.Max(float64(a.F32(i)), float64(b.F32(i)))))
@@ -514,7 +513,7 @@ func (u *Unit) VmaxqF32(a, b vec.V128) vec.V128 {
 
 // VpmaxU8 pairwise maximum across two D registers (vpmax.u8).
 func (u *Unit) VpmaxU8(a, b vec.V64) vec.V64 {
-	u.rec("vpmax.u8", trace.SIMDALU)
+	u.rec(opVpmaxU8)
 	var r vec.V64
 	for i := 0; i < 4; i++ {
 		r.SetU8(i, max(a.U8(2*i), a.U8(2*i+1)))
@@ -528,7 +527,7 @@ func (u *Unit) VpmaxU8(a, b vec.V64) vec.V64 {
 // VrecpeqF32 reciprocal estimate (vrecpe.f32), ~8 bits of precision like
 // hardware; refined with VrecpsqF32 Newton steps.
 func (u *Unit) VrecpeqF32(a vec.V128) vec.V128 {
-	u.rec("vrecpe.f32", trace.SIMDMul)
+	u.rec(opVrecpeF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		est := 1 / a.F32(i)
@@ -540,7 +539,7 @@ func (u *Unit) VrecpeqF32(a vec.V128) vec.V128 {
 
 // VrecpsqF32 reciprocal refinement step: 2 - a*b (vrecps.f32).
 func (u *Unit) VrecpsqF32(a, b vec.V128) vec.V128 {
-	u.rec("vrecps.f32", trace.SIMDMul)
+	u.rec(opVrecpsF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, 2-a.F32(i)*b.F32(i))
@@ -550,7 +549,7 @@ func (u *Unit) VrecpsqF32(a, b vec.V128) vec.V128 {
 
 // VrsqrteqF32 reciprocal square root estimate (vrsqrte.f32).
 func (u *Unit) VrsqrteqF32(a vec.V128) vec.V128 {
-	u.rec("vrsqrte.f32", trace.SIMDMul)
+	u.rec(opVrsqrteF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		est := float32(1 / math.Sqrt(float64(a.F32(i))))
@@ -561,7 +560,7 @@ func (u *Unit) VrsqrteqF32(a vec.V128) vec.V128 {
 
 // VrsqrtsqF32 reciprocal sqrt refinement step: (3 - a*b)/2 (vrsqrts.f32).
 func (u *Unit) VrsqrtsqF32(a, b vec.V128) vec.V128 {
-	u.rec("vrsqrts.f32", trace.SIMDMul)
+	u.rec(opVrsqrtsF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, (3-a.F32(i)*b.F32(i))/2)

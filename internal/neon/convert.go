@@ -3,7 +3,6 @@ package neon
 import (
 	"simdstudy/internal/faults"
 	"simdstudy/internal/sat"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -12,7 +11,7 @@ import (
 // VcvtqS32F32 converts four float lanes to int32, truncating toward zero
 // with saturation (vcvt.s32.f32). Core of the convert benchmark.
 func (u *Unit) VcvtqS32F32(a vec.V128) vec.V128 {
-	u.rec("vcvt.s32.f32", trace.SIMDCvt)
+	u.rec(opVcvtS32F32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, sat.Float32ToInt32Truncate(a.F32(i)))
@@ -22,7 +21,7 @@ func (u *Unit) VcvtqS32F32(a vec.V128) vec.V128 {
 
 // VcvtqF32S32 converts four int32 lanes to float (vcvt.f32.s32).
 func (u *Unit) VcvtqF32S32(a vec.V128) vec.V128 {
-	u.rec("vcvt.f32.s32", trace.SIMDCvt)
+	u.rec(opVcvtF32S32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(a.I32(i)))
@@ -33,7 +32,7 @@ func (u *Unit) VcvtqF32S32(a vec.V128) vec.V128 {
 // VcvtqU32F32 converts float lanes to uint32 with saturation at zero
 // (vcvt.u32.f32).
 func (u *Unit) VcvtqU32F32(a vec.V128) vec.V128 {
-	u.rec("vcvt.u32.f32", trace.SIMDCvt)
+	u.rec(opVcvtU32F32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		f := a.F32(i)
@@ -51,7 +50,7 @@ func (u *Unit) VcvtqU32F32(a vec.V128) vec.V128 {
 
 // VcvtqF32U32 converts uint32 lanes to float (vcvt.f32.u32).
 func (u *Unit) VcvtqF32U32(a vec.V128) vec.V128 {
-	u.rec("vcvt.f32.u32", trace.SIMDCvt)
+	u.rec(opVcvtF32U32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(a.U32(i)))
@@ -62,7 +61,7 @@ func (u *Unit) VcvtqF32U32(a vec.V128) vec.V128 {
 // VcvtqNS32F32 converts float to fixed-point S32 with n fractional bits
 // (vcvt.s32.f32 #n).
 func (u *Unit) VcvtqNS32F32(a vec.V128, n uint) vec.V128 {
-	u.rec("vcvt.s32.f32(fx)", trace.SIMDCvt)
+	u.rec(opVcvtS32F32Fx)
 	var r vec.V128
 	scale := float64(int64(1) << n)
 	for i := 0; i < 4; i++ {
@@ -76,7 +75,7 @@ func (u *Unit) VcvtqNS32F32(a vec.V128, n uint) vec.V128 {
 // VqmovnS32 saturating narrow: four int32 lanes to four int16 lanes in a D
 // register (vqmovn.s32). The paper's convert loop uses two of these.
 func (u *Unit) VqmovnS32(a vec.V128) vec.V64 {
-	u.rec("vqmovn.s32", trace.SIMDCvt)
+	u.rec(opVqmovnS32)
 	var r vec.V64
 	for i := 0; i < 4; i++ {
 		r.SetI16(i, sat.NarrowInt32ToInt16(a.I32(i)))
@@ -87,7 +86,7 @@ func (u *Unit) VqmovnS32(a vec.V128) vec.V64 {
 // VqmovnS16 saturating narrow: eight int16 lanes to eight int8 lanes
 // (vqmovn.s16).
 func (u *Unit) VqmovnS16(a vec.V128) vec.V64 {
-	u.rec("vqmovn.s16", trace.SIMDCvt)
+	u.rec(opVqmovnS16)
 	var r vec.V64
 	for i := 0; i < 8; i++ {
 		r.SetI8(i, sat.NarrowInt16ToInt8(a.I16(i)))
@@ -98,7 +97,7 @@ func (u *Unit) VqmovnS16(a vec.V128) vec.V64 {
 // VqmovunS16 saturating narrow signed to unsigned: int16 lanes to uint8
 // (vqmovun.s16). Used when converting filtered results back to pixels.
 func (u *Unit) VqmovunS16(a vec.V128) vec.V64 {
-	u.rec("vqmovun.s16", trace.SIMDCvt)
+	u.rec(opVqmovunS16)
 	var r vec.V64
 	for i := 0; i < 8; i++ {
 		r.SetU8(i, sat.NarrowInt16ToUint8(a.I16(i)))
@@ -108,7 +107,7 @@ func (u *Unit) VqmovunS16(a vec.V128) vec.V64 {
 
 // VqmovnU16 saturating narrow: uint16 lanes to uint8 (vqmovn.u16).
 func (u *Unit) VqmovnU16(a vec.V128) vec.V64 {
-	u.rec("vqmovn.u16", trace.SIMDCvt)
+	u.rec(opVqmovnU16)
 	var r vec.V64
 	for i := 0; i < 8; i++ {
 		r.SetU8(i, sat.NarrowUint16ToUint8(a.U16(i)))
@@ -118,7 +117,7 @@ func (u *Unit) VqmovnU16(a vec.V128) vec.V64 {
 
 // VmovnS32 truncating narrow: low halves of int32 lanes (vmovn.i32).
 func (u *Unit) VmovnS32(a vec.V128) vec.V64 {
-	u.rec("vmovn.i32", trace.SIMDCvt)
+	u.rec(opVmovnI32)
 	var r vec.V64
 	for i := 0; i < 4; i++ {
 		r.SetI16(i, int16(a.I32(i)))
@@ -128,7 +127,7 @@ func (u *Unit) VmovnS32(a vec.V128) vec.V64 {
 
 // VmovnU16 truncating narrow: low bytes of uint16 lanes (vmovn.i16).
 func (u *Unit) VmovnU16(a vec.V128) vec.V64 {
-	u.rec("vmovn.i16", trace.SIMDCvt)
+	u.rec(opVmovnI16)
 	var r vec.V64
 	for i := 0; i < 8; i++ {
 		r.SetU8(i, uint8(a.U16(i)))
@@ -140,7 +139,7 @@ func (u *Unit) VmovnU16(a vec.V128) vec.V64 {
 
 // VmovlU8 widens eight bytes to eight uint16 lanes (vmovl.u8).
 func (u *Unit) VmovlU8(a vec.V64) vec.V128 {
-	u.rec("vmovl.u8", trace.SIMDCvt)
+	u.rec(opVmovlU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, uint16(a.U8(i)))
@@ -150,7 +149,7 @@ func (u *Unit) VmovlU8(a vec.V64) vec.V128 {
 
 // VmovlS8 widens eight signed bytes to int16 lanes (vmovl.s8).
 func (u *Unit) VmovlS8(a vec.V64) vec.V128 {
-	u.rec("vmovl.s8", trace.SIMDCvt)
+	u.rec(opVmovlS8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, int16(a.I8(i)))
@@ -160,7 +159,7 @@ func (u *Unit) VmovlS8(a vec.V64) vec.V128 {
 
 // VmovlS16 widens four int16 lanes to int32 (vmovl.s16).
 func (u *Unit) VmovlS16(a vec.V64) vec.V128 {
-	u.rec("vmovl.s16", trace.SIMDCvt)
+	u.rec(opVmovlS16)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, int32(a.I16(i)))
@@ -170,7 +169,7 @@ func (u *Unit) VmovlS16(a vec.V64) vec.V128 {
 
 // VmovlU16 widens four uint16 lanes to uint32 (vmovl.u16).
 func (u *Unit) VmovlU16(a vec.V64) vec.V128 {
-	u.rec("vmovl.u16", trace.SIMDCvt)
+	u.rec(opVmovlU16)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, uint32(a.U16(i)))
@@ -182,7 +181,7 @@ func (u *Unit) VmovlU16(a vec.V64) vec.V128 {
 
 // VshlqNS16 shift left by constant (vshl.i16 #n).
 func (u *Unit) VshlqNS16(a vec.V128, n uint) vec.V128 {
-	u.rec("vshl.i16", trace.SIMDALU)
+	u.rec(opVshlI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)<<n)
@@ -192,7 +191,7 @@ func (u *Unit) VshlqNS16(a vec.V128, n uint) vec.V128 {
 
 // VshrqNS16 arithmetic shift right by constant (vshr.s16 #n).
 func (u *Unit) VshrqNS16(a vec.V128, n uint) vec.V128 {
-	u.rec("vshr.s16", trace.SIMDALU)
+	u.rec(opVshrS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)>>n)
@@ -202,7 +201,7 @@ func (u *Unit) VshrqNS16(a vec.V128, n uint) vec.V128 {
 
 // VshrqNU16 logical shift right by constant (vshr.u16 #n).
 func (u *Unit) VshrqNU16(a vec.V128, n uint) vec.V128 {
-	u.rec("vshr.u16", trace.SIMDALU)
+	u.rec(opVshrU16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, a.U16(i)>>n)
@@ -212,7 +211,7 @@ func (u *Unit) VshrqNU16(a vec.V128, n uint) vec.V128 {
 
 // VshrqNU8 logical shift right bytes by constant (vshr.u8 #n).
 func (u *Unit) VshrqNU8(a vec.V128, n uint) vec.V128 {
-	u.rec("vshr.u8", trace.SIMDALU)
+	u.rec(opVshrU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, a.U8(i)>>n)
@@ -222,7 +221,7 @@ func (u *Unit) VshrqNU8(a vec.V128, n uint) vec.V128 {
 
 // VrshrqNU16 rounding shift right: (a + (1<<(n-1))) >> n (vrshr.u16 #n).
 func (u *Unit) VrshrqNU16(a vec.V128, n uint) vec.V128 {
-	u.rec("vrshr.u16", trace.SIMDALU)
+	u.rec(opVrshrU16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, uint16((uint32(a.U16(i))+(1<<(n-1)))>>n))
@@ -232,7 +231,7 @@ func (u *Unit) VrshrqNU16(a vec.V128, n uint) vec.V128 {
 
 // VrshrqNS32 rounding arithmetic shift right on int32 lanes (vrshr.s32 #n).
 func (u *Unit) VrshrqNS32(a vec.V128, n uint) vec.V128 {
-	u.rec("vrshr.s32", trace.SIMDALU)
+	u.rec(opVrshrS32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, int32((int64(a.I32(i))+(1<<(n-1)))>>n))
@@ -243,7 +242,7 @@ func (u *Unit) VrshrqNS32(a vec.V128, n uint) vec.V128 {
 // VrshrnNU16 rounding shift right and narrow: uint16 lanes to uint8 D
 // register (vrshrn.u16 #n). The fixed-point Gaussian uses this to rescale.
 func (u *Unit) VrshrnNU16(a vec.V128, n uint) vec.V64 {
-	u.rec("vrshrn.u16", trace.SIMDCvt)
+	u.rec(opVrshrnU16)
 	var r vec.V64
 	for i := 0; i < 8; i++ {
 		v := (uint32(a.U16(i)) + (1 << (n - 1))) >> n
@@ -255,7 +254,7 @@ func (u *Unit) VrshrnNU16(a vec.V128, n uint) vec.V64 {
 // VqrshrnNS32 saturating rounding shift right narrow: int32 to int16
 // (vqrshrn.s32 #n).
 func (u *Unit) VqrshrnNS32(a vec.V128, n uint) vec.V64 {
-	u.rec("vqrshrn.s32", trace.SIMDCvt)
+	u.rec(opVqrshrnS32)
 	var r vec.V64
 	for i := 0; i < 4; i++ {
 		v := (int64(a.I32(i)) + (1 << (n - 1))) >> n
@@ -266,7 +265,7 @@ func (u *Unit) VqrshrnNS32(a vec.V128, n uint) vec.V64 {
 
 // VqshlqNS16 saturating shift left by constant (vqshl.s16 #n).
 func (u *Unit) VqshlqNS16(a vec.V128, n uint) vec.V128 {
-	u.rec("vqshl.s16", trace.SIMDALU)
+	u.rec(opVqshlS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, sat.ShiftLeftInt16(a.I16(i), n))
@@ -277,7 +276,7 @@ func (u *Unit) VqshlqNS16(a vec.V128, n uint) vec.V128 {
 // VshlqS16 shift left by signed per-lane variable; negative shifts right
 // (vshl.s16 with register operand).
 func (u *Unit) VshlqS16(a, shifts vec.V128) vec.V128 {
-	u.rec("vshl.s16(reg)", trace.SIMDALU)
+	u.rec(opVshlS16Reg)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		s := int8(shifts.I16(i)) // low byte of shift lane, per ARM ARM
@@ -298,7 +297,7 @@ func (u *Unit) VshlqS16(a, shifts vec.V128) vec.V128 {
 
 // VsraqNS16 shift right and accumulate (vsra.s16 #n).
 func (u *Unit) VsraqNS16(acc, a vec.V128, n uint) vec.V128 {
-	u.rec("vsra.s16", trace.SIMDALU)
+	u.rec(opVsraS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, acc.I16(i)+(a.I16(i)>>n))

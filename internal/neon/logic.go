@@ -2,7 +2,6 @@ package neon
 
 import (
 	"simdstudy/internal/faults"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -10,73 +9,73 @@ import (
 
 // VandqU8 bitwise AND (vand).
 func (u *Unit) VandqU8(a, b vec.V128) vec.V128 {
-	u.rec("vand", trace.SIMDALU)
+	u.rec(opVand)
 	return vec.And(a, b)
 }
 
 // VandqU16 bitwise AND (vand); NEON bitwise ops are type-blind.
 func (u *Unit) VandqU16(a, b vec.V128) vec.V128 {
-	u.rec("vand", trace.SIMDALU)
+	u.rec(opVand)
 	return vec.And(a, b)
 }
 
 // VandqS16 bitwise AND (vand).
 func (u *Unit) VandqS16(a, b vec.V128) vec.V128 {
-	u.rec("vand", trace.SIMDALU)
+	u.rec(opVand)
 	return vec.And(a, b)
 }
 
 // VorrqU8 bitwise OR (vorr).
 func (u *Unit) VorrqU8(a, b vec.V128) vec.V128 {
-	u.rec("vorr", trace.SIMDALU)
+	u.rec(opVorrALU)
 	return vec.Or(a, b)
 }
 
 // VorrqS16 bitwise OR (vorr).
 func (u *Unit) VorrqS16(a, b vec.V128) vec.V128 {
-	u.rec("vorr", trace.SIMDALU)
+	u.rec(opVorrALU)
 	return vec.Or(a, b)
 }
 
 // VeorqU8 bitwise XOR (veor).
 func (u *Unit) VeorqU8(a, b vec.V128) vec.V128 {
-	u.rec("veor", trace.SIMDALU)
+	u.rec(opVeor)
 	return vec.Xor(a, b)
 }
 
 // VmvnqU8 bitwise NOT (vmvn).
 func (u *Unit) VmvnqU8(a vec.V128) vec.V128 {
-	u.rec("vmvn", trace.SIMDALU)
+	u.rec(opVmvn)
 	return vec.Not(a)
 }
 
 // VbicqU8 bit clear: a & ^b (vbic).
 func (u *Unit) VbicqU8(a, b vec.V128) vec.V128 {
-	u.rec("vbic", trace.SIMDALU)
+	u.rec(opVbic)
 	return vec.And(a, vec.Not(b))
 }
 
 // VornqU8 OR complement: a | ^b (vorn).
 func (u *Unit) VornqU8(a, b vec.V128) vec.V128 {
-	u.rec("vorn", trace.SIMDALU)
+	u.rec(opVorn)
 	return vec.Or(a, vec.Not(b))
 }
 
 // VbslqU8 bitwise select: mask bits choose a, clear bits choose b (vbsl).
 func (u *Unit) VbslqU8(mask, a, b vec.V128) vec.V128 {
-	u.rec("vbsl", trace.SIMDALU)
+	u.rec(opVbsl)
 	return vec.Select(mask, a, b)
 }
 
 // VbslqS16 bitwise select on int16-typed registers (vbsl is type-blind).
 func (u *Unit) VbslqS16(mask, a, b vec.V128) vec.V128 {
-	u.rec("vbsl", trace.SIMDALU)
+	u.rec(opVbsl)
 	return vec.Select(mask, a, b)
 }
 
 // VbslqF32 bitwise select on float-typed registers.
 func (u *Unit) VbslqF32(mask, a, b vec.V128) vec.V128 {
-	u.rec("vbsl", trace.SIMDALU)
+	u.rec(opVbsl)
 	return vec.Select(mask, a, b)
 }
 
@@ -105,7 +104,7 @@ func boolMask32(c bool) uint32 {
 
 // VcgtqU8 compare greater-than, unsigned bytes (vcgt.u8).
 func (u *Unit) VcgtqU8(a, b vec.V128) vec.V128 {
-	u.rec("vcgt.u8", trace.SIMDALU)
+	u.rec(opVcgtU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, boolMask8(a.U8(i) > b.U8(i)))
@@ -115,7 +114,7 @@ func (u *Unit) VcgtqU8(a, b vec.V128) vec.V128 {
 
 // VcgeqU8 compare greater-or-equal, unsigned bytes (vcge.u8).
 func (u *Unit) VcgeqU8(a, b vec.V128) vec.V128 {
-	u.rec("vcge.u8", trace.SIMDALU)
+	u.rec(opVcgeU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, boolMask8(a.U8(i) >= b.U8(i)))
@@ -125,7 +124,7 @@ func (u *Unit) VcgeqU8(a, b vec.V128) vec.V128 {
 
 // VcltqU8 compare less-than, unsigned bytes (vclt.u8).
 func (u *Unit) VcltqU8(a, b vec.V128) vec.V128 {
-	u.rec("vclt.u8", trace.SIMDALU)
+	u.rec(opVcltU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, boolMask8(a.U8(i) < b.U8(i)))
@@ -135,7 +134,7 @@ func (u *Unit) VcltqU8(a, b vec.V128) vec.V128 {
 
 // VceqqU8 compare equal, bytes (vceq.i8).
 func (u *Unit) VceqqU8(a, b vec.V128) vec.V128 {
-	u.rec("vceq.i8", trace.SIMDALU)
+	u.rec(opVceqI8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, boolMask8(a.U8(i) == b.U8(i)))
@@ -145,7 +144,7 @@ func (u *Unit) VceqqU8(a, b vec.V128) vec.V128 {
 
 // VcgtqS16 compare greater-than, int16 (vcgt.s16).
 func (u *Unit) VcgtqS16(a, b vec.V128) vec.V128 {
-	u.rec("vcgt.s16", trace.SIMDALU)
+	u.rec(opVcgtS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, boolMask16(a.I16(i) > b.I16(i)))
@@ -155,7 +154,7 @@ func (u *Unit) VcgtqS16(a, b vec.V128) vec.V128 {
 
 // VcgeqS16 compare greater-or-equal, int16 (vcge.s16).
 func (u *Unit) VcgeqS16(a, b vec.V128) vec.V128 {
-	u.rec("vcge.s16", trace.SIMDALU)
+	u.rec(opVcgeS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, boolMask16(a.I16(i) >= b.I16(i)))
@@ -165,7 +164,7 @@ func (u *Unit) VcgeqS16(a, b vec.V128) vec.V128 {
 
 // VcltqS16 compare less-than, int16 (vclt.s16).
 func (u *Unit) VcltqS16(a, b vec.V128) vec.V128 {
-	u.rec("vclt.s16", trace.SIMDALU)
+	u.rec(opVcltS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, boolMask16(a.I16(i) < b.I16(i)))
@@ -175,7 +174,7 @@ func (u *Unit) VcltqS16(a, b vec.V128) vec.V128 {
 
 // VceqqS16 compare equal, int16 (vceq.i16).
 func (u *Unit) VceqqS16(a, b vec.V128) vec.V128 {
-	u.rec("vceq.i16", trace.SIMDALU)
+	u.rec(opVceqI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, boolMask16(a.I16(i) == b.I16(i)))
@@ -185,7 +184,7 @@ func (u *Unit) VceqqS16(a, b vec.V128) vec.V128 {
 
 // VcgtqF32 compare greater-than, float (vcgt.f32).
 func (u *Unit) VcgtqF32(a, b vec.V128) vec.V128 {
-	u.rec("vcgt.f32", trace.SIMDALU)
+	u.rec(opVcgtF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, boolMask32(a.F32(i) > b.F32(i)))
@@ -195,7 +194,7 @@ func (u *Unit) VcgtqF32(a, b vec.V128) vec.V128 {
 
 // VcgeqF32 compare greater-or-equal, float (vcge.f32).
 func (u *Unit) VcgeqF32(a, b vec.V128) vec.V128 {
-	u.rec("vcge.f32", trace.SIMDALU)
+	u.rec(opVcgeF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, boolMask32(a.F32(i) >= b.F32(i)))
@@ -205,7 +204,7 @@ func (u *Unit) VcgeqF32(a, b vec.V128) vec.V128 {
 
 // VcltqF32 compare less-than, float (vclt.f32).
 func (u *Unit) VcltqF32(a, b vec.V128) vec.V128 {
-	u.rec("vclt.f32", trace.SIMDALU)
+	u.rec(opVcltF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, boolMask32(a.F32(i) < b.F32(i)))
@@ -215,7 +214,7 @@ func (u *Unit) VcltqF32(a, b vec.V128) vec.V128 {
 
 // VceqqF32 compare equal, float (vceq.f32).
 func (u *Unit) VceqqF32(a, b vec.V128) vec.V128 {
-	u.rec("vceq.f32", trace.SIMDALU)
+	u.rec(opVceqF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, boolMask32(a.F32(i) == b.F32(i)))
@@ -225,7 +224,7 @@ func (u *Unit) VceqqF32(a, b vec.V128) vec.V128 {
 
 // VcagtqF32 compare absolute greater-than |a| > |b| (vacgt.f32).
 func (u *Unit) VcagtqF32(a, b vec.V128) vec.V128 {
-	u.rec("vacgt.f32", trace.SIMDALU)
+	u.rec(opVacgtF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		x, y := a.F32(i), b.F32(i)
@@ -242,7 +241,7 @@ func (u *Unit) VcagtqF32(a, b vec.V128) vec.V128 {
 
 // VtstqU8 test bits: lane mask set where a&b is nonzero (vtst.8).
 func (u *Unit) VtstqU8(a, b vec.V128) vec.V128 {
-	u.rec("vtst.8", trace.SIMDALU)
+	u.rec(opVtst8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, boolMask8(a.U8(i)&b.U8(i) != 0))

@@ -35,6 +35,11 @@ type Unit struct {
 	// Obs, when non-nil, receives Session spans so stretches of intrinsic
 	// work appear as slices in the exported Chrome trace.
 	Obs *obs.Registry
+
+	// tl tallies retired instructions for T until Flush; it holds a
+	// pooled count array only while counts are pending, so an untraced
+	// unit carries none.
+	tl trace.Tally
 }
 
 // New returns a Unit recording into t (which may be nil).
@@ -42,9 +47,10 @@ func New(t *trace.Counter) *Unit { return &Unit{T: t} }
 
 // Session opens an observability span named "neon.<name>" covering a
 // stretch of intrinsic work (one SIMD pass of a kernel, a custom-kernel
-// run). The span samples the unit's trace counter so its instruction
-// delta is attributed on End. Nested under parent when given; returns nil
-// (all methods of which are no-ops) when no registry is attached.
+// run). The span samples the unit's trace counter, flushing the unit's
+// tally at open and at End, so its instruction delta is attributed
+// exactly. Nested under parent when given; returns nil (all methods of
+// which are no-ops) when no registry is attached.
 func (u *Unit) Session(name string, parent *obs.Span) *obs.Span {
 	if u.Obs == nil {
 		return nil
@@ -56,7 +62,10 @@ func (u *Unit) Session(name string, parent *obs.Span) *obs.Span {
 		sp = u.Obs.StartSpan("neon." + name)
 	}
 	if t := u.T; t != nil {
-		sp.SampleInstr(t.Total)
+		sp.SampleInstr(func() uint64 {
+			u.Flush()
+			return t.Total()
+		})
 	}
 	return sp
 }
@@ -90,17 +99,36 @@ func skewed[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	return p
 }
 
-func (u *Unit) rec(name string, class trace.Class) {
+// rec notes one retired instruction. Only the nil check inlines into the
+// intrinsics, so an untraced unit pays no call.
+func (u *Unit) rec(id trace.OpID) {
 	if u.T != nil {
-		u.T.Record(trace.Op{Name: name, Class: class})
+		u.tally(id)
 	}
 }
 
-func (u *Unit) recMem(name string, class trace.Class, bytes int) {
-	if u.T != nil {
-		u.T.Record(trace.Op{Name: name, Class: class, Bytes: bytes})
+// tally counts one retired instruction in the unit's tally.
+func (u *Unit) tally(id trace.OpID) { u.tl.Inc(u.T, id) }
+
+// Count notes n retired instances of id with no sequence capture: bulk
+// accounting for instructions the caller models rather than emulates,
+// tallied with the unit's own.
+func (u *Unit) Count(id trace.OpID, n uint64) {
+	if u.T != nil && n != 0 {
+		u.tl.Add(u.T, id, n)
 	}
 }
+
+// Flush folds the instructions tallied since the last Flush into T. A unit
+// records into a private, unsynchronized tally, so T reads stale until the
+// unit is flushed: internal/cv flushes as each pass completes, and callers
+// that drive a unit directly flush before reading T. Flush is idempotent.
+func (u *Unit) Flush() { u.tl.Flush() }
+
+// Share makes the unit safe to record from several goroutines at once:
+// each instruction then goes straight into T under T's lock instead of into
+// the private tally. Call it before the unit is shared.
+func (u *Unit) Share() { u.tl.Share() }
 
 // Overhead records loop/address bookkeeping instructions that surround the
 // intrinsic body in compiled code: the paper's Section V counts 6 such
@@ -109,30 +137,30 @@ func (u *Unit) Overhead(addrCalcs, branches, moves int) {
 	if u.T == nil {
 		return
 	}
-	u.T.RecordN("add/mov(addr)", trace.AddrCalc, uint64(addrCalcs), 0)
-	u.T.RecordN("cmp+b", trace.Branch, uint64(branches), 0)
-	u.T.RecordN("mov", trace.Move, uint64(moves), 0)
+	u.tl.Add(u.T, opAddMovAddr, uint64(addrCalcs))
+	u.tl.Add(u.T, opCmpB, uint64(branches))
+	u.tl.Add(u.T, opMov, uint64(moves))
 }
 
 // --- Data movement: loads ---
 
 // Vld1qF32 loads four consecutive float32 (vld1.32 {dN-dN+1}).
 func (u *Unit) Vld1qF32(p []float32) vec.V128 {
-	u.recMem("vld1.32", trace.SIMDLoad, 16)
+	u.rec(opVld1_32x16)
 	p = skewed(u, faults.SiteLoad, p, 4)
 	return fault(u, faults.SiteLoad, vec.FromF32x4([4]float32{p[0], p[1], p[2], p[3]}))
 }
 
 // Vld1F32 loads two consecutive float32 into a D register.
 func (u *Unit) Vld1F32(p []float32) vec.V64 {
-	u.recMem("vld1.32", trace.SIMDLoad, 8)
+	u.rec(opVld1_32x8)
 	p = skewed(u, faults.SiteLoad, p, 2)
 	return fault(u, faults.SiteLoad, vec.FromF32x2([2]float32{p[0], p[1]}))
 }
 
 // Vld1qU8 loads sixteen consecutive uint8.
 func (u *Unit) Vld1qU8(p []uint8) vec.V128 {
-	u.recMem("vld1.8", trace.SIMDLoad, 16)
+	u.rec(opVld1_8x16)
 	p = skewed(u, faults.SiteLoad, p, 16)
 	var a [16]uint8
 	copy(a[:], p[:16])
@@ -141,7 +169,7 @@ func (u *Unit) Vld1qU8(p []uint8) vec.V128 {
 
 // Vld1U8 loads eight consecutive uint8 into a D register.
 func (u *Unit) Vld1U8(p []uint8) vec.V64 {
-	u.recMem("vld1.8", trace.SIMDLoad, 8)
+	u.rec(opVld1_8x8)
 	p = skewed(u, faults.SiteLoad, p, 8)
 	var a [8]uint8
 	copy(a[:], p[:8])
@@ -150,7 +178,7 @@ func (u *Unit) Vld1U8(p []uint8) vec.V64 {
 
 // Vld1qS8 loads sixteen consecutive int8.
 func (u *Unit) Vld1qS8(p []int8) vec.V128 {
-	u.recMem("vld1.8", trace.SIMDLoad, 16)
+	u.rec(opVld1_8x16)
 	p = skewed(u, faults.SiteLoad, p, 16)
 	var a [16]int8
 	copy(a[:], p[:16])
@@ -159,7 +187,7 @@ func (u *Unit) Vld1qS8(p []int8) vec.V128 {
 
 // Vld1qS16 loads eight consecutive int16.
 func (u *Unit) Vld1qS16(p []int16) vec.V128 {
-	u.recMem("vld1.16", trace.SIMDLoad, 16)
+	u.rec(opVld1_16x16)
 	p = skewed(u, faults.SiteLoad, p, 8)
 	var a [8]int16
 	copy(a[:], p[:8])
@@ -168,7 +196,7 @@ func (u *Unit) Vld1qS16(p []int16) vec.V128 {
 
 // Vld1S16 loads four consecutive int16 into a D register.
 func (u *Unit) Vld1S16(p []int16) vec.V64 {
-	u.recMem("vld1.16", trace.SIMDLoad, 8)
+	u.rec(opVld1_16x8)
 	p = skewed(u, faults.SiteLoad, p, 4)
 	var a [4]int16
 	copy(a[:], p[:4])
@@ -177,7 +205,7 @@ func (u *Unit) Vld1S16(p []int16) vec.V64 {
 
 // Vld1qU16 loads eight consecutive uint16.
 func (u *Unit) Vld1qU16(p []uint16) vec.V128 {
-	u.recMem("vld1.16", trace.SIMDLoad, 16)
+	u.rec(opVld1_16x16)
 	p = skewed(u, faults.SiteLoad, p, 8)
 	var a [8]uint16
 	copy(a[:], p[:8])
@@ -186,7 +214,7 @@ func (u *Unit) Vld1qU16(p []uint16) vec.V128 {
 
 // Vld1qS32 loads four consecutive int32.
 func (u *Unit) Vld1qS32(p []int32) vec.V128 {
-	u.recMem("vld1.32", trace.SIMDLoad, 16)
+	u.rec(opVld1_32x16)
 	p = skewed(u, faults.SiteLoad, p, 4)
 	var a [4]int32
 	copy(a[:], p[:4])
@@ -195,7 +223,7 @@ func (u *Unit) Vld1qS32(p []int32) vec.V128 {
 
 // Vld1qU32 loads four consecutive uint32.
 func (u *Unit) Vld1qU32(p []uint32) vec.V128 {
-	u.recMem("vld1.32", trace.SIMDLoad, 16)
+	u.rec(opVld1_32x16)
 	p = skewed(u, faults.SiteLoad, p, 4)
 	var a [4]uint32
 	copy(a[:], p[:4])
@@ -206,7 +234,7 @@ func (u *Unit) Vld1qU32(p []uint32) vec.V128 {
 
 // Vst1qF32 stores four float32 (vst1.32).
 func (u *Unit) Vst1qF32(p []float32, v vec.V128) {
-	u.recMem("vst1.32", trace.SIMDStore, 16)
+	u.rec(opVst1_32)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
 	f := v.ToF32x4()
@@ -216,7 +244,7 @@ func (u *Unit) Vst1qF32(p []float32, v vec.V128) {
 // Vst1qS16 stores eight int16 (vst1.16). This is the final instruction of
 // the paper's hand-optimized convert loop.
 func (u *Unit) Vst1qS16(p []int16, v vec.V128) {
-	u.recMem("vst1.16", trace.SIMDStore, 16)
+	u.rec(opVst1_16x16)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToI16x8()
@@ -225,7 +253,7 @@ func (u *Unit) Vst1qS16(p []int16, v vec.V128) {
 
 // Vst1S16 stores four int16 from a D register.
 func (u *Unit) Vst1S16(p []int16, v vec.V64) {
-	u.recMem("vst1.16", trace.SIMDStore, 8)
+	u.rec(opVst1_16x8)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToI16x4()
@@ -234,7 +262,7 @@ func (u *Unit) Vst1S16(p []int16, v vec.V64) {
 
 // Vst1qU8 stores sixteen uint8.
 func (u *Unit) Vst1qU8(p []uint8, v vec.V128) {
-	u.recMem("vst1.8", trace.SIMDStore, 16)
+	u.rec(opVst1_8x16)
 	p = skewed(u, faults.SiteStore, p, 16)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToU8x16()
@@ -243,7 +271,7 @@ func (u *Unit) Vst1qU8(p []uint8, v vec.V128) {
 
 // Vst1U8 stores eight uint8 from a D register.
 func (u *Unit) Vst1U8(p []uint8, v vec.V64) {
-	u.recMem("vst1.8", trace.SIMDStore, 8)
+	u.rec(opVst1_8x8)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToU8x8()
@@ -252,7 +280,7 @@ func (u *Unit) Vst1U8(p []uint8, v vec.V64) {
 
 // Vst1qU16 stores eight uint16.
 func (u *Unit) Vst1qU16(p []uint16, v vec.V128) {
-	u.recMem("vst1.16", trace.SIMDStore, 16)
+	u.rec(opVst1_16x16)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToU16x8()
@@ -261,7 +289,7 @@ func (u *Unit) Vst1qU16(p []uint16, v vec.V128) {
 
 // Vst1qS32 stores four int32.
 func (u *Unit) Vst1qS32(p []int32, v vec.V128) {
-	u.recMem("vst1.32", trace.SIMDStore, 16)
+	u.rec(opVst1_32)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToI32x4()
@@ -270,7 +298,7 @@ func (u *Unit) Vst1qS32(p []int32, v vec.V128) {
 
 // Vst1qU32 stores four uint32.
 func (u *Unit) Vst1qU32(p []uint32, v vec.V128) {
-	u.recMem("vst1.32", trace.SIMDStore, 16)
+	u.rec(opVst1_32)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToU32x4()
@@ -281,25 +309,25 @@ func (u *Unit) Vst1qU32(p []uint32, v vec.V128) {
 
 // VdupqNF32 broadcasts a scalar float into all four lanes (vdup.32).
 func (u *Unit) VdupqNF32(x float32) vec.V128 {
-	u.rec("vdup.32", trace.SIMDShuffle)
+	u.rec(opVdup32)
 	return vec.FromF32x4([4]float32{x, x, x, x})
 }
 
 // VdupqNS16 broadcasts a scalar int16 into all eight lanes.
 func (u *Unit) VdupqNS16(x int16) vec.V128 {
-	u.rec("vdup.16", trace.SIMDShuffle)
+	u.rec(opVdup16)
 	return vec.FromI16x8([8]int16{x, x, x, x, x, x, x, x})
 }
 
 // VdupqNU16 broadcasts a scalar uint16 into all eight lanes.
 func (u *Unit) VdupqNU16(x uint16) vec.V128 {
-	u.rec("vdup.16", trace.SIMDShuffle)
+	u.rec(opVdup16)
 	return vec.FromU16x8([8]uint16{x, x, x, x, x, x, x, x})
 }
 
 // VdupqNU8 broadcasts a scalar uint8 into all sixteen lanes.
 func (u *Unit) VdupqNU8(x uint8) vec.V128 {
-	u.rec("vdup.8", trace.SIMDShuffle)
+	u.rec(opVdup8)
 	var a [16]uint8
 	for i := range a {
 		a[i] = x
@@ -309,19 +337,19 @@ func (u *Unit) VdupqNU8(x uint8) vec.V128 {
 
 // VdupqNS32 broadcasts a scalar int32 into all four lanes.
 func (u *Unit) VdupqNS32(x int32) vec.V128 {
-	u.rec("vdup.32", trace.SIMDShuffle)
+	u.rec(opVdup32)
 	return vec.FromI32x4([4]int32{x, x, x, x})
 }
 
 // VdupqNU32 broadcasts a scalar uint32 into all four lanes.
 func (u *Unit) VdupqNU32(x uint32) vec.V128 {
-	u.rec("vdup.32", trace.SIMDShuffle)
+	u.rec(opVdup32)
 	return vec.FromU32x4([4]uint32{x, x, x, x})
 }
 
 // VdupNU8 broadcasts a scalar uint8 into all eight D-register lanes.
 func (u *Unit) VdupNU8(x uint8) vec.V64 {
-	u.rec("vdup.8", trace.SIMDShuffle)
+	u.rec(opVdup8)
 	var a [8]uint8
 	for i := range a {
 		a[i] = x
@@ -331,7 +359,7 @@ func (u *Unit) VdupNU8(x uint8) vec.V64 {
 
 // VdupNS16 broadcasts a scalar int16 into all four D-register lanes.
 func (u *Unit) VdupNS16(x int16) vec.V64 {
-	u.rec("vdup.16", trace.SIMDShuffle)
+	u.rec(opVdup16)
 	return vec.FromI16x4([4]int16{x, x, x, x})
 }
 
@@ -343,25 +371,25 @@ func (u *Unit) VmovqNF32(x float32) vec.V128 { return u.VdupqNF32(x) }
 // VcombineS16 concatenates two D registers into one Q register
 // (vcombine_s16). The paper observes gcc lowering this to a vorr/vmov.
 func (u *Unit) VcombineS16(lo, hi vec.V64) vec.V128 {
-	u.rec("vorr", trace.Move) // lowered to a register move, per Section V
+	u.rec(opVorrMov) // lowered to a register move, per Section V
 	return vec.Combine(lo, hi)
 }
 
 // VcombineU8 concatenates two D registers of bytes.
 func (u *Unit) VcombineU8(lo, hi vec.V64) vec.V128 {
-	u.rec("vorr", trace.Move)
+	u.rec(opVorrMov)
 	return vec.Combine(lo, hi)
 }
 
 // VcombineU16 concatenates two D registers of uint16.
 func (u *Unit) VcombineU16(lo, hi vec.V64) vec.V128 {
-	u.rec("vorr", trace.Move)
+	u.rec(opVorrMov)
 	return vec.Combine(lo, hi)
 }
 
 // VcombineF32 concatenates two D registers of float32.
 func (u *Unit) VcombineF32(lo, hi vec.V64) vec.V128 {
-	u.rec("vorr", trace.Move)
+	u.rec(opVorrMov)
 	return vec.Combine(lo, hi)
 }
 
@@ -380,25 +408,25 @@ func (u *Unit) VgetHighU8(v vec.V128) vec.V64 { return v.High() }
 
 // VgetLaneS16 extracts lane i to a core register (vmov.s16 rN, dM[i]).
 func (u *Unit) VgetLaneS16(v vec.V64, lane int) int16 {
-	u.rec("vmov.s16", trace.Move)
+	u.rec(opVmovS16)
 	return v.I16(lane)
 }
 
 // VgetqLaneS32 extracts lane i of a Q register to a core register.
 func (u *Unit) VgetqLaneS32(v vec.V128, lane int) int32 {
-	u.rec("vmov.s32", trace.Move)
+	u.rec(opVmovS32)
 	return v.I32(lane)
 }
 
 // VgetqLaneF32 extracts float lane i of a Q register.
 func (u *Unit) VgetqLaneF32(v vec.V128, lane int) float32 {
-	u.rec("vmov.f32", trace.Move)
+	u.rec(opVmovF32)
 	return v.F32(lane)
 }
 
 // VsetqLaneS16 inserts a scalar into lane i (vmov.16 dM[i], rN).
 func (u *Unit) VsetqLaneS16(x int16, v vec.V128, lane int) vec.V128 {
-	u.rec("vmov.16", trace.Move)
+	u.rec(opVmov16)
 	v.SetI16(lane, x)
 	return v
 }
@@ -406,7 +434,7 @@ func (u *Unit) VsetqLaneS16(x int16, v vec.V128, lane int) vec.V128 {
 // VextU8 extracts a 16-byte window starting n bytes into the pair (a,b)
 // (vext.8 qd, qa, qb, #n): lanes a[n..15], b[0..n-1].
 func (u *Unit) VextU8(a, b vec.V128, n int) vec.V128 {
-	u.rec("vext.8", trace.SIMDShuffle)
+	u.rec(opVext8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		if n+i < 16 {
@@ -420,7 +448,7 @@ func (u *Unit) VextU8(a, b vec.V128, n int) vec.V128 {
 
 // VextS16 shifts the (a,b) pair by n 16-bit lanes (vext.16).
 func (u *Unit) VextS16(a, b vec.V128, n int) vec.V128 {
-	u.rec("vext.16", trace.SIMDShuffle)
+	u.rec(opVext16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		if n+i < 8 {
@@ -434,7 +462,7 @@ func (u *Unit) VextS16(a, b vec.V128, n int) vec.V128 {
 
 // Vrev64U8 reverses bytes within each 64-bit doubleword (vrev64.8).
 func (u *Unit) Vrev64U8(a vec.V128) vec.V128 {
-	u.rec("vrev64.8", trace.SIMDShuffle)
+	u.rec(opVrev64_8)
 	var r vec.V128
 	for d := 0; d < 2; d++ {
 		for i := 0; i < 8; i++ {
@@ -447,7 +475,7 @@ func (u *Unit) Vrev64U8(a vec.V128) vec.V128 {
 // VtrnqS16 transposes pairs of 16-bit lanes between two registers
 // (vtrn.16), the building block of NEON matrix transposes.
 func (u *Unit) VtrnqS16(a, b vec.V128) (vec.V128, vec.V128) {
-	u.rec("vtrn.16", trace.SIMDShuffle)
+	u.rec(opVtrn16)
 	var ra, rb vec.V128
 	for i := 0; i < 8; i += 2 {
 		ra.SetI16(i, a.I16(i))
@@ -460,7 +488,7 @@ func (u *Unit) VtrnqS16(a, b vec.V128) (vec.V128, vec.V128) {
 
 // VzipqU8 interleaves the lanes of two byte registers (vzip.8).
 func (u *Unit) VzipqU8(a, b vec.V128) (vec.V128, vec.V128) {
-	u.rec("vzip.8", trace.SIMDShuffle)
+	u.rec(opVzip8)
 	var lo, hi vec.V128
 	for i := 0; i < 8; i++ {
 		lo.SetU8(2*i, a.U8(i))
@@ -473,7 +501,7 @@ func (u *Unit) VzipqU8(a, b vec.V128) (vec.V128, vec.V128) {
 
 // VuzpqU8 deinterleaves lanes of two byte registers (vuzp.8).
 func (u *Unit) VuzpqU8(a, b vec.V128) (vec.V128, vec.V128) {
-	u.rec("vuzp.8", trace.SIMDShuffle)
+	u.rec(opVuzp8)
 	var ev, od vec.V128
 	var all [32]uint8
 	aa, bb := a.ToU8x16(), b.ToU8x16()
@@ -489,7 +517,7 @@ func (u *Unit) VuzpqU8(a, b vec.V128) (vec.V128, vec.V128) {
 // VtblU8 performs a table lookup (vtbl.8): each index lane of idx selects a
 // byte from table t; out-of-range indexes produce zero.
 func (u *Unit) VtblU8(t vec.V64, idx vec.V64) vec.V64 {
-	u.rec("vtbl.8", trace.SIMDShuffle)
+	u.rec(opVtbl8)
 	var r vec.V64
 	for i := 0; i < 8; i++ {
 		j := int(idx.U8(i))

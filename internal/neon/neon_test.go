@@ -104,6 +104,7 @@ func TestPaperConvertSequence(t *testing.T) {
 
 	// Section V: 8 instructions for the intrinsic body (vcombine lowers to
 	// a register move, still one instruction).
+	u.Flush()
 	if got := tr.Total(); got != 8 {
 		t.Errorf("instruction count: got %d want 8", got)
 	}
@@ -123,6 +124,7 @@ func TestOverheadAccounting(t *testing.T) {
 	var tr trace.Counter
 	u := New(&tr)
 	u.Overhead(3, 2, 1)
+	u.Flush()
 	if tr.Count(trace.AddrCalc) != 3 || tr.Count(trace.Branch) != 2 || tr.Count(trace.Move) != 1 {
 		t.Fatalf("overhead counts wrong: %v", tr.Classes())
 	}
@@ -868,10 +870,37 @@ func TestStructuredLoadTraceBytes(t *testing.T) {
 	buf := make([]uint8, 64)
 	u.Vld3U8(buf)
 	u.Vst3U8(buf, [3]vec.V64{})
+	u.Flush()
 	if tr.BytesLoaded() != 24 || tr.BytesStored() != 24 {
 		t.Fatalf("vld3/vst3 bytes: %d/%d", tr.BytesLoaded(), tr.BytesStored())
 	}
 	if tr.Opcode("vld3.8") != 1 || tr.Opcode("vst3.8") != 1 {
 		t.Fatal("structured opcodes not recorded")
+	}
+}
+
+// TestFlushIdempotent: a unit's tally reaches its counter at Flush, and a
+// second Flush adds nothing. A shared unit records without one.
+func TestFlushIdempotent(t *testing.T) {
+	var tr trace.Counter
+	u := New(&tr)
+	u.VaddqU8(u.Vld1qU8(make([]uint8, 16)), vec.V128{})
+	u.Overhead(2, 1, 1)
+	if tr.Total() != 0 {
+		t.Fatal("tally reached the counter before Flush")
+	}
+	u.Flush()
+	want := tr.Summary()
+	u.Flush()
+	if got := tr.Summary(); got != want || tr.Total() != 6 {
+		t.Fatalf("second Flush changed the counter (total %d):\n%s\nwant:\n%s", tr.Total(), got, want)
+	}
+
+	var direct trace.Counter
+	s := New(&direct)
+	s.Share()
+	s.VaddqU8(vec.V128{}, vec.V128{})
+	if direct.Opcode("vadd.i8") != 1 {
+		t.Fatal("shared unit must record straight into its counter")
 	}
 }

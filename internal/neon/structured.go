@@ -2,7 +2,6 @@ package neon
 
 import (
 	"simdstudy/internal/faults"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -16,7 +15,7 @@ import (
 // Vld2U8 loads 16 bytes of 2-way interleaved data into two D registers
 // (vld2.8): out[0] gets even-indexed bytes, out[1] odd-indexed.
 func (u *Unit) Vld2U8(p []uint8) [2]vec.V64 {
-	u.recMem("vld2.8", trace.SIMDLoad, 16)
+	u.rec(opVld2_8x16)
 	p = skewed(u, faults.SiteLoad, p, 16)
 	var out [2]vec.V64
 	for i := 0; i < 8; i++ {
@@ -30,7 +29,7 @@ func (u *Unit) Vld2U8(p []uint8) [2]vec.V64 {
 // Vld3U8 loads 24 bytes of 3-way interleaved data (e.g. RGB pixels) into
 // three D registers (vld3.8).
 func (u *Unit) Vld3U8(p []uint8) [3]vec.V64 {
-	u.recMem("vld3.8", trace.SIMDLoad, 24)
+	u.rec(opVld3_8)
 	p = skewed(u, faults.SiteLoad, p, 24)
 	var out [3]vec.V64
 	for i := 0; i < 8; i++ {
@@ -45,7 +44,7 @@ func (u *Unit) Vld3U8(p []uint8) [3]vec.V64 {
 // Vld4U8 loads 32 bytes of 4-way interleaved data (e.g. RGBA pixels) into
 // four D registers (vld4.8).
 func (u *Unit) Vld4U8(p []uint8) [4]vec.V64 {
-	u.recMem("vld4.8", trace.SIMDLoad, 32)
+	u.rec(opVld4_8)
 	p = skewed(u, faults.SiteLoad, p, 32)
 	var out [4]vec.V64
 	for i := 0; i < 8; i++ {
@@ -60,7 +59,7 @@ func (u *Unit) Vld4U8(p []uint8) [4]vec.V64 {
 
 // Vst2U8 stores two D registers as 2-way interleaved bytes (vst2.8).
 func (u *Unit) Vst2U8(p []uint8, v [2]vec.V64) {
-	u.recMem("vst2.8", trace.SIMDStore, 16)
+	u.rec(opVst2_8x16)
 	p = skewed(u, faults.SiteStore, p, 16)
 	v[0] = fault(u, faults.SiteStore, v[0])
 	for i := 0; i < 8; i++ {
@@ -71,7 +70,7 @@ func (u *Unit) Vst2U8(p []uint8, v [2]vec.V64) {
 
 // Vst3U8 stores three D registers as 3-way interleaved bytes (vst3.8).
 func (u *Unit) Vst3U8(p []uint8, v [3]vec.V64) {
-	u.recMem("vst3.8", trace.SIMDStore, 24)
+	u.rec(opVst3_8)
 	p = skewed(u, faults.SiteStore, p, 24)
 	v[0] = fault(u, faults.SiteStore, v[0])
 	for i := 0; i < 8; i++ {
@@ -83,7 +82,7 @@ func (u *Unit) Vst3U8(p []uint8, v [3]vec.V64) {
 
 // Vst4U8 stores four D registers as 4-way interleaved bytes (vst4.8).
 func (u *Unit) Vst4U8(p []uint8, v [4]vec.V64) {
-	u.recMem("vst4.8", trace.SIMDStore, 32)
+	u.rec(opVst4_8)
 	p = skewed(u, faults.SiteStore, p, 32)
 	v[0] = fault(u, faults.SiteStore, v[0])
 	for i := 0; i < 8; i++ {
@@ -97,7 +96,7 @@ func (u *Unit) Vst4U8(p []uint8, v [4]vec.V64) {
 // Vld2qU8 loads 32 bytes of 2-way interleaved data into two Q registers
 // (vld2.8 with quad registers).
 func (u *Unit) Vld2qU8(p []uint8) [2]vec.V128 {
-	u.recMem("vld2.8", trace.SIMDLoad, 32)
+	u.rec(opVld2_8x32)
 	p = skewed(u, faults.SiteLoad, p, 32)
 	var out [2]vec.V128
 	for i := 0; i < 16; i++ {
@@ -110,7 +109,7 @@ func (u *Unit) Vld2qU8(p []uint8) [2]vec.V128 {
 
 // Vst2qU8 stores two Q registers as 2-way interleaved bytes.
 func (u *Unit) Vst2qU8(p []uint8, v [2]vec.V128) {
-	u.recMem("vst2.8", trace.SIMDStore, 32)
+	u.rec(opVst2_8x32)
 	p = skewed(u, faults.SiteStore, p, 32)
 	v[0] = fault(u, faults.SiteStore, v[0])
 	for i := 0; i < 16; i++ {

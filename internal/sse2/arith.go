@@ -5,7 +5,6 @@ import (
 
 	"simdstudy/internal/faults"
 	"simdstudy/internal/sat"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -13,7 +12,7 @@ import (
 
 // AddPs adds four float lanes (_mm_add_ps).
 func (u *Unit) AddPs(a, b vec.V128) vec.V128 {
-	u.rec("addps", trace.SIMDALU)
+	u.rec(opAddps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)+b.F32(i))
@@ -23,7 +22,7 @@ func (u *Unit) AddPs(a, b vec.V128) vec.V128 {
 
 // SubPs subtracts four float lanes (_mm_sub_ps).
 func (u *Unit) SubPs(a, b vec.V128) vec.V128 {
-	u.rec("subps", trace.SIMDALU)
+	u.rec(opSubps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)-b.F32(i))
@@ -33,7 +32,7 @@ func (u *Unit) SubPs(a, b vec.V128) vec.V128 {
 
 // MulPs multiplies four float lanes (_mm_mul_ps).
 func (u *Unit) MulPs(a, b vec.V128) vec.V128 {
-	u.rec("mulps", trace.SIMDMul)
+	u.rec(opMulps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)*b.F32(i))
@@ -44,7 +43,7 @@ func (u *Unit) MulPs(a, b vec.V128) vec.V128 {
 // DivPs divides four float lanes (_mm_div_ps). SSE2 has vector division;
 // NEON does not — the paper notes this asymmetry.
 func (u *Unit) DivPs(a, b vec.V128) vec.V128 {
-	u.rec("divps", trace.SIMDMul)
+	u.rec(opDivps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, a.F32(i)/b.F32(i))
@@ -54,7 +53,7 @@ func (u *Unit) DivPs(a, b vec.V128) vec.V128 {
 
 // SqrtPs takes the square root of four float lanes (_mm_sqrt_ps).
 func (u *Unit) SqrtPs(a vec.V128) vec.V128 {
-	u.rec("sqrtps", trace.SIMDMul)
+	u.rec(opSqrtps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(math.Sqrt(float64(a.F32(i)))))
@@ -64,7 +63,7 @@ func (u *Unit) SqrtPs(a vec.V128) vec.V128 {
 
 // RcpPs reciprocal estimate with ~12 bits of precision (_mm_rcp_ps).
 func (u *Unit) RcpPs(a vec.V128) vec.V128 {
-	u.rec("rcpps", trace.SIMDMul)
+	u.rec(opRcpps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		bits := math.Float32bits(1 / a.F32(i))
@@ -76,7 +75,7 @@ func (u *Unit) RcpPs(a vec.V128) vec.V128 {
 
 // AddPd adds two double lanes (_mm_add_pd).
 func (u *Unit) AddPd(a, b vec.V128) vec.V128 {
-	u.rec("addpd", trace.SIMDALU)
+	u.rec(opAddpd)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetF64(i, a.F64(i)+b.F64(i))
@@ -86,7 +85,7 @@ func (u *Unit) AddPd(a, b vec.V128) vec.V128 {
 
 // MulPd multiplies two double lanes (_mm_mul_pd).
 func (u *Unit) MulPd(a, b vec.V128) vec.V128 {
-	u.rec("mulpd", trace.SIMDMul)
+	u.rec(opMulpd)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetF64(i, a.F64(i)*b.F64(i))
@@ -96,7 +95,7 @@ func (u *Unit) MulPd(a, b vec.V128) vec.V128 {
 
 // MinPs lane-wise float minimum (_mm_min_ps).
 func (u *Unit) MinPs(a, b vec.V128) vec.V128 {
-	u.rec("minps", trace.SIMDALU)
+	u.rec(opMinps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(math.Min(float64(a.F32(i)), float64(b.F32(i)))))
@@ -106,7 +105,7 @@ func (u *Unit) MinPs(a, b vec.V128) vec.V128 {
 
 // MaxPs lane-wise float maximum (_mm_max_ps).
 func (u *Unit) MaxPs(a, b vec.V128) vec.V128 {
-	u.rec("maxps", trace.SIMDALU)
+	u.rec(opMaxps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(math.Max(float64(a.F32(i)), float64(b.F32(i)))))
@@ -118,7 +117,7 @@ func (u *Unit) MaxPs(a, b vec.V128) vec.V128 {
 
 // AddEpi8 adds sixteen byte lanes with wraparound (_mm_add_epi8).
 func (u *Unit) AddEpi8(a, b vec.V128) vec.V128 {
-	u.rec("paddb", trace.SIMDALU)
+	u.rec(opPaddb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, a.U8(i)+b.U8(i))
@@ -128,7 +127,7 @@ func (u *Unit) AddEpi8(a, b vec.V128) vec.V128 {
 
 // AddEpi16 adds eight int16 lanes with wraparound (_mm_add_epi16).
 func (u *Unit) AddEpi16(a, b vec.V128) vec.V128 {
-	u.rec("paddw", trace.SIMDALU)
+	u.rec(opPaddw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)+b.I16(i))
@@ -138,7 +137,7 @@ func (u *Unit) AddEpi16(a, b vec.V128) vec.V128 {
 
 // AddEpi32 adds four int32 lanes with wraparound (_mm_add_epi32).
 func (u *Unit) AddEpi32(a, b vec.V128) vec.V128 {
-	u.rec("paddd", trace.SIMDALU)
+	u.rec(opPaddd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, a.I32(i)+b.I32(i))
@@ -148,7 +147,7 @@ func (u *Unit) AddEpi32(a, b vec.V128) vec.V128 {
 
 // SubEpi8 subtracts sixteen byte lanes with wraparound (_mm_sub_epi8).
 func (u *Unit) SubEpi8(a, b vec.V128) vec.V128 {
-	u.rec("psubb", trace.SIMDALU)
+	u.rec(opPsubb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, a.U8(i)-b.U8(i))
@@ -158,7 +157,7 @@ func (u *Unit) SubEpi8(a, b vec.V128) vec.V128 {
 
 // SubEpi16 subtracts eight int16 lanes with wraparound (_mm_sub_epi16).
 func (u *Unit) SubEpi16(a, b vec.V128) vec.V128 {
-	u.rec("psubw", trace.SIMDALU)
+	u.rec(opPsubw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)-b.I16(i))
@@ -168,7 +167,7 @@ func (u *Unit) SubEpi16(a, b vec.V128) vec.V128 {
 
 // SubEpi32 subtracts four int32 lanes with wraparound (_mm_sub_epi32).
 func (u *Unit) SubEpi32(a, b vec.V128) vec.V128 {
-	u.rec("psubd", trace.SIMDALU)
+	u.rec(opPsubd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, a.I32(i)-b.I32(i))
@@ -178,7 +177,7 @@ func (u *Unit) SubEpi32(a, b vec.V128) vec.V128 {
 
 // AddsEpi16 adds with signed saturation (_mm_adds_epi16 / paddsw).
 func (u *Unit) AddsEpi16(a, b vec.V128) vec.V128 {
-	u.rec("paddsw", trace.SIMDALU)
+	u.rec(opPaddsw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, sat.AddInt16(a.I16(i), b.I16(i)))
@@ -188,7 +187,7 @@ func (u *Unit) AddsEpi16(a, b vec.V128) vec.V128 {
 
 // AddsEpu8 adds with unsigned saturation (_mm_adds_epu8 / paddusb).
 func (u *Unit) AddsEpu8(a, b vec.V128) vec.V128 {
-	u.rec("paddusb", trace.SIMDALU)
+	u.rec(opPaddusb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, sat.AddUint8(a.U8(i), b.U8(i)))
@@ -198,7 +197,7 @@ func (u *Unit) AddsEpu8(a, b vec.V128) vec.V128 {
 
 // SubsEpi16 subtracts with signed saturation (_mm_subs_epi16 / psubsw).
 func (u *Unit) SubsEpi16(a, b vec.V128) vec.V128 {
-	u.rec("psubsw", trace.SIMDALU)
+	u.rec(opPsubsw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, sat.SubInt16(a.I16(i), b.I16(i)))
@@ -208,7 +207,7 @@ func (u *Unit) SubsEpi16(a, b vec.V128) vec.V128 {
 
 // SubsEpu8 subtracts with unsigned saturation (_mm_subs_epu8 / psubusb).
 func (u *Unit) SubsEpu8(a, b vec.V128) vec.V128 {
-	u.rec("psubusb", trace.SIMDALU)
+	u.rec(opPsubusb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, sat.SubUint8(a.U8(i), b.U8(i)))
@@ -218,7 +217,7 @@ func (u *Unit) SubsEpu8(a, b vec.V128) vec.V128 {
 
 // MulloEpi16 multiplies int16 lanes keeping the low half (_mm_mullo_epi16).
 func (u *Unit) MulloEpi16(a, b vec.V128) vec.V128 {
-	u.rec("pmullw", trace.SIMDMul)
+	u.rec(opPmullw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, a.I16(i)*b.I16(i))
@@ -228,7 +227,7 @@ func (u *Unit) MulloEpi16(a, b vec.V128) vec.V128 {
 
 // MulhiEpi16 multiplies int16 lanes keeping the high half (_mm_mulhi_epi16).
 func (u *Unit) MulhiEpi16(a, b vec.V128) vec.V128 {
-	u.rec("pmulhw", trace.SIMDMul)
+	u.rec(opPmulhw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, int16((int32(a.I16(i))*int32(b.I16(i)))>>16))
@@ -238,7 +237,7 @@ func (u *Unit) MulhiEpi16(a, b vec.V128) vec.V128 {
 
 // MulhiEpu16 unsigned high multiply (_mm_mulhi_epu16).
 func (u *Unit) MulhiEpu16(a, b vec.V128) vec.V128 {
-	u.rec("pmulhuw", trace.SIMDMul)
+	u.rec(opPmulhuw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, uint16((uint32(a.U16(i))*uint32(b.U16(i)))>>16))
@@ -250,7 +249,7 @@ func (u *Unit) MulhiEpu16(a, b vec.V128) vec.V128 {
 // (_mm_madd_epi16 / pmaddwd) — the classic dot-product building block used
 // by SSE2 convolution inner loops.
 func (u *Unit) MaddEpi16(a, b vec.V128) vec.V128 {
-	u.rec("pmaddwd", trace.SIMDMul)
+	u.rec(opPmaddwd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		p0 := int32(a.I16(2*i)) * int32(b.I16(2*i))
@@ -262,7 +261,7 @@ func (u *Unit) MaddEpi16(a, b vec.V128) vec.V128 {
 
 // AvgEpu8 rounded average of unsigned bytes (_mm_avg_epu8 / pavgb).
 func (u *Unit) AvgEpu8(a, b vec.V128) vec.V128 {
-	u.rec("pavgb", trace.SIMDALU)
+	u.rec(opPavgb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, uint8((uint16(a.U8(i))+uint16(b.U8(i))+1)>>1))
@@ -272,7 +271,7 @@ func (u *Unit) AvgEpu8(a, b vec.V128) vec.V128 {
 
 // AvgEpu16 rounded average of unsigned words (_mm_avg_epu16 / pavgw).
 func (u *Unit) AvgEpu16(a, b vec.V128) vec.V128 {
-	u.rec("pavgw", trace.SIMDALU)
+	u.rec(opPavgw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, uint16((uint32(a.U16(i))+uint32(b.U16(i))+1)>>1))
@@ -283,7 +282,7 @@ func (u *Unit) AvgEpu16(a, b vec.V128) vec.V128 {
 // SadEpu8 sum of absolute differences over each 8-byte half
 // (_mm_sad_epu8 / psadbw).
 func (u *Unit) SadEpu8(a, b vec.V128) vec.V128 {
-	u.rec("psadbw", trace.SIMDALU)
+	u.rec(opPsadbw)
 	var r vec.V128
 	for h := 0; h < 2; h++ {
 		var s uint64
@@ -302,7 +301,7 @@ func (u *Unit) SadEpu8(a, b vec.V128) vec.V128 {
 // MinEpu8 lane-wise unsigned byte minimum (_mm_min_epu8 / pminub). The
 // truncation threshold benchmark reduces to exactly this instruction.
 func (u *Unit) MinEpu8(a, b vec.V128) vec.V128 {
-	u.rec("pminub", trace.SIMDALU)
+	u.rec(opPminub)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, min(a.U8(i), b.U8(i)))
@@ -312,7 +311,7 @@ func (u *Unit) MinEpu8(a, b vec.V128) vec.V128 {
 
 // MaxEpu8 lane-wise unsigned byte maximum (_mm_max_epu8 / pmaxub).
 func (u *Unit) MaxEpu8(a, b vec.V128) vec.V128 {
-	u.rec("pmaxub", trace.SIMDALU)
+	u.rec(opPmaxub)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, max(a.U8(i), b.U8(i)))
@@ -322,7 +321,7 @@ func (u *Unit) MaxEpu8(a, b vec.V128) vec.V128 {
 
 // MinEpi16 lane-wise int16 minimum (_mm_min_epi16 / pminsw).
 func (u *Unit) MinEpi16(a, b vec.V128) vec.V128 {
-	u.rec("pminsw", trace.SIMDALU)
+	u.rec(opPminsw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, min(a.I16(i), b.I16(i)))
@@ -332,7 +331,7 @@ func (u *Unit) MinEpi16(a, b vec.V128) vec.V128 {
 
 // MaxEpi16 lane-wise int16 maximum (_mm_max_epi16 / pmaxsw).
 func (u *Unit) MaxEpi16(a, b vec.V128) vec.V128 {
-	u.rec("pmaxsw", trace.SIMDALU)
+	u.rec(opPmaxsw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI16(i, max(a.I16(i), b.I16(i)))

@@ -1,9 +1,6 @@
 package sse2
 
-import (
-	"simdstudy/internal/trace"
-	"simdstudy/internal/vec"
-)
+import "simdstudy/internal/vec"
 
 // V256 models a 256-bit AVX YMM register as two 128-bit halves. The paper
 // notes the Core i7 (Sandy Bridge) and Core i5 (Ivy Bridge) support AVX and
@@ -15,7 +12,7 @@ type V256 struct {
 
 // Loadu256Ps loads eight unaligned float32 (_mm256_loadu_ps / vmovups ymm).
 func (u *Unit) Loadu256Ps(p []float32) V256 {
-	u.recMem("vmovups(ymm)", trace.SIMDLoad, 32)
+	u.rec(opVmovupsYmm)
 	return V256{
 		Lo: vec.FromF32x4([4]float32{p[0], p[1], p[2], p[3]}),
 		Hi: vec.FromF32x4([4]float32{p[4], p[5], p[6], p[7]}),
@@ -24,7 +21,7 @@ func (u *Unit) Loadu256Ps(p []float32) V256 {
 
 // Storeu256Si256S16 stores sixteen int16 (_mm256_storeu_si256).
 func (u *Unit) Storeu256Si256S16(p []int16, v V256) {
-	u.recMem("vmovdqu(ymm)", trace.SIMDStore, 32)
+	u.rec(opVmovdquYmm)
 	lo := v.Lo.ToI16x8()
 	hi := v.Hi.ToI16x8()
 	copy(p[:8], lo[:])
@@ -33,7 +30,7 @@ func (u *Unit) Storeu256Si256S16(p []int16, v V256) {
 
 // Add256Ps adds eight float lanes (_mm256_add_ps).
 func (u *Unit) Add256Ps(a, b V256) V256 {
-	u.rec("vaddps(ymm)", trace.SIMDALU)
+	u.rec(opVaddpsYmm)
 	var r V256
 	for i := 0; i < 4; i++ {
 		r.Lo.SetF32(i, a.Lo.F32(i)+b.Lo.F32(i))
@@ -44,7 +41,7 @@ func (u *Unit) Add256Ps(a, b V256) V256 {
 
 // Mul256Ps multiplies eight float lanes (_mm256_mul_ps).
 func (u *Unit) Mul256Ps(a, b V256) V256 {
-	u.rec("vmulps(ymm)", trace.SIMDMul)
+	u.rec(opVmulpsYmm)
 	var r V256
 	for i := 0; i < 4; i++ {
 		r.Lo.SetF32(i, a.Lo.F32(i)*b.Lo.F32(i))
@@ -56,7 +53,7 @@ func (u *Unit) Mul256Ps(a, b V256) V256 {
 // Cvt256PsEpi32 converts eight floats to int32 with round-to-even
 // (_mm256_cvtps_epi32).
 func (u *Unit) Cvt256PsEpi32(a V256) V256 {
-	u.rec("vcvtps2dq(ymm)", trace.SIMDCvt)
+	u.rec(opVcvtps2dqYmm)
 	var r V256
 	for i := 0; i < 4; i++ {
 		r.Lo.SetI32(i, roundToEvenSat(float64(a.Lo.F32(i))))
@@ -69,7 +66,7 @@ func (u *Unit) Cvt256PsEpi32(a V256) V256 {
 // saturation, with AVX2's within-128-bit-lane semantics
 // (_mm256_packs_epi32): each 128-bit lane packs independently.
 func (u *Unit) Packs256Epi32(a, b V256) V256 {
-	u.rec("vpackssdw(ymm)", trace.SIMDCvt)
+	u.rec(opVpackssdwYmm)
 	tmp := New(nil)
 	return V256{
 		Lo: tmp.PacksEpi32(a.Lo, b.Lo),
@@ -79,7 +76,7 @@ func (u *Unit) Packs256Epi32(a, b V256) V256 {
 
 // Set1256Ps broadcasts a float to all eight lanes (_mm256_set1_ps).
 func (u *Unit) Set1256Ps(x float32) V256 {
-	u.rec("vbroadcastss", trace.SIMDShuffle)
+	u.rec(opVbroadcastss)
 	v := vec.FromF32x4([4]float32{x, x, x, x})
 	return V256{Lo: v, Hi: v}
 }

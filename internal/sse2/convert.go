@@ -5,7 +5,6 @@ import (
 
 	"simdstudy/internal/faults"
 	"simdstudy/internal/sat"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -25,7 +24,7 @@ func roundToEvenSat(v float64) int32 {
 // (_mm_cvtps_epi32 / cvtps2dq). Out-of-range lanes produce the x86
 // integer-indefinite 0x80000000. Core of the paper's SSE2 convert loop.
 func (u *Unit) CvtpsEpi32(a vec.V128) vec.V128 {
-	u.rec("cvtps2dq", trace.SIMDCvt)
+	u.rec(opCvtps2dq)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI32(i, roundToEvenSat(float64(a.F32(i))))
@@ -36,7 +35,7 @@ func (u *Unit) CvtpsEpi32(a vec.V128) vec.V128 {
 // CvttpsEpi32 converts four floats to int32 truncating toward zero
 // (_mm_cvttps_epi32 / cvttps2dq).
 func (u *Unit) CvttpsEpi32(a vec.V128) vec.V128 {
-	u.rec("cvttps2dq", trace.SIMDCvt)
+	u.rec(opCvttps2dq)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		f := float64(a.F32(i))
@@ -51,7 +50,7 @@ func (u *Unit) CvttpsEpi32(a vec.V128) vec.V128 {
 
 // Cvtepi32Ps converts four int32 lanes to float (_mm_cvtepi32_ps).
 func (u *Unit) Cvtepi32Ps(a vec.V128) vec.V128 {
-	u.rec("cvtdq2ps", trace.SIMDCvt)
+	u.rec(opCvtdq2ps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetF32(i, float32(a.I32(i)))
@@ -61,7 +60,7 @@ func (u *Unit) Cvtepi32Ps(a vec.V128) vec.V128 {
 
 // CvtpsPd converts the low two floats to doubles (_mm_cvtps_pd).
 func (u *Unit) CvtpsPd(a vec.V128) vec.V128 {
-	u.rec("cvtps2pd", trace.SIMDCvt)
+	u.rec(opCvtps2pd)
 	var r vec.V128
 	r.SetF64(0, float64(a.F32(0)))
 	r.SetF64(1, float64(a.F32(1)))
@@ -70,7 +69,7 @@ func (u *Unit) CvtpsPd(a vec.V128) vec.V128 {
 
 // CvtpdPs converts two doubles to floats in the low lanes (_mm_cvtpd_ps).
 func (u *Unit) CvtpdPs(a vec.V128) vec.V128 {
-	u.rec("cvtpd2ps", trace.SIMDCvt)
+	u.rec(opCvtpd2ps)
 	var r vec.V128
 	r.SetF32(0, float32(a.F64(0)))
 	r.SetF32(1, float32(a.F64(1)))
@@ -84,7 +83,7 @@ func (u *Unit) CvtpdPs(a vec.V128) vec.V128 {
 // loop does its downcast with a single one of these, where NEON needs two
 // vqmovn plus a vcombine.
 func (u *Unit) PacksEpi32(a, b vec.V128) vec.V128 {
-	u.rec("packssdw", trace.SIMDCvt)
+	u.rec(opPackssdw)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetI16(i, sat.NarrowInt32ToInt16(a.I32(i)))
@@ -96,7 +95,7 @@ func (u *Unit) PacksEpi32(a, b vec.V128) vec.V128 {
 // PacksEpi16 packs two registers of int16 into int8 with signed saturation
 // (_mm_packs_epi16 / packsswb).
 func (u *Unit) PacksEpi16(a, b vec.V128) vec.V128 {
-	u.rec("packsswb", trace.SIMDCvt)
+	u.rec(opPacksswb)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetI8(i, sat.NarrowInt16ToInt8(a.I16(i)))
@@ -108,7 +107,7 @@ func (u *Unit) PacksEpi16(a, b vec.V128) vec.V128 {
 // PackusEpi16 packs two registers of int16 into uint8 with unsigned
 // saturation (_mm_packus_epi16 / packuswb).
 func (u *Unit) PackusEpi16(a, b vec.V128) vec.V128 {
-	u.rec("packuswb", trace.SIMDCvt)
+	u.rec(opPackuswb)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU8(i, sat.NarrowInt16ToUint8(a.I16(i)))
@@ -122,7 +121,7 @@ func (u *Unit) PackusEpi16(a, b vec.V128) vec.V128 {
 // UnpackloEpi8 interleaves the low eight bytes of a and b
 // (_mm_unpacklo_epi8 / punpcklbw).
 func (u *Unit) UnpackloEpi8(a, b vec.V128) vec.V128 {
-	u.rec("punpcklbw", trace.SIMDShuffle)
+	u.rec(opPunpcklbw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU8(2*i, a.U8(i))
@@ -133,7 +132,7 @@ func (u *Unit) UnpackloEpi8(a, b vec.V128) vec.V128 {
 
 // UnpackhiEpi8 interleaves the high eight bytes (_mm_unpackhi_epi8).
 func (u *Unit) UnpackhiEpi8(a, b vec.V128) vec.V128 {
-	u.rec("punpckhbw", trace.SIMDShuffle)
+	u.rec(opPunpckhbw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU8(2*i, a.U8(8+i))
@@ -144,7 +143,7 @@ func (u *Unit) UnpackhiEpi8(a, b vec.V128) vec.V128 {
 
 // UnpackloEpi16 interleaves the low four words (_mm_unpacklo_epi16).
 func (u *Unit) UnpackloEpi16(a, b vec.V128) vec.V128 {
-	u.rec("punpcklwd", trace.SIMDShuffle)
+	u.rec(opPunpcklwd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU16(2*i, a.U16(i))
@@ -155,7 +154,7 @@ func (u *Unit) UnpackloEpi16(a, b vec.V128) vec.V128 {
 
 // UnpackhiEpi16 interleaves the high four words (_mm_unpackhi_epi16).
 func (u *Unit) UnpackhiEpi16(a, b vec.V128) vec.V128 {
-	u.rec("punpckhwd", trace.SIMDShuffle)
+	u.rec(opPunpckhwd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU16(2*i, a.U16(4+i))
@@ -166,7 +165,7 @@ func (u *Unit) UnpackhiEpi16(a, b vec.V128) vec.V128 {
 
 // UnpackloEpi32 interleaves the low two dwords (_mm_unpacklo_epi32).
 func (u *Unit) UnpackloEpi32(a, b vec.V128) vec.V128 {
-	u.rec("punpckldq", trace.SIMDShuffle)
+	u.rec(opPunpckldq)
 	var r vec.V128
 	r.SetU32(0, a.U32(0))
 	r.SetU32(1, b.U32(0))
@@ -177,7 +176,7 @@ func (u *Unit) UnpackloEpi32(a, b vec.V128) vec.V128 {
 
 // UnpackhiEpi32 interleaves the high two dwords (_mm_unpackhi_epi32).
 func (u *Unit) UnpackhiEpi32(a, b vec.V128) vec.V128 {
-	u.rec("punpckhdq", trace.SIMDShuffle)
+	u.rec(opPunpckhdq)
 	var r vec.V128
 	r.SetU32(0, a.U32(2))
 	r.SetU32(1, b.U32(2))
@@ -188,7 +187,7 @@ func (u *Unit) UnpackhiEpi32(a, b vec.V128) vec.V128 {
 
 // UnpackloEpi64 concatenates the low qwords (_mm_unpacklo_epi64).
 func (u *Unit) UnpackloEpi64(a, b vec.V128) vec.V128 {
-	u.rec("punpcklqdq", trace.SIMDShuffle)
+	u.rec(opPunpcklqdq)
 	var r vec.V128
 	r.SetU64(0, a.U64(0))
 	r.SetU64(1, b.U64(0))
@@ -197,7 +196,7 @@ func (u *Unit) UnpackloEpi64(a, b vec.V128) vec.V128 {
 
 // UnpackhiEpi64 concatenates the high qwords (_mm_unpackhi_epi64).
 func (u *Unit) UnpackhiEpi64(a, b vec.V128) vec.V128 {
-	u.rec("punpckhqdq", trace.SIMDShuffle)
+	u.rec(opPunpckhqdq)
 	var r vec.V128
 	r.SetU64(0, a.U64(1))
 	r.SetU64(1, b.U64(1))
@@ -209,7 +208,7 @@ func (u *Unit) UnpackhiEpi64(a, b vec.V128) vec.V128 {
 // ShuffleEpi32 rearranges dword lanes by a 2-bit-per-lane immediate
 // (_mm_shuffle_epi32 / pshufd).
 func (u *Unit) ShuffleEpi32(a vec.V128, imm uint8) vec.V128 {
-	u.rec("pshufd", trace.SIMDShuffle)
+	u.rec(opPshufd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		sel := (imm >> (2 * i)) & 3
@@ -220,7 +219,7 @@ func (u *Unit) ShuffleEpi32(a vec.V128, imm uint8) vec.V128 {
 
 // ShuffleloEpi16 rearranges the low four word lanes (_mm_shufflelo_epi16).
 func (u *Unit) ShuffleloEpi16(a vec.V128, imm uint8) vec.V128 {
-	u.rec("pshuflw", trace.SIMDShuffle)
+	u.rec(opPshuflw)
 	r := a
 	for i := 0; i < 4; i++ {
 		sel := (imm >> (2 * i)) & 3
@@ -231,7 +230,7 @@ func (u *Unit) ShuffleloEpi16(a vec.V128, imm uint8) vec.V128 {
 
 // ShufflehiEpi16 rearranges the high four word lanes (_mm_shufflehi_epi16).
 func (u *Unit) ShufflehiEpi16(a vec.V128, imm uint8) vec.V128 {
-	u.rec("pshufhw", trace.SIMDShuffle)
+	u.rec(opPshufhw)
 	r := a
 	for i := 0; i < 4; i++ {
 		sel := (imm >> (2 * i)) & 3
@@ -242,7 +241,7 @@ func (u *Unit) ShufflehiEpi16(a vec.V128, imm uint8) vec.V128 {
 
 // ShufflePs selects two lanes from a then two from b (_mm_shuffle_ps).
 func (u *Unit) ShufflePs(a, b vec.V128, imm uint8) vec.V128 {
-	u.rec("shufps", trace.SIMDShuffle)
+	u.rec(opShufps)
 	var r vec.V128
 	r.SetF32(0, a.F32(int(imm&3)))
 	r.SetF32(1, a.F32(int((imm>>2)&3)))
@@ -255,7 +254,7 @@ func (u *Unit) ShufflePs(a, b vec.V128, imm uint8) vec.V128 {
 
 // SlliEpi16 shift left words by immediate (_mm_slli_epi16 / psllw).
 func (u *Unit) SlliEpi16(a vec.V128, n uint) vec.V128 {
-	u.rec("psllw", trace.SIMDALU)
+	u.rec(opPsllw)
 	var r vec.V128
 	if n > 15 {
 		return r
@@ -268,7 +267,7 @@ func (u *Unit) SlliEpi16(a vec.V128, n uint) vec.V128 {
 
 // SrliEpi16 logical shift right words (_mm_srli_epi16 / psrlw).
 func (u *Unit) SrliEpi16(a vec.V128, n uint) vec.V128 {
-	u.rec("psrlw", trace.SIMDALU)
+	u.rec(opPsrlw)
 	var r vec.V128
 	if n > 15 {
 		return r
@@ -281,7 +280,7 @@ func (u *Unit) SrliEpi16(a vec.V128, n uint) vec.V128 {
 
 // SraiEpi16 arithmetic shift right words (_mm_srai_epi16 / psraw).
 func (u *Unit) SraiEpi16(a vec.V128, n uint) vec.V128 {
-	u.rec("psraw", trace.SIMDALU)
+	u.rec(opPsraw)
 	if n > 15 {
 		n = 15
 	}
@@ -294,7 +293,7 @@ func (u *Unit) SraiEpi16(a vec.V128, n uint) vec.V128 {
 
 // SlliEpi32 shift left dwords (_mm_slli_epi32 / pslld).
 func (u *Unit) SlliEpi32(a vec.V128, n uint) vec.V128 {
-	u.rec("pslld", trace.SIMDALU)
+	u.rec(opPslld)
 	var r vec.V128
 	if n > 31 {
 		return r
@@ -307,7 +306,7 @@ func (u *Unit) SlliEpi32(a vec.V128, n uint) vec.V128 {
 
 // SrliEpi32 logical shift right dwords (_mm_srli_epi32 / psrld).
 func (u *Unit) SrliEpi32(a vec.V128, n uint) vec.V128 {
-	u.rec("psrld", trace.SIMDALU)
+	u.rec(opPsrld)
 	var r vec.V128
 	if n > 31 {
 		return r
@@ -320,7 +319,7 @@ func (u *Unit) SrliEpi32(a vec.V128, n uint) vec.V128 {
 
 // SraiEpi32 arithmetic shift right dwords (_mm_srai_epi32 / psrad).
 func (u *Unit) SraiEpi32(a vec.V128, n uint) vec.V128 {
-	u.rec("psrad", trace.SIMDALU)
+	u.rec(opPsrad)
 	if n > 31 {
 		n = 31
 	}
@@ -333,7 +332,7 @@ func (u *Unit) SraiEpi32(a vec.V128, n uint) vec.V128 {
 
 // SlliSi128 byte shift left of the whole register (_mm_slli_si128 / pslldq).
 func (u *Unit) SlliSi128(a vec.V128, n int) vec.V128 {
-	u.rec("pslldq", trace.SIMDShuffle)
+	u.rec(opPslldq)
 	var r vec.V128
 	if n > 15 {
 		return r
@@ -346,7 +345,7 @@ func (u *Unit) SlliSi128(a vec.V128, n int) vec.V128 {
 
 // SrliSi128 byte shift right of the whole register (_mm_srli_si128 / psrldq).
 func (u *Unit) SrliSi128(a vec.V128, n int) vec.V128 {
-	u.rec("psrldq", trace.SIMDShuffle)
+	u.rec(opPsrldq)
 	var r vec.V128
 	if n > 15 {
 		return r

@@ -2,7 +2,6 @@ package sse2
 
 import (
 	"simdstudy/internal/faults"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -10,19 +9,19 @@ import (
 
 // AndSi128 bitwise AND (_mm_and_si128 / pand).
 func (u *Unit) AndSi128(a, b vec.V128) vec.V128 {
-	u.rec("pand", trace.SIMDALU)
+	u.rec(opPand)
 	return vec.And(a, b)
 }
 
 // OrSi128 bitwise OR (_mm_or_si128 / por).
 func (u *Unit) OrSi128(a, b vec.V128) vec.V128 {
-	u.rec("por", trace.SIMDALU)
+	u.rec(opPor)
 	return vec.Or(a, b)
 }
 
 // XorSi128 bitwise XOR (_mm_xor_si128 / pxor).
 func (u *Unit) XorSi128(a, b vec.V128) vec.V128 {
-	u.rec("pxor", trace.SIMDALU)
+	u.rec(opPxor)
 	return vec.Xor(a, b)
 }
 
@@ -30,25 +29,25 @@ func (u *Unit) XorSi128(a, b vec.V128) vec.V128 {
 // order: the FIRST operand is complemented, a frequent source of bugs in
 // hand-written SSE2 that our tests pin down.
 func (u *Unit) AndnotSi128(a, b vec.V128) vec.V128 {
-	u.rec("pandn", trace.SIMDALU)
+	u.rec(opPandn)
 	return vec.AndNot(a, b)
 }
 
 // AndPs bitwise AND on float-typed registers (_mm_and_ps / andps).
 func (u *Unit) AndPs(a, b vec.V128) vec.V128 {
-	u.rec("andps", trace.SIMDALU)
+	u.rec(opAndps)
 	return vec.And(a, b)
 }
 
 // OrPs bitwise OR on float-typed registers (_mm_or_ps / orps).
 func (u *Unit) OrPs(a, b vec.V128) vec.V128 {
-	u.rec("orps", trace.SIMDALU)
+	u.rec(opOrps)
 	return vec.Or(a, b)
 }
 
 // AndnotPs bitwise ^a & b on float-typed registers (_mm_andnot_ps).
 func (u *Unit) AndnotPs(a, b vec.V128) vec.V128 {
-	u.rec("andnps", trace.SIMDALU)
+	u.rec(opAndnps)
 	return vec.AndNot(a, b)
 }
 
@@ -77,7 +76,7 @@ func mask32(c bool) uint32 {
 
 // CmpeqEpi8 compare equal bytes (_mm_cmpeq_epi8 / pcmpeqb).
 func (u *Unit) CmpeqEpi8(a, b vec.V128) vec.V128 {
-	u.rec("pcmpeqb", trace.SIMDALU)
+	u.rec(opPcmpeqb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, mask8(a.U8(i) == b.U8(i)))
@@ -90,7 +89,7 @@ func (u *Unit) CmpeqEpi8(a, b vec.V128) vec.V128 {
 // instruction NEON does not need, visible in the threshold benchmark's
 // instruction counts.
 func (u *Unit) CmpgtEpi8(a, b vec.V128) vec.V128 {
-	u.rec("pcmpgtb", trace.SIMDALU)
+	u.rec(opPcmpgtb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
 		r.SetU8(i, mask8(a.I8(i) > b.I8(i)))
@@ -100,7 +99,7 @@ func (u *Unit) CmpgtEpi8(a, b vec.V128) vec.V128 {
 
 // CmpeqEpi16 compare equal words (_mm_cmpeq_epi16 / pcmpeqw).
 func (u *Unit) CmpeqEpi16(a, b vec.V128) vec.V128 {
-	u.rec("pcmpeqw", trace.SIMDALU)
+	u.rec(opPcmpeqw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, mask16(a.I16(i) == b.I16(i)))
@@ -110,7 +109,7 @@ func (u *Unit) CmpeqEpi16(a, b vec.V128) vec.V128 {
 
 // CmpgtEpi16 compare greater-than signed words (_mm_cmpgt_epi16 / pcmpgtw).
 func (u *Unit) CmpgtEpi16(a, b vec.V128) vec.V128 {
-	u.rec("pcmpgtw", trace.SIMDALU)
+	u.rec(opPcmpgtw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, mask16(a.I16(i) > b.I16(i)))
@@ -120,7 +119,7 @@ func (u *Unit) CmpgtEpi16(a, b vec.V128) vec.V128 {
 
 // CmpltEpi16 compare less-than signed words (_mm_cmplt_epi16).
 func (u *Unit) CmpltEpi16(a, b vec.V128) vec.V128 {
-	u.rec("pcmpgtw", trace.SIMDALU) // assembles to pcmpgtw with swapped operands
+	u.rec(opPcmpgtw) // assembles to pcmpgtw with swapped operands
 	var r vec.V128
 	for i := 0; i < 8; i++ {
 		r.SetU16(i, mask16(a.I16(i) < b.I16(i)))
@@ -130,7 +129,7 @@ func (u *Unit) CmpltEpi16(a, b vec.V128) vec.V128 {
 
 // CmpgtEpi32 compare greater-than signed dwords (_mm_cmpgt_epi32).
 func (u *Unit) CmpgtEpi32(a, b vec.V128) vec.V128 {
-	u.rec("pcmpgtd", trace.SIMDALU)
+	u.rec(opPcmpgtd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, mask32(a.I32(i) > b.I32(i)))
@@ -140,7 +139,7 @@ func (u *Unit) CmpgtEpi32(a, b vec.V128) vec.V128 {
 
 // CmpeqEpi32 compare equal dwords (_mm_cmpeq_epi32).
 func (u *Unit) CmpeqEpi32(a, b vec.V128) vec.V128 {
-	u.rec("pcmpeqd", trace.SIMDALU)
+	u.rec(opPcmpeqd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, mask32(a.I32(i) == b.I32(i)))
@@ -150,7 +149,7 @@ func (u *Unit) CmpeqEpi32(a, b vec.V128) vec.V128 {
 
 // CmpgtPs compare greater-than floats (_mm_cmpgt_ps / cmpps).
 func (u *Unit) CmpgtPs(a, b vec.V128) vec.V128 {
-	u.rec("cmpps(gt)", trace.SIMDALU)
+	u.rec(opCmppsGt)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, mask32(a.F32(i) > b.F32(i)))
@@ -160,7 +159,7 @@ func (u *Unit) CmpgtPs(a, b vec.V128) vec.V128 {
 
 // CmpgePs compare greater-or-equal floats (_mm_cmpge_ps).
 func (u *Unit) CmpgePs(a, b vec.V128) vec.V128 {
-	u.rec("cmpps(ge)", trace.SIMDALU)
+	u.rec(opCmppsGe)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, mask32(a.F32(i) >= b.F32(i)))
@@ -170,7 +169,7 @@ func (u *Unit) CmpgePs(a, b vec.V128) vec.V128 {
 
 // CmpltPs compare less-than floats (_mm_cmplt_ps).
 func (u *Unit) CmpltPs(a, b vec.V128) vec.V128 {
-	u.rec("cmpps(lt)", trace.SIMDALU)
+	u.rec(opCmppsLt)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, mask32(a.F32(i) < b.F32(i)))
@@ -180,7 +179,7 @@ func (u *Unit) CmpltPs(a, b vec.V128) vec.V128 {
 
 // CmpeqPs compare equal floats (_mm_cmpeq_ps).
 func (u *Unit) CmpeqPs(a, b vec.V128) vec.V128 {
-	u.rec("cmpps(eq)", trace.SIMDALU)
+	u.rec(opCmppsEq)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, mask32(a.F32(i) == b.F32(i)))
@@ -191,7 +190,7 @@ func (u *Unit) CmpeqPs(a, b vec.V128) vec.V128 {
 // CmpneqPs compare not-equal floats (_mm_cmpneq_ps) — SSE2 provides this
 // predicate where NEON requires vceq+vmvn.
 func (u *Unit) CmpneqPs(a, b vec.V128) vec.V128 {
-	u.rec("cmpps(neq)", trace.SIMDALU)
+	u.rec(opCmppsNeq)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		r.SetU32(i, mask32(a.F32(i) != b.F32(i)))

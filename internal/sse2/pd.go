@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"simdstudy/internal/faults"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
 )
 
@@ -15,7 +14,7 @@ import (
 
 // SubPd subtracts two double lanes (_mm_sub_pd).
 func (u *Unit) SubPd(a, b vec.V128) vec.V128 {
-	u.rec("subpd", trace.SIMDALU)
+	u.rec(opSubpd)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetF64(i, a.F64(i)-b.F64(i))
@@ -26,7 +25,7 @@ func (u *Unit) SubPd(a, b vec.V128) vec.V128 {
 // DivPd divides two double lanes (_mm_div_pd) — packed FP division, which
 // NEON lacks entirely (the paper calls this out).
 func (u *Unit) DivPd(a, b vec.V128) vec.V128 {
-	u.rec("divpd", trace.SIMDMul)
+	u.rec(opDivpd)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetF64(i, a.F64(i)/b.F64(i))
@@ -36,7 +35,7 @@ func (u *Unit) DivPd(a, b vec.V128) vec.V128 {
 
 // SqrtPd takes square roots of two double lanes (_mm_sqrt_pd).
 func (u *Unit) SqrtPd(a vec.V128) vec.V128 {
-	u.rec("sqrtpd", trace.SIMDMul)
+	u.rec(opSqrtpd)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetF64(i, math.Sqrt(a.F64(i)))
@@ -46,7 +45,7 @@ func (u *Unit) SqrtPd(a vec.V128) vec.V128 {
 
 // MinPd lane-wise double minimum (_mm_min_pd).
 func (u *Unit) MinPd(a, b vec.V128) vec.V128 {
-	u.rec("minpd", trace.SIMDALU)
+	u.rec(opMinpd)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetF64(i, math.Min(a.F64(i), b.F64(i)))
@@ -56,7 +55,7 @@ func (u *Unit) MinPd(a, b vec.V128) vec.V128 {
 
 // MaxPd lane-wise double maximum (_mm_max_pd).
 func (u *Unit) MaxPd(a, b vec.V128) vec.V128 {
-	u.rec("maxpd", trace.SIMDALU)
+	u.rec(opMaxpd)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetF64(i, math.Max(a.F64(i), b.F64(i)))
@@ -73,7 +72,7 @@ func maskF64(c bool) uint64 {
 
 // CmpltPd compare less-than doubles (_mm_cmplt_pd).
 func (u *Unit) CmpltPd(a, b vec.V128) vec.V128 {
-	u.rec("cmppd(lt)", trace.SIMDALU)
+	u.rec(opCmppdLt)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetU64(i, maskF64(a.F64(i) < b.F64(i)))
@@ -83,7 +82,7 @@ func (u *Unit) CmpltPd(a, b vec.V128) vec.V128 {
 
 // CmpeqPd compare equal doubles (_mm_cmpeq_pd).
 func (u *Unit) CmpeqPd(a, b vec.V128) vec.V128 {
-	u.rec("cmppd(eq)", trace.SIMDALU)
+	u.rec(opCmppdEq)
 	var r vec.V128
 	for i := 0; i < 2; i++ {
 		r.SetU64(i, maskF64(a.F64(i) == b.F64(i)))
@@ -94,7 +93,7 @@ func (u *Unit) CmpeqPd(a, b vec.V128) vec.V128 {
 // CmpordPs ordered compare: mask set where neither operand is NaN
 // (_mm_cmpord_ps).
 func (u *Unit) CmpordPs(a, b vec.V128) vec.V128 {
-	u.rec("cmpps(ord)", trace.SIMDALU)
+	u.rec(opCmppsOrd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		fa, fb := a.F32(i), b.F32(i)
@@ -106,7 +105,7 @@ func (u *Unit) CmpordPs(a, b vec.V128) vec.V128 {
 // CmpunordPs unordered compare: mask set where either operand is NaN
 // (_mm_cmpunord_ps).
 func (u *Unit) CmpunordPs(a, b vec.V128) vec.V128 {
-	u.rec("cmpps(unord)", trace.SIMDALU)
+	u.rec(opCmppsUnord)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		fa, fb := a.F32(i), b.F32(i)
@@ -117,7 +116,7 @@ func (u *Unit) CmpunordPs(a, b vec.V128) vec.V128 {
 
 // MovemaskPd gathers the sign bits of the double lanes (_mm_movemask_pd).
 func (u *Unit) MovemaskPd(v vec.V128) int {
-	u.rec("movmskpd", trace.Move)
+	u.rec(opMovmskpd)
 	m := 0
 	for i := 0; i < 2; i++ {
 		if v.U64(i)&(1<<63) != 0 {
@@ -129,7 +128,7 @@ func (u *Unit) MovemaskPd(v vec.V128) int {
 
 // ShufflePd selects one double from each operand (_mm_shuffle_pd).
 func (u *Unit) ShufflePd(a, b vec.V128, imm uint8) vec.V128 {
-	u.rec("shufpd", trace.SIMDShuffle)
+	u.rec(opShufpd)
 	var r vec.V128
 	r.SetF64(0, a.F64(int(imm&1)))
 	r.SetF64(1, b.F64(int((imm>>1)&1)))
@@ -138,7 +137,7 @@ func (u *Unit) ShufflePd(a, b vec.V128, imm uint8) vec.V128 {
 
 // RsqrtPs reciprocal square-root estimate, ~12 bits (_mm_rsqrt_ps).
 func (u *Unit) RsqrtPs(a vec.V128) vec.V128 {
-	u.rec("rsqrtps", trace.SIMDMul)
+	u.rec(opRsqrtps)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		bits := math.Float32bits(float32(1 / math.Sqrt(float64(a.F32(i)))))
@@ -152,7 +151,7 @@ func (u *Unit) RsqrtPs(a vec.V128) vec.V128 {
 
 // AddSs scalar float add (_mm_add_ss).
 func (u *Unit) AddSs(a, b vec.V128) vec.V128 {
-	u.rec("addss", trace.SIMDALU)
+	u.rec(opAddss)
 	r := a
 	r.SetF32(0, a.F32(0)+b.F32(0))
 	return fault(u, faults.SiteALU, r)
@@ -160,7 +159,7 @@ func (u *Unit) AddSs(a, b vec.V128) vec.V128 {
 
 // MulSs scalar float multiply (_mm_mul_ss).
 func (u *Unit) MulSs(a, b vec.V128) vec.V128 {
-	u.rec("mulss", trace.SIMDMul)
+	u.rec(opMulss)
 	r := a
 	r.SetF32(0, a.F32(0)*b.F32(0))
 	return fault(u, faults.SiteALU, r)
@@ -168,7 +167,7 @@ func (u *Unit) MulSs(a, b vec.V128) vec.V128 {
 
 // AddSd scalar double add (_mm_add_sd).
 func (u *Unit) AddSd(a, b vec.V128) vec.V128 {
-	u.rec("addsd", trace.SIMDALU)
+	u.rec(opAddsd)
 	r := a
 	r.SetF64(0, a.F64(0)+b.F64(0))
 	return fault(u, faults.SiteALU, r)
@@ -176,7 +175,7 @@ func (u *Unit) AddSd(a, b vec.V128) vec.V128 {
 
 // CvtssSd widens the low float to a double in lane 0 (_mm_cvtss_sd).
 func (u *Unit) CvtssSd(a, b vec.V128) vec.V128 {
-	u.rec("cvtss2sd", trace.SIMDCvt)
+	u.rec(opCvtss2sd)
 	r := a
 	r.SetF64(0, float64(b.F32(0)))
 	return fault(u, faults.SiteALU, r)
@@ -184,7 +183,7 @@ func (u *Unit) CvtssSd(a, b vec.V128) vec.V128 {
 
 // Cvtsi32Sd converts an int32 into the low double (_mm_cvtsi32_sd).
 func (u *Unit) Cvtsi32Sd(a vec.V128, x int32) vec.V128 {
-	u.rec("cvtsi2sd", trace.SIMDCvt)
+	u.rec(opCvtsi2sd)
 	r := a
 	r.SetF64(0, float64(x))
 	return fault(u, faults.SiteALU, r)
@@ -194,7 +193,7 @@ func (u *Unit) Cvtsi32Sd(a vec.V128, x int32) vec.V128 {
 
 // AddEpi64 adds the two 64-bit lanes (_mm_add_epi64 / paddq).
 func (u *Unit) AddEpi64(a, b vec.V128) vec.V128 {
-	u.rec("paddq", trace.SIMDALU)
+	u.rec(opPaddq)
 	var r vec.V128
 	r.SetI64(0, a.I64(0)+b.I64(0))
 	r.SetI64(1, a.I64(1)+b.I64(1))
@@ -203,7 +202,7 @@ func (u *Unit) AddEpi64(a, b vec.V128) vec.V128 {
 
 // SubEpi64 subtracts the 64-bit lanes (_mm_sub_epi64 / psubq).
 func (u *Unit) SubEpi64(a, b vec.V128) vec.V128 {
-	u.rec("psubq", trace.SIMDALU)
+	u.rec(opPsubq)
 	var r vec.V128
 	r.SetI64(0, a.I64(0)-b.I64(0))
 	r.SetI64(1, a.I64(1)-b.I64(1))
@@ -213,7 +212,7 @@ func (u *Unit) SubEpi64(a, b vec.V128) vec.V128 {
 // MulEpu32 multiplies the even unsigned 32-bit lanes into 64-bit products
 // (_mm_mul_epu32 / pmuludq).
 func (u *Unit) MulEpu32(a, b vec.V128) vec.V128 {
-	u.rec("pmuludq", trace.SIMDMul)
+	u.rec(opPmuludq)
 	var r vec.V128
 	r.SetU64(0, uint64(a.U32(0))*uint64(b.U32(0)))
 	r.SetU64(1, uint64(a.U32(2))*uint64(b.U32(2)))
@@ -222,7 +221,7 @@ func (u *Unit) MulEpu32(a, b vec.V128) vec.V128 {
 
 // SlliEpi64 shifts the 64-bit lanes left (_mm_slli_epi64 / psllq).
 func (u *Unit) SlliEpi64(a vec.V128, n uint) vec.V128 {
-	u.rec("psllq", trace.SIMDALU)
+	u.rec(opPsllq)
 	var r vec.V128
 	if n > 63 {
 		return r
@@ -234,7 +233,7 @@ func (u *Unit) SlliEpi64(a vec.V128, n uint) vec.V128 {
 
 // SrliEpi64 shifts the 64-bit lanes right logically (_mm_srli_epi64).
 func (u *Unit) SrliEpi64(a vec.V128, n uint) vec.V128 {
-	u.rec("psrlq", trace.SIMDALU)
+	u.rec(opPsrlq)
 	var r vec.V128
 	if n > 63 {
 		return r
@@ -246,7 +245,7 @@ func (u *Unit) SrliEpi64(a vec.V128, n uint) vec.V128 {
 
 // MoveEpi64 copies the low qword and zeroes the high (_mm_move_epi64).
 func (u *Unit) MoveEpi64(a vec.V128) vec.V128 {
-	u.rec("movq(reg)", trace.Move)
+	u.rec(opMovqReg)
 	var r vec.V128
 	r.SetU64(0, a.U64(0))
 	return fault(u, faults.SiteALU, r)
@@ -255,14 +254,14 @@ func (u *Unit) MoveEpi64(a vec.V128) vec.V128 {
 // InsertEpi16 inserts a 16-bit value into the given lane (_mm_insert_epi16
 // / pinsrw).
 func (u *Unit) InsertEpi16(a vec.V128, x int, lane int) vec.V128 {
-	u.rec("pinsrw", trace.Move)
+	u.rec(opPinsrw)
 	a.SetU16(lane, uint16(x))
 	return a
 }
 
 // UnpackloPs interleaves the low float lanes (_mm_unpacklo_ps).
 func (u *Unit) UnpackloPs(a, b vec.V128) vec.V128 {
-	u.rec("unpcklps", trace.SIMDShuffle)
+	u.rec(opUnpcklps)
 	var r vec.V128
 	r.SetF32(0, a.F32(0))
 	r.SetF32(1, b.F32(0))
@@ -273,7 +272,7 @@ func (u *Unit) UnpackloPs(a, b vec.V128) vec.V128 {
 
 // UnpackhiPs interleaves the high float lanes (_mm_unpackhi_ps).
 func (u *Unit) UnpackhiPs(a, b vec.V128) vec.V128 {
-	u.rec("unpckhps", trace.SIMDShuffle)
+	u.rec(opUnpckhps)
 	var r vec.V128
 	r.SetF32(0, a.F32(2))
 	r.SetF32(1, b.F32(2))
@@ -285,7 +284,7 @@ func (u *Unit) UnpackhiPs(a, b vec.V128) vec.V128 {
 // MovehlPs moves the high pair of b into the low pair of the result, with
 // a's high pair on top (_mm_movehl_ps).
 func (u *Unit) MovehlPs(a, b vec.V128) vec.V128 {
-	u.rec("movhlps", trace.SIMDShuffle)
+	u.rec(opMovhlps)
 	var r vec.V128
 	r.SetF32(0, b.F32(2))
 	r.SetF32(1, b.F32(3))
@@ -296,7 +295,7 @@ func (u *Unit) MovehlPs(a, b vec.V128) vec.V128 {
 
 // MovelhPs concatenates the low pairs (_mm_movelh_ps).
 func (u *Unit) MovelhPs(a, b vec.V128) vec.V128 {
-	u.rec("movlhps", trace.SIMDShuffle)
+	u.rec(opMovlhps)
 	var r vec.V128
 	r.SetF32(0, a.F32(0))
 	r.SetF32(1, a.F32(1))

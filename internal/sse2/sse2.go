@@ -28,6 +28,11 @@ type Unit struct {
 	// Obs, when non-nil, receives Session spans so stretches of intrinsic
 	// work appear as slices in the exported Chrome trace.
 	Obs *obs.Registry
+
+	// tl tallies retired instructions for T until Flush; it holds a
+	// pooled count array only while counts are pending, so an untraced
+	// unit carries none.
+	tl trace.Tally
 }
 
 // New returns a Unit recording into t (which may be nil).
@@ -35,9 +40,10 @@ func New(t *trace.Counter) *Unit { return &Unit{T: t} }
 
 // Session opens an observability span named "sse2.<name>" covering a
 // stretch of intrinsic work (one SIMD pass of a kernel, a custom-kernel
-// run). The span samples the unit's trace counter so its instruction
-// delta is attributed on End. Nested under parent when given; returns nil
-// (all methods of which are no-ops) when no registry is attached.
+// run). The span samples the unit's trace counter, flushing the unit's
+// tally at open and at End, so its instruction delta is attributed
+// exactly. Nested under parent when given; returns nil (all methods of
+// which are no-ops) when no registry is attached.
 func (u *Unit) Session(name string, parent *obs.Span) *obs.Span {
 	if u.Obs == nil {
 		return nil
@@ -49,7 +55,10 @@ func (u *Unit) Session(name string, parent *obs.Span) *obs.Span {
 		sp = u.Obs.StartSpan("sse2." + name)
 	}
 	if t := u.T; t != nil {
-		sp.SampleInstr(t.Total)
+		sp.SampleInstr(func() uint64 {
+			u.Flush()
+			return t.Total()
+		})
 	}
 	return sp
 }
@@ -83,17 +92,36 @@ func skewed[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	return p
 }
 
-func (u *Unit) rec(name string, class trace.Class) {
+// rec notes one retired instruction. Only the nil check inlines into the
+// intrinsics, so an untraced unit pays no call.
+func (u *Unit) rec(id trace.OpID) {
 	if u.T != nil {
-		u.T.Record(trace.Op{Name: name, Class: class})
+		u.tally(id)
 	}
 }
 
-func (u *Unit) recMem(name string, class trace.Class, bytes int) {
-	if u.T != nil {
-		u.T.Record(trace.Op{Name: name, Class: class, Bytes: bytes})
+// tally counts one retired instruction in the unit's tally.
+func (u *Unit) tally(id trace.OpID) { u.tl.Inc(u.T, id) }
+
+// Count notes n retired instances of id with no sequence capture: bulk
+// accounting for instructions the caller models rather than emulates,
+// tallied with the unit's own.
+func (u *Unit) Count(id trace.OpID, n uint64) {
+	if u.T != nil && n != 0 {
+		u.tl.Add(u.T, id, n)
 	}
 }
+
+// Flush folds the instructions tallied since the last Flush into T. A unit
+// records into a private, unsynchronized tally, so T reads stale until the
+// unit is flushed: internal/cv flushes as each pass completes, and callers
+// that drive a unit directly flush before reading T. Flush is idempotent.
+func (u *Unit) Flush() { u.tl.Flush() }
+
+// Share makes the unit safe to record from several goroutines at once:
+// each instruction then goes straight into T under T's lock instead of into
+// the private tally. Call it before the unit is shared.
+func (u *Unit) Share() { u.tl.Share() }
 
 // Overhead records the loop/address bookkeeping instructions surrounding the
 // intrinsic body in compiled x86 code (lea/add, cmp+jcc, mov).
@@ -101,37 +129,37 @@ func (u *Unit) Overhead(addrCalcs, branches, moves int) {
 	if u.T == nil {
 		return
 	}
-	u.T.RecordN("lea/add", trace.AddrCalc, uint64(addrCalcs), 0)
-	u.T.RecordN("cmp+jcc", trace.Branch, uint64(branches), 0)
-	u.T.RecordN("mov", trace.Move, uint64(moves), 0)
+	u.tl.Add(u.T, opLeaAdd, uint64(addrCalcs))
+	u.tl.Add(u.T, opCmpJcc, uint64(branches))
+	u.tl.Add(u.T, opMov, uint64(moves))
 }
 
 // --- Loads ---
 
 // LoaduPs loads four unaligned float32 (_mm_loadu_ps / movups).
 func (u *Unit) LoaduPs(p []float32) vec.V128 {
-	u.recMem("movups", trace.SIMDLoad, 16)
+	u.rec(opMovupsLd)
 	p = skewed(u, faults.SiteLoad, p, 4)
 	return fault(u, faults.SiteLoad, vec.FromF32x4([4]float32{p[0], p[1], p[2], p[3]}))
 }
 
 // LoadPs loads four aligned float32 (_mm_load_ps / movaps).
 func (u *Unit) LoadPs(p []float32) vec.V128 {
-	u.recMem("movaps", trace.SIMDLoad, 16)
+	u.rec(opMovaps)
 	p = skewed(u, faults.SiteLoad, p, 4)
 	return fault(u, faults.SiteLoad, vec.FromF32x4([4]float32{p[0], p[1], p[2], p[3]}))
 }
 
 // LoaduSi128 loads 16 unaligned bytes (_mm_loadu_si128 / movdqu).
 func (u *Unit) LoaduSi128(p []byte) vec.V128 {
-	u.recMem("movdqu", trace.SIMDLoad, 16)
+	u.rec(opMovdquLd)
 	p = skewed(u, faults.SiteLoad, p, 16)
 	return fault(u, faults.SiteLoad, vec.LoadV128(p))
 }
 
 // LoaduSi128U8 loads sixteen uint8 (typed convenience over movdqu).
 func (u *Unit) LoaduSi128U8(p []uint8) vec.V128 {
-	u.recMem("movdqu", trace.SIMDLoad, 16)
+	u.rec(opMovdquLd)
 	p = skewed(u, faults.SiteLoad, p, 16)
 	var a [16]uint8
 	copy(a[:], p[:16])
@@ -140,7 +168,7 @@ func (u *Unit) LoaduSi128U8(p []uint8) vec.V128 {
 
 // LoaduSi128S16 loads eight int16 (typed convenience over movdqu).
 func (u *Unit) LoaduSi128S16(p []int16) vec.V128 {
-	u.recMem("movdqu", trace.SIMDLoad, 16)
+	u.rec(opMovdquLd)
 	p = skewed(u, faults.SiteLoad, p, 8)
 	var a [8]int16
 	copy(a[:], p[:8])
@@ -149,7 +177,7 @@ func (u *Unit) LoaduSi128S16(p []int16) vec.V128 {
 
 // LoaduSi128U16 loads eight uint16 (typed convenience over movdqu).
 func (u *Unit) LoaduSi128U16(p []uint16) vec.V128 {
-	u.recMem("movdqu", trace.SIMDLoad, 16)
+	u.rec(opMovdquLd)
 	p = skewed(u, faults.SiteLoad, p, 8)
 	var a [8]uint16
 	copy(a[:], p[:8])
@@ -158,7 +186,7 @@ func (u *Unit) LoaduSi128U16(p []uint16) vec.V128 {
 
 // LoaduSi128S32 loads four int32 (typed convenience over movdqu).
 func (u *Unit) LoaduSi128S32(p []int32) vec.V128 {
-	u.recMem("movdqu", trace.SIMDLoad, 16)
+	u.rec(opMovdquLd)
 	p = skewed(u, faults.SiteLoad, p, 4)
 	var a [4]int32
 	copy(a[:], p[:4])
@@ -167,7 +195,7 @@ func (u *Unit) LoaduSi128S32(p []int32) vec.V128 {
 
 // LoaduPd loads two unaligned float64 (_mm_loadu_pd / movupd).
 func (u *Unit) LoaduPd(p []float64) vec.V128 {
-	u.recMem("movupd", trace.SIMDLoad, 16)
+	u.rec(opMovupd)
 	p = skewed(u, faults.SiteLoad, p, 2)
 	return fault(u, faults.SiteLoad, vec.FromF64x2([2]float64{p[0], p[1]}))
 }
@@ -175,7 +203,7 @@ func (u *Unit) LoaduPd(p []float64) vec.V128 {
 // LoadlEpi64U8 loads eight bytes into the low qword, zeroing the high
 // (_mm_loadl_epi64 / movq).
 func (u *Unit) LoadlEpi64U8(p []uint8) vec.V128 {
-	u.recMem("movq", trace.SIMDLoad, 8)
+	u.rec(opMovqLd)
 	p = skewed(u, faults.SiteLoad, p, 8)
 	var v vec.V128
 	for i := 0; i < 8; i++ {
@@ -186,7 +214,7 @@ func (u *Unit) LoadlEpi64U8(p []uint8) vec.V128 {
 
 // LoadlEpi64S16 loads four int16 into the low qword (_mm_loadl_epi64).
 func (u *Unit) LoadlEpi64S16(p []int16) vec.V128 {
-	u.recMem("movq", trace.SIMDLoad, 8)
+	u.rec(opMovqLd)
 	p = skewed(u, faults.SiteLoad, p, 4)
 	var v vec.V128
 	for i := 0; i < 4; i++ {
@@ -197,7 +225,7 @@ func (u *Unit) LoadlEpi64S16(p []int16) vec.V128 {
 
 // LoadSs loads a single float32 into lane 0, zeroing the rest (movss).
 func (u *Unit) LoadSs(p []float32) vec.V128 {
-	u.recMem("movss", trace.SIMDLoad, 4)
+	u.rec(opMovss)
 	p = skewed(u, faults.SiteLoad, p, 1)
 	var v vec.V128
 	v.SetF32(0, p[0])
@@ -208,7 +236,7 @@ func (u *Unit) LoadSs(p []float32) vec.V128 {
 
 // StoreuPs stores four float32 (_mm_storeu_ps / movups).
 func (u *Unit) StoreuPs(p []float32, v vec.V128) {
-	u.recMem("movups", trace.SIMDStore, 16)
+	u.rec(opMovupsSt)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
 	f := v.ToF32x4()
@@ -217,7 +245,7 @@ func (u *Unit) StoreuPs(p []float32, v vec.V128) {
 
 // StoreuSi128 stores 16 bytes (_mm_storeu_si128 / movdqu).
 func (u *Unit) StoreuSi128(p []byte, v vec.V128) {
-	u.recMem("movdqu", trace.SIMDStore, 16)
+	u.rec(opMovdquSt)
 	p = skewed(u, faults.SiteStore, p, 16)
 	v = fault(u, faults.SiteStore, v)
 	vec.StoreV128(p, v)
@@ -226,7 +254,7 @@ func (u *Unit) StoreuSi128(p []byte, v vec.V128) {
 // StoreuSi128S16 stores eight int16. This is the final instruction of the
 // paper's SSE2 convert loop.
 func (u *Unit) StoreuSi128S16(p []int16, v vec.V128) {
-	u.recMem("movdqu", trace.SIMDStore, 16)
+	u.rec(opMovdquSt)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToI16x8()
@@ -235,7 +263,7 @@ func (u *Unit) StoreuSi128S16(p []int16, v vec.V128) {
 
 // StoreuSi128U8 stores sixteen uint8.
 func (u *Unit) StoreuSi128U8(p []uint8, v vec.V128) {
-	u.recMem("movdqu", trace.SIMDStore, 16)
+	u.rec(opMovdquSt)
 	p = skewed(u, faults.SiteStore, p, 16)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToU8x16()
@@ -244,7 +272,7 @@ func (u *Unit) StoreuSi128U8(p []uint8, v vec.V128) {
 
 // StoreuSi128U16 stores eight uint16.
 func (u *Unit) StoreuSi128U16(p []uint16, v vec.V128) {
-	u.recMem("movdqu", trace.SIMDStore, 16)
+	u.rec(opMovdquSt)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToU16x8()
@@ -253,7 +281,7 @@ func (u *Unit) StoreuSi128U16(p []uint16, v vec.V128) {
 
 // StoreuSi128S32 stores four int32.
 func (u *Unit) StoreuSi128S32(p []int32, v vec.V128) {
-	u.recMem("movdqu", trace.SIMDStore, 16)
+	u.rec(opMovdquSt)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
 	x := v.ToI32x4()
@@ -262,7 +290,7 @@ func (u *Unit) StoreuSi128S32(p []int32, v vec.V128) {
 
 // StorelEpi64U8 stores the low eight bytes (_mm_storel_epi64 / movq).
 func (u *Unit) StorelEpi64U8(p []uint8, v vec.V128) {
-	u.recMem("movq", trace.SIMDStore, 8)
+	u.rec(opMovqSt)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
 	for i := 0; i < 8; i++ {
@@ -272,7 +300,7 @@ func (u *Unit) StorelEpi64U8(p []uint8, v vec.V128) {
 
 // StorelEpi64S16 stores the low four int16 (_mm_storel_epi64 / movq).
 func (u *Unit) StorelEpi64S16(p []int16, v vec.V128) {
-	u.recMem("movq", trace.SIMDStore, 8)
+	u.rec(opMovqSt)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
 	for i := 0; i < 4; i++ {
@@ -284,13 +312,13 @@ func (u *Unit) StorelEpi64S16(p []int16, v vec.V128) {
 
 // Set1Ps broadcasts a float32 to all four lanes (_mm_set1_ps).
 func (u *Unit) Set1Ps(x float32) vec.V128 {
-	u.rec("shufps(set1)", trace.SIMDShuffle)
+	u.rec(opShufpsSet1)
 	return vec.FromF32x4([4]float32{x, x, x, x})
 }
 
 // Set1Epi8 broadcasts a byte to all sixteen lanes (_mm_set1_epi8).
 func (u *Unit) Set1Epi8(x int8) vec.V128 {
-	u.rec("pshufd(set1)", trace.SIMDShuffle)
+	u.rec(opPshufdSet1)
 	var a [16]int8
 	for i := range a {
 		a[i] = x
@@ -300,7 +328,7 @@ func (u *Unit) Set1Epi8(x int8) vec.V128 {
 
 // Set1Epu8 broadcasts an unsigned byte to all sixteen lanes.
 func (u *Unit) Set1Epu8(x uint8) vec.V128 {
-	u.rec("pshufd(set1)", trace.SIMDShuffle)
+	u.rec(opPshufdSet1)
 	var a [16]uint8
 	for i := range a {
 		a[i] = x
@@ -310,20 +338,20 @@ func (u *Unit) Set1Epu8(x uint8) vec.V128 {
 
 // Set1Epi16 broadcasts an int16 to all eight lanes (_mm_set1_epi16).
 func (u *Unit) Set1Epi16(x int16) vec.V128 {
-	u.rec("pshufd(set1)", trace.SIMDShuffle)
+	u.rec(opPshufdSet1)
 	return vec.FromI16x8([8]int16{x, x, x, x, x, x, x, x})
 }
 
 // Set1Epi32 broadcasts an int32 to all four lanes (_mm_set1_epi32).
 func (u *Unit) Set1Epi32(x int32) vec.V128 {
-	u.rec("pshufd(set1)", trace.SIMDShuffle)
+	u.rec(opPshufdSet1)
 	return vec.FromI32x4([4]int32{x, x, x, x})
 }
 
 // SetSd places a float64 in lane 0 (_mm_set_sd), the cvRound idiom's first
 // instruction.
 func (u *Unit) SetSd(x float64) vec.V128 {
-	u.rec("movsd", trace.Move)
+	u.rec(opMovsd)
 	var v vec.V128
 	v.SetF64(0, x)
 	return v
@@ -331,19 +359,19 @@ func (u *Unit) SetSd(x float64) vec.V128 {
 
 // SetrEpi16 sets eight int16 lanes in order (_mm_setr_epi16).
 func (u *Unit) SetrEpi16(a, b, c, d, e, f, g, h int16) vec.V128 {
-	u.rec("pinsrw(setr)", trace.SIMDShuffle)
+	u.rec(opPinsrwSetr)
 	return vec.FromI16x8([8]int16{a, b, c, d, e, f, g, h})
 }
 
 // SetzeroSi128 returns all zeroes (_mm_setzero_si128 / pxor).
 func (u *Unit) SetzeroSi128() vec.V128 {
-	u.rec("pxor(zero)", trace.SIMDALU)
+	u.rec(opPxorZero)
 	return vec.Zero()
 }
 
 // SetzeroPs returns all zeroes (_mm_setzero_ps / xorps).
 func (u *Unit) SetzeroPs() vec.V128 {
-	u.rec("xorps(zero)", trace.SIMDALU)
+	u.rec(opXorpsZero)
 	return vec.Zero()
 }
 
@@ -353,13 +381,13 @@ func (u *Unit) SetzeroPs() vec.V128 {
 // (_mm_cvtsd_si32 / cvtsd2si). Together with SetSd this is OpenCV's
 // SSE2 cvRound.
 func (u *Unit) CvtsdSi32(v vec.V128) int32 {
-	u.rec("cvtsd2si", trace.SIMDCvt)
+	u.rec(opCvtsd2si)
 	return roundToEvenSat(v.F64(0))
 }
 
 // CvtsiSi128 moves an int32 into lane 0, zeroing the rest (_mm_cvtsi32_si128).
 func (u *Unit) CvtsiSi128(x int32) vec.V128 {
-	u.rec("movd", trace.Move)
+	u.rec(opMovd)
 	var v vec.V128
 	v.SetI32(0, x)
 	return v
@@ -367,19 +395,19 @@ func (u *Unit) CvtsiSi128(x int32) vec.V128 {
 
 // Cvtsi128Si32 extracts lane 0 as int32 (_mm_cvtsi128_si32 / movd).
 func (u *Unit) Cvtsi128Si32(v vec.V128) int32 {
-	u.rec("movd", trace.Move)
+	u.rec(opMovd)
 	return v.I32(0)
 }
 
 // ExtractEpi16 extracts a 16-bit lane as a zero-extended int (pextrw).
 func (u *Unit) ExtractEpi16(v vec.V128, lane int) int {
-	u.rec("pextrw", trace.Move)
+	u.rec(opPextrw)
 	return int(v.U16(lane))
 }
 
 // MovemaskEpi8 gathers the top bit of each byte lane (_mm_movemask_epi8).
 func (u *Unit) MovemaskEpi8(v vec.V128) int {
-	u.rec("pmovmskb", trace.Move)
+	u.rec(opPmovmskb)
 	m := 0
 	for i := 0; i < 16; i++ {
 		if v.U8(i)&0x80 != 0 {
@@ -391,7 +419,7 @@ func (u *Unit) MovemaskEpi8(v vec.V128) int {
 
 // MovemaskPs gathers the sign bit of each float lane (_mm_movemask_ps).
 func (u *Unit) MovemaskPs(v vec.V128) int {
-	u.rec("movmskps", trace.Move)
+	u.rec(opMovmskps)
 	m := 0
 	for i := 0; i < 4; i++ {
 		if v.U32(i)&0x80000000 != 0 {

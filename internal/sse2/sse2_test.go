@@ -108,6 +108,7 @@ func TestPaperConvertSequence(t *testing.T) {
 			t.Errorf("pixel %d: got %d want %d", i, dst[i], want[i])
 		}
 	}
+	u.Flush()
 	if got := tr.Total(); got != 6 {
 		t.Errorf("instruction count: got %d want 6", got)
 	}
@@ -561,6 +562,7 @@ func TestAVX(t *testing.T) {
 		t.Error("Set1256Ps")
 	}
 	// AVX processes 8 floats per load: half the instruction count of SSE2.
+	u.Flush()
 	if tr.BytesLoaded() != 32 {
 		t.Errorf("AVX load bytes: %d", tr.BytesLoaded())
 	}
@@ -570,6 +572,7 @@ func TestOverhead(t *testing.T) {
 	var tr trace.Counter
 	u := New(&tr)
 	u.Overhead(2, 1, 1)
+	u.Flush()
 	if tr.Count(trace.AddrCalc) != 2 || tr.Count(trace.Branch) != 1 || tr.Count(trace.Move) != 1 {
 		t.Fatal("overhead accounting")
 	}

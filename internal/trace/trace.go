@@ -7,6 +7,12 @@
 // fails to block the loop. Every emulated intrinsic call and every IR
 // interpreter step reports into a Counter so those counts are measured, not
 // assumed.
+//
+// Every distinct (mnemonic, class, bytes) triple is interned once as an
+// OpID, at package init for the emulation layers. Recording is then an
+// index, not a string hash: a recording goroutine bumps a private,
+// unsynchronized Tally and folds it into the shared, mutex-guarded Counter
+// under one lock when its pass completes or at an explicit Flush.
 package trace
 
 import (
@@ -14,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Class buckets instructions by the execution resource they occupy. The
@@ -85,18 +92,74 @@ type Op struct {
 	Bytes int // memory bytes moved, zero for non-memory ops
 }
 
+// OpID identifies one interned Op: its (Name, Class, Bytes) triple.
+type OpID uint32
+
+// MaxOps bounds the IDs a Tally counts densely. Every emulation-layer
+// mnemonic is interned at package init, far below it; an ID interned past
+// it (an ad-hoc Record of a new name) goes straight to its Counter.
+const MaxOps = 512
+
+// interned is the process-wide intern table. tab is append-only and
+// published by atomic pointer, so readers index it without a lock; ids and
+// the appends are guarded by mu.
+var interned struct {
+	mu  sync.Mutex
+	ids map[Op]OpID
+	tab atomic.Pointer[[]Op]
+}
+
+// Intern returns the ID of the (name, class, bytes) triple, registering it
+// on first use. The same triple always yields the same ID.
+func Intern(name string, class Class, bytes int) OpID {
+	op := Op{Name: name, Class: class, Bytes: bytes}
+	interned.mu.Lock()
+	defer interned.mu.Unlock()
+	if id, ok := interned.ids[op]; ok {
+		return id
+	}
+	if interned.ids == nil {
+		interned.ids = make(map[Op]OpID)
+	}
+	tab := append(opTable(), op)
+	id := OpID(len(tab) - 1)
+	interned.ids[op] = id
+	interned.tab.Store(&tab)
+	return id
+}
+
+func opTable() []Op {
+	if p := interned.tab.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// NumOps returns how many distinct ops have been interned so far.
+func NumOps() int { return len(opTable()) }
+
+// Op returns the triple id was interned for.
+func (id OpID) Op() Op { return opTable()[id] }
+
+// opCount is one op's count in a Counter.
+type opCount struct {
+	n  uint64
+	id OpID
+}
+
 // Counter accumulates a dynamic instruction trace. The zero value is ready
 // to use. All methods are safe for concurrent use: the harness's per-cell
 // goroutines may record into a shared Counter directly, though the cheaper
 // fan-in pattern is one private Counter per goroutine folded into a shared
-// one with Merge (with Snapshot to publish a consistent copy). SeqCap must
-// be set before the first Record.
+// one with Merge (with Snapshot to publish a consistent copy), or one Tally
+// per goroutine flushed into the shared Counter. SeqCap must be set before
+// the first Record.
 type Counter struct {
-	mu          sync.Mutex
-	counts      [numClasses]uint64
-	bytesLoaded uint64
-	bytesStored uint64
-	opcodes     map[string]uint64
+	mu sync.Mutex
+	// ops holds the per-op counts sorted by id. Class counts and byte
+	// traffic derive from it, so a retained Counter is little more than
+	// one 16-byte entry per distinct op.
+	ops []opCount
 
 	// seq captures the first SeqCap recorded ops for listing generation
 	// (Section V style analysis). Disabled unless SeqCap > 0.
@@ -115,43 +178,101 @@ func (t *Counter) Record(op Op) {
 	if t == nil {
 		return
 	}
+	t.RecordID(Intern(op.Name, op.Class, op.Bytes))
+}
+
+// RecordN notes n occurrences of an op with no sequence capture. It is the
+// bulk form used for ad-hoc accounting; hot paths intern once and use
+// RecordIDN or a Tally.
+func (t *Counter) RecordN(name string, class Class, n uint64, bytesEach int) {
+	if t == nil || n == 0 {
+		return
+	}
+	t.RecordIDN(Intern(name, class, bytesEach), n)
+}
+
+// RecordID notes one occurrence of the interned op id, capturing it in the
+// sequence when SeqCap allows.
+func (t *Counter) RecordID(id OpID) {
+	if t == nil {
+		return
+	}
+	op := id.Op()
+	one := [1]opCount{{n: 1, id: id}}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.counts[op.Class]++
-	switch op.Class {
-	case SIMDLoad, ScalarLoad:
-		t.bytesLoaded += uint64(op.Bytes)
-	case SIMDStore, ScalarStore:
-		t.bytesStored += uint64(op.Bytes)
-	}
-	if t.opcodes == nil {
-		t.opcodes = make(map[string]uint64)
-	}
-	t.opcodes[op.Name]++
+	t.mergeLocked(one[:])
 	if t.SeqCap > 0 && len(t.seq) < t.SeqCap {
 		t.seq = append(t.seq, op)
 	}
 }
 
-// RecordN notes n occurrences of an op with no sequence capture. It is the
-// fast path used for bulk accounting (e.g. loop overhead per iteration).
-func (t *Counter) RecordN(name string, class Class, n uint64, bytesEach int) {
+// RecordIDN notes n occurrences of the interned op id with no sequence
+// capture.
+func (t *Counter) RecordIDN(id OpID, n uint64) {
 	if t == nil || n == 0 {
+		return
+	}
+	one := [1]opCount{{n: n, id: id}}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.mergeLocked(one[:])
+}
+
+// mergeLocked adds the id-sorted counts in add to t's per-op list. Adding
+// to ops t already holds allocates nothing; new ops cost one exact-size
+// reallocation of the list.
+func (t *Counter) mergeLocked(add []opCount) {
+	missing := 0
+	j := 0
+	for _, a := range add {
+		for j < len(t.ops) && t.ops[j].id < a.id {
+			j++
+		}
+		if j < len(t.ops) && t.ops[j].id == a.id {
+			t.ops[j].n += a.n
+		} else {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return
+	}
+	merged := make([]opCount, 0, len(t.ops)+missing)
+	i := 0
+	for _, a := range add {
+		for i < len(t.ops) && t.ops[i].id < a.id {
+			merged = append(merged, t.ops[i])
+			i++
+		}
+		if i < len(t.ops) && t.ops[i].id == a.id {
+			continue // counted in place above
+		}
+		merged = append(merged, a)
+	}
+	t.ops = append(merged, t.ops[i:]...)
+}
+
+// mergeBuf sizes the stack buffers that carry counts between two locks.
+const mergeBuf = 64
+
+// fold moves a Tally's dense counts into t and zeroes them. The array is
+// scanned outside t's lock; only the merge holds it.
+func (t *Counter) fold(n *[MaxOps]uint64) {
+	var buf [mergeBuf]opCount
+	add := buf[:0]
+	for id, k := range n[:min(NumOps(), MaxOps)] {
+		if k != 0 {
+			add = append(add, opCount{n: k, id: OpID(id)})
+			n[id] = 0
+		}
+	}
+	if len(add) == 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.counts[class] += n
-	switch class {
-	case SIMDLoad, ScalarLoad:
-		t.bytesLoaded += n * uint64(bytesEach)
-	case SIMDStore, ScalarStore:
-		t.bytesStored += n * uint64(bytesEach)
-	}
-	if t.opcodes == nil {
-		t.opcodes = make(map[string]uint64)
-	}
-	t.opcodes[name] += n
+	t.mergeLocked(add)
 }
 
 // Event notes one occurrence of a named non-instruction event.
@@ -189,93 +310,102 @@ func (t *Counter) Events() map[string]uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.events) == 0 {
+	return copyEvents(t.events)
+}
+
+func copyEvents(ev map[string]uint64) map[string]uint64 {
+	if len(ev) == 0 {
 		return nil
 	}
-	m := make(map[string]uint64, len(t.events))
-	for k, v := range t.events {
+	m := make(map[string]uint64, len(ev))
+	for k, v := range ev {
 		m[k] = v
 	}
 	return m
 }
 
-// Count returns the number of instructions recorded in class c.
-func (t *Counter) Count(c Class) uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counts[c]
+// totals are a Counter's per-class counts and byte traffic.
+type totals struct {
+	classes        [numClasses]uint64
+	loaded, stored uint64
 }
 
-// Opcode returns the dynamic count for a specific mnemonic.
-func (t *Counter) Opcode(name string) uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.opcodes[name]
-}
-
-// Total returns the total dynamic instruction count.
-func (t *Counter) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.totalLocked()
-}
-
-func (t *Counter) totalLocked() uint64 {
-	var s uint64
-	for _, c := range t.counts {
-		s += c
-	}
-	return s
-}
-
-// SIMDTotal returns the count of vector-pipe instructions.
-func (t *Counter) SIMDTotal() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.simdTotalLocked()
-}
-
-func (t *Counter) simdTotalLocked() uint64 {
-	var s uint64
-	for c := Class(0); c < numClasses; c++ {
-		if c.IsSIMD() {
-			s += t.counts[c]
+// totalsLocked derives t's totals from its per-op counts.
+func (t *Counter) totalsLocked() (s totals) {
+	tab := opTable()
+	for _, oc := range t.ops {
+		op := tab[oc.id]
+		s.classes[op.Class] += oc.n
+		switch op.Class {
+		case SIMDLoad, ScalarLoad:
+			s.loaded += oc.n * uint64(op.Bytes)
+		case SIMDStore, ScalarStore:
+			s.stored += oc.n * uint64(op.Bytes)
 		}
 	}
 	return s
 }
 
-// BytesLoaded returns total bytes read from memory.
-func (t *Counter) BytesLoaded() uint64 {
-	if t == nil {
-		return 0
+func (s totals) total() uint64 {
+	var n uint64
+	for _, c := range s.classes {
+		n += c
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytesLoaded
+	return n
 }
 
-// BytesStored returns total bytes written to memory.
-func (t *Counter) BytesStored() uint64 {
+func (s totals) simd() uint64 {
+	var n uint64
+	for c := Class(0); c < numClasses; c++ {
+		if c.IsSIMD() {
+			n += s.classes[c]
+		}
+	}
+	return n
+}
+
+// totals returns t's totals under its lock.
+func (t *Counter) totals() totals {
 	if t == nil {
-		return 0
+		return totals{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.bytesStored
+	return t.totalsLocked()
 }
+
+// Count returns the number of instructions recorded in class c.
+func (t *Counter) Count(c Class) uint64 { return t.totals().classes[c] }
+
+// Opcode returns the dynamic count for a specific mnemonic, summed over
+// every class and width it was recorded with.
+func (t *Counter) Opcode(name string) uint64 {
+	if t == nil {
+		return 0
+	}
+	tab := opTable()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var s uint64
+	for _, oc := range t.ops {
+		if tab[oc.id].Name == name {
+			s += oc.n
+		}
+	}
+	return s
+}
+
+// Total returns the total dynamic instruction count.
+func (t *Counter) Total() uint64 { return t.totals().total() }
+
+// SIMDTotal returns the count of vector-pipe instructions.
+func (t *Counter) SIMDTotal() uint64 { return t.totals().simd() }
+
+// BytesLoaded returns total bytes read from memory.
+func (t *Counter) BytesLoaded() uint64 { return t.totals().loaded }
+
+// BytesStored returns total bytes written to memory.
+func (t *Counter) BytesStored() uint64 { return t.totals().stored }
 
 // Sequence returns the captured instruction prefix (up to SeqCap ops).
 func (t *Counter) Sequence() []Op {
@@ -296,41 +426,32 @@ func (t *Counter) Reset() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.counts = [numClasses]uint64{}
-	t.bytesLoaded = 0
-	t.bytesStored = 0
-	t.opcodes = nil
+	t.ops = nil
 	t.seq = nil
 	t.events = nil
 }
 
-// Add accumulates other into t. It locks each counter in turn (never
-// both at once), so concurrent cross-merges cannot deadlock.
+// Add accumulates other into t. It copies other's counts under other's
+// lock, releases it, then folds them in under t's lock — never both at
+// once, so concurrent cross-merges cannot deadlock. Merging ops t already
+// holds allocates nothing.
 func (t *Counter) Add(other *Counter) {
 	if t == nil || other == nil || t == other {
 		return
 	}
-	snap := other.Snapshot()
+	var buf [mergeBuf]opCount
+	other.mu.Lock()
+	add := append(buf[:0], other.ops...)
+	events := copyEvents(other.events)
+	other.mu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.counts {
-		t.counts[i] += snap.counts[i]
-	}
-	t.bytesLoaded += snap.bytesLoaded
-	t.bytesStored += snap.bytesStored
-	if snap.opcodes != nil {
-		if t.opcodes == nil {
-			t.opcodes = make(map[string]uint64, len(snap.opcodes))
-		}
-		for k, v := range snap.opcodes {
-			t.opcodes[k] += v
-		}
-	}
-	if snap.events != nil {
+	t.mergeLocked(add)
+	if events != nil {
 		if t.events == nil {
-			t.events = make(map[string]uint64, len(snap.events))
+			t.events = make(map[string]uint64, len(events))
 		}
-		for k, v := range snap.events {
+		for k, v := range events {
 			t.events[k] += v
 		}
 	}
@@ -350,22 +471,11 @@ func (t *Counter) Snapshot() *Counter {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := &Counter{
-		counts:      t.counts,
-		bytesLoaded: t.bytesLoaded,
-		bytesStored: t.bytesStored,
-		SeqCap:      t.SeqCap,
+		SeqCap: t.SeqCap,
+		events: copyEvents(t.events),
 	}
-	if t.opcodes != nil {
-		n.opcodes = make(map[string]uint64, len(t.opcodes))
-		for k, v := range t.opcodes {
-			n.opcodes[k] = v
-		}
-	}
-	if t.events != nil {
-		n.events = make(map[string]uint64, len(t.events))
-		for k, v := range t.events {
-			n.events[k] = v
-		}
+	if t.ops != nil {
+		n.ops = append([]opCount(nil), t.ops...)
 	}
 	if t.seq != nil {
 		n.seq = make([]Op, len(t.seq))
@@ -374,15 +484,85 @@ func (t *Counter) Snapshot() *Counter {
 	return n
 }
 
-// Classes returns a snapshot of per-class counts indexed by Class.
-func (t *Counter) Classes() [NumClasses]uint64 {
-	if t == nil {
-		return [NumClasses]uint64{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counts
+// Tally is the unsynchronized front end one recording goroutine keeps
+// before a Counter: a dense per-OpID count array, so recording an
+// instruction is one increment with no lock and no hashing. Counts reach
+// the Counter only at Flush, under one lock. The zero value is ready. The
+// array is borrowed from a process-wide pool on the first record after a
+// Flush and returned, zeroed, by the Flush, so a Tally holds one only
+// while it has counts pending and short-lived recorders share a few.
+//
+// Records bypass the array and go straight to the Counter, under its lock
+// and in program order, while the Counter captures a sequence (SeqCap > 0)
+// — so listings are unchanged — and once the Tally is shared (Share).
+type Tally struct {
+	c      *Counter
+	n      *[MaxOps]uint64
+	shared bool
 }
+
+// tallyArrays recycles the count arrays of flushed Tallies; every array in
+// it is all zeros.
+var tallyArrays = sync.Pool{New: func() any { return new([MaxOps]uint64) }}
+
+// Share makes the tally safe to record into from several goroutines at
+// once: from then on every record goes straight to the Counter under its
+// lock. It flushes what the array held and must not race with records.
+func (l *Tally) Share() {
+	l.Flush()
+	l.shared = true
+}
+
+// Inc notes one occurrence of id for c, which must be non-nil.
+func (l *Tally) Inc(c *Counter, id OpID) {
+	if l.c == c && id < MaxOps {
+		l.n[id]++
+		return
+	}
+	l.slow(c, id, 1, true)
+}
+
+// Add notes n occurrences of id for c, which must be non-nil, with no
+// sequence capture.
+func (l *Tally) Add(c *Counter, id OpID, n uint64) {
+	if l.c == c && id < MaxOps {
+		l.n[id] += n
+		return
+	}
+	l.slow(c, id, n, false)
+}
+
+// slow records past the array (shared tally, sequence capture, IDs beyond
+// MaxOps) or binds the tally to c, flushing what it held for another
+// counter.
+func (l *Tally) slow(c *Counter, id OpID, n uint64, one bool) {
+	if l.shared || c.SeqCap > 0 || id >= MaxOps {
+		if one {
+			c.RecordID(id)
+		} else {
+			c.RecordIDN(id, n)
+		}
+		return
+	}
+	l.Flush()
+	l.c, l.n = c, tallyArrays.Get().(*[MaxOps]uint64)
+	l.n[id] += n
+}
+
+// Flush folds the tallied counts into their Counter and returns the array
+// to the pool. Flushing a Tally with nothing pending is a no-op, so Flush
+// is idempotent.
+func (l *Tally) Flush() {
+	if l.c == nil {
+		return
+	}
+	l.c.fold(l.n)
+	tallyArrays.Put(l.n)
+	l.c, l.n = nil, nil
+}
+
+// Classes returns a snapshot of per-class counts indexed by Class.
+func (t *Counter) Classes() [NumClasses]uint64 { return t.totals().classes }
 
 // PerPixel divides every count by pixels, returning instructions per output
 // element — the unit used throughout the paper's Section V discussion.
@@ -391,11 +571,9 @@ func (t *Counter) PerPixel(pixels int) map[Class]float64 {
 	if t == nil || pixels <= 0 {
 		return m
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for c := Class(0); c < numClasses; c++ {
-		if t.counts[c] > 0 {
-			m[c] = float64(t.counts[c]) / float64(pixels)
+	for c, n := range t.Classes() {
+		if n > 0 {
+			m[Class(c)] = float64(n) / float64(pixels)
 		}
 	}
 	return m
@@ -409,20 +587,29 @@ func (t *Counter) Summary() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "total=%d simd=%d loadB=%d storeB=%d\n",
-		t.totalLocked(), t.simdTotalLocked(), t.bytesLoaded, t.bytesStored)
-	for c := Class(0); c < numClasses; c++ {
-		if t.counts[c] > 0 {
-			fmt.Fprintf(&sb, "  %-12s %d\n", c, t.counts[c])
+	s := t.totalsLocked()
+	fmt.Fprintf(&sb, "total=%d simd=%d loadB=%d storeB=%d\n", s.total(), s.simd(), s.loaded, s.stored)
+	for c, n := range s.classes {
+		if n > 0 {
+			fmt.Fprintf(&sb, "  %-12s %d\n", Class(c), n)
 		}
 	}
-	names := make([]string, 0, len(t.opcodes))
-	for k := range t.opcodes {
-		names = append(names, k)
+	tab := opTable()
+	type nameCount struct {
+		name string
+		n    uint64
 	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&sb, "    %-16s %d\n", k, t.opcodes[k])
+	byName := make([]nameCount, 0, len(t.ops))
+	for _, oc := range t.ops {
+		byName = append(byName, nameCount{tab[oc.id].Name, oc.n})
+	}
+	sort.SliceStable(byName, func(i, j int) bool { return byName[i].name < byName[j].name })
+	for i := 0; i < len(byName); {
+		nc := byName[i]
+		for i++; i < len(byName) && byName[i].name == nc.name; i++ {
+			nc.n += byName[i].n
+		}
+		fmt.Fprintf(&sb, "    %-16s %d\n", nc.name, nc.n)
 	}
 	if len(t.events) > 0 {
 		evs := make([]string, 0, len(t.events))

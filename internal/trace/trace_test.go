@@ -228,3 +228,112 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatalf("snapshot not isolated: snap=%d live=%d", snap.Total(), c.Total())
 	}
 }
+
+func TestInternSameTripleSameID(t *testing.T) {
+	a := Intern("vtest.intern", SIMDLoad, 16)
+	if b := Intern("vtest.intern", SIMDLoad, 16); b != a {
+		t.Fatalf("same triple interned twice: %d then %d", a, b)
+	}
+	if b := Intern("vtest.intern", SIMDLoad, 8); b == a {
+		t.Fatal("different width must intern separately")
+	}
+	if b := Intern("vtest.intern", SIMDStore, 16); b == a {
+		t.Fatal("different class must intern separately")
+	}
+	if op := a.Op(); op != (Op{Name: "vtest.intern", Class: SIMDLoad, Bytes: 16}) {
+		t.Fatalf("ID resolves to %+v", op)
+	}
+	if NumOps() <= int(a) {
+		t.Fatalf("NumOps %d does not cover ID %d", NumOps(), a)
+	}
+}
+
+// TestSummaryAggregatesByName: one mnemonic recorded under two classes (the
+// NEON vorr both moves and ORs) prints one line with the summed count.
+func TestSummaryAggregatesByName(t *testing.T) {
+	var c Counter
+	c.RecordN("vorr", Move, 3, 0)
+	c.RecordN("vorr", SIMDALU, 2, 0)
+	if got := c.Opcode("vorr"); got != 5 {
+		t.Fatalf("Opcode(vorr) = %d, want 5", got)
+	}
+	if s := c.Summary(); !strings.Contains(s, "    vorr             5\n") || strings.Count(s, "vorr") != 1 {
+		t.Fatalf("summary does not aggregate by name:\n%s", s)
+	}
+}
+
+func TestTallyFlush(t *testing.T) {
+	ld := Intern("vld1.32", SIMDLoad, 16)
+	add := Intern("vadd.i16", SIMDALU, 0)
+	var c, want Counter
+	var l Tally
+	for i := 0; i < 10; i++ {
+		l.Inc(&c, ld)
+		want.RecordID(ld)
+	}
+	l.Add(&c, add, 7)
+	want.RecordIDN(add, 7)
+	l.Add(&c, add, 0)
+	if c.Total() != 0 {
+		t.Fatal("tally must not reach the counter before Flush")
+	}
+	l.Flush()
+	l.Flush()
+	if got, w := c.Summary(), want.Summary(); got != w {
+		t.Fatalf("flushed tally differs from direct records:\n%s\nwant:\n%s", got, w)
+	}
+	if c.BytesLoaded() != 160 {
+		t.Fatalf("bytes loaded = %d, want 160", c.BytesLoaded())
+	}
+
+	// Rebinding to another counter flushes what was tallied for the first.
+	var d Counter
+	l.Inc(&c, add)
+	l.Inc(&d, add)
+	if c.Opcode("vadd.i16") != 8 {
+		t.Fatalf("rebind lost the old counter's pending count: %d", c.Opcode("vadd.i16"))
+	}
+	l.Flush()
+	if d.Opcode("vadd.i16") != 1 {
+		t.Fatalf("new counter = %d, want 1", d.Opcode("vadd.i16"))
+	}
+}
+
+// TestTallySequenceCapture: while the counter captures a sequence, a
+// tally records straight into it, in program order.
+func TestTallySequenceCapture(t *testing.T) {
+	ld := Intern("vld1.32", SIMDLoad, 16)
+	cvt := Intern("vcvt.s32.f32", SIMDCvt, 0)
+	c := Counter{SeqCap: 3}
+	var l Tally
+	l.Inc(&c, ld)
+	l.Add(&c, cvt, 5) // bulk accounting: counted, not captured
+	l.Inc(&c, cvt)
+	l.Inc(&c, ld)
+	l.Inc(&c, ld)
+	seq := c.Sequence()
+	if len(seq) != 3 || seq[0].Name != "vld1.32" || seq[1].Name != "vcvt.s32.f32" || seq[2].Name != "vld1.32" {
+		t.Fatalf("sequence = %+v", seq)
+	}
+	if c.Total() != 9 {
+		t.Fatalf("total = %d, want 9 without a Flush", c.Total())
+	}
+}
+
+// TestAddAllocFree: merging a band's counts for opcodes the destination
+// already holds — the steady state of every banded kernel — allocates
+// nothing.
+func TestAddAllocFree(t *testing.T) {
+	var dst, band Counter
+	band.Record(Op{Name: "vld1.8", Class: SIMDLoad, Bytes: 16})
+	band.Record(Op{Name: "vmin.u8", Class: SIMDALU})
+	band.RecordN("cmp+b", Branch, 4, 0)
+	dst.Add(&band)
+	if n := testing.AllocsPerRun(100, func() { dst.Add(&band) }); n != 0 {
+		t.Fatalf("Add of already-seen opcodes allocates %v per merge", n)
+	}
+	// One merge above, then AllocsPerRun's warm-up call and its 100 runs.
+	if got := dst.Opcode("cmp+b"); got != 4*102 {
+		t.Fatalf("cmp+b = %d, want %d", got, 4*102)
+	}
+}
