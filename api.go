@@ -524,10 +524,6 @@ func OpenOrCreateCheckpoint(path, kind, fingerprint string) (j *CheckpointJourna
 // seen, and the deadline that expired.
 type StallError = super.StallError
 
-// PanicError wraps a recovered kernel panic with its stack, as recorded by
-// the supervisor.
-type PanicError = super.PanicError
-
 // QuarantinePolicy tunes panic quarantine: how many panics a (kernel, ISA)
 // pair may suffer before it is demoted to the scalar, serial path
 // permanently (its breaker latches stuck-open).
@@ -598,8 +594,8 @@ type IntegrityScoreboardConfig = integrity.ScoreboardConfig
 type IntegrityPairScore = integrity.PairScore
 
 // PlaneChecksum is a blockwise FNV-1a fingerprint of an image plane; the
-// pipeline executor stamps and re-verifies these at stage boundaries, and
-// the plane pool's scrubber uses them to catch corruption of parked planes.
+// plane pool's scrubber uses them to catch corruption of parked planes, and
+// the result cache to key and verify its entries.
 type PlaneChecksum = integrity.PlaneSum
 
 // ChecksumError reports a plane whose bytes no longer match their

@@ -142,9 +142,6 @@ func NewHierarchy(cfgs ...Config) (*Hierarchy, error) {
 // LineBytes returns the hierarchy's line size.
 func (h *Hierarchy) LineBytes() int { return h.levels[0].cfg.LineBytes }
 
-// Levels returns the cache levels, L1 first.
-func (h *Hierarchy) Levels() []*Level { return h.levels }
-
 // Access performs a byte-granular access of the given size, touching every
 // line it spans. It returns the deepest level index that had to be
 // consulted (0 for an L1 hit, len(levels) for memory).

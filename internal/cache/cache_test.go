@@ -50,7 +50,7 @@ func TestColdMissThenHit(t *testing.T) {
 	if h.MemReads != 1 {
 		t.Fatalf("mem reads: %d", h.MemReads)
 	}
-	l1 := h.Levels()[0]
+	l1 := h.levels[0]
 	if l1.Hits != 1 || l1.Misses != 1 {
 		t.Fatalf("hits/misses: %d/%d", l1.Hits, l1.Misses)
 	}
@@ -140,7 +140,7 @@ func TestReset(t *testing.T) {
 	h, _ := NewHierarchy(small())
 	h.Access(0, 4, true)
 	h.Reset()
-	if h.MemReads != 0 || h.MemWrites != 0 || h.Levels()[0].Hits != 0 || h.Levels()[0].Misses != 0 {
+	if h.MemReads != 0 || h.MemWrites != 0 || h.levels[0].Hits != 0 || h.levels[0].Misses != 0 {
 		t.Fatal("reset did not clear counters")
 	}
 	if d := h.Access(0, 4, false); d != 1 {
@@ -162,8 +162,8 @@ func TestQuickAccountingInvariants(t *testing.T) {
 			h.Access(uint64(a), 1, w)
 			touches++
 		}
-		l1 := h.Levels()[0]
-		l2 := h.Levels()[1]
+		l1 := h.levels[0]
+		l2 := h.levels[1]
 		if l1.Hits+l1.Misses < touches { // >= because writebacks touch L2 only
 			return false
 		}

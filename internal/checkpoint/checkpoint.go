@@ -324,10 +324,3 @@ func (j *Journal) Records() []Record {
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
-
-// Meta returns the journal's identity header.
-func (j *Journal) Meta() Meta {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.meta
-}

@@ -56,7 +56,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Errorf("record %d = %+v, want %+v", i, p, want[i])
 		}
 	}
-	if m := j2.Meta(); m.Kind != "grid" || m.Fingerprint != "fp-1" || m.Version != Version {
+	if m := j2.meta; m.Kind != "grid" || m.Fingerprint != "fp-1" || m.Version != Version {
 		t.Errorf("Meta = %+v", m)
 	}
 }

@@ -43,9 +43,6 @@ import (
 // auditor's scoreboard.
 func (o *Ops) SetAuditor(a *integrity.Auditor) { o.aud = a }
 
-// Auditor returns the attached auditor, or nil.
-func (o *Ops) Auditor() *integrity.Auditor { return o.aud }
-
 // auditCompare diffs the SIMD output against the scalar reference over the
 // auditor's row window with the kernel's tolerance, returning nil when
 // clean or a typed CorruptionError locating the divergence.
@@ -77,17 +74,12 @@ func (o *Ops) auditedRun(kernel string, dst *image.Mat, tol int,
 	o.ctxCheck()
 	start := time.Now()
 	sp := o.curSpan().Child("integrity.audit")
-	// Same referee construction as the guard: same ISA (per-platform
-	// rounding conventions), optimizations off, no trace, no injector, no
-	// bound context.
-	ref := NewOps(o.isa, nil)
-	ref.SetUseOptimized(false)
-	want := par.GetMat(dst.Width, dst.Height, dst.Kind)
-	defer par.PutMat(want)
-	if err := rerun(ref, want); err != nil {
+	want, err := o.referee(dst.Width, dst.Height, dst.Kind, rerun)
+	if err != nil {
 		sp.End()
 		return fmt.Errorf("cv: %s audit referee: %w", kernel, err)
 	}
+	defer par.PutMat(want)
 	ce := o.auditCompare(kernel, dst, want, tol)
 	if ce != nil {
 		// The reference is the trusted result: a detected-corrupt plane
@@ -104,8 +96,8 @@ func (o *Ops) auditedRun(kernel string, dst *image.Mat, tol int,
 
 // diffRegion counts elements in rows [r0, r1) where got and want differ by
 // more than tol, returning the plane-linear index of the first divergence
-// (-1 when none) alongside the count. NaN anywhere is a divergence, as in
-// diffRows.
+// (-1 when none) alongside the count. NaN anywhere is a divergence: no
+// kernel here produces one.
 func diffRegion(got, want *image.Mat, r0, r1, tol int) (first, diffs int) {
 	first = -1
 	lo, hi := r0*got.Width, r1*got.Width

@@ -239,7 +239,7 @@ func TestAuditScoreboardTripsQuarantine(t *testing.T) {
 	}
 
 	if !sb.Tripped("Threshold", "neon") {
-		t.Fatalf("mismatch burst did not trip the scoreboard (score %v)", sb.Score("Threshold", "neon"))
+		t.Fatalf("mismatch burst did not trip the scoreboard (scores %v)", sb.Snapshot())
 	}
 	if st := brk.State("Threshold", "neon"); st != resilience.StateStuckOpen {
 		t.Fatalf("tripped pair's breaker is %v, want stuck-open", st)

@@ -194,9 +194,6 @@ func (o *Ops) Breakers() *resilience.BreakerSet { return o.brk }
 // the kernel's breaker as a failure. nil detaches.
 func (o *Ops) SetWatchdog(w *super.Watchdog) { o.wd = w }
 
-// Watchdog returns the attached watchdog, or nil.
-func (o *Ops) Watchdog() *super.Watchdog { return o.wd }
-
 // SetSupervisor attaches a panic supervisor: a panic escaping an outermost
 // kernel call is recorded against its (kernel, ISA) pair, and a pair that
 // exceeds the supervisor's quarantine policy runs scalar-and-serial from

@@ -173,8 +173,8 @@ func magThreshSSE2Chunk(b *Ops, a magThreshArgs, lo, hi int) {
 	}
 }
 
-// GradientMagnitude exposes the |gx|+|gy| combine on its own for callers
-// composing custom pipelines (used by examples).
+// GradientMagnitude exposes the |gx|+|gy| combine on its own, so the
+// internal/kernels tests can check the IR magnitude loop against it.
 func (o *Ops) GradientMagnitude(gx, gy, dst *image.Mat) (err error) {
 	o.beginKernel("GradientMagnitude")
 	defer o.endKernelP("GradientMagnitude", &err)

@@ -255,14 +255,12 @@ func (o *Ops) beginFusedAudit(w, h int, ref func(ro *Ops, d *image.Mat) error) (
 		return nil, nil
 	}
 	fa := &fusedAudit{start: time.Now(), sp: o.curSpan().Child("integrity.fused_audit")}
-	ro := NewOps(o.isa, nil)
-	ro.SetUseOptimized(false)
-	fa.want = par.GetMat(w, h, image.U8)
-	if err := ref(ro, fa.want); err != nil {
+	want, err := o.referee(w, h, image.U8, ref)
+	if err != nil {
 		fa.sp.End()
-		par.PutMat(fa.want)
 		return nil, err
 	}
+	fa.want = want
 	return fa, nil
 }
 

@@ -118,9 +118,6 @@ func (o *Ops) SetGuarded(on bool) {
 	}
 }
 
-// Guarded reports whether guarded mode is on.
-func (o *Ops) Guarded() bool { return o.guarded }
-
 // SetGuardPolicy installs a policy and enables guarded mode.
 func (o *Ops) SetGuardPolicy(p GuardPolicy) {
 	o.policy = p.normalized()
@@ -136,9 +133,6 @@ func (o *Ops) SetFaultInjector(inj faults.Injector) {
 	o.n.F = inj
 	o.s.F = inj
 }
-
-// FaultInjector returns the attached injector, or nil.
-func (o *Ops) FaultInjector() faults.Injector { return o.injector }
 
 // Faults returns the guarded-mode interventions recorded so far.
 func (o *Ops) Faults() []KernelFault { return o.kernelFaults }
@@ -215,44 +209,30 @@ func (o *Ops) sampleRows(h int) []int {
 // diffRows counts pixels in the sampled rows where got and want differ by
 // more than tol, and returns the diverging rows alongside the total.
 func diffRows(got, want *image.Mat, rows []int, tol int) (bad []int, diffs int) {
-	w := got.Width
-	absDiff := func(a, b int) int {
-		if a > b {
-			return a - b
-		}
-		return b - a
-	}
 	for _, r := range rows {
-		lo, hi := r*w, (r+1)*w
-		d := 0
-		switch got.Kind {
-		case image.U8:
-			for i := lo; i < hi; i++ {
-				if absDiff(int(got.U8Pix[i]), int(want.U8Pix[i])) > tol {
-					d++
-				}
-			}
-		case image.S16:
-			for i := lo; i < hi; i++ {
-				if absDiff(int(got.S16Pix[i]), int(want.S16Pix[i])) > tol {
-					d++
-				}
-			}
-		case image.F32:
-			for i := lo; i < hi; i++ {
-				a, b := got.F32Pix[i], want.F32Pix[i]
-				// NaN anywhere is a divergence: no kernel here produces one.
-				if a != a || b != b || absDiff(int(a-b), 0) > tol {
-					d++
-				}
-			}
-		}
-		if d > 0 {
+		if _, d := diffRegion(got, want, r, r+1, tol); d > 0 {
 			bad = append(bad, r)
 			diffs += d
 		}
 	}
 	return bad, diffs
+}
+
+// referee computes the scalar reference of a kernel call into a pooled
+// w x h Mat, which the caller returns with par.PutMat. The referee Ops has
+// the same ISA (same rounding conventions), optimizations off, no trace
+// (its instructions are bookkeeping, not workload), and crucially no fault
+// injector. It has no bound context either, so a deadline can never
+// interrupt the reference computation mid-row.
+func (o *Ops) referee(w, h int, kind image.Type, rerun func(ref *Ops, d *image.Mat) error) (*image.Mat, error) {
+	ref := NewOps(o.isa, nil)
+	ref.SetUseOptimized(false)
+	want := par.GetMat(w, h, kind)
+	if err := rerun(ref, want); err != nil {
+		par.PutMat(want)
+		return nil, err
+	}
+	return want, nil
 }
 
 // copyPixels overwrites dst's pixel data with src's (shapes already match).
@@ -297,20 +277,14 @@ func (o *Ops) guardedRun(kernel string, dst *image.Mat, tol int,
 		return err
 	}
 
-	// Scalar referee: same ISA (same rounding conventions), optimizations
-	// off, no trace (its instructions are bookkeeping, not workload), and
-	// crucially no fault injector. Its Ops has no bound context either, so
-	// a deadline can never interrupt the reference computation mid-row.
 	o.ctxCheck()
 	refSpan := o.curSpan().Child("guard.referee")
-	ref := NewOps(o.isa, nil)
-	ref.SetUseOptimized(false)
-	want := par.GetMat(dst.Width, dst.Height, dst.Kind)
-	defer par.PutMat(want)
-	if err := rerun(ref, want); err != nil {
+	want, err := o.referee(dst.Width, dst.Height, dst.Kind, rerun)
+	if err != nil {
 		refSpan.End()
 		return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
 	}
+	defer par.PutMat(want)
 
 	rows := o.sampleRows(dst.Height)
 	bad, diffs := diffRows(dst, want, rows, tol)

@@ -119,7 +119,7 @@ func TestGuardDetectsAndFallsBack(t *testing.T) {
 		if actions[ActionFallback] == 0 || g.Fallbacks() != 1 {
 			t.Errorf("%v: no fallback recorded (fallbacks=%d): %v", isa, g.Fallbacks(), g.Faults())
 		}
-		if tr.EventCount("fault.detected") == 0 || tr.EventCount("fault.fallback") == 0 {
+		if ev := tr.Events(); ev["fault.detected"] == 0 || ev["fault.fallback"] == 0 {
 			t.Errorf("%v: trace events missing: %v", isa, tr.Events())
 		}
 	}

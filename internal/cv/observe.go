@@ -34,9 +34,6 @@ func (o *Ops) SetObserver(reg *obs.Registry) {
 	o.s.Obs = reg
 }
 
-// Observer returns the attached registry, or nil.
-func (o *Ops) Observer() *obs.Registry { return o.Obs }
-
 // SetSpanParent nests subsequently started kernel spans under sp. The
 // harness points this at its grid-cell and campaign-image spans so a
 // whole run renders as cells -> kernels -> guard actions in the Chrome

@@ -87,16 +87,6 @@ func smoothHPixel(row []uint8, w, x int) int16 {
 	return int16(row[clampIdx(x-1, w)]) + 2*int16(row[x]) + int16(row[clampIdx(x+1, w)])
 }
 
-// smoothVPixel is tmp[y-1]+2*tmp[y]+tmp[y+1] on the S16 plane.
-func smoothVPixel(pix []int16, w, h, x, y int) int16 {
-	return pix[clampIdx(y-1, h)*w+x] + 2*pix[y*w+x] + pix[clampIdx(y+1, h)*w+x]
-}
-
-// diffVPixel is tmp[y+1]-tmp[y-1] on the S16 plane.
-func diffVPixel(pix []int16, w, h, x, y int) int16 {
-	return pix[clampIdx(y+1, h)*w+x] - pix[clampIdx(y-1, h)*w+x]
-}
-
 func (o *Ops) sobelRowCost(pixels uint64, taps int) {
 	if o.T == nil {
 		return

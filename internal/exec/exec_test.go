@@ -2,10 +2,14 @@ package exec
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"simdstudy/internal/ir"
+	"simdstudy/internal/kernels"
+	"simdstudy/internal/vectorizer"
 )
 
 func minLoop() *ir.Loop {
@@ -332,5 +336,104 @@ func TestBoundsChecking(t *testing.T) {
 	env.U8["dst"] = make([]uint8, 3)
 	if err := RunBlocked(minLoop(), env, 8, 4, RoundARM); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatalf("blocked: want ErrOutOfBounds, got %v", err)
+	}
+}
+
+// loopEnv allocates every array l touches, sized for n iterations, and
+// fills the ones it loads with seeded random elements.
+func loopEnv(l *ir.Loop, n int, seed int64) *Env {
+	size := map[string]int{}
+	kind := map[string]ir.Type{}
+	var names []string
+	for _, ins := range l.Body {
+		if ins.Op == ir.OpLoad || ins.Op == ir.OpStore {
+			if _, ok := size[ins.Array]; !ok {
+				names = append(names, ins.Array)
+			}
+			size[ins.Array] = max(size[ins.Array], (n-1)*ins.Stride+ins.Offset+1)
+			kind[ins.Array] = ins.Type
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	env := NewEnv()
+	for _, name := range names {
+		sz := size[name]
+		switch kind[name] {
+		case ir.U8:
+			a := make([]uint8, sz)
+			for i := range a {
+				a[i] = uint8(rng.Intn(256))
+			}
+			env.U8[name] = a
+		case ir.I16:
+			a := make([]int16, sz)
+			for i := range a {
+				a[i] = int16(rng.Intn(1 << 16))
+			}
+			env.S16[name] = a
+		case ir.U16:
+			a := make([]uint16, sz)
+			for i := range a {
+				a[i] = uint16(rng.Intn(1 << 16))
+			}
+			env.U16[name] = a
+		case ir.I32:
+			a := make([]int32, sz)
+			for i := range a {
+				a[i] = int32(rng.Uint32())
+			}
+			env.S32[name] = a
+		case ir.F32:
+			a := make([]float32, sz)
+			for i := range a {
+				a[i] = float32(rng.NormFloat64() * 40000) // spans the s16 saturation edges
+			}
+			env.F32[name] = a
+		}
+	}
+	return env
+}
+
+// TestRunDecisionMatchesScalar executes every benchmark loop the way the
+// AUTO build would under its vectorizer decision — lane-blocked at the
+// decision's vector factor when vectorized, plain scalar otherwise — and
+// checks the environment ends byte-equal to scalar execution: the
+// end-to-end soundness check of the compiler model.
+func TestRunDecisionMatchesScalar(t *testing.T) {
+	const n = 100
+	targets := []struct {
+		target vectorizer.Target
+		mode   RoundMode
+	}{{vectorizer.TargetNEON, RoundARM}, {vectorizer.TargetSSE2, RoundX86}}
+	var vectorized, scalar int
+	for _, b := range kernels.Benchmarks() {
+		for _, p := range b.Passes {
+			for _, tg := range targets {
+				l := p.Loop
+				d := vectorizer.Analyze(l, tg.target)
+				got, want := loopEnv(l, n, 1), loopEnv(l, n, 1)
+				var err error
+				if d.Vectorized {
+					vectorized++
+					err = RunBlocked(l, got, n, d.VF, tg.mode)
+				} else {
+					scalar++
+					err = Run(l, got, n, tg.mode)
+				}
+				if err != nil {
+					t.Fatalf("%s/%s on %v: %v", b.Name, l.Name, tg.target, err)
+				}
+				if err := Run(l, want, n, tg.mode); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s on %v (vectorized=%v, VF %d): result differs from scalar",
+						b.Name, l.Name, tg.target, d.Vectorized, d.VF)
+				}
+			}
+		}
+	}
+	if vectorized == 0 || scalar == 0 {
+		t.Fatalf("want both branches exercised: %d vectorized, %d scalar decisions", vectorized, scalar)
 	}
 }

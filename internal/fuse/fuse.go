@@ -299,17 +299,8 @@ func (s *Strip[T]) Hi() int { return s.hi }
 // span several rows index it directly with (y-Lo)·w.
 func (s *Strip[T]) Buf() []T { return s.buf }
 
-// Row is the w-element slice for plane row y, which must be live.
-func (s *Strip[T]) Row(y int) []T {
-	if y < s.lo || y > s.hi {
-		panic(fmt.Sprintf("fuse: row %d outside live window [%d,%d]", y, s.lo, s.hi))
-	}
-	r := y - s.lo
-	return s.buf[r*s.w : (r+1)*s.w]
-}
-
 // Produce extends the live window through row hi, checking capacity.
-// The caller then writes rows (old Hi, hi] via Buf or Row.
+// The caller then writes rows (old Hi, hi] via Buf.
 func (s *Strip[T]) Produce(hi int) {
 	if hi <= s.hi {
 		return

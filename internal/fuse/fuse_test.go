@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"fmt"
 	"testing"
 
 	"simdstudy/internal/cache"
@@ -106,7 +107,7 @@ func TestSweepSimulation(t *testing.T) {
 								if yy > h-1 {
 									yy = h - 1
 								}
-								row := wins[in.Stage].Row(yy) // panics if not live
+								row := liveRow(&wins[in.Stage], yy) // panics if not live
 								if row[0] != stamp(in.Stage, yy) {
 									t.Fatalf("h=%d s=%d stage %d strip %d row %d: input %d row %d holds %d, want %d",
 										h, s, i, k, y, in.Stage, yy, row[0], stamp(in.Stage, yy))
@@ -115,7 +116,7 @@ func TestSweepSimulation(t *testing.T) {
 							}
 						}
 						if !st.Full {
-							row := wins[i].Row(y)
+							row := liveRow(&wins[i], y)
 							for x := range row {
 								row[x] = stamp(i, y)
 							}
@@ -211,7 +212,7 @@ func TestStripSlide(t *testing.T) {
 	s.Bind(make([]int, 4*3), 3, 4)
 	s.Produce(3)
 	for y := 0; y <= 3; y++ {
-		for x, r := 0, s.Row(y); x < 3; x++ {
+		for x, r := 0, liveRow(&s, y); x < 3; x++ {
 			r[x] = 10*y + x
 		}
 	}
@@ -220,7 +221,7 @@ func TestStripSlide(t *testing.T) {
 		t.Fatalf("window [%d,%d], want [2,3]", s.Lo(), s.Hi())
 	}
 	for y := 2; y <= 3; y++ {
-		for x, r := 0, s.Row(y); x < 3; x++ {
+		for x, r := 0, liveRow(&s, y); x < 3; x++ {
 			if r[x] != 10*y+x {
 				t.Fatalf("row %d col %d = %d after slide", y, x, r[x])
 			}
@@ -235,4 +236,14 @@ func TestStripSlide(t *testing.T) {
 	if s.Lo() != 9 || s.Hi() != 8 {
 		t.Fatalf("window [%d,%d] after far slide", s.Lo(), s.Hi())
 	}
+}
+
+// liveRow is the w-element slice for plane row y of s, panicking unless
+// the row is inside the live window.
+func liveRow[T any](s *Strip[T], y int) []T {
+	if y < s.lo || y > s.hi {
+		panic(fmt.Sprintf("fuse: row %d outside live window [%d,%d]", y, s.lo, s.hi))
+	}
+	r := y - s.lo
+	return s.buf[r*s.w : (r+1)*s.w]
 }

@@ -169,9 +169,6 @@ func (m *Mat) Pixels() int { return m.Width * m.Height }
 // Bytes returns the storage size in bytes.
 func (m *Mat) Bytes() int { return m.Pixels() * m.Kind.Size() }
 
-// Row returns the index of the first element of row y.
-func (m *Mat) Row(y int) int { return y * m.Width }
-
 // Clear zeroes every plane in place, restoring the state NewMat
 // guarantees. Callers that took a Mat on the overwrite-only fast path
 // (par.GetMatForOverwrite) use it before handing the Mat to a kernel

@@ -38,12 +38,6 @@ func NewRGB(width, height int) *RGB {
 // Pixels returns the pixel count.
 func (m *RGB) Pixels() int { return m.Width * m.Height }
 
-// At returns the (r,g,b) triplet at (x,y).
-func (m *RGB) At(x, y int) (r, g, b uint8) {
-	i := 3 * (y*m.Width + x)
-	return m.Pix[i], m.Pix[i+1], m.Pix[i+2]
-}
-
 // Set stores the (r,g,b) triplet at (x,y).
 func (m *RGB) Set(x, y int, r, g, b uint8) {
 	i := 3 * (y*m.Width + x)

@@ -1,19 +1,18 @@
 package integrity
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
 	"simdstudy/internal/image"
 )
 
-// This file is the pipeline-checksum half of the integrity layer: cheap
-// per-plane block checksums so corruption acquired between two points —
-// across an exec stage boundary, or while a plane sat parked in the
-// internal/par scratch pool — is caught at the next boundary and localized
-// to the block (and therefore the rows, or the stage) that introduced it.
+// This file is the plane-checksum half of the integrity layer: cheap
+// per-plane block checksums. The pool scrubber stamps planes parked in the
+// internal/par scratch pool and verifies them on reuse, localizing any
+// corruption to a block of rows; the memo layer keys entries on a sum's
+// Fold64 and verifies them on every hit; fault campaigns fold output sums
+// into their result records.
 //
 // The hash is FNV-1a over each element's little-endian bytes: not
 // cryptographic (the threat model is bit rot and wild writes, not an
@@ -54,9 +53,6 @@ func (e *ChecksumError) Error() string {
 	return fmt.Sprintf("integrity: plane checksum mismatch in block %d (elements [%d,%d))", e.Block, e.Lo, e.Hi)
 }
 
-// ErrBadSumEncoding rejects a malformed PlaneSum encoding.
-var ErrBadSumEncoding = errors.New("integrity: malformed plane-sum encoding")
-
 func hashU8(h uint32, v uint8) uint32 {
 	return (h ^ uint32(v)) * fnvPrime
 }
@@ -71,149 +67,6 @@ func hashU32(h uint32, v uint32) uint32 {
 	h = (h ^ (v >> 8 & 0xff)) * fnvPrime
 	h = (h ^ (v >> 16 & 0xff)) * fnvPrime
 	return (h ^ (v >> 24)) * fnvPrime
-}
-
-// HashByte folds one byte into a running FNV-1a block hash. Exported with
-// HashU16/HashU32 for callers fingerprinting element streams through
-// SumElems — the exec pipeline checksums its typed environment arrays this
-// way without copying them into byte form.
-func HashByte(h uint32, v uint8) uint32 { return hashU8(h, v) }
-
-// HashU16 folds one 16-bit element (little-endian bytes) into a running
-// block hash.
-func HashU16(h uint32, v uint16) uint32 { return hashU16(h, v) }
-
-// HashU32 folds one 32-bit element (little-endian bytes) into a running
-// block hash.
-func HashU32(h uint32, v uint32) uint32 { return hashU32(h, v) }
-
-// SumElems fingerprints n elements in blocks of block elements (block <= 0
-// selects 4096); hash folds element i into the running block hash, seeded
-// with the FNV offset basis.
-func SumElems(n, block int, hash func(h uint32, i int) uint32) PlaneSum {
-	if block <= 0 {
-		block = 4096
-	}
-	ps := PlaneSum{Block: block, Total: n}
-	for lo := 0; lo < n; lo += block {
-		hi := min(lo+block, n)
-		h := fnvOffset
-		for i := lo; i < hi; i++ {
-			h = hash(h, i)
-		}
-		ps.Sums = append(ps.Sums, h)
-	}
-	return ps
-}
-
-// VerifyElems recomputes a SumElems fingerprint over n elements and returns
-// nil on a match or a *ChecksumError locating the first divergence.
-func (p PlaneSum) VerifyElems(n int, hash func(h uint32, i int) uint32) error {
-	if n != p.Total {
-		return &ChecksumError{Block: -1, Lo: p.Total, Hi: n}
-	}
-	for bi, want := range p.Sums {
-		lo := bi * p.Block
-		hi := min(lo+p.Block, n)
-		h := fnvOffset
-		for i := lo; i < hi; i++ {
-			h = hash(h, i)
-		}
-		if h != want {
-			return &ChecksumError{Block: bi, Lo: lo, Hi: hi}
-		}
-	}
-	return nil
-}
-
-// RestampElems recomputes the fingerprint blocks overlapping elements
-// [lo, hi), leaving all other blocks untouched. Valid because each block's
-// FNV-1a sum depends only on that block's own elements: a caller that
-// legitimately rewrote a bounded element range (a fused pipeline strip)
-// can refresh exactly the affected blocks instead of re-summing the whole
-// plane.
-func (p *PlaneSum) RestampElems(lo, hi int, hash func(h uint32, i int) uint32) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > p.Total {
-		hi = p.Total
-	}
-	if lo >= hi || p.Block <= 0 {
-		return
-	}
-	for bi := lo / p.Block; bi < len(p.Sums) && bi*p.Block < hi; bi++ {
-		b0 := bi * p.Block
-		b1 := min(b0+p.Block, p.Total)
-		h := fnvOffset
-		for i := b0; i < b1; i++ {
-			h = hash(h, i)
-		}
-		p.Sums[bi] = h
-	}
-}
-
-// VerifyElemsExcept is VerifyElems skipping every block that overlaps
-// elements [lo, hi) — the region a pipeline stage legitimately wrote this
-// strip. A wild write landing in the same array but outside the written
-// range is still caught; lo >= hi degrades to a full VerifyElems.
-func (p PlaneSum) VerifyElemsExcept(n, lo, hi int, hash func(h uint32, i int) uint32) error {
-	if n != p.Total {
-		return &ChecksumError{Block: -1, Lo: p.Total, Hi: n}
-	}
-	for bi, want := range p.Sums {
-		b0 := bi * p.Block
-		b1 := min(b0+p.Block, n)
-		if lo < hi && b0 < hi && lo < b1 {
-			continue
-		}
-		h := fnvOffset
-		for i := b0; i < b1; i++ {
-			h = hash(h, i)
-		}
-		if h != want {
-			return &ChecksumError{Block: bi, Lo: b0, Hi: b1}
-		}
-	}
-	return nil
-}
-
-// SumBytes fingerprints data in blocks of block bytes. block <= 0 selects
-// 4096.
-func SumBytes(data []byte, block int) PlaneSum {
-	if block <= 0 {
-		block = 4096
-	}
-	ps := PlaneSum{Block: block, Total: len(data)}
-	for lo := 0; lo < len(data); lo += block {
-		hi := min(lo+block, len(data))
-		h := fnvOffset
-		for _, b := range data[lo:hi] {
-			h = hashU8(h, b)
-		}
-		ps.Sums = append(ps.Sums, h)
-	}
-	return ps
-}
-
-// VerifyBytes recomputes the fingerprint over data and returns nil when it
-// matches, or a *ChecksumError locating the first divergence.
-func (p PlaneSum) VerifyBytes(data []byte) error {
-	if len(data) != p.Total {
-		return &ChecksumError{Block: -1, Lo: p.Total, Hi: len(data)}
-	}
-	for i, want := range p.Sums {
-		lo := i * p.Block
-		hi := min(lo+p.Block, len(data))
-		h := fnvOffset
-		for _, b := range data[lo:hi] {
-			h = hashU8(h, b)
-		}
-		if h != want {
-			return &ChecksumError{Block: i, Lo: lo, Hi: hi}
-		}
-	}
-	return nil
 }
 
 // matBlockSum hashes elements [lo, hi) of m's active plane.
@@ -306,73 +159,4 @@ func (p PlaneSum) Fold64() uint64 {
 		h = fold(h, uint64(s))
 	}
 	return h
-}
-
-// Encoding layout, little-endian u32s: magic, version, block, total, count,
-// count sums, then a trailing FNV-1a sum of every preceding byte so a
-// corrupted fingerprint is itself detected rather than trusted.
-const (
-	sumMagic   uint32 = 0x4d555350 // "PSUM"
-	sumVersion uint32 = 1
-	sumHeader         = 5 * 4
-)
-
-// Encode serializes the fingerprint for storage alongside checkpoints or
-// cached planes. Decode validates structure and a trailing self-checksum.
-func (p PlaneSum) Encode() []byte {
-	buf := make([]byte, sumHeader+4*len(p.Sums)+4)
-	binary.LittleEndian.PutUint32(buf[0:], sumMagic)
-	binary.LittleEndian.PutUint32(buf[4:], sumVersion)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(p.Block))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(p.Total))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(p.Sums)))
-	for i, s := range p.Sums {
-		binary.LittleEndian.PutUint32(buf[sumHeader+4*i:], s)
-	}
-	h := fnvOffset
-	for _, b := range buf[:len(buf)-4] {
-		h = hashU8(h, b)
-	}
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], h)
-	return buf
-}
-
-// DecodePlaneSum parses an Encode result. Truncated, oversized, bit-flipped
-// or structurally inconsistent input returns ErrBadSumEncoding (wrapped
-// with the specific defect); it never panics.
-func DecodePlaneSum(b []byte) (PlaneSum, error) {
-	if len(b) < sumHeader+4 {
-		return PlaneSum{}, fmt.Errorf("%w: %d bytes, need at least %d", ErrBadSumEncoding, len(b), sumHeader+4)
-	}
-	h := fnvOffset
-	for _, v := range b[:len(b)-4] {
-		h = hashU8(h, v)
-	}
-	if got := binary.LittleEndian.Uint32(b[len(b)-4:]); got != h {
-		return PlaneSum{}, fmt.Errorf("%w: trailing checksum mismatch", ErrBadSumEncoding)
-	}
-	if m := binary.LittleEndian.Uint32(b[0:]); m != sumMagic {
-		return PlaneSum{}, fmt.Errorf("%w: bad magic %#x", ErrBadSumEncoding, m)
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != sumVersion {
-		return PlaneSum{}, fmt.Errorf("%w: unsupported version %d", ErrBadSumEncoding, v)
-	}
-	block := int(int32(binary.LittleEndian.Uint32(b[8:])))
-	total := int(int32(binary.LittleEndian.Uint32(b[12:])))
-	count := int(int32(binary.LittleEndian.Uint32(b[16:])))
-	if block <= 0 || total < 0 || count < 0 {
-		return PlaneSum{}, fmt.Errorf("%w: non-positive geometry", ErrBadSumEncoding)
-	}
-	if want := (total + block - 1) / block; count != want {
-		return PlaneSum{}, fmt.Errorf("%w: %d sums for %d elements in blocks of %d (want %d)",
-			ErrBadSumEncoding, count, total, block, want)
-	}
-	if len(b) != sumHeader+4*count+4 {
-		return PlaneSum{}, fmt.Errorf("%w: length %d does not match %d sums", ErrBadSumEncoding, len(b), count)
-	}
-	ps := PlaneSum{Block: block, Total: total, Sums: make([]uint32, count)}
-	for i := range ps.Sums {
-		ps.Sums[i] = binary.LittleEndian.Uint32(b[sumHeader+4*i:])
-	}
-	return ps, nil
 }

@@ -126,9 +126,6 @@ func (a *Auditor) Config() AuditConfig { return a.cfg }
 // feeds verdicts to.
 func (a *Auditor) SetScoreboard(b *Scoreboard) { a.board.Store(b) }
 
-// Scoreboard returns the attached scoreboard, or nil.
-func (a *Auditor) Scoreboard() *Scoreboard { return a.board.Load() }
-
 // SetLoadFactor scales the effective sampling rate to Rate*f, with f
 // clamped to [0, 1]. The serving front-end drives this from admission
 // queue occupancy so audits shed before request latency does: a full

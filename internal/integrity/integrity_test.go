@@ -136,7 +136,7 @@ func TestObserveMetricsAndScoreboardFeed(t *testing.T) {
 	if a.Mismatches() != 1 {
 		t.Fatalf("mismatches = %d", a.Mismatches())
 	}
-	if got := sb.Score("GaussianBlur", "neon"); got != 0.25*1.0 {
+	if got := score(sb, "GaussianBlur", "neon"); got != 0.25*1.0 {
 		t.Fatalf("score = %v, want 0.25 (one clean then one mismatch at decay 0.25)", got)
 	}
 	var buf strings.Builder
@@ -242,7 +242,7 @@ func TestScoreboardRecoveryBelowThreshold(t *testing.T) {
 	if sb.Tripped("SobelFilter", "sse2") {
 		t.Fatal("transient burst below MinSamples tripped")
 	}
-	if s := sb.Score("SobelFilter", "sse2"); s > 0.001 {
+	if s := score(sb, "SobelFilter", "sse2"); s > 0.001 {
 		t.Fatalf("score did not decay: %v", s)
 	}
 }
@@ -265,7 +265,7 @@ func TestScoreboardConcurrentRecord(t *testing.T) {
 			p := pairs[g%len(pairs)]
 			for i := 0; i < 1000; i++ {
 				sb.Record(p.k, p.isa, g == 0 && i%2 == 0)
-				sb.Score(p.k, p.isa)
+				score(sb, p.k, p.isa)
 				if i%100 == 0 {
 					sb.Snapshot()
 				}
@@ -284,4 +284,15 @@ func TestScoreboardConcurrentRecord(t *testing.T) {
 	if total != 8000 {
 		t.Fatalf("audits = %d, want 8000", total)
 	}
+}
+
+// score is the pair's current decayed mismatch rate (0 for a pair never
+// audited).
+func score(b *Scoreboard, kernel, isa string) float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if c := b.cells[kernel+"/"+isa]; c != nil {
+		return c.score
+	}
+	return 0
 }

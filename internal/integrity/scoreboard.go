@@ -136,20 +136,6 @@ func (b *Scoreboard) Record(kernel, isa string, mismatch bool) (score float64, t
 	return score, tripped
 }
 
-// Score returns the pair's current decayed mismatch rate (0 for a pair
-// never audited).
-func (b *Scoreboard) Score(kernel, isa string) float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if c := b.cells[kernel+"/"+isa]; c != nil {
-		return c.score
-	}
-	return 0
-}
-
 // Tripped reports whether the pair has latched quarantine.
 func (b *Scoreboard) Tripped(kernel, isa string) bool {
 	if b == nil {

@@ -101,10 +101,3 @@ func (s *PoolScrubber) Check(m *image.Mat) bool {
 	s.reg.Emit("integrity.scrub", fields)
 	return false
 }
-
-// Parked returns how many stamped planes the scrubber currently tracks.
-func (s *PoolScrubber) Parked() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sums)
-}

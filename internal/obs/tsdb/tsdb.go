@@ -148,19 +148,6 @@ func (s *Store) at(i int) obs.Sample {
 	return s.ring[((s.head-1-i)%len(s.ring)+len(s.ring))%len(s.ring)]
 }
 
-// Last returns the newest sample, if any.
-func (s *Store) Last() (obs.Sample, bool) {
-	if s == nil {
-		return obs.Sample{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return obs.Sample{}, false
-	}
-	return s.at(0), true
-}
-
 // bounds returns the newest sample and the oldest sample still inside
 // window (the sample closest to newest.Time-window without being older,
 // falling back to the oldest held when the ring does not reach back that

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -388,8 +387,7 @@ func (s *BreakerSet) OnForceStuckOpen(fn func(kernel, isa string)) {
 }
 
 // Snapshot returns every breaker's state keyed "kernel/isa", for readiness
-// endpoints and logs. Iteration order of the returned map is undefined;
-// Keys gives a sorted view.
+// endpoints and logs. Iteration order of the returned map is undefined.
 func (s *BreakerSet) Snapshot() map[string]State {
 	s.mu.Lock()
 	breakers := make(map[string]*Breaker, len(s.m))
@@ -402,17 +400,4 @@ func (s *BreakerSet) Snapshot() map[string]State {
 		out[k] = b.State()
 	}
 	return out
-}
-
-// Keys returns the sorted "kernel/isa" keys of every breaker created so
-// far.
-func (s *BreakerSet) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -295,7 +295,7 @@ func TestBreakerSetConcurrent(t *testing.T) {
 			t.Errorf("%s: illegal state %d", k, st)
 		}
 	}
-	if keys := s.Keys(); len(keys) != 2 {
-		t.Errorf("Keys() = %v, want 2 entries", keys)
+	if snap := s.Snapshot(); len(snap) != 2 {
+		t.Errorf("Snapshot() = %v, want 2 entries", snap)
 	}
 }

@@ -36,7 +36,7 @@ type DeadlineError struct {
 	Completed int
 	// Total is the planned unit count, 0 when unknown.
 	Total int
-	// Unit names what was counted: "rows", "cells", "images", "trips".
+	// Unit names what was counted: "rows", "cells", "images".
 	Unit string
 }
 

@@ -379,10 +379,6 @@ func (s *Server) Close() {
 	s.ts.Stop()
 }
 
-// Telemetry returns the server's time-series store (live rollups over the
-// registry: rates, quantiles).
-func (s *Server) Telemetry() *tsdb.Store { return s.ts }
-
 // Registry returns the server's observability registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
@@ -929,12 +925,4 @@ func (l *lockedInjector) Skew(site faults.Site, slack int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.inner.Skew(site, slack)
-}
-
-// BreakerKeys returns the sorted (kernel, ISA) pairs with live breakers —
-// the sort is a stable order for logs and tests.
-func (s *Server) BreakerKeys() []string {
-	keys := s.brk.Keys()
-	sort.Strings(keys)
-	return keys
 }

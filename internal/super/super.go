@@ -17,7 +17,6 @@ package super
 import (
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -25,32 +24,6 @@ import (
 	"simdstudy/internal/checkpoint"
 	"simdstudy/internal/obs"
 )
-
-// PanicError is a recovered panic promoted to an error by Protect, carrying
-// the operation name, the original panic value and the stack at recovery.
-type PanicError struct {
-	Op    string
-	Value any
-	Stack string
-}
-
-// Error implements error.
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("super: panic in %s: %v", e.Op, e.Value)
-}
-
-// Protect runs fn, converting a panic into a *PanicError instead of
-// unwinding the caller. It is the supervisor's recover path for code that
-// must not take its goroutine down — breaker probes, request handlers,
-// campaign cells.
-func Protect(op string, fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Op: op, Value: r, Stack: string(debug.Stack())}
-		}
-	}()
-	return fn()
-}
 
 // QuarantinePolicy tunes the panic supervisor. The zero value selects the
 // defaults noted per field.
@@ -217,13 +190,6 @@ func (s *Supervisor) Quarantined(kernel, isa string) bool {
 	defer s.mu.Unlock()
 	_, ok := s.q[key(kernel, isa)]
 	return ok
-}
-
-// PanicCount returns how many panics have been recorded for the pair.
-func (s *Supervisor) PanicCount(kernel, isa string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.panics[key(kernel, isa)]
 }
 
 // Quarantines returns every quarantine decision, sorted by (kernel, ISA),

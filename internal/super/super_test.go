@@ -1,7 +1,6 @@
 package super
 
 import (
-	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,27 +9,6 @@ import (
 	"simdstudy/internal/checkpoint"
 	"simdstudy/internal/obs"
 )
-
-func TestProtect(t *testing.T) {
-	if err := Protect("ok", func() error { return nil }); err != nil {
-		t.Fatalf("Protect(nil-returning fn) = %v", err)
-	}
-	sentinel := errors.New("boom")
-	if err := Protect("err", func() error { return sentinel }); err != sentinel {
-		t.Fatalf("Protect(erroring fn) = %v, want passthrough", err)
-	}
-	err := Protect("panics", func() error { panic("kaboom") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Protect(panicking fn) = %v, want *PanicError", err)
-	}
-	if pe.Op != "panics" || pe.Value != "kaboom" || pe.Stack == "" {
-		t.Errorf("PanicError = %+v", pe)
-	}
-	if !strings.Contains(pe.Error(), "kaboom") {
-		t.Errorf("Error() = %q", pe.Error())
-	}
-}
 
 func TestSupervisorQuarantine(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -54,8 +32,8 @@ func TestSupervisorQuarantine(t *testing.T) {
 	if s.RecordPanic("Canny", "neon", "bad") {
 		t.Fatal("already-quarantined pair must not report newly")
 	}
-	if s.PanicCount("Canny", "neon") != 4 {
-		t.Fatalf("PanicCount = %d, want 4", s.PanicCount("Canny", "neon"))
+	if n := s.panics[key("Canny", "neon")]; n != 4 {
+		t.Fatalf("panic count = %d, want 4", n)
 	}
 	// Other pairs are unaffected.
 	if s.Quarantined("Canny", "sse2") || s.Quarantined("SobelFilter", "neon") {

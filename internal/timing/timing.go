@@ -87,12 +87,7 @@ func HandProfile(bench string, isa cv.ISA) (vectorizer.Profile, error) {
 	if err := runBench(o, bench); err != nil {
 		return vectorizer.Profile{}, err
 	}
-	var p vectorizer.Profile
-	counts := tr.Classes()
-	px := float64(probeW * probeH)
-	for c := 0; c < trace.NumClasses; c++ {
-		p[c] = float64(counts[c]) / px
-	}
+	p := vectorizer.Profile(tr.PerPixel(probeW * probeH))
 	handCache[key] = p
 	return p, nil
 }

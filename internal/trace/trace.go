@@ -76,15 +76,6 @@ func (c Class) IsSIMD() bool {
 	return false
 }
 
-// IsMemory reports whether the class touches memory.
-func (c Class) IsMemory() bool {
-	switch c {
-	case SIMDLoad, SIMDStore, ScalarLoad, ScalarStore:
-		return true
-	}
-	return false
-}
-
 // Op is a single recorded instruction occurrence.
 type Op struct {
 	Name  string // mnemonic, e.g. "vld1.32" or "cvtps2dq"
@@ -291,16 +282,6 @@ func (t *Counter) EventN(name string, n uint64) {
 		t.events = make(map[string]uint64)
 	}
 	t.events[name] += n
-}
-
-// EventCount returns the count for a named event.
-func (t *Counter) EventCount(name string) uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events[name]
 }
 
 // Events returns a copy of the event counters.
@@ -564,19 +545,17 @@ func (l *Tally) Flush() {
 // Classes returns a snapshot of per-class counts indexed by Class.
 func (t *Counter) Classes() [NumClasses]uint64 { return t.totals().classes }
 
-// PerPixel divides every count by pixels, returning instructions per output
-// element — the unit used throughout the paper's Section V discussion.
-func (t *Counter) PerPixel(pixels int) map[Class]float64 {
-	m := make(map[Class]float64, NumClasses)
-	if t == nil || pixels <= 0 {
-		return m
+// PerPixel divides every class count by pixels, returning instructions per
+// output element indexed by Class — the unit used throughout the paper's
+// Section V discussion. It is all zeros for pixels <= 0.
+func (t *Counter) PerPixel(pixels int) (p [NumClasses]float64) {
+	if pixels <= 0 {
+		return p
 	}
 	for c, n := range t.Classes() {
-		if n > 0 {
-			m[Class(c)] = float64(n) / float64(pixels)
-		}
+		p[c] = float64(n) / float64(pixels)
 	}
-	return m
+	return p
 }
 
 // Summary renders a sorted per-opcode and per-class report.

@@ -66,13 +66,6 @@ func AnalyzeCached(l *ir.Loop, target Target) Decision {
 	return d
 }
 
-// CacheSize reports the number of memoized decisions (for tests and stats).
-func CacheSize() int {
-	n := 0
-	analyzeMemo.Range(func(any, any) bool { n++; return true })
-	return n
-}
-
 // ResetCache drops all memoized decisions (tests only).
 func ResetCache() {
 	analyzeMemo.Range(func(k, _ any) bool { analyzeMemo.Delete(k); return true })

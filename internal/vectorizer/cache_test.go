@@ -25,7 +25,7 @@ func TestAnalyzeCachedMatchesAnalyze(t *testing.T) {
 			}
 		}
 	}
-	filled := CacheSize()
+	filled := cacheSize()
 	if filled == 0 {
 		t.Fatal("cache empty after first sweep")
 	}
@@ -42,7 +42,7 @@ func TestAnalyzeCachedMatchesAnalyze(t *testing.T) {
 			}
 		}
 	}
-	if n := CacheSize(); n != filled {
+	if n := cacheSize(); n != filled {
 		t.Errorf("cache grew on rebuilt identical loops: %d -> %d entries", filled, n)
 	}
 }
@@ -67,8 +67,8 @@ func TestAnalyzeCachedDiscriminates(t *testing.T) {
 	if sse.Target != TargetSSE2 || unit.Target != TargetNEON {
 		t.Errorf("targets collided in cache: %s vs %s", unit.Target, sse.Target)
 	}
-	if CacheSize() != 3 {
-		t.Errorf("want 3 cache entries, got %d", CacheSize())
+	if cacheSize() != 3 {
+		t.Errorf("want 3 cache entries, got %d", cacheSize())
 	}
 }
 
@@ -86,4 +86,11 @@ func BenchmarkAnalyze(b *testing.B) {
 			AnalyzeCached(l, TargetNEON)
 		}
 	})
+}
+
+// cacheSize is the number of memoized decisions.
+func cacheSize() int {
+	n := 0
+	analyzeMemo.Range(func(any, any) bool { n++; return true })
+	return n
 }
