@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"simdstudy/internal/harness"
 	"simdstudy/internal/image"
@@ -266,6 +267,49 @@ func BenchmarkHostGaussianNEONEmu(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkHostGuardedGaussianNEONEmu / BenchmarkHostGuardedMedianNEONEmu
+// time a 640x480 emulated NEON kernel under the default guard: SIMD run,
+// scalar referee of the 8 sampled rows plus their stencil halo,
+// spot-check. Each iteration also runs the unguarded twin, off the
+// benchmark clock, and x-unguarded reports guarded over unguarded time;
+// interleaving the two keeps host drift out of the ratio. CI fails when
+// either exceeds 1.10, as a referee that recomputes the full scalar plane
+// on every call does (1.3-1.5x).
+func BenchmarkHostGuardedGaussianNEONEmu(b *testing.B) {
+	benchHostGuarded(b, (*Ops).GaussianBlur)
+}
+
+func BenchmarkHostGuardedMedianNEONEmu(b *testing.B) {
+	benchHostGuarded(b, (*Ops).MedianBlur3x3)
+}
+
+func benchHostGuarded(b *testing.B, run func(o *Ops, src, dst *Mat) error) {
+	res := Resolution{Width: 640, Height: 480}
+	src := Synthetic(res, 1)
+	dst := NewMat(640, 480, U8)
+	plain := NewOps(ISANEON, nil)
+	guarded := NewOps(ISANEON, nil)
+	guarded.SetGuarded(true)
+	var tPlain, tGuarded time.Duration
+	b.SetBytes(int64(src.Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		t0 := time.Now()
+		if err := run(plain, src, dst); err != nil {
+			b.Fatal(err)
+		}
+		tPlain += time.Since(t0)
+		b.StartTimer()
+		t0 = time.Now()
+		if err := run(guarded, src, dst); err != nil {
+			b.Fatal(err)
+		}
+		tGuarded += time.Since(t0)
+	}
+	b.ReportMetric(float64(tGuarded)/float64(tPlain), "x-unguarded")
 }
 
 // benchHostPipeline measures a multi-stage kernel end to end, staged or

@@ -24,10 +24,10 @@ import (
 //     corrupting unit opens its breaker through the ordinary failure
 //     window and recovers through half-open probes, while the scoreboard's
 //     decayed rate escalates persistent corruption to a stuck-open latch.
-//   - Guarded: the guard already computes a full scalar reference, so a
-//     sampled audit piggybacks on it — a full-window compare of the first
-//     SIMD output at zero extra referee cost. The guard keeps sole
-//     ownership of the breaker verdict (its spot-check drives
+//   - Guarded: a sampled call makes the guard build its full-plane
+//     referee instead of the sampled rows' windows, and the audit shares
+//     it for a full-window compare of the first SIMD output. The guard
+//     keeps sole ownership of the breaker verdict (its spot-check drives
 //     retry/fallback exactly as before); the audit contributes the
 //     corruption record, the scoreboard verdict, and a repair when the
 //     spot-check's sampled rows missed the divergence.
@@ -62,8 +62,9 @@ func (o *Ops) auditCompare(kernel string, got, want *image.Mat, tol int) *integr
 // auditedRun is the unguarded audit path: run the SIMD kernel, recompute
 // the scalar reference, compare, repair on divergence, and record the
 // verdict with the auditor and the breaker.
-func (o *Ops) auditedRun(kernel string, dst *image.Mat, tol int,
-	simd func() error, rerun func(ref *Ops, d *image.Mat) error) error {
+func (o *Ops) auditedRun(k guardKernel, srcH int, dst *image.Mat,
+	simd func() error, rerun refRun) error {
+	kernel, tol := guardSpecs[k].name, guardSpecs[k].tol[o.isa]
 	o.inGuard = true
 	defer func() { o.inGuard = false }()
 
@@ -74,7 +75,9 @@ func (o *Ops) auditedRun(kernel string, dst *image.Mat, tol int,
 	o.ctxCheck()
 	start := time.Now()
 	sp := o.curSpan().Child("integrity.audit")
-	want, err := o.referee(dst.Width, dst.Height, dst.Kind, rerun)
+	want, err := o.referee(dst.Width, dst.Height, dst.Kind, func(ref *Ops, d *image.Mat) error {
+		return rerun(ref, 0, srcH, d)
+	})
 	if err != nil {
 		sp.End()
 		return fmt.Errorf("cv: %s audit referee: %w", kernel, err)
@@ -99,8 +102,15 @@ func (o *Ops) auditedRun(kernel string, dst *image.Mat, tol int,
 // (-1 when none) alongside the count. NaN anywhere is a divergence: no
 // kernel here produces one.
 func diffRegion(got, want *image.Mat, r0, r1, tol int) (first, diffs int) {
+	return diffSpan(got, want, r0*got.Width, r0*got.Width, (r1-r0)*got.Width, tol)
+}
+
+// diffSpan is diffRegion over n elements starting at got's plane-linear
+// index lo and want's index wlo, which differ when want holds only some
+// rows of the plane; first is got-relative.
+func diffSpan(got, want *image.Mat, lo, wlo, n, tol int) (first, diffs int) {
 	first = -1
-	lo, hi := r0*got.Width, r1*got.Width
+	hi, off := lo+n, wlo-lo
 	note := func(i int) {
 		if first < 0 {
 			first = i
@@ -116,19 +126,19 @@ func diffRegion(got, want *image.Mat, r0, r1, tol int) (first, diffs int) {
 	switch got.Kind {
 	case image.U8:
 		for i := lo; i < hi; i++ {
-			if absDiff(int(got.U8Pix[i]), int(want.U8Pix[i])) > tol {
+			if absDiff(int(got.U8Pix[i]), int(want.U8Pix[i+off])) > tol {
 				note(i)
 			}
 		}
 	case image.S16:
 		for i := lo; i < hi; i++ {
-			if absDiff(int(got.S16Pix[i]), int(want.S16Pix[i])) > tol {
+			if absDiff(int(got.S16Pix[i]), int(want.S16Pix[i+off])) > tol {
 				note(i)
 			}
 		}
 	case image.F32:
 		for i := lo; i < hi; i++ {
-			a, b := got.F32Pix[i], want.F32Pix[i]
+			a, b := got.F32Pix[i], want.F32Pix[i+off]
 			if a != a || b != b || absDiff(int(a-b), 0) > tol {
 				note(i)
 			}

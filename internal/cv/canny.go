@@ -40,12 +40,13 @@ func (o *Ops) Canny(src, dst *image.Mat, lowThresh, highThresh int16) (err error
 	if o.fuse.Enabled {
 		if o.UseOptimized() && o.guarded {
 			// The guard referee is the staged scalar reference: a fresh
-			// scalar Ops re-runs the unfused pipeline and the fused output
-			// is spot-checked against it.
-			return o.guardedRun("Canny", dst, 0,
+			// scalar Ops re-runs the unfused pipeline over the whole plane
+			// (hysteresis is global) and the fused output is spot-checked
+			// against it.
+			return o.guardedRun(gkCanny, src.Height, dst,
 				func() error { return o.cannyFused(src, dst, lowThresh, highThresh) },
-				func(ref *Ops, d *image.Mat) error {
-					return ref.cannyStaged(src, d, lowThresh, highThresh)
+				func(ref *Ops, r0, r1 int, d *image.Mat) error {
+					return ref.cannyStaged(src.Rows(r0, r1), d, lowThresh, highThresh)
 				})
 		}
 		return o.cannyFused(src, dst, lowThresh, highThresh)

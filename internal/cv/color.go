@@ -37,19 +37,20 @@ func (o *Ops) RGBToGray(src *image.RGB, dst *image.Mat) (err error) {
 		return fmt.Errorf("cv: shape mismatch %dx%d vs %dx%d",
 			src.Width, src.Height, dst.Width, dst.Height)
 	}
-	run := func(op *Ops, d *image.Mat) error {
+	run := func(op *Ops, s *image.RGB, d *image.Mat) error {
 		if op.UseOptimized() && op.isa == ISANEON {
-			op.rgbToGrayNEON(src, d)
+			op.rgbToGrayNEON(s, d)
 			return nil
 		}
-		op.rgbToGrayScalar(src, d)
+		op.rgbToGrayScalar(s, d)
 		return nil
 	}
 	if o.UseOptimized() && o.isa == ISANEON {
-		return o.guardedRun("RGBToGray", dst, 0,
-			func() error { return run(o, dst) }, run)
+		return o.guardedRun(gkRGBToGray, src.Height, dst,
+			func() error { return run(o, src, dst) },
+			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
 	}
-	return run(o, dst)
+	return run(o, src, dst)
 }
 
 func grayPixel(r, g, b uint8) uint8 {

@@ -29,32 +29,26 @@ func (o *Ops) ConvertF32ToS16(src, dst *image.Mat) (err error) {
 	if err := sameShape(src, dst); err != nil {
 		return err
 	}
-	run := func(op *Ops, d *image.Mat) error {
+	run := func(op *Ops, s, d *image.Mat) error {
 		if op.UseOptimized() {
 			switch op.isa {
 			case ISANEON:
-				op.convertNEON(src, d)
+				op.convertNEON(s, d)
 				return nil
 			case ISASSE2:
-				op.convertSSE2(src, d)
+				op.convertSSE2(s, d)
 				return nil
 			}
 		}
-		op.convertScalar(src, d)
+		op.convertScalar(s, d)
 		return nil
 	}
 	if o.UseOptimized() {
-		// The NEON vector path truncates (vcvt) while the ARM scalar
-		// referee rounds half away from zero, a documented divergence of
-		// the real port — the guard must allow one count of slack there.
-		tol := 0
-		if o.isa == ISANEON {
-			tol = 1
-		}
-		return o.guardedRun("ConvertF32ToS16", dst, tol,
-			func() error { return run(o, dst) }, run)
+		return o.guardedRun(gkConvert, src.Height, dst,
+			func() error { return run(o, src, dst) },
+			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
 	}
-	return run(o, dst)
+	return run(o, src, dst)
 }
 
 // convArgs bundles the convert pass planes for the banded chunk bodies.

@@ -26,20 +26,25 @@ func (o *Ops) DetectEdges(src, dst *image.Mat, thresh int16) (err error) {
 	if o.fuse.Enabled {
 		if o.UseOptimized() && o.guarded {
 			// The guard referee is the staged scalar reference: a fresh
-			// scalar Ops re-runs the unfused pipeline and the fused output
-			// is spot-checked against it.
-			return o.guardedRun("DetectEdges", dst, 0,
+			// scalar Ops re-runs the unfused pipeline over the sampled
+			// rows' windows and the fused output is spot-checked against
+			// it.
+			return o.guardedRun(gkEdges, src.Height, dst,
 				func() error { return o.edgesFused(src, dst, thresh) },
-				func(ref *Ops, d *image.Mat) error { return ref.edgesStaged(src, d, thresh) })
+				func(ref *Ops, r0, r1 int, d *image.Mat) error {
+					return ref.edgesStaged(src.Rows(r0, r1), d, thresh)
+				})
 		}
 		return o.edgesFused(src, dst, thresh)
 	}
 	if o.UseOptimized() {
 		// One guard covers the whole pipeline; the nested SobelFilter
 		// calls see inGuard and skip their own referees.
-		return o.guardedRun("DetectEdges", dst, 0,
+		return o.guardedRun(gkEdges, src.Height, dst,
 			func() error { return o.edgesStaged(src, dst, thresh) },
-			func(ref *Ops, d *image.Mat) error { return ref.edgesStaged(src, d, thresh) })
+			func(ref *Ops, r0, r1 int, d *image.Mat) error {
+				return ref.edgesStaged(src.Rows(r0, r1), d, thresh)
+			})
 	}
 	return o.edgesStaged(src, dst, thresh)
 }

@@ -160,6 +160,13 @@ func (o *Ops) fusedGeometry(kernel string, w, h int) (*fuse.Geometry, error) {
 	s := o.fuse.StripRows
 	if s <= 0 {
 		s = p.AutoStripRows(h, w, o.fuse.Caches)
+		// A strip pass bands only when it has MinRowsPerBand rows per
+		// worker; below that every pass runs on one core. Floor automatic
+		// strips there — more cache-resident, but serial, is the worse
+		// trade. An explicit StripRows stays as given.
+		if o.par.Workers > 1 {
+			s = max(s, o.par.Workers*o.par.MinRowsPerBand)
+		}
 	}
 	if s > h {
 		s = h

@@ -221,3 +221,48 @@ func TestFusedBytesSavedMetric(t *testing.T) {
 		t.Fatal("fused DetectEdges saved no intermediate-plane bytes")
 	}
 }
+
+// TestFusedStripsBandAt5MP: automatic strip heights are floored at
+// Workers × MinRowsPerBand, so at 2592x1920 with two workers every
+// full-height strip pass of both fused pipelines splits into at least two
+// bands; only a stage's final, plane-clipped pass may run on one. An
+// explicit StripRows is kept as given.
+func TestFusedStripsBandAt5MP(t *testing.T) {
+	const w, h = 2592, 1920
+	rowStages := map[string][]int{
+		"Canny":       {fsDiffH, fsSmoothV, fsSmoothH, fsDiffV, fsNMS},
+		"DetectEdges": {fsDiffH, fsSmoothV, fsSmoothH, fsDiffV},
+	}
+	for kernel, stages := range rowStages {
+		o := NewOps(ISANEON, nil)
+		o.SetParallel(ParallelConfig{Workers: 2})
+		o.SetFuse(FuseConfig{Enabled: true})
+		g, err := o.fusedGeometry(kernel, w, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range stages {
+			last := -1
+			for k := 0; k < g.Strips; k++ {
+				if y0, y1 := g.StageRows(i, k); y1 > y0 {
+					last = k
+				}
+			}
+			for k := 0; k < last; k++ {
+				y0, y1 := g.StageRows(i, k)
+				if nb := o.nBandsRows(y1 - y0); nb < 2 {
+					t.Errorf("%s stage %d strip %d: %d rows run on %d band(s) (strip rows %d)",
+						kernel, i, k, y1-y0, nb, g.StripRows)
+				}
+			}
+		}
+
+		o.SetFuse(FuseConfig{Enabled: true, StripRows: 8})
+		if g, err = o.fusedGeometry(kernel, w, h); err != nil {
+			t.Fatal(err)
+		}
+		if g.StripRows != 8 {
+			t.Errorf("%s: explicit StripRows 8 planned as %d", kernel, g.StripRows)
+		}
+	}
+}

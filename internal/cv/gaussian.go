@@ -34,30 +34,31 @@ func (o *Ops) GaussianBlur(src, dst *image.Mat) (err error) {
 	if err := sameShape(src, dst); err != nil {
 		return err
 	}
-	run := func(op *Ops, d *image.Mat) error {
-		tmp := par.GetMat(src.Width, src.Height, image.U8)
+	run := func(op *Ops, s, d *image.Mat) error {
+		tmp := par.GetMat(s.Width, s.Height, image.U8)
 		defer par.PutMat(tmp)
 		if op.UseOptimized() {
 			switch op.isa {
 			case ISANEON:
-				op.gaussHorizNEON(src, tmp)
+				op.gaussHorizNEON(s, tmp)
 				op.gaussVertNEON(tmp, d)
 				return nil
 			case ISASSE2:
-				op.gaussHorizSSE2(src, tmp)
+				op.gaussHorizSSE2(s, tmp)
 				op.gaussVertSSE2(tmp, d)
 				return nil
 			}
 		}
-		op.gaussHorizScalar(src, tmp)
+		op.gaussHorizScalar(s, tmp)
 		op.gaussVertScalar(tmp, d)
 		return nil
 	}
 	if o.UseOptimized() {
-		return o.guardedRun("GaussianBlur", dst, 0,
-			func() error { return run(o, dst) }, run)
+		return o.guardedRun(gkGaussian, src.Height, dst,
+			func() error { return run(o, src, dst) },
+			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
 	}
-	return run(o, dst)
+	return run(o, src, dst)
 }
 
 func clampIdx(i, n int) int {

@@ -2,6 +2,7 @@ package cv
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"simdstudy/internal/faults"
@@ -22,6 +23,65 @@ import (
 // rounding conventions are per-platform (cvRound is half-to-even on SSE2 and
 // half-away-from-zero on ARM); comparing against the other family's scalar
 // code would flag legitimate divergence as faults.
+//
+// The referee computes only what the spot-check compares: each sampled
+// output row plus its stencil halo of source rows (see rowReferee). The
+// full scalar plane is built only when it is used whole — a fallback copy,
+// an audit-sampled call's full-window compare, or fused Canny, whose
+// hysteresis makes every output row depend on the whole plane.
+
+// guardKernel indexes guardSpecs, the table of guarded entry points.
+type guardKernel int
+
+// Guarded entry points.
+const (
+	gkConvert guardKernel = iota
+	gkThreshold
+	gkRGBToGray
+	gkResizeHalf
+	gkSobel
+	gkEdges // staged and fused alike: the referee is the staged pipeline
+	gkMedian
+	gkGaussian
+	gkCanny // fused only; staged Canny guards its Sobel calls instead
+)
+
+// wholePlane is the halo of a kernel whose output rows may depend on any
+// source row: its referee always computes the full plane.
+const wholePlane = -1
+
+// guardSpec declares, once per guarded entry point, what its scalar referee
+// needs: the per-element tolerance against it, by ISA (nonzero only where
+// the SIMD path legitimately rounds differently from the scalar code); the
+// halo, how many source rows beyond its own footprint one output row reads;
+// and the scale, how many source rows one output row covers. A halo must be
+// a multiple of the scale.
+type guardSpec struct {
+	name  string
+	tol   [ISASSE2 + 1]int
+	halo  int
+	scale int
+}
+
+var guardSpecs = [...]guardSpec{
+	// The NEON vector path truncates (vcvt) while the ARM scalar referee
+	// rounds half away from zero, a documented divergence of the real
+	// port: the guard allows one count of slack there.
+	gkConvert:    {name: "ConvertF32ToS16", tol: [ISASSE2 + 1]int{ISANEON: 1}, scale: 1},
+	gkThreshold:  {name: "Threshold", scale: 1},
+	gkRGBToGray:  {name: "RGBToGray", scale: 1},
+	gkResizeHalf: {name: "ResizeHalf", scale: 2},
+	gkSobel:      {name: "SobelFilter", halo: 1, scale: 1},
+	gkEdges:      {name: "DetectEdges", halo: 1, scale: 1},
+	gkMedian:     {name: "MedianBlur3x3", halo: 1, scale: 1},
+	gkGaussian:   {name: "GaussianBlur", halo: 3, scale: 1}, // 7 taps
+	gkCanny:      {name: "Canny", halo: wholePlane, scale: 1},
+}
+
+// refRun computes a kernel's scalar reference for source rows [r0, r1)
+// into d, which holds (r1-r0)/scale output rows: the kernel's own entry
+// path run on ref over a zero-copy row view of its source.
+type refRun func(ref *Ops, r0, r1 int, d *image.Mat) error
 
 // FaultAction classifies how a guarded kernel resolved a divergence.
 type FaultAction int
@@ -208,9 +268,10 @@ func (o *Ops) sampleRows(h int) []int {
 
 // diffRows counts pixels in the sampled rows where got and want differ by
 // more than tol, and returns the diverging rows alongside the total.
-func diffRows(got, want *image.Mat, rows []int, tol int) (bad []int, diffs int) {
+func diffRows(got *image.Mat, want *refRows, rows []int, tol int) (bad []int, diffs int) {
+	w := got.Width
 	for _, r := range rows {
-		if _, d := diffRegion(got, want, r, r+1, tol); d > 0 {
+		if _, d := diffSpan(got, want.m, r*w, want.row(r)*w, w, tol); d > 0 {
 			bad = append(bad, r)
 			diffs += d
 		}
@@ -218,21 +279,95 @@ func diffRows(got, want *image.Mat, rows []int, tol int) (bad []int, diffs int) 
 	return bad, diffs
 }
 
-// referee computes the scalar reference of a kernel call into a pooled
-// w x h Mat, which the caller returns with par.PutMat. The referee Ops has
-// the same ISA (same rounding conventions), optimizations off, no trace
-// (its instructions are bookkeeping, not workload), and crucially no fault
-// injector. It has no bound context either, so a deadline can never
-// interrupt the reference computation mid-row.
-func (o *Ops) referee(w, h int, kind image.Type, rerun func(ref *Ops, d *image.Mat) error) (*image.Mat, error) {
+// refereeOps returns a fresh referee Ops: the same ISA (same rounding
+// conventions), optimizations off, no trace (its instructions are
+// bookkeeping, not workload), and crucially no fault injector. It has no
+// bound context either, so a deadline can never interrupt the reference
+// computation mid-row. banded gives it o's band configuration — bands are
+// byte-identical to a serial run — unless o is quarantined to serial.
+func (o *Ops) refereeOps(banded bool) *Ops {
 	ref := NewOps(o.isa, nil)
 	ref.SetUseOptimized(false)
+	if banded && !o.serialOnly {
+		ref.par = o.par
+	}
+	return ref
+}
+
+// referee computes the full-plane scalar reference of a kernel call into a
+// pooled w x h Mat, which the caller returns with par.PutMat.
+func (o *Ops) referee(w, h int, kind image.Type, rerun func(ref *Ops, d *image.Mat) error) (*image.Mat, error) {
 	want := par.GetMat(w, h, kind)
-	if err := rerun(ref, want); err != nil {
+	if err := rerun(o.refereeOps(true), want); err != nil {
 		par.PutMat(want)
 		return nil, err
 	}
 	return want, nil
+}
+
+// refRows is a scalar reference for the rows a guard compares: the whole
+// plane (win nil), or the merged row windows around the sampled rows,
+// packed top to bottom into one pooled Mat.
+type refRows struct {
+	m   *image.Mat
+	win []refWin
+}
+
+// refWin places output rows [y0, y1) at rows [off, off+y1-y0) of refRows.m.
+type refWin struct{ y0, y1, off int }
+
+// row returns the row of r.m holding output row y's reference.
+func (r *refRows) row(y int) int {
+	if r.win == nil {
+		return y
+	}
+	for _, w := range r.win {
+		if y >= w.y0 && y < w.y1 {
+			return w.off + y - w.y0
+		}
+	}
+	panic(fmt.Sprintf("cv: row %d outside the referee windows", y))
+}
+
+// rowReferee computes the scalar reference of just the output rows the
+// guard compares. Output row y reads source rows [s·y-halo, s·y+s+halo),
+// clamped to the plane; overlapping or touching windows merge, and each
+// merged window runs rerun on a serial referee over a row view of the
+// source. Every windowed kernel replicates its borders (clampIdx), so a
+// window clamped only at true plane edges reproduces the full-plane rows
+// byte for byte (TestRefereeRowsMatchFullPlane). The caller returns the
+// result's Mat with par.PutMat.
+func (o *Ops) rowReferee(spec guardSpec, srcH int, dst *image.Mat, rows []int, rerun refRun) (*refRows, error) {
+	ys := slices.Clone(rows)
+	slices.Sort(ys)
+	s, halo := spec.scale, spec.halo
+	type srcWin struct{ r0, r1 int }
+	var srcWins []srcWin
+	for _, y := range ys {
+		r0, r1 := max(0, s*y-halo), min(srcH, s*y+s+halo)
+		if n := len(srcWins); n > 0 && r0 <= srcWins[n-1].r1 {
+			srcWins[n-1].r1 = max(srcWins[n-1].r1, r1)
+			continue
+		}
+		srcWins = append(srcWins, srcWin{r0, r1})
+	}
+	ref := &refRows{win: make([]refWin, len(srcWins))}
+	total := 0
+	for i, sw := range srcWins {
+		y0, y1 := sw.r0/s, sw.r1/s
+		ref.win[i] = refWin{y0: y0, y1: y1, off: total}
+		total += y1 - y0
+	}
+	ref.m = par.GetMat(dst.Width, total, dst.Kind)
+	ro := o.refereeOps(false)
+	for i, sw := range srcWins {
+		wi := ref.win[i]
+		if err := rerun(ro, sw.r0, sw.r1, ref.m.Rows(wi.off, wi.off+wi.y1-wi.y0)); err != nil {
+			par.PutMat(ref.m)
+			return nil, err
+		}
+	}
+	return ref, nil
 }
 
 // copyPixels overwrites dst's pixel data with src's (shapes already match).
@@ -243,17 +378,17 @@ func copyPixels(dst, src *image.Mat) {
 }
 
 // guardedRun is the guarded dispatch wrapper every SIMD kernel entry point
-// routes through. simd runs the hand-optimized path into dst; rerun invokes
-// the same public entry point on a referee Ops so the scalar reference lands
-// in a scratch Mat. tol is the per-kernel pixel tolerance (nonzero only
-// where the SIMD path legitimately rounds differently from scalar code).
+// routes through. simd runs the hand-optimized path into dst; rerun
+// invokes the same entry path on a referee Ops over rows of the srcH-row
+// source, so the scalar reference lands in scratch. The kernel's
+// guardSpecs entry gives the pixel tolerance and the referee's stencil.
 //
 // Flow: run SIMD → spot-check sampled rows against the scalar referee → on
 // divergence record ActionDetected, retry the SIMD path up to MaxRetries →
-// still diverging: substitute the referee output (ActionFallback) → after
-// KillAfter fallbacks flip useOptimized off (ActionKillSwitch).
-func (o *Ops) guardedRun(kernel string, dst *image.Mat, tol int,
-	simd func() error, rerun func(ref *Ops, d *image.Mat) error) error {
+// still diverging: substitute the full referee plane (ActionFallback) →
+// after KillAfter fallbacks flip useOptimized off (ActionKillSwitch).
+func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
+	simd func() error, rerun refRun) error {
 	if o.inGuard {
 		// A nested kernel call (DetectEdges → SobelFilter) already covered
 		// by the outer guard or audit.
@@ -261,10 +396,12 @@ func (o *Ops) guardedRun(kernel string, dst *image.Mat, tol int,
 	}
 	if !o.guarded {
 		if o.aud != nil && o.aud.Sample() {
-			return o.auditedRun(kernel, dst, tol, simd, rerun)
+			return o.auditedRun(k, srcH, dst, simd, rerun)
 		}
 		return simd()
 	}
+	spec := guardSpecs[k]
+	kernel, tol := spec.name, spec.tol[o.isa]
 	// In guarded mode a sampled audit piggybacks on the guard's referee (see
 	// audit.go): the sampling decision is drawn here, up front, so the
 	// sampler stream is positioned identically whether or not the guard
@@ -279,33 +416,43 @@ func (o *Ops) guardedRun(kernel string, dst *image.Mat, tol int,
 
 	o.ctxCheck()
 	refSpan := o.curSpan().Child("guard.referee")
-	want, err := o.referee(dst.Width, dst.Height, dst.Kind, rerun)
-	if err != nil {
-		refSpan.End()
-		return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
-	}
-	defer par.PutMat(want)
-
+	full := func(ref *Ops, d *image.Mat) error { return rerun(ref, 0, srcH, d) }
 	rows := o.sampleRows(dst.Height)
+	var want *refRows
+	if audit || spec.halo == wholePlane {
+		m, err := o.referee(dst.Width, dst.Height, dst.Kind, full)
+		if err != nil {
+			refSpan.End()
+			return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
+		}
+		want = &refRows{m: m}
+	} else {
+		var err error
+		if want, err = o.rowReferee(spec, srcH, dst, rows, rerun); err != nil {
+			refSpan.End()
+			return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
+		}
+	}
+	defer par.PutMat(want.m)
+
 	bad, diffs := diffRows(dst, want, rows, tol)
 	refSpan.End()
 
-	// Piggyback audit: compare the first SIMD output against the referee
-	// over the audit window (the referee is already paid for, so the audit
-	// costs only the compare). The guard keeps sole ownership of the breaker
-	// verdict below; the audit contributes the corruption record and, on the
-	// guard-clean path, a repair when the spot-check's rows missed a
-	// divergence the full-window compare caught.
+	// Piggyback audit: compare the first SIMD output against the full
+	// referee over the audit window. The guard keeps sole ownership of the
+	// breaker verdict below; the audit contributes the corruption record
+	// and, on the guard-clean path, a repair when the spot-check's rows
+	// missed a divergence the full-window compare caught.
 	var auditCE *integrity.CorruptionError
 	if audit {
 		cmpStart := time.Now()
-		auditCE = o.auditCompare(kernel, dst, want, tol)
+		auditCE = o.auditCompare(kernel, dst, want.m, tol)
 		o.aud.Observe(o.Obs, kernel, o.isa.String(), time.Since(cmpStart), o.traceID, auditCE)
 	}
 
 	if len(bad) == 0 {
 		if auditCE != nil {
-			copyPixels(dst, want)
+			copyPixels(dst, want.m)
 		}
 		o.recordBreaker(kernel, true)
 		return nil
@@ -333,10 +480,20 @@ func (o *Ops) guardedRun(kernel string, dst *image.Mat, tol int,
 		retrySpan.End()
 	}
 
-	// Degrade gracefully: the referee already computed the full scalar
-	// image, so the fallback is a copy, not a recompute.
+	// Degrade gracefully: substitute the full scalar plane, computed now
+	// unless the referee already built it.
 	fbSpan := o.curSpan().Child("guard.fallback")
-	copyPixels(dst, want)
+	fb := want.m
+	if want.win != nil {
+		m, err := o.referee(dst.Width, dst.Height, dst.Kind, full)
+		if err != nil {
+			fbSpan.End()
+			return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
+		}
+		defer par.PutMat(m)
+		fb = m
+	}
+	copyPixels(dst, fb)
 	o.fallbacks++
 	o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionFallback})
 	if o.brk == nil && o.policy.KillAfter > 0 && o.fallbacks >= o.policy.KillAfter && o.useOptimized {

@@ -25,25 +25,26 @@ func (o *Ops) MedianBlur3x3(src, dst *image.Mat) (err error) {
 	if err := sameShape(src, dst); err != nil {
 		return err
 	}
-	run := func(op *Ops, d *image.Mat) error {
+	run := func(op *Ops, s, d *image.Mat) error {
 		if op.UseOptimized() {
 			switch op.isa {
 			case ISANEON:
-				op.medianNEON(src, d)
+				op.medianNEON(s, d)
 				return nil
 			case ISASSE2:
-				op.medianSSE2(src, d)
+				op.medianSSE2(s, d)
 				return nil
 			}
 		}
-		op.medianScalar(src, d)
+		op.medianScalar(s, d)
 		return nil
 	}
 	if o.UseOptimized() {
-		return o.guardedRun("MedianBlur3x3", dst, 0,
-			func() error { return run(o, dst) }, run)
+		return o.guardedRun(gkMedian, src.Height, dst,
+			func() error { return run(o, src, dst) },
+			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
 	}
-	return run(o, dst)
+	return run(o, src, dst)
 }
 
 // median9 runs the canonical 19-comparator median-of-9 exchange network

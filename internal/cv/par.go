@@ -63,6 +63,8 @@ const flatQuantum = 4096
 // safe default everywhere); a negative Workers means one band per
 // available core; MinRowsPerBand<=0 uses par.DefaultMinRows.
 func (o *Ops) SetParallel(cfg ParallelConfig) {
+	// The cached fused strip geometries are sized for the band layout.
+	o.fusedGeoms = o.fusedGeoms[:0]
 	if cfg.Workers == 0 || cfg.Workers == 1 {
 		o.par = ParallelConfig{Workers: 1}
 		return

@@ -35,25 +35,26 @@ func (o *Ops) ResizeHalf(src, dst *image.Mat) (err error) {
 	if dst.Width == 0 || dst.Height == 0 {
 		return fmt.Errorf("cv: ResizeHalf source %dx%d too small", src.Width, src.Height)
 	}
-	run := func(op *Ops, d *image.Mat) error {
+	run := func(op *Ops, s, d *image.Mat) error {
 		if op.UseOptimized() {
 			switch op.isa {
 			case ISANEON:
-				op.resizeHalfNEON(src, d)
+				op.resizeHalfNEON(s, d)
 				return nil
 			case ISASSE2:
-				op.resizeHalfSSE2(src, d)
+				op.resizeHalfSSE2(s, d)
 				return nil
 			}
 		}
-		op.resizeHalfScalar(src, d)
+		op.resizeHalfScalar(s, d)
 		return nil
 	}
 	if o.UseOptimized() {
-		return o.guardedRun("ResizeHalf", dst, 0,
-			func() error { return run(o, dst) }, run)
+		return o.guardedRun(gkResizeHalf, src.Height, dst,
+			func() error { return run(o, src, dst) },
+			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
 	}
-	return run(o, dst)
+	return run(o, src, dst)
 }
 
 func resizePixel(pix []uint8, w, x, y int) uint8 {

@@ -33,45 +33,46 @@ func (o *Ops) SobelFilter(src, dst *image.Mat, dx, dy int) (err error) {
 	default:
 		return fmt.Errorf("cv: SobelFilter supports (dx,dy) of (1,0) or (0,1), got (%d,%d)", dx, dy)
 	}
-	run := func(op *Ops, d *image.Mat) error {
-		tmp := par.GetMat(src.Width, src.Height, image.S16)
+	run := func(op *Ops, s, d *image.Mat) error {
+		tmp := par.GetMat(s.Width, s.Height, image.S16)
 		defer par.PutMat(tmp)
 		if op.UseOptimized() {
 			switch op.isa {
 			case ISANEON:
 				if dx == 1 {
-					op.sobelDiffHNEON(src, tmp)
+					op.sobelDiffHNEON(s, tmp)
 					op.sobelSmoothVNEON(tmp, d)
 				} else {
-					op.sobelSmoothHNEON(src, tmp)
+					op.sobelSmoothHNEON(s, tmp)
 					op.sobelDiffVNEON(tmp, d)
 				}
 				return nil
 			case ISASSE2:
 				if dx == 1 {
-					op.sobelDiffHSSE2(src, tmp)
+					op.sobelDiffHSSE2(s, tmp)
 					op.sobelSmoothVSSE2(tmp, d)
 				} else {
-					op.sobelSmoothHSSE2(src, tmp)
+					op.sobelSmoothHSSE2(s, tmp)
 					op.sobelDiffVSSE2(tmp, d)
 				}
 				return nil
 			}
 		}
 		if dx == 1 {
-			op.sobelDiffHScalar(src, tmp)
+			op.sobelDiffHScalar(s, tmp)
 			op.sobelSmoothVScalar(tmp, d)
 		} else {
-			op.sobelSmoothHScalar(src, tmp)
+			op.sobelSmoothHScalar(s, tmp)
 			op.sobelDiffVScalar(tmp, d)
 		}
 		return nil
 	}
 	if o.UseOptimized() {
-		return o.guardedRun("SobelFilter", dst, 0,
-			func() error { return run(o, dst) }, run)
+		return o.guardedRun(gkSobel, src.Height, dst,
+			func() error { return run(o, src, dst) },
+			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
 	}
-	return run(o, dst)
+	return run(o, src, dst)
 }
 
 // --- Scalar reference pieces. SIMD paths call these for borders so all

@@ -55,25 +55,26 @@ func (o *Ops) Threshold(src, dst *image.Mat, thresh, maxval uint8, typ ThreshTyp
 	if typ < ThreshBinary || typ > ThreshToZeroInv {
 		return fmt.Errorf("cv: unknown threshold type %d", int(typ))
 	}
-	run := func(op *Ops, d *image.Mat) error {
+	run := func(op *Ops, s, d *image.Mat) error {
 		if op.UseOptimized() {
 			switch op.isa {
 			case ISANEON:
-				op.thresholdNEON(src, d, thresh, maxval, typ)
+				op.thresholdNEON(s, d, thresh, maxval, typ)
 				return nil
 			case ISASSE2:
-				op.thresholdSSE2(src, d, thresh, maxval, typ)
+				op.thresholdSSE2(s, d, thresh, maxval, typ)
 				return nil
 			}
 		}
-		op.thresholdScalar(src, d, thresh, maxval, typ)
+		op.thresholdScalar(s, d, thresh, maxval, typ)
 		return nil
 	}
 	if o.UseOptimized() {
-		return o.guardedRun("Threshold", dst, 0,
-			func() error { return run(o, dst) }, run)
+		return o.guardedRun(gkThreshold, src.Height, dst,
+			func() error { return run(o, src, dst) },
+			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
 	}
-	return run(o, dst)
+	return run(o, src, dst)
 }
 
 func thresholdPixel(v, thresh, maxval uint8, typ ThreshType) uint8 {

@@ -179,6 +179,23 @@ func (m *Mat) Clear() {
 	clear(m.F32Pix)
 }
 
+// Rows returns a view of rows [r0, r1): a Mat header over m's own pixel
+// storage, so writes through either are visible in both. It panics when
+// the range falls outside the image.
+func (m *Mat) Rows(r0, r1 int) *Mat {
+	v := &Mat{Width: m.Width, Height: r1 - r0, Kind: m.Kind}
+	lo, hi := r0*m.Width, r1*m.Width
+	switch m.Kind {
+	case U8:
+		v.U8Pix = m.U8Pix[lo:hi]
+	case S16:
+		v.S16Pix = m.S16Pix[lo:hi]
+	case F32:
+		v.F32Pix = m.F32Pix[lo:hi]
+	}
+	return v
+}
+
 // Clone returns a deep copy.
 func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Width, m.Height, m.Kind)
@@ -284,34 +301,50 @@ func (r *rng) byteVal() uint8 { return uint8(r.next() >> 56) }
 // camera photographs. Distinct seeds give the 5 distinct images the paper
 // cycles through.
 func Synthetic(res Resolution, seed uint64) *Mat {
-	m := NewMat(res.Width, res.Height, U8)
+	w := res.Width
+	m := NewMat(w, res.Height, U8)
 	r := newRNG(seed*0x9E3779B9 + 1)
 	// Random parameters for gradients and edge placement.
 	gx := int(r.next()%5) + 1
 	gy := int(r.next()%5) + 1
 	edgePeriod := int(r.next()%97) + 32
 	noiseAmp := int(r.next()%24) + 8
+	// Per-column term: the horizontal gradient plus 128 in columns on the
+	// raised side of a hard vertical edge (every edgePeriod columns). The
+	// pixel is (rowBase+col)/2, and for the non-negative sums here
+	// (a+128)/2 == a/2+64, so folding the edge in before the halving is
+	// exact.
+	col := make([]int, w)
+	for x := range col {
+		col[x] = (x * gx * 255) / (w * gx)
+		if (x/edgePeriod)%2 == 1 {
+			col[x] += 128
+		}
+	}
+	// Noise step per random byte b: b % noiseAmp - noiseAmp/2.
+	var noise [256]int
+	for b := range noise {
+		noise[b] = int(uint8(b)%uint8(noiseAmp)) - noiseAmp/2
+	}
+	s := r.s // xorshift64* state, stepped inline below
 	prev := 0
 	for y := 0; y < res.Height; y++ {
 		rowBase := (y * gy * 255) / (res.Height * gy)
-		for x := 0; x < res.Width; x++ {
-			v := rowBase + (x*gx*255)/(res.Width*gx)
-			v /= 2
-			// Hard vertical edges every edgePeriod columns.
-			if (x/edgePeriod)%2 == 1 {
-				v += 64
-			}
+		row := m.U8Pix[y*w : (y+1)*w]
+		for x, c := range col {
+			s ^= s >> 12
+			s ^= s << 25
+			s ^= s >> 27
 			// First-order correlated noise.
-			n := int(r.byteVal()%uint8(noiseAmp)) - noiseAmp/2
-			prev = (prev + n) / 2
-			v += prev
+			prev = (prev + noise[(s*0x2545F4914F6CDD1D)>>56]) / 2
+			v := (rowBase+c)>>1 + prev
 			if v < 0 {
 				v = 0
 			}
 			if v > 255 {
 				v = 255
 			}
-			m.U8Pix[y*res.Width+x] = uint8(v)
+			row[x] = uint8(v)
 		}
 	}
 	return m

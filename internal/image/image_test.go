@@ -2,6 +2,7 @@ package image
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -330,5 +331,55 @@ func TestPPMRoundTrip(t *testing.T) {
 		if _, err := ReadPPM(strings.NewReader(s)); err == nil {
 			t.Errorf("bad PPM %d accepted", i)
 		}
+	}
+}
+
+// TestSyntheticChecksums pins Synthetic byte for byte: FNV-64a sums of its
+// output over odd, tiny and paper-sized shapes and seeds 0-5. The sums are
+// those of the direct per-pixel formulation (two divisions and a modulo
+// per pixel), which the table-driven generator must reproduce exactly:
+// every served and benchmarked image derives from it.
+func TestSyntheticChecksums(t *testing.T) {
+	cases := []struct {
+		w, h int
+		sums [6]uint64
+	}{
+		{640, 480, [6]uint64{0x943a143677774b2e, 0x503a354cedf6950f, 0xd240d169a3bba02c, 0xc40ff97e04aaab11, 0x99805909956e3629, 0x4b879fc3774b9109}},
+		{2592, 1920, [6]uint64{0x6427f92348b81623, 0xb8621fc21a4e5c82, 0xbef7d2508e30efc3, 0x790b9889b7cad686, 0x8327136d34e0a108, 0x4c47575cea760234}},
+		{17, 3, [6]uint64{0x5f0dfeaaee9e6c4a, 0x35a7354d4c6d6589, 0x366f1178940f47c3, 0x42428fed49f2af03, 0x40400755082ffdd0, 0x5397884f8c79f5f7}},
+		{1, 1, [6]uint64{0xaf63bd4c8601b7df, 0xaf63bd4c8601b7df, 0xaf63bd4c8601b7df, 0xaf63ba4c8601b2c6, 0xaf63be4c8601b992, 0xaf63b94c8601b113}},
+		{33, 65, [6]uint64{0x21952776af2a16ed, 0xf09c958604490d54, 0x5af02f958f97f502, 0x617390e8e0fab124, 0x269157e606e084e8, 0x0866759d49ba06de}},
+	}
+	for _, c := range cases {
+		for seed, want := range c.sums {
+			h := fnv.New64a()
+			h.Write(Synthetic(Resolution{Width: c.w, Height: c.h}, uint64(seed)).U8Pix)
+			if got := h.Sum64(); got != want {
+				t.Errorf("Synthetic %dx%d seed %d: fnv64a %#016x, want %#016x", c.w, c.h, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestRowsViewsShareStorage: a row view covers exactly its rows and
+// aliases the parent's pixels.
+func TestRowsViewsShareStorage(t *testing.T) {
+	m := Synthetic(Resolution{Width: 5, Height: 4}, 1)
+	v := m.Rows(1, 3)
+	if v.Width != 5 || v.Height != 2 || v.Kind != U8 || len(v.U8Pix) != 10 {
+		t.Fatalf("view %dx%d %v len %d", v.Width, v.Height, v.Kind, len(v.U8Pix))
+	}
+	v.U8Pix[0] ^= 0xff
+	if m.U8Pix[5] != v.U8Pix[0] {
+		t.Error("Mat row view does not alias the parent plane")
+	}
+	f := NewMat(3, 3, F32).Rows(2, 3)
+	if len(f.F32Pix) != 3 || f.U8Pix != nil {
+		t.Errorf("F32 view: %d floats, U8 %v", len(f.F32Pix), f.U8Pix)
+	}
+	rgb := SyntheticRGB(Resolution{Width: 4, Height: 3}, 1)
+	rv := rgb.Rows(2, 3)
+	if rv.Height != 1 || len(rv.Pix) != 12 || &rv.Pix[0] != &rgb.Pix[24] {
+		t.Error("RGB row view does not cover exactly row 2")
 	}
 }

@@ -38,6 +38,11 @@ func NewRGB(width, height int) *RGB {
 // Pixels returns the pixel count.
 func (m *RGB) Pixels() int { return m.Width * m.Height }
 
+// Rows returns a view of rows [r0, r1) sharing m's pixel storage.
+func (m *RGB) Rows(r0, r1 int) *RGB {
+	return &RGB{Width: m.Width, Height: r1 - r0, Pix: m.Pix[3*r0*m.Width : 3*r1*m.Width]}
+}
+
 // Set stores the (r,g,b) triplet at (x,y).
 func (m *RGB) Set(x, y int, r, g, b uint8) {
 	i := 3 * (y*m.Width + x)
