@@ -78,6 +78,20 @@ var guardSpecs = [...]guardSpec{
 	gkCanny:      {name: "Canny", halo: wholePlane, scale: 1},
 }
 
+// Tolerance returns the per-element divergence kernel's SIMD output on isa
+// may show against its scalar referee: the guardSpecs declaration, for
+// callers outside the guard that compare a kernel against scalar code.
+// kernel is a guarded entry point's name, such as "ConvertF32ToS16"; any
+// other name is a caller's bug and panics.
+func Tolerance(kernel string, isa ISA) int {
+	for _, s := range guardSpecs {
+		if s.name == kernel {
+			return s.tol[isa]
+		}
+	}
+	panic("cv: no guarded kernel named " + kernel)
+}
+
 // refRun computes a kernel's scalar reference for source rows [r0, r1)
 // into d, which holds (r1-r0)/scale output rows: the kernel's own entry
 // path run on ref over a zero-copy row view of its source.

@@ -49,12 +49,13 @@ func (o *Ops) MedianBlur3x3(src, dst *image.Mat) (err error) {
 
 // median9 runs the canonical 19-comparator median-of-9 exchange network
 // (Smith/Paeth); the SIMD paths run the identical network lane-wise, so
-// every path is bit-exact.
+// every path is bit-exact. Each exchange is a branch-free min/max pair:
+// a compare-and-swap would branch on pixel data and mispredict.
 func median9(p *[9]uint8) uint8 {
 	op := func(a, b int) {
-		if p[a] > p[b] {
-			p[a], p[b] = p[b], p[a]
-		}
+		x, y := int32(p[a]), int32(p[b])
+		d := (x - y) & ((x - y) >> 31) // x-y where x < y, else 0
+		p[a], p[b] = uint8(y+d), uint8(x-d)
 	}
 	op(1, 2)
 	op(4, 5)

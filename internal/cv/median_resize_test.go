@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,23 +11,42 @@ import (
 )
 
 func TestMedian9Network(t *testing.T) {
-	// The exchange network must agree with a sort-based median on every
-	// permutation-ish input.
+	// The branch-free exchange network must agree with a sort-based median
+	// on hand-picked inputs, every all-equal tuple, every two-valued tuple
+	// over a few value pairs, and 10^5 seeded random tuples.
 	cases := [][9]uint8{
 		{1, 2, 3, 4, 5, 6, 7, 8, 9},
 		{9, 8, 7, 6, 5, 4, 3, 2, 1},
-		{5, 5, 5, 5, 5, 5, 5, 5, 5},
 		{0, 255, 0, 255, 0, 255, 0, 255, 0},
 		{1, 1, 1, 2, 2, 2, 3, 3, 3},
 		{200, 10, 30, 50, 90, 70, 110, 130, 150},
 	}
+	for v := 0; v < 256; v++ {
+		cases = append(cases, [9]uint8{uint8(v), uint8(v), uint8(v), uint8(v), uint8(v), uint8(v), uint8(v), uint8(v), uint8(v)})
+	}
+	for _, lohi := range [][2]uint8{{0, 1}, {0, 255}, {127, 128}, {254, 255}} {
+		for bits := 0; bits < 1<<9; bits++ {
+			var c [9]uint8
+			for i := range c {
+				c[i] = lohi[bits>>i&1]
+			}
+			cases = append(cases, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 100000; i++ {
+		var c [9]uint8
+		for j := range c {
+			c[j] = uint8(rng.Intn(256))
+		}
+		cases = append(cases, c)
+	}
 	for _, c := range cases {
-		sorted := make([]uint8, 9)
-		copy(sorted, c[:])
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		sorted := c
+		sort.Slice(sorted[:], func(i, j int) bool { return sorted[i] < sorted[j] })
 		in := c
 		if got := median9(&in); got != sorted[4] {
-			t.Errorf("median9(%v) = %d, want %d", c, got, sorted[4])
+			t.Fatalf("median9(%v) = %d, want %d", c, got, sorted[4])
 		}
 	}
 }

@@ -40,19 +40,18 @@ func validateResolution(res image.Resolution) error {
 }
 
 // benchSpec describes how to execute one benchmark's kernel directly: the
-// source/destination pixel kinds, the per-ISA comparison tolerance, the
-// fixed-parameter signature the memoization key folds in, and the entry
-// point. Verify and RunFaultCampaign share it so both exercise the exact
-// same code paths.
+// source/destination pixel kinds, the cv entry point it runs (whose name
+// keys its comparison tolerance, cv.Tolerance), the fixed-parameter
+// signature the memoization key folds in, and the entry point itself.
+// Verify and RunFaultCampaign share it so both exercise the exact same code
+// paths.
 type benchSpec struct {
 	f32Src  bool
 	dstKind image.Type
+	kernel  string
 	sig     string // parameters baked into run; part of the memo content key
-	tol     func(isa cv.ISA) int
 	run     func(o *cv.Ops, src, dst *image.Mat) error
 }
-
-func exactTol(cv.ISA) int { return 0 }
 
 func benchSpecFor(bench string) (benchSpec, error) {
 	switch bench {
@@ -60,14 +59,8 @@ func benchSpecFor(bench string) (benchSpec, error) {
 		return benchSpec{
 			f32Src:  true,
 			dstKind: image.S16,
+			kernel:  "ConvertF32ToS16",
 			sig:     "f32s16",
-			// vcvt truncates where the ARM scalar referee rounds: 1 LSB.
-			tol: func(isa cv.ISA) int {
-				if isa == cv.ISANEON {
-					return 1
-				}
-				return 0
-			},
 			run: func(o *cv.Ops, src, dst *image.Mat) error {
 				return o.ConvertF32ToS16(src, dst)
 			},
@@ -75,8 +68,8 @@ func benchSpecFor(bench string) (benchSpec, error) {
 	case "BinThr":
 		return benchSpec{
 			dstKind: image.U8,
+			kernel:  "Threshold",
 			sig:     "t128m255trunc",
-			tol:     exactTol,
 			run: func(o *cv.Ops, src, dst *image.Mat) error {
 				return o.Threshold(src, dst, 128, 255, cv.ThreshTrunc)
 			},
@@ -84,8 +77,8 @@ func benchSpecFor(bench string) (benchSpec, error) {
 	case "GauBlu":
 		return benchSpec{
 			dstKind: image.U8,
+			kernel:  "GaussianBlur",
 			sig:     "g5x5",
-			tol:     exactTol,
 			run: func(o *cv.Ops, src, dst *image.Mat) error {
 				return o.GaussianBlur(src, dst)
 			},
@@ -93,8 +86,8 @@ func benchSpecFor(bench string) (benchSpec, error) {
 	case "SobFil":
 		return benchSpec{
 			dstKind: image.S16,
+			kernel:  "SobelFilter",
 			sig:     "dx1dy0",
-			tol:     exactTol,
 			run: func(o *cv.Ops, src, dst *image.Mat) error {
 				return o.SobelFilter(src, dst, 1, 0)
 			},
@@ -102,8 +95,8 @@ func benchSpecFor(bench string) (benchSpec, error) {
 	case "EdgDet":
 		return benchSpec{
 			dstKind: image.U8,
+			kernel:  "DetectEdges",
 			sig:     "t100",
-			tol:     exactTol,
 			run: func(o *cv.Ops, src, dst *image.Mat) error {
 				return o.DetectEdges(src, dst, 100)
 			},
@@ -111,8 +104,8 @@ func benchSpecFor(bench string) (benchSpec, error) {
 	case "Canny":
 		return benchSpec{
 			dstKind: image.U8,
+			kernel:  "Canny",
 			sig:     "lo60hi200",
-			tol:     exactTol,
 			run: func(o *cv.Ops, src, dst *image.Mat) error {
 				return o.Canny(src, dst, 60, 200)
 			},
@@ -401,7 +394,7 @@ func VerifyCtx(ctx context.Context, bench string, res image.Resolution) (int, er
 			if err := spec.run(cv.NewOps(isa, nil), src, got); err != nil {
 				return 0, err
 			}
-			if d := want.DiffCount(got, spec.tol(isa)); d != 0 {
+			if d := want.DiffCount(got, cv.Tolerance(spec.kernel, isa)); d != 0 {
 				return 0, fmt.Errorf("harness: %s: %v output differs from scalar beyond tolerance in %d pixels",
 					bench, isa, d)
 			}

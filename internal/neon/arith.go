@@ -25,7 +25,7 @@ func (u *Unit) VaddqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVaddI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)+b.I16(i))
+		r.SetI16(i, vec.I16At(&a, i)+vec.I16At(&b, i))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -86,7 +86,7 @@ func (u *Unit) VaddlU8(a, b vec.V64) vec.V128 {
 	u.rec(opVaddlU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, uint16(a.U8(i))+uint16(b.U8(i)))
+		r.SetU16(i, uint16(a[i])+uint16(b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -107,7 +107,7 @@ func (u *Unit) VaddwU8(a vec.V128, b vec.V64) vec.V128 {
 	u.rec(opVaddwU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, a.U16(i)+uint16(b.U8(i)))
+		r.SetU16(i, vec.U16At(&a, i)+uint16(b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -179,7 +179,7 @@ func (u *Unit) VsubqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVsubI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)-b.I16(i))
+		r.SetI16(i, vec.I16At(&a, i)-vec.I16At(&b, i))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -335,7 +335,7 @@ func (u *Unit) VmlalU8(acc vec.V128, a, b vec.V64) vec.V128 {
 	u.rec(opVmlalU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, acc.U16(i)+uint16(a.U8(i))*uint16(b.U8(i)))
+		r.SetU16(i, vec.U16At(&acc, i)+uint16(a[i])*uint16(b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -356,7 +356,7 @@ func (u *Unit) VmullU8(a, b vec.V64) vec.V128 {
 	u.rec(opVmullU8)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, uint16(a.U8(i))*uint16(b.U8(i)))
+		r.SetU16(i, uint16(a[i])*uint16(b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -389,11 +389,9 @@ func (u *Unit) VabsqS16(a vec.V128) vec.V128 {
 	u.rec(opVabsS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		v := a.I16(i)
-		if v < 0 {
-			v = -v // MinInt16 wraps, matching hardware
-		}
-		r.SetI16(i, v)
+		v := vec.I16At(&a, i)
+		m := v >> 15
+		r.SetI16(i, (v^m)-m) // MinInt16 wraps, matching hardware
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -403,7 +401,7 @@ func (u *Unit) VqabsqS16(a vec.V128) vec.V128 {
 	u.rec(opVqabsS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetI16(i, sat.AbsInt16(a.I16(i)))
+		r.SetI16(i, sat.AbsInt16(vec.I16At(&a, i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -421,29 +419,15 @@ func (u *Unit) VabsqF32(a vec.V128) vec.V128 {
 // VabdqU8 absolute difference |a-b| (vabd.u8).
 func (u *Unit) VabdqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVabdU8)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		x, y := int16(a.U8(i)), int16(b.U8(i))
-		d := x - y
-		if d < 0 {
-			d = -d
-		}
-		r.SetU8(i, uint8(d))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AbsDiffU8(a, b))
 }
 
 // VabaqU8 absolute difference and accumulate: acc + |a-b| (vaba.u8).
 func (u *Unit) VabaqU8(acc, a, b vec.V128) vec.V128 {
 	u.rec(opVabaU8)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		x, y := int16(a.U8(i)), int16(b.U8(i))
-		d := x - y
-		if d < 0 {
-			d = -d
-		}
-		r.SetU8(i, acc.U8(i)+uint8(d))
+	r := vec.AbsDiffU8(a, b)
+	for i := range r {
+		r[i] += acc[i]
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -455,8 +439,9 @@ func (u *Unit) VabaqU8(acc, a, b vec.V128) vec.V128 {
 func (u *Unit) VminqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVminU8)
 	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, min(a.U8(i), b.U8(i)))
+	for i := 0; i < 2; i++ {
+		lo, _ := vec.MinMaxU8x8(vec.U64At(&a, i), vec.U64At(&b, i))
+		r.SetU64(i, lo)
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -465,8 +450,9 @@ func (u *Unit) VminqU8(a, b vec.V128) vec.V128 {
 func (u *Unit) VmaxqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVmaxU8)
 	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, max(a.U8(i), b.U8(i)))
+	for i := 0; i < 2; i++ {
+		_, hi := vec.MinMaxU8x8(vec.U64At(&a, i), vec.U64At(&b, i))
+		r.SetU64(i, hi)
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -474,21 +460,13 @@ func (u *Unit) VmaxqU8(a, b vec.V128) vec.V128 {
 // VminqS16 lane-wise int16 minimum (vmin.s16).
 func (u *Unit) VminqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVminS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, min(a.I16(i), b.I16(i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MinI16(a, b))
 }
 
 // VmaxqS16 lane-wise int16 maximum (vmax.s16).
 func (u *Unit) VmaxqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVmaxS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, max(a.I16(i), b.I16(i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MaxI16(a, b))
 }
 
 // VminqF32 lane-wise float minimum (vmin.f32).

@@ -130,7 +130,7 @@ func (u *Unit) VmovnU16(a vec.V128) vec.V64 {
 	u.rec(opVmovnI16)
 	var r vec.V64
 	for i := 0; i < 8; i++ {
-		r.SetU8(i, uint8(a.U16(i)))
+		r[i] = uint8(vec.U16At(&a, i))
 	}
 	return fault(u, faults.SiteConvert, r)
 }
@@ -184,7 +184,7 @@ func (u *Unit) VshlqNS16(a vec.V128, n uint) vec.V128 {
 	u.rec(opVshlI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)<<n)
+		r.SetI16(i, vec.I16At(&a, i)<<n)
 	}
 	return fault(u, faults.SiteConvert, r)
 }
@@ -245,8 +245,8 @@ func (u *Unit) VrshrnNU16(a vec.V128, n uint) vec.V64 {
 	u.rec(opVrshrnU16)
 	var r vec.V64
 	for i := 0; i < 8; i++ {
-		v := (uint32(a.U16(i)) + (1 << (n - 1))) >> n
-		r.SetU8(i, uint8(v)) // vrshrn truncates; callers keep values in range
+		v := (uint32(vec.U16At(&a, i)) + (1 << (n - 1))) >> n
+		r[i] = uint8(v) // vrshrn truncates; callers keep values in range
 	}
 	return fault(u, faults.SiteConvert, r)
 }

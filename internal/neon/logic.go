@@ -81,33 +81,12 @@ func (u *Unit) VbslqF32(mask, a, b vec.V128) vec.V128 {
 
 // --- Comparisons (all produce all-ones / all-zero lane masks) ---
 
-func boolMask16(c bool) uint16 {
-	if c {
-		return 0xFFFF
-	}
-	return 0
-}
-
-func boolMask8(c bool) uint8 {
-	if c {
-		return 0xFF
-	}
-	return 0
-}
-
-func boolMask32(c bool) uint32 {
-	if c {
-		return 0xFFFFFFFF
-	}
-	return 0
-}
-
 // VcgtqU8 compare greater-than, unsigned bytes (vcgt.u8).
 func (u *Unit) VcgtqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVcgtU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
-		r.SetU8(i, boolMask8(a.U8(i) > b.U8(i)))
+		r.SetU8(i, vec.Mask8(a[i] > b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -117,7 +96,7 @@ func (u *Unit) VcgeqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVcgeU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
-		r.SetU8(i, boolMask8(a.U8(i) >= b.U8(i)))
+		r.SetU8(i, vec.Mask8(a[i] >= b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -127,7 +106,7 @@ func (u *Unit) VcltqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVcltU8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
-		r.SetU8(i, boolMask8(a.U8(i) < b.U8(i)))
+		r.SetU8(i, vec.Mask8(a[i] < b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -137,7 +116,7 @@ func (u *Unit) VceqqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVceqI8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
-		r.SetU8(i, boolMask8(a.U8(i) == b.U8(i)))
+		r.SetU8(i, vec.Mask8(a[i] == b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -147,7 +126,7 @@ func (u *Unit) VcgtqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVcgtS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, boolMask16(a.I16(i) > b.I16(i)))
+		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) > vec.I16At(&b, i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -157,7 +136,7 @@ func (u *Unit) VcgeqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVcgeS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, boolMask16(a.I16(i) >= b.I16(i)))
+		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) >= vec.I16At(&b, i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -167,7 +146,7 @@ func (u *Unit) VcltqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVcltS16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, boolMask16(a.I16(i) < b.I16(i)))
+		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) < vec.I16At(&b, i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -177,7 +156,7 @@ func (u *Unit) VceqqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVceqI16)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, boolMask16(a.I16(i) == b.I16(i)))
+		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) == vec.I16At(&b, i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -187,7 +166,7 @@ func (u *Unit) VcgtqF32(a, b vec.V128) vec.V128 {
 	u.rec(opVcgtF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, boolMask32(a.F32(i) > b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) > b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -197,7 +176,7 @@ func (u *Unit) VcgeqF32(a, b vec.V128) vec.V128 {
 	u.rec(opVcgeF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, boolMask32(a.F32(i) >= b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) >= b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -207,7 +186,7 @@ func (u *Unit) VcltqF32(a, b vec.V128) vec.V128 {
 	u.rec(opVcltF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, boolMask32(a.F32(i) < b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) < b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -217,7 +196,7 @@ func (u *Unit) VceqqF32(a, b vec.V128) vec.V128 {
 	u.rec(opVceqF32)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, boolMask32(a.F32(i) == b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) == b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -234,7 +213,7 @@ func (u *Unit) VcagtqF32(a, b vec.V128) vec.V128 {
 		if y < 0 {
 			y = -y
 		}
-		r.SetU32(i, boolMask32(x > y))
+		r.SetU32(i, vec.Mask32(x > y))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -244,7 +223,7 @@ func (u *Unit) VtstqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVtst8)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
-		r.SetU8(i, boolMask8(a.U8(i)&b.U8(i) != 0))
+		r.SetU8(i, vec.Mask8(a[i]&b[i] != 0))
 	}
 	return fault(u, faults.SiteALU, r)
 }

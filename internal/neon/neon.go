@@ -72,11 +72,18 @@ func (u *Unit) Session(name string, parent *obs.Span) *obs.Span {
 
 // fault routes an intrinsic result (or store operand) through the unit's
 // fault hook, if any. It is the single choke point fault injection uses, so
-// every instrumented intrinsic is a potential fault site.
+// every instrumented intrinsic is a potential fault site. Only the nil
+// check inlines into the intrinsics; the hook call is out of line, so a
+// unit without an injector pays no call.
 func fault[V vec.V128 | vec.V64](u *Unit, site faults.Site, r V) V {
 	if u.F == nil {
 		return r
 	}
+	return injectFault(u, site, r)
+}
+
+// injectFault hands r to the unit's fault hook.
+func injectFault[V vec.V128 | vec.V64](u *Unit, site faults.Site, r V) V {
 	switch v := any(r).(type) {
 	case vec.V128:
 		return any(u.F.V128(site, v)).(V)
@@ -93,6 +100,11 @@ func skewed[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	if u.F == nil {
 		return p
 	}
+	return skew(u, site, p, need)
+}
+
+// skew asks the unit's fault hook for an address slip.
+func skew[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	if off := u.F.Skew(site, len(p)-need); off > 0 {
 		return p[off:]
 	}

@@ -270,12 +270,13 @@ func AbsInt8(v int8) int8 {
 	return v
 }
 
-// AbsInt16 returns |v| with saturation (vqabs.s16).
+// AbsInt16 returns |v| with saturation (vqabs.s16). It is branch-free:
+// the sign decides nothing but a mask, and the one lane that wraps
+// (MinInt16) is pulled back to MaxInt16 by its own sign bit.
 func AbsInt16(v int16) int16 {
-	if v < 0 {
-		return NegInt16(v)
-	}
-	return v
+	m := v >> 15
+	a := (v ^ m) - m // MinInt16 wraps to itself
+	return a + a>>15
 }
 
 // AbsInt32 returns |v| with saturation (vqabs.s32).

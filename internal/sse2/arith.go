@@ -130,7 +130,7 @@ func (u *Unit) AddEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPaddw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)+b.I16(i))
+		r.SetI16(i, vec.I16At(&a, i)+vec.I16At(&b, i))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -160,7 +160,7 @@ func (u *Unit) SubEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPsubw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)-b.I16(i))
+		r.SetI16(i, vec.I16At(&a, i)-vec.I16At(&b, i))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -220,7 +220,7 @@ func (u *Unit) MulloEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPmullw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)*b.I16(i))
+		r.SetI16(i, vec.I16At(&a, i)*vec.I16At(&b, i))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -283,15 +283,12 @@ func (u *Unit) AvgEpu16(a, b vec.V128) vec.V128 {
 // (_mm_sad_epu8 / psadbw).
 func (u *Unit) SadEpu8(a, b vec.V128) vec.V128 {
 	u.rec(opPsadbw)
+	d := vec.AbsDiffU8(a, b)
 	var r vec.V128
 	for h := 0; h < 2; h++ {
 		var s uint64
-		for i := 0; i < 8; i++ {
-			d := int(a.U8(h*8+i)) - int(b.U8(h*8+i))
-			if d < 0 {
-				d = -d
-			}
-			s += uint64(d)
+		for _, x := range d[h*8 : h*8+8] {
+			s += uint64(x)
 		}
 		r.SetU64(h, s)
 	}
@@ -303,8 +300,9 @@ func (u *Unit) SadEpu8(a, b vec.V128) vec.V128 {
 func (u *Unit) MinEpu8(a, b vec.V128) vec.V128 {
 	u.rec(opPminub)
 	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, min(a.U8(i), b.U8(i)))
+	for i := 0; i < 2; i++ {
+		lo, _ := vec.MinMaxU8x8(vec.U64At(&a, i), vec.U64At(&b, i))
+		r.SetU64(i, lo)
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -313,8 +311,9 @@ func (u *Unit) MinEpu8(a, b vec.V128) vec.V128 {
 func (u *Unit) MaxEpu8(a, b vec.V128) vec.V128 {
 	u.rec(opPmaxub)
 	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, max(a.U8(i), b.U8(i)))
+	for i := 0; i < 2; i++ {
+		_, hi := vec.MinMaxU8x8(vec.U64At(&a, i), vec.U64At(&b, i))
+		r.SetU64(i, hi)
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -322,19 +321,11 @@ func (u *Unit) MaxEpu8(a, b vec.V128) vec.V128 {
 // MinEpi16 lane-wise int16 minimum (_mm_min_epi16 / pminsw).
 func (u *Unit) MinEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPminsw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, min(a.I16(i), b.I16(i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MinI16(a, b))
 }
 
 // MaxEpi16 lane-wise int16 maximum (_mm_max_epi16 / pmaxsw).
 func (u *Unit) MaxEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPmaxsw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, max(a.I16(i), b.I16(i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MaxI16(a, b))
 }

@@ -110,8 +110,8 @@ func (u *Unit) PackusEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPackuswb)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU8(i, sat.NarrowInt16ToUint8(a.I16(i)))
-		r.SetU8(8+i, sat.NarrowInt16ToUint8(b.I16(i)))
+		r[i] = sat.NarrowInt16ToUint8(vec.I16At(&a, i))
+		r[8+i] = sat.NarrowInt16ToUint8(vec.I16At(&b, i))
 	}
 	return fault(u, faults.SiteConvert, r)
 }
@@ -124,8 +124,7 @@ func (u *Unit) UnpackloEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPunpcklbw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU8(2*i, a.U8(i))
-		r.SetU8(2*i+1, b.U8(i))
+		r[2*i], r[2*i+1] = a[i], b[i]
 	}
 	return fault(u, faults.SiteConvert, r)
 }
@@ -135,8 +134,7 @@ func (u *Unit) UnpackhiEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPunpckhbw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU8(2*i, a.U8(8+i))
-		r.SetU8(2*i+1, b.U8(8+i))
+		r[2*i], r[2*i+1] = a[8+i], b[8+i]
 	}
 	return fault(u, faults.SiteConvert, r)
 }
@@ -260,7 +258,7 @@ func (u *Unit) SlliEpi16(a vec.V128, n uint) vec.V128 {
 		return r
 	}
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, a.U16(i)<<n)
+		r.SetU16(i, vec.U16At(&a, i)<<n)
 	}
 	return fault(u, faults.SiteConvert, r)
 }
@@ -273,7 +271,7 @@ func (u *Unit) SrliEpi16(a vec.V128, n uint) vec.V128 {
 		return r
 	}
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, a.U16(i)>>n)
+		r.SetU16(i, vec.U16At(&a, i)>>n)
 	}
 	return fault(u, faults.SiteConvert, r)
 }

@@ -53,33 +53,12 @@ func (u *Unit) AndnotPs(a, b vec.V128) vec.V128 {
 
 // --- Comparisons ---
 
-func mask8(c bool) uint8 {
-	if c {
-		return 0xFF
-	}
-	return 0
-}
-
-func mask16(c bool) uint16 {
-	if c {
-		return 0xFFFF
-	}
-	return 0
-}
-
-func mask32(c bool) uint32 {
-	if c {
-		return 0xFFFFFFFF
-	}
-	return 0
-}
-
 // CmpeqEpi8 compare equal bytes (_mm_cmpeq_epi8 / pcmpeqb).
 func (u *Unit) CmpeqEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpeqb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
-		r.SetU8(i, mask8(a.U8(i) == b.U8(i)))
+		r.SetU8(i, vec.Mask8(a[i] == b[i]))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -92,7 +71,7 @@ func (u *Unit) CmpgtEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpgtb)
 	var r vec.V128
 	for i := 0; i < 16; i++ {
-		r.SetU8(i, mask8(a.I8(i) > b.I8(i)))
+		r.SetU8(i, vec.Mask8(int8(a[i]) > int8(b[i])))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -102,7 +81,7 @@ func (u *Unit) CmpeqEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpeqw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, mask16(a.I16(i) == b.I16(i)))
+		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) == vec.I16At(&b, i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -112,7 +91,7 @@ func (u *Unit) CmpgtEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpgtw)
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, mask16(a.I16(i) > b.I16(i)))
+		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) > vec.I16At(&b, i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -122,7 +101,7 @@ func (u *Unit) CmpltEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpgtw) // assembles to pcmpgtw with swapped operands
 	var r vec.V128
 	for i := 0; i < 8; i++ {
-		r.SetU16(i, mask16(a.I16(i) < b.I16(i)))
+		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) < vec.I16At(&b, i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -132,7 +111,7 @@ func (u *Unit) CmpgtEpi32(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpgtd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, mask32(a.I32(i) > b.I32(i)))
+		r.SetU32(i, vec.Mask32(a.I32(i) > b.I32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -142,7 +121,7 @@ func (u *Unit) CmpeqEpi32(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpeqd)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, mask32(a.I32(i) == b.I32(i)))
+		r.SetU32(i, vec.Mask32(a.I32(i) == b.I32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -152,7 +131,7 @@ func (u *Unit) CmpgtPs(a, b vec.V128) vec.V128 {
 	u.rec(opCmppsGt)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, mask32(a.F32(i) > b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) > b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -162,7 +141,7 @@ func (u *Unit) CmpgePs(a, b vec.V128) vec.V128 {
 	u.rec(opCmppsGe)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, mask32(a.F32(i) >= b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) >= b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -172,7 +151,7 @@ func (u *Unit) CmpltPs(a, b vec.V128) vec.V128 {
 	u.rec(opCmppsLt)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, mask32(a.F32(i) < b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) < b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -182,7 +161,7 @@ func (u *Unit) CmpeqPs(a, b vec.V128) vec.V128 {
 	u.rec(opCmppsEq)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, mask32(a.F32(i) == b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) == b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -193,7 +172,7 @@ func (u *Unit) CmpneqPs(a, b vec.V128) vec.V128 {
 	u.rec(opCmppsNeq)
 	var r vec.V128
 	for i := 0; i < 4; i++ {
-		r.SetU32(i, mask32(a.F32(i) != b.F32(i)))
+		r.SetU32(i, vec.Mask32(a.F32(i) != b.F32(i)))
 	}
 	return fault(u, faults.SiteALU, r)
 }

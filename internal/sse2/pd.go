@@ -97,7 +97,7 @@ func (u *Unit) CmpordPs(a, b vec.V128) vec.V128 {
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		fa, fb := a.F32(i), b.F32(i)
-		r.SetU32(i, mask32(fa == fa && fb == fb))
+		r.SetU32(i, vec.Mask32(fa == fa && fb == fb))
 	}
 	return fault(u, faults.SiteALU, r)
 }
@@ -109,7 +109,7 @@ func (u *Unit) CmpunordPs(a, b vec.V128) vec.V128 {
 	var r vec.V128
 	for i := 0; i < 4; i++ {
 		fa, fb := a.F32(i), b.F32(i)
-		r.SetU32(i, mask32(fa != fa || fb != fb))
+		r.SetU32(i, vec.Mask32(fa != fa || fb != fb))
 	}
 	return fault(u, faults.SiteALU, r)
 }

@@ -65,11 +65,18 @@ func (u *Unit) Session(name string, parent *obs.Span) *obs.Span {
 
 // fault routes an intrinsic result (or store operand) through the unit's
 // fault hook, if any. It is the single choke point fault injection uses, so
-// every instrumented intrinsic is a potential fault site.
+// every instrumented intrinsic is a potential fault site. Only the nil
+// check inlines into the intrinsics; the hook call is out of line, so a
+// unit without an injector pays no call.
 func fault[V vec.V128 | vec.V64](u *Unit, site faults.Site, r V) V {
 	if u.F == nil {
 		return r
 	}
+	return injectFault(u, site, r)
+}
+
+// injectFault hands r to the unit's fault hook.
+func injectFault[V vec.V128 | vec.V64](u *Unit, site faults.Site, r V) V {
 	switch v := any(r).(type) {
 	case vec.V128:
 		return any(u.F.V128(site, v)).(V)
@@ -86,6 +93,11 @@ func skewed[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	if u.F == nil {
 		return p
 	}
+	return skew(u, site, p, need)
+}
+
+// skew asks the unit's fault hook for an address slip.
+func skew[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	if off := u.F.Skew(site, len(p)-need); off > 0 {
 		return p[off:]
 	}
@@ -206,9 +218,7 @@ func (u *Unit) LoadlEpi64U8(p []uint8) vec.V128 {
 	u.rec(opMovqLd)
 	p = skewed(u, faults.SiteLoad, p, 8)
 	var v vec.V128
-	for i := 0; i < 8; i++ {
-		v.SetU8(i, p[i])
-	}
+	copy(v[:8], p[:8])
 	return fault(u, faults.SiteLoad, v)
 }
 
@@ -293,9 +303,7 @@ func (u *Unit) StorelEpi64U8(p []uint8, v vec.V128) {
 	u.rec(opMovqSt)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
-	for i := 0; i < 8; i++ {
-		p[i] = v.U8(i)
-	}
+	copy(p[:8], v[:8])
 }
 
 // StorelEpi64S16 stores the low four int16 (_mm_storel_epi64 / movq).
@@ -409,10 +417,8 @@ func (u *Unit) ExtractEpi16(v vec.V128, lane int) int {
 func (u *Unit) MovemaskEpi8(v vec.V128) int {
 	u.rec(opPmovmskb)
 	m := 0
-	for i := 0; i < 16; i++ {
-		if v.U8(i)&0x80 != 0 {
-			m |= 1 << i
-		}
+	for i, x := range v {
+		m |= int(x>>7) << i
 	}
 	return m
 }

@@ -83,6 +83,17 @@ func (v V128) F64(i int) float64 { return math.Float64frombits(v.U64(i)) }
 // SetF64 sets 64-bit float lane i.
 func (v *V128) SetF64(i int, x float64) { v.SetU64(i, math.Float64bits(x)) }
 
+// U16At returns unsigned 16-bit lane i of *v. Lane loops read through it:
+// an inlined value-receiver accessor copies all 16 bytes of the register
+// on every call.
+func U16At(v *V128, i int) uint16 { return binary.LittleEndian.Uint16(v[2*i:]) }
+
+// I16At returns signed 16-bit lane i of *v, like U16At.
+func I16At(v *V128, i int) int16 { return int16(U16At(v, i)) }
+
+// U64At returns 64-bit lane i of *v, like U16At.
+func U64At(v *V128, i int) uint64 { return binary.LittleEndian.Uint64(v[8*i:]) }
+
 // Low returns the low 64 bits as a V64 (NEON: the D register aliasing the
 // low half of a Q register).
 func (v V128) Low() V64 {
@@ -264,7 +275,7 @@ func (v V128) ToI8x16() [16]int8 {
 func (v V128) ToU16x8() [8]uint16 {
 	var x [8]uint16
 	for i := range x {
-		x[i] = v.U16(i)
+		x[i] = U16At(&v, i)
 	}
 	return x
 }
@@ -273,7 +284,7 @@ func (v V128) ToU16x8() [8]uint16 {
 func (v V128) ToI16x8() [8]int16 {
 	var x [8]int16
 	for i := range x {
-		x[i] = v.I16(i)
+		x[i] = I16At(&v, i)
 	}
 	return x
 }
@@ -493,6 +504,88 @@ func Select(mask, a, b V128) V128 {
 	var r V128
 	for i := range r {
 		r[i] = (mask[i] & a[i]) | (^mask[i] & b[i])
+	}
+	return r
+}
+
+// --- branch-free integer lane helpers shared by both ISAs ---
+//
+// Emulated lane arithmetic must not branch on lane data: a per-lane
+// compare-and-jump mispredicts on pixel values and costs more than the
+// instruction it models. These helpers compute with masks instead.
+
+// bit is 1 for true and 0 for false; it compiles to SETcc, not a branch.
+func bit(c bool) uint8 {
+	var x uint8
+	if c {
+		x = 1
+	}
+	return x
+}
+
+// Mask8 widens a lane predicate to an all-ones (true) or all-zero byte
+// mask.
+func Mask8(c bool) uint8 { return -bit(c) }
+
+// Mask16 widens a lane predicate to a 16-bit lane mask.
+func Mask16(c bool) uint16 { return -uint16(bit(c)) }
+
+// Mask32 widens a lane predicate to a 32-bit lane mask.
+func Mask32(c bool) uint32 { return -uint32(bit(c)) }
+
+// hi8 holds the top bit of every byte of a 64-bit word.
+const hi8 = 0x8080808080808080
+
+// ltU8 returns, per byte of the 64-bit words a and b, 0xFF where a < b
+// (unsigned) and 0 elsewhere. The per-byte difference d is formed with
+// each lane's top bit set aside so no borrow crosses a lane (Hacker's
+// Delight §2-18); a lane's borrow out of bit 7 is then
+// (^a & b) | (^(a ^ b) & d) at that bit.
+func ltU8(a, b uint64) uint64 {
+	d := ((a | hi8) - (b &^ hi8)) ^ ((a ^ ^b) & hi8)
+	lt := ((^a & b) | (^(a ^ b) & d)) & hi8
+	return (lt >> 7) * 0xFF
+}
+
+// MinMaxU8x8 returns the per-byte unsigned minimum and maximum of the
+// 64-bit words x and y: eight byte lanes at once (vmin.u8/vmax.u8,
+// pminub/pmaxub). It inlines, so an intrinsic that loops over its two
+// words with U64At pays no call.
+func MinMaxU8x8(x, y uint64) (lo, hi uint64) {
+	swap := (x ^ y) & ltU8(x, y)
+	return y ^ swap, x ^ swap
+}
+
+// AbsDiffU8 returns the lane-wise unsigned byte |a-b| (vabd.u8, the
+// per-lane step of psadbw). max-min never borrows, so one 64-bit subtract
+// serves eight lanes.
+func AbsDiffU8(a, b V128) V128 {
+	var r V128
+	for i := 0; i < 2; i++ {
+		lo, hi := MinMaxU8x8(U64At(&a, i), U64At(&b, i))
+		r.SetU64(i, hi-lo)
+	}
+	return r
+}
+
+// MinI16 returns the lane-wise int16 minimum (vmin.s16, pminsw).
+func MinI16(a, b V128) V128 {
+	var r V128
+	for i := 0; i < 8; i++ {
+		x, y := int32(I16At(&a, i)), int32(I16At(&b, i))
+		d := x - y
+		r.SetI16(i, int16(y+d&(d>>31)))
+	}
+	return r
+}
+
+// MaxI16 returns the lane-wise int16 maximum (vmax.s16, pmaxsw).
+func MaxI16(a, b V128) V128 {
+	var r V128
+	for i := 0; i < 8; i++ {
+		x, y := int32(I16At(&a, i)), int32(I16At(&b, i))
+		d := x - y
+		r.SetI16(i, int16(x-d&(d>>31)))
 	}
 	return r
 }
