@@ -174,10 +174,15 @@ type Trace = trace.Counter
 
 // --- Intrinsic emulation layers (for writing custom kernels) ---
 
-// V128 is a 128-bit SIMD register value (XMM / NEON Q).
+// V128 is a 128-bit SIMD register value (XMM / NEON Q): a struct of two
+// little-endian words, Lo holding bytes 0-7 and Hi bytes 8-15, not a byte
+// array, so it is passed in machine registers. Build and read one through
+// the load and dup intrinsics or its lane methods (SetU8, U16, ToU8x16,
+// ...); it cannot be indexed or converted from [16]byte.
 type V128 = vec.V128
 
-// V64 is a 64-bit SIMD register value (MMX / NEON D).
+// V64 is a 64-bit SIMD register value (MMX / NEON D): a struct of one
+// little-endian word W, read and written through its lane accessors.
 type V64 = vec.V64
 
 // NEONUnit is the emulated NEON execution unit.

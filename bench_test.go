@@ -286,7 +286,7 @@ func BenchmarkHostGuardedMedianNEONEmu(b *testing.B) {
 func benchHostGuarded(b *testing.B, run func(o *Ops, src, dst *Mat) error) {
 	guarded := NewOps(ISANEON, nil)
 	guarded.SetGuarded(true)
-	benchHostTwin(b, run, guarded, NewOps(ISANEON, nil), "x-unguarded")
+	benchHostTwin(b, run, U8, guarded, NewOps(ISANEON, nil), "x-unguarded")
 }
 
 // BenchmarkHostMedianNEONEmu times the 640x480 emulated NEON median, the
@@ -295,17 +295,27 @@ func benchHostGuarded(b *testing.B, run func(o *Ops, src, dst *Mat) error) {
 // pixel data or an out-of-line fault-hook call per intrinsic measure
 // 2.2-2.4x.
 func BenchmarkHostMedianNEONEmu(b *testing.B) {
-	benchHostTwin(b, (*Ops).MedianBlur3x3, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
+	benchHostTwin(b, (*Ops).MedianBlur3x3, U8, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
 }
 
-// benchHostTwin times run on a 640x480 image with timed. Each iteration
-// also runs it with twin, off the benchmark clock, and reports timed over
-// twin time as metric; interleaving the two keeps host drift out of the
-// ratio.
-func benchHostTwin(b *testing.B, run func(o *Ops, src, dst *Mat) error, timed, twin *Ops, metric string) {
+// BenchmarkHostSobelNEONEmu times the 640x480 emulated NEON x-gradient
+// Sobel, a 16-bit stencil: widening subtracts, then int16 adds and shifts
+// over S16 rows. x-scalar reports its time over the scalar build's. CI
+// fails above 3.0: with registers passed in memory and a lane loop per
+// 16-bit op it measured 7-9x.
+func BenchmarkHostSobelNEONEmu(b *testing.B) {
+	sobelX := func(o *Ops, src, dst *Mat) error { return o.SobelFilter(src, dst, 1, 0) }
+	benchHostTwin(b, sobelX, S16, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
+}
+
+// benchHostTwin times run on a 640x480 image with timed, into a destination
+// of kind dstKind. Each iteration also runs it with twin, off the benchmark
+// clock, and reports timed over twin time as metric; interleaving the two
+// keeps host drift out of the ratio.
+func benchHostTwin(b *testing.B, run func(o *Ops, src, dst *Mat) error, dstKind image.Type, timed, twin *Ops, metric string) {
 	res := Resolution{Width: 640, Height: 480}
 	src := Synthetic(res, 1)
-	dst := NewMat(640, 480, U8)
+	dst := NewMat(640, 480, dstKind)
 	var tTwin, tTimed time.Duration
 	b.SetBytes(int64(src.Bytes()))
 	b.ResetTimer()

@@ -15,7 +15,7 @@ func TestQuickCrossISAByteOps(t *testing.T) {
 	n := NewNEON(nil)
 	s := NewSSE2(nil)
 	f := func(ab, bb [16]byte) bool {
-		a, b := vec.V128(ab), vec.V128(bb)
+		a, b := vec.FromU8x16(ab), vec.FromU8x16(bb)
 		if n.VminqU8(a, b) != s.MinEpu8(a, b) {
 			return false
 		}
@@ -88,7 +88,7 @@ func TestQuickCrossISABitwise(t *testing.T) {
 	n := NewNEON(nil)
 	s := NewSSE2(nil)
 	f := func(ab, bb [16]byte) bool {
-		a, b := vec.V128(ab), vec.V128(bb)
+		a, b := vec.FromU8x16(ab), vec.FromU8x16(bb)
 		if n.VandqU8(a, b) != s.AndSi128(a, b) {
 			return false
 		}

@@ -123,7 +123,7 @@ type persistentCorruptor struct{ site faults.Site }
 
 func (c persistentCorruptor) V128(site faults.Site, v vec.V128) vec.V128 {
 	if site == c.site {
-		v[0] ^= 0x40
+		v.SetU8(0, v.U8(0)^0x40)
 	}
 	return v
 }

@@ -124,10 +124,25 @@ func gaussHorizScalarRow(b *Ops, a gaussArgs, y int) {
 	w := a.w
 	row := a.src[y*w : (y+1)*w]
 	out := a.dst[y*w : (y+1)*w]
-	for x := 0; x < w; x++ {
-		out[x] = gaussPixelH(row, w, x)
+	for x := range out {
+		if x < 3 || x+3 >= w {
+			out[x] = gaussPixelH(row, w, x)
+			continue
+		}
+		// Interior: all seven taps in range, no clamping needed.
+		out[x] = gaussTaps((*[7]uint8)(row[x-3 : x+4]))
 	}
 	b.gaussScalarRowCost(uint64(w))
+}
+
+// gaussTaps filters seven in-range taps exactly as gaussPixelH and
+// gaussPixelV do.
+func gaussTaps(t *[7]uint8) uint8 {
+	var acc uint32
+	for k, v := range t {
+		acc += uint32(GaussKernel7[k]) * uint32(v)
+	}
+	return uint8((acc + 1<<(gaussShift-1)) >> gaussShift)
 }
 
 func (o *Ops) gaussVertScalar(src, dst *image.Mat) {
@@ -137,8 +152,17 @@ func (o *Ops) gaussVertScalar(src, dst *image.Mat) {
 
 func gaussVertScalarRow(b *Ops, a gaussArgs, y int) {
 	w, h := a.w, a.h
-	for x := 0; x < w; x++ {
-		a.dst[y*w+x] = gaussPixelV(a.src, w, h, x, y)
+	// The clamped rows gaussPixelV reads, clamped once per row rather
+	// than per pixel.
+	var r [7][]uint8
+	for k := range r {
+		ry := clampIdx(y+k-3, h)
+		r[k] = a.src[ry*w : (ry+1)*w]
+	}
+	out := a.dst[y*w : (y+1)*w]
+	for x := range out {
+		t := [7]uint8{r[0][x], r[1][x], r[2][x], r[3][x], r[4][x], r[5][x], r[6][x]}
+		out[x] = gaussTaps(&t)
 	}
 	b.gaussScalarRowCost(uint64(w))
 }

@@ -30,7 +30,7 @@ func (c *corruptor) V128(site faults.Site, v vec.V128) vec.V128 {
 	if c.remaining > 0 {
 		c.remaining--
 	}
-	v[0] ^= 0x40
+	v.SetU8(0, v.U8(0)^0x40)
 	return v
 }
 

@@ -48,35 +48,43 @@ func (o *Ops) MedianBlur3x3(src, dst *image.Mat) (err error) {
 }
 
 // median9 runs the canonical 19-comparator median-of-9 exchange network
+// (Smith/Paeth) over p; see medianOf9.
+func median9(p *[9]uint8) uint8 {
+	return medianOf9(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7], p[8])
+}
+
+// medianOf9 runs the canonical 19-comparator median-of-9 exchange network
 // (Smith/Paeth); the SIMD paths run the identical network lane-wise, so
 // every path is bit-exact. Each exchange is a branch-free min/max pair:
-// a compare-and-swap would branch on pixel data and mispredict.
-func median9(p *[9]uint8) uint8 {
-	op := func(a, b int) {
-		x, y := int32(p[a]), int32(p[b])
-		d := (x - y) & ((x - y) >> 31) // x-y where x < y, else 0
-		p[a], p[b] = uint8(y+d), uint8(x-d)
-	}
-	op(1, 2)
-	op(4, 5)
-	op(7, 8)
-	op(0, 1)
-	op(3, 4)
-	op(6, 7)
-	op(1, 2)
-	op(4, 5)
-	op(7, 8)
-	op(0, 3)
-	op(5, 8)
-	op(4, 7)
-	op(3, 6)
-	op(1, 4)
-	op(2, 5)
-	op(4, 7)
-	op(4, 2)
-	op(6, 4)
-	op(4, 2)
-	return p[4]
+// a compare-and-swap would branch on pixel data and mispredict. The nine
+// values arrive and stay in registers, not in an array in memory.
+func medianOf9(p0, p1, p2, p3, p4, p5, p6, p7, p8 uint8) uint8 {
+	p1, p2 = sort2(p1, p2)
+	p4, p5 = sort2(p4, p5)
+	p7, p8 = sort2(p7, p8)
+	p0, p1 = sort2(p0, p1)
+	p3, p4 = sort2(p3, p4)
+	p6, p7 = sort2(p6, p7)
+	p1, p2 = sort2(p1, p2)
+	p4, p5 = sort2(p4, p5)
+	p7, p8 = sort2(p7, p8)
+	p0, p3 = sort2(p0, p3)
+	p5, p8 = sort2(p5, p8)
+	p4, p7 = sort2(p4, p7)
+	p3, p6 = sort2(p3, p6)
+	p1, p4 = sort2(p1, p4)
+	p2, p5 = sort2(p2, p5)
+	p4, p7 = sort2(p4, p7)
+	p4, p2 = sort2(p4, p2)
+	p6, p4 = sort2(p6, p4)
+	p4, _ = sort2(p4, p2)
+	return p4
+}
+
+// sort2 returns the smaller and the larger of x and y without a branch.
+func sort2(x, y uint8) (lo, hi uint8) {
+	d := (int32(x) - int32(y)) & ((int32(x) - int32(y)) >> 31) // x-y where x < y, else 0
+	return uint8(int32(y) + d), uint8(int32(x) - d)
 }
 
 func medianPixel(pix []uint8, w, h, x, y int) uint8 {
@@ -106,8 +114,15 @@ func (o *Ops) medianScalar(src, dst *image.Mat) {
 
 func medianScalarRow(b *Ops, a medianArgs, y int) {
 	w, h := a.w, a.h
-	for x := 0; x < w; x++ {
-		a.dst[y*w+x] = medianPixel(a.src, w, h, x, y)
+	r0 := a.src[clampIdx(y-1, h)*w:][:w]
+	r1 := a.src[y*w:][:w]
+	r2 := a.src[clampIdx(y+1, h)*w:][:w]
+	out := a.dst[y*w : (y+1)*w]
+	for x := range out {
+		// The clamped neighbourhood medianPixel gathers, with the rows
+		// clamped once per row rather than per pixel.
+		xl, xr := max(x-1, 0), min(x+1, w-1)
+		out[x] = medianOf9(r0[xl], r0[x], r0[xr], r1[xl], r1[x], r1[xr], r2[xl], r2[x], r2[xr])
 	}
 	if b.T != nil {
 		px := uint64(w)

@@ -241,7 +241,7 @@ func (p *Plan) V128(site Site, v vec.V128) vec.V128 {
 	switch kind {
 	case KindBitFlip:
 		bit := int(p.next() % 128)
-		v[bit/8] ^= 1 << (bit % 8)
+		v.SetU8(bit/8, v.U8(bit/8)^1<<(bit%8))
 		p.record(site, kind, bit)
 	case KindNaN:
 		lane := int(p.next() % 4)
@@ -269,7 +269,7 @@ func (p *Plan) V64(site Site, v vec.V64) vec.V64 {
 	switch kind {
 	case KindBitFlip:
 		bit := int(p.next() % 64)
-		v[bit/8] ^= 1 << (bit % 8)
+		v.SetU8(bit/8, v.U8(bit/8)^1<<(bit%8))
 		p.record(site, kind, bit)
 	case KindNaN:
 		lane := int(p.next() % 2)

@@ -80,9 +80,9 @@ func TestKinds(t *testing.T) {
 		v := vec.Zero()
 		got := p.V128(SiteALU, v)
 		diff := 0
-		for i := range got {
+		for i := 0; i < 16; i++ {
 			for b := 0; b < 8; b++ {
-				if (got[i]^v[i])&(1<<b) != 0 {
+				if (got.U8(i)^v.U8(i))&(1<<b) != 0 {
 					diff++
 				}
 			}

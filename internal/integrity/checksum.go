@@ -89,6 +89,67 @@ func matBlockSum(m *image.Mat, lo, hi int) uint32 {
 	return h
 }
 
+// matBlockSum4 hashes the four consecutive full blocks of block elements
+// starting at lo. Each FNV-1a chain is one dependent multiply per byte, so
+// hashing one block at a time leaves the multiplier idle between steps;
+// four independent chains in one loop overlap. The sums equal four
+// matBlockSum calls.
+func matBlockSum4(m *image.Mat, lo, block int) (s [4]uint32) {
+	h0, h1, h2, h3 := fnvOffset, fnvOffset, fnvOffset, fnvOffset
+	switch m.Kind {
+	case image.U8:
+		p := m.U8Pix[lo : lo+4*block]
+		a, b, c, d := p[:block], p[block:2*block], p[2*block:3*block], p[3*block:]
+		for i, v := range a {
+			h0 = hashU8(h0, v)
+			h1 = hashU8(h1, b[i])
+			h2 = hashU8(h2, c[i])
+			h3 = hashU8(h3, d[i])
+		}
+	case image.S16:
+		p := m.S16Pix[lo : lo+4*block]
+		a, b, c, d := p[:block], p[block:2*block], p[2*block:3*block], p[3*block:]
+		for i, v := range a {
+			h0 = hashU16(h0, uint16(v))
+			h1 = hashU16(h1, uint16(b[i]))
+			h2 = hashU16(h2, uint16(c[i]))
+			h3 = hashU16(h3, uint16(d[i]))
+		}
+	case image.F32:
+		p := m.F32Pix[lo : lo+4*block]
+		a, b, c, d := p[:block], p[block:2*block], p[2*block:3*block], p[3*block:]
+		for i, v := range a {
+			h0 = hashU32(h0, math.Float32bits(v))
+			h1 = hashU32(h1, math.Float32bits(b[i]))
+			h2 = hashU32(h2, math.Float32bits(c[i]))
+			h3 = hashU32(h3, math.Float32bits(d[i]))
+		}
+	}
+	return [4]uint32{h0, h1, h2, h3}
+}
+
+// blockSums calls f, in block order until it returns false, with the
+// index and sum of blocks 0..count-1 of m's active plane: block i covers
+// elements [i*block, min((i+1)*block, n)). Runs of four full blocks hash
+// together (matBlockSum4); the rest, a short final block included, hash
+// one at a time.
+func blockSums(m *image.Mat, block, n, count int, f func(i int, sum uint32) bool) {
+	i := 0
+	for ; block > 0 && i+4 <= count && (i+4)*block <= n; i += 4 {
+		for k, sum := range matBlockSum4(m, i*block, block) {
+			if !f(i+k, sum) {
+				return
+			}
+		}
+	}
+	for ; i < count; i++ {
+		lo := i * block
+		if !f(i, matBlockSum(m, lo, min(lo+block, n))) {
+			return
+		}
+	}
+}
+
 func matLen(m *image.Mat) int {
 	switch m.Kind {
 	case image.U8:
@@ -115,9 +176,10 @@ func SumMat(m *image.Mat, blockRows int) PlaneSum {
 	}
 	n := matLen(m)
 	ps := PlaneSum{Block: block, Total: n}
-	for lo := 0; lo < n; lo += block {
-		ps.Sums = append(ps.Sums, matBlockSum(m, lo, min(lo+block, n)))
-	}
+	blockSums(m, block, n, (n+block-1)/block, func(_ int, sum uint32) bool {
+		ps.Sums = append(ps.Sums, sum)
+		return true
+	})
 	return ps
 }
 
@@ -127,14 +189,19 @@ func (p PlaneSum) VerifyMat(m *image.Mat) error {
 	if matLen(m) != p.Total {
 		return &ChecksumError{Block: -1, Lo: p.Total, Hi: matLen(m)}
 	}
-	for i, want := range p.Sums {
-		lo := i * p.Block
-		hi := min(lo+p.Block, p.Total)
-		if matBlockSum(m, lo, hi) != want {
-			return &ChecksumError{Block: i, Lo: lo, Hi: hi}
+	bad := -1
+	blockSums(m, p.Block, p.Total, len(p.Sums), func(i int, sum uint32) bool {
+		if sum != p.Sums[i] {
+			bad = i
+			return false
 		}
+		return true
+	})
+	if bad < 0 {
+		return nil
 	}
-	return nil
+	lo := bad * p.Block
+	return &ChecksumError{Block: bad, Lo: lo, Hi: min(lo+p.Block, p.Total)}
 }
 
 // Fold64 collapses the fingerprint into a single 64-bit FNV-1a value

@@ -23,11 +23,7 @@ func (u *Unit) VaddqF32(a, b vec.V128) vec.V128 {
 // VaddqS16 adds eight int16 lanes with wraparound (vadd.i16).
 func (u *Unit) VaddqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVaddI16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, vec.I16At(&a, i)+vec.I16At(&b, i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(a, b))
 }
 
 // VaddqS32 adds four int32 lanes with wraparound (vadd.i32).
@@ -43,31 +39,19 @@ func (u *Unit) VaddqS32(a, b vec.V128) vec.V128 {
 // VaddqU8 adds sixteen uint8 lanes with wraparound (vadd.i8).
 func (u *Unit) VaddqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVaddI8)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, a.U8(i)+b.U8(i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU8(a, b))
 }
 
 // VaddqU16 adds eight uint16 lanes with wraparound (vadd.i16).
 func (u *Unit) VaddqU16(a, b vec.V128) vec.V128 {
 	u.rec(opVaddI16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, a.U16(i)+b.U16(i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(a, b))
 }
 
 // VqaddqS16 adds with signed saturation (vqadd.s16).
 func (u *Unit) VqaddqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVqaddS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, sat.AddInt16(a.I16(i), b.I16(i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddSatI16(a, b))
 }
 
 // VqaddqU8 adds with unsigned saturation (vqadd.u8).
@@ -84,11 +68,7 @@ func (u *Unit) VqaddqU8(a, b vec.V128) vec.V128 {
 // (vaddl.u8 q, d, d).
 func (u *Unit) VaddlU8(a, b vec.V64) vec.V128 {
 	u.rec(opVaddlU8)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, uint16(a[i])+uint16(b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(vec.WidenU8(a), vec.WidenU8(b)))
 }
 
 // VaddlS16 widens and adds int16 pairs into int32 lanes (vaddl.s16).
@@ -105,11 +85,7 @@ func (u *Unit) VaddlS16(a, b vec.V64) vec.V128 {
 // (vaddw.u8).
 func (u *Unit) VaddwU8(a vec.V128, b vec.V64) vec.V128 {
 	u.rec(opVaddwU8)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.U16At(&a, i)+uint16(b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(a, vec.WidenU8(b)))
 }
 
 // VhaddqU8 halving add: (a+b)>>1 without overflow (vhadd.u8).
@@ -177,21 +153,13 @@ func (u *Unit) VsubqF32(a, b vec.V128) vec.V128 {
 // VsubqS16 subtracts eight int16 lanes with wraparound (vsub.i16).
 func (u *Unit) VsubqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVsubI16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, vec.I16At(&a, i)-vec.I16At(&b, i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.SubU16(a, b))
 }
 
 // VqsubqS16 subtracts with signed saturation (vqsub.s16).
 func (u *Unit) VqsubqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVqsubS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, sat.SubInt16(a.I16(i), b.I16(i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.SubSatI16(a, b))
 }
 
 // VqsubqU8 subtracts with unsigned saturation (vqsub.u8).
@@ -209,11 +177,7 @@ func (u *Unit) VqsubqU8(a, b vec.V128) vec.V128 {
 // form pixel differences without overflow.
 func (u *Unit) VsublU8(a, b vec.V64) vec.V128 {
 	u.rec(opVsublU8)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, int16(uint16(a.U8(i)))-int16(uint16(b.U8(i))))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.SubU16(vec.WidenU8(a), vec.WidenU8(b)))
 }
 
 // VsublS16 widening subtract of int16 D registers into int32 lanes.
@@ -241,11 +205,7 @@ func (u *Unit) VmulqF32(a, b vec.V128) vec.V128 {
 // VmulqS16 multiplies eight int16 lanes, low half kept (vmul.i16).
 func (u *Unit) VmulqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVmulI16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)*b.I16(i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MulLoU16(a, b))
 }
 
 // VmulqNF32 multiplies by a scalar (vmul.f32 q, q, d[0]).
@@ -261,21 +221,13 @@ func (u *Unit) VmulqNF32(a vec.V128, s float32) vec.V128 {
 // VmulqNS16 multiplies eight int16 lanes by a scalar.
 func (u *Unit) VmulqNS16(a vec.V128, s int16) vec.V128 {
 	u.rec(opVmulI16N)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)*s)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MulLoU16(a, vec.Splat16(uint16(s))))
 }
 
 // VmulqNU16 multiplies eight uint16 lanes by a scalar.
 func (u *Unit) VmulqNU16(a vec.V128, s uint16) vec.V128 {
 	u.rec(opVmulI16N)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, a.U16(i)*s)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MulLoU16(a, vec.Splat16(s)))
 }
 
 // VmlaqF32 fused multiply-accumulate a + b*c (vmla.f32).
@@ -301,43 +253,27 @@ func (u *Unit) VmlaqNF32(a, b vec.V128, s float32) vec.V128 {
 // VmlaqS16 multiply-accumulate a + b*c on int16 lanes (vmla.i16).
 func (u *Unit) VmlaqS16(a, b, c vec.V128) vec.V128 {
 	u.rec(opVmlaI16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)+b.I16(i)*c.I16(i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(a, vec.MulLoU16(b, c)))
 }
 
 // VmlaqNU16 multiply-accumulate with scalar on uint16 lanes. The fixed
 // point Gaussian row filter accumulates weighted taps with this.
 func (u *Unit) VmlaqNU16(a, b vec.V128, s uint16) vec.V128 {
 	u.rec(opVmlaI16N)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, a.U16(i)+b.U16(i)*s)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(a, vec.MulLoU16(b, vec.Splat16(s))))
 }
 
 // VmlaqNS16 multiply-accumulate with scalar on int16 lanes.
 func (u *Unit) VmlaqNS16(a, b vec.V128, s int16) vec.V128 {
 	u.rec(opVmlaI16N)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)+b.I16(i)*s)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(a, vec.MulLoU16(b, vec.Splat16(uint16(s)))))
 }
 
 // VmlalU8 widening multiply-accumulate: acc + a*b into uint16 lanes
 // (vmlal.u8).
 func (u *Unit) VmlalU8(acc vec.V128, a, b vec.V64) vec.V128 {
 	u.rec(opVmlalU8)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.U16At(&acc, i)+uint16(a[i])*uint16(b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(acc, vec.MulLoU16(vec.WidenU8(a), vec.WidenU8(b))))
 }
 
 // VmlalS16 widening multiply-accumulate into int32 lanes (vmlal.s16).
@@ -354,11 +290,7 @@ func (u *Unit) VmlalS16(acc vec.V128, a, b vec.V64) vec.V128 {
 // (vmull.u8).
 func (u *Unit) VmullU8(a, b vec.V64) vec.V128 {
 	u.rec(opVmullU8)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, uint16(a[i])*uint16(b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MulLoU16(vec.WidenU8(a), vec.WidenU8(b)))
 }
 
 // VmullS16 widening multiply of int16 D registers into int32 lanes
@@ -387,23 +319,13 @@ func (u *Unit) VmlsqF32(a, b, c vec.V128) vec.V128 {
 // VabsqS16 lane-wise absolute value with wraparound at MinInt16 (vabs.s16).
 func (u *Unit) VabsqS16(a vec.V128) vec.V128 {
 	u.rec(opVabsS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		v := vec.I16At(&a, i)
-		m := v >> 15
-		r.SetI16(i, (v^m)-m) // MinInt16 wraps, matching hardware
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AbsI16(a)) // MinInt16 wraps, matching hardware
 }
 
 // VqabsqS16 saturating absolute value (vqabs.s16).
 func (u *Unit) VqabsqS16(a vec.V128) vec.V128 {
 	u.rec(opVqabsS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, sat.AbsInt16(vec.I16At(&a, i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AbsSatI16(a))
 }
 
 // VabsqF32 lane-wise float absolute value (vabs.f32).
@@ -425,11 +347,7 @@ func (u *Unit) VabdqU8(a, b vec.V128) vec.V128 {
 // VabaqU8 absolute difference and accumulate: acc + |a-b| (vaba.u8).
 func (u *Unit) VabaqU8(acc, a, b vec.V128) vec.V128 {
 	u.rec(opVabaU8)
-	r := vec.AbsDiffU8(a, b)
-	for i := range r {
-		r[i] += acc[i]
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU8(acc, vec.AbsDiffU8(a, b)))
 }
 
 // --- Min / Max ---
@@ -438,23 +356,13 @@ func (u *Unit) VabaqU8(acc, a, b vec.V128) vec.V128 {
 // threshold benchmark reduces to exactly this instruction.
 func (u *Unit) VminqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVminU8)
-	var r vec.V128
-	for i := 0; i < 2; i++ {
-		lo, _ := vec.MinMaxU8x8(vec.U64At(&a, i), vec.U64At(&b, i))
-		r.SetU64(i, lo)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MinU8(a, b))
 }
 
 // VmaxqU8 lane-wise unsigned byte maximum (vmax.u8).
 func (u *Unit) VmaxqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVmaxU8)
-	var r vec.V128
-	for i := 0; i < 2; i++ {
-		_, hi := vec.MinMaxU8x8(vec.U64At(&a, i), vec.U64At(&b, i))
-		r.SetU64(i, hi)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MaxU8(a, b))
 }
 
 // VminqS16 lane-wise int16 minimum (vmin.s16).

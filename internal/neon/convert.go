@@ -87,22 +87,14 @@ func (u *Unit) VqmovnS32(a vec.V128) vec.V64 {
 // (vqmovn.s16).
 func (u *Unit) VqmovnS16(a vec.V128) vec.V64 {
 	u.rec(opVqmovnS16)
-	var r vec.V64
-	for i := 0; i < 8; i++ {
-		r.SetI8(i, sat.NarrowInt16ToInt8(a.I16(i)))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.SatI8I16(a))
 }
 
 // VqmovunS16 saturating narrow signed to unsigned: int16 lanes to uint8
 // (vqmovun.s16). Used when converting filtered results back to pixels.
 func (u *Unit) VqmovunS16(a vec.V128) vec.V64 {
 	u.rec(opVqmovunS16)
-	var r vec.V64
-	for i := 0; i < 8; i++ {
-		r.SetU8(i, sat.NarrowInt16ToUint8(a.I16(i)))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.SatU8I16(a))
 }
 
 // VqmovnU16 saturating narrow: uint16 lanes to uint8 (vqmovn.u16).
@@ -128,11 +120,7 @@ func (u *Unit) VmovnS32(a vec.V128) vec.V64 {
 // VmovnU16 truncating narrow: low bytes of uint16 lanes (vmovn.i16).
 func (u *Unit) VmovnU16(a vec.V128) vec.V64 {
 	u.rec(opVmovnI16)
-	var r vec.V64
-	for i := 0; i < 8; i++ {
-		r[i] = uint8(vec.U16At(&a, i))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.NarrowU16(a))
 }
 
 // --- Widening moves ---
@@ -140,11 +128,7 @@ func (u *Unit) VmovnU16(a vec.V128) vec.V64 {
 // VmovlU8 widens eight bytes to eight uint16 lanes (vmovl.u8).
 func (u *Unit) VmovlU8(a vec.V64) vec.V128 {
 	u.rec(opVmovlU8)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, uint16(a.U8(i)))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.WidenU8(a))
 }
 
 // VmovlS8 widens eight signed bytes to int16 lanes (vmovl.s8).
@@ -182,31 +166,19 @@ func (u *Unit) VmovlU16(a vec.V64) vec.V128 {
 // VshlqNS16 shift left by constant (vshl.i16 #n).
 func (u *Unit) VshlqNS16(a vec.V128, n uint) vec.V128 {
 	u.rec(opVshlI16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, vec.I16At(&a, i)<<n)
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.ShlU16(a, n))
 }
 
 // VshrqNS16 arithmetic shift right by constant (vshr.s16 #n).
 func (u *Unit) VshrqNS16(a vec.V128, n uint) vec.V128 {
 	u.rec(opVshrS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)>>n)
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.SarI16(a, n))
 }
 
 // VshrqNU16 logical shift right by constant (vshr.u16 #n).
 func (u *Unit) VshrqNU16(a vec.V128, n uint) vec.V128 {
 	u.rec(opVshrU16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, a.U16(i)>>n)
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.ShrU16(a, n))
 }
 
 // VshrqNU8 logical shift right bytes by constant (vshr.u8 #n).
@@ -222,11 +194,7 @@ func (u *Unit) VshrqNU8(a vec.V128, n uint) vec.V128 {
 // VrshrqNU16 rounding shift right: (a + (1<<(n-1))) >> n (vrshr.u16 #n).
 func (u *Unit) VrshrqNU16(a vec.V128, n uint) vec.V128 {
 	u.rec(opVrshrU16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, uint16((uint32(a.U16(i))+(1<<(n-1)))>>n))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.RoundShrU16(a, n))
 }
 
 // VrshrqNS32 rounding arithmetic shift right on int32 lanes (vrshr.s32 #n).
@@ -243,12 +211,8 @@ func (u *Unit) VrshrqNS32(a vec.V128, n uint) vec.V128 {
 // register (vrshrn.u16 #n). The fixed-point Gaussian uses this to rescale.
 func (u *Unit) VrshrnNU16(a vec.V128, n uint) vec.V64 {
 	u.rec(opVrshrnU16)
-	var r vec.V64
-	for i := 0; i < 8; i++ {
-		v := (uint32(vec.U16At(&a, i)) + (1 << (n - 1))) >> n
-		r[i] = uint8(v) // vrshrn truncates; callers keep values in range
-	}
-	return fault(u, faults.SiteConvert, r)
+	// vrshrn truncates; callers keep values in range.
+	return fault(u, faults.SiteConvert, vec.NarrowU16(vec.RoundShrU16(a, n)))
 }
 
 // VqrshrnNS32 saturating rounding shift right narrow: int32 to int16
@@ -298,9 +262,5 @@ func (u *Unit) VshlqS16(a, shifts vec.V128) vec.V128 {
 // VsraqNS16 shift right and accumulate (vsra.s16 #n).
 func (u *Unit) VsraqNS16(acc, a vec.V128, n uint) vec.V128 {
 	u.rec(opVsraS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, acc.I16(i)+(a.I16(i)>>n))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.AddU16(acc, vec.SarI16(a, n)))
 }

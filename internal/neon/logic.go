@@ -84,81 +84,49 @@ func (u *Unit) VbslqF32(mask, a, b vec.V128) vec.V128 {
 // VcgtqU8 compare greater-than, unsigned bytes (vcgt.u8).
 func (u *Unit) VcgtqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVcgtU8)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, vec.Mask8(a[i] > b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.GtU8(a, b))
 }
 
 // VcgeqU8 compare greater-or-equal, unsigned bytes (vcge.u8).
 func (u *Unit) VcgeqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVcgeU8)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, vec.Mask8(a[i] >= b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.Not(vec.GtU8(b, a)))
 }
 
 // VcltqU8 compare less-than, unsigned bytes (vclt.u8).
 func (u *Unit) VcltqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVcltU8)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, vec.Mask8(a[i] < b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.GtU8(b, a))
 }
 
 // VceqqU8 compare equal, bytes (vceq.i8).
 func (u *Unit) VceqqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVceqI8)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, vec.Mask8(a[i] == b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.EqU8(a, b))
 }
 
 // VcgtqS16 compare greater-than, int16 (vcgt.s16).
 func (u *Unit) VcgtqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVcgtS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) > vec.I16At(&b, i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.GtI16(a, b))
 }
 
 // VcgeqS16 compare greater-or-equal, int16 (vcge.s16).
 func (u *Unit) VcgeqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVcgeS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) >= vec.I16At(&b, i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.Not(vec.GtI16(b, a)))
 }
 
 // VcltqS16 compare less-than, int16 (vclt.s16).
 func (u *Unit) VcltqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVcltS16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) < vec.I16At(&b, i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.GtI16(b, a))
 }
 
 // VceqqS16 compare equal, int16 (vceq.i16).
 func (u *Unit) VceqqS16(a, b vec.V128) vec.V128 {
 	u.rec(opVceqI16)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) == vec.I16At(&b, i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.EqU16(a, b))
 }
 
 // VcgtqF32 compare greater-than, float (vcgt.f32).
@@ -221,9 +189,5 @@ func (u *Unit) VcagtqF32(a, b vec.V128) vec.V128 {
 // VtstqU8 test bits: lane mask set where a&b is nonzero (vtst.8).
 func (u *Unit) VtstqU8(a, b vec.V128) vec.V128 {
 	u.rec(opVtst8)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, vec.Mask8(a[i]&b[i] != 0))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.TestU8(a, b))
 }

@@ -40,6 +40,11 @@ type Unit struct {
 	// pooled count array only while counts are pending, so an untraced
 	// unit carries none.
 	tl trace.Tally
+
+	// cnt caches tl's count array while tl is bound to T, so a traced
+	// record is one inline increment. Flush and Share clear it; flush the
+	// unit before pointing T at another counter.
+	cnt *[trace.MaxOps]uint64
 }
 
 // New returns a Unit recording into t (which may be nil).
@@ -103,7 +108,10 @@ func skewed[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	return skew(u, site, p, need)
 }
 
-// skew asks the unit's fault hook for an address slip.
+// skew asks the unit's fault hook for an address slip. It stays out of
+// line so skewed, and with it every load and store, inlines.
+//
+//go:noinline
 func skew[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	if off := u.F.Skew(site, len(p)-need); off > 0 {
 		return p[off:]
@@ -111,16 +119,32 @@ func skew[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	return p
 }
 
-// rec notes one retired instruction. Only the nil check inlines into the
-// intrinsics, so an untraced unit pays no call.
+// rec notes one retired instruction. It inlines into the intrinsics: once
+// the tally is bound, a traced record is one increment of the cached count
+// array, and an untraced unit pays two nil checks and no call.
 func (u *Unit) rec(id trace.OpID) {
-	if u.T != nil {
+	if u.cnt != nil {
+		u.cnt[id]++
+	} else if u.T != nil {
 		u.tally(id)
 	}
 }
 
-// tally counts one retired instruction in the unit's tally.
-func (u *Unit) tally(id trace.OpID) { u.tl.Inc(u.T, id) }
+// tally counts one retired instruction in the unit's tally and caches the
+// count array it is now bound to.
+func (u *Unit) tally(id trace.OpID) {
+	u.tl.Inc(u.T, id)
+	u.bind()
+}
+
+// bind caches the count array the tally is bound to, if any. It writes
+// only a bound array: a shared unit's tally never binds, so its
+// concurrent records leave cnt untouched.
+func (u *Unit) bind() {
+	if n := u.tl.Counts(u.T); n != nil {
+		u.cnt = n
+	}
+}
 
 // Count notes n retired instances of id with no sequence capture: bulk
 // accounting for instructions the caller models rather than emulates,
@@ -135,23 +159,42 @@ func (u *Unit) Count(id trace.OpID, n uint64) {
 // records into a private, unsynchronized tally, so T reads stale until the
 // unit is flushed: internal/cv flushes as each pass completes, and callers
 // that drive a unit directly flush before reading T. Flush is idempotent.
-func (u *Unit) Flush() { u.tl.Flush() }
+func (u *Unit) Flush() {
+	u.cnt = nil
+	u.tl.Flush()
+}
 
 // Share makes the unit safe to record from several goroutines at once:
 // each instruction then goes straight into T under T's lock instead of into
 // the private tally. Call it before the unit is shared.
-func (u *Unit) Share() { u.tl.Share() }
+func (u *Unit) Share() {
+	u.cnt = nil
+	u.tl.Share()
+}
 
 // Overhead records loop/address bookkeeping instructions that surround the
 // intrinsic body in compiled code: the paper's Section V counts 6 such
 // instructions (address adds, compare, branch, moves) per 8-pixel iteration.
 func (u *Unit) Overhead(addrCalcs, branches, moves int) {
-	if u.T == nil {
+	if u.T != nil {
+		u.overhead(addrCalcs, branches, moves)
+	}
+}
+
+// overhead tallies Overhead's instructions, out of line so the nil check
+// inlines: into the cached count array when the tally is bound, through
+// the tally (which binds it) otherwise.
+func (u *Unit) overhead(addrCalcs, branches, moves int) {
+	if n := u.cnt; n != nil {
+		n[opAddMovAddr] += uint64(addrCalcs)
+		n[opCmpB] += uint64(branches)
+		n[opMov] += uint64(moves)
 		return
 	}
 	u.tl.Add(u.T, opAddMovAddr, uint64(addrCalcs))
 	u.tl.Add(u.T, opCmpB, uint64(branches))
 	u.tl.Add(u.T, opMov, uint64(moves))
+	u.bind()
 }
 
 // --- Data movement: loads ---
@@ -174,18 +217,14 @@ func (u *Unit) Vld1F32(p []float32) vec.V64 {
 func (u *Unit) Vld1qU8(p []uint8) vec.V128 {
 	u.rec(opVld1_8x16)
 	p = skewed(u, faults.SiteLoad, p, 16)
-	var a [16]uint8
-	copy(a[:], p[:16])
-	return fault(u, faults.SiteLoad, vec.FromU8x16(a))
+	return fault(u, faults.SiteLoad, vec.LoadV128(p))
 }
 
 // Vld1U8 loads eight consecutive uint8 into a D register.
 func (u *Unit) Vld1U8(p []uint8) vec.V64 {
 	u.rec(opVld1_8x8)
 	p = skewed(u, faults.SiteLoad, p, 8)
-	var a [8]uint8
-	copy(a[:], p[:8])
-	return fault(u, faults.SiteLoad, vec.FromU8x8(a))
+	return fault(u, faults.SiteLoad, vec.LoadV64(p))
 }
 
 // Vld1qS8 loads sixteen consecutive int8.
@@ -201,27 +240,21 @@ func (u *Unit) Vld1qS8(p []int8) vec.V128 {
 func (u *Unit) Vld1qS16(p []int16) vec.V128 {
 	u.rec(opVld1_16x16)
 	p = skewed(u, faults.SiteLoad, p, 8)
-	var a [8]int16
-	copy(a[:], p[:8])
-	return fault(u, faults.SiteLoad, vec.FromI16x8(a))
+	return fault(u, faults.SiteLoad, vec.Load16x8(p))
 }
 
 // Vld1S16 loads four consecutive int16 into a D register.
 func (u *Unit) Vld1S16(p []int16) vec.V64 {
 	u.rec(opVld1_16x8)
 	p = skewed(u, faults.SiteLoad, p, 4)
-	var a [4]int16
-	copy(a[:], p[:4])
-	return fault(u, faults.SiteLoad, vec.FromI16x4(a))
+	return fault(u, faults.SiteLoad, vec.Load16x4(p))
 }
 
 // Vld1qU16 loads eight consecutive uint16.
 func (u *Unit) Vld1qU16(p []uint16) vec.V128 {
 	u.rec(opVld1_16x16)
 	p = skewed(u, faults.SiteLoad, p, 8)
-	var a [8]uint16
-	copy(a[:], p[:8])
-	return fault(u, faults.SiteLoad, vec.FromU16x8(a))
+	return fault(u, faults.SiteLoad, vec.Load16x8(p))
 }
 
 // Vld1qS32 loads four consecutive int32.
@@ -259,8 +292,7 @@ func (u *Unit) Vst1qS16(p []int16, v vec.V128) {
 	u.rec(opVst1_16x16)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
-	x := v.ToI16x8()
-	copy(p[:8], x[:])
+	vec.Store16x8(p, v)
 }
 
 // Vst1S16 stores four int16 from a D register.
@@ -268,8 +300,7 @@ func (u *Unit) Vst1S16(p []int16, v vec.V64) {
 	u.rec(opVst1_16x8)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
-	x := v.ToI16x4()
-	copy(p[:4], x[:])
+	vec.Store16x4(p, v)
 }
 
 // Vst1qU8 stores sixteen uint8.
@@ -277,8 +308,7 @@ func (u *Unit) Vst1qU8(p []uint8, v vec.V128) {
 	u.rec(opVst1_8x16)
 	p = skewed(u, faults.SiteStore, p, 16)
 	v = fault(u, faults.SiteStore, v)
-	x := v.ToU8x16()
-	copy(p[:16], x[:])
+	vec.StoreV128(p, v)
 }
 
 // Vst1U8 stores eight uint8 from a D register.
@@ -286,8 +316,7 @@ func (u *Unit) Vst1U8(p []uint8, v vec.V64) {
 	u.rec(opVst1_8x8)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
-	x := v.ToU8x8()
-	copy(p[:8], x[:])
+	vec.StoreV64(p, v)
 }
 
 // Vst1qU16 stores eight uint16.
@@ -295,8 +324,7 @@ func (u *Unit) Vst1qU16(p []uint16, v vec.V128) {
 	u.rec(opVst1_16x16)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
-	x := v.ToU16x8()
-	copy(p[:8], x[:])
+	vec.Store16x8(p, v)
 }
 
 // Vst1qS32 stores four int32.
@@ -328,23 +356,19 @@ func (u *Unit) VdupqNF32(x float32) vec.V128 {
 // VdupqNS16 broadcasts a scalar int16 into all eight lanes.
 func (u *Unit) VdupqNS16(x int16) vec.V128 {
 	u.rec(opVdup16)
-	return vec.FromI16x8([8]int16{x, x, x, x, x, x, x, x})
+	return vec.Splat16(uint16(x))
 }
 
 // VdupqNU16 broadcasts a scalar uint16 into all eight lanes.
 func (u *Unit) VdupqNU16(x uint16) vec.V128 {
 	u.rec(opVdup16)
-	return vec.FromU16x8([8]uint16{x, x, x, x, x, x, x, x})
+	return vec.Splat16(x)
 }
 
 // VdupqNU8 broadcasts a scalar uint8 into all sixteen lanes.
 func (u *Unit) VdupqNU8(x uint8) vec.V128 {
 	u.rec(opVdup8)
-	var a [16]uint8
-	for i := range a {
-		a[i] = x
-	}
-	return vec.FromU8x16(a)
+	return vec.Splat8(x)
 }
 
 // VdupqNS32 broadcasts a scalar int32 into all four lanes.
@@ -362,17 +386,13 @@ func (u *Unit) VdupqNU32(x uint32) vec.V128 {
 // VdupNU8 broadcasts a scalar uint8 into all eight D-register lanes.
 func (u *Unit) VdupNU8(x uint8) vec.V64 {
 	u.rec(opVdup8)
-	var a [8]uint8
-	for i := range a {
-		a[i] = x
-	}
-	return vec.FromU8x8(a)
+	return vec.Splat8(x).Low()
 }
 
 // VdupNS16 broadcasts a scalar int16 into all four D-register lanes.
 func (u *Unit) VdupNS16(x int16) vec.V64 {
 	u.rec(opVdup16)
-	return vec.FromI16x4([4]int16{x, x, x, x})
+	return vec.Splat16(uint16(x)).Low()
 }
 
 // VmovqNF32 is an alias of VdupqNF32 (the vmovq_n_f32 intrinsic).

@@ -17,13 +17,8 @@ import (
 func (u *Unit) Vld2U8(p []uint8) [2]vec.V64 {
 	u.rec(opVld2_8x16)
 	p = skewed(u, faults.SiteLoad, p, 16)
-	var out [2]vec.V64
-	for i := 0; i < 8; i++ {
-		out[0].SetU8(i, p[2*i])
-		out[1].SetU8(i, p[2*i+1])
-	}
-	out[0] = fault(u, faults.SiteLoad, out[0])
-	return out
+	even, odd := vec.Deinterleave2U8(p)
+	return [2]vec.V64{fault(u, faults.SiteLoad, even), odd}
 }
 
 // Vld3U8 loads 24 bytes of 3-way interleaved data (e.g. RGB pixels) into

@@ -22,7 +22,7 @@ type saboteur struct{}
 
 func (saboteur) V128(site faults.Site, v vec.V128) vec.V128 {
 	if site == faults.SiteALU {
-		v[0] ^= 0x40
+		v.SetU8(0, v.U8(0)^0x40)
 	}
 	return v
 }

@@ -118,21 +118,13 @@ func (u *Unit) MaxPs(a, b vec.V128) vec.V128 {
 // AddEpi8 adds sixteen byte lanes with wraparound (_mm_add_epi8).
 func (u *Unit) AddEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPaddb)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, a.U8(i)+b.U8(i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU8(a, b))
 }
 
 // AddEpi16 adds eight int16 lanes with wraparound (_mm_add_epi16).
 func (u *Unit) AddEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPaddw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, vec.I16At(&a, i)+vec.I16At(&b, i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddU16(a, b))
 }
 
 // AddEpi32 adds four int32 lanes with wraparound (_mm_add_epi32).
@@ -148,21 +140,13 @@ func (u *Unit) AddEpi32(a, b vec.V128) vec.V128 {
 // SubEpi8 subtracts sixteen byte lanes with wraparound (_mm_sub_epi8).
 func (u *Unit) SubEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPsubb)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, a.U8(i)-b.U8(i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.SubU8(a, b))
 }
 
 // SubEpi16 subtracts eight int16 lanes with wraparound (_mm_sub_epi16).
 func (u *Unit) SubEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPsubw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, vec.I16At(&a, i)-vec.I16At(&b, i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.SubU16(a, b))
 }
 
 // SubEpi32 subtracts four int32 lanes with wraparound (_mm_sub_epi32).
@@ -178,11 +162,7 @@ func (u *Unit) SubEpi32(a, b vec.V128) vec.V128 {
 // AddsEpi16 adds with signed saturation (_mm_adds_epi16 / paddsw).
 func (u *Unit) AddsEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPaddsw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, sat.AddInt16(a.I16(i), b.I16(i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.AddSatI16(a, b))
 }
 
 // AddsEpu8 adds with unsigned saturation (_mm_adds_epu8 / paddusb).
@@ -198,11 +178,7 @@ func (u *Unit) AddsEpu8(a, b vec.V128) vec.V128 {
 // SubsEpi16 subtracts with signed saturation (_mm_subs_epi16 / psubsw).
 func (u *Unit) SubsEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPsubsw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, sat.SubInt16(a.I16(i), b.I16(i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.SubSatI16(a, b))
 }
 
 // SubsEpu8 subtracts with unsigned saturation (_mm_subs_epu8 / psubusb).
@@ -218,11 +194,7 @@ func (u *Unit) SubsEpu8(a, b vec.V128) vec.V128 {
 // MulloEpi16 multiplies int16 lanes keeping the low half (_mm_mullo_epi16).
 func (u *Unit) MulloEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPmullw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, vec.I16At(&a, i)*vec.I16At(&b, i))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MulLoU16(a, b))
 }
 
 // MulhiEpi16 multiplies int16 lanes keeping the high half (_mm_mulhi_epi16).
@@ -284,38 +256,28 @@ func (u *Unit) AvgEpu16(a, b vec.V128) vec.V128 {
 func (u *Unit) SadEpu8(a, b vec.V128) vec.V128 {
 	u.rec(opPsadbw)
 	d := vec.AbsDiffU8(a, b)
-	var r vec.V128
-	for h := 0; h < 2; h++ {
-		var s uint64
-		for _, x := range d[h*8 : h*8+8] {
-			s += uint64(x)
-		}
-		r.SetU64(h, s)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.V128{Lo: sumBytes(d.Lo), Hi: sumBytes(d.Hi)})
+}
+
+// sumBytes adds the eight bytes of w: pairs, then quads, then the two
+// halves, each partial sum fitting the field it lands in.
+func sumBytes(w uint64) uint64 {
+	w = w&0x00FF00FF00FF00FF + w>>8&0x00FF00FF00FF00FF
+	w = w&0x0000FFFF0000FFFF + w>>16&0x0000FFFF0000FFFF
+	return w&0xFFFFFFFF + w>>32
 }
 
 // MinEpu8 lane-wise unsigned byte minimum (_mm_min_epu8 / pminub). The
 // truncation threshold benchmark reduces to exactly this instruction.
 func (u *Unit) MinEpu8(a, b vec.V128) vec.V128 {
 	u.rec(opPminub)
-	var r vec.V128
-	for i := 0; i < 2; i++ {
-		lo, _ := vec.MinMaxU8x8(vec.U64At(&a, i), vec.U64At(&b, i))
-		r.SetU64(i, lo)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MinU8(a, b))
 }
 
 // MaxEpu8 lane-wise unsigned byte maximum (_mm_max_epu8 / pmaxub).
 func (u *Unit) MaxEpu8(a, b vec.V128) vec.V128 {
 	u.rec(opPmaxub)
-	var r vec.V128
-	for i := 0; i < 2; i++ {
-		_, hi := vec.MinMaxU8x8(vec.U64At(&a, i), vec.U64At(&b, i))
-		r.SetU64(i, hi)
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.MaxU8(a, b))
 }
 
 // MinEpi16 lane-wise int16 minimum (_mm_min_epi16 / pminsw).

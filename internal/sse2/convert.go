@@ -96,24 +96,14 @@ func (u *Unit) PacksEpi32(a, b vec.V128) vec.V128 {
 // (_mm_packs_epi16 / packsswb).
 func (u *Unit) PacksEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPacksswb)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI8(i, sat.NarrowInt16ToInt8(a.I16(i)))
-		r.SetI8(8+i, sat.NarrowInt16ToInt8(b.I16(i)))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.Combine(vec.SatI8I16(a), vec.SatI8I16(b)))
 }
 
 // PackusEpi16 packs two registers of int16 into uint8 with unsigned
 // saturation (_mm_packus_epi16 / packuswb).
 func (u *Unit) PackusEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPackuswb)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r[i] = sat.NarrowInt16ToUint8(vec.I16At(&a, i))
-		r[8+i] = sat.NarrowInt16ToUint8(vec.I16At(&b, i))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.Combine(vec.SatU8I16(a), vec.SatU8I16(b)))
 }
 
 // --- Unpacks ---
@@ -122,21 +112,13 @@ func (u *Unit) PackusEpi16(a, b vec.V128) vec.V128 {
 // (_mm_unpacklo_epi8 / punpcklbw).
 func (u *Unit) UnpackloEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPunpcklbw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r[2*i], r[2*i+1] = a[i], b[i]
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.InterleaveLoU8(a, b))
 }
 
 // UnpackhiEpi8 interleaves the high eight bytes (_mm_unpackhi_epi8).
 func (u *Unit) UnpackhiEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPunpckhbw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r[2*i], r[2*i+1] = a[8+i], b[8+i]
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.InterleaveHiU8(a, b))
 }
 
 // UnpackloEpi16 interleaves the low four words (_mm_unpacklo_epi16).
@@ -253,40 +235,25 @@ func (u *Unit) ShufflePs(a, b vec.V128, imm uint8) vec.V128 {
 // SlliEpi16 shift left words by immediate (_mm_slli_epi16 / psllw).
 func (u *Unit) SlliEpi16(a vec.V128, n uint) vec.V128 {
 	u.rec(opPsllw)
-	var r vec.V128
 	if n > 15 {
-		return r
+		return vec.V128{}
 	}
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.U16At(&a, i)<<n)
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.ShlU16(a, n))
 }
 
 // SrliEpi16 logical shift right words (_mm_srli_epi16 / psrlw).
 func (u *Unit) SrliEpi16(a vec.V128, n uint) vec.V128 {
 	u.rec(opPsrlw)
-	var r vec.V128
 	if n > 15 {
-		return r
+		return vec.V128{}
 	}
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.U16At(&a, i)>>n)
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.ShrU16(a, n))
 }
 
 // SraiEpi16 arithmetic shift right words (_mm_srai_epi16 / psraw).
 func (u *Unit) SraiEpi16(a vec.V128, n uint) vec.V128 {
 	u.rec(opPsraw)
-	if n > 15 {
-		n = 15
-	}
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetI16(i, a.I16(i)>>n)
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.SarI16(a, n))
 }
 
 // SlliEpi32 shift left dwords (_mm_slli_epi32 / pslld).

@@ -20,12 +20,12 @@ import (
 func forBytePairs(f func(a, b vec.V128)) {
 	for _, mul := range []int{1, 0x9E37} {
 		for base := 0; base < 1<<16; base += 16 {
-			var a, b vec.V128
+			var a, b [16]uint8
 			for l := range a {
 				p := (base + l) * mul & 0xFFFF
 				a[l], b[l] = uint8(p>>8), uint8(p)
 			}
-			f(a, b)
+			f(vec.FromU8x16(a), vec.FromU8x16(b))
 		}
 	}
 }
@@ -35,9 +35,9 @@ func checkBytePairs(t *testing.T, name string, op func(a, b vec.V128) vec.V128, 
 	t.Helper()
 	forBytePairs(func(a, b vec.V128) {
 		r := op(a, b)
-		for l := range r {
-			if want := ref(a[l], b[l]); r[l] != want {
-				t.Fatalf("%s(%d, %d) lane %d = %#x, want %#x", name, a[l], b[l], l, r[l], want)
+		for l := 0; l < 16; l++ {
+			if want := ref(a.U8(l), b.U8(l)); r.U8(l) != want {
+				t.Fatalf("%s(%d, %d) lane %d = %#x, want %#x", name, a.U8(l), b.U8(l), l, r.U8(l), want)
 			}
 		}
 	})
@@ -47,27 +47,43 @@ func checkBytePairs(t *testing.T, name string, op func(a, b vec.V128) vec.V128, 
 // saturating rewrite would go wrong.
 var wordBoundaries = []int16{math.MinInt16, math.MinInt16 + 1, -1, 0, 1, math.MaxInt16 - 1, math.MaxInt16}
 
-// checkWordPairs runs op over every pair of wordBoundaries and 10^5 seeded
-// random pairs, eight per call.
-func checkWordPairs(t *testing.T, name string, op func(a, b vec.V128) vec.V128, ref func(x, y int16) int16) {
-	t.Helper()
-	var xs, ys []int16
-	for _, x := range wordBoundaries {
-		for _, y := range wordBoundaries {
-			xs, ys = append(xs, x), append(ys, y)
+// wordPairs are the int16 operand pairs the word tests run: every pair of
+// wordBoundaries, then 10^5 seeded random pairs. The 49 boundary pairs
+// repeat eight times; 49 is one more than a multiple of eight, so each
+// repetition lands every boundary pair one lane further on and each one
+// meets every lane, with a carry or borrow at every lane boundary.
+var wordPairs = func() (p [][2]int16) {
+	for rep := 0; rep < 8; rep++ {
+		for _, x := range wordBoundaries {
+			for _, y := range wordBoundaries {
+				p = append(p, [2]int16{x, y})
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 100000; i++ {
-		xs, ys = append(xs, int16(rng.Uint32())), append(ys, int16(rng.Uint32()))
+		p = append(p, [2]int16{int16(rng.Uint32()), int16(rng.Uint32())})
 	}
-	for base := 0; base < len(xs); base += 8 {
+	return p
+}()
+
+// forWordPairs calls f with registers holding wordPairs, eight per call.
+func forWordPairs(f func(a, b vec.V128)) {
+	for base := 0; base < len(wordPairs); base += 8 {
 		var a, b vec.V128
 		for l := 0; l < 8; l++ {
-			k := (base + l) % len(xs)
-			a.SetI16(l, xs[k])
-			b.SetI16(l, ys[k])
+			p := wordPairs[(base+l)%len(wordPairs)]
+			a.SetI16(l, p[0])
+			b.SetI16(l, p[1])
 		}
+		f(a, b)
+	}
+}
+
+// checkWordPairs runs a lane-wise int16 op over wordPairs.
+func checkWordPairs(t *testing.T, name string, op func(a, b vec.V128) vec.V128, ref func(x, y int16) int16) {
+	t.Helper()
+	forWordPairs(func(a, b vec.V128) {
 		r := op(a, b)
 		for l := 0; l < 8; l++ {
 			x, y := a.I16(l), b.I16(l)
@@ -75,8 +91,33 @@ func checkWordPairs(t *testing.T, name string, op func(a, b vec.V128) vec.V128, 
 				t.Fatalf("%s(%d, %d) lane %d = %d, want %d", name, x, y, l, r.I16(l), want)
 			}
 		}
-	}
+	})
 }
+
+// checkPack runs a two-register int16-to-byte pack over wordPairs: byte
+// lanes 0-7 narrow a, 8-15 narrow b.
+func checkPack(t *testing.T, name string, op func(a, b vec.V128) vec.V128, ref func(x int16) uint8) {
+	t.Helper()
+	forWordPairs(func(a, b vec.V128) {
+		r := op(a, b)
+		for l := 0; l < 16; l++ {
+			x := a.I16(l % 8)
+			if l >= 8 {
+				x = b.I16(l - 8)
+			}
+			if want := ref(x); r.U8(l) != want {
+				t.Fatalf("%s(%d) byte %d = %#x, want %#x", name, x, l, r.U8(l), want)
+			}
+		}
+	})
+}
+
+// shiftCounts are the immediate shift counts the shift tests sweep, past
+// 15 included: psllw/psrlw then clear every lane and psraw fills it with
+// the sign.
+var shiftCounts = []uint{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64}
+
+func satI16(v int32) int16 { return int16(max(math.MinInt16, min(math.MaxInt16, v))) }
 
 func ifMask8(c bool) uint8 {
 	if c {
@@ -109,15 +150,28 @@ func TestLaneOpsMatchReference(t *testing.T) {
 		})
 		checkBytePairs(t, "CmpeqEpi8", u.CmpeqEpi8, func(x, y uint8) uint8 { return ifMask8(x == y) })
 		checkBytePairs(t, "CmpgtEpi8", u.CmpgtEpi8, func(x, y uint8) uint8 { return ifMask8(int8(x) > int8(y)) })
+		checkBytePairs(t, "AddEpi8", u.AddEpi8, func(x, y uint8) uint8 { return x + y })
+		checkBytePairs(t, "SubEpi8", u.SubEpi8, func(x, y uint8) uint8 { return x - y })
+		forBytePairs(func(a, b vec.V128) {
+			lo, hi := u.UnpackloEpi8(a, b), u.UnpackhiEpi8(a, b)
+			for l := 0; l < 8; l++ {
+				if lo.U8(2*l) != a.U8(l) || lo.U8(2*l+1) != b.U8(l) {
+					t.Fatalf("UnpackloEpi8(%v, %v) = %v", a, b, lo)
+				}
+				if hi.U8(2*l) != a.U8(8+l) || hi.U8(2*l+1) != b.U8(8+l) {
+					t.Fatalf("UnpackhiEpi8(%v, %v) = %v", a, b, hi)
+				}
+			}
+		})
 		forBytePairs(func(a, b vec.V128) {
 			r := u.SadEpu8(a, b)
 			for h := 0; h < 2; h++ {
 				var want uint64
 				for l := 8 * h; l < 8*h+8; l++ {
-					if a[l] > b[l] {
-						want += uint64(a[l] - b[l])
+					if a.U8(l) > b.U8(l) {
+						want += uint64(a.U8(l) - b.U8(l))
 					} else {
-						want += uint64(b[l] - a[l])
+						want += uint64(b.U8(l) - a.U8(l))
 					}
 				}
 				if r.U64(h) != want {
@@ -126,7 +180,7 @@ func TestLaneOpsMatchReference(t *testing.T) {
 			}
 			for _, v := range []vec.V128{a, b} {
 				want := 0
-				for l, x := range v {
+				for l, x := range v.ToU8x16() {
 					if x >= 0x80 {
 						want |= 1 << l
 					}
@@ -156,6 +210,129 @@ func TestLaneOpsMatchReference(t *testing.T) {
 		checkWordPairs(t, "CmpeqEpi16", u.CmpeqEpi16, func(x, y int16) int16 { return ifMask16(x == y) })
 		checkWordPairs(t, "CmpgtEpi16", u.CmpgtEpi16, func(x, y int16) int16 { return ifMask16(x > y) })
 		checkWordPairs(t, "CmpltEpi16", u.CmpltEpi16, func(x, y int16) int16 { return ifMask16(x < y) })
+		checkWordPairs(t, "AddsEpi16", u.AddsEpi16, func(x, y int16) int16 { return satI16(int32(x) + int32(y)) })
+		checkWordPairs(t, "SubsEpi16", u.SubsEpi16, func(x, y int16) int16 { return satI16(int32(x) - int32(y)) })
+		checkPack(t, "PackusEpi16", u.PackusEpi16, func(x int16) uint8 {
+			if x > math.MaxUint8 {
+				return math.MaxUint8
+			}
+			if x < 0 {
+				return 0
+			}
+			return uint8(x)
+		})
+		checkPack(t, "PacksEpi16", u.PacksEpi16, func(x int16) uint8 {
+			if x > math.MaxInt8 {
+				return math.MaxInt8
+			}
+			if x < math.MinInt8 {
+				return 0x80
+			}
+			return uint8(x)
+		})
+	})
+	t.Run("shift", func(t *testing.T) {
+		for _, n := range shiftCounts {
+			checkWordPairs(t, "SlliEpi16", func(a, _ vec.V128) vec.V128 { return u.SlliEpi16(a, n) },
+				func(x, _ int16) int16 {
+					if n > 15 {
+						return 0
+					}
+					return x << n
+				})
+			checkWordPairs(t, "SrliEpi16", func(a, _ vec.V128) vec.V128 { return u.SrliEpi16(a, n) },
+				func(x, _ int16) int16 {
+					if n > 15 {
+						return 0
+					}
+					return int16(uint16(x) >> n)
+				})
+			checkWordPairs(t, "SraiEpi16", func(a, _ vec.V128) vec.V128 { return u.SraiEpi16(a, n) },
+				func(x, _ int16) int16 { return x >> min(n, 15) })
+		}
+	})
+	t.Run("memory", func(t *testing.T) {
+		buf := make([]uint8, 40)
+		for i := range buf {
+			buf[i] = uint8(i*29 + 7)
+		}
+		q, d := u.LoaduSi128U8(buf[5:]), u.LoadlEpi64U8(buf[5:])
+		for l := 0; l < 16; l++ {
+			wantD := uint8(0)
+			if l < 8 {
+				wantD = buf[5+l]
+			}
+			if q.U8(l) != buf[5+l] || d.U8(l) != wantD {
+				t.Fatalf("LoaduSi128U8/LoadlEpi64U8 lane %d = %d/%d, want %d/%d", l, q.U8(l), d.U8(l), buf[5+l], wantD)
+			}
+		}
+		out := make([]uint8, 18)
+		u.StoreuSi128U8(out[1:], q)
+		u.StorelEpi64U8(out[1:], vec.Zero())
+		for i, x := range out {
+			want := uint8(0)
+			if i >= 9 && i < 17 {
+				want = buf[4+i]
+			}
+			if x != want {
+				t.Fatalf("StoreuSi128U8/StorelEpi64U8 byte %d = %d, want %d", i, x, want)
+			}
+		}
+		forWordPairs(func(a, _ vec.V128) {
+			src := make([]int16, 10)
+			for l := 0; l < 8; l++ {
+				src[1+l] = a.I16(l)
+			}
+			if got := u.LoaduSi128S16(src[1:]); got != a {
+				t.Fatalf("LoaduSi128S16 = %v, want %v", got, a)
+			}
+			if got, want := u.LoadlEpi64S16(src[1:]), vec.Combine(a.Low(), vec.V64{}); got != want {
+				t.Fatalf("LoadlEpi64S16 = %v, want %v", got, want)
+			}
+			src16 := make([]uint16, 8)
+			for l := range src16 {
+				src16[l] = a.U16(l)
+			}
+			if got := u.LoaduSi128U16(src16); got != a {
+				t.Fatalf("LoaduSi128U16 = %v, want %v", got, a)
+			}
+			dst := make([]int16, 10)
+			u.StoreuSi128S16(dst[1:], a)
+			u.StorelEpi64S16(dst[1:], vec.Combine(a.High(), a.Low()))
+			dst16 := make([]uint16, 9)
+			u.StoreuSi128U16(dst16, a)
+			for i, x := range dst {
+				want := int16(0)
+				switch {
+				case i >= 1 && i < 5:
+					want = a.I16(i + 3)
+				case i >= 5 && i < 9:
+					want = a.I16(i - 1)
+				}
+				if x != want {
+					t.Fatalf("StoreuSi128S16/StorelEpi64S16 element %d = %d, want %d", i, x, want)
+				}
+			}
+			for i, x := range dst16[:8] {
+				if x != a.U16(i) || dst16[8] != 0 {
+					t.Fatalf("StoreuSi128U16 element %d = %d, want %d", i, x, a.U16(i))
+				}
+			}
+		})
+		for _, x := range wordBoundaries {
+			want := vec.FromI16x8([8]int16{x, x, x, x, x, x, x, x})
+			if got := u.Set1Epi16(x); got != want {
+				t.Fatalf("Set1Epi16(%d) = %v, want %v", x, got, want)
+			}
+			b := uint8(x)
+			wb := vec.FromU8x16([16]uint8{b, b, b, b, b, b, b, b, b, b, b, b, b, b, b, b})
+			if got := u.Set1Epu8(b); got != wb {
+				t.Fatalf("Set1Epu8(%d) = %v, want %v", b, got, wb)
+			}
+			if got := u.Set1Epi8(int8(b)); got != wb {
+				t.Fatalf("Set1Epi8(%d) = %v, want %v", b, got, wb)
+			}
+		}
 	})
 	// The 32-bit and float compares only share the mask widening; their
 	// predicates, NaN and signed-zero behaviour included, are the

@@ -56,11 +56,7 @@ func (u *Unit) AndnotPs(a, b vec.V128) vec.V128 {
 // CmpeqEpi8 compare equal bytes (_mm_cmpeq_epi8 / pcmpeqb).
 func (u *Unit) CmpeqEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpeqb)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, vec.Mask8(a[i] == b[i]))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.EqU8(a, b))
 }
 
 // CmpgtEpi8 compare greater-than signed bytes (_mm_cmpgt_epi8 / pcmpgtb).
@@ -69,41 +65,25 @@ func (u *Unit) CmpeqEpi8(a, b vec.V128) vec.V128 {
 // instruction counts.
 func (u *Unit) CmpgtEpi8(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpgtb)
-	var r vec.V128
-	for i := 0; i < 16; i++ {
-		r.SetU8(i, vec.Mask8(int8(a[i]) > int8(b[i])))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.GtI8(a, b))
 }
 
 // CmpeqEpi16 compare equal words (_mm_cmpeq_epi16 / pcmpeqw).
 func (u *Unit) CmpeqEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpeqw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) == vec.I16At(&b, i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.EqU16(a, b))
 }
 
 // CmpgtEpi16 compare greater-than signed words (_mm_cmpgt_epi16 / pcmpgtw).
 func (u *Unit) CmpgtEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpgtw)
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) > vec.I16At(&b, i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.GtI16(a, b))
 }
 
 // CmpltEpi16 compare less-than signed words (_mm_cmplt_epi16).
 func (u *Unit) CmpltEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPcmpgtw) // assembles to pcmpgtw with swapped operands
-	var r vec.V128
-	for i := 0; i < 8; i++ {
-		r.SetU16(i, vec.Mask16(vec.I16At(&a, i) < vec.I16At(&b, i)))
-	}
-	return fault(u, faults.SiteALU, r)
+	return fault(u, faults.SiteALU, vec.GtI16(b, a))
 }
 
 // CmpgtEpi32 compare greater-than signed dwords (_mm_cmpgt_epi32).

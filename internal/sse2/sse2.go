@@ -33,6 +33,11 @@ type Unit struct {
 	// pooled count array only while counts are pending, so an untraced
 	// unit carries none.
 	tl trace.Tally
+
+	// cnt caches tl's count array while tl is bound to T, so a traced
+	// record is one inline increment. Flush and Share clear it; flush the
+	// unit before pointing T at another counter.
+	cnt *[trace.MaxOps]uint64
 }
 
 // New returns a Unit recording into t (which may be nil).
@@ -96,7 +101,10 @@ func skewed[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	return skew(u, site, p, need)
 }
 
-// skew asks the unit's fault hook for an address slip.
+// skew asks the unit's fault hook for an address slip. It stays out of
+// line so skewed, and with it every load and store, inlines.
+//
+//go:noinline
 func skew[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	if off := u.F.Skew(site, len(p)-need); off > 0 {
 		return p[off:]
@@ -104,16 +112,32 @@ func skew[T any](u *Unit, site faults.Site, p []T, need int) []T {
 	return p
 }
 
-// rec notes one retired instruction. Only the nil check inlines into the
-// intrinsics, so an untraced unit pays no call.
+// rec notes one retired instruction. It inlines into the intrinsics: once
+// the tally is bound, a traced record is one increment of the cached count
+// array, and an untraced unit pays two nil checks and no call.
 func (u *Unit) rec(id trace.OpID) {
-	if u.T != nil {
+	if u.cnt != nil {
+		u.cnt[id]++
+	} else if u.T != nil {
 		u.tally(id)
 	}
 }
 
-// tally counts one retired instruction in the unit's tally.
-func (u *Unit) tally(id trace.OpID) { u.tl.Inc(u.T, id) }
+// tally counts one retired instruction in the unit's tally and caches the
+// count array it is now bound to.
+func (u *Unit) tally(id trace.OpID) {
+	u.tl.Inc(u.T, id)
+	u.bind()
+}
+
+// bind caches the count array the tally is bound to, if any. It writes
+// only a bound array: a shared unit's tally never binds, so its
+// concurrent records leave cnt untouched.
+func (u *Unit) bind() {
+	if n := u.tl.Counts(u.T); n != nil {
+		u.cnt = n
+	}
+}
 
 // Count notes n retired instances of id with no sequence capture: bulk
 // accounting for instructions the caller models rather than emulates,
@@ -128,22 +152,41 @@ func (u *Unit) Count(id trace.OpID, n uint64) {
 // records into a private, unsynchronized tally, so T reads stale until the
 // unit is flushed: internal/cv flushes as each pass completes, and callers
 // that drive a unit directly flush before reading T. Flush is idempotent.
-func (u *Unit) Flush() { u.tl.Flush() }
+func (u *Unit) Flush() {
+	u.cnt = nil
+	u.tl.Flush()
+}
 
 // Share makes the unit safe to record from several goroutines at once:
 // each instruction then goes straight into T under T's lock instead of into
 // the private tally. Call it before the unit is shared.
-func (u *Unit) Share() { u.tl.Share() }
+func (u *Unit) Share() {
+	u.cnt = nil
+	u.tl.Share()
+}
 
 // Overhead records the loop/address bookkeeping instructions surrounding the
 // intrinsic body in compiled x86 code (lea/add, cmp+jcc, mov).
 func (u *Unit) Overhead(addrCalcs, branches, moves int) {
-	if u.T == nil {
+	if u.T != nil {
+		u.overhead(addrCalcs, branches, moves)
+	}
+}
+
+// overhead tallies Overhead's instructions, out of line so the nil check
+// inlines: into the cached count array when the tally is bound, through
+// the tally (which binds it) otherwise.
+func (u *Unit) overhead(addrCalcs, branches, moves int) {
+	if n := u.cnt; n != nil {
+		n[opLeaAdd] += uint64(addrCalcs)
+		n[opCmpJcc] += uint64(branches)
+		n[opMov] += uint64(moves)
 		return
 	}
 	u.tl.Add(u.T, opLeaAdd, uint64(addrCalcs))
 	u.tl.Add(u.T, opCmpJcc, uint64(branches))
 	u.tl.Add(u.T, opMov, uint64(moves))
+	u.bind()
 }
 
 // --- Loads ---
@@ -173,27 +216,21 @@ func (u *Unit) LoaduSi128(p []byte) vec.V128 {
 func (u *Unit) LoaduSi128U8(p []uint8) vec.V128 {
 	u.rec(opMovdquLd)
 	p = skewed(u, faults.SiteLoad, p, 16)
-	var a [16]uint8
-	copy(a[:], p[:16])
-	return fault(u, faults.SiteLoad, vec.FromU8x16(a))
+	return fault(u, faults.SiteLoad, vec.LoadV128(p))
 }
 
 // LoaduSi128S16 loads eight int16 (typed convenience over movdqu).
 func (u *Unit) LoaduSi128S16(p []int16) vec.V128 {
 	u.rec(opMovdquLd)
 	p = skewed(u, faults.SiteLoad, p, 8)
-	var a [8]int16
-	copy(a[:], p[:8])
-	return fault(u, faults.SiteLoad, vec.FromI16x8(a))
+	return fault(u, faults.SiteLoad, vec.Load16x8(p))
 }
 
 // LoaduSi128U16 loads eight uint16 (typed convenience over movdqu).
 func (u *Unit) LoaduSi128U16(p []uint16) vec.V128 {
 	u.rec(opMovdquLd)
 	p = skewed(u, faults.SiteLoad, p, 8)
-	var a [8]uint16
-	copy(a[:], p[:8])
-	return fault(u, faults.SiteLoad, vec.FromU16x8(a))
+	return fault(u, faults.SiteLoad, vec.Load16x8(p))
 }
 
 // LoaduSi128S32 loads four int32 (typed convenience over movdqu).
@@ -217,20 +254,14 @@ func (u *Unit) LoaduPd(p []float64) vec.V128 {
 func (u *Unit) LoadlEpi64U8(p []uint8) vec.V128 {
 	u.rec(opMovqLd)
 	p = skewed(u, faults.SiteLoad, p, 8)
-	var v vec.V128
-	copy(v[:8], p[:8])
-	return fault(u, faults.SiteLoad, v)
+	return fault(u, faults.SiteLoad, vec.Combine(vec.LoadV64(p), vec.V64{}))
 }
 
 // LoadlEpi64S16 loads four int16 into the low qword (_mm_loadl_epi64).
 func (u *Unit) LoadlEpi64S16(p []int16) vec.V128 {
 	u.rec(opMovqLd)
 	p = skewed(u, faults.SiteLoad, p, 4)
-	var v vec.V128
-	for i := 0; i < 4; i++ {
-		v.SetI16(i, p[i])
-	}
-	return fault(u, faults.SiteLoad, v)
+	return fault(u, faults.SiteLoad, vec.Combine(vec.Load16x4(p), vec.V64{}))
 }
 
 // LoadSs loads a single float32 into lane 0, zeroing the rest (movss).
@@ -267,8 +298,7 @@ func (u *Unit) StoreuSi128S16(p []int16, v vec.V128) {
 	u.rec(opMovdquSt)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
-	x := v.ToI16x8()
-	copy(p[:8], x[:])
+	vec.Store16x8(p, v)
 }
 
 // StoreuSi128U8 stores sixteen uint8.
@@ -276,8 +306,7 @@ func (u *Unit) StoreuSi128U8(p []uint8, v vec.V128) {
 	u.rec(opMovdquSt)
 	p = skewed(u, faults.SiteStore, p, 16)
 	v = fault(u, faults.SiteStore, v)
-	x := v.ToU8x16()
-	copy(p[:16], x[:])
+	vec.StoreV128(p, v)
 }
 
 // StoreuSi128U16 stores eight uint16.
@@ -285,8 +314,7 @@ func (u *Unit) StoreuSi128U16(p []uint16, v vec.V128) {
 	u.rec(opMovdquSt)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
-	x := v.ToU16x8()
-	copy(p[:8], x[:])
+	vec.Store16x8(p, v)
 }
 
 // StoreuSi128S32 stores four int32.
@@ -303,7 +331,7 @@ func (u *Unit) StorelEpi64U8(p []uint8, v vec.V128) {
 	u.rec(opMovqSt)
 	p = skewed(u, faults.SiteStore, p, 8)
 	v = fault(u, faults.SiteStore, v)
-	copy(p[:8], v[:8])
+	vec.StoreV64(p, v.Low())
 }
 
 // StorelEpi64S16 stores the low four int16 (_mm_storel_epi64 / movq).
@@ -311,9 +339,7 @@ func (u *Unit) StorelEpi64S16(p []int16, v vec.V128) {
 	u.rec(opMovqSt)
 	p = skewed(u, faults.SiteStore, p, 4)
 	v = fault(u, faults.SiteStore, v)
-	for i := 0; i < 4; i++ {
-		p[i] = v.I16(i)
-	}
+	vec.Store16x4(p, v.Low())
 }
 
 // --- Set / broadcast ---
@@ -327,27 +353,19 @@ func (u *Unit) Set1Ps(x float32) vec.V128 {
 // Set1Epi8 broadcasts a byte to all sixteen lanes (_mm_set1_epi8).
 func (u *Unit) Set1Epi8(x int8) vec.V128 {
 	u.rec(opPshufdSet1)
-	var a [16]int8
-	for i := range a {
-		a[i] = x
-	}
-	return vec.FromI8x16(a)
+	return vec.Splat8(uint8(x))
 }
 
 // Set1Epu8 broadcasts an unsigned byte to all sixteen lanes.
 func (u *Unit) Set1Epu8(x uint8) vec.V128 {
 	u.rec(opPshufdSet1)
-	var a [16]uint8
-	for i := range a {
-		a[i] = x
-	}
-	return vec.FromU8x16(a)
+	return vec.Splat8(x)
 }
 
 // Set1Epi16 broadcasts an int16 to all eight lanes (_mm_set1_epi16).
 func (u *Unit) Set1Epi16(x int16) vec.V128 {
 	u.rec(opPshufdSet1)
-	return vec.FromI16x8([8]int16{x, x, x, x, x, x, x, x})
+	return vec.Splat16(uint16(x))
 }
 
 // Set1Epi32 broadcasts an int32 to all four lanes (_mm_set1_epi32).
@@ -417,7 +435,7 @@ func (u *Unit) ExtractEpi16(v vec.V128, lane int) int {
 func (u *Unit) MovemaskEpi8(v vec.V128) int {
 	u.rec(opPmovmskb)
 	m := 0
-	for i, x := range v {
+	for i, x := range v.ToU8x16() {
 		m |= int(x>>7) << i
 	}
 	return m

@@ -513,6 +513,18 @@ func (l *Tally) Add(c *Counter, id OpID, n uint64) {
 	l.slow(c, id, n, false)
 }
 
+// Counts returns the count array the tally is bound to for c, or nil when
+// records for c do not land in one (unbound, bound to another counter,
+// shared or capturing a sequence). Until the next Flush or Share, adding
+// to entry id of it is Inc(c, id) for any id below MaxOps, so a recorder
+// may cache it and increment inline.
+func (l *Tally) Counts(c *Counter) *[MaxOps]uint64 {
+	if l.c != c {
+		return nil
+	}
+	return l.n
+}
+
 // slow records past the array (shared tally, sequence capture, IDs beyond
 // MaxOps) or binds the tally to c, flushing what it held for another
 // counter.

@@ -262,7 +262,7 @@ func TestString(t *testing.T) {
 // Property: bitwise identities hold for arbitrary registers.
 func TestQuickBitwiseIdentities(t *testing.T) {
 	f := func(ab, bb [16]byte) bool {
-		a, b := V128(ab), V128(bb)
+		a, b := FromU8x16(ab), FromU8x16(bb)
 		if Xor(a, a) != Zero() {
 			return false
 		}
@@ -284,8 +284,8 @@ func TestQuickBitwiseIdentities(t *testing.T) {
 // Property: Combine/Low/High are inverse bijections.
 func TestQuickCombineRoundTrip(t *testing.T) {
 	f := func(lo, hi [8]byte) bool {
-		q := Combine(V64(lo), V64(hi))
-		return q.Low() == V64(lo) && q.High() == V64(hi)
+		q := Combine(FromU8x8(lo), FromU8x8(hi))
+		return q.Low() == FromU8x8(lo) && q.High() == FromU8x8(hi)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -296,10 +296,155 @@ func TestQuickCombineRoundTrip(t *testing.T) {
 func TestQuickLoadStoreRoundTrip(t *testing.T) {
 	f := func(b [16]byte) bool {
 		buf := make([]byte, 16)
-		StoreV128(buf, V128(b))
-		return LoadV128(buf) == V128(b)
+		StoreV128(buf, FromU8x16(b))
+		return LoadV128(buf) == FromU8x16(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLanesMatchByteLayout holds every lane getter and setter, at every
+// width and index, to the little-endian byte layout ToU8x16/ToU8x8
+// expose: lane i of a w-byte type is bytes i*w .. i*w+w-1, lowest first.
+// The registers are words, so a lane must land in the right word at the
+// right shift and leave every other byte alone.
+func TestLanesMatchByteLayout(t *testing.T) {
+	var base [16]uint8
+	for i := range base {
+		base[i] = uint8(0xA0 + i)
+	}
+	// lane reads bytes [off, off+w) of b as a little-endian value.
+	lane := func(b []uint8, off, w int) uint64 {
+		var x uint64
+		for k := w - 1; k >= 0; k-- {
+			x = x<<8 | uint64(b[off+k])
+		}
+		return x
+	}
+	x := uint64(0x0123456789ABCDEF)
+	for _, w := range []int{1, 2, 4, 8} {
+		mask := uint64(1)<<(8*w) - 1
+		for i := 0; i < 16/w; i++ {
+			v := FromU8x16(base)
+			var got uint64
+			switch w {
+			case 1:
+				got = uint64(v.U8(i))
+				if uint64(uint8(v.I8(i))) != got {
+					t.Fatalf("I8(%d) disagrees with U8", i)
+				}
+				v.SetU8(i, uint8(x))
+			case 2:
+				got = uint64(v.U16(i))
+				if uint64(uint16(v.I16(i))) != got {
+					t.Fatalf("I16(%d) disagrees with U16", i)
+				}
+				v.SetU16(i, uint16(x))
+			case 4:
+				got = uint64(v.U32(i))
+				if uint64(uint32(v.I32(i))) != got || uint64(math.Float32bits(v.F32(i))) != got {
+					t.Fatalf("I32/F32(%d) disagree with U32", i)
+				}
+				v.SetU32(i, uint32(x))
+			case 8:
+				got = v.U64(i)
+				if uint64(v.I64(i)) != got || math.Float64bits(v.F64(i)) != got {
+					t.Fatalf("I64/F64(%d) disagree with U64", i)
+				}
+				v.SetU64(i, x)
+			}
+			if want := lane(base[:], i*w, w); got != want {
+				t.Fatalf("V128 width %d lane %d reads %#x, bytes hold %#x", w, i, got, want)
+			}
+			want := base
+			for k := 0; k < w; k++ {
+				want[i*w+k] = uint8(x & mask >> (8 * k))
+			}
+			if b := v.ToU8x16(); b != want {
+				t.Fatalf("V128 width %d Set lane %d: bytes %x, want %x", w, i, b, want)
+			}
+			// The signed and float setters write the same bits.
+			s := FromU8x16(base)
+			switch w {
+			case 1:
+				s.SetI8(i, int8(x))
+			case 2:
+				s.SetI16(i, int16(x))
+			case 4:
+				s2 := s
+				s.SetI32(i, int32(x))
+				s2.SetF32(i, math.Float32frombits(uint32(x)))
+				if s2 != s {
+					t.Fatalf("SetF32(%d) disagrees with SetI32", i)
+				}
+			case 8:
+				s2 := s
+				s.SetI64(i, int64(x))
+				s2.SetF64(i, math.Float64frombits(x))
+				if s2 != s {
+					t.Fatalf("SetF64(%d) disagrees with SetI64", i)
+				}
+			}
+			if s != v {
+				t.Fatalf("V128 width %d signed Set lane %d = %v, want %v", w, i, s, v)
+			}
+		}
+		if w == 8 {
+			continue
+		}
+		for i := 0; i < 8/w; i++ {
+			var b8 [8]uint8
+			copy(b8[:], base[:8])
+			d := FromU8x8(b8)
+			var got uint64
+			switch w {
+			case 1:
+				got = uint64(d.U8(i))
+				if uint64(uint8(d.I8(i))) != got {
+					t.Fatalf("V64 I8(%d) disagrees with U8", i)
+				}
+				d.SetU8(i, uint8(x))
+			case 2:
+				got = uint64(d.U16(i))
+				if uint64(uint16(d.I16(i))) != got {
+					t.Fatalf("V64 I16(%d) disagrees with U16", i)
+				}
+				d.SetI16(i, int16(x))
+			case 4:
+				got = uint64(d.U32(i))
+				if uint64(uint32(d.I32(i))) != got || uint64(math.Float32bits(d.F32(i))) != got {
+					t.Fatalf("V64 I32/F32(%d) disagree with U32", i)
+				}
+				d.SetF32(i, math.Float32frombits(uint32(x)))
+			}
+			if want := lane(b8[:], i*w, w); got != want {
+				t.Fatalf("V64 width %d lane %d reads %#x, bytes hold %#x", w, i, got, want)
+			}
+			want := b8
+			for k := 0; k < w; k++ {
+				want[i*w+k] = uint8(x & mask >> (8 * k))
+			}
+			if b := d.ToU8x8(); b != want {
+				t.Fatalf("V64 width %d Set lane %d: bytes %x, want %x", w, i, b, want)
+			}
+		}
+	}
+	// The whole-register V64 accessors and the halves of a V128.
+	v := FromU8x16(base)
+	if got, want := v.Low().U64(), lane(base[:], 0, 8); got != want || uint64(v.Low().I64()) != want {
+		t.Fatalf("Low = %#x, want %#x", got, want)
+	}
+	if got, want := v.High().U64(), lane(base[:], 8, 8); got != want {
+		t.Fatalf("High = %#x, want %#x", got, want)
+	}
+	var d V64
+	d.SetU64(x)
+	if d.ToU8x8() != [8]uint8{0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01} {
+		t.Fatalf("V64 SetU64 bytes %x", d.ToU8x8())
+	}
+	d.SetI64(-2)
+	if d.U64() != math.MaxUint64-1 {
+		t.Fatalf("V64 SetI64 = %#x", d.U64())
 	}
 }
