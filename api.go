@@ -457,7 +457,7 @@ const (
 
 // BreakerConfig tunes the per-(kernel, ISA) circuit breakers: failure-rate
 // window, cooldown, half-open probe budget, and the give-up threshold that
-// maps onto the kill-switch.
+// latches one pair stuck-open (recorded as FaultKillSwitch).
 type BreakerConfig = resilience.BreakerConfig
 
 // BreakerSet is a family of per-(kernel, ISA) circuit breakers. Attach it

@@ -37,21 +37,21 @@ func (o *Ops) Canny(src, dst *image.Mat, lowThresh, highThresh int16) (err error
 		return fmt.Errorf("cv: Canny thresholds must satisfy 0 <= low <= high, got %d/%d",
 			lowThresh, highThresh)
 	}
-	if o.fuse.Enabled {
-		if o.UseOptimized() && o.guarded {
-			// The guard referee is the staged scalar reference: a fresh
-			// scalar Ops re-runs the unfused pipeline over the whole plane
-			// (hysteresis is global) and the fused output is spot-checked
-			// against it.
-			return o.guardedRun(gkCanny, src.Height, dst,
-				func() error { return o.cannyFused(src, dst, lowThresh, highThresh) },
-				func(ref *Ops, r0, r1 int, d *image.Mat) error {
-					return ref.cannyStaged(src.Rows(r0, r1), d, lowThresh, highThresh)
-				})
-		}
-		return o.cannyFused(src, dst, lowThresh, highThresh)
+	if !o.fuse.Enabled {
+		// Staged Canny has no whole-pipeline referee: its nested
+		// SobelFilter calls carry their own.
+		return o.cannyStaged(src, dst, lowThresh, highThresh)
 	}
-	return o.cannyStaged(src, dst, lowThresh, highThresh)
+	fused := func() error { return o.cannyFused(src, dst, lowThresh, highThresh) }
+	if !o.UseOptimized() {
+		return fused()
+	}
+	// The referee is the staged scalar pipeline over the whole plane
+	// (hysteresis is global), and the fused output is compared against it.
+	return o.guardedRun(gkCanny, src.Height, dst, fused,
+		func(ref *Ops, r0, r1 int, d *image.Mat) error {
+			return ref.cannyStaged(src.Rows(r0, r1), d, lowThresh, highThresh)
+		})
 }
 
 // cannyStaged is the unfused pipeline: each stage materializes its full
@@ -67,9 +67,9 @@ func (o *Ops) cannyStaged(src, dst *image.Mat, lowThresh, highThresh int16) erro
 }
 
 // cannyStagedNMS runs the staged pipeline up to the NMS marker plane
-// (0 none, 1 weak, 2 strong). Split out so the fused path's per-strip
-// audits can compare against the staged scalar markers directly, before
-// hysteresis mixes rows globally. nms must be zero-initialized.
+// (0 none, 1 weak, 2 strong). Split out so the gradient and magnitude
+// planes go back to the pool, where a concurrent call can reuse them,
+// before the serial hysteresis pass runs. nms must be zero-initialized.
 func (o *Ops) cannyStagedNMS(src, nms *image.Mat, lowThresh, highThresh int16) error {
 	w, h := src.Width, src.Height
 

@@ -23,30 +23,22 @@ func (o *Ops) DetectEdges(src, dst *image.Mat, thresh int16) (err error) {
 	if err := sameShape(src, dst); err != nil {
 		return err
 	}
-	if o.fuse.Enabled {
-		if o.UseOptimized() && o.guarded {
-			// The guard referee is the staged scalar reference: a fresh
-			// scalar Ops re-runs the unfused pipeline over the sampled
-			// rows' windows and the fused output is spot-checked against
-			// it.
-			return o.guardedRun(gkEdges, src.Height, dst,
-				func() error { return o.edgesFused(src, dst, thresh) },
-				func(ref *Ops, r0, r1 int, d *image.Mat) error {
-					return ref.edgesStaged(src.Rows(r0, r1), d, thresh)
-				})
+	run := func() error {
+		if o.fuse.Enabled {
+			return o.edgesFused(src, dst, thresh)
 		}
-		return o.edgesFused(src, dst, thresh)
+		return o.edgesStaged(src, dst, thresh)
 	}
-	if o.UseOptimized() {
-		// One guard covers the whole pipeline; the nested SobelFilter
-		// calls see inGuard and skip their own referees.
-		return o.guardedRun(gkEdges, src.Height, dst,
-			func() error { return o.edgesStaged(src, dst, thresh) },
-			func(ref *Ops, r0, r1 int, d *image.Mat) error {
-				return ref.edgesStaged(src.Rows(r0, r1), d, thresh)
-			})
+	if !o.UseOptimized() {
+		return run()
 	}
-	return o.edgesStaged(src, dst, thresh)
+	// One referee covers the whole pipeline, staged or fused: it re-runs
+	// the staged scalar pipeline, and the nested SobelFilter calls see
+	// inGuard and skip their own referees.
+	return o.guardedRun(gkEdges, src.Height, dst, run,
+		func(ref *Ops, r0, r1 int, d *image.Mat) error {
+			return ref.edgesStaged(src.Rows(r0, r1), d, thresh)
+		})
 }
 
 // edgesStaged is the unfused pipeline: full gradient planes, then the

@@ -26,12 +26,10 @@ package cv
 
 import (
 	"fmt"
-	"time"
 
 	"simdstudy/internal/cache"
 	"simdstudy/internal/fuse"
 	"simdstudy/internal/image"
-	"simdstudy/internal/integrity"
 	"simdstudy/internal/obs"
 	"simdstudy/internal/par"
 	"simdstudy/internal/vec"
@@ -201,76 +199,6 @@ func (o *Ops) fusedBytesSaved(kernel string, g *fuse.Geometry, w, h, stagedPlane
 		obs.L("kernel", kernel), obs.L("isa", o.isa.String())).Add(uint64(saved))
 }
 
-// fusedAudit is the per-strip audit state of one fused sweep: the staged
-// scalar reference plane, computed up front by a referee Ops, against
-// which each strip's freshly-completed output rows are compared (and, on
-// divergence, repaired) as soon as the strip finishes.
-type fusedAudit struct {
-	want  *image.Mat
-	ce    *integrity.CorruptionError
-	start time.Time
-	sp    *obs.Span
-}
-
-// strip compares got's rows [y0, y1) against the reference, repairing
-// from it and recording the corruption on divergence.
-func (fa *fusedAudit) strip(o *Ops, kernel string, k, y0, y1 int, got *image.Mat) {
-	first, diffs := diffRegion(got, fa.want, y0, y1, 0)
-	if diffs == 0 {
-		return
-	}
-	if fa.ce == nil {
-		fa.ce = &integrity.CorruptionError{
-			Kernel: kernel, ISA: o.isa.String(),
-			Region:    integrity.Region{Row0: y0, Row1: y1, Width: got.Width},
-			FirstDiff: first, Diffs: diffs,
-		}
-	} else {
-		fa.ce.Diffs += diffs
-		fa.ce.Region.Row1 = y1
-	}
-	w := got.Width
-	copy(got.U8Pix[y0*w:y1*w], fa.want.U8Pix[y0*w:y1*w])
-	if o.Obs != nil {
-		o.Obs.Counter("fused_strip_audit_corruption_total",
-			obs.L("kernel", kernel), obs.L("isa", o.isa.String())).Inc()
-		o.Obs.Emit("integrity.fused_strip_corruption", map[string]any{
-			"kernel": kernel, "isa": o.isa.String(), "trace_id": o.traceID,
-			"strip": k, "row0": y0, "row1": y1, "diffs": diffs,
-		})
-	}
-}
-
-// finish reports the sweep's audit verdict to the auditor scoreboard and
-// the kernel's breaker, mirroring auditedRun.
-func (fa *fusedAudit) finish(o *Ops, kernel string) {
-	if fa.ce != nil {
-		fa.sp.SetAttr("mismatch", true)
-	}
-	fa.sp.End()
-	o.aud.Observe(o.Obs, kernel, o.isa.String(), time.Since(fa.start), o.traceID, fa.ce)
-	o.recordBreaker(kernel, fa.ce == nil)
-	par.PutMat(fa.want)
-}
-
-// beginFusedAudit decides whether this fused sweep is audited and, if so,
-// computes the staged scalar reference for ref(): per-strip compares then
-// run against it as the sweep produces output rows. Guarded calls return
-// nil — the guard referee already covers the fused output.
-func (o *Ops) beginFusedAudit(w, h int, ref func(ro *Ops, d *image.Mat) error) (*fusedAudit, error) {
-	if o.aud == nil || o.inGuard || !o.UseOptimized() || !o.aud.Sample() {
-		return nil, nil
-	}
-	fa := &fusedAudit{start: time.Now(), sp: o.curSpan().Child("integrity.fused_audit")}
-	want, err := o.referee(w, h, image.U8, ref)
-	if err != nil {
-		fa.sp.End()
-		return nil, err
-	}
-	fa.want = want
-	return fa, nil
-}
-
 // cannyFused runs the Canny pipeline as a single strip-streamed sweep:
 // the four Sobel passes, the magnitude stage and NMS advance together one
 // strip at a time, with the S16 intermediates confined to rolling
@@ -303,13 +231,6 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 	t2W.Bind(t2.S16Pix, w, g.Cap[fsSmoothH])
 	gyW.Bind(gy.S16Pix, w, g.Cap[fsDiffV])
 	magW.Bind(mag.S16Pix, w, g.Cap[fsMag])
-
-	fa, err := o.beginFusedAudit(w, h, func(ro *Ops, d *image.Mat) error {
-		return ro.cannyStagedNMS(src, d, lowThresh, highThresh)
-	})
-	if err != nil {
-		return err
-	}
 
 	// Body selection and per-sweep hoists, mirroring the staged pass
 	// wrappers: the SSE2 horizontal passes each hoist one unpack constant,
@@ -385,16 +306,10 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 				w: w, h: h, magLo: magW.Lo(), gLo: gxW.Lo(),
 				low: lowThresh, high: highThresh,
 			}, cannyNMSRow)
-			if fa != nil {
-				fa.strip(o, "Canny", k, y0, y1, nms)
-			}
 		}
 	}
 
 	o.cannyHysteresis(nms.U8Pix, dst.U8Pix, w, h)
-	if fa != nil {
-		fa.finish(o, "Canny")
-	}
 	// Staged Canny materializes five full S16 planes: the two Sobel
 	// scratch planes plus gx, gy and mag.
 	o.fusedBytesSaved("Canny", g, w, h, 5)
@@ -428,13 +343,6 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 	t2W.Bind(t2.S16Pix, w, g.Cap[fsSmoothH])
 	gyW.Bind(gy.S16Pix, w, g.Cap[fsDiffV])
 
-	fa, err := o.beginFusedAudit(w, h, func(ro *Ops, d *image.Mat) error {
-		return ro.edgesStaged(src, d, thresh)
-	})
-	if err != nil {
-		return err
-	}
-
 	diffHBody, smoothVBody, smoothHBody, diffVBody := sobelDiffHScalarRow,
 		sobelSmoothVScalarRow, sobelSmoothHScalarRow, sobelDiffVScalarRow
 	combineBody := magThreshScalarChunk
@@ -458,8 +366,7 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 		}
 	}
 
-	done := 0     // combined plane-linear elements so far
-	auditRow := 0 // dst rows compared so far
+	done := 0 // combined plane-linear elements so far
 	for k := 0; k < g.Strips; k++ {
 		t1W.Slide(g.Keep(fsDiffH, k))
 		if y0, y1 := g.StageRows(fsDiffH, k); y1 > y0 {
@@ -511,17 +418,8 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 			}, combineBody)
 			done = c1
 		}
-		if fa != nil {
-			if r := done / w; r > auditRow {
-				fa.strip(o, "DetectEdges", k, auditRow, r, dst)
-				auditRow = r
-			}
-		}
 	}
 
-	if fa != nil {
-		fa.finish(o, "DetectEdges")
-	}
 	// Staged DetectEdges materializes four full S16 planes: the two Sobel
 	// scratch planes plus gx and gy.
 	o.fusedBytesSaved("DetectEdges", g, w, h, 4)

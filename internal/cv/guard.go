@@ -13,11 +13,13 @@ import (
 	"simdstudy/internal/resilience"
 )
 
-// This file implements guarded mode: a self-checking dispatch wrapper that
-// runs a scalar referee after each hand-SIMD kernel, spot-checks sampled
+// This file implements the one referee path, guardedRun. In guarded mode
+// it runs a scalar referee after each hand-SIMD kernel, spot-checks sampled
 // rows, and degrades gracefully — detect, retry once, fall back to the
-// scalar result, and finally trip the setUseOptimized kill-switch — instead
-// of letting a corrupted lane reach the caller as silently wrong pixels.
+// scalar result, and without a breaker finally trip the setUseOptimized
+// kill-switch — instead of letting a corrupted lane reach the caller as
+// silently wrong pixels. An audit the integrity auditor samples (audit.go)
+// runs through the same path, guarded or not.
 //
 // The referee is a fresh scalar Ops configured for the *same* ISA, because
 // rounding conventions are per-platform (cvRound is half-to-even on SSE2 and
@@ -111,8 +113,10 @@ const (
 	// ActionFallback: retries exhausted; the scalar referee's output was
 	// substituted for the SIMD output.
 	ActionFallback
-	// ActionKillSwitch: repeated fallbacks disabled the optimized paths for
-	// this Ops entirely (setUseOptimized(false)).
+	// ActionKillSwitch: the terminal demotion. Without a breaker, KillAfter
+	// fallbacks disabled the optimized paths for this Ops entirely
+	// (setUseOptimized(false)); with one, the kernel's breaker latched
+	// stuck-open and only that kernel runs scalar from then on.
 	ActionKillSwitch
 )
 
@@ -391,16 +395,19 @@ func copyPixels(dst, src *image.Mat) {
 	copy(dst.F32Pix, src.F32Pix)
 }
 
-// guardedRun is the guarded dispatch wrapper every SIMD kernel entry point
-// routes through. simd runs the hand-optimized path into dst; rerun
-// invokes the same entry path on a referee Ops over rows of the srcH-row
-// source, so the scalar reference lands in scratch. The kernel's
-// guardSpecs entry gives the pixel tolerance and the referee's stencil.
+// guardedRun is the one referee path every SIMD kernel entry point routes
+// through. simd runs the hand-optimized path into dst; rerun invokes the
+// same entry path on a referee Ops over rows of the srcH-row source, so
+// the scalar reference lands in scratch. The kernel's guardSpecs entry
+// gives the pixel tolerance and the referee's stencil.
 //
-// Flow: run SIMD → spot-check sampled rows against the scalar referee → on
-// divergence record ActionDetected, retry the SIMD path up to MaxRetries →
-// still diverging: substitute the full referee plane (ActionFallback) →
-// after KillAfter fallbacks flip useOptimized off (ActionKillSwitch).
+// Guarded flow: run SIMD → spot-check sampled rows against the scalar
+// referee → on divergence record ActionDetected, retry the SIMD path up to
+// MaxRetries → still diverging: substitute the full referee plane
+// (ActionFallback) → after KillAfter fallbacks flip useOptimized off
+// (ActionKillSwitch). An unguarded call the auditor samples is the same
+// flow with no spot-check rows and no retries: the audit's full-window
+// compare is its only check (see audit.go).
 func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 	simd func() error, rerun refRun) error {
 	if o.inGuard {
@@ -408,19 +415,14 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 		// by the outer guard or audit.
 		return simd()
 	}
-	if !o.guarded {
-		if o.aud != nil && o.aud.Sample() {
-			return o.auditedRun(k, srcH, dst, simd, rerun)
-		}
+	// The audit sampling decision is drawn up front, so the sampler stream
+	// is positioned identically whether or not the guard later intervenes.
+	audit := o.aud != nil && o.aud.Sample()
+	if !o.guarded && !audit {
 		return simd()
 	}
 	spec := guardSpecs[k]
 	kernel, tol := spec.name, spec.tol[o.isa]
-	// In guarded mode a sampled audit piggybacks on the guard's referee (see
-	// audit.go): the sampling decision is drawn here, up front, so the
-	// sampler stream is positioned identically whether or not the guard
-	// later intervenes.
-	audit := o.aud != nil && o.aud.Sample()
 	o.inGuard = true
 	defer func() { o.inGuard = false }()
 
@@ -429,46 +431,52 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 	}
 
 	o.ctxCheck()
-	refSpan := o.curSpan().Child("guard.referee")
+	start := time.Now()
+	spName := "integrity.audit"
+	var rows []int
+	if o.guarded {
+		spName = "guard.referee"
+		rows = o.sampleRows(dst.Height)
+	}
+	refSpan := o.curSpan().Child(spName)
 	full := func(ref *Ops, d *image.Mat) error { return rerun(ref, 0, srcH, d) }
-	rows := o.sampleRows(dst.Height)
-	var want *refRows
+	want := &refRows{}
+	var err error
 	if audit || spec.halo == wholePlane {
-		m, err := o.referee(dst.Width, dst.Height, dst.Kind, full)
-		if err != nil {
-			refSpan.End()
-			return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
-		}
-		want = &refRows{m: m}
+		want.m, err = o.referee(dst.Width, dst.Height, dst.Kind, full)
 	} else {
-		var err error
-		if want, err = o.rowReferee(spec, srcH, dst, rows, rerun); err != nil {
-			refSpan.End()
-			return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
-		}
+		want, err = o.rowReferee(spec, srcH, dst, rows, rerun)
+	}
+	if err != nil {
+		refSpan.End()
+		return fmt.Errorf("cv: %s referee: %w", kernel, err)
 	}
 	defer par.PutMat(want.m)
 
 	bad, diffs := diffRows(dst, want, rows, tol)
+
+	// The audit compares the first SIMD output against the full referee
+	// over the audit window. In guarded mode the spot-check keeps sole
+	// ownership of the breaker verdict below, and the audit contributes the
+	// corruption record and, on the guard-clean path, a repair when the
+	// spot-check's rows missed a divergence the full-window compare caught.
+	// Unguarded, the audit is the only check and its verdict is the
+	// breaker's.
+	var ce *integrity.CorruptionError
+	if audit {
+		ce = o.auditCompare(kernel, dst, want.m, tol)
+		if ce != nil {
+			refSpan.SetAttr("mismatch", true)
+		}
+		o.aud.Observe(o.Obs, kernel, o.isa.String(), time.Since(start), o.traceID, ce)
+	}
 	refSpan.End()
 
-	// Piggyback audit: compare the first SIMD output against the full
-	// referee over the audit window. The guard keeps sole ownership of the
-	// breaker verdict below; the audit contributes the corruption record
-	// and, on the guard-clean path, a repair when the spot-check's rows
-	// missed a divergence the full-window compare caught.
-	var auditCE *integrity.CorruptionError
-	if audit {
-		cmpStart := time.Now()
-		auditCE = o.auditCompare(kernel, dst, want.m, tol)
-		o.aud.Observe(o.Obs, kernel, o.isa.String(), time.Since(cmpStart), o.traceID, auditCE)
-	}
-
 	if len(bad) == 0 {
-		if auditCE != nil {
+		if ce != nil {
 			copyPixels(dst, want.m)
 		}
-		o.recordBreaker(kernel, true)
+		o.recordBreaker(kernel, o.guarded || ce == nil)
 		return nil
 	}
 	o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionDetected, Rows: bad, Diffs: diffs})
@@ -502,7 +510,7 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 		m, err := o.referee(dst.Width, dst.Height, dst.Kind, full)
 		if err != nil {
 			fbSpan.End()
-			return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
+			return fmt.Errorf("cv: %s referee: %w", kernel, err)
 		}
 		defer par.PutMat(m)
 		fb = m
@@ -522,18 +530,23 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 	return nil
 }
 
-// recordBreaker feeds one guard verdict into the kernel's breaker, when one
-// is attached. A breaker that latches StuckOpen maps onto the legacy
-// kill-switch: optimized paths are disabled for this Ops and the terminal
-// action is recorded in the fault log.
+// recordBreaker feeds one referee verdict into the kernel's breaker, when
+// one is attached. A breaker that latches StuckOpen is recorded once per
+// kernel as ActionKillSwitch; the latch itself is the breaker's: its Allow
+// denies the pair on every later call, so only this kernel runs scalar and
+// its siblings on the Ops keep their SIMD paths.
 func (o *Ops) recordBreaker(kernel string, success bool) {
 	if o.brk == nil {
 		return
 	}
 	o.brkPending = ""
-	st := o.brk.Record(kernel, o.isa.String(), success)
-	if st == resilience.StateStuckOpen && o.useOptimized {
-		o.useOptimized = false
-		o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionKillSwitch})
+	if o.brk.Record(kernel, o.isa.String(), success) != resilience.StateStuckOpen {
+		return
 	}
+	for _, f := range o.kernelFaults {
+		if f.Kernel == kernel && f.Action == ActionKillSwitch {
+			return // a late verdict on a breaker already latched
+		}
+	}
+	o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionKillSwitch})
 }

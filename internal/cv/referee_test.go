@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"simdstudy/internal/faults"
 	"simdstudy/internal/image"
+	"simdstudy/internal/integrity"
 	"simdstudy/internal/par"
 )
 
@@ -136,5 +138,95 @@ func TestRefereeBandConfig(t *testing.T) {
 	o.serialOnly = true
 	if got := o.refereeOps(true).par; got.Workers > 1 {
 		t.Errorf("quarantined parent's referee bands %+v, want serial", got)
+	}
+}
+
+// TestRefereePathsAgree: guarded or not, staged or fused, an audit at rate
+// 1 reports a mismatch for exactly the outputs the injected bit flips
+// corrupted — a divergence a later stage masks (fused Canny's hysteresis)
+// is not a corrupted output — and every output the caller receives equals
+// the scalar reference.
+func TestRefereePathsAgree(t *testing.T) {
+	const calls = 60
+	res := image.Resolution{Width: 64, Height: 48}
+	planCfg := faults.Config{Rate: 5e-4, Seed: 11, Kinds: []faults.Kind{faults.KindBitFlip}}
+	kernels := []struct {
+		name string
+		fuse bool
+		run  func(o *Ops, src, dst *image.Mat) error
+	}{
+		{"FusedDetectEdges", true, func(o *Ops, src, dst *image.Mat) error { return o.DetectEdges(src, dst, 80) }},
+		{"FusedCanny", true, func(o *Ops, src, dst *image.Mat) error { return o.Canny(src, dst, 60, 200) }},
+		{"StagedDetectEdges", false, func(o *Ops, src, dst *image.Mat) error { return o.DetectEdges(src, dst, 80) }},
+		{"Threshold", false, func(o *Ops, src, dst *image.Mat) error {
+			return o.Threshold(src, dst, 100, 255, ThreshTrunc)
+		}},
+	}
+	for _, k := range kernels {
+		for _, isa := range []ISA{ISANEON, ISASSE2} {
+			newOps := func() *Ops {
+				o := NewOps(isa, nil)
+				o.SetFaultInjector(faults.NewPlan(planCfg))
+				if k.fuse {
+					o.SetFuse(FuseConfig{Enabled: true, StripRows: 8})
+				}
+				return o
+			}
+			ref := NewOps(isa, nil)
+			ref.SetUseOptimized(false)
+			srcs := make([]*image.Mat, calls)
+			refs := make([]*image.Mat, calls)
+			for i := range srcs {
+				srcs[i] = image.Synthetic(res, uint64(i+1))
+				refs[i] = image.NewMat(res.Width, res.Height, image.U8)
+				if err := k.run(ref, srcs[i], refs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Ground truth: the same calls and fault plan, unaudited and
+			// unguarded. Which outputs actually come out corrupted?
+			truth := newOps()
+			corrupted := 0
+			for i, src := range srcs {
+				dst := image.NewMat(res.Width, res.Height, image.U8)
+				if err := k.run(truth, src, dst); err != nil {
+					t.Fatal(err)
+				}
+				if !refs[i].EqualTo(dst) {
+					corrupted++
+				}
+			}
+			if corrupted == 0 {
+				t.Fatalf("%s/%v: injection corrupted no outputs; test is vacuous", k.name, isa)
+			}
+
+			for _, guarded := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%v/guarded=%v", k.name, isa, guarded), func(t *testing.T) {
+					aud := integrity.NewAuditor(integrity.AuditConfig{Rate: 1})
+					o := newOps()
+					o.SetAuditor(aud)
+					if guarded {
+						// No retries and no kill-switch: the SIMD path runs
+						// once per call, as in the ground-truth run, so both
+						// draw the same fault schedule.
+						o.SetGuardPolicy(GuardPolicy{MaxRetries: 0, KillAfter: -1})
+					}
+					for i, src := range srcs {
+						dst := image.NewMat(res.Width, res.Height, image.U8)
+						if err := k.run(o, src, dst); err != nil {
+							t.Fatal(err)
+						}
+						if !refs[i].EqualTo(dst) {
+							t.Fatalf("call %d: output differs from scalar in %d pixels",
+								i, refs[i].DiffCount(dst, 0))
+						}
+					}
+					if got := aud.Mismatches(); got != uint64(corrupted) {
+						t.Fatalf("audit reported %d mismatches, %d outputs were corrupted", got, corrupted)
+					}
+				})
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"simdstudy/internal/faults"
 	"simdstudy/internal/image"
 	"simdstudy/internal/resilience"
+	"simdstudy/internal/trace"
 )
 
 // testClock is a settable time source for deterministic breaker cooldowns.
@@ -124,8 +125,10 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 }
 
 // TestBreakerStuckOpenTripsKillSwitch: when the re-arm budget is spent the
-// breaker latches stuck-open and maps onto the legacy kill-switch:
-// useOptimized off plus an ActionKillSwitch fault record.
+// breaker latches stuck-open and records an ActionKillSwitch fault. The
+// demotion is the breaker's alone: the stuck kernel runs scalar from then
+// on, while a sibling kernel on the same Ops keeps its SIMD path and
+// UseOptimized stays latched on.
 func TestBreakerStuckOpenTripsKillSwitch(t *testing.T) {
 	src := image.Synthetic(image.Resolution{Width: 64, Height: 48}, 13)
 	clk := &testClock{t: time.Unix(0, 0)}
@@ -133,7 +136,8 @@ func TestBreakerStuckOpenTripsKillSwitch(t *testing.T) {
 		Window: 8, MinSamples: 2, FailureRate: 0.5,
 		OpenFor: time.Second, GiveUpAfter: 1, Clock: clk.Now,
 	}, nil)
-	g := NewOps(ISANEON, nil)
+	tc := &trace.Counter{}
+	g := NewOps(ISANEON, tc)
 	g.SetGuardPolicy(GuardPolicy{SampleRows: 48, MaxRetries: 0, KillAfter: -1})
 	g.SetBreakers(set)
 	g.SetFaultInjector(&corruptor{site: faults.SiteALU, remaining: -1})
@@ -150,9 +154,6 @@ func TestBreakerStuckOpenTripsKillSwitch(t *testing.T) {
 	if st := set.State("GaussianBlur", "neon"); st != resilience.StateStuckOpen {
 		t.Fatalf("breaker = %v, want stuck-open", st)
 	}
-	if g.UseOptimized() {
-		t.Fatal("stuck-open breaker must trip the kill-switch")
-	}
 	var tripped bool
 	for _, f := range g.Faults() {
 		if f.Action == ActionKillSwitch {
@@ -161,6 +162,45 @@ func TestBreakerStuckOpenTripsKillSwitch(t *testing.T) {
 	}
 	if !tripped {
 		t.Fatalf("no kill-switch record: %v", g.Faults())
+	}
+
+	// The stuck kernel runs scalar: no SIMD instructions, no referee, no
+	// new fault records, scalar output.
+	ref := NewOps(ISANEON, nil)
+	ref.SetUseOptimized(false)
+	want := image.NewMat(64, 48, image.U8)
+	if err := ref.GaussianBlur(src, want); err != nil {
+		t.Fatal(err)
+	}
+	faultsBefore, simdBefore := len(g.Faults()), tc.SIMDTotal()
+	clk.Advance(time.Hour)
+	if err := g.GaussianBlur(src, dst); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Faults()) != faultsBefore {
+		t.Fatalf("stuck kernel recorded faults: %v", g.Faults()[faultsBefore:])
+	}
+	if d := tc.SIMDTotal() - simdBefore; d != 0 {
+		t.Fatalf("stuck kernel retired %d SIMD instructions, want 0", d)
+	}
+	if !want.EqualTo(dst) {
+		t.Fatalf("stuck kernel output differs from scalar in %d pixels", want.DiffCount(dst, 0))
+	}
+
+	// A sibling kernel on the same Ops keeps its NEON path.
+	g.SetFaultInjector(nil)
+	simdBefore = tc.SIMDTotal()
+	if err := g.Threshold(src, dst, 100, 255, ThreshTrunc); err != nil {
+		t.Fatal(err)
+	}
+	if tc.SIMDTotal() == simdBefore {
+		t.Fatal("sibling Threshold ran scalar after GaussianBlur's breaker latched")
+	}
+	if st := set.State("Threshold", "neon"); st != resilience.StateClosed {
+		t.Fatalf("sibling breaker = %v, want closed", st)
+	}
+	if !g.UseOptimized() {
+		t.Fatal("a stuck-open breaker must not trip the Ops-wide useOptimized latch")
 	}
 }
 

@@ -15,9 +15,9 @@ type State int
 // the breaker (SIMD demoted to scalar); after a cooldown the breaker goes
 // half-open and admits a bounded number of probe calls; clean probes close
 // it again. StuckOpen is the terminal state after the configured number of
-// failed re-arm cycles — the breaker-layer equivalent of the old
+// failed re-arm cycles — the breaker-layer replacement for the old
 // setUseOptimized(false) kill-switch, except it is reached by policy, not
-// by the third fallback ever seen.
+// by the third fallback ever seen, and demotes only its own pair.
 const (
 	StateClosed State = iota
 	StateOpen
@@ -62,7 +62,8 @@ type BreakerConfig struct {
 	ProbeSuccesses int
 	// GiveUpAfter, when positive, is how many consecutive open trips the
 	// breaker tolerates without managing to close; the next trip latches
-	// StuckOpen — the terminal action that maps onto the cv kill-switch.
+	// StuckOpen — the terminal action, recorded by cv as a kill-switch
+	// fault for that pair alone.
 	// Zero means the breaker re-arms forever.
 	GiveUpAfter int
 	// Clock is the time source; nil means time.Now. Tests and the
