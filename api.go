@@ -622,10 +622,9 @@ func ChecksumMat(m *Mat, blockRows int) PlaneChecksum { return integrity.SumMat(
 
 // --- Result memoization ---
 
-// MemoConfig sizes the content-addressed result cache: the total byte
-// budget (MaxBytes <= 0 disables memoization), the shard count, an
-// optional kernel enable-list, and the metrics registry the cache reports
-// into. Attach it with ServeConfig.Memo, or build a standalone cache with
+// MemoConfig sizes the result cache: the total byte budget (MaxBytes <= 0
+// disables memoization), the shard count, an optional kernel enable-list,
+// and the metrics registry the cache reports into. Attach it with ServeConfig.Memo, or build a standalone cache with
 // NewMemoCache for CampaignConfig.Memo.
 type MemoConfig = memo.Config
 

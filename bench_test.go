@@ -11,13 +11,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"simdstudy/internal/harness"
 	"simdstudy/internal/image"
+	"simdstudy/internal/memo"
 	"simdstudy/internal/platform"
+	"simdstudy/internal/serve"
 	"simdstudy/internal/sse2"
 	"simdstudy/internal/timing"
 	"simdstudy/internal/vectorizer"
@@ -252,6 +256,53 @@ func BenchmarkHostConvertMemoHit(b *testing.B) {
 			b.Fatalf("outcome = %v; want hit", outcome)
 		}
 	}
+}
+
+// BenchmarkHostServeMemoHit measures a warm memo hit served end to end
+// through simdserved's handler: gaussian, NEON, 640x480. A hit is keyed
+// on the request and answered from the stored response checksum, so it
+// synthesizes no input and touches no plane. Interleaved off the clock,
+// the same request runs on a memo-off server, and x-compute reports that
+// compute time over the hit time. CI fails below 50; a hit that
+// synthesizes and content-hashes its input, then copies and re-checksums
+// a cached plane, measures about 6. The twin runs at most about 50 times
+// per round, so a long -benchtime does not multiply its 15 ms.
+func BenchmarkHostServeMemoHit(b *testing.B) {
+	const url = "/process?kernel=gaussian&width=640&height=480&isa=neon&seed=1"
+	hit := serve.NewServer(serve.Config{Memo: memo.Config{MaxBytes: 32 << 20}})
+	compute := serve.NewServer(serve.Config{})
+	defer hit.Close()
+	defer compute.Close()
+	hHit, hCompute := hit.Handler(), compute.Handler()
+	get := func(h http.Handler) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d: %s", url, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Header().Get("X-Memo")
+	}
+	get(hHit) // warm: the miss stores the entry
+	stride := max(1, b.N/50)
+	var tTwin, tTimed time.Duration
+	twins := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%stride == 0 {
+			b.StopTimer()
+			t0 := time.Now()
+			get(hCompute)
+			tTwin += time.Since(t0)
+			twins++
+			b.StartTimer()
+		}
+		t0 := time.Now()
+		if out := get(hHit); out != "hit" {
+			b.Fatalf("X-Memo = %q; want hit", out)
+		}
+		tTimed += time.Since(t0)
+	}
+	b.ReportMetric((float64(tTwin)/float64(twins))/(float64(tTimed)/float64(b.N)), "x-compute")
 }
 
 // BenchmarkHostGaussianNEONEmu measures the heaviest kernel end to end.

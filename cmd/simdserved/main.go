@@ -43,10 +43,11 @@
 // -audit-rate is the self-soak: injected corruption should surface on
 // /integrity and in corruption_detected_total.
 //
-// Memoization: -memo-bytes B caches kernel results keyed by the content of
-// (kernel, ISA, parameters, input plane), serving repeated identical
-// requests from a checksum-verified copy (X-Memo: hit) and coalescing
-// concurrent identical misses into one execution (X-Memo: coalesced).
+// Memoization: -memo-bytes B caches response checksums keyed by the request
+// (kernel, ISA, parameters, width, height, seed), serving repeated identical
+// requests from the stored, verified checksum without synthesizing or
+// computing anything (X-Memo: hit) and coalescing concurrent identical
+// misses into one execution (X-Memo: coalesced).
 // Quarantining a (kernel, ISA) pair drops its cached entries, so a cache
 // never replays results from a unit later judged corrupt. -memo-kernels
 // restricts memoization to a comma-separated kernel subset.

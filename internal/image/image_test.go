@@ -2,7 +2,9 @@ package image
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -334,28 +336,53 @@ func TestPPMRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSyntheticChecksums pins Synthetic byte for byte: FNV-64a sums of its
-// output over odd, tiny and paper-sized shapes and seeds 0-5. The sums are
-// those of the direct per-pixel formulation (two divisions and a modulo
-// per pixel), which the table-driven generator must reproduce exactly:
-// every served and benchmarked image derives from it.
+// TestSyntheticChecksums pins Synthetic and SyntheticF32 byte for byte:
+// FNV-64a sums of their output (SyntheticF32's as little-endian float32
+// bits) over odd, tiny and paper-sized shapes and seeds 0-5. The U8 sums
+// are those of the direct per-pixel formulation (two divisions and a
+// modulo per pixel), which the table-driven generator must reproduce
+// exactly: every served and benchmarked image derives from these two
+// generators, and simdserved's memo keys a response on (kernel, ISA,
+// parameters, geometry, seed) alone, so a generator change that slipped
+// past this test would let a warm cache serve stale results.
 func TestSyntheticChecksums(t *testing.T) {
 	cases := []struct {
-		w, h int
-		sums [6]uint64
+		w, h    int
+		sums    [6]uint64 // Synthetic
+		f32Sums [6]uint64 // SyntheticF32
 	}{
-		{640, 480, [6]uint64{0x943a143677774b2e, 0x503a354cedf6950f, 0xd240d169a3bba02c, 0xc40ff97e04aaab11, 0x99805909956e3629, 0x4b879fc3774b9109}},
-		{2592, 1920, [6]uint64{0x6427f92348b81623, 0xb8621fc21a4e5c82, 0xbef7d2508e30efc3, 0x790b9889b7cad686, 0x8327136d34e0a108, 0x4c47575cea760234}},
-		{17, 3, [6]uint64{0x5f0dfeaaee9e6c4a, 0x35a7354d4c6d6589, 0x366f1178940f47c3, 0x42428fed49f2af03, 0x40400755082ffdd0, 0x5397884f8c79f5f7}},
-		{1, 1, [6]uint64{0xaf63bd4c8601b7df, 0xaf63bd4c8601b7df, 0xaf63bd4c8601b7df, 0xaf63ba4c8601b2c6, 0xaf63be4c8601b992, 0xaf63b94c8601b113}},
-		{33, 65, [6]uint64{0x21952776af2a16ed, 0xf09c958604490d54, 0x5af02f958f97f502, 0x617390e8e0fab124, 0x269157e606e084e8, 0x0866759d49ba06de}},
+		{640, 480,
+			[6]uint64{0x943a143677774b2e, 0x503a354cedf6950f, 0xd240d169a3bba02c, 0xc40ff97e04aaab11, 0x99805909956e3629, 0x4b879fc3774b9109},
+			[6]uint64{0x9ce521ebf0bde234, 0x2182b23f27779d86, 0x77a122883d1b0e75, 0xa8633f421d973992, 0x2fb752eb2d8a8f5a, 0xb718fa03a4e4f978}},
+		{2592, 1920,
+			[6]uint64{0x6427f92348b81623, 0xb8621fc21a4e5c82, 0xbef7d2508e30efc3, 0x790b9889b7cad686, 0x8327136d34e0a108, 0x4c47575cea760234},
+			[6]uint64{0x09ea1adaa24cffb9, 0x17eb643a9497e448, 0xbedfe075ccf937c2, 0xa1d3e2335be95408, 0x7364dd1d9d5013a3, 0x0f1cb452abd79f3b}},
+		{17, 3,
+			[6]uint64{0x5f0dfeaaee9e6c4a, 0x35a7354d4c6d6589, 0x366f1178940f47c3, 0x42428fed49f2af03, 0x40400755082ffdd0, 0x5397884f8c79f5f7},
+			[6]uint64{0x11554598ee507187, 0xd6eaafca3362a96f, 0x422d2dac9a069589, 0xa6570a135c4c0479, 0xebf88c02d5b35d74, 0xe63720d6e65c0f75}},
+		{1, 1,
+			[6]uint64{0xaf63bd4c8601b7df, 0xaf63bd4c8601b7df, 0xaf63bd4c8601b7df, 0xaf63ba4c8601b2c6, 0xaf63be4c8601b992, 0xaf63b94c8601b113},
+			[6]uint64{0x30aad22a768591d0, 0x0e078de33c21eab9, 0xacafb4dae8d19ae0, 0xacefccdae907a79d, 0x1041a7b8880c23fd, 0xd3c896c9bb689bb1}},
+		{33, 65,
+			[6]uint64{0x21952776af2a16ed, 0xf09c958604490d54, 0x5af02f958f97f502, 0x617390e8e0fab124, 0x269157e606e084e8, 0x0866759d49ba06de},
+			[6]uint64{0x686c4d08e12448e4, 0x1551ede75f4fdb9b, 0xc4ab8528441399a4, 0xc472f20f71353eff, 0x3d7970a3a00117ad, 0x344087beb30d1772}},
 	}
 	for _, c := range cases {
-		for seed, want := range c.sums {
+		res := Resolution{Width: c.w, Height: c.h}
+		for seed := range c.sums {
 			h := fnv.New64a()
-			h.Write(Synthetic(Resolution{Width: c.w, Height: c.h}, uint64(seed)).U8Pix)
-			if got := h.Sum64(); got != want {
+			h.Write(Synthetic(res, uint64(seed)).U8Pix)
+			if got, want := h.Sum64(), c.sums[seed]; got != want {
 				t.Errorf("Synthetic %dx%d seed %d: fnv64a %#016x, want %#016x", c.w, c.h, seed, got, want)
+			}
+			h.Reset()
+			var b [4]byte
+			for _, v := range SyntheticF32(res, uint64(seed)).F32Pix {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+			if got, want := h.Sum64(), c.f32Sums[seed]; got != want {
+				t.Errorf("SyntheticF32 %dx%d seed %d: fnv64a %#016x, want %#016x", c.w, c.h, seed, got, want)
 			}
 		}
 	}

@@ -1,28 +1,41 @@
-// Package memo is the content-addressed result cache for kernel outputs:
-// a sharded, byte-budgeted LRU keyed by a fingerprint of (kernel name,
-// full parameter set, input plane bytes) with singleflight request
-// coalescing, so repeated work costs one plane copy instead of a kernel
-// run and N concurrent identical requests execute the kernel exactly
-// once.
+// Package memo is the result cache for kernel outputs: a sharded,
+// byte-budgeted LRU with singleflight request coalescing, so repeated work
+// costs a lookup instead of a kernel run and N concurrent identical
+// requests execute the kernel exactly once.
 //
-// The cache is paranoid about what it serves. Every stored plane carries
-// its internal/integrity block checksum and is re-verified on every hit —
-// a plane that rotted in memory is evicted and recomputed, never served
-// (memo_corrupt_evictions_total counts those). Entries are keyed by ISA
-// because emulated units are not bit-identical across lanes everywhere
-// (NEON's float→short convert rounds one LSB differently from scalar),
-// and Invalidate drops every entry for a (kernel, ISA) pair the moment
-// the integrity scoreboard quarantines it or a breaker force-opens: a
-// unit caught corrupting forfeits its cached history along with its
-// dispatch rights.
+// It holds two kinds of entry, keyed two ways:
 //
-// Coalescing is cancellation-safe by construction. Leadership of an
-// in-flight computation is a token in a 1-buffered channel: the first
-// caller takes it and computes; waiters select on {result, own ctx,
-// token}. A leader whose context dies returns the token instead of
-// publishing an error, so a surviving waiter promotes itself and
-// recomputes under its own deadline — a cancelled leader never poisons
-// the flight for the requests coalesced behind it.
+//   - Request entries (DoSum, keyed by RequestKey) serve simdserved. A
+//     response carries only the checksum of the output plane, and the
+//     request tuple (kernel, ISA, parameter and fuse signature, width,
+//     height, seed) fixes the input plane, because the synthetic
+//     generators are pure functions within one binary. An entry therefore
+//     holds just the response checksum: a hit synthesizes nothing, hashes
+//     no plane and copies no plane.
+//   - Content entries (Do, keyed by KeyFor's fingerprint of the parameter
+//     set and the input plane bytes) serve callers that need the output
+//     plane itself, such as harness campaigns and the public API.
+//
+// The cache is paranoid about what it serves. A content entry carries its
+// internal/integrity block checksum and a request entry a check word
+// binding its response checksum to its key; both are re-verified on every
+// hit, and an entry that rotted in memory is evicted and recomputed,
+// never served (memo_corrupt_evictions_total counts those). Entries are
+// keyed by ISA because emulated units are not bit-identical across lanes
+// everywhere (NEON's float→short convert rounds one LSB differently from
+// scalar), and Invalidate drops every entry for a (kernel, ISA) pair the
+// moment the integrity scoreboard quarantines it or a breaker
+// force-opens: a unit caught corrupting forfeits its cached history along
+// with its dispatch rights. A computation already in flight when its pair
+// is invalidated still answers its callers but is not stored.
+//
+// Coalescing is cancellation-safe by construction, and one loop serves
+// both entry kinds. Leadership of an in-flight computation is a token in
+// a 1-buffered channel: the first caller takes it and computes; waiters
+// select on {result, own ctx, token}. A leader whose context dies returns
+// the token instead of publishing an error, so a surviving waiter
+// promotes itself and recomputes under its own deadline — a cancelled
+// leader never poisons the flight for the requests coalesced behind it.
 package memo
 
 import (
@@ -32,6 +45,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"simdstudy/internal/image"
 	"simdstudy/internal/integrity"
@@ -45,6 +59,58 @@ type Key struct {
 	Kernel string
 	ISA    string
 	Hash   uint64
+}
+
+// RequestKey identifies one served response by the exact request tuple
+// that fixes it. Entries compare the whole tuple, so two requests share an
+// entry only when every field is equal; no hash collision can serve one
+// request another's result.
+type RequestKey struct {
+	Kernel string
+	ISA    string
+	// Params is the kernel's parameter signature and the fuse/strip
+	// signature: every knob besides the input that can change the output.
+	Params string
+	Width  int
+	Height int
+	Seed   uint64
+}
+
+// slot is the cache's internal key: a RequestKey, or a content Key folded
+// into its Kernel, ISA and hash with content set. Maps compare the whole
+// slot.
+type slot struct {
+	RequestKey
+	hash    uint64
+	content bool
+}
+
+func contentSlot(k Key) slot {
+	return slot{RequestKey: RequestKey{Kernel: k.Kernel, ISA: k.ISA}, hash: k.Hash, content: true}
+}
+
+// fold summarizes the slot in 64 bits: it picks the shard and salts a
+// request entry's check word. A content slot folds to its fingerprint.
+func (s slot) fold() uint64 {
+	if s.content {
+		return s.hash
+	}
+	h := foldString(fnv64Offset, s.Kernel)
+	h = foldString(h, s.ISA)
+	h = foldString(h, s.Params)
+	h = fold64(h, uint64(s.Width))
+	h = fold64(h, uint64(s.Height))
+	return fold64(h, s.Seed)
+}
+
+// checkWord binds a request entry's response checksum to its key's fold.
+// It is a bijection of sum for a fixed fold, so flipping any bit of the
+// stored checksum, or of the stored check word, breaks the relation.
+func checkWord(fold, sum uint64) uint64 {
+	x := fold ^ sum*0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // 64-bit FNV-1a, used to fold the parameter string, geometry and the
@@ -86,16 +152,16 @@ func KeyFor(kernel, isa, params string, src *image.Mat) Key {
 	return Key{Kernel: kernel, ISA: isa, Hash: h}
 }
 
-// Outcome classifies how Do satisfied a request.
+// Outcome classifies how Do or DoSum satisfied a request.
 type Outcome int
 
-// Do outcomes. Bypass means memoization was disabled for the kernel and
-// compute ran directly.
+// Do and DoSum outcomes. Bypass means memoization was disabled for the
+// kernel and compute ran directly.
 const (
 	Bypass    Outcome = iota
-	Hit               // copied from the cache, checksum verified
+	Hit               // served from the cache, entry verified
 	Miss              // this caller led the computation
-	Coalesced         // waited on another caller's computation and copied its result
+	Coalesced         // waited on another caller's computation and took its result
 )
 
 // String names the outcome as exposed in the X-Memo response header.
@@ -113,11 +179,12 @@ func (o Outcome) String() string {
 
 // Config sizes the cache.
 type Config struct {
-	// MaxBytes is the total plane-byte budget across all shards.
+	// MaxBytes is the total byte budget across all shards: a content
+	// entry is charged its plane bytes, a request entry its heap cost.
 	// <= 0 disables the cache (New returns nil).
 	MaxBytes int64
 	// Shards is the number of independent LRU shards (key → shard by
-	// Hash). 0 selects 8. More shards cut lock contention on the hit
+	// its 64-bit fold). 0 selects 8. More shards cut lock contention on the hit
 	// path; eviction order is deterministic per shard.
 	Shards int
 	// Kernels restricts memoization to the named kernels. Empty enables
@@ -141,22 +208,45 @@ type Stats struct {
 	Invalidations    uint64 `json:"invalidations"`
 }
 
-// entry is one cached result. The plane is owned by the cache and never
-// mutated after insertion, so readers copy from it without holding the
-// shard lock; eviction just drops the reference (no pooling of cache
-// planes — a waiter may still be copying from an entry evicted under it).
+// entry is one cached result: a content entry's plane and block checksum,
+// or a request entry's response checksum and check word. The plane is
+// owned by the cache and never mutated after insertion, so readers copy
+// from it without holding the shard lock; eviction just drops the
+// reference (no pooling of cache planes — a waiter may still be copying
+// from an entry evicted under it).
 type entry struct {
-	key   Key
+	key   slot
 	plane *image.Mat
 	sum   integrity.PlaneSum
+	resp  uint64 // request entries: the response checksum
+	check uint64 // request entries: checkWord(key.fold(), resp)
 	bytes int64
+}
+
+// respEntryBytes is what one request entry costs on the heap: the entry,
+// its LRU element and its map slot (key, element pointer, control byte).
+// The slot counts four times over: a table may be half empty right after
+// it grows, and the table it grew out of stays on the heap until the next
+// collection. TestRespEntryChargeCoversHeap holds the charge to at least
+// the measured heap growth per insert.
+const respEntryBytes = int64(unsafe.Sizeof(entry{})+unsafe.Sizeof(list.Element{})) +
+	4*int64(unsafe.Sizeof(slot{})+unsafe.Sizeof(&list.Element{})+1)
+
+func newRespEntry(k slot, sum uint64) *entry {
+	return &entry{key: k, resp: sum, check: checkWord(k.fold(), sum), bytes: respEntryBytes}
+}
+
+func (e *entry) respOK() bool { return e.check == checkWord(e.key.fold(), e.resp) }
+
+func (e *entry) planeOK(dst *image.Mat) bool {
+	return e.sum.VerifyMat(e.plane) == nil && copyInto(dst, e.plane)
 }
 
 type shard struct {
 	mu      sync.Mutex
 	budget  int64
 	bytes   int64
-	entries map[Key]*list.Element
+	entries map[slot]*list.Element
 	lru     *list.List // front = most recently used
 }
 
@@ -171,6 +261,9 @@ type flight struct {
 	refs   int    // callers joined; guarded by Cache.flightMu
 }
 
+// pair names a (kernel, ISA) pair, the unit Invalidate works on.
+type pair struct{ kernel, isa string }
+
 // Cache is the memoization layer. A nil *Cache is valid and disabled:
 // Get reports a miss and Do runs compute directly.
 type Cache struct {
@@ -179,7 +272,13 @@ type Cache struct {
 	shards  []*shard
 
 	flightMu sync.Mutex
-	flights  map[Key]*flight
+	flights  map[slot]*flight
+
+	// gens counts Invalidate calls per (kernel, ISA) pair. A flight
+	// stores its result only if its pair's generation has not moved
+	// since its compute began.
+	genMu sync.Mutex
+	gens  map[pair]uint64
 
 	// Authoritative tallies (registry counters mirror them so the cache
 	// works without a registry).
@@ -195,8 +294,8 @@ type Cache struct {
 	reg                            *obs.Registry
 }
 
-// HitBuckets are the memo_hit_seconds histogram bounds: hits are plane
-// copies, so the buckets run finer than request_seconds.
+// HitBuckets are the memo_hit_seconds histogram bounds: hits are lookups
+// or plane copies, so the buckets run finer than request_seconds.
 var HitBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1}
 
 // New builds a cache from cfg, or returns nil (a valid, disabled cache)
@@ -211,7 +310,8 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:     cfg,
 		shards:  make([]*shard, cfg.Shards),
-		flights: make(map[Key]*flight),
+		flights: make(map[slot]*flight),
+		gens:    make(map[pair]uint64),
 		reg:     cfg.Registry,
 	}
 	per := cfg.MaxBytes / int64(cfg.Shards)
@@ -221,7 +321,7 @@ func New(cfg Config) *Cache {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			budget:  per,
-			entries: make(map[Key]*list.Element),
+			entries: make(map[slot]*list.Element),
 			lru:     list.New(),
 		}
 	}
@@ -252,8 +352,8 @@ func (c *Cache) Enabled(kernel string) bool {
 	return c.enabled == nil || c.enabled[kernel]
 }
 
-func (c *Cache) shardFor(k Key) *shard {
-	return c.shards[int(k.Hash%uint64(len(c.shards)))]
+func (c *Cache) shardFor(fold uint64) *shard {
+	return c.shards[int(fold%uint64(len(c.shards)))]
 }
 
 func (c *Cache) now() time.Time {
@@ -282,6 +382,27 @@ func copyInto(dst, src *image.Mat) bool {
 	return true
 }
 
+// lookup returns k's resident entry, moved to the front of its shard's
+// LRU, or nil.
+func (c *Cache) lookup(k slot) (*list.Element, *entry) {
+	sh := c.shardFor(k.fold())
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.entries[k]
+	if !ok {
+		return nil, nil
+	}
+	sh.lru.MoveToFront(el)
+	return el, el.Value.(*entry)
+}
+
+// hit counts one verified hit that began at start.
+func (c *Cache) hit(ctx context.Context, start time.Time) {
+	c.hits.Add(1)
+	c.mHits.Inc()
+	c.mHitSeconds.ObserveExemplar(time.Since(start).Seconds(), obs.TraceID(ctx), c.now())
+}
+
 // Get serves key from the cache into dst if present: the stored plane is
 // re-verified against its block checksum and copied out. A checksum
 // mismatch — the plane rotted while cached — evicts the entry and reports
@@ -292,39 +413,48 @@ func (c *Cache) Get(ctx context.Context, key Key, dst *image.Mat) bool {
 		return false
 	}
 	start := c.now()
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	el, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
+	k := contentSlot(key)
+	el, e := c.lookup(k)
+	if e == nil {
 		return false
 	}
-	e := el.Value.(*entry)
-	sh.lru.MoveToFront(el)
-	sh.mu.Unlock()
-
 	// Verify and copy outside the lock: the plane is immutable once
 	// stored and eviction only drops references, so concurrent evict or
 	// re-store cannot race this read.
-	if e.sum.VerifyMat(e.plane) != nil || !copyInto(dst, e.plane) {
-		c.evictCorrupt(key, el)
+	if !e.planeOK(dst) {
+		c.evictCorrupt(k, el)
 		return false
 	}
-	c.hits.Add(1)
-	c.mHits.Inc()
-	c.mHitSeconds.ObserveExemplar(time.Since(start).Seconds(), obs.TraceID(ctx), c.now())
+	c.hit(ctx, start)
 	return true
+}
+
+// getSum is Get for a request entry: it returns the stored response
+// checksum once the entry's check word verifies, and evicts an entry
+// whose check fails. It performs no allocation.
+func (c *Cache) getSum(ctx context.Context, k slot) (uint64, bool) {
+	start := c.now()
+	el, e := c.lookup(k)
+	if e == nil {
+		return 0, false
+	}
+	if !e.respOK() {
+		c.evictCorrupt(k, el)
+		return 0, false
+	}
+	c.hit(ctx, start)
+	return e.resp, true
 }
 
 // evictCorrupt removes an entry that failed its on-hit verification, if
 // it is still the resident entry for its key.
-func (c *Cache) evictCorrupt(key Key, el *list.Element) {
-	sh := c.shardFor(key)
+func (c *Cache) evictCorrupt(k slot, el *list.Element) {
+	sh := c.shardFor(k.fold())
 	sh.mu.Lock()
-	if cur, ok := sh.entries[key]; ok && cur == el {
+	if cur, ok := sh.entries[k]; ok && cur == el {
 		e := cur.Value.(*entry)
 		sh.lru.Remove(cur)
-		delete(sh.entries, key)
+		delete(sh.entries, k)
 		sh.bytes -= e.bytes
 		c.corrupt.Add(1)
 		c.mCorrupt.Inc()
@@ -333,26 +463,30 @@ func (c *Cache) evictCorrupt(key Key, el *list.Element) {
 	sh.mu.Unlock()
 }
 
-// store copies dst into a cache-owned plane, checksums it and inserts it,
-// evicting least-recently-used entries until the shard fits its budget.
-// A result bigger than the whole shard budget is not cached.
-func (c *Cache) store(key Key, dst *image.Mat) *entry {
-	e := &entry{
-		key:   key,
-		plane: dst.Clone(),
-		sum:   integrity.SumMat(dst, 0),
-		bytes: int64(dst.Bytes()),
-	}
-	sh := c.shardFor(key)
+// generation returns the invalidation count of k's (kernel, ISA) pair.
+func (c *Cache) generation(k slot) uint64 {
+	c.genMu.Lock()
+	defer c.genMu.Unlock()
+	return c.gens[pair{k.Kernel, k.ISA}]
+}
+
+// store inserts e, evicting least-recently-used entries until the shard
+// fits its budget, and returns e for the flight's waiters. It keeps
+// nothing when e is bigger than the whole shard budget, or when e's pair
+// was invalidated after its compute began (its generation is no longer
+// gen). Invalidate bumps the generation before it takes any shard lock,
+// so checking it under the shard lock cannot miss an invalidation.
+func (c *Cache) store(e *entry, gen uint64) *entry {
+	sh := c.shardFor(e.key.fold())
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e.bytes > sh.budget {
-		return e // serve to waiters, too big to keep
+	if e.bytes > sh.budget || c.generation(e.key) != gen {
+		return e // serve to waiters, do not keep
 	}
-	if old, ok := sh.entries[key]; ok {
+	if old, ok := sh.entries[e.key]; ok {
 		oe := old.Value.(*entry)
 		sh.lru.Remove(old)
-		delete(sh.entries, key)
+		delete(sh.entries, e.key)
 		sh.bytes -= oe.bytes
 	}
 	for sh.bytes+e.bytes > sh.budget {
@@ -368,7 +502,7 @@ func (c *Cache) store(key Key, dst *image.Mat) *entry {
 		c.mEvictions.Inc()
 		c.mBytes.Add(-float64(be.bytes))
 	}
-	sh.entries[key] = sh.lru.PushFront(e)
+	sh.entries[e.key] = sh.lru.PushFront(e)
 	sh.bytes += e.bytes
 	c.mBytes.Add(float64(e.bytes))
 	return e
@@ -391,13 +525,65 @@ func (c *Cache) Do(ctx context.Context, key Key, dst *image.Mat, compute func(co
 	if c.Get(ctx, key, dst) {
 		return Hit, nil
 	}
+	k := contentSlot(key)
+	return c.fly(ctx, k, func(ctx context.Context) (*entry, error) {
+		if err := compute(ctx); err != nil {
+			return nil, err
+		}
+		return &entry{key: k, plane: dst.Clone(), sum: integrity.SumMat(dst, 0), bytes: int64(dst.Bytes())}, nil
+	}, func(e *entry) bool { return e.planeOK(dst) })
+}
 
+// DoSum is Do for a served response: it returns the response checksum
+// for key from a request entry (Hit), from an identical in-flight
+// computation (Coalesced), or by running compute (Miss), which returns
+// the checksum and is stored for later hits. Errors behave as in Do. The
+// hit path performs no allocation.
+func (c *Cache) DoSum(ctx context.Context, key RequestKey, compute func(context.Context) (uint64, error)) (uint64, Outcome, error) {
+	if c == nil || !c.Enabled(key.Kernel) {
+		sum, err := compute(ctx)
+		return sum, Bypass, err
+	}
+	k := slot{RequestKey: key}
+	if sum, ok := c.getSum(ctx, k); ok {
+		return sum, Hit, nil
+	}
+	return c.flySum(ctx, k, compute)
+}
+
+// flySum runs DoSum's miss through the flight loop. It is split from DoSum
+// so the checksum the closures share is allocated on misses only.
+func (c *Cache) flySum(ctx context.Context, k slot, compute func(context.Context) (uint64, error)) (uint64, Outcome, error) {
+	var sum uint64
+	out, err := c.fly(ctx, k, func(ctx context.Context) (*entry, error) {
+		s, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		sum = s
+		return newRespEntry(k, s), nil
+	}, func(e *entry) bool {
+		if !e.respOK() {
+			return false
+		}
+		sum = e.resp
+		return true
+	})
+	return sum, out, err
+}
+
+// fly runs the coalescing protocol for k after a cache miss. The caller
+// joins k's flight or starts one. Whoever holds the token runs lead,
+// stores the entry lead builds, and publishes it. A waiter hands the
+// published entry to take; if take rejects it (the entry rotted before
+// the waiter read it), the waiter reruns lead for itself without storing.
+func (c *Cache) fly(ctx context.Context, k slot, lead func(context.Context) (*entry, error), take func(*entry) bool) (Outcome, error) {
 	c.flightMu.Lock()
-	f, ok := c.flights[key]
+	f, ok := c.flights[k]
 	if !ok {
 		f = &flight{token: make(chan struct{}, 1), done: make(chan struct{})}
 		f.token <- struct{}{}
-		c.flights[key] = f
+		c.flights[k] = f
 	}
 	f.refs++
 	c.flightMu.Unlock()
@@ -405,16 +591,16 @@ func (c *Cache) Do(ctx context.Context, key Key, dst *image.Mat, compute func(co
 	for {
 		select {
 		case <-f.done:
-			c.leave(key, f)
+			c.leave(k, f)
 			if f.err != nil {
 				return Coalesced, f.err
 			}
-			if f.result.sum.VerifyMat(f.result.plane) != nil || !copyInto(dst, f.result.plane) {
-				// The freshly published plane rotted before this waiter
-				// copied it. Do not serve it; recompute directly.
+			if !take(f.result) {
+				// The freshly published entry rotted before this waiter
+				// read it. Do not serve it; recompute directly.
 				c.corrupt.Add(1)
 				c.mCorrupt.Inc()
-				if err := compute(ctx); err != nil {
+				if _, err := lead(ctx); err != nil {
 					return Coalesced, err
 				}
 				return Miss, nil
@@ -424,29 +610,30 @@ func (c *Cache) Do(ctx context.Context, key Key, dst *image.Mat, compute func(co
 			return Coalesced, nil
 
 		case <-ctx.Done():
-			c.leave(key, f)
+			c.leave(k, f)
 			return Coalesced, ctx.Err()
 
 		case <-f.token:
-			err := compute(ctx)
+			gen := c.generation(k)
+			e, err := lead(ctx)
 			if err != nil {
 				if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					// Cancelled leader: hand the token back so a waiter
 					// can promote itself, and fail only this caller.
 					f.token <- struct{}{}
-					c.leave(key, f)
+					c.leave(k, f)
 					return Miss, err
 				}
 				f.err = err
-				c.unmap(key, f) // later callers start a fresh flight
+				c.unmap(k, f) // later callers start a fresh flight
 				close(f.done)
-				c.leave(key, f)
+				c.leave(k, f)
 				return Miss, err
 			}
-			f.result = c.store(key, dst)
-			c.unmap(key, f)
+			f.result = c.store(e, gen)
+			c.unmap(k, f)
 			close(f.done)
-			c.leave(key, f)
+			c.leave(k, f)
 			c.misses.Add(1)
 			c.mMisses.Inc()
 			return Miss, nil
@@ -456,11 +643,11 @@ func (c *Cache) Do(ctx context.Context, key Key, dst *image.Mat, compute func(co
 
 // leave drops one flight reference; the last participant out unmaps the
 // flight (if a publish has not already done so).
-func (c *Cache) leave(key Key, f *flight) {
+func (c *Cache) leave(k slot, f *flight) {
 	c.flightMu.Lock()
 	f.refs--
-	if f.refs == 0 && c.flights[key] == f {
-		delete(c.flights, key)
+	if f.refs == 0 && c.flights[k] == f {
+		delete(c.flights, k)
 	}
 	c.flightMu.Unlock()
 }
@@ -468,10 +655,10 @@ func (c *Cache) leave(key Key, f *flight) {
 // unmap removes f from the flight table so callers arriving after a
 // publish consult the cache (or start a fresh flight) instead of joining
 // a finished one.
-func (c *Cache) unmap(key Key, f *flight) {
+func (c *Cache) unmap(k slot, f *flight) {
 	c.flightMu.Lock()
-	if c.flights[key] == f {
-		delete(c.flights, key)
+	if c.flights[k] == f {
+		delete(c.flights, k)
 	}
 	c.flightMu.Unlock()
 }
@@ -494,23 +681,27 @@ func (c *Cache) InFlight() (flights, participants int) {
 }
 
 // Invalidate drops every cached entry for the (kernel, isa) pair and
-// returns how many were removed. Wired to breaker force-open and
-// integrity-scoreboard quarantine: a unit caught corrupting loses its
-// cached results along with its dispatch rights.
+// returns how many were removed; a computation for the pair already in
+// flight still answers its callers but is not stored. Wired to breaker
+// force-open and integrity-scoreboard quarantine: a unit caught
+// corrupting loses its cached results along with its dispatch rights.
 func (c *Cache) Invalidate(kernel, isa string) int {
 	if c == nil {
 		return 0
 	}
+	c.genMu.Lock()
+	c.gens[pair{kernel, isa}]++
+	c.genMu.Unlock()
 	removed := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for key, el := range sh.entries {
-			if key.Kernel != kernel || key.ISA != isa {
+		for k, el := range sh.entries {
+			if k.Kernel != kernel || k.ISA != isa {
 				continue
 			}
 			e := el.Value.(*entry)
 			sh.lru.Remove(el)
-			delete(sh.entries, key)
+			delete(sh.entries, k)
 			sh.bytes -= e.bytes
 			removed++
 			c.mBytes.Add(-float64(e.bytes))
@@ -562,12 +753,12 @@ func (c *Cache) Kernels() map[string]struct {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for key, el := range sh.entries {
+		for k, el := range sh.entries {
 			e := el.Value.(*entry)
-			v := out[key.Kernel+"/"+key.ISA]
+			v := out[k.Kernel+"/"+k.ISA]
 			v.Entries++
 			v.Bytes += e.bytes
-			out[key.Kernel+"/"+key.ISA] = v
+			out[k.Kernel+"/"+k.ISA] = v
 		}
 		sh.mu.Unlock()
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"simdstudy/internal/image"
 	"simdstudy/internal/obs"
@@ -133,7 +135,6 @@ func TestCoalescing(t *testing.T) {
 	var computes atomic.Int64
 	started := make(chan struct{}) // leader entered compute
 	release := make(chan struct{}) // all followers joined; leader may finish
-	joined := make(chan struct{}, n)
 
 	var wg sync.WaitGroup
 	dsts := make([]*image.Mat, n)
@@ -161,7 +162,6 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			joined <- struct{}{}
 			outs[i], errs[i] = c.Do(context.Background(), key, dsts[i], func(context.Context) error {
 				computes.Add(1)
 				fillDst(dsts[i], 9)
@@ -169,9 +169,10 @@ func TestCoalescing(t *testing.T) {
 			})
 		}(i)
 	}
-	for i := 1; i < n; i++ {
-		<-joined
-	}
+	// Release the leader only once every waiter is a participant in the
+	// flight, not merely started: a waiter still on its way to Do when the
+	// leader publishes would hit the cache instead of coalescing.
+	waitForFlight(t, c, key, n)
 	close(release)
 	wg.Wait()
 
@@ -268,9 +269,10 @@ func TestCancelledLeaderHandoff(t *testing.T) {
 // waitForFlight spins until the flight for key has n participants.
 func waitForFlight(t *testing.T, c *Cache, key Key, n int) {
 	t.Helper()
-	for i := 0; i < 10000; i++ {
+	k := contentSlot(key)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		c.flightMu.Lock()
-		f := c.flights[key]
+		f := c.flights[k]
 		refs := 0
 		if f != nil {
 			refs = f.refs
@@ -428,11 +430,7 @@ func TestCorruptEntryEvictedAndRecomputed(t *testing.T) {
 	}
 
 	// Flip one bit in the cached plane behind the cache's back.
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	el := sh.entries[key]
-	el.Value.(*entry).plane.U8Pix[17] ^= 0x40
-	sh.mu.Unlock()
+	resident(t, c, contentSlot(key), func(e *entry) { e.plane.U8Pix[17] ^= 0x40 })
 
 	probe := image.NewMat(64, 32, image.U8)
 	if c.Get(context.Background(), key, probe) {
@@ -458,6 +456,184 @@ func TestCorruptEntryEvictedAndRecomputed(t *testing.T) {
 	}
 	if !c.Get(context.Background(), key, probe) || !probe.EqualTo(dst2) {
 		t.Fatal("recomputed entry not served intact")
+	}
+
+	// A request entry that rots — one bit of its stored checksum or of
+	// its check word — fails its check word on the next call, which
+	// evicts it, counts it and recomputes the right checksum.
+	rk := RequestKey{Kernel: "gaussian", ISA: "neon", Params: "g5x5,", Width: 64, Height: 32, Seed: 6}
+	const want = 0x0123456789abcdef
+	for i, flip := range []func(e *entry){
+		func(e *entry) { e.resp ^= 1 << 40 },
+		func(e *entry) { e.check ^= 1 << 3 },
+	} {
+		if _, _, err := c.DoSum(context.Background(), rk, func(context.Context) (uint64, error) { return want, nil }); err != nil {
+			t.Fatal(err)
+		}
+		resident(t, c, slot{RequestKey: rk}, flip)
+		recomputed = false
+		got, out, err := c.DoSum(context.Background(), rk, func(context.Context) (uint64, error) {
+			recomputed = true
+			return want, nil
+		})
+		if err != nil || out != Miss || !recomputed || got != want {
+			t.Fatalf("flip %d: recompute = (%#x, %v, %v), ran=%v; want (%#x, miss)", i, got, out, err, recomputed, uint64(want))
+		}
+		if v := reg.Counter("memo_corrupt_evictions_total").Value(); v != uint64(2+i) {
+			t.Fatalf("flip %d: memo_corrupt_evictions_total = %d; want %d", i, v, 2+i)
+		}
+		if got, out, _ := c.DoSum(context.Background(), rk, nil); out != Hit || got != want {
+			t.Fatalf("flip %d: recomputed entry = (%#x, %v); want (%#x, hit)", i, got, out, uint64(want))
+		}
+	}
+}
+
+// resident applies mutate to k's resident entry behind the cache's back.
+func resident(t *testing.T, c *Cache, k slot, mutate func(e *entry)) {
+	t.Helper()
+	sh := c.shardFor(k.fold())
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.entries[k]
+	if !ok {
+		t.Fatalf("no resident entry for %+v", k)
+	}
+	mutate(el.Value.(*entry))
+}
+
+// TestInvalidateDuringComputeNotStored: a result computed before its
+// (kernel, ISA) pair is invalidated — the quarantine verdict landed while
+// compute ran — still answers its caller but is not cached, so the next
+// call recomputes on the demoted path. Both entry kinds.
+func TestInvalidateDuringComputeNotStored(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 24})
+	ctx := context.Background()
+
+	key := testKey(t, "gaussian", "neon", 7)
+	dst := image.NewMat(64, 32, image.U8)
+	out, err := c.Do(ctx, key, dst, func(context.Context) error {
+		fillDst(dst, 3)
+		c.Invalidate("gaussian", "neon")
+		return nil
+	})
+	want := image.NewMat(64, 32, image.U8)
+	fillDst(want, 3)
+	if err != nil || out != Miss || !dst.EqualTo(want) {
+		t.Fatalf("plane Do = (%v, %v), plane ok %v; want its own result", out, err, dst.EqualTo(want))
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("pre-invalidation plane was cached: %+v", st)
+	}
+	if out, _ := c.Do(ctx, key, dst, func(context.Context) error { return nil }); out != Miss {
+		t.Fatalf("next plane Do = %v; want miss", out)
+	}
+
+	rk := RequestKey{Kernel: "gaussian", ISA: "neon", Params: "g5x5,", Width: 64, Height: 32, Seed: 7}
+	sum, out, err := c.DoSum(ctx, rk, func(context.Context) (uint64, error) {
+		c.Invalidate("gaussian", "neon")
+		return 42, nil
+	})
+	if err != nil || out != Miss || sum != 42 {
+		t.Fatalf("DoSum = (%d, %v, %v); want (42, miss)", sum, out, err)
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("pre-invalidation checksum was cached: %+v", st)
+	}
+	if _, out, _ := c.DoSum(ctx, rk, func(context.Context) (uint64, error) { return 42, nil }); out != Miss {
+		t.Fatalf("next DoSum = %v; want miss", out)
+	}
+
+	// Invalidating another pair does not discard a flight's result.
+	rk.Seed = 8
+	c.DoSum(ctx, rk, func(context.Context) (uint64, error) {
+		c.Invalidate("gaussian", "sse2")
+		return 43, nil
+	})
+	if _, out, _ := c.DoSum(ctx, rk, nil); out != Hit {
+		t.Fatalf("DoSum after an unrelated invalidation = %v; want hit", out)
+	}
+}
+
+// TestRequestKeyEveryFieldDistinguishes: request keys that differ in
+// exactly one field never share an entry, and a request key never shares
+// one with a content key.
+func TestRequestKeyEveryFieldDistinguishes(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 24})
+	base := RequestKey{Kernel: "GaussianBlur", ISA: "neon", Params: "g5x5,", Width: 64, Height: 48, Seed: 1}
+	variants := []RequestKey{base, base, base, base, base, base, base}
+	variants[1].Kernel = "MedianBlur3x3"
+	variants[2].ISA = "sse2"
+	variants[3].Params = "g5x5,fuse"
+	variants[4].Width = 65
+	variants[5].Height = 49
+	variants[6].Seed = 2
+	for i, k := range variants {
+		sum, out, err := c.DoSum(context.Background(), k, func(context.Context) (uint64, error) { return uint64(100 + i), nil })
+		if err != nil || out != Miss || sum != uint64(100+i) {
+			t.Fatalf("variant %d %+v = (%d, %v, %v); want its own miss", i, k, sum, out, err)
+		}
+	}
+	for i, k := range variants {
+		if sum, out, _ := c.DoSum(context.Background(), k, nil); out != Hit || sum != uint64(100+i) {
+			t.Fatalf("variant %d = (%d, %v); want (%d, hit)", i, sum, out, 100+i)
+		}
+	}
+	// A content key with the same kernel, ISA and a hash equal to the
+	// request's fold is still a different entry.
+	ck := Key{Kernel: base.Kernel, ISA: base.ISA, Hash: slot{RequestKey: base}.fold()}
+	if c.Get(context.Background(), ck, image.NewMat(64, 48, image.U8)) {
+		t.Fatal("content key served a request entry")
+	}
+	if st := c.Stats(); st.Entries != len(variants) {
+		t.Fatalf("entries = %d; want %d", st.Entries, len(variants))
+	}
+}
+
+// TestRespEntryChargeCoversHeap: the bytes a request entry is charged
+// against MaxBytes are at least what inserting one costs the heap — the
+// entry, its LRU element and its share of the map, including the tables
+// the map grew out of — measured over 10^5 inserts with the collector off.
+func TestRespEntryChargeCoversHeap(t *testing.T) {
+	const n = 100_000
+	c := New(Config{MaxBytes: 1 << 40, Shards: 8})
+	keys := make([]slot, n)
+	for i := range keys {
+		keys[i] = slot{RequestKey: RequestKey{Kernel: "GaussianBlur", ISA: "neon", Params: "g5x5,", Width: 640, Height: 480, Seed: uint64(i)}}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, k := range keys {
+		c.store(newRespEntry(k, uint64(i)), 0)
+	}
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / n
+	if st := c.Stats(); st.Entries != n || st.Bytes != n*respEntryBytes {
+		t.Fatalf("stats = %+v; want %d entries of %d bytes", st, n, respEntryBytes)
+	}
+	t.Logf("heap growth %.0f B/entry, charge %d B/entry", perEntry, respEntryBytes)
+	if perEntry > float64(respEntryBytes) {
+		t.Fatalf("heap grows %.0f B per request entry; the charge is only %d", perEntry, respEntryBytes)
+	}
+}
+
+// BenchmarkHostMemoSumHit measures a warm request-entry hit: key fold,
+// shard lookup, check-word verify. CI holds it at 0 allocs/op.
+func BenchmarkHostMemoSumHit(b *testing.B) {
+	c := New(Config{MaxBytes: 32 << 20, Registry: obs.NewRegistry()})
+	key := RequestKey{Kernel: "GaussianBlur", ISA: "neon", Params: "g5x5,", Width: 640, Height: 480, Seed: 1}
+	ctx := context.Background()
+	compute := func(context.Context) (uint64, error) { return 42, nil }
+	if _, _, err := c.DoSum(ctx, key, compute); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sum, out, err := c.DoSum(ctx, key, compute); err != nil || out != Hit || sum != 42 {
+			b.Fatalf("DoSum = (%d, %v, %v); want (42, hit)", sum, out, err)
+		}
 	}
 }
 
@@ -501,8 +677,8 @@ func TestInvalidate(t *testing.T) {
 }
 
 // TestConcurrentShardedUse is the 8-goroutine -race test: hammer a small
-// key space through Do (with occasional Invalidate) and verify every
-// served plane is byte-correct for its key.
+// key space through Do and DoSum (with occasional Invalidate) and verify
+// every served plane and checksum is correct for its key.
 func TestConcurrentShardedUse(t *testing.T) {
 	const (
 		goroutines = 8
@@ -542,6 +718,14 @@ func TestConcurrentShardedUse(t *testing.T) {
 				fillDst(want, uint8(ki))
 				if !dst.EqualTo(want) {
 					t.Errorf("g%d i%d: plane mismatch via %v", g, i, out)
+					return
+				}
+				rk := RequestKey{Kernel: "gaussian", ISA: "neon", Params: "p=1", Width: 64, Height: 32, Seed: uint64(100 + ki)}
+				sum, out, err := c.DoSum(context.Background(), rk, func(context.Context) (uint64, error) {
+					return uint64(1000 + ki), nil
+				})
+				if err != nil || out == Bypass || sum != uint64(1000+ki) {
+					t.Errorf("g%d i%d: DoSum = (%d, %v, %v); want %d", g, i, sum, out, err, 1000+ki)
 					return
 				}
 				if i%50 == 25 && g == 0 {

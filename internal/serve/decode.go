@@ -42,7 +42,7 @@ type Request struct {
 
 // kernelSpec wires a request kernel name to the pipeline: source and
 // destination plane types, destination geometry, the fixed-parameter
-// signature the memoization key folds in, and the context-aware entry
+// signature the memoization key carries, and the context-aware entry
 // point.
 type kernelSpec struct {
 	name    string // canonical name; must match the cv beginKernel name
@@ -50,7 +50,7 @@ type kernelSpec struct {
 	dstKind image.Type
 	halfDst bool // destination is w/2 x h/2 (ResizeHalf)
 	// sig names the parameters baked into run below. It participates in
-	// the memo content key, so if a threshold here ever changes, old
+	// the memo request key, so if a threshold here ever changes, old
 	// cached results become unreachable instead of wrong.
 	sig string
 	run func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error

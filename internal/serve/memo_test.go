@@ -2,13 +2,16 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"simdstudy/internal/cv"
 	"simdstudy/internal/memo"
 )
 
@@ -238,5 +241,122 @@ func TestMemoStreamFrame(t *testing.T) {
 	defer off.Close()
 	if f := off.buildFrame(time.Minute); f.Memo != nil {
 		t.Fatal("memo-less frame carries a memo block")
+	}
+}
+
+// serveRecorded runs one request through h in process and returns its
+// X-Memo header and decoded body.
+func serveRecorded(t *testing.T, h http.Handler, url string) (string, map[string]any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d: %s", url, rec.Code, rec.Body.Bytes())
+	}
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("GET %s: bad JSON %q: %v", url, rec.Body.Bytes(), err)
+	}
+	return rec.Header().Get("X-Memo"), body
+}
+
+// TestMemoRequestKeyedResponses: for every serving kernel and ISA, at an
+// even and an odd size, on an unfused and a fused server, the checksum a
+// miss computes, the checksum a hit returns and a memo-off server's
+// checksum are equal. Requests that differ in exactly one of kernel, ISA,
+// width, height, seed or fuse configuration never share an entry.
+func TestMemoRequestKeyedResponses(t *testing.T) {
+	fuses := map[string]cv.FuseConfig{"unfused": {}, "fused": {Enabled: true}}
+	keys := map[string]memo.RequestKey{}
+	for name, fuse := range fuses {
+		t.Run(name, func(t *testing.T) {
+			on := NewServer(Config{Fuse: fuse, Memo: memo.Config{MaxBytes: 64 << 20}})
+			off := NewServer(Config{Fuse: fuse})
+			t.Cleanup(on.Close)
+			t.Cleanup(off.Close)
+			hOn, hOff := on.Handler(), off.Handler()
+			for _, kernel := range KernelNames() {
+				for _, isa := range []string{"neon", "sse2", "scalar"} {
+					for _, size := range [][2]int{{64, 48}, {33, 17}} {
+						url := fmt.Sprintf("/process?kernel=%s&width=%d&height=%d&isa=%s&seed=5", kernel, size[0], size[1], isa)
+						missOut, miss := serveRecorded(t, hOn, url)
+						hitOut, hit := serveRecorded(t, hOn, url)
+						_, plain := serveRecorded(t, hOff, url)
+						if missOut != "miss" || hitOut != "hit" {
+							t.Fatalf("%s: X-Memo %q then %q; want miss then hit", url, missOut, hitOut)
+						}
+						if miss["checksum"] != hit["checksum"] || miss["checksum"] != plain["checksum"] {
+							t.Fatalf("%s: checksum miss %v, hit %v, memo off %v; want all equal",
+								url, miss["checksum"], hit["checksum"], plain["checksum"])
+						}
+					}
+				}
+			}
+
+			// One field changed at a time: each variant computes afresh and
+			// takes an entry of its own.
+			base := "/process?kernel=gaussian&width=64&height=48&isa=neon&seed=7"
+			variants := []string{
+				"/process?kernel=median&width=64&height=48&isa=neon&seed=7",
+				"/process?kernel=gaussian&width=64&height=48&isa=sse2&seed=7",
+				"/process?kernel=gaussian&width=65&height=48&isa=neon&seed=7",
+				"/process?kernel=gaussian&width=64&height=49&isa=neon&seed=7",
+				"/process?kernel=gaussian&width=64&height=48&isa=neon&seed=8",
+			}
+			serveRecorded(t, hOn, base)
+			before := on.Memo().Stats().Entries
+			if out, _ := serveRecorded(t, hOn, base); out != "hit" {
+				t.Fatalf("base request = %q; want hit", out)
+			}
+			for _, v := range variants {
+				if out, _ := serveRecorded(t, hOn, v); out != "miss" {
+					t.Fatalf("%s after %s = %q; want miss", v, base, out)
+				}
+			}
+			if got := on.Memo().Stats().Entries; got != before+len(variants) {
+				t.Fatalf("entries = %d; want %d", got, before+len(variants))
+			}
+			for _, kernel := range KernelNames() {
+				req := Request{Kernel: kernel, ISA: cv.ISANEON, Width: 64, Height: 48, Seed: 5}
+				keys[name+"/"+kernel] = on.memoKey(req, kernels[kernel])
+			}
+		})
+	}
+	// The fuse configuration is part of every key: the same request on a
+	// fused and an unfused server never maps to the same entry.
+	for _, kernel := range KernelNames() {
+		if a, b := keys["unfused/"+kernel], keys["fused/"+kernel]; a == b {
+			t.Errorf("%s: fused and unfused servers share the memo key %+v", kernel, a)
+		}
+	}
+}
+
+// TestMemoHitSkipsSynthesis: a warm hit answers from the stored checksum,
+// with no input synthesis and no plane. Synthesizing the 640x480 input
+// alone allocates 300 KiB, so 100 hits through Handler() must average
+// under 64 KiB each.
+func TestMemoHitSkipsSynthesis(t *testing.T) {
+	s := NewServer(Config{Memo: memo.Config{MaxBytes: 32 << 20}})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	const url = "/process?kernel=gaussian&width=640&height=480&isa=neon&seed=1"
+	if out, _ := serveRecorded(t, h, url); out != "miss" {
+		t.Fatalf("first request = %q; want miss", out)
+	}
+	const hits = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Memo") != "hit" {
+			t.Fatalf("hit %d: %d X-Memo %q", i, rec.Code, rec.Header().Get("X-Memo"))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perHit := (after.TotalAlloc - before.TotalAlloc) / hits
+	t.Logf("%d B allocated per hit", perHit)
+	if perHit >= 64<<10 {
+		t.Fatalf("a warm hit allocates %d B; want under 64 KiB (no synthesis, no plane)", perHit)
 	}
 }

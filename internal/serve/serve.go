@@ -114,16 +114,17 @@ type Config struct {
 	AuditRate float64
 	// AuditSeed drives the deterministic audit sampler; zero means 1.
 	AuditSeed uint64
-	// Memo configures content-addressed result memoization
-	// (internal/memo): requests whose (kernel, parameters, input plane)
-	// fingerprint matches a cached result are answered with a verified
-	// copy instead of a kernel dispatch, and concurrent identical
-	// requests coalesce into one execution. The lookup happens after
-	// decode and before admission, so hits and coalesced waiters never
-	// consume admission slots; responses carry X-Memo: hit|miss|coalesced
-	// and /memo exposes the cache view. Zero MaxBytes disables
-	// memoization entirely. Memo.Registry is overridden with the server's
-	// registry.
+	// Memo configures result memoization (internal/memo): a request whose
+	// (kernel, ISA, parameter and fuse signature, width, height, seed)
+	// tuple matches a cached response is answered with the stored,
+	// verified response checksum instead of a kernel dispatch — a hit
+	// synthesizes no input and touches no plane — and concurrent
+	// identical requests coalesce into one execution. The lookup is the
+	// first step after decode, so hits and coalesced waiters never
+	// consume admission slots; responses carry X-Memo:
+	// hit|miss|coalesced and /memo exposes the cache view. Zero MaxBytes
+	// disables memoization entirely. Memo.Registry is overridden with the
+	// server's registry.
 	Memo memo.Config
 }
 
@@ -199,8 +200,11 @@ type Server struct {
 	aud   *integrity.Auditor
 	board *integrity.Scoreboard
 
-	memo    *memo.Cache
-	fuseSig string
+	memo *memo.Cache
+	// memoParams is each request kernel's memo parameter string, its
+	// spec.sig plus the fuse signature, built once so a lookup allocates
+	// no key.
+	memoParams map[string]string
 
 	ts    *tsdb.Store
 	slo   *sloTracker
@@ -241,7 +245,11 @@ func NewServer(cfg Config) *Server {
 		start:     time.Now(),
 		traceBase: uint32(time.Now().UnixNano()),
 	}
-	s.fuseSig = cfg.Fuse.Signature()
+	fuseSig := cfg.Fuse.Signature()
+	s.memoParams = make(map[string]string, len(kernels))
+	for name, spec := range kernels {
+		s.memoParams[name] = spec.sig + "," + fuseSig
+	}
 	mcfg := cfg.Memo
 	mcfg.Registry = cfg.Registry
 	// The enable list accepts request names ("gaussian") as operators
@@ -696,7 +704,7 @@ func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
 		s.writeDispatchError(ctx, w, req, spec, err)
 		return
 	}
-	s.writeResult(w, req, spec, dst, elapsed, faults, "")
+	s.writeResult(w, req, spec, checksum(dst), elapsed, faults, "")
 }
 
 // dispatch runs one admitted kernel execution end to end: /livez flight
@@ -740,11 +748,14 @@ func (s *Server) dispatch(ctx context.Context, req Request, spec kernelSpec, src
 }
 
 // processMemo serves one request through the memoization layer. The
-// content key is derived after decode and before admission, so hits and
-// coalesced waiters never consume admission slots — only the flight
-// leader's compute closure acquires one. Hit responses flow through the
-// same writeJSON/statusWriter path as compute responses, so they count
-// toward the availability and latency SLOs like any other request.
+// request key is the first thing built after decode: a hit or a coalesced
+// waiter is answered with the stored response checksum, without
+// synthesizing the input, taking a plane or consuming an admission slot.
+// Only the flight leader's compute closure acquires a slot, synthesizes,
+// runs the kernel into a pooled plane and returns its checksum. Hit
+// responses flow through the same writeJSON/statusWriter path as compute
+// responses, so they count toward the availability and latency SLOs like
+// any other request.
 func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Request, spec kernelSpec) {
 	dw, dh := spec.dstDims(req.Width, req.Height)
 	if dw < 1 || dh < 1 {
@@ -752,27 +763,24 @@ func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Req
 			"error": fmt.Sprintf("destination %dx%d has no pixels", dw, dh)})
 		return
 	}
-	src := synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
-	key := memo.KeyFor(spec.name, req.ISA.String(), spec.sig+","+s.fuseSig, src)
-
-	// The response plane comes from the scratch pool on the overwrite-only
-	// fast path: a hit copies a full cached plane over it, so the zeroing
-	// sweep GetMat performs would be pure waste. The compute closure
-	// restores zero initialization explicitly before running the kernel.
-	dst := par.GetMatForOverwrite(dw, dh, spec.dstKind)
-	defer par.PutMat(dst)
+	key := s.memoKey(req, spec)
 
 	var faults int
 	start := time.Now()
-	outcome, err := s.memo.Do(ctx, key, dst, func(ctx context.Context) error {
+	sum, outcome, err := s.memo.DoSum(ctx, key, func(ctx context.Context) (uint64, error) {
 		if err := s.adm.acquire(ctx); err != nil {
-			return err
+			return 0, err
 		}
 		defer s.adm.release()
-		dst.Clear()
+		src := synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
+		dst := par.GetMat(dw, dh, spec.dstKind)
+		defer par.PutMat(dst)
 		f, _, err := s.dispatch(ctx, req, spec, src, dst)
 		faults = f
-		return err
+		if err != nil {
+			return 0, err
+		}
+		return checksum(dst), nil
 	})
 	elapsed := time.Since(start)
 	w.Header().Set("X-Memo", outcome.String())
@@ -789,15 +797,24 @@ func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Req
 		s.writeDispatchError(ctx, w, req, spec, err)
 		return
 	}
-	// Hits and coalesced copies count in request_seconds too: the
+	// Hits and coalesced responses count in request_seconds too: the
 	// histogram is the per-kernel traffic view, and these are requests the
 	// server answered (their sub-millisecond latency is exactly the point;
-	// memo_hit_seconds holds the fine-grained copy-path distribution).
+	// memo_hit_seconds holds the fine-grained lookup distribution).
 	if outcome != memo.Miss {
 		s.reg.Histogram("request_seconds", requestBuckets,
 			obs.L("kernel", spec.name)).ObserveExemplar(elapsed.Seconds(), requestID(ctx), s.reg.Now())
 	}
-	s.writeResult(w, req, spec, dst, elapsed, faults, outcome.String())
+	s.writeResult(w, req, spec, sum, elapsed, faults, outcome.String())
+}
+
+// memoKey is the memo request key for req: every field of the request
+// that fixes the response, plus the server's fuse configuration.
+func (s *Server) memoKey(req Request, spec kernelSpec) memo.RequestKey {
+	return memo.RequestKey{
+		Kernel: spec.name, ISA: req.ISA.String(), Params: s.memoParams[req.Kernel],
+		Width: req.Width, Height: req.Height, Seed: req.Seed,
+	}
 }
 
 // writeDispatchError maps a kernel-dispatch error to its response: typed
@@ -830,17 +847,17 @@ func (s *Server) writeDispatchError(ctx context.Context, w http.ResponseWriter, 
 	s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 }
 
-// writeResult emits the 200 response for a completed request. memo names
-// how the memoization layer satisfied it ("" when memoization is off for
-// the kernel).
-func (s *Server) writeResult(w http.ResponseWriter, req Request, spec kernelSpec, dst *image.Mat, elapsed time.Duration, faults int, memoOutcome string) {
+// writeResult emits the 200 response for a completed request from the
+// checksum of its output plane. memo names how the memoization layer
+// satisfied it ("" when memoization is off for the kernel).
+func (s *Server) writeResult(w http.ResponseWriter, req Request, spec kernelSpec, sum uint64, elapsed time.Duration, faults int, memoOutcome string) {
 	body := map[string]any{
 		"kernel":     spec.name,
 		"isa":        req.ISA.String(),
 		"width":      req.Width,
 		"height":     req.Height,
 		"seed":       req.Seed,
-		"checksum":   strconv.FormatUint(checksum(dst), 16),
+		"checksum":   strconv.FormatUint(sum, 16),
 		"elapsed_us": elapsed.Microseconds(),
 		"faults":     faults,
 		"breaker":    s.brk.State(spec.name, req.ISA.String()).String(),
