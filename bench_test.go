@@ -331,7 +331,13 @@ func BenchmarkHostGuardedGaussianNEONEmu(b *testing.B) {
 }
 
 func BenchmarkHostGuardedMedianNEONEmu(b *testing.B) {
-	benchHostGuarded(b, (*Ops).MedianBlur3x3)
+	benchHostGuarded(b, medianBlur)
+}
+
+// medianBlur is the median entry point in the (o, src, dst) shape the twin
+// benchmarks take.
+func medianBlur(o *Ops, src, dst *Mat) error {
+	return o.MedianBlur3x3Ctx(context.Background(), src, dst)
 }
 
 func benchHostGuarded(b *testing.B, run func(o *Ops, src, dst *Mat) error) {
@@ -346,7 +352,7 @@ func benchHostGuarded(b *testing.B, run func(o *Ops, src, dst *Mat) error) {
 // pixel data or an out-of-line fault-hook call per intrinsic measure
 // 2.2-2.4x.
 func BenchmarkHostMedianNEONEmu(b *testing.B) {
-	benchHostTwin(b, (*Ops).MedianBlur3x3, U8, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
+	benchHostTwin(b, medianBlur, U8, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
 }
 
 // BenchmarkHostSobelNEONEmu times the 640x480 emulated NEON x-gradient
@@ -594,7 +600,7 @@ func BenchmarkHostParallel(b *testing.B) {
 	benches := []bench{
 		{"Gaussian", func(o *Ops) error { return o.GaussianBlur(gsrc, gdst) }},
 		{"Convert", func(o *Ops) error { return o.ConvertF32ToS16(csrc, cdst) }},
-		{"Median", func(o *Ops) error { return o.MedianBlur3x3(gsrc, gdst) }},
+		{"Median", func(o *Ops) error { return o.MedianBlur3x3Ctx(context.Background(), gsrc, gdst) }},
 	}
 	for _, k := range benches {
 		for _, workers := range []int{1, 2, 4} {
@@ -646,9 +652,9 @@ func BenchmarkExtensionRelatedWorkKernels(b *testing.B) {
 		run  func(o *Ops) error
 	}
 	kernels := []kernel{
-		{"median23x", func(o *Ops) error { return o.MedianBlur3x3(src, dst) }},
+		{"median23x", func(o *Ops) error { return o.MedianBlur3x3Ctx(context.Background(), src, dst) }},
 		{"gray9.5x", func(o *Ops) error { return o.RGBToGray(rgb, dst) }},
-		{"resize7.6x", func(o *Ops) error { return o.ResizeHalf(src, half) }},
+		{"resize7.6x", func(o *Ops) error { return o.ResizeHalfCtx(context.Background(), src, half) }},
 	}
 	for i := 0; i < b.N; i++ {
 		for _, k := range kernels {

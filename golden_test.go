@@ -1,6 +1,7 @@
 package simdstudy
 
 import (
+	"context"
 	"fmt"
 	"hash/crc32"
 	"testing"
@@ -86,7 +87,7 @@ func TestGoldenKernelOutputs(t *testing.T) {
 		record(fmt.Sprintf("edges/%v", isa), crcU8(edges.U8Pix))
 
 		med := NewMat(goldenW, goldenH, U8)
-		if err := o.MedianBlur3x3(src, med); err != nil {
+		if err := o.MedianBlur3x3Ctx(context.Background(), src, med); err != nil {
 			t.Fatal(err)
 		}
 		record(fmt.Sprintf("median/%v", isa), crcU8(med.U8Pix))
@@ -98,7 +99,7 @@ func TestGoldenKernelOutputs(t *testing.T) {
 		record(fmt.Sprintf("gray/%v", isa), crcU8(gray.U8Pix))
 
 		half := NewMat(goldenW/2, goldenH/2, U8)
-		if err := o.ResizeHalf(src, half); err != nil {
+		if err := o.ResizeHalfCtx(context.Background(), src, half); err != nil {
 			t.Fatal(err)
 		}
 		record(fmt.Sprintf("resize/%v", isa), crcU8(half.U8Pix))

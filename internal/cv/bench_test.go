@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"testing"
 
 	"simdstudy/internal/image"
@@ -68,7 +69,7 @@ func BenchmarkEdges(b *testing.B) {
 func BenchmarkMedian(b *testing.B) {
 	src := image.Synthetic(benchRes, 1)
 	dst := image.NewMat(benchRes.Width, benchRes.Height, image.U8)
-	run := func(o *Ops) error { return o.MedianBlur3x3(src, dst) }
+	run := func(o *Ops) error { return o.MedianBlur3x3Ctx(context.Background(), src, dst) }
 	b.Run("scalar", func(b *testing.B) { benchKernel(b, ISAScalar, run) })
 	b.Run("neon", func(b *testing.B) { benchKernel(b, ISANEON, run) })
 	b.Run("sse2", func(b *testing.B) { benchKernel(b, ISASSE2, run) })
@@ -85,7 +86,7 @@ func BenchmarkRGBToGray(b *testing.B) {
 func BenchmarkResizeHalf(b *testing.B) {
 	src := image.Synthetic(benchRes, 1)
 	dst := image.NewMat(benchRes.Width/2, benchRes.Height/2, image.U8)
-	run := func(o *Ops) error { return o.ResizeHalf(src, dst) }
+	run := func(o *Ops) error { return o.ResizeHalfCtx(context.Background(), src, dst) }
 	b.Run("scalar", func(b *testing.B) { benchKernel(b, ISAScalar, run) })
 	b.Run("neon", func(b *testing.B) { benchKernel(b, ISANEON, run) })
 	b.Run("sse2", func(b *testing.B) { benchKernel(b, ISASSE2, run) })

@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -21,37 +22,46 @@ import (
 // suppression is direction-dependent per pixel and hysteresis is a
 // worklist traversal, both inherently serial. Amdahl's law caps the
 // whole-kernel speedup regardless of how fast the vector stages run.
-func (o *Ops) Canny(src, dst *image.Mat, lowThresh, highThresh int16) (err error) {
-	o.beginKernel("Canny")
-	defer o.endKernelP("Canny", &err)
-	if err := requireKind(src, image.U8, "Canny src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.U8, "Canny dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	if lowThresh < 0 || highThresh < lowThresh {
-		return fmt.Errorf("cv: Canny thresholds must satisfy 0 <= low <= high, got %d/%d",
-			lowThresh, highThresh)
-	}
-	if !o.fuse.Enabled {
-		// Staged Canny has no whole-pipeline referee: its nested
-		// SobelFilter calls carry their own.
-		return o.cannyStaged(src, dst, lowThresh, highThresh)
-	}
-	fused := func() error { return o.cannyFused(src, dst, lowThresh, highThresh) }
-	if !o.UseOptimized() {
-		return fused()
-	}
-	// The referee is the staged scalar pipeline over the whole plane
-	// (hysteresis is global), and the fused output is compared against it.
-	return o.guardedRun(gkCanny, src.Height, dst, fused,
-		func(ref *Ops, r0, r1 int, d *image.Mat) error {
-			return ref.cannyStaged(src.Rows(r0, r1), d, lowThresh, highThresh)
-		})
+func (o *Ops) Canny(src, dst *image.Mat, lowThresh, highThresh int16) error {
+	return o.CannyCtx(nil, src, dst, lowThresh, highThresh)
+}
+
+// CannyCtx is Canny with row-granular cancellation through the four Sobel
+// passes and the NMS pass (the flat magnitude stage and the hysteresis
+// traversal check at block/entry granularity only). Staged and fused
+// execution tick the same 5 x height row budget.
+func (o *Ops) CannyCtx(ctx context.Context, src, dst *image.Mat, lowThresh, highThresh int16) error {
+	return o.call(ctx, "Canny", 5*dst.Height, func() error {
+		if err := requireKind(src, image.U8, "Canny src"); err != nil {
+			return err
+		}
+		if err := requireKind(dst, image.U8, "Canny dst"); err != nil {
+			return err
+		}
+		if err := sameShape(src, dst); err != nil {
+			return err
+		}
+		if lowThresh < 0 || highThresh < lowThresh {
+			return fmt.Errorf("cv: Canny thresholds must satisfy 0 <= low <= high, got %d/%d",
+				lowThresh, highThresh)
+		}
+		if !o.fuse.Enabled {
+			// Staged Canny has no whole-pipeline referee: its nested
+			// SobelFilter calls carry their own, and their verdicts settle
+			// Canny's breaker admission.
+			return o.cannyStaged(src, dst, lowThresh, highThresh)
+		}
+		fused := func() error { return o.cannyFused(src, dst, lowThresh, highThresh) }
+		if !o.UseOptimized() {
+			return fused()
+		}
+		// The referee is the staged scalar pipeline over the whole plane
+		// (hysteresis is global), and the fused output is compared against it.
+		return o.guardedRun(gkCanny, src.Height, dst, fused,
+			func(ref *Ops, r0, r1 int, d *image.Mat) error {
+				return ref.cannyStaged(src.Rows(r0, r1), d, lowThresh, highThresh)
+			})
+	})
 }
 
 // cannyStaged is the unfused pipeline: each stage materializes its full

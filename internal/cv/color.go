@@ -27,30 +27,23 @@ const (
 // deinterleaves the color planes in one instruction, which SSE2 has no
 // counterpart for — OpenCV 2.4 shipped no SSE2 cvtColor(RGB2GRAY) kernel
 // either, so on Intel the operation runs scalar, faithfully.
-func (o *Ops) RGBToGray(src *image.RGB, dst *image.Mat) (err error) {
-	o.beginKernel("RGBToGray")
-	defer o.endKernelP("RGBToGray", &err)
-	if err := requireKind(dst, image.U8, "RGBToGray dst"); err != nil {
-		return err
-	}
-	if src.Width != dst.Width || src.Height != dst.Height {
-		return fmt.Errorf("cv: shape mismatch %dx%d vs %dx%d",
-			src.Width, src.Height, dst.Width, dst.Height)
-	}
-	run := func(op *Ops, s *image.RGB, d *image.Mat) error {
-		if op.UseOptimized() && op.isa == ISANEON {
-			op.rgbToGrayNEON(s, d)
+func (o *Ops) RGBToGray(src *image.RGB, dst *image.Mat) error {
+	return o.call(nil, "RGBToGray", dst.Height, func() error {
+		if err := requireKind(dst, image.U8, "RGBToGray dst"); err != nil {
+			return err
+		}
+		if src.Width != dst.Width || src.Height != dst.Height {
+			return fmt.Errorf("cv: shape mismatch %dx%d vs %dx%d",
+				src.Width, src.Height, dst.Width, dst.Height)
+		}
+		if o.path() != ISANEON {
+			o.rgbToGrayScalar(src, dst)
 			return nil
 		}
-		op.rgbToGrayScalar(s, d)
-		return nil
-	}
-	if o.UseOptimized() && o.isa == ISANEON {
 		return o.guardedRun(gkRGBToGray, src.Height, dst,
-			func() error { return run(o, src, dst) },
-			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
-	}
-	return run(o, src, dst)
+			func() error { o.rgbToGrayNEON(src, dst); return nil },
+			func(ref *Ops, r0, r1 int, d *image.Mat) error { ref.rgbToGrayScalar(src.Rows(r0, r1), d); return nil })
+	})
 }
 
 func grayPixel(r, g, b uint8) uint8 {

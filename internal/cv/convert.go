@@ -1,6 +1,8 @@
 package cv
 
 import (
+	"context"
+
 	"simdstudy/internal/image"
 	"simdstudy/internal/sat"
 )
@@ -17,38 +19,34 @@ import (
 //     zero), while the hand NEON path uses vcvt.s32.f32 which truncates —
 //     a genuine, documented divergence of the real NEON port that shows up
 //     as off-by-one results on fractional pixels.
-func (o *Ops) ConvertF32ToS16(src, dst *image.Mat) (err error) {
-	o.beginKernel("ConvertF32ToS16")
-	defer o.endKernelP("ConvertF32ToS16", &err)
-	if err := requireKind(src, image.F32, "ConvertF32ToS16 src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.S16, "ConvertF32ToS16 dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	run := func(op *Ops, s, d *image.Mat) error {
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.convertNEON(s, d)
-				return nil
-			case ISASSE2:
-				op.convertSSE2(s, d)
-				return nil
-			}
+func (o *Ops) ConvertF32ToS16(src, dst *image.Mat) error { return o.ConvertF32ToS16Ctx(nil, src, dst) }
+
+// ConvertF32ToS16Ctx is ConvertF32ToS16 with deadline/cancellation checking
+// at entry and guard phase boundaries.
+func (o *Ops) ConvertF32ToS16Ctx(ctx context.Context, src, dst *image.Mat) error {
+	return o.call(ctx, "ConvertF32ToS16", dst.Height, func() error {
+		if err := requireKind(src, image.F32, "ConvertF32ToS16 src"); err != nil {
+			return err
 		}
+		if err := requireKind(dst, image.S16, "ConvertF32ToS16 dst"); err != nil {
+			return err
+		}
+		if err := sameShape(src, dst); err != nil {
+			return err
+		}
+		return o.plane(gkConvert, src, dst, convertRun)
+	})
+}
+
+func convertRun(op *Ops, s, d *image.Mat) {
+	switch op.path() {
+	case ISANEON:
+		op.convertNEON(s, d)
+	case ISASSE2:
+		op.convertSSE2(s, d)
+	default:
 		op.convertScalar(s, d)
-		return nil
 	}
-	if o.UseOptimized() {
-		return o.guardedRun(gkConvert, src.Height, dst,
-			func() error { return run(o, src, dst) },
-			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
-	}
-	return run(o, src, dst)
 }
 
 // convArgs bundles the convert pass planes for the banded chunk bodies.

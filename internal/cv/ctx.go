@@ -2,55 +2,67 @@ package cv
 
 import (
 	"context"
+	"fmt"
 
-	"simdstudy/internal/image"
 	"simdstudy/internal/obs"
 	"simdstudy/internal/resilience"
 )
 
-// This file is the context plumbing for the kernel library: every public
-// entry point gains a Ctx variant that honors deadlines and cancellation at
-// row granularity. The row loops of the convolution-style kernels (Gaussian,
-// Sobel, median, resize) call rowTick once per row; when the bound context
-// is done, the tick unwinds the kernel with a private panic that the Ctx
-// wrapper converts into a typed *resilience.DeadlineError carrying how many
-// rows completed. Elementwise kernels (threshold, convert) are single-pass
-// and run for microseconds per frame, so they check only at entry and at
-// guard phase boundaries.
+// This file is the one call frame every public kernel entry point runs in.
+// An entry point is a pair: XCtx holds the kernel's body inside o.call, and
+// the plain X is the one-line XCtx(nil, ...). The frame, in order:
 //
-// The internal-panic pattern follows encoding/json: the cancellation path
-// never escapes the package, and the non-Ctx entry points are completely
-// unaffected (o.ctx is nil, rowTick is a single predictable branch).
+//   - binds the context for the call tree (the first frame handed a non-nil
+//     ctx is the binding frame; nested calls inherit its binding);
+//   - at the outermost entry, the frame that finds tree.kernel empty, applies
+//     quarantine (scalar and serial) or breaker admission (see admit);
+//   - opens the kernel span (observe.go);
+//   - runs the body, and in one deferred exit classifies how it ended:
+//     cancellation becomes a typed *resilience.DeadlineError at the binding
+//     frame, a stalled parallel section becomes a typed *super.StallError
+//     plus a failed verdict, and any other panic is recorded with the
+//     supervisor at the outermost entry and resumes unwinding;
+//   - closes the span, and at the outermost entry settles the call tree's
+//     one breaker verdict (see settle).
+//
+// Row loops call tick once per row and flat loops once per element block;
+// when the bound context is done the tick unwinds the kernel with a
+// private panic that the binding frame converts, carrying how many rows
+// completed. The internal-panic pattern follows encoding/json: no unwind
+// token escapes the package. A plain Ops — no breaker, observer,
+// supervisor or watchdog — called without a context skips the frame and
+// runs the body directly, so it writes no per-call state and stays
+// shareable across goroutines.
 
-// ctxCanceled is the private unwind token raised by rowTick.
+// ctxCanceled is the private unwind token raised by tick.
 type ctxCanceled struct{ err error }
 
-// rowTick is called once per completed row by the kernel row loops. With no
-// bound context it is a few nil checks; with one, it counts the row and
-// unwinds if the context is done. On a parallel band clone it additionally
-// beats the band's watchdog heart (when a watchdog is attached) and polls
-// the section's shared stop flag, so a sibling band's failure, a stall
-// verdict or cancellation unwinds this band at its next row boundary.
-func (o *Ops) rowTick() {
-	if o.heart != nil {
-		o.heart.Beat()
-	}
-	if o.stop != nil && o.stop.Load() {
-		panic(bandStopped{})
-	}
-	if o.ctx == nil {
-		return
-	}
-	o.ctxRows++
-	if err := o.ctx.Err(); err != nil {
-		panic(ctxCanceled{err})
-	}
+// Verdicts a call tree collects for its breaker; a failure outranks a pass.
+const (
+	verdictNone = iota
+	verdictPass
+	verdictFail
+)
+
+// callTree is the state an outermost kernel call shares with every kernel
+// it calls (DetectEdges -> SobelFilter), reset when the outermost frame
+// exits.
+type callTree struct {
+	kernel   string // the outermost entry point in flight; "" between calls
+	scalar   bool   // SIMD denied: an open breaker or quarantine
+	serial   bool   // quarantined: every pass runs one band
+	admitted bool   // the breaker admitted the call: a verdict or a release is owed
+	verdict  int    // the worst referee, audit or stall verdict so far
 }
 
-// flatTick is rowTick for the element-block loops of the flat kernels: it
-// polls the stop flag and the context at block granularity but does not
-// count rows (flat kernels report no partial-row progress, as before).
-func (o *Ops) flatTick() {
+// tick is called once per completed unit by the banded loops: per row (row
+// true) or per element block of a flat kernel. With no bound context it is
+// a few nil checks; with one, it counts a row toward the call's progress
+// and unwinds if the context is done. On a band clone it also beats the
+// band's watchdog heart and polls the section's shared stop flag, so a
+// sibling band's failure, a stall verdict or cancellation unwinds this
+// band at its next unit boundary.
+func (o *Ops) tick(row bool) {
 	if o.heart != nil {
 		o.heart.Beat()
 	}
@@ -59,6 +71,9 @@ func (o *Ops) flatTick() {
 	}
 	if o.ctx == nil {
 		return
+	}
+	if row {
+		o.ctxRows++
 	}
 	if err := o.ctx.Err(); err != nil {
 		panic(ctxCanceled{err})
@@ -76,96 +91,115 @@ func (o *Ops) ctxCheck() {
 	}
 }
 
-// runCtx binds ctx to the Ops for the duration of fn and converts
-// cancellation unwinds into *resilience.DeadlineError. totalRows is the
-// planned row count (passes x height) for partial-progress accounting.
-// Nested Ctx calls inherit the outermost binding.
-func (o *Ops) runCtx(ctx context.Context, op string, totalRows int, fn func() error) (err error) {
-	if ctx == nil || o.ctx != nil {
-		return fn()
+// call runs body as public entry point kernel. rows is the planned row
+// count (passes x height) a DeadlineError reports progress against.
+func (o *Ops) call(ctx context.Context, kernel string, rows int, body func() error) (err error) {
+	bind := ctx != nil && o.ctx == nil
+	watched := !o.instrumentFree()
+	if !bind && !watched {
+		return body()
 	}
-	o.ctx, o.ctxRows = ctx, 0
-	o.traceID = obs.TraceID(ctx)
-	defer func() {
-		rows := o.ctxRows
-		o.ctx, o.ctxRows = nil, 0
-		o.traceID = ""
-		if r := recover(); r != nil {
-			c, ok := r.(ctxCanceled)
-			if !ok {
-				panic(r)
-			}
-			err = &resilience.DeadlineError{
-				Op: op, Cause: c.err, Completed: rows, Total: totalRows, Unit: "rows",
-			}
+	if bind {
+		if e := ctx.Err(); e != nil {
+			return &resilience.DeadlineError{Op: "cv." + kernel, Cause: e, Total: rows, Unit: "rows"}
 		}
-	}()
-	if e := ctx.Err(); e != nil {
-		return &resilience.DeadlineError{Op: op, Cause: e, Total: totalRows, Unit: "rows"}
+		o.ctx, o.ctxRows, o.traceID = ctx, 0, obs.TraceID(ctx)
 	}
-	return fn()
+	outer := watched && o.tree.kernel == ""
+	if outer {
+		o.admit(kernel)
+	}
+	if watched {
+		o.openSpan(kernel)
+	}
+	defer func() { o.exit(kernel, rows, bind, watched, outer, recover(), &err) }()
+	return body()
 }
 
-// ConvertF32ToS16Ctx is ConvertF32ToS16 with deadline/cancellation
-// checking at entry and guard phase boundaries.
-func (o *Ops) ConvertF32ToS16Ctx(ctx context.Context, src, dst *image.Mat) error {
-	return o.runCtx(ctx, "cv.ConvertF32ToS16", dst.Height, func() error {
-		return o.ConvertF32ToS16(src, dst)
-	})
+// exit is call's deferred epilogue; r is what the body panicked with.
+func (o *Ops) exit(kernel string, rows int, bind, watched, outer bool, r any, errp *error) {
+	spanErr := error(nil)
+	switch u := r.(type) {
+	case nil:
+		spanErr = *errp
+	case ctxCanceled:
+		if bind {
+			*errp = &resilience.DeadlineError{
+				Op: "cv." + kernel, Cause: u.err, Completed: o.ctxRows, Total: rows, Unit: "rows",
+			}
+			r = nil
+		}
+	case stallUnwind:
+		o.verdict(false)
+		*errp, spanErr = u.err, u.err
+		r = nil
+	default:
+		isa := o.isa.String()
+		if outer && o.sup != nil && o.sup.RecordPanic(kernel, isa, r) && o.brk != nil {
+			o.brk.ForceStuckOpen(kernel, isa)
+		}
+		spanErr = fmt.Errorf("panic: %v", r)
+	}
+	if watched {
+		o.closeSpan(kernel, spanErr)
+	}
+	if outer {
+		o.settle()
+	}
+	if bind {
+		o.ctx, o.ctxRows, o.traceID = nil, 0, ""
+	}
+	if r != nil {
+		panic(r)
+	}
 }
 
-// ThresholdCtx is Threshold with deadline/cancellation checking at entry
-// and guard phase boundaries.
-func (o *Ops) ThresholdCtx(ctx context.Context, src, dst *image.Mat, thresh, maxval uint8, typ ThreshType) error {
-	return o.runCtx(ctx, "cv.Threshold", dst.Height, func() error {
-		return o.Threshold(src, dst, thresh, maxval, typ)
-	})
+// admit opens the call tree of outermost entry point kernel. A quarantined
+// pair runs scalar and serial: the supervisor has judged its SIMD bands
+// poisonous, so neither the breaker nor the band scheduler is consulted.
+// Otherwise the breaker is asked only when the SIMD path is eligible and
+// something can produce a verdict (the guard referee or a sampled audit):
+// in half-open state Allow consumes a probe that a verdict or a Release
+// must resolve, so asking for a call that runs scalar anyway would leak
+// probes. A denied call runs scalar without touching the useOptimized
+// latch.
+func (o *Ops) admit(kernel string) {
+	t := callTree{kernel: kernel}
+	isa := o.isa.String()
+	switch {
+	case o.sup != nil && o.sup.Quarantined(kernel, isa):
+		t.scalar, t.serial = true, true
+	case o.brk != nil && (o.guarded || o.aud != nil) && o.useOptimized && o.isa != ISAScalar:
+		t.admitted = o.brk.Allow(kernel, isa)
+		t.scalar = !t.admitted
+	}
+	o.tree = t
 }
 
-// GaussianBlurCtx is GaussianBlur with row-granular cancellation across
-// both separable passes.
-func (o *Ops) GaussianBlurCtx(ctx context.Context, src, dst *image.Mat) error {
-	return o.runCtx(ctx, "cv.GaussianBlur", 2*dst.Height, func() error {
-		return o.GaussianBlur(src, dst)
-	})
+// verdict folds one referee, audit or stall outcome into the call tree.
+func (o *Ops) verdict(ok bool) {
+	if o.brk == nil {
+		return
+	}
+	v := verdictFail
+	if ok {
+		v = verdictPass
+	}
+	o.tree.verdict = max(o.tree.verdict, v)
 }
 
-// SobelFilterCtx is SobelFilter with row-granular cancellation across both
-// passes.
-func (o *Ops) SobelFilterCtx(ctx context.Context, src, dst *image.Mat, dx, dy int) error {
-	return o.runCtx(ctx, "cv.SobelFilter", 2*dst.Height, func() error {
-		return o.SobelFilter(src, dst, dx, dy)
-	})
-}
-
-// DetectEdgesCtx is DetectEdges with row-granular cancellation through the
-// nested Sobel passes (2 filters x 2 passes each).
-func (o *Ops) DetectEdgesCtx(ctx context.Context, src, dst *image.Mat, thresh int16) error {
-	return o.runCtx(ctx, "cv.DetectEdges", 4*dst.Height, func() error {
-		return o.DetectEdges(src, dst, thresh)
-	})
-}
-
-// CannyCtx is Canny with row-granular cancellation through the four Sobel
-// passes and the NMS pass (the flat magnitude stage and the hysteresis
-// traversal check at block/entry granularity only). Staged and fused
-// execution tick the same 5 x height row budget.
-func (o *Ops) CannyCtx(ctx context.Context, src, dst *image.Mat, lowThresh, highThresh int16) error {
-	return o.runCtx(ctx, "cv.Canny", 5*dst.Height, func() error {
-		return o.Canny(src, dst, lowThresh, highThresh)
-	})
-}
-
-// MedianBlur3x3Ctx is MedianBlur3x3 with row-granular cancellation.
-func (o *Ops) MedianBlur3x3Ctx(ctx context.Context, src, dst *image.Mat) error {
-	return o.runCtx(ctx, "cv.MedianBlur3x3", dst.Height, func() error {
-		return o.MedianBlur3x3(src, dst)
-	})
-}
-
-// ResizeHalfCtx is ResizeHalf with row-granular cancellation.
-func (o *Ops) ResizeHalfCtx(ctx context.Context, src, dst *image.Mat) error {
-	return o.runCtx(ctx, "cv.ResizeHalf", dst.Height, func() error {
-		return o.ResizeHalf(src, dst)
-	})
+// settle closes the call tree at the outermost exit: its one verdict is
+// recorded into the breaker of the outermost kernel — so staged Canny's
+// nested Sobel referees resolve Canny's own admission — and an admitted
+// call that produced none (a validation error, a cancellation, a panic, an
+// unsampled audit) hands its half-open probe back.
+func (o *Ops) settle() {
+	t := o.tree
+	o.tree = callTree{}
+	switch {
+	case t.verdict != verdictNone:
+		o.recordBreaker(t.kernel, t.verdict == verdictPass)
+	case t.admitted:
+		o.brk.Release(t.kernel, o.isa.String())
+	}
 }

@@ -58,10 +58,16 @@ func (i ISA) String() string {
 // Ops is a handle to the library configured for one ISA, analogous to an
 // OpenCV build compiled for one target.
 //
-// A plain Ops — no breaker set, observer, guard mode, or bound context —
-// is safe for concurrent use: the trace counter, the parallel band pool and
-// the pass sequence are all synchronized, so independent goroutines may run
-// kernels on private images through one shared Ops. The stateful extensions
+// Every public entry point runs in one call frame (ctx.go) that binds the
+// context, opens the span, admits the call tree through quarantine or the
+// breaker, and classifies how the call ended. Each XCtx method holds its
+// kernel's body; the plain X is XCtx with no context.
+//
+// A plain Ops — no breaker set, observer, supervisor, watchdog, guard mode,
+// or bound context — is safe for concurrent use: its call frame writes
+// nothing, and the trace counter, the parallel band pool and the pass
+// sequence are all synchronized, so independent goroutines may run kernels
+// on private images through one shared Ops. The stateful extensions
 // (SetGuarded, SetBreakers, SetObserver, the Ctx variants) keep per-call
 // state on the Ops and remain single-caller-at-a-time, as the harness uses
 // them.
@@ -97,33 +103,22 @@ type Ops struct {
 	// corruption.
 	aud *integrity.Auditor
 
-	// Resilience state (see guard.go and ctx.go). brk, when set, is
-	// consulted once per outermost kernel call: an open breaker demotes
-	// that call to the scalar path via denySIMD without touching the
-	// useOptimized latch. depth counts nested public entry points so the
-	// breaker decision is made exactly once per call tree.
-	brk        *resilience.BreakerSet
-	denySIMD   bool
-	depth      int
-	brkPending string // kernel admitted by the breaker, verdict outstanding
+	// Resilience and supervision state (see ctx.go, guard.go and par.go).
+	// brk, when set, admits each outermost kernel call and takes the call
+	// tree's one verdict; sup quarantines (kernel, ISA) pairs that panic
+	// repeatedly; wd watches parallel sections for wedged bands. tree is the
+	// in-flight call tree the outermost frame opened; heart is set only on
+	// band clones (and, transiently, on a watched serial pass).
+	brk   *resilience.BreakerSet
+	wd    *super.Watchdog
+	sup   *super.Supervisor
+	tree  callTree
+	heart *super.Heart
 
-	// Supervision state (see par.go and observe.go). wd watches parallel
-	// sections for wedged bands; sup quarantines (kernel, ISA) pairs that
-	// panic repeatedly — a quarantined outermost call runs scalar AND
-	// serial (serialOnly), isolating the poisonous path completely.
-	// curKernel names the outermost in-flight entry point so sections can
-	// be labeled; heart is set only on band clones (and, transiently, on a
-	// watched serial pass).
-	wd         *super.Watchdog
-	sup        *super.Supervisor
-	curKernel  string
-	serialOnly bool
-	heart      *super.Heart
-
-	// Context plumbing for the Ctx kernel variants: the bound context, the
-	// rows completed under it (partial-progress accounting), and the trace
-	// ID the context carries (request tracing: kernel spans and wall-clock
-	// histogram exemplars are stamped with it).
+	// The context the binding call frame bound, the rows completed under
+	// it (partial-progress accounting), and the trace ID it carries
+	// (request tracing: kernel spans and wall-clock histogram exemplars are
+	// stamped with it).
 	ctx     context.Context
 	ctxRows int
 	traceID string
@@ -168,10 +163,19 @@ func NewOps(isa ISA, t *trace.Counter) *Ops {
 func (o *Ops) SetUseOptimized(on bool) { o.useOptimized = on }
 
 // UseOptimized reports whether SIMD paths are active for the current call:
-// the latch must be on, the ISA must have SIMD, and — when a breaker set is
-// attached — the breaker for the running kernel must have admitted it.
+// the latch must be on, the ISA must have SIMD, and the call tree must not
+// be demoted — by an open breaker or a quarantine (see ctx.go).
 func (o *Ops) UseOptimized() bool {
-	return o.useOptimized && o.isa != ISAScalar && !o.denySIMD
+	return o.useOptimized && o.isa != ISAScalar && !o.tree.scalar
+}
+
+// path returns the code path the current call runs: the Ops' ISA when
+// UseOptimized, else ISAScalar.
+func (o *Ops) path() ISA {
+	if o.UseOptimized() {
+		return o.isa
+	}
+	return ISAScalar
 }
 
 // SetBreakers attaches a circuit-breaker set consulted at every outermost

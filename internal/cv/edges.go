@@ -1,6 +1,8 @@
 package cv
 
 import (
+	"context"
+
 	"simdstudy/internal/image"
 	"simdstudy/internal/par"
 	"simdstudy/internal/sat"
@@ -11,34 +13,40 @@ import (
 // (horizontal and vertical passes), combine gradient magnitudes with the
 // saturating L1 norm |gx|+|gy|, then binarize — pixels whose gradient
 // intensity exceeds thresh become 255, the rest 0.
-func (o *Ops) DetectEdges(src, dst *image.Mat, thresh int16) (err error) {
-	o.beginKernel("DetectEdges")
-	defer o.endKernelP("DetectEdges", &err)
-	if err := requireKind(src, image.U8, "DetectEdges src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.U8, "DetectEdges dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	run := func() error {
-		if o.fuse.Enabled {
-			return o.edgesFused(src, dst, thresh)
+func (o *Ops) DetectEdges(src, dst *image.Mat, thresh int16) error {
+	return o.DetectEdgesCtx(nil, src, dst, thresh)
+}
+
+// DetectEdgesCtx is DetectEdges with row-granular cancellation through the
+// nested Sobel passes (2 filters x 2 passes each).
+func (o *Ops) DetectEdgesCtx(ctx context.Context, src, dst *image.Mat, thresh int16) error {
+	return o.call(ctx, "DetectEdges", 4*dst.Height, func() error {
+		if err := requireKind(src, image.U8, "DetectEdges src"); err != nil {
+			return err
 		}
-		return o.edgesStaged(src, dst, thresh)
-	}
-	if !o.UseOptimized() {
-		return run()
-	}
-	// One referee covers the whole pipeline, staged or fused: it re-runs
-	// the staged scalar pipeline, and the nested SobelFilter calls see
-	// inGuard and skip their own referees.
-	return o.guardedRun(gkEdges, src.Height, dst, run,
-		func(ref *Ops, r0, r1 int, d *image.Mat) error {
-			return ref.edgesStaged(src.Rows(r0, r1), d, thresh)
-		})
+		if err := requireKind(dst, image.U8, "DetectEdges dst"); err != nil {
+			return err
+		}
+		if err := sameShape(src, dst); err != nil {
+			return err
+		}
+		run := func() error {
+			if o.fuse.Enabled {
+				return o.edgesFused(src, dst, thresh)
+			}
+			return o.edgesStaged(src, dst, thresh)
+		}
+		if !o.UseOptimized() {
+			return run()
+		}
+		// One referee covers the whole pipeline, staged or fused: it re-runs
+		// the staged scalar pipeline, and the nested SobelFilter calls see
+		// inGuard and skip their own referees.
+		return o.guardedRun(gkEdges, src.Height, dst, run,
+			func(ref *Ops, r0, r1 int, d *image.Mat) error {
+				return ref.edgesStaged(src.Rows(r0, r1), d, thresh)
+			})
+	})
 }
 
 // edgesStaged is the unfused pipeline: full gradient planes, then the
@@ -54,17 +62,14 @@ func (o *Ops) edgesStaged(src, dst *image.Mat, thresh int16) error {
 	if err := o.SobelFilter(src, gy, 0, 1); err != nil {
 		return err
 	}
-	if o.UseOptimized() {
-		switch o.isa {
-		case ISANEON:
-			o.magThreshNEON(gx, gy, dst, thresh)
-			return nil
-		case ISASSE2:
-			o.magThreshSSE2(gx, gy, dst, thresh)
-			return nil
-		}
+	switch o.path() {
+	case ISANEON:
+		o.magThreshNEON(gx, gy, dst, thresh)
+	case ISASSE2:
+		o.magThreshSSE2(gx, gy, dst, thresh)
+	default:
+		o.magThreshScalar(gx, gy, dst, thresh)
 	}
-	o.magThreshScalar(gx, gy, dst, thresh)
 	return nil
 }
 
@@ -172,24 +177,24 @@ func magThreshSSE2Chunk(b *Ops, a magThreshArgs, lo, hi int) {
 
 // GradientMagnitude exposes the |gx|+|gy| combine on its own, so the
 // internal/kernels tests can check the IR magnitude loop against it.
-func (o *Ops) GradientMagnitude(gx, gy, dst *image.Mat) (err error) {
-	o.beginKernel("GradientMagnitude")
-	defer o.endKernelP("GradientMagnitude", &err)
-	if err := requireKind(gx, image.S16, "GradientMagnitude gx"); err != nil {
-		return err
-	}
-	if err := requireKind(gy, image.S16, "GradientMagnitude gy"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.S16, "GradientMagnitude dst"); err != nil {
-		return err
-	}
-	if err := sameShape(gx, dst); err != nil {
-		return err
-	}
-	if err := sameShape(gy, dst); err != nil {
-		return err
-	}
-	parFlat(o, dst.Pixels(), cannyMagArgs{gx.S16Pix, gy.S16Pix, dst.S16Pix}, cannyMagChunk)
-	return nil
+func (o *Ops) GradientMagnitude(gx, gy, dst *image.Mat) error {
+	return o.call(nil, "GradientMagnitude", dst.Height, func() error {
+		if err := requireKind(gx, image.S16, "GradientMagnitude gx"); err != nil {
+			return err
+		}
+		if err := requireKind(gy, image.S16, "GradientMagnitude gy"); err != nil {
+			return err
+		}
+		if err := requireKind(dst, image.S16, "GradientMagnitude dst"); err != nil {
+			return err
+		}
+		if err := sameShape(gx, dst); err != nil {
+			return err
+		}
+		if err := sameShape(gy, dst); err != nil {
+			return err
+		}
+		parFlat(o, dst.Pixels(), cannyMagArgs{gx.S16Pix, gy.S16Pix, dst.S16Pix}, cannyMagChunk)
+		return nil
+	})
 }

@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"testing"
 
 	"simdstudy/internal/faults"
@@ -48,7 +49,7 @@ func TestFaultSiteCoverage(t *testing.T) {
 			var err error
 			switch c.kernel {
 			case "MedianBlur3x3":
-				err = o.MedianBlur3x3(image.Synthetic(res, 3), image.NewMat(res.Width, res.Height, image.U8))
+				err = o.MedianBlur3x3Ctx(context.Background(), image.Synthetic(res, 3), image.NewMat(res.Width, res.Height, image.U8))
 			case "GaussianBlur":
 				err = o.GaussianBlur(image.Synthetic(res, 3), image.NewMat(res.Width, res.Height, image.U8))
 			case "ConvertF32ToS16":

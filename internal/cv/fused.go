@@ -238,19 +238,17 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 	diffHBody, smoothVBody, smoothHBody, diffVBody := sobelDiffHScalarRow,
 		sobelSmoothVScalarRow, sobelSmoothHScalarRow, sobelDiffVScalarRow
 	var zeroDiffH, zeroSmoothH vec.V128
-	if o.UseOptimized() {
-		switch o.isa {
-		case ISANEON:
-			defer o.n.Session("canny.fused", o.curSpan()).End()
-			diffHBody, smoothVBody = sobelDiffHNEONRow, sobelSmoothVNEONRow
-			smoothHBody, diffVBody = sobelSmoothHNEONRow, sobelDiffVNEONRow
-		case ISASSE2:
-			defer o.s.Session("canny.fused", o.curSpan()).End()
-			diffHBody, smoothVBody = sobelDiffHSSE2Row, sobelSmoothVSSE2Row
-			smoothHBody, diffVBody = sobelSmoothHSSE2Row, sobelDiffVSSE2Row
-			zeroDiffH = o.s.SetzeroSi128()
-			zeroSmoothH = o.s.SetzeroSi128()
-		}
+	switch o.path() {
+	case ISANEON:
+		defer o.n.Session("canny.fused", o.curSpan()).End()
+		diffHBody, smoothVBody = sobelDiffHNEONRow, sobelSmoothVNEONRow
+		smoothHBody, diffVBody = sobelSmoothHNEONRow, sobelDiffVNEONRow
+	case ISASSE2:
+		defer o.s.Session("canny.fused", o.curSpan()).End()
+		diffHBody, smoothVBody = sobelDiffHSSE2Row, sobelSmoothVSSE2Row
+		smoothHBody, diffVBody = sobelSmoothHSSE2Row, sobelDiffVSSE2Row
+		zeroDiffH = o.s.SetzeroSi128()
+		zeroSmoothH = o.s.SetzeroSi128()
 	}
 
 	for k := 0; k < g.Strips; k++ {
@@ -347,23 +345,21 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 		sobelSmoothVScalarRow, sobelSmoothHScalarRow, sobelDiffVScalarRow
 	combineBody := magThreshScalarChunk
 	var zeroDiffH, zeroSmoothH, vthresh vec.V128
-	if o.UseOptimized() {
-		switch o.isa {
-		case ISANEON:
-			defer o.n.Session("edges.fused", o.curSpan()).End()
-			diffHBody, smoothVBody = sobelDiffHNEONRow, sobelSmoothVNEONRow
-			smoothHBody, diffVBody = sobelSmoothHNEONRow, sobelDiffVNEONRow
-			combineBody = magThreshNEONChunk
-			vthresh = o.n.VdupqNS16(thresh)
-		case ISASSE2:
-			defer o.s.Session("edges.fused", o.curSpan()).End()
-			diffHBody, smoothVBody = sobelDiffHSSE2Row, sobelSmoothVSSE2Row
-			smoothHBody, diffVBody = sobelSmoothHSSE2Row, sobelDiffVSSE2Row
-			combineBody = magThreshSSE2Chunk
-			zeroDiffH = o.s.SetzeroSi128()
-			zeroSmoothH = o.s.SetzeroSi128()
-			vthresh = o.s.Set1Epi16(thresh)
-		}
+	switch o.path() {
+	case ISANEON:
+		defer o.n.Session("edges.fused", o.curSpan()).End()
+		diffHBody, smoothVBody = sobelDiffHNEONRow, sobelSmoothVNEONRow
+		smoothHBody, diffVBody = sobelSmoothHNEONRow, sobelDiffVNEONRow
+		combineBody = magThreshNEONChunk
+		vthresh = o.n.VdupqNS16(thresh)
+	case ISASSE2:
+		defer o.s.Session("edges.fused", o.curSpan()).End()
+		diffHBody, smoothVBody = sobelDiffHSSE2Row, sobelSmoothVSSE2Row
+		smoothHBody, diffVBody = sobelSmoothHSSE2Row, sobelDiffVSSE2Row
+		combineBody = magThreshSSE2Chunk
+		zeroDiffH = o.s.SetzeroSi128()
+		zeroSmoothH = o.s.SetzeroSi128()
+		vthresh = o.s.Set1Epi16(thresh)
 	}
 
 	done := 0 // combined plane-linear elements so far

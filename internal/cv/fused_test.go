@@ -186,7 +186,7 @@ func TestFusedStripsBandAt5MP(t *testing.T) {
 			}
 			for k := 0; k < last; k++ {
 				y0, y1 := g.StageRows(i, k)
-				if nb := o.nBandsRows(y1 - y0); nb < 2 {
+				if nb := o.nBands(y1-y0, o.par.MinRowsPerBand); nb < 2 {
 					t.Errorf("%s stage %d strip %d: %d rows run on %d band(s) (strip rows %d)",
 						kernel, i, k, y1-y0, nb, g.StripRows)
 				}

@@ -1,6 +1,8 @@
 package cv
 
 import (
+	"context"
+
 	"simdstudy/internal/image"
 	"simdstudy/internal/par"
 	"simdstudy/internal/vec"
@@ -22,43 +24,39 @@ const gaussShift = 8 // fixed-point fractional bits; kernel sums to 1<<8
 // reads up to three rows above and below its own from the intermediate
 // plane, but that plane was fully written before the pass started, so the
 // halo is plain shared-read data — and the pass boundary is a barrier.
-func (o *Ops) GaussianBlur(src, dst *image.Mat) (err error) {
-	o.beginKernel("GaussianBlur")
-	defer o.endKernelP("GaussianBlur", &err)
-	if err := requireKind(src, image.U8, "GaussianBlur src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.U8, "GaussianBlur dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	run := func(op *Ops, s, d *image.Mat) error {
-		tmp := par.GetMat(s.Width, s.Height, image.U8)
-		defer par.PutMat(tmp)
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.gaussHorizNEON(s, tmp)
-				op.gaussVertNEON(tmp, d)
-				return nil
-			case ISASSE2:
-				op.gaussHorizSSE2(s, tmp)
-				op.gaussVertSSE2(tmp, d)
-				return nil
-			}
+func (o *Ops) GaussianBlur(src, dst *image.Mat) error { return o.GaussianBlurCtx(nil, src, dst) }
+
+// GaussianBlurCtx is GaussianBlur with row-granular cancellation across
+// both separable passes.
+func (o *Ops) GaussianBlurCtx(ctx context.Context, src, dst *image.Mat) error {
+	return o.call(ctx, "GaussianBlur", 2*dst.Height, func() error {
+		if err := requireKind(src, image.U8, "GaussianBlur src"); err != nil {
+			return err
 		}
+		if err := requireKind(dst, image.U8, "GaussianBlur dst"); err != nil {
+			return err
+		}
+		if err := sameShape(src, dst); err != nil {
+			return err
+		}
+		return o.plane(gkGaussian, src, dst, gaussRun)
+	})
+}
+
+func gaussRun(op *Ops, s, d *image.Mat) {
+	tmp := par.GetMat(s.Width, s.Height, image.U8)
+	defer par.PutMat(tmp)
+	switch op.path() {
+	case ISANEON:
+		op.gaussHorizNEON(s, tmp)
+		op.gaussVertNEON(tmp, d)
+	case ISASSE2:
+		op.gaussHorizSSE2(s, tmp)
+		op.gaussVertSSE2(tmp, d)
+	default:
 		op.gaussHorizScalar(s, tmp)
 		op.gaussVertScalar(tmp, d)
-		return nil
 	}
-	if o.UseOptimized() {
-		return o.guardedRun(gkGaussian, src.Height, dst,
-			func() error { return run(o, src, dst) },
-			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
-	}
-	return run(o, src, dst)
 }
 
 func clampIdx(i, n int) int {

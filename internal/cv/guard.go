@@ -306,7 +306,7 @@ func diffRows(got *image.Mat, want *refRows, rows []int, tol int) (bad []int, di
 func (o *Ops) refereeOps(banded bool) *Ops {
 	ref := NewOps(o.isa, nil)
 	ref.SetUseOptimized(false)
-	if banded && !o.serialOnly {
+	if banded && !o.tree.serial {
 		ref.par = o.par
 	}
 	return ref
@@ -360,7 +360,7 @@ func (o *Ops) rowReferee(spec guardSpec, srcH int, dst *image.Mat, rows []int, r
 	slices.Sort(ys)
 	s, halo := spec.scale, spec.halo
 	type srcWin struct{ r0, r1 int }
-	var srcWins []srcWin
+	srcWins := make([]srcWin, 0, len(ys))
 	for _, y := range ys {
 		r0, r1 := max(0, s*y-halo), min(srcH, s*y+s+halo)
 		if n := len(srcWins); n > 0 && r0 <= srcWins[n-1].r1 {
@@ -378,9 +378,11 @@ func (o *Ops) rowReferee(spec guardSpec, srcH int, dst *image.Mat, rows []int, r
 	}
 	ref.m = par.GetMat(dst.Width, total, dst.Kind)
 	ro := o.refereeOps(false)
+	view := new(image.Mat) // one row view of ref.m, re-pointed per window
 	for i, sw := range srcWins {
 		wi := ref.win[i]
-		if err := rerun(ro, sw.r0, sw.r1, ref.m.Rows(wi.off, wi.off+wi.y1-wi.y0)); err != nil {
+		*view = *ref.m.Rows(wi.off, wi.off+wi.y1-wi.y0)
+		if err := rerun(ro, sw.r0, sw.r1, view); err != nil {
 			par.PutMat(ref.m)
 			return nil, err
 		}
@@ -393,6 +395,29 @@ func copyPixels(dst, src *image.Mat) {
 	copy(dst.U8Pix, src.U8Pix)
 	copy(dst.S16Pix, src.S16Pix)
 	copy(dst.F32Pix, src.F32Pix)
+}
+
+// plane runs a single-plane kernel: run computes d from s on the path
+// op.path() selects. A SIMD call routes through guardedRun, whose referee
+// reruns run on a scalar Ops over a row view of the source. The view is
+// allocated once per referee and re-pointed per window: run is opaque
+// here, so every view handed to it escapes.
+func (o *Ops) plane(k guardKernel, src, dst *image.Mat, run func(op *Ops, s, d *image.Mat)) error {
+	if o.path() == ISAScalar {
+		run(o, src, dst)
+		return nil
+	}
+	var view *image.Mat
+	return o.guardedRun(k, src.Height, dst,
+		func() error { run(o, src, dst); return nil },
+		func(ref *Ops, r0, r1 int, d *image.Mat) error {
+			if view == nil {
+				view = new(image.Mat)
+			}
+			*view = *src.Rows(r0, r1)
+			run(ref, view, d)
+			return nil
+		})
 }
 
 // guardedRun is the one referee path every SIMD kernel entry point routes
@@ -476,7 +501,7 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 		if ce != nil {
 			copyPixels(dst, want.m)
 		}
-		o.recordBreaker(kernel, o.guarded || ce == nil)
+		o.verdict(o.guarded || ce == nil)
 		return nil
 	}
 	o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionDetected, Rows: bad, Diffs: diffs})
@@ -496,7 +521,7 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 		if b, _ := diffRows(dst, want, rows, tol); len(b) == 0 {
 			retrySpan.End()
 			o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionRetryRecovered})
-			o.recordBreaker(kernel, true)
+			o.verdict(true)
 			return nil
 		}
 		retrySpan.End()
@@ -526,20 +551,16 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 		o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionKillSwitch})
 	}
 	fbSpan.End()
-	o.recordBreaker(kernel, false)
+	o.verdict(false)
 	return nil
 }
 
-// recordBreaker feeds one referee verdict into the kernel's breaker, when
-// one is attached. A breaker that latches StuckOpen is recorded once per
+// recordBreaker feeds a call tree's verdict into the kernel's breaker. A
+// breaker that latches StuckOpen is recorded once per
 // kernel as ActionKillSwitch; the latch itself is the breaker's: its Allow
 // denies the pair on every later call, so only this kernel runs scalar and
 // its siblings on the Ops keep their SIMD paths.
 func (o *Ops) recordBreaker(kernel string, success bool) {
-	if o.brk == nil {
-		return
-	}
-	o.brkPending = ""
 	if o.brk.Record(kernel, o.isa.String(), success) != resilience.StateStuckOpen {
 		return
 	}

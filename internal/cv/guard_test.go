@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"testing"
 
 	"simdstudy/internal/faults"
@@ -44,7 +45,7 @@ func guardKernels(t *testing.T) map[string]func(o *Ops, src, dst *image.Mat) err
 			return o.Threshold(src, dst, 100, 255, ThreshTrunc)
 		},
 		"GaussianBlur":  (*Ops).GaussianBlur,
-		"MedianBlur3x3": (*Ops).MedianBlur3x3,
+		"MedianBlur3x3": func(o *Ops, s, d *image.Mat) error { return o.MedianBlur3x3Ctx(context.Background(), s, d) },
 		"DetectEdges": func(o *Ops, src, dst *image.Mat) error {
 			return o.DetectEdges(src, dst, 80)
 		},
@@ -172,7 +173,7 @@ func TestGuardKillSwitch(t *testing.T) {
 	dst := image.NewMat(64, 48, image.U8)
 
 	for i := 0; i < 3; i++ {
-		if err := g.MedianBlur3x3(src, dst); err != nil {
+		if err := g.MedianBlur3x3Ctx(context.Background(), src, dst); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +192,7 @@ func TestGuardKillSwitch(t *testing.T) {
 
 	// Scalar-only now: the run is clean and adds no fault records.
 	before := len(g.Faults())
-	if err := g.MedianBlur3x3(src, dst); err != nil {
+	if err := g.MedianBlur3x3Ctx(context.Background(), src, dst); err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Faults()) != before {

@@ -1,11 +1,13 @@
 package cv
 
 import (
+	"context"
+
 	"simdstudy/internal/image"
 	"simdstudy/internal/vec"
 )
 
-// MedianBlur3x3 applies a 3x3 median filter with replicated borders.
+// MedianBlur3x3Ctx applies a 3x3 median filter with replicated borders.
 // Median blur is the headline kernel of the paper's related work (Pulli et
 // al. report a 23x NEON speedup on Tegra 3): the 9-element median reduces
 // to a fixed network of 19 min/max operations, which vectorizes perfectly
@@ -13,38 +15,31 @@ import (
 // same network one pixel at a time — and gcc cannot auto-vectorize it
 // because each pixel's network is a different data-dependent permutation
 // in source form.
-func (o *Ops) MedianBlur3x3(src, dst *image.Mat) (err error) {
-	o.beginKernel("MedianBlur3x3")
-	defer o.endKernelP("MedianBlur3x3", &err)
-	if err := requireKind(src, image.U8, "MedianBlur3x3 src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.U8, "MedianBlur3x3 dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	run := func(op *Ops, s, d *image.Mat) error {
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.medianNEON(s, d)
-				return nil
-			case ISASSE2:
-				op.medianSSE2(s, d)
-				return nil
-			}
+// Cancellation is row-granular.
+func (o *Ops) MedianBlur3x3Ctx(ctx context.Context, src, dst *image.Mat) error {
+	return o.call(ctx, "MedianBlur3x3", dst.Height, func() error {
+		if err := requireKind(src, image.U8, "MedianBlur3x3 src"); err != nil {
+			return err
 		}
+		if err := requireKind(dst, image.U8, "MedianBlur3x3 dst"); err != nil {
+			return err
+		}
+		if err := sameShape(src, dst); err != nil {
+			return err
+		}
+		return o.plane(gkMedian, src, dst, medianRun)
+	})
+}
+
+func medianRun(op *Ops, s, d *image.Mat) {
+	switch op.path() {
+	case ISANEON:
+		op.medianNEON(s, d)
+	case ISASSE2:
+		op.medianSSE2(s, d)
+	default:
 		op.medianScalar(s, d)
-		return nil
 	}
-	if o.UseOptimized() {
-		return o.guardedRun(gkMedian, src.Height, dst,
-			func() error { return run(o, src, dst) },
-			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
-	}
-	return run(o, src, dst)
 }
 
 // median9 runs the canonical 19-comparator median-of-9 exchange network

@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -69,12 +70,12 @@ func TestMedianBlurAllPathsAgree(t *testing.T) {
 	res := image.Resolution{Width: 83, Height: 31} // odd: exercises tails
 	src := image.Synthetic(res, 9)
 	want := image.NewMat(res.Width, res.Height, image.U8)
-	if err := NewOps(ISAScalar, nil).MedianBlur3x3(src, want); err != nil {
+	if err := NewOps(ISAScalar, nil).MedianBlur3x3Ctx(context.Background(), src, want); err != nil {
 		t.Fatal(err)
 	}
 	for _, isa := range []ISA{ISANEON, ISASSE2} {
 		got := image.NewMat(res.Width, res.Height, image.U8)
-		if err := NewOps(isa, nil).MedianBlur3x3(src, got); err != nil {
+		if err := NewOps(isa, nil).MedianBlur3x3Ctx(context.Background(), src, got); err != nil {
 			t.Fatal(err)
 		}
 		if !want.EqualTo(got) {
@@ -93,7 +94,7 @@ func TestMedianRemovesImpulseNoise(t *testing.T) {
 	src.U8Pix[10*48+10] = 255
 	src.U8Pix[20*48+30] = 0
 	dst := image.NewMat(res.Width, res.Height, image.U8)
-	if err := NewOps(ISANEON, nil).MedianBlur3x3(src, dst); err != nil {
+	if err := NewOps(ISANEON, nil).MedianBlur3x3Ctx(context.Background(), src, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst.U8Pix[10*48+10] != 100 || dst.U8Pix[20*48+30] != 100 {
@@ -105,13 +106,13 @@ func TestMedianErrors(t *testing.T) {
 	o := NewOps(ISAScalar, nil)
 	u := image.NewMat(8, 8, image.U8)
 	f := image.NewMat(8, 8, image.F32)
-	if err := o.MedianBlur3x3(f, u); err == nil {
+	if err := o.MedianBlur3x3Ctx(context.Background(), f, u); err == nil {
 		t.Error("F32 src should fail")
 	}
-	if err := o.MedianBlur3x3(u, f); err == nil {
+	if err := o.MedianBlur3x3Ctx(context.Background(), u, f); err == nil {
 		t.Error("F32 dst should fail")
 	}
-	if err := o.MedianBlur3x3(u, image.NewMat(4, 4, image.U8)); err == nil {
+	if err := o.MedianBlur3x3Ctx(context.Background(), u, image.NewMat(4, 4, image.U8)); err == nil {
 		t.Error("shape mismatch should fail")
 	}
 }
@@ -121,7 +122,7 @@ func TestMedianVectorizesTo38OpsPerBlock(t *testing.T) {
 	src := image.Synthetic(res, 3)
 	dst := image.NewMat(res.Width, res.Height, image.U8)
 	var tr trace.Counter
-	if err := NewOps(ISANEON, &tr).MedianBlur3x3(src, dst); err != nil {
+	if err := NewOps(ISANEON, &tr).MedianBlur3x3Ctx(context.Background(), src, dst); err != nil {
 		t.Fatal(err)
 	}
 	// Per 16-pixel block: 9 loads + 38 min/max + 1 store.
@@ -139,12 +140,12 @@ func TestResizeHalfAllPathsAgree(t *testing.T) {
 	res := image.Resolution{Width: 86, Height: 34}
 	src := image.Synthetic(res, 10)
 	want := image.NewMat(res.Width/2, res.Height/2, image.U8)
-	if err := NewOps(ISAScalar, nil).ResizeHalf(src, want); err != nil {
+	if err := NewOps(ISAScalar, nil).ResizeHalfCtx(context.Background(), src, want); err != nil {
 		t.Fatal(err)
 	}
 	for _, isa := range []ISA{ISANEON, ISASSE2} {
 		got := image.NewMat(res.Width/2, res.Height/2, image.U8)
-		if err := NewOps(isa, nil).ResizeHalf(src, got); err != nil {
+		if err := NewOps(isa, nil).ResizeHalfCtx(context.Background(), src, got); err != nil {
 			t.Fatal(err)
 		}
 		if !want.EqualTo(got) {
@@ -160,7 +161,7 @@ func TestResizeHalfSemantics(t *testing.T) {
 		30, 40, 255, 0,
 	})
 	dst := image.NewMat(2, 1, image.U8)
-	if err := NewOps(ISAScalar, nil).ResizeHalf(src, dst); err != nil {
+	if err := NewOps(ISAScalar, nil).ResizeHalfCtx(context.Background(), src, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst.U8Pix[0] != 25 { // (10+20+30+40+2)>>2 = 102>>2
@@ -177,7 +178,7 @@ func TestResizeHalfPreservesFlat(t *testing.T) {
 		src.U8Pix[i] = 99
 	}
 	dst := image.NewMat(16, 16, image.U8)
-	if err := NewOps(ISASSE2, nil).ResizeHalf(src, dst); err != nil {
+	if err := NewOps(ISASSE2, nil).ResizeHalfCtx(context.Background(), src, dst); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range dst.U8Pix {
@@ -190,13 +191,13 @@ func TestResizeHalfPreservesFlat(t *testing.T) {
 func TestResizeHalfErrors(t *testing.T) {
 	o := NewOps(ISAScalar, nil)
 	src := image.NewMat(8, 8, image.U8)
-	if err := o.ResizeHalf(src, image.NewMat(3, 4, image.U8)); err == nil {
+	if err := o.ResizeHalfCtx(context.Background(), src, image.NewMat(3, 4, image.U8)); err == nil {
 		t.Error("wrong dst shape should fail")
 	}
-	if err := o.ResizeHalf(image.NewMat(8, 8, image.F32), image.NewMat(4, 4, image.U8)); err == nil {
+	if err := o.ResizeHalfCtx(context.Background(), image.NewMat(8, 8, image.F32), image.NewMat(4, 4, image.U8)); err == nil {
 		t.Error("F32 src should fail")
 	}
-	if err := o.ResizeHalf(src, image.NewMat(4, 4, image.S16)); err == nil {
+	if err := o.ResizeHalfCtx(context.Background(), src, image.NewMat(4, 4, image.S16)); err == nil {
 		t.Error("S16 dst should fail")
 	}
 }
@@ -207,7 +208,7 @@ func TestQuickResizePreservesMean(t *testing.T) {
 		res := image.Resolution{Width: 32, Height: 16}
 		src := image.Synthetic(res, seed)
 		dst := image.NewMat(16, 8, image.U8)
-		if err := NewOps(ISANEON, nil).ResizeHalf(src, dst); err != nil {
+		if err := NewOps(ISANEON, nil).ResizeHalfCtx(context.Background(), src, dst); err != nil {
 			return false
 		}
 		var srcSum, dstSum float64

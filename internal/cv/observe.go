@@ -1,11 +1,7 @@
 package cv
 
 import (
-	"errors"
-	"fmt"
-
 	"simdstudy/internal/obs"
-	"simdstudy/internal/super"
 	"simdstudy/internal/trace"
 )
 
@@ -57,47 +53,13 @@ func (o *Ops) curSpan() *obs.Span {
 	return o.obsParent
 }
 
-// beginKernel opens a span for a public kernel entry point and snapshots
-// the trace counters. Returns nil (and records nothing) when no registry
-// is attached. It also counts call-tree depth and, at the outermost entry
-// of a guarded Ops with a breaker set attached, asks the kernel's breaker
-// whether the SIMD path may run — runs denied there fall through to the
-// scalar path via UseOptimized without consuming the useOptimized latch.
-func (o *Ops) beginKernel(name string) *obs.Span {
-	if o.instrumentFree() {
-		// Fast path: without a breaker, registry, supervisor or watchdog the
-		// depth/frame state is never consulted, and skipping it keeps a
-		// plain Ops free of unsynchronized writes — the property that makes
-		// one Ops shareable across goroutines.
-		return nil
-	}
-	o.depth++
-	if o.depth == 1 {
-		o.curKernel = name
-		if o.sup != nil && o.sup.Quarantined(name, o.isa.String()) {
-			// A quarantined pair runs scalar and serial: the supervisor has
-			// decided this kernel's SIMD bands are poisonous, so neither the
-			// breaker (it is stuck-open anyway) nor the band scheduler is
-			// consulted.
-			o.denySIMD = true
-			o.serialOnly = true
-		} else if o.brk != nil && (o.guarded || o.aud != nil) && o.useOptimized && o.isa != ISAScalar {
-			// Only consult the breaker when the SIMD path is actually
-			// eligible AND something can produce a verdict (the guard referee
-			// or a sampled audit); in half-open state Allow consumes a probe
-			// that must be resolved by a verdict, so asking on behalf of a
-			// call that would run scalar anyway would leak probes. An
-			// admitted call whose audit sampling skips resolves the probe via
-			// endKernel's Release, leaving the half-open budget intact.
-			if o.brk.Allow(name, o.isa.String()) {
-				o.brkPending = name
-			} else {
-				o.denySIMD = true
-			}
-		}
-	}
+// openSpan opens the span of public entry point name, nested under the
+// enclosing kernel's span or the external parent, and snapshots the trace
+// counters its instruction delta is computed against. Without a registry it
+// records nothing.
+func (o *Ops) openSpan(name string) {
 	if o.Obs == nil {
-		return nil
+		return
 	}
 	isa := obs.L("isa", o.isa.String())
 	var sp *obs.Span
@@ -117,32 +79,13 @@ func (o *Ops) beginKernel(name string) *obs.Span {
 		f.storeB = o.T.BytesStored()
 	}
 	o.frames = append(o.frames, f)
-	return sp
 }
 
-// endKernel closes the span opened by beginKernel, attributing the
-// instruction delta to it; the outermost kernel also folds the per-class
-// deltas into the registry counters (inner kernels skip that so composite
-// pipelines are not double counted).
-func (o *Ops) endKernel(name string, err error) {
-	if o.instrumentFree() {
-		return
-	}
-	if o.depth > 0 {
-		o.depth--
-	}
-	if o.depth == 0 {
-		o.denySIMD = false
-		o.serialOnly = false
-		o.curKernel = ""
-		if o.brkPending != "" {
-			// The call ended without a guard verdict (validation error or
-			// cancellation unwind): hand any half-open probe back so the
-			// breaker cannot wedge with its budget consumed.
-			o.brk.Release(o.brkPending, o.isa.String())
-			o.brkPending = ""
-		}
-	}
+// closeSpan closes the span openSpan opened, attributing the instruction
+// delta to it; the outermost kernel also folds the per-class deltas into
+// the registry counters (inner kernels skip that so composite pipelines
+// are not double counted).
+func (o *Ops) closeSpan(name string, err error) {
 	if o.Obs == nil || len(o.frames) == 0 {
 		return
 	}
@@ -185,64 +128,9 @@ func (o *Ops) endKernel(name string, err error) {
 	}
 }
 
-// instrumentFree reports that no per-call state (depth, frames, breaker,
-// supervision) needs maintaining for this Ops; begin/endKernel are no-ops.
+// instrumentFree reports that no per-call state (call tree, span frames,
+// breaker, supervision) needs maintaining for this Ops, so call runs an
+// unbound body directly.
 func (o *Ops) instrumentFree() bool {
 	return o.brk == nil && o.Obs == nil && o.sup == nil && o.wd == nil
-}
-
-// endKernelP is the deferred epilogue of every public kernel entry point.
-// On a clean return it behaves as endKernel; on an unwind it applies the
-// supervision policy:
-//
-//   - a cancellation unwind (ctxCanceled) passes through untouched for
-//     runCtx to convert, exactly as before;
-//   - a stalled parallel section (stallUnwind, raised by the dispatcher in
-//     par.go when the watchdog cancelled a pass) is converted into the entry
-//     point's error return — a typed *super.StallError — and, at the
-//     outermost entry, recorded with the breaker as a failure so repeated
-//     stalls demote the pair to scalar like repeated guard fallbacks;
-//   - any other panic is recorded with the supervisor at the outermost
-//     entry (quarantining pairs that exceed the policy and latching their
-//     breaker stuck-open) and then resumes unwinding. In every unwind case
-//     endKernel still runs, so spans close and an admitted-but-unresolved
-//     breaker probe is always Released — a panicking probe can never leak
-//     the half-open budget.
-func (o *Ops) endKernelP(name string, errp *error) {
-	r := recover()
-	if r == nil {
-		if o.depth == 1 && errp != nil && *errp != nil {
-			var se *super.StallError
-			if errors.As(*errp, &se) {
-				// A nested kernel stalled and surfaced it as an error; the
-				// verdict belongs to this call tree's breaker entry.
-				o.recordBreaker(name, false)
-			}
-		}
-		var err error
-		if errp != nil {
-			err = *errp
-		}
-		o.endKernel(name, err)
-		return
-	}
-	if _, ok := r.(ctxCanceled); ok {
-		o.endKernel(name, nil)
-		panic(r)
-	}
-	if su, ok := r.(stallUnwind); ok {
-		if o.depth == 1 {
-			o.recordBreaker(name, false)
-		}
-		o.endKernel(name, su.err)
-		*errp = su.err
-		return
-	}
-	if o.depth == 1 && o.sup != nil {
-		if o.sup.RecordPanic(name, o.isa.String(), r) && o.brk != nil {
-			o.brk.ForceStuckOpen(name, o.isa.String())
-		}
-	}
-	o.endKernel(name, fmt.Errorf("panic: %v", r))
-	panic(r)
 }

@@ -99,22 +99,14 @@ func (o *Ops) sectionReseeder() faults.Reseeder {
 	return rs
 }
 
-// nBandsRows returns the band count for a rows-high pass. A quarantined
-// outermost call (serialOnly) always runs one band: the supervisor has
-// judged the pair's parallel bands poisonous.
-func (o *Ops) nBandsRows(rows int) int {
-	if o.par.Workers <= 1 || o.serialOnly {
+// nBands returns the band count for a pass of n units at least minPer
+// units per band. A quarantined call tree always runs one band: the
+// supervisor has judged the pair's parallel bands poisonous.
+func (o *Ops) nBands(n, minPer int) int {
+	if o.par.Workers <= 1 || o.tree.serial {
 		return 1
 	}
-	return par.NBands(rows, o.par.Workers, o.par.MinRowsPerBand)
-}
-
-// nBandsFlat returns the band count for an n-element flat pass.
-func (o *Ops) nBandsFlat(n int) int {
-	if o.par.Workers <= 1 || o.serialOnly {
-		return 1
-	}
-	return par.NBands((n+flatQuantum-1)/flatQuantum, o.par.Workers, 1)
+	return par.NBands(n, o.par.Workers, minPer)
 }
 
 // getBand returns a pooled Ops clone wired for one band of a parallel
@@ -140,7 +132,6 @@ func (o *Ops) clone(stop *atomic.Bool, fork bool) *Ops {
 	}
 	b.isa = o.isa
 	b.useOptimized = o.useOptimized
-	b.denySIMD = o.denySIMD
 	b.stop = stop
 	b.ctx = o.ctx
 	b.ctxRows = 0
@@ -181,7 +172,7 @@ func (o *Ops) putBand(b *Ops) {
 }
 
 // stallUnwind is the private unwind token a dispatcher raises after the
-// watchdog stalled its section; endKernelP converts it into the entry
+// watchdog stalled its section; the call frame converts it into the entry
 // point's typed *super.StallError return.
 type stallUnwind struct{ err *super.StallError }
 
@@ -191,17 +182,17 @@ func isBandStopped(v any) bool { _, ok := v.(bandStopped); return ok }
 // bandProf runs fn with (kernel, isa, band) pprof labels on the executing
 // goroutine, so CPU profiles of a loaded server attribute samples to the
 // kernel and band doing the work rather than to an anonymous pool worker.
-// Labels are only applied on instrumented Ops (curKernel is set exactly
-// when begin/endKernel track the call tree): the plain fast path keeps its
+// Labels are only applied on instrumented Ops (tree.kernel is set exactly
+// when the call frame tracks the call tree): the plain fast path keeps its
 // zero-overhead property, and the parallel path already allocates per
 // section so the label set is noise there.
 func (o *Ops) bandProf(band int, fn func()) {
-	if o.curKernel == "" {
+	if o.tree.kernel == "" {
 		fn()
 		return
 	}
 	pprof.Do(context.Background(), pprof.Labels(
-		"kernel", o.curKernel,
+		"kernel", o.tree.kernel,
 		"isa", o.isa.String(),
 		"band", strconv.Itoa(band),
 	), func(context.Context) { fn() })
@@ -218,8 +209,8 @@ func rethrow(panics []any) {
 
 // finishSection closes out a watched or parallel section: real band panics
 // (and cancellation) rethrow first, then a stall verdict that actually
-// aborted work — some band unwound on the stop flag — is raised for
-// endKernelP. A stall flagged after every band already completed is ignored:
+// aborted work — some band unwound on the stop flag — is raised for the
+// call frame. A stall flagged after every band already completed is ignored:
 // the output is whole, so failing the call would discard correct work.
 func finishSection(sec *super.Section, panics []any) {
 	stopped := false
@@ -239,7 +230,7 @@ func finishSection(sec *super.Section, panics []any) {
 
 // watchSerial runs a serial pass under a watchdog section: the pass's Ops
 // (see serialOps) temporarily carries the section's single heart and stop
-// flag, so the existing rowTick/flatTick plumbing provides both the
+// flag, so the existing tick plumbing provides both the
 // heartbeat and the abort point, exactly as on a band clone.
 func (o *Ops) watchSerial(sec *super.Section, stop *atomic.Bool, loop func()) {
 	o.stop, o.heart = stop, sec.Heart(0)
@@ -270,86 +261,7 @@ func parRows[A any](o *Ops, rows int, a A, body func(b *Ops, a A, y int)) {
 // per-row reseed positions are a pure function of the row like the staged
 // path's, and the watchdog heart beats once per row exactly as before.
 func parRowsRange[A any](o *Ops, y0, y1 int, a A, body func(b *Ops, a A, y int)) {
-	rows := y1 - y0
-	if rows <= 0 {
-		return
-	}
-	nb := o.nBandsRows(rows)
-	rs := o.sectionReseeder()
-	var salt uint64
-	if rs != nil {
-		salt = o.passSeq.Add(1)
-	}
-	if nb == 1 && o.wd == nil {
-		b := o.serialOps()
-		if b != o {
-			defer o.putBand(b)
-		}
-		for y := y0; y < y1; y++ {
-			if rs != nil {
-				rs.Reseed(stripeSalt(salt, y))
-			}
-			body(b, a, y)
-			b.rowTick()
-		}
-		return
-	}
-	// Copy the args into a branch-local before the closure captures them:
-	// capturing the parameter itself would move it to the heap at function
-	// entry and cost the serial path an allocation per pass.
-	aa := a
-	var stop atomic.Bool
-	var sec *super.Section
-	if o.wd != nil {
-		sec = o.wd.Section(o.curKernel, o.isa.String(), nb, func() { stop.Store(true) })
-		defer sec.Close()
-	}
-	if nb == 1 {
-		b := o.serialOps()
-		if b != o {
-			defer o.putBand(b)
-		}
-		b.watchSerial(sec, &stop, func() {
-			for y := y0; y < y1; y++ {
-				if rs != nil {
-					rs.Reseed(stripeSalt(salt, y))
-				}
-				body(b, aa, y)
-				b.rowTick()
-			}
-		})
-		return
-	}
-	bands := make([]*Ops, nb)
-	for i := range bands {
-		bands[i] = o.getBand(&stop)
-		if sec != nil {
-			bands[i].heart = sec.Heart(i)
-		}
-	}
-	panics := par.Run(nb, func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				stop.Store(true)
-				panic(r)
-			}
-		}()
-		o.bandProf(i, func() {
-			b := bands[i]
-			lo, hi := par.Span(i, nb, rows)
-			for y := y0 + lo; y < y0+hi; y++ {
-				if b.reseed != nil {
-					b.reseed.Reseed(stripeSalt(salt, y))
-				}
-				body(b, aa, y)
-				b.rowTick()
-			}
-		})
-	})
-	for _, b := range bands {
-		o.putBand(b)
-	}
-	finishSection(sec, panics)
+	runBands(o, units[A]{row: body, first: y0, n: y1 - y0}, a)
 }
 
 // parFlat runs body(b, a, lo, hi) over [0, n) in flatQuantum-aligned
@@ -367,11 +279,58 @@ func parFlat[A any](o *Ops, n int, a A, body func(b *Ops, a A, lo, hi int)) {
 // vector/tail split — and with it the recorded instruction stream —
 // matches a single staged sweep exactly.
 func parFlatRange[A any](o *Ops, e0, e1 int, a A, body func(b *Ops, a A, lo, hi int)) {
-	n := e1 - e0
-	if n <= 0 {
+	runBands(o, units[A]{flat: body, first: e0, end: e1, n: (e1 - e0 + flatQuantum - 1) / flatQuantum}, a)
+}
+
+// units is one pass's work for runBands, numbered 0..n-1: rows first+i
+// when row is set, else the flatQuantum-element blocks of [first, end),
+// anchored at first. The pass's argument bundle travels beside it, so a
+// closure capturing both copies each by value when small.
+type units[A any] struct {
+	row        func(b *Ops, a A, y int)
+	flat       func(b *Ops, a A, lo, hi int)
+	first, end int
+	n          int
+}
+
+// run runs units [lo, hi) on b with args a, reseeding rs (when set) at
+// each unit from its stripe: the row, or the block's quantum index in the
+// plane. A row tick counts toward the bound context's progress; a block
+// tick only polls.
+func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) {
+	for i := lo; i < hi; i++ {
+		if u.row != nil {
+			y := u.first + i
+			if rs != nil {
+				rs.Reseed(stripeSalt(salt, y))
+			}
+			u.row(b, a, y)
+			b.tick(true)
+			continue
+		}
+		c := u.first + i*flatQuantum
+		if rs != nil {
+			rs.Reseed(stripeSalt(salt, c/flatQuantum))
+		}
+		u.flat(b, a, c, min(c+flatQuantum, u.end))
+		b.tick(false)
+	}
+}
+
+// runBands is the one band runner behind every pass. It splits u into
+// deterministic bands (par.Span over units) and runs them in one of three
+// modes: inline on serialOps with no goroutine, section or allocation
+// (one band, no watchdog); inline under a watchdog section (one band);
+// or on pooled band clones through par.Run.
+func runBands[A any](o *Ops, u units[A], a A) {
+	if u.n <= 0 {
 		return
 	}
-	nb := o.nBandsFlat(n)
+	minPer := 1
+	if u.row != nil {
+		minPer = o.par.MinRowsPerBand
+	}
+	nb := o.nBands(u.n, minPer)
 	rs := o.sectionReseeder()
 	var salt uint64
 	if rs != nil {
@@ -382,21 +341,17 @@ func parFlatRange[A any](o *Ops, e0, e1 int, a A, body func(b *Ops, a A, lo, hi 
 		if b != o {
 			defer o.putBand(b)
 		}
-		for c := e0; c < e1; c += flatQuantum {
-			ce := min(c+flatQuantum, e1)
-			if rs != nil {
-				rs.Reseed(stripeSalt(salt, c/flatQuantum))
-			}
-			body(b, a, c, ce)
-			b.flatTick()
-		}
+		u.run(b, a, 0, u.n, rs, salt)
 		return
 	}
-	aa := a // see parRows: keep the parameter off the heap on the serial path
+	// Copy the parameters into branch-locals before the closures capture
+	// them: capturing a parameter itself would move it to the heap at
+	// function entry and cost the serial path an allocation per pass.
+	uu, aa := u, a
 	var stop atomic.Bool
 	var sec *super.Section
 	if o.wd != nil {
-		sec = o.wd.Section(o.curKernel, o.isa.String(), nb, func() { stop.Store(true) })
+		sec = o.wd.Section(o.tree.kernel, o.isa.String(), nb, func() { stop.Store(true) })
 		defer sec.Close()
 	}
 	if nb == 1 {
@@ -404,16 +359,7 @@ func parFlatRange[A any](o *Ops, e0, e1 int, a A, body func(b *Ops, a A, lo, hi 
 		if b != o {
 			defer o.putBand(b)
 		}
-		b.watchSerial(sec, &stop, func() {
-			for c := e0; c < e1; c += flatQuantum {
-				ce := min(c+flatQuantum, e1)
-				if rs != nil {
-					rs.Reseed(stripeSalt(salt, c/flatQuantum))
-				}
-				body(b, aa, c, ce)
-				b.flatTick()
-			}
-		})
+		b.watchSerial(sec, &stop, func() { uu.run(b, aa, 0, uu.n, rs, salt) })
 		return
 	}
 	bands := make([]*Ops, nb)
@@ -432,15 +378,8 @@ func parFlatRange[A any](o *Ops, e0, e1 int, a A, body func(b *Ops, a A, lo, hi 
 		}()
 		o.bandProf(i, func() {
 			b := bands[i]
-			lo, hi := par.AlignedSpan(i, nb, n, flatQuantum)
-			for c := e0 + lo; c < e0+hi; c += flatQuantum {
-				ce := min(c+flatQuantum, e0+hi)
-				if b.reseed != nil {
-					b.reseed.Reseed(stripeSalt(salt, c/flatQuantum))
-				}
-				body(b, aa, c, ce)
-				b.flatTick()
-			}
+			lo, hi := par.Span(i, nb, uu.n)
+			uu.run(b, aa, lo, hi, b.reseed, salt)
 		})
 	})
 	for _, b := range bands {

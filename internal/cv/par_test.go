@@ -65,12 +65,12 @@ func parCases() []parCase {
 		{"median", func(o *Ops, res image.Resolution) (*image.Mat, error) {
 			src := image.Synthetic(res, 9)
 			dst := image.NewMat(res.Width, res.Height, image.U8)
-			return dst, o.MedianBlur3x3(src, dst)
+			return dst, o.MedianBlur3x3Ctx(context.Background(), src, dst)
 		}},
 		{"resize", func(o *Ops, res image.Resolution) (*image.Mat, error) {
 			src := image.Synthetic(res, 10)
 			dst := image.NewMat(res.Width/2, res.Height/2, image.U8)
-			return dst, o.ResizeHalf(src, dst)
+			return dst, o.ResizeHalfCtx(context.Background(), src, dst)
 		}},
 		{"rgb2gray", func(o *Ops, res image.Resolution) (*image.Mat, error) {
 			src := image.SyntheticRGB(res, 11)

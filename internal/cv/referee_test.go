@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -33,11 +34,11 @@ func refereeCases() []refereeCase {
 		{"RGBToGray", gkRGBToGray, image.U8, func(_ *image.Mat, rgb *image.RGB) refRun {
 			return func(ref *Ops, r0, r1 int, d *image.Mat) error { return ref.RGBToGray(rgb.Rows(r0, r1), d) }
 		}},
-		{"ResizeHalf", gkResizeHalf, image.U8, mat((*Ops).ResizeHalf)},
+		{"ResizeHalf", gkResizeHalf, image.U8, mat(func(o *Ops, s, d *image.Mat) error { return o.ResizeHalfCtx(context.Background(), s, d) })},
 		{"SobelX", gkSobel, image.S16, mat(func(ref *Ops, s, d *image.Mat) error { return ref.SobelFilter(s, d, 1, 0) })},
 		{"SobelY", gkSobel, image.S16, mat(func(ref *Ops, s, d *image.Mat) error { return ref.SobelFilter(s, d, 0, 1) })},
 		{"DetectEdges", gkEdges, image.U8, mat(func(ref *Ops, s, d *image.Mat) error { return ref.DetectEdges(s, d, 80) })},
-		{"MedianBlur3x3", gkMedian, image.U8, mat((*Ops).MedianBlur3x3)},
+		{"MedianBlur3x3", gkMedian, image.U8, mat(func(o *Ops, s, d *image.Mat) error { return o.MedianBlur3x3Ctx(context.Background(), s, d) })},
 		{"GaussianBlur", gkGaussian, image.U8, mat((*Ops).GaussianBlur)},
 	}
 }
@@ -135,7 +136,7 @@ func TestRefereeBandConfig(t *testing.T) {
 	if got := o.refereeOps(false).par; got.Workers > 1 {
 		t.Errorf("row-window referee bands %+v, want serial", got)
 	}
-	o.serialOnly = true
+	o.tree.serial = true
 	if got := o.refereeOps(true).par; got.Workers > 1 {
 		t.Errorf("quarantined parent's referee bands %+v, want serial", got)
 	}

@@ -124,6 +124,60 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	}
 }
 
+// TestBreakerClosesAfterCleanProbe: for every guarded entry point, staged
+// and fused pipelines included, a breaker opened by failures and cooled
+// down to half-open closes after one clean guarded call. Staged Canny has
+// no referee of its own: its nested SobelFilter verdicts must settle the
+// admission Canny's own breaker granted, or that breaker stays half-open
+// with its probe spent and Canny runs scalar for good.
+func TestBreakerClosesAfterCleanProbe(t *testing.T) {
+	res := image.Resolution{Width: 64, Height: 48}
+	u8, f32, rgb := image.Synthetic(res, 19), image.SyntheticF32(res, 19), image.SyntheticRGB(res, 19)
+	u8Dst, s16Dst := image.NewMat(64, 48, image.U8), image.NewMat(64, 48, image.S16)
+	cases := []struct {
+		kernel string
+		fuse   bool
+		run    func(o *Ops) error
+	}{
+		{"ConvertF32ToS16", false, func(o *Ops) error { return o.ConvertF32ToS16(f32, s16Dst) }},
+		{"Threshold", false, func(o *Ops) error { return o.Threshold(u8, u8Dst, 100, 255, ThreshBinary) }},
+		{"RGBToGray", false, func(o *Ops) error { return o.RGBToGray(rgb, u8Dst) }},
+		{"ResizeHalf", false, func(o *Ops) error {
+			return o.ResizeHalfCtx(context.Background(), u8, image.NewMat(32, 24, image.U8))
+		}},
+		{"SobelFilter", false, func(o *Ops) error { return o.SobelFilter(u8, s16Dst, 0, 1) }},
+		{"MedianBlur3x3", false, func(o *Ops) error { return o.MedianBlur3x3Ctx(context.Background(), u8, u8Dst) }},
+		{"GaussianBlur", false, func(o *Ops) error { return o.GaussianBlur(u8, u8Dst) }},
+		{"DetectEdges", false, func(o *Ops) error { return o.DetectEdges(u8, u8Dst, 80) }},
+		{"DetectEdges", true, func(o *Ops) error { return o.DetectEdges(u8, u8Dst, 80) }},
+		{"Canny", false, func(o *Ops) error { return o.Canny(u8, u8Dst, 60, 200) }},
+		{"Canny", true, func(o *Ops) error { return o.Canny(u8, u8Dst, 60, 200) }},
+	}
+	for _, c := range cases {
+		name := c.kernel
+		if c.fuse {
+			name = "Fused" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			clk := &testClock{t: time.Unix(0, 0)}
+			g, set := breakerOps(clk)
+			g.SetFuse(FuseConfig{Enabled: c.fuse})
+			set.Record(c.kernel, "neon", false)
+			set.Record(c.kernel, "neon", false)
+			clk.Advance(2 * time.Second)
+			if st := set.State(c.kernel, "neon"); st != resilience.StateHalfOpen {
+				t.Fatalf("cooled-down breaker = %v, want half-open", st)
+			}
+			if err := c.run(g); err != nil {
+				t.Fatal(err)
+			}
+			if st := set.State(c.kernel, "neon"); st != resilience.StateClosed {
+				t.Fatalf("breaker after one clean guarded call = %v, want closed", st)
+			}
+		})
+	}
+}
+
 // TestBreakerStuckOpenTripsKillSwitch: when the re-arm budget is spent the
 // breaker latches stuck-open and records an ActionKillSwitch fault. The
 // demotion is the breaker's alone: the stuck kernel runs scalar from then

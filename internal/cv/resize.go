@@ -1,13 +1,14 @@
 package cv
 
 import (
+	"context"
 	"fmt"
 
 	"simdstudy/internal/image"
 	"simdstudy/internal/vec"
 )
 
-// ResizeHalf downsamples a U8 image by 2x in each dimension with a
+// ResizeHalfCtx downsamples a U8 image by 2x in each dimension with a
 // rounding 2x2 box filter:
 //
 //	dst[x,y] = (s[2x,2y] + s[2x+1,2y] + s[2x,2y+1] + s[2x+1,2y+1] + 2) >> 2
@@ -19,42 +20,35 @@ import (
 // shift-narrow. Each output row reads exactly two source rows that no
 // other output row touches, so the kernel bands over destination rows
 // with no halo at all.
-func (o *Ops) ResizeHalf(src, dst *image.Mat) (err error) {
-	o.beginKernel("ResizeHalf")
-	defer o.endKernelP("ResizeHalf", &err)
-	if err := requireKind(src, image.U8, "ResizeHalf src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.U8, "ResizeHalf dst"); err != nil {
-		return err
-	}
-	if dst.Width != src.Width/2 || dst.Height != src.Height/2 {
-		return fmt.Errorf("cv: ResizeHalf dst must be %dx%d, got %dx%d",
-			src.Width/2, src.Height/2, dst.Width, dst.Height)
-	}
-	if dst.Width == 0 || dst.Height == 0 {
-		return fmt.Errorf("cv: ResizeHalf source %dx%d too small", src.Width, src.Height)
-	}
-	run := func(op *Ops, s, d *image.Mat) error {
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.resizeHalfNEON(s, d)
-				return nil
-			case ISASSE2:
-				op.resizeHalfSSE2(s, d)
-				return nil
-			}
+// Cancellation is row-granular.
+func (o *Ops) ResizeHalfCtx(ctx context.Context, src, dst *image.Mat) error {
+	return o.call(ctx, "ResizeHalf", dst.Height, func() error {
+		if err := requireKind(src, image.U8, "ResizeHalf src"); err != nil {
+			return err
 		}
+		if err := requireKind(dst, image.U8, "ResizeHalf dst"); err != nil {
+			return err
+		}
+		if dst.Width != src.Width/2 || dst.Height != src.Height/2 {
+			return fmt.Errorf("cv: ResizeHalf dst must be %dx%d, got %dx%d",
+				src.Width/2, src.Height/2, dst.Width, dst.Height)
+		}
+		if dst.Width == 0 || dst.Height == 0 {
+			return fmt.Errorf("cv: ResizeHalf source %dx%d too small", src.Width, src.Height)
+		}
+		return o.plane(gkResizeHalf, src, dst, resizeRun)
+	})
+}
+
+func resizeRun(op *Ops, s, d *image.Mat) {
+	switch op.path() {
+	case ISANEON:
+		op.resizeHalfNEON(s, d)
+	case ISASSE2:
+		op.resizeHalfSSE2(s, d)
+	default:
 		op.resizeHalfScalar(s, d)
-		return nil
 	}
-	if o.UseOptimized() {
-		return o.guardedRun(gkResizeHalf, src.Height, dst,
-			func() error { return run(o, src, dst) },
-			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
-	}
-	return run(o, src, dst)
 }
 
 func resizePixel(pix []uint8, w, x, y int) uint8 {

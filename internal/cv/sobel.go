@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"fmt"
 
 	"simdstudy/internal/image"
@@ -16,63 +17,67 @@ import (
 // Each pass is row-banded when parallelism is configured: the vertical
 // passes read one halo row above and below from the intermediate plane,
 // which is read-only by then, and the pass boundary is a barrier.
-func (o *Ops) SobelFilter(src, dst *image.Mat, dx, dy int) (err error) {
-	o.beginKernel("SobelFilter")
-	defer o.endKernelP("SobelFilter", &err)
-	if err := requireKind(src, image.U8, "SobelFilter src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.S16, "SobelFilter dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	switch {
-	case dx == 1 && dy == 0, dx == 0 && dy == 1:
-	default:
+func (o *Ops) SobelFilter(src, dst *image.Mat, dx, dy int) error {
+	return o.SobelFilterCtx(nil, src, dst, dx, dy)
+}
+
+// SobelFilterCtx is SobelFilter with row-granular cancellation across both
+// passes.
+func (o *Ops) SobelFilterCtx(ctx context.Context, src, dst *image.Mat, dx, dy int) error {
+	return o.call(ctx, "SobelFilter", 2*dst.Height, func() error {
+		if err := requireKind(src, image.U8, "SobelFilter src"); err != nil {
+			return err
+		}
+		if err := requireKind(dst, image.S16, "SobelFilter dst"); err != nil {
+			return err
+		}
+		if err := sameShape(src, dst); err != nil {
+			return err
+		}
+		switch {
+		case dx == 1 && dy == 0:
+			return o.plane(gkSobel, src, dst, sobelXRun)
+		case dx == 0 && dy == 1:
+			return o.plane(gkSobel, src, dst, sobelYRun)
+		}
 		return fmt.Errorf("cv: SobelFilter supports (dx,dy) of (1,0) or (0,1), got (%d,%d)", dx, dy)
+	})
+}
+
+// sobelXRun is the x-gradient: a horizontal difference, then a vertical
+// smooth.
+func sobelXRun(op *Ops, s, d *image.Mat) {
+	tmp := par.GetMat(s.Width, s.Height, image.S16)
+	defer par.PutMat(tmp)
+	switch op.path() {
+	case ISANEON:
+		op.sobelDiffHNEON(s, tmp)
+		op.sobelSmoothVNEON(tmp, d)
+	case ISASSE2:
+		op.sobelDiffHSSE2(s, tmp)
+		op.sobelSmoothVSSE2(tmp, d)
+	default:
+		op.sobelDiffHScalar(s, tmp)
+		op.sobelSmoothVScalar(tmp, d)
 	}
-	run := func(op *Ops, s, d *image.Mat) error {
-		tmp := par.GetMat(s.Width, s.Height, image.S16)
-		defer par.PutMat(tmp)
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				if dx == 1 {
-					op.sobelDiffHNEON(s, tmp)
-					op.sobelSmoothVNEON(tmp, d)
-				} else {
-					op.sobelSmoothHNEON(s, tmp)
-					op.sobelDiffVNEON(tmp, d)
-				}
-				return nil
-			case ISASSE2:
-				if dx == 1 {
-					op.sobelDiffHSSE2(s, tmp)
-					op.sobelSmoothVSSE2(tmp, d)
-				} else {
-					op.sobelSmoothHSSE2(s, tmp)
-					op.sobelDiffVSSE2(tmp, d)
-				}
-				return nil
-			}
-		}
-		if dx == 1 {
-			op.sobelDiffHScalar(s, tmp)
-			op.sobelSmoothVScalar(tmp, d)
-		} else {
-			op.sobelSmoothHScalar(s, tmp)
-			op.sobelDiffVScalar(tmp, d)
-		}
-		return nil
+}
+
+// sobelYRun is the y-gradient: a horizontal smooth, then a vertical
+// difference.
+func sobelYRun(op *Ops, s, d *image.Mat) {
+	tmp := par.GetMat(s.Width, s.Height, image.S16)
+	defer par.PutMat(tmp)
+	switch op.path() {
+	case ISANEON:
+		op.sobelSmoothHNEON(s, tmp)
+		op.sobelDiffVNEON(tmp, d)
+	case ISASSE2:
+		op.sobelSmoothHSSE2(s, tmp)
+		op.sobelDiffVSSE2(tmp, d)
+	default:
+		op.sobelSmoothHScalar(s, tmp)
+		op.sobelDiffVScalar(tmp, d)
 	}
-	if o.UseOptimized() {
-		return o.guardedRun(gkSobel, src.Height, dst,
-			func() error { return run(o, src, dst) },
-			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
-	}
-	return run(o, src, dst)
 }
 
 // --- Scalar reference pieces. SIMD paths call these for borders so all

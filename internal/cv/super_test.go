@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -44,64 +45,105 @@ func (panicInjector) V128(faults.Site, vec.V128) vec.V128 { panic("poisoned lane
 func (panicInjector) V64(faults.Site, vec.V64) vec.V64    { panic("poisoned lane") }
 func (panicInjector) Skew(faults.Site, int) int           { panic("poisoned lane") }
 
-// TestStallDetected proves the tentpole stall path at both worker counts:
-// a wedged band is detected within the watchdog deadline, its siblings are
-// cancelled through the stop flag, the entry point returns a typed
-// *super.StallError, and the verdict reaches the kernel's breaker as a
-// failure.
+// gaussForms are the two forms of one entry point: the plain call, and the
+// Ctx call simdserved makes, whose frame also binds the context.
+var gaussForms = []struct {
+	name string
+	run  func(o *Ops, src, dst *image.Mat) error
+}{
+	{"plain", (*Ops).GaussianBlur},
+	{"ctx", func(o *Ops, src, dst *image.Mat) error { return o.GaussianBlurCtx(context.Background(), src, dst) }},
+}
+
+// requireSettled fails unless o's call frame left no per-call state behind:
+// no bound context and no open call tree or span.
+func requireSettled(t *testing.T, o *Ops) {
+	t.Helper()
+	if o.ctx != nil || o.tree != (callTree{}) || len(o.frames) != 0 {
+		t.Fatalf("call state left behind: ctx %v, tree %+v, %d open spans", o.ctx, o.tree, len(o.frames))
+	}
+}
+
+// TestStallDetected proves the tentpole stall path at both worker counts
+// and through both entry forms: a wedged band is detected within the
+// watchdog deadline, its siblings are cancelled through the stop flag, the
+// entry point returns a typed *super.StallError, and the verdict reaches
+// the kernel's breaker as a failure. The Ops serves the next call, and the
+// breaker's probe budget is whole once it cools down.
 func TestStallDetected(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			const deadline = 25 * time.Millisecond
-			reg := obs.NewRegistry()
-			wd := super.NewWatchdog(super.WatchdogConfig{Deadline: deadline}, reg)
-			defer wd.Stop()
-			brk := resilience.NewBreakerSet(resilience.BreakerConfig{
-				MinSamples: 1, FailureRate: 1,
-			}, nil)
-
-			o := NewOps(ISANEON, &trace.Counter{})
-			o.SetParallel(ParallelConfig{Workers: workers, MinRowsPerBand: 1})
-			o.SetWatchdog(wd)
-			o.SetBreakers(brk)
-			inj := &wedgeInjector{stallFor: 20 * deadline}
-			o.SetFaultInjector(inj)
-
-			src := image.Synthetic(image.Resolution{Name: "t", Width: 128, Height: 64}, 1)
-			dst := image.NewMat(128, 64, image.U8)
-			start := time.Now()
-			err := o.GaussianBlur(src, dst)
-			elapsed := time.Since(start)
-
-			var se *super.StallError
-			if !errors.As(err, &se) {
-				t.Fatalf("GaussianBlur = %v, want *super.StallError", err)
-			}
-			if se.Op != "GaussianBlur" || se.ISA != "neon" || se.Deadline != deadline {
-				t.Errorf("StallError = %+v", se)
-			}
-			// The wedged band sleeps 20x the deadline; returning well before it
-			// would have finished proves detection happened at the deadline and
-			// the siblings did not run the pass to completion behind it... the
-			// call can only return once the wedged band wakes, so the bound is
-			// sleep + scheduling slack, not sleep x rows.
-			if elapsed > 5*inj.stallFor {
-				t.Errorf("stall surfaced after %v; watchdog deadline %v", elapsed, deadline)
-			}
-			if wd.Stalls() == 0 {
-				t.Error("watchdog recorded no stall")
-			}
-			// The stall was fed to the breaker as a failure (MinSamples 1,
-			// FailureRate 1: a single failure opens it).
-			if st := brk.State("GaussianBlur", "neon"); st != resilience.StateOpen {
-				t.Errorf("breaker state = %v, want open", st)
-			}
-			snap := reg.Snapshot()
-			if got := snap[`stall_total{isa="neon",kernel="GaussianBlur"}`]; got != 1 {
-				t.Errorf("stall_total = %v, want 1", got)
+			for _, form := range gaussForms {
+				t.Run(form.name, func(t *testing.T) { testStallDetected(t, form.run, workers) })
 			}
 		})
 	}
+}
+
+func testStallDetected(t *testing.T, gauss func(o *Ops, src, dst *image.Mat) error, workers int) {
+	const deadline = 25 * time.Millisecond
+	reg := obs.NewRegistry()
+	wd := super.NewWatchdog(super.WatchdogConfig{Deadline: deadline}, reg)
+	defer wd.Stop()
+	clk := &testClock{t: time.Unix(0, 0)}
+	brk := resilience.NewBreakerSet(resilience.BreakerConfig{
+		MinSamples: 1, FailureRate: 1, OpenFor: time.Second, Clock: clk.Now,
+	}, nil)
+
+	o := NewOps(ISANEON, &trace.Counter{})
+	o.SetParallel(ParallelConfig{Workers: workers, MinRowsPerBand: 1})
+	o.SetWatchdog(wd)
+	o.SetBreakers(brk)
+	inj := &wedgeInjector{stallFor: 20 * deadline}
+	o.SetFaultInjector(inj)
+
+	src := image.Synthetic(image.Resolution{Name: "t", Width: 128, Height: 64}, 1)
+	dst := image.NewMat(128, 64, image.U8)
+	start := time.Now()
+	err := gauss(o, src, dst)
+	elapsed := time.Since(start)
+
+	var se *super.StallError
+	if !errors.As(err, &se) {
+		t.Fatalf("GaussianBlur = %v, want *super.StallError", err)
+	}
+	if se.Op != "GaussianBlur" || se.ISA != "neon" || se.Deadline != deadline {
+		t.Errorf("StallError = %+v", se)
+	}
+	// The wedged band sleeps 20x the deadline; returning well before it
+	// would have finished proves detection happened at the deadline and
+	// the siblings did not run the pass to completion behind it... the
+	// call can only return once the wedged band wakes, so the bound is
+	// sleep + scheduling slack, not sleep x rows.
+	if elapsed > 5*inj.stallFor {
+		t.Errorf("stall surfaced after %v; watchdog deadline %v", elapsed, deadline)
+	}
+	if wd.Stalls() == 0 {
+		t.Error("watchdog recorded no stall")
+	}
+	// The stall was fed to the breaker as a failure (MinSamples 1,
+	// FailureRate 1: a single failure opens it).
+	if st := brk.State("GaussianBlur", "neon"); st != resilience.StateOpen {
+		t.Errorf("breaker state = %v, want open", st)
+	}
+	snap := reg.Snapshot()
+	if got := snap[`stall_total{isa="neon",kernel="GaussianBlur"}`]; got != 1 {
+		t.Errorf("stall_total = %v, want 1", got)
+	}
+
+	// The Ops is reusable: the injector wedges only once, so the next
+	// call completes.
+	requireSettled(t, o)
+	if err := gauss(o, src, dst); err != nil {
+		t.Fatalf("call after the stall: %v", err)
+	}
+	// The probe budget is whole: once cooled down, the breaker admits
+	// a half-open probe.
+	clk.Advance(2 * time.Second)
+	if !brk.Allow("GaussianBlur", "neon") {
+		t.Fatal("cooled-down breaker refuses its half-open probe")
+	}
+	brk.Release("GaussianBlur", "neon")
 }
 
 // TestStallAfterRecoveryBeatsKeepPassing: a watchdog-attached Ops whose
@@ -137,87 +179,96 @@ func TestWatchedRunMatchesUnwatched(t *testing.T) {
 	}
 }
 
-// TestPanicQuarantine proves the tentpole quarantine path: a (kernel, ISA)
-// pair whose SIMD path panics repeatedly is quarantined by the supervisor —
-// its breaker latches terminally stuck-open, and subsequent calls run the
-// scalar, serial path and succeed.
+// TestPanicQuarantine proves the tentpole quarantine path through both
+// entry forms: a (kernel, ISA) pair whose SIMD path panics repeatedly is
+// quarantined by the supervisor — its breaker latches terminally
+// stuck-open, and subsequent calls run the scalar, serial path and
+// succeed. Each panic leaves the Ops reusable.
 func TestPanicQuarantine(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			reg := obs.NewRegistry()
-			sup := super.NewSupervisor(super.QuarantinePolicy{MaxPanics: 2}, reg)
-			brk := resilience.NewBreakerSet(resilience.BreakerConfig{}, nil)
-
-			o := NewOps(ISANEON, &trace.Counter{})
-			o.SetParallel(ParallelConfig{Workers: workers, MinRowsPerBand: 1})
-			o.SetSupervisor(sup)
-			o.SetBreakers(brk)
-			o.SetFaultInjector(panicInjector{})
-
-			src := image.Synthetic(image.Resolution{Name: "t", Width: 128, Height: 64}, 3)
-			dst := image.NewMat(128, 64, image.U8)
-
-			crash := func() (recovered any) {
-				defer func() { recovered = recover() }()
-				if err := o.GaussianBlur(src, dst); err != nil {
-					t.Errorf("GaussianBlur returned error instead of panicking: %v", err)
-				}
-				return nil
-			}
-
-			// Panics below the policy threshold propagate (the caller still
-			// sees the crash) but are counted.
-			if r := crash(); r == nil {
-				t.Fatal("first poisoned call did not panic")
-			}
-			if sup.Quarantined("GaussianBlur", "neon") {
-				t.Fatal("quarantined below MaxPanics")
-			}
-			// The second panic crosses MaxPanics=2: quarantine + stuck-open.
-			if r := crash(); r == nil {
-				t.Fatal("second poisoned call did not panic")
-			}
-			if !sup.Quarantined("GaussianBlur", "neon") {
-				t.Fatal("pair not quarantined after MaxPanics")
-			}
-			if st := brk.State("GaussianBlur", "neon"); st != resilience.StateStuckOpen {
-				t.Errorf("breaker state = %v, want stuck-open", st)
-			}
-
-			// Quarantined: the call is routed scalar+serial before the injector
-			// can fire, so it now succeeds — graceful demotion, not an outage.
-			if err := o.GaussianBlur(src, dst); err != nil {
-				t.Fatalf("quarantined call failed: %v", err)
-			}
-			// And its output matches a plain scalar run.
-			ref := NewOps(ISANEON, nil)
-			ref.SetUseOptimized(false)
-			want := image.NewMat(128, 64, image.U8)
-			if err := ref.GaussianBlur(src, want); err != nil {
-				t.Fatal(err)
-			}
-			if d := want.DiffCount(dst, 0); d != 0 {
-				t.Errorf("quarantined output differs from scalar in %d pixels", d)
-			}
-
-			snap := reg.Snapshot()
-			if got := snap[`quarantine_total{isa="neon",kernel="GaussianBlur"}`]; got != 1 {
-				t.Errorf("quarantine_total = %v, want 1", got)
-			}
-			if got := snap[`worker_panics_total{isa="neon",kernel="GaussianBlur"}`]; got != 2 {
-				t.Errorf("worker_panics_total = %v, want 2", got)
-			}
-
-			// Other kernels of the same Ops are not quarantined.
-			o.SetFaultInjector(nil)
-			dst2 := image.NewMat(128, 64, image.U8)
-			if err := o.Threshold(src, dst2, 128, 255, ThreshBinary); err != nil {
-				t.Fatalf("unrelated kernel failed: %v", err)
-			}
-			if sup.Quarantined("Threshold", "neon") {
-				t.Error("quarantine leaked to Threshold")
+			for _, form := range gaussForms {
+				t.Run(form.name, func(t *testing.T) { testPanicQuarantine(t, form.run, workers) })
 			}
 		})
+	}
+}
+
+func testPanicQuarantine(t *testing.T, gauss func(o *Ops, src, dst *image.Mat) error, workers int) {
+	reg := obs.NewRegistry()
+	sup := super.NewSupervisor(super.QuarantinePolicy{MaxPanics: 2}, reg)
+	brk := resilience.NewBreakerSet(resilience.BreakerConfig{}, nil)
+
+	o := NewOps(ISANEON, &trace.Counter{})
+	o.SetParallel(ParallelConfig{Workers: workers, MinRowsPerBand: 1})
+	o.SetSupervisor(sup)
+	o.SetBreakers(brk)
+	o.SetFaultInjector(panicInjector{})
+
+	src := image.Synthetic(image.Resolution{Name: "t", Width: 128, Height: 64}, 3)
+	dst := image.NewMat(128, 64, image.U8)
+
+	crash := func() (recovered any) {
+		defer func() { recovered = recover() }()
+		if err := gauss(o, src, dst); err != nil {
+			t.Errorf("GaussianBlur returned error instead of panicking: %v", err)
+		}
+		return nil
+	}
+
+	// Panics below the policy threshold propagate (the caller still
+	// sees the crash) but are counted.
+	if r := crash(); r == nil {
+		t.Fatal("first poisoned call did not panic")
+	}
+	requireSettled(t, o)
+	if sup.Quarantined("GaussianBlur", "neon") {
+		t.Fatal("quarantined below MaxPanics")
+	}
+	// The second panic crosses MaxPanics=2: quarantine + stuck-open.
+	if r := crash(); r == nil {
+		t.Fatal("second poisoned call did not panic")
+	}
+	if !sup.Quarantined("GaussianBlur", "neon") {
+		t.Fatal("pair not quarantined after MaxPanics")
+	}
+	if st := brk.State("GaussianBlur", "neon"); st != resilience.StateStuckOpen {
+		t.Errorf("breaker state = %v, want stuck-open", st)
+	}
+
+	// Quarantined: the call is routed scalar+serial before the injector
+	// can fire, so it now succeeds — graceful demotion, not an outage.
+	requireSettled(t, o)
+	if err := gauss(o, src, dst); err != nil {
+		t.Fatalf("quarantined call failed: %v", err)
+	}
+	// And its output matches a plain scalar run.
+	ref := NewOps(ISANEON, nil)
+	ref.SetUseOptimized(false)
+	want := image.NewMat(128, 64, image.U8)
+	if err := ref.GaussianBlur(src, want); err != nil {
+		t.Fatal(err)
+	}
+	if d := want.DiffCount(dst, 0); d != 0 {
+		t.Errorf("quarantined output differs from scalar in %d pixels", d)
+	}
+
+	snap := reg.Snapshot()
+	if got := snap[`quarantine_total{isa="neon",kernel="GaussianBlur"}`]; got != 1 {
+		t.Errorf("quarantine_total = %v, want 1", got)
+	}
+	if got := snap[`worker_panics_total{isa="neon",kernel="GaussianBlur"}`]; got != 2 {
+		t.Errorf("worker_panics_total = %v, want 2", got)
+	}
+
+	// Other kernels of the same Ops are not quarantined.
+	o.SetFaultInjector(nil)
+	dst2 := image.NewMat(128, 64, image.U8)
+	if err := o.Threshold(src, dst2, 128, 255, ThreshBinary); err != nil {
+		t.Fatalf("unrelated kernel failed: %v", err)
+	}
+	if sup.Quarantined("Threshold", "neon") {
+		t.Error("quarantine leaked to Threshold")
 	}
 }
 

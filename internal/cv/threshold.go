@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"fmt"
 
 	"simdstudy/internal/image"
@@ -40,41 +41,37 @@ func (t ThreshType) String() string {
 
 // Threshold applies an element-wise threshold to a U8 image, the paper's
 // benchmark 2 (cv::threshold on 8-bit images).
-func (o *Ops) Threshold(src, dst *image.Mat, thresh, maxval uint8, typ ThreshType) (err error) {
-	o.beginKernel("Threshold")
-	defer o.endKernelP("Threshold", &err)
-	if err := requireKind(src, image.U8, "Threshold src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.U8, "Threshold dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	if typ < ThreshBinary || typ > ThreshToZeroInv {
-		return fmt.Errorf("cv: unknown threshold type %d", int(typ))
-	}
-	run := func(op *Ops, s, d *image.Mat) error {
-		if op.UseOptimized() {
-			switch op.isa {
+func (o *Ops) Threshold(src, dst *image.Mat, thresh, maxval uint8, typ ThreshType) error {
+	return o.ThresholdCtx(nil, src, dst, thresh, maxval, typ)
+}
+
+// ThresholdCtx is Threshold with deadline/cancellation checking at entry
+// and guard phase boundaries.
+func (o *Ops) ThresholdCtx(ctx context.Context, src, dst *image.Mat, thresh, maxval uint8, typ ThreshType) error {
+	return o.call(ctx, "Threshold", dst.Height, func() error {
+		if err := requireKind(src, image.U8, "Threshold src"); err != nil {
+			return err
+		}
+		if err := requireKind(dst, image.U8, "Threshold dst"); err != nil {
+			return err
+		}
+		if err := sameShape(src, dst); err != nil {
+			return err
+		}
+		if typ < ThreshBinary || typ > ThreshToZeroInv {
+			return fmt.Errorf("cv: unknown threshold type %d", int(typ))
+		}
+		return o.plane(gkThreshold, src, dst, func(op *Ops, s, d *image.Mat) {
+			switch op.path() {
 			case ISANEON:
 				op.thresholdNEON(s, d, thresh, maxval, typ)
-				return nil
 			case ISASSE2:
 				op.thresholdSSE2(s, d, thresh, maxval, typ)
-				return nil
+			default:
+				op.thresholdScalar(s, d, thresh, maxval, typ)
 			}
-		}
-		op.thresholdScalar(s, d, thresh, maxval, typ)
-		return nil
-	}
-	if o.UseOptimized() {
-		return o.guardedRun(gkThreshold, src.Height, dst,
-			func() error { return run(o, src, dst) },
-			func(ref *Ops, r0, r1 int, d *image.Mat) error { return run(ref, src.Rows(r0, r1), d) })
-	}
-	return run(o, src, dst)
+		})
+	})
 }
 
 func thresholdPixel(v, thresh, maxval uint8, typ ThreshType) uint8 {

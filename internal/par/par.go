@@ -13,9 +13,10 @@
 //
 // Three pieces live here:
 //
-//   - Config and the band geometry helpers (NBands, Span, AlignedSpan):
-//     pure arithmetic shared by every call site so cv, exec and serve all
-//     agree on band layout.
+//   - Config and the band geometry helpers (NBands, Span): pure
+//     arithmetic shared by every call site so cv, exec and serve all agree
+//     on band layout. A flat kernel bands over element blocks by calling
+//     Span on its block count.
 //   - Run, a fixed worker pool sized to GOMAXPROCS with inline-overflow:
 //     submitting more bands than there are free workers never queues more
 //     than a bounded amount — the caller runs excess bands itself. Nested
@@ -96,25 +97,6 @@ func Span(i, n, total int) (lo, hi int) {
 	hi = lo + base
 	if i < rem {
 		hi++
-	}
-	return lo, hi
-}
-
-// AlignedSpan is Span with band boundaries snapped to multiples of quantum:
-// band i of n over total elements covers [lo, hi) where lo and (except for
-// the final band) hi are quantum-aligned. Flat kernels use this so a band
-// boundary can never split a vector iteration: every band but the last is a
-// whole number of quanta, and only the final band carries the scalar tail.
-func AlignedSpan(i, n, total, quantum int) (lo, hi int) {
-	if quantum < 1 {
-		quantum = 1
-	}
-	atoms := (total + quantum - 1) / quantum
-	alo, ahi := Span(i, n, atoms)
-	lo = alo * quantum
-	hi = ahi * quantum
-	if hi > total {
-		hi = total
 	}
 	return lo, hi
 }

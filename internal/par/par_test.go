@@ -39,37 +39,6 @@ func TestSpanPartition(t *testing.T) {
 	}
 }
 
-// TestAlignedSpanPartition: quantum-aligned bands must tile [0, total) with
-// every boundary except the final hi on a quantum multiple.
-func TestAlignedSpanPartition(t *testing.T) {
-	const q = 64
-	for _, total := range []int{1, q, q + 1, 3*q - 5, 10*q + 17} {
-		atoms := (total + q - 1) / q
-		for n := 1; n <= 5; n++ {
-			if n > atoms {
-				continue
-			}
-			next := 0
-			for i := 0; i < n; i++ {
-				lo, hi := AlignedSpan(i, n, total, q)
-				if lo != next {
-					t.Fatalf("AlignedSpan(%d,%d,%d,%d): lo=%d want %d", i, n, total, q, lo, next)
-				}
-				if lo%q != 0 {
-					t.Fatalf("AlignedSpan(%d,%d,%d,%d): lo=%d not aligned", i, n, total, q, lo)
-				}
-				if hi%q != 0 && hi != total {
-					t.Fatalf("AlignedSpan(%d,%d,%d,%d): interior hi=%d not aligned", i, n, total, q, hi)
-				}
-				next = hi
-			}
-			if next != total {
-				t.Fatalf("AlignedSpan(*,%d,%d,%d): covers %d", n, total, q, next)
-			}
-		}
-	}
-}
-
 // TestNBands: capped by workers, floored by minPerBand, never zero.
 func TestNBands(t *testing.T) {
 	cases := []struct{ units, workers, minPer, want int }{

@@ -45,7 +45,7 @@ type Request struct {
 // signature the memoization key carries, and the context-aware entry
 // point.
 type kernelSpec struct {
-	name    string // canonical name; must match the cv beginKernel name
+	name    string // canonical name; must match the kernel name of the cv call frame
 	srcKind image.Type
 	dstKind image.Type
 	halfDst bool // destination is w/2 x h/2 (ResizeHalf)

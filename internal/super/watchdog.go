@@ -63,7 +63,7 @@ func (c WatchdogConfig) normalized() WatchdogConfig {
 }
 
 // Heart is one band's heartbeat slot. Beat is called from the band's row
-// loop (cv's rowTick/flatTick), so it must stay a single atomic store.
+// loop (cv's tick), so it must stay a single atomic store.
 type Heart struct {
 	last atomic.Int64 // unix nanos of the latest beat
 }
