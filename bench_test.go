@@ -20,6 +20,7 @@ import (
 	"simdstudy/internal/harness"
 	"simdstudy/internal/image"
 	"simdstudy/internal/memo"
+	"simdstudy/internal/par"
 	"simdstudy/internal/platform"
 	"simdstudy/internal/serve"
 	"simdstudy/internal/sse2"
@@ -616,6 +617,27 @@ func BenchmarkHostParallel(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkHostSynthesize measures the synthetic-input generator on a
+// 5 Mpx plane, filled in place: bands=1 is the path every Synthetic caller
+// and a serial server take, bands=2 is what a two-worker server runs on
+// the par pool for each request's source plane.
+func BenchmarkHostSynthesize(b *testing.B) {
+	m := image.NewMat(Res5MP.Width, Res5MP.Height, image.U8)
+	run := func(n int, band func(i int)) {
+		if p := par.FirstPanic(par.Run(n, band), nil); p != nil {
+			panic(p)
+		}
+	}
+	for _, bands := range []int{1, 2} {
+		b.Run(fmt.Sprintf("bands=%d", bands), func(b *testing.B) {
+			b.SetBytes(int64(m.Bytes()))
+			for i := 0; i < b.N; i++ {
+				image.SynthesizeInto(m, uint64(i%5+1), bands, run)
+			}
+		})
 	}
 }
 

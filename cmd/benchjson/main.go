@@ -9,7 +9,10 @@
 // the new ns/op must not exceed the best (lowest) prior ns/op by more than
 // -max-regression (default 10%). Benchmarks new to this run pass trivially;
 // a prior benchmark that vanished is reported but does not fail (suites
-// grow and get renamed).
+// grow and get renamed). Only documents from the same machine shape gate:
+// a prior document whose cpu, num_cpu or gomaxprocs differs from this
+// run's is reported and skipped, since a wall-clock figure from another
+// shape says nothing about a regression on this one.
 //
 // Usage:
 //
@@ -27,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,19 +50,28 @@ type Result struct {
 	HasMem bool `json:"has_mem"`
 }
 
-// Document is the whole run: the go test environment header plus every
-// benchmark line, in input order.
+// Document is the whole run: the go test environment header, the
+// machine shape it ran on, and every benchmark line, in input order.
 type Document struct {
-	GOOS       string   `json:"goos,omitempty"`
-	GOARCH     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// NumCPU is the logical CPU count of the machine benchjson ran on,
+	// which is the machine that ran the benchmarks.
+	NumCPU int `json:"num_cpu,omitempty"`
+	// GOMAXPROCS is read from the first benchmark name's -N suffix; go
+	// test omits the suffix when it is 1.
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
 // benchLine matches "BenchmarkName-8   	 100	 123 ns/op	..." including
 // sub-benchmark names with slashes and the optional -GOMAXPROCS suffix.
 var benchLine = regexp.MustCompile(`^(Benchmark\S*)\s+(\d+)\s+(.*)$`)
+
+// procsSuffix is the -GOMAXPROCS suffix go test appends to a name.
+var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 func parse(r io.Reader) (*Document, error) {
 	doc := &Document{Benchmarks: []Result{}}
@@ -107,12 +120,24 @@ func parse(r io.Reader) (*Document, error) {
 				res.HasMem = true
 			}
 		}
+		if len(doc.Benchmarks) == 0 {
+			doc.GOMAXPROCS = 1
+			if m := procsSuffix.FindStringSubmatch(res.Name); m != nil {
+				doc.GOMAXPROCS, _ = strconv.Atoi(m[1])
+			}
+		}
 		doc.Benchmarks = append(doc.Benchmarks, res)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return doc, nil
+}
+
+// sameShape reports whether two documents come from the same machine
+// shape: CPU model, logical CPU count and GOMAXPROCS.
+func sameShape(a, b *Document) bool {
+	return a.CPU == b.CPU && a.NumCPU == b.NumCPU && a.GOMAXPROCS == b.GOMAXPROCS
 }
 
 // checkAllocs returns the names of benchmarks matching pat that either
@@ -154,7 +179,8 @@ func loadDoc(path string) (*Document, error) {
 // checkRegression compares doc against every document matching the glob:
 // the baseline per benchmark is the best (lowest) prior ns/op — comparing
 // against the best rather than the latest stops a slow creep where each
-// run regresses just under the threshold against its predecessor. Returns
+// run regresses just under the threshold against its predecessor. A prior
+// document from another machine shape is reported and skipped. Returns
 // failures and a count of benchmarks actually compared.
 func checkRegression(doc *Document, glob string, maxRegression float64) (bad []string, compared int, err error) {
 	paths, err := filepath.Glob(glob)
@@ -174,6 +200,12 @@ func checkRegression(doc *Document, glob string, maxRegression float64) (bad []s
 			// a regression — this run becomes the baseline that replaces it.
 			// Only gate-worthy history gates.
 			fmt.Fprintf(os.Stderr, "benchjson: note: skipping unreadable history %s: %v\n", p, err)
+			continue
+		}
+		if !sameShape(doc, prior) {
+			fmt.Fprintf(os.Stderr, "benchjson: note: skipping history %s from another machine shape "+
+				"(cpu %q, num_cpu %d, gomaxprocs %d; this run: cpu %q, num_cpu %d, gomaxprocs %d)\n",
+				p, prior.CPU, prior.NumCPU, prior.GOMAXPROCS, doc.CPU, doc.NumCPU, doc.GOMAXPROCS)
 			continue
 		}
 		for _, b := range prior.Benchmarks {
@@ -241,6 +273,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines in input")
 		os.Exit(1)
 	}
+	doc.NumCPU = runtime.NumCPU()
 
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -43,6 +43,73 @@ func TestParse(t *testing.T) {
 	if doc.Benchmarks[3].HasMem {
 		t.Fatal("line without -benchmem columns must not claim memory data")
 	}
+	if doc.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Fatalf("cpu = %q", doc.CPU)
+	}
+	// The first benchmark line carries no -N suffix: go test ran it at
+	// GOMAXPROCS 1.
+	if doc.GOMAXPROCS != 1 {
+		t.Fatalf("gomaxprocs = %d, want 1", doc.GOMAXPROCS)
+	}
+}
+
+// TestParseGOMAXPROCS reads the machine's GOMAXPROCS from the -N name
+// suffix, sub-benchmark names included.
+func TestParseGOMAXPROCS(t *testing.T) {
+	for in, want := range map[string]int{
+		"BenchmarkHostSynthesize/bands=2-4 \t 10 \t 5 ns/op\n":        4,
+		"BenchmarkHostConvertScalar-16 \t 10 \t 5 ns/op\n":            16,
+		"BenchmarkHostSynthesize/bands=1 \t 10 \t 5 ns/op\n":          1,
+		"BenchmarkA-2 \t 10 \t 5 ns/op\nBenchmarkB \t 1 \t 5 ns/op\n": 2,
+	} {
+		doc, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.GOMAXPROCS != want {
+			t.Errorf("%q: gomaxprocs %d, want %d", in, doc.GOMAXPROCS, want)
+		}
+	}
+}
+
+// TestCheckRegressionSkipsOtherMachineShapes: history from a different
+// CPU model, logical CPU count or GOMAXPROCS is reported and skipped, never
+// failed against; history from the same shape still gates.
+func TestCheckRegressionSkipsOtherMachineShapes(t *testing.T) {
+	dir := t.TempDir()
+	doc := &Document{CPU: "cpuA", NumCPU: 2, GOMAXPROCS: 2,
+		Benchmarks: []Result{{Name: "BenchmarkX-2", NsPerOp: 100}}}
+	others := []string{
+		`{"cpu":"cpuB","num_cpu":2,"gomaxprocs":2,"benchmarks":[{"name":"BenchmarkX-2","ns_per_op":10}]}`,
+		`{"cpu":"cpuA","num_cpu":8,"gomaxprocs":2,"benchmarks":[{"name":"BenchmarkX-2","ns_per_op":10}]}`,
+		`{"cpu":"cpuA","num_cpu":2,"gomaxprocs":1,"benchmarks":[{"name":"BenchmarkX-2","ns_per_op":10}]}`,
+		`{"benchmarks":[{"name":"BenchmarkX-2","ns_per_op":10}]}`,
+	}
+	for i, content := range others {
+		name := filepath.Join(dir, "BENCH_"+string(rune('a'+i))+".json")
+		if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad, compared, err := checkRegression(doc, filepath.Join(dir, "BENCH_*.json"), 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) != 0 || compared != 0 {
+		t.Fatalf("bad=%v compared=%d, want every other-shape document skipped", bad, compared)
+	}
+
+	same := `{"cpu":"cpuA","num_cpu":2,"gomaxprocs":2,"benchmarks":[{"name":"BenchmarkX-2","ns_per_op":50}]}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_z.json"), []byte(same), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad, compared, err = checkRegression(doc, filepath.Join(dir, "BENCH_*.json"), 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compared != 1 || len(bad) != 1 || !strings.Contains(bad[0], "BENCH_z.json") {
+		t.Fatalf("bad=%v compared=%d, want the 2x regression flagged against the same-shape doc", bad, compared)
+	}
 }
 
 func TestCheckAllocs(t *testing.T) {

@@ -387,3 +387,46 @@ func TestAuditRateZeroMetricsByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestStagedCannyAuditScoresCanny: staged Canny has no referee of its own,
+// so its nested SobelFilter passes are audited. Their verdicts belong to the
+// call tree's outermost kernel: a corrupting unit must trip ("Canny", isa)
+// on the scoreboard — the pair whose breaker Canny's admission reads — and
+// leave SobelFilter's row untouched.
+func TestStagedCannyAuditScoresCanny(t *testing.T) {
+	src := image.Synthetic(image.Resolution{Width: 64, Height: 48}, 7)
+	brk := resilience.NewBreakerSet(resilience.BreakerConfig{
+		Window: 64, MinSamples: 64, FailureRate: 1.0,
+	}, nil)
+	sb := integrity.NewScoreboard(integrity.ScoreboardConfig{Threshold: 0.2, MinSamples: 2}, nil)
+	sb.OnTrip(func(k, isa string) { brk.ForceStuckOpen(k, isa) })
+	aud := integrity.NewAuditor(integrity.AuditConfig{Rate: 1})
+	aud.SetScoreboard(sb)
+
+	o := NewOps(ISANEON, nil)
+	o.SetBreakers(brk)
+	o.SetAuditor(aud)
+	o.SetFaultInjector(&corruptor{site: faults.SiteALU, remaining: -1})
+	dst := image.NewMat(64, 48, image.U8)
+	for i := 0; i < 3; i++ {
+		if err := o.Canny(src, dst, 50, 150); err != nil {
+			t.Fatal(err)
+		}
+		o.ResetFaults()
+	}
+	if aud.Mismatches() == 0 {
+		t.Fatal("the corrupting unit produced no audit mismatch")
+	}
+	if !sb.Tripped("Canny", "neon") {
+		t.Fatalf("staged Canny's audits did not trip (Canny, neon): scores %v", sb.Snapshot())
+	}
+	if sb.Tripped("SobelFilter", "neon") {
+		t.Fatalf("a nested pass's audit tripped (SobelFilter, neon): scores %v", sb.Snapshot())
+	}
+	if st := brk.State("Canny", "neon"); st != resilience.StateStuckOpen {
+		t.Fatalf("Canny's breaker is %v, want stuck-open", st)
+	}
+	if st := brk.State("SobelFilter", "neon"); st != resilience.StateClosed {
+		t.Fatalf("SobelFilter's breaker is %v, want closed", st)
+	}
+}

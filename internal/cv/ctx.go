@@ -30,9 +30,9 @@ import (
 // private panic that the binding frame converts, carrying how many rows
 // completed. The internal-panic pattern follows encoding/json: no unwind
 // token escapes the package. A plain Ops — no breaker, observer,
-// supervisor or watchdog — called without a context skips the frame and
-// runs the body directly, so it writes no per-call state and stays
-// shareable across goroutines.
+// supervisor, watchdog or auditor — called without a context skips the
+// frame and runs the body directly, so it writes no per-call state and
+// stays shareable across goroutines.
 
 // ctxCanceled is the private unwind token raised by tick.
 type ctxCanceled struct{ err error }

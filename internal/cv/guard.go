@@ -493,7 +493,10 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 		if ce != nil {
 			refSpan.SetAttr("mismatch", true)
 		}
-		o.aud.Observe(o.Obs, kernel, o.isa.String(), time.Since(start), o.traceID, ce)
+		// The audit is scored under the call tree's outermost kernel, the
+		// key its breaker verdict settles under: a nested pass of staged
+		// Canny counts against Canny, whose admission it serves.
+		o.aud.Observe(o.Obs, o.tree.kernel, o.isa.String(), time.Since(start), o.traceID, ce)
 	}
 	refSpan.End()
 

@@ -129,8 +129,8 @@ func (o *Ops) closeSpan(name string, err error) {
 }
 
 // instrumentFree reports that no per-call state (call tree, span frames,
-// breaker, supervision) needs maintaining for this Ops, so call runs an
-// unbound body directly.
+// breaker, supervision, audit scoring) needs maintaining for this Ops, so
+// call runs an unbound body directly.
 func (o *Ops) instrumentFree() bool {
-	return o.brk == nil && o.Obs == nil && o.sup == nil && o.wd == nil
+	return o.brk == nil && o.Obs == nil && o.sup == nil && o.wd == nil && o.aud == nil
 }

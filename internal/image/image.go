@@ -10,6 +10,11 @@
 // edges); the benchmark kernels are control-flow independent of pixel
 // values, so only the sizes and memory traffic matter for timing, which the
 // sizes preserve exactly.
+//
+// SynthesizeInto is the one generator behind Synthetic and SyntheticF32.
+// It fills any row band on its own (xorshift jump-ahead plus stitched
+// noise-chain seams, see synth.go), so a caller can spread one image over
+// several cores and still get the one-band bytes exactly.
 package image
 
 import (
@@ -286,90 +291,12 @@ func newRNG(seed uint64) *rng {
 }
 
 func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
+	r.s = xsStep(r.s)
+	return r.s * xsMul
 }
 
 // byteVal returns a uniform byte.
 func (r *rng) byteVal() uint8 { return uint8(r.next() >> 56) }
-
-// Synthetic generates the i-th deterministic synthetic photograph at a
-// resolution. Images combine a smooth illumination gradient, low-frequency
-// texture, and hard edges, approximating the statistics of the paper's
-// camera photographs. Distinct seeds give the 5 distinct images the paper
-// cycles through.
-func Synthetic(res Resolution, seed uint64) *Mat {
-	w := res.Width
-	m := NewMat(w, res.Height, U8)
-	r := newRNG(seed*0x9E3779B9 + 1)
-	// Random parameters for gradients and edge placement.
-	gx := int(r.next()%5) + 1
-	gy := int(r.next()%5) + 1
-	edgePeriod := int(r.next()%97) + 32
-	noiseAmp := int(r.next()%24) + 8
-	// Per-column term: the horizontal gradient plus 128 in columns on the
-	// raised side of a hard vertical edge (every edgePeriod columns). The
-	// pixel is (rowBase+col)/2, and for the non-negative sums here
-	// (a+128)/2 == a/2+64, so folding the edge in before the halving is
-	// exact.
-	col := make([]int, w)
-	for x := range col {
-		col[x] = (x * gx * 255) / (w * gx)
-		if (x/edgePeriod)%2 == 1 {
-			col[x] += 128
-		}
-	}
-	// Noise step per random byte b: b % noiseAmp - noiseAmp/2.
-	var noise [256]int
-	for b := range noise {
-		noise[b] = int(uint8(b)%uint8(noiseAmp)) - noiseAmp/2
-	}
-	s := r.s // xorshift64* state, stepped inline below
-	prev := 0
-	for y := 0; y < res.Height; y++ {
-		rowBase := (y * gy * 255) / (res.Height * gy)
-		row := m.U8Pix[y*w : (y+1)*w]
-		for x, c := range col {
-			s ^= s >> 12
-			s ^= s << 25
-			s ^= s >> 27
-			// First-order correlated noise.
-			prev = (prev + noise[(s*0x2545F4914F6CDD1D)>>56]) / 2
-			v := (rowBase+c)>>1 + prev
-			if v < 0 {
-				v = 0
-			}
-			if v > 255 {
-				v = 255
-			}
-			row[x] = uint8(v)
-		}
-	}
-	return m
-}
-
-// SyntheticF32 generates a float-typed synthetic image with values spanning
-// a range that exercises the saturating float-to-short conversion, including
-// out-of-short-range magnitudes as OpenCV's filtering intermediates can
-// produce.
-func SyntheticF32(res Resolution, seed uint64) *Mat {
-	m := NewMat(res.Width, res.Height, F32)
-	r := newRNG(seed*0x85EBCA6B + 7)
-	for i := range m.F32Pix {
-		u := r.next()
-		// Mostly in-range pixel-like values, with a sprinkle of large
-		// magnitudes (~1/64 of pixels) to exercise saturation.
-		switch u % 64 {
-		case 0:
-			m.F32Pix[i] = float32(int32(u >> 32)) // huge, either sign
-		default:
-			m.F32Pix[i] = float32(u%51200)/100.0 - 256.0 // [-256, 256)
-		}
-	}
-	return m
-}
 
 // Burst generates the paper's workload for one resolution: n distinct
 // images cycled in succession to minimize cache reuse between runs.

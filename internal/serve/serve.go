@@ -60,6 +60,7 @@ type Config struct {
 	// GOMAXPROCS/Workers so request-level and band-level concurrency
 	// compose without oversubscribing cores (the shared band pool bounds
 	// true parallelism regardless; this only keeps queue sizing honest).
+	// Each request's input synthesis runs on the same band count.
 	Parallel cv.ParallelConfig
 	// Fuse, when enabled, runs multi-stage kernels (canny, edges) as
 	// cache-blocked fused sweeps: intermediates live in rolling strip
@@ -201,6 +202,10 @@ type Server struct {
 	board *integrity.Scoreboard
 
 	memo *memo.Cache
+	// synthPar bands each request's input synthesis as the worker Ops
+	// band its kernels: cv.Ops.SetParallel's rule applied to
+	// Config.Parallel.
+	synthPar par.Config
 	// memoParams is each request kernel's memo parameter string, its
 	// spec.sig plus the fuse signature, built once so a lookup allocates
 	// no key.
@@ -244,6 +249,10 @@ func NewServer(cfg Config) *Server {
 		flight:    map[string]*inflight{},
 		start:     time.Now(),
 		traceBase: uint32(time.Now().UnixNano()),
+	}
+	s.synthPar = par.Config{Workers: 1}
+	if w := cfg.Parallel.Workers; w != 0 && w != 1 {
+		s.synthPar = cfg.Parallel.Normalized()
 	}
 	fuseSig := cfg.Fuse.Signature()
 	s.memoParams = make(map[string]string, len(kernels))
@@ -631,10 +640,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusWriter captures the response status so the SLO tracker can judge
-// the request after the handler body has written it.
+// the request after the handler body has written it, and the kernel whose
+// request_seconds series the request is observed in ("" for none).
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code   int
+	kernel string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -644,25 +655,33 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// handleProcess times the request from arrival (queue wait included) and
-// feeds its verdict — response code plus full latency — to the SLO
-// tracker; the dispatch itself lives in processRequest.
+// handleProcess times the request from arrival (queue wait included) to
+// its response written, and feeds its verdict — response code plus full
+// latency — to the SLO tracker and, for a request that ran or was answered
+// for a kernel, to that kernel's request_seconds series; the dispatch
+// itself lives in processRequest.
 func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 	entry := time.Now()
 	sw := &statusWriter{ResponseWriter: w}
 	s.processRequest(sw, r)
+	elapsed := time.Since(entry)
+	if sw.kernel != "" {
+		s.reg.Histogram("request_seconds", requestBuckets, obs.L("kernel", sw.kernel)).
+			ObserveExemplar(elapsed.Seconds(), requestID(r.Context()), s.reg.Now())
+	}
 	code := sw.code
 	if code == 0 {
 		code = http.StatusOK
 	}
-	s.slo.record(code, time.Since(entry))
+	s.slo.record(code, elapsed)
 }
 
 // processRequest runs one kernel dispatch: decode, admit (or shed),
 // synthesize the source frame, run the guarded Ctx kernel under the
 // request deadline, and report the outcome with the breaker's view of the
-// (kernel, ISA) pair.
-func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
+// (kernel, ISA) pair. A request that reaches its kernel is marked for
+// request_seconds on w.
+func (s *Server) processRequest(w *statusWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		s.writeJSON(w, http.StatusMethodNotAllowed,
 			map[string]any{"error": "use GET or POST"})
@@ -692,7 +711,7 @@ func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	src := synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
+	src := s.synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
 	dst, err := spec.dst(req.Width, req.Height)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
@@ -700,6 +719,7 @@ func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	faults, elapsed, err := s.dispatch(ctx, req, spec, src, dst)
+	w.kernel = spec.name
 	if err != nil {
 		s.writeDispatchError(ctx, w, req, spec, err)
 		return
@@ -708,8 +728,8 @@ func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
 }
 
 // dispatch runs one admitted kernel execution end to end: /livez flight
-// registration, audit load scaling, worker Ops checkout, the pprof-labeled
-// kernel run, and the request_seconds observation. The caller holds an
+// registration, audit load scaling, worker Ops checkout and the
+// pprof-labeled kernel run, whose duration it returns. The caller holds an
 // admission slot (non-memo path) or acquires one inside compute (memo
 // path).
 func (s *Server) dispatch(ctx context.Context, req Request, spec kernelSpec, src, dst *image.Mat) (int, time.Duration, error) {
@@ -741,10 +761,7 @@ func (s *Server) dispatch(ctx context.Context, req Request, spec kernelSpec, src
 		func(ctx context.Context) {
 			err = spec.run(ctx, o, src, dst)
 		})
-	elapsed := time.Since(start)
-	s.reg.Histogram("request_seconds", requestBuckets,
-		obs.L("kernel", spec.name)).ObserveExemplar(elapsed.Seconds(), fl.id, s.reg.Now())
-	return len(o.Faults()), elapsed, err
+	return len(o.Faults()), time.Since(start), err
 }
 
 // processMemo serves one request through the memoization layer. The
@@ -756,7 +773,7 @@ func (s *Server) dispatch(ctx context.Context, req Request, spec kernelSpec, src
 // responses flow through the same writeJSON/statusWriter path as compute
 // responses, so they count toward the availability and latency SLOs like
 // any other request.
-func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Request, spec kernelSpec) {
+func (s *Server) processMemo(ctx context.Context, w *statusWriter, req Request, spec kernelSpec) {
 	dw, dh := spec.dstDims(req.Width, req.Height)
 	if dw < 1 || dh < 1 {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{
@@ -772,10 +789,11 @@ func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Req
 			return 0, err
 		}
 		defer s.adm.release()
-		src := synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
+		src := s.synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
 		dst := par.GetMat(dw, dh, spec.dstKind)
 		defer par.PutMat(dst)
 		f, _, err := s.dispatch(ctx, req, spec, src, dst)
+		w.kernel = spec.name
 		faults = f
 		if err != nil {
 			return 0, err
@@ -797,14 +815,12 @@ func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Req
 		s.writeDispatchError(ctx, w, req, spec, err)
 		return
 	}
-	// Hits and coalesced responses count in request_seconds too: the
-	// histogram is the per-kernel traffic view, and these are requests the
-	// server answered (their sub-millisecond latency is exactly the point;
-	// memo_hit_seconds holds the fine-grained lookup distribution).
-	if outcome != memo.Miss {
-		s.reg.Histogram("request_seconds", requestBuckets,
-			obs.L("kernel", spec.name)).ObserveExemplar(elapsed.Seconds(), requestID(ctx), s.reg.Now())
-	}
+	// Hits and coalesced responses count in request_seconds like a
+	// computed miss: the histogram is the per-kernel traffic view, and
+	// these are requests the server answered (their sub-millisecond
+	// latency is exactly the point; memo_hit_seconds holds the
+	// fine-grained lookup distribution).
+	w.kernel = spec.name
 	s.writeResult(w, req, spec, sum, elapsed, faults, outcome.String())
 }
 
@@ -906,12 +922,21 @@ func (s *Server) injectorFor(isa cv.ISA) faults.Injector {
 	return cell.inj
 }
 
-func synthesize(kind image.Type, w, h int, seed uint64) *image.Mat {
-	res := image.Resolution{Width: w, Height: h}
-	if kind == image.F32 {
-		return image.SyntheticF32(res, seed)
+// synthesize builds a request's source plane across the band count its
+// kernels use, on the par pool. The bytes are image.Synthetic's (or
+// image.SyntheticF32's) whatever the band count.
+func (s *Server) synthesize(kind image.Type, w, h int, seed uint64) *image.Mat {
+	m := image.NewMat(w, h, kind)
+	image.SynthesizeInto(m, seed, par.NBands(h, s.synthPar.Workers, s.synthPar.MinRowsPerBand), runBands)
+	return m
+}
+
+// runBands runs band(0) .. band(n-1) on the par pool and re-raises the
+// first band panic on the caller.
+func runBands(n int, band func(i int)) {
+	if p := par.FirstPanic(par.Run(n, band), nil); p != nil {
+		panic(p)
 	}
-	return image.Synthetic(res, seed)
 }
 
 // LockInjector wraps an injector with a mutex so single-threaded fault

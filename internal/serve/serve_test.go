@@ -13,6 +13,7 @@ import (
 
 	"simdstudy/internal/cv"
 	"simdstudy/internal/faults"
+	"simdstudy/internal/image"
 	"simdstudy/internal/vec"
 )
 
@@ -362,5 +363,24 @@ func TestFusedServing(t *testing.T) {
 	}
 	if strings.Contains(string(b), `fused_plane_bytes_saved_total{isa="neon",kernel="Canny"} 0`) {
 		t.Errorf("fused Canny bytes-saved counter is zero")
+	}
+}
+
+// TestSynthesizeBandsMatchSerial: a server that bands synthesis over the
+// par pool builds the same source planes as image.Synthetic and
+// image.SyntheticF32.
+func TestSynthesizeBandsMatchSerial(t *testing.T) {
+	for _, workers := range []int{0, 2, 5, -1} {
+		s := NewServer(Config{Parallel: cv.ParallelConfig{Workers: workers}})
+		for _, sh := range [][2]int{{640, 480}, {33, 65}, {7, 1}} {
+			res := image.Resolution{Width: sh[0], Height: sh[1]}
+			if got := s.synthesize(image.U8, sh[0], sh[1], 3); !got.EqualTo(image.Synthetic(res, 3)) {
+				t.Errorf("workers %d %dx%d: U8 plane differs from Synthetic", workers, sh[0], sh[1])
+			}
+			if got := s.synthesize(image.F32, sh[0], sh[1], 3); !got.EqualTo(image.SyntheticF32(res, 3)) {
+				t.Errorf("workers %d %dx%d: F32 plane differs from SyntheticF32", workers, sh[0], sh[1])
+			}
+		}
+		s.Close()
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"simdstudy/internal/obs"
 )
 
 // telemetryServer builds a small server + test listener for the live
@@ -237,5 +239,26 @@ func TestSLOBurnMath(t *testing.T) {
 	b = tr.burnRates()[0]
 	if b.Requests != 0 || b.Latency != 0 || b.Availability != 0 {
 		t.Errorf("idle burn = %+v, want zeros", b)
+	}
+}
+
+// TestRequestSecondsCoversRequest: request_seconds times the whole
+// /process request, from handler entry to the response written, so it
+// includes the input synthesis that the response's kernel-only elapsed_us
+// leaves out.
+func TestRequestSecondsCoversRequest(t *testing.T) {
+	s := NewServer(Config{})
+	t.Cleanup(s.Close)
+	_, body := serveRecorded(t, s.Handler(), "/process?kernel=gaussian&width=1024&height=768&isa=scalar")
+	elapsedUS, _ := body["elapsed_us"].(float64)
+	n, sum := s.reg.Histogram("request_seconds", requestBuckets,
+		obs.L("kernel", kernels["gaussian"].name)).CountSum()
+	if n != 1 {
+		t.Fatalf("request_seconds count %d, want 1", n)
+	}
+	// elapsed_us truncates the kernel's time to whole microseconds, so an
+	// observation of the kernel alone stays under elapsed_us+1.
+	if sum*1e6 < elapsedUS+1 {
+		t.Fatalf("request_seconds sum %.1f us, want more than the kernel's elapsed_us %.0f", sum*1e6, elapsedUS)
 	}
 }
