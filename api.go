@@ -534,12 +534,14 @@ type StallError = super.StallError
 // permanently (its breaker latches stuck-open).
 type QuarantinePolicy = super.QuarantinePolicy
 
-// QuarantineRecord is one quarantine decision, as reported by
-// Supervisor.Quarantines and persisted to the quarantine journal.
+// QuarantineRecord is one panic-quarantine decision as the supervisor
+// persists it to the quarantine journal. The live view of every
+// quarantine, whatever its reason, is BreakerSet.Quarantines.
 type QuarantineRecord = super.QuarantineRecord
 
-// Supervisor counts kernel panics and quarantines repeat offenders. Attach
-// it with Ops.SetSupervisor; the serving front-end wires one automatically.
+// Supervisor counts kernel panics and names repeat offenders for
+// quarantine. Attach it with Ops.SetSupervisor next to Ops.SetBreakers: the
+// pair's breaker holds the quarantine. The serving front-end wires both.
 type Supervisor = super.Supervisor
 
 // Watchdog monitors per-band heartbeats and cancels kernel passes whose
@@ -586,9 +588,10 @@ type AuditRegion = integrity.Region
 type AuditResume = integrity.AuditResume
 
 // IntegrityScoreboard tracks a decayed mismatch rate per (kernel, ISA)
-// pair; a pair whose rate crosses the configured threshold trips once,
-// invoking the OnTrip callback (the serving front-end latches the pair's
-// breaker stuck-open, demoting its traffic to scalar).
+// pair; a pair whose rate crosses the configured threshold trips once, and
+// Auditor.Observe reports the trip to the kernel call frame, which latches
+// the pair's breaker stuck-open for corruption (when the Ops has a breaker
+// set), demoting its traffic to scalar.
 type IntegrityScoreboard = integrity.Scoreboard
 
 // IntegrityScoreboardConfig tunes the scoreboard's decay, trip threshold

@@ -213,13 +213,12 @@ func TestAuditScoreboardTripsQuarantine(t *testing.T) {
 	want := scalarThreshold(t, ISANEON, src)
 
 	// Breaker tuned so it cannot open naturally before the scoreboard's
-	// MinSamples=8 trip: the trip path under test is scoreboard →
-	// ForceStuckOpen, not the ordinary failure window.
+	// MinSamples=8 trip: the trip path under test is scoreboard → the call
+	// frame's corruption quarantine, not the ordinary failure window.
 	brk := resilience.NewBreakerSet(resilience.BreakerConfig{
 		Window: 64, MinSamples: 64, FailureRate: 1.0,
 	}, nil)
 	sb := integrity.NewScoreboard(integrity.ScoreboardConfig{}, nil)
-	sb.OnTrip(func(k, isa string) { brk.ForceStuckOpen(k, isa) })
 	aud := integrity.NewAuditor(integrity.AuditConfig{Rate: 1})
 	aud.SetScoreboard(sb)
 
@@ -238,11 +237,14 @@ func TestAuditScoreboardTripsQuarantine(t *testing.T) {
 		o.ResetFaults()
 	}
 
-	if !sb.Tripped("Threshold", "neon") {
+	if !scoreTripped(sb, "Threshold", "neon") {
 		t.Fatalf("mismatch burst did not trip the scoreboard (scores %v)", sb.Snapshot())
 	}
 	if st := brk.State("Threshold", "neon"); st != resilience.StateStuckOpen {
 		t.Fatalf("tripped pair's breaker is %v, want stuck-open", st)
+	}
+	if qs := brk.Quarantines(); len(qs) != 1 || qs[0].Reason != resilience.ReasonCorruption {
+		t.Fatalf("Quarantines = %+v, want one corruption quarantine", qs)
 	}
 	if st := brk.State("GaussianBlur", "neon"); st != resilience.StateClosed {
 		t.Fatalf("sibling kernel's breaker is %v, want closed", st)
@@ -399,7 +401,6 @@ func TestStagedCannyAuditScoresCanny(t *testing.T) {
 		Window: 64, MinSamples: 64, FailureRate: 1.0,
 	}, nil)
 	sb := integrity.NewScoreboard(integrity.ScoreboardConfig{Threshold: 0.2, MinSamples: 2}, nil)
-	sb.OnTrip(func(k, isa string) { brk.ForceStuckOpen(k, isa) })
 	aud := integrity.NewAuditor(integrity.AuditConfig{Rate: 1})
 	aud.SetScoreboard(sb)
 
@@ -417,10 +418,10 @@ func TestStagedCannyAuditScoresCanny(t *testing.T) {
 	if aud.Mismatches() == 0 {
 		t.Fatal("the corrupting unit produced no audit mismatch")
 	}
-	if !sb.Tripped("Canny", "neon") {
+	if !scoreTripped(sb, "Canny", "neon") {
 		t.Fatalf("staged Canny's audits did not trip (Canny, neon): scores %v", sb.Snapshot())
 	}
-	if sb.Tripped("SobelFilter", "neon") {
+	if scoreTripped(sb, "SobelFilter", "neon") {
 		t.Fatalf("a nested pass's audit tripped (SobelFilter, neon): scores %v", sb.Snapshot())
 	}
 	if st := brk.State("Canny", "neon"); st != resilience.StateStuckOpen {
@@ -429,4 +430,14 @@ func TestStagedCannyAuditScoresCanny(t *testing.T) {
 	if st := brk.State("SobelFilter", "neon"); st != resilience.StateClosed {
 		t.Fatalf("SobelFilter's breaker is %v, want closed", st)
 	}
+}
+
+// scoreTripped reports whether the scoreboard has latched the pair's trip.
+func scoreTripped(sb *integrity.Scoreboard, kernel, isa string) bool {
+	for _, p := range sb.Snapshot() {
+		if p.Kernel == kernel && p.ISA == isa {
+			return p.Tripped
+		}
+	}
+	return false
 }

@@ -14,8 +14,8 @@ import (
 //
 //   - binds the context for the call tree (the first frame handed a non-nil
 //     ctx is the binding frame; nested calls inherit its binding);
-//   - at the outermost entry, the frame that finds tree.kernel empty, applies
-//     quarantine (scalar and serial) or breaker admission (see admit);
+//   - at the outermost entry, the frame that finds tree.kernel empty, asks
+//     the breaker set whether the call runs SIMD (see admit);
 //   - opens the kernel span (observe.go);
 //   - runs the body, and in one deferred exit classifies how it ended:
 //     cancellation becomes a typed *resilience.DeadlineError at the binding
@@ -23,7 +23,7 @@ import (
 //     plus a failed verdict, and any other panic is recorded with the
 //     supervisor at the outermost entry and resumes unwinding;
 //   - closes the span, and at the outermost entry settles the call tree's
-//     one breaker verdict (see settle).
+//     quarantine and its one breaker verdict (see settle).
 //
 // Row loops call tick once per row and flat loops once per element block;
 // when the bound context is done the tick unwinds the kernel with a
@@ -48,11 +48,12 @@ const (
 // it calls (DetectEdges -> SobelFilter), reset when the outermost frame
 // exits.
 type callTree struct {
-	kernel   string // the outermost entry point in flight; "" between calls
-	scalar   bool   // SIMD denied: an open breaker or quarantine
-	serial   bool   // quarantined: every pass runs one band
-	admitted bool   // the breaker admitted the call: a verdict or a release is owed
-	verdict  int    // the worst referee, audit or stall verdict so far
+	kernel     string            // the outermost entry point in flight; "" between calls
+	scalar     bool              // SIMD denied: an open or stuck-open breaker
+	serial     bool              // panic-quarantined: every pass runs one band
+	admitted   bool              // the breaker admitted the call: a verdict or a release is owed
+	verdict    int               // the worst referee, audit or stall verdict so far
+	quarantine resilience.Reason // a quarantine owed to the pair, latched at settle
 }
 
 // tick is called once per completed unit by the banded loops: per row (row
@@ -134,9 +135,8 @@ func (o *Ops) exit(kernel string, rows int, bind, watched, outer bool, r any, er
 		*errp, spanErr = u.err, u.err
 		r = nil
 	default:
-		isa := o.isa.String()
-		if outer && o.sup != nil && o.sup.RecordPanic(kernel, isa, r) && o.brk != nil {
-			o.brk.ForceStuckOpen(kernel, isa)
+		if outer && o.sup != nil && o.sup.RecordPanic(kernel, o.isa.String(), r) {
+			o.tree.quarantine = resilience.ReasonPanic
 		}
 		spanErr = fmt.Errorf("panic: %v", r)
 	}
@@ -154,24 +154,23 @@ func (o *Ops) exit(kernel string, rows int, bind, watched, outer bool, r any, er
 	}
 }
 
-// admit opens the call tree of outermost entry point kernel. A quarantined
-// pair runs scalar and serial: the supervisor has judged its SIMD bands
-// poisonous, so neither the breaker nor the band scheduler is consulted.
-// Otherwise the breaker is asked only when the SIMD path is eligible and
-// something can produce a verdict (the guard referee or a sampled audit):
-// in half-open state Allow consumes a probe that a verdict or a Release
-// must resolve, so asking for a call that runs scalar anyway would leak
-// probes. A denied call runs scalar without touching the useOptimized
-// latch.
+// admit opens the call tree of outermost entry point kernel with one
+// breaker-set call. It probes the breaker only when the SIMD path is
+// eligible and something can produce a verdict (the guard referee or a
+// sampled audit): a half-open probe must be resolved by a verdict or a
+// Release, so probing for a call that runs scalar anyway would leak it.
+// A denied call runs scalar without touching the useOptimized latch; a
+// panic-quarantined pair also runs serial, its bands judged poisonous.
 func (o *Ops) admit(kernel string) {
 	t := callTree{kernel: kernel}
-	isa := o.isa.String()
-	switch {
-	case o.sup != nil && o.sup.Quarantined(kernel, isa):
-		t.scalar, t.serial = true, true
-	case o.brk != nil && (o.guarded || o.aud != nil) && o.useOptimized && o.isa != ISAScalar:
-		t.admitted = o.brk.Allow(kernel, isa)
-		t.scalar = !t.admitted
+	if o.brk != nil {
+		probe := (o.guarded || o.aud != nil) && o.useOptimized && o.isa != ISAScalar
+		ok, why := o.brk.Admit(kernel, o.isa.String(), probe)
+		t.admitted = probe && ok
+		t.scalar = probe && !ok
+		if why == resilience.ReasonPanic {
+			t.scalar, t.serial = true, true
+		}
 	}
 	o.tree = t
 }
@@ -188,14 +187,19 @@ func (o *Ops) verdict(ok bool) {
 	o.tree.verdict = max(o.tree.verdict, v)
 }
 
-// settle closes the call tree at the outermost exit: its one verdict is
-// recorded into the breaker of the outermost kernel — so staged Canny's
-// nested Sobel referees resolve Canny's own admission — and an admitted
-// call that produced none (a validation error, a cancellation, a panic, an
-// unsampled audit) hands its half-open probe back.
+// settle closes the call tree at the outermost exit: a quarantine it owes
+// (a panic the supervisor named, an audit that tripped the scoreboard)
+// latches first, then its one verdict is recorded into the breaker of the
+// outermost kernel — so staged Canny's nested Sobel referees resolve
+// Canny's own admission — and an admitted call that produced none (a
+// validation error, a cancellation, a panic, an unsampled audit) hands its
+// half-open probe back.
 func (o *Ops) settle() {
 	t := o.tree
 	o.tree = callTree{}
+	if t.quarantine != "" && o.brk != nil {
+		o.brk.Quarantine(t.kernel, o.isa.String(), t.quarantine)
+	}
 	switch {
 	case t.verdict != verdictNone:
 		o.recordBreaker(t.kernel, t.verdict == verdictPass)

@@ -59,9 +59,10 @@ func (i ISA) String() string {
 // OpenCV build compiled for one target.
 //
 // Every public entry point runs in one call frame (ctx.go) that binds the
-// context, opens the span, admits the call tree through quarantine or the
-// breaker, and classifies how the call ended. Each XCtx method holds its
-// kernel's body; the plain X is XCtx with no context.
+// context, opens the span, admits the call tree through the breaker set
+// (which also holds every quarantine), and classifies how the call ended.
+// Each XCtx method holds its kernel's body; the plain X is XCtx with no
+// context.
 //
 // A plain Ops — no breaker set, observer, supervisor, watchdog, guard mode,
 // or bound context — is safe for concurrent use: its call frame writes
@@ -104,9 +105,10 @@ type Ops struct {
 	aud *integrity.Auditor
 
 	// Resilience and supervision state (see ctx.go, guard.go and par.go).
-	// brk, when set, admits each outermost kernel call and takes the call
-	// tree's one verdict; sup quarantines (kernel, ISA) pairs that panic
-	// repeatedly; wd watches parallel sections for wedged bands. tree is the
+	// brk, when set, admits each outermost kernel call, takes the call
+	// tree's one verdict and latches its quarantines; sup names (kernel,
+	// ISA) pairs that panic repeatedly; wd watches parallel sections for
+	// wedged bands. tree is the
 	// in-flight call tree the outermost frame opened; heart is set only on
 	// band clones (and, transiently, on a watched serial pass).
 	brk   *resilience.BreakerSet
@@ -164,7 +166,7 @@ func (o *Ops) SetUseOptimized(on bool) { o.useOptimized = on }
 
 // UseOptimized reports whether SIMD paths are active for the current call:
 // the latch must be on, the ISA must have SIMD, and the call tree must not
-// be demoted — by an open breaker or a quarantine (see ctx.go).
+// be demoted — by an open or stuck-open breaker (see ctx.go).
 func (o *Ops) UseOptimized() bool {
 	return o.useOptimized && o.isa != ISAScalar && !o.tree.scalar
 }
@@ -187,9 +189,6 @@ func (o *Ops) path() ISA {
 // no success/failure signal to drive it.
 func (o *Ops) SetBreakers(b *resilience.BreakerSet) { o.brk = b }
 
-// Breakers returns the attached breaker set, or nil.
-func (o *Ops) Breakers() *resilience.BreakerSet { return o.brk }
-
 // SetWatchdog attaches a stall watchdog: every parallel section (and, when
 // a watchdog is attached, every serial pass) registers per-band heartbeats
 // that the kernel row loops beat, and a band silent past the watchdog
@@ -200,12 +199,10 @@ func (o *Ops) SetWatchdog(w *super.Watchdog) { o.wd = w }
 
 // SetSupervisor attaches a panic supervisor: a panic escaping an outermost
 // kernel call is recorded against its (kernel, ISA) pair, and a pair that
-// exceeds the supervisor's quarantine policy runs scalar-and-serial from
-// then on, with its breaker latched terminally open. nil detaches.
+// reaches the supervisor's quarantine policy has its breaker latched
+// stuck-open for panic, running scalar-and-serial from then on. Without a
+// breaker set (SetBreakers) panics are only counted. nil detaches.
 func (o *Ops) SetSupervisor(s *super.Supervisor) { o.sup = s }
-
-// Supervisor returns the attached supervisor, or nil.
-func (o *Ops) Supervisor() *super.Supervisor { return o.sup }
 
 // ResumeState is the per-Ops execution position a checkpointed campaign
 // journals with each completed image: the pass sequence that salts the

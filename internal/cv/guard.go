@@ -302,7 +302,7 @@ func diffRows(got *image.Mat, want *refRows, rows []int, tol int) (bad []int, di
 // bookkeeping, not workload), and crucially no fault injector. It has no
 // bound context either, so a deadline can never interrupt the reference
 // computation mid-row. banded gives it o's band configuration — bands are
-// byte-identical to a serial run — unless o is quarantined to serial.
+// byte-identical to a serial run — unless o is panic-quarantined to serial.
 func (o *Ops) refereeOps(banded bool) *Ops {
 	ref := NewOps(o.isa, nil)
 	ref.SetUseOptimized(false)
@@ -496,7 +496,9 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 		// The audit is scored under the call tree's outermost kernel, the
 		// key its breaker verdict settles under: a nested pass of staged
 		// Canny counts against Canny, whose admission it serves.
-		o.aud.Observe(o.Obs, o.tree.kernel, o.isa.String(), time.Since(start), o.traceID, ce)
+		if o.aud.Observe(o.Obs, o.tree.kernel, o.isa.String(), time.Since(start), o.traceID, ce) {
+			o.tree.quarantine = resilience.ReasonCorruption
+		}
 	}
 	refSpan.End()
 

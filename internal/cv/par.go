@@ -100,7 +100,7 @@ func (o *Ops) sectionReseeder() faults.Reseeder {
 }
 
 // nBands returns the band count for a pass of n units at least minPer
-// units per band. A quarantined call tree always runs one band: the
+// units per band. A panic-quarantined call tree always runs one band: the
 // supervisor has judged the pair's parallel bands poisonous.
 func (o *Ops) nBands(n, minPer int) int {
 	if o.par.Workers <= 1 || o.tree.serial {

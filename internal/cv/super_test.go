@@ -140,7 +140,7 @@ func testStallDetected(t *testing.T, gauss func(o *Ops, src, dst *image.Mat) err
 	// The probe budget is whole: once cooled down, the breaker admits
 	// a half-open probe.
 	clk.Advance(2 * time.Second)
-	if !brk.Allow("GaussianBlur", "neon") {
+	if ok, _ := brk.Admit("GaussianBlur", "neon", true); !ok {
 		t.Fatal("cooled-down breaker refuses its half-open probe")
 	}
 	brk.Release("GaussianBlur", "neon")
@@ -222,15 +222,15 @@ func testPanicQuarantine(t *testing.T, gauss func(o *Ops, src, dst *image.Mat) e
 		t.Fatal("first poisoned call did not panic")
 	}
 	requireSettled(t, o)
-	if sup.Quarantined("GaussianBlur", "neon") {
+	if st := brk.State("GaussianBlur", "neon"); st == resilience.StateStuckOpen {
 		t.Fatal("quarantined below MaxPanics")
 	}
 	// The second panic crosses MaxPanics=2: quarantine + stuck-open.
 	if r := crash(); r == nil {
 		t.Fatal("second poisoned call did not panic")
 	}
-	if !sup.Quarantined("GaussianBlur", "neon") {
-		t.Fatal("pair not quarantined after MaxPanics")
+	if qs := brk.Quarantines(); len(qs) != 1 || qs[0].Kernel != "GaussianBlur" || qs[0].Reason != resilience.ReasonPanic {
+		t.Fatalf("pair not quarantined for panic after MaxPanics: %+v", qs)
 	}
 	if st := brk.State("GaussianBlur", "neon"); st != resilience.StateStuckOpen {
 		t.Errorf("breaker state = %v, want stuck-open", st)
@@ -267,8 +267,46 @@ func testPanicQuarantine(t *testing.T, gauss func(o *Ops, src, dst *image.Mat) e
 	if err := o.Threshold(src, dst2, 128, 255, ThreshBinary); err != nil {
 		t.Fatalf("unrelated kernel failed: %v", err)
 	}
-	if sup.Quarantined("Threshold", "neon") {
+	if st := brk.State("Threshold", "neon"); st == resilience.StateStuckOpen {
 		t.Error("quarantine leaked to Threshold")
+	}
+}
+
+// TestQuarantineReasonRoutes: the call frame routes a stuck-open pair on
+// its reason, read in the one breaker-set call admit makes. Every reason
+// runs the pair scalar; only a panic quarantine also runs it as one band.
+// An Ops with no verdict source (unguarded, unaudited) reads the latch
+// without probing and keeps SIMD unless the pair is panic-quarantined, and
+// sibling kernels keep SIMD and their bands.
+func TestQuarantineReasonRoutes(t *testing.T) {
+	for _, why := range []resilience.Reason{resilience.ReasonPanic, resilience.ReasonCorruption, resilience.ReasonGiveUp} {
+		for _, guarded := range []bool{true, false} {
+			brk := resilience.NewBreakerSet(resilience.BreakerConfig{}, nil)
+			brk.Quarantine("GaussianBlur", "neon", why)
+			o := NewOps(ISANEON, nil)
+			o.SetParallel(ParallelConfig{Workers: 4, MinRowsPerBand: 1})
+			o.SetGuarded(guarded)
+			o.SetBreakers(brk)
+
+			o.admit("GaussianBlur")
+			wantScalar := guarded || why == resilience.ReasonPanic
+			wantBands := 4
+			if why == resilience.ReasonPanic {
+				wantBands = 1
+			}
+			if o.UseOptimized() == wantScalar || o.nBands(64, 1) != wantBands || o.tree.admitted {
+				t.Errorf("%s guarded=%v: SIMD %v, %d bands, admitted %v; want SIMD %v, %d bands, not admitted",
+					why, guarded, o.UseOptimized(), o.nBands(64, 1), o.tree.admitted, !wantScalar, wantBands)
+			}
+			o.settle()
+
+			o.admit("Threshold")
+			if !o.UseOptimized() || o.nBands(64, 1) != 4 {
+				t.Errorf("%s guarded=%v: sibling demoted (SIMD %v, %d bands)", why, guarded, o.UseOptimized(), o.nBands(64, 1))
+			}
+			o.settle()
+			requireSettled(t, o)
+		}
 	}
 }
 
@@ -314,7 +352,7 @@ func TestHalfOpenProbePanicReleasesBudget(t *testing.T) {
 	if st := brk.State("GaussianBlur", "neon"); st != resilience.StateHalfOpen {
 		t.Fatalf("breaker state after panic = %v, want half-open", st)
 	}
-	if !brk.Allow("GaussianBlur", "neon") {
+	if ok, _ := brk.Admit("GaussianBlur", "neon", true); !ok {
 		t.Fatal("probe slot leaked: half-open breaker refuses the next probe")
 	}
 	brk.Release("GaussianBlur", "neon")

@@ -197,8 +197,10 @@ func (a *Auditor) Window(h int) (lo, hi int) {
 // request's trace ID as an exemplar when one is bound), and — on a
 // mismatch — corruption_detected_total{kernel,isa} plus an
 // integrity.corruption event carrying the region and first diverging
-// index. The verdict also feeds the attached scoreboard. reg may be nil.
-func (a *Auditor) Observe(reg *obs.Registry, kernel, isa string, dur time.Duration, traceID string, ce *CorruptionError) {
+// index. The verdict also feeds the attached scoreboard, and Observe
+// reports whether it tripped the pair (once per pair): the caller owns the
+// quarantine. reg may be nil.
+func (a *Auditor) Observe(reg *obs.Registry, kernel, isa string, dur time.Duration, traceID string, ce *CorruptionError) (tripped bool) {
 	if ce != nil {
 		a.mismatches.Add(1)
 	}
@@ -222,7 +224,8 @@ func (a *Auditor) Observe(reg *obs.Registry, kernel, isa string, dur time.Durati
 			"first_diff": ce.FirstDiff, "diffs": ce.Diffs,
 		})
 	}
-	a.board.Load().Record(kernel, isa, ce != nil)
+	_, tripped = a.board.Load().Record(kernel, isa, ce != nil)
+	return tripped
 }
 
 // Sampled returns how many calls the sampler selected for audit.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,34 +176,36 @@ func containsLine(dump, want string) bool {
 func TestScoreboardTripLatchAndSiblingIsolation(t *testing.T) {
 	sb := NewScoreboard(ScoreboardConfig{}, nil)
 	var trips []string
-	sb.OnTrip(func(k, isa string) { trips = append(trips, k+"/"+isa) })
+	record := func(k, isa string, mismatch bool) {
+		if _, tripped := sb.Record(k, isa, mismatch); tripped {
+			trips = append(trips, k+"/"+isa)
+		}
+	}
 
 	// Interleave a healthy sibling with the corrupting pair.
-	var tripped bool
 	for i := 0; i < 12; i++ {
-		sb.Record("Threshold", "sse2", false)
-		_, t1 := sb.Record("Threshold", "neon", true)
-		tripped = tripped || t1
+		record("Threshold", "sse2", false)
+		record("Threshold", "neon", true)
 	}
-	if !tripped {
+	if len(trips) == 0 {
 		t.Fatal("mismatch burst never tripped")
 	}
 	// Defaults: decay 0.25, threshold 0.5, min samples 8. Pure mismatches
 	// reach 1-(0.75)^n: n=3 gives 0.578 but the sample floor holds the trip
 	// until audit 8.
-	if !sb.Tripped("Threshold", "neon") {
+	if !tripped(sb, "Threshold", "neon") {
 		t.Fatal("tripped pair not latched")
 	}
-	if sb.Tripped("Threshold", "sse2") {
+	if tripped(sb, "Threshold", "sse2") {
 		t.Fatal("clean sibling tripped")
 	}
 	if len(trips) != 1 || trips[0] != "Threshold/neon" {
-		t.Fatalf("trip callbacks = %v, want exactly [Threshold/neon]", trips)
+		t.Fatalf("trips = %v, want exactly [Threshold/neon]", trips)
 	}
-	// Further mismatches never re-fire the latched callback.
-	sb.Record("Threshold", "neon", true)
+	// Further mismatches never report the latched trip again.
+	record("Threshold", "neon", true)
 	if len(trips) != 1 {
-		t.Fatalf("latched pair re-fired callback: %v", trips)
+		t.Fatalf("latched pair tripped again: %v", trips)
 	}
 
 	snap := sb.Snapshot()
@@ -239,7 +242,7 @@ func TestScoreboardRecoveryBelowThreshold(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		sb.Record("SobelFilter", "sse2", false)
 	}
-	if sb.Tripped("SobelFilter", "sse2") {
+	if tripped(sb, "SobelFilter", "sse2") {
 		t.Fatal("transient burst below MinSamples tripped")
 	}
 	if s := score(sb, "SobelFilter", "sse2"); s > 0.001 {
@@ -249,9 +252,7 @@ func TestScoreboardRecoveryBelowThreshold(t *testing.T) {
 
 func TestScoreboardConcurrentRecord(t *testing.T) {
 	sb := NewScoreboard(ScoreboardConfig{MinSamples: -1}, nil)
-	var tripOnce sync.Once
-	tripCount := 0
-	sb.OnTrip(func(k, isa string) { tripOnce.Do(func() { tripCount++ }) })
+	var trips sync.Map // "kernel/isa" -> *atomic.Int32
 
 	pairs := []struct{ k, isa string }{
 		{"Threshold", "neon"}, {"Threshold", "sse2"},
@@ -264,7 +265,10 @@ func TestScoreboardConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			p := pairs[g%len(pairs)]
 			for i := 0; i < 1000; i++ {
-				sb.Record(p.k, p.isa, g == 0 && i%2 == 0)
+				if _, tripped := sb.Record(p.k, p.isa, g == 0 && i%2 == 0); tripped {
+					n, _ := trips.LoadOrStore(p.k+"/"+p.isa, new(atomic.Int32))
+					n.(*atomic.Int32).Add(1)
+				}
 				score(sb, p.k, p.isa)
 				if i%100 == 0 {
 					sb.Snapshot()
@@ -284,6 +288,20 @@ func TestScoreboardConcurrentRecord(t *testing.T) {
 	if total != 8000 {
 		t.Fatalf("audits = %d, want 8000", total)
 	}
+	trips.Range(func(k, n any) bool {
+		if got := n.(*atomic.Int32).Load(); got != 1 {
+			t.Errorf("%v tripped %d times, want at most once", k, got)
+		}
+		return true
+	})
+}
+
+// tripped reports whether the pair has latched its trip.
+func tripped(b *Scoreboard, kernel, isa string) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	c := b.cells[kernel+"/"+isa]
+	return c != nil && c.tripped
 }
 
 // score is the pair's current decayed mismatch rate (0 for a pair never

@@ -2,6 +2,7 @@ package integrity
 
 import (
 	"sort"
+	"strings"
 	"sync"
 
 	"simdstudy/internal/obs"
@@ -54,23 +55,23 @@ type scoreCell struct {
 }
 
 // Scoreboard tracks a decayed corruption (audit-mismatch) rate per
-// (kernel, ISA) pair and latches a quarantine trip when a pair's rate
-// crosses the threshold with enough samples behind it. The trip callback
-// is where the resilience layer plugs in: the serving front-end points it
-// at BreakerSet.ForceStuckOpen, so a corrupting unit is terminally demoted
-// to the scalar path while sibling pairs keep their closed breakers.
+// (kernel, ISA) pair and latches a once-only trip when a pair's rate
+// crosses the threshold with enough samples behind it. Record (and
+// Auditor.Observe above it) returns the trip to the caller; the kernel
+// call frame in internal/cv hands it to its breaker set as a corruption
+// quarantine, so a corrupting unit is terminally demoted to the scalar
+// path while sibling pairs keep their closed breakers.
 //
-// Sub-threshold mismatches never reach the callback — they feed the
-// breaker as ordinary failure verdicts at the audit site, so a transiently
-// flaky unit recovers through the existing half-open probe protocol
-// instead of being latched out. Safe for concurrent use.
+// Sub-threshold mismatches never trip — they feed the breaker as ordinary
+// failure verdicts at the audit site, so a transiently flaky unit recovers
+// through the existing half-open probe protocol instead of being latched
+// out. Safe for concurrent use.
 type Scoreboard struct {
 	cfg ScoreboardConfig
 	reg *obs.Registry
 
-	mu     sync.Mutex
-	cells  map[string]*scoreCell
-	onTrip func(kernel, isa string)
+	mu    sync.Mutex
+	cells map[string]*scoreCell
 }
 
 // NewScoreboard builds a scoreboard reporting to reg (which may be nil):
@@ -85,16 +86,9 @@ func NewScoreboard(cfg ScoreboardConfig, reg *obs.Registry) *Scoreboard {
 	}
 }
 
-// OnTrip installs the callback invoked (outside the scoreboard lock,
-// exactly once per pair) when a pair's decayed rate crosses the threshold.
-func (b *Scoreboard) OnTrip(fn func(kernel, isa string)) {
-	b.mu.Lock()
-	b.onTrip = fn
-	b.mu.Unlock()
-}
-
 // Record folds one audit verdict into the pair's decayed rate and reports
-// the updated score and whether this verdict tripped quarantine.
+// the updated score and whether this verdict tripped quarantine — true
+// exactly once per pair.
 func (b *Scoreboard) Record(kernel, isa string, mismatch bool) (score float64, tripped bool) {
 	if b == nil {
 		return 0, false
@@ -119,7 +113,6 @@ func (b *Scoreboard) Record(kernel, isa string, mismatch bool) (score float64, t
 		c.tripped = true
 		tripped = true
 	}
-	fn := b.onTrip
 	b.mu.Unlock()
 
 	lk, li := obs.L("kernel", kernel), obs.L("isa", isa)
@@ -129,22 +122,8 @@ func (b *Scoreboard) Record(kernel, isa string, mismatch bool) (score float64, t
 		b.reg.Emit("integrity.quarantine", map[string]any{
 			"kernel": kernel, "isa": isa, "score": score,
 		})
-		if fn != nil {
-			fn(kernel, isa)
-		}
 	}
 	return score, tripped
-}
-
-// Tripped reports whether the pair has latched quarantine.
-func (b *Scoreboard) Tripped(kernel, isa string) bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c := b.cells[kernel+"/"+isa]
-	return c != nil && c.tripped
 }
 
 // Snapshot returns every pair's state, sorted by kernel then ISA — a
@@ -156,15 +135,9 @@ func (b *Scoreboard) Snapshot() []PairScore {
 	b.mu.Lock()
 	out := make([]PairScore, 0, len(b.cells))
 	for key, c := range b.cells {
-		kernel, isa := key, ""
-		for i := len(key) - 1; i >= 0; i-- {
-			if key[i] == '/' {
-				kernel, isa = key[:i], key[i+1:]
-				break
-			}
-		}
+		i := strings.LastIndexByte(key, '/')
 		out = append(out, PairScore{
-			Kernel: kernel, ISA: isa,
+			Kernel: key[:i], ISA: key[i+1:],
 			Score: c.score, Audits: c.audits,
 			Mismatches: c.mismatches, Tripped: c.tripped,
 		})

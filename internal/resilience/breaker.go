@@ -1,8 +1,11 @@
 package resilience
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"simdstudy/internal/obs"
@@ -14,10 +17,10 @@ type State int
 // Breaker states. The happy path is Closed; repeated guard fallbacks open
 // the breaker (SIMD demoted to scalar); after a cooldown the breaker goes
 // half-open and admits a bounded number of probe calls; clean probes close
-// it again. StuckOpen is the terminal state after the configured number of
-// failed re-arm cycles — the breaker-layer replacement for the old
-// setUseOptimized(false) kill-switch, except it is reached by policy, not
-// by the third fallback ever seen, and demotes only its own pair.
+// it again. StuckOpen is the terminal state, the quarantine: reached after
+// the configured number of failed re-arm cycles or forced by
+// BreakerSet.Quarantine, it demotes only its own pair, and the Reason it
+// latched for says which route got it there.
 const (
 	StateClosed State = iota
 	StateOpen
@@ -34,6 +37,17 @@ func (s State) String() string {
 	}
 	return stateNames[s]
 }
+
+// Reason names why a breaker latched StuckOpen.
+type Reason string
+
+// Quarantine reasons: panic and corruption arrive through
+// BreakerSet.Quarantine, give-up is the breaker's own GiveUpAfter latch.
+const (
+	ReasonPanic      Reason = "panic"
+	ReasonCorruption Reason = "corruption"
+	ReasonGiveUp     Reason = "give-up"
+)
 
 // BreakerConfig tunes a Breaker. The zero value selects the defaults noted
 // per field.
@@ -62,8 +76,8 @@ type BreakerConfig struct {
 	ProbeSuccesses int
 	// GiveUpAfter, when positive, is how many consecutive open trips the
 	// breaker tolerates without managing to close; the next trip latches
-	// StuckOpen — the terminal action, recorded by cv as a kill-switch
-	// fault for that pair alone.
+	// StuckOpen with ReasonGiveUp — the terminal action, recorded by cv as
+	// a kill-switch fault for that pair alone.
 	// Zero means the breaker re-arms forever.
 	GiveUpAfter int
 	// Clock is the time source; nil means time.Now. Tests and the
@@ -116,9 +130,11 @@ type Breaker struct {
 	next     int // ring write cursor
 	filled   int // live entries in ring
 	openedAt time.Time
-	opens    int // consecutive open transitions without a close
-	probes   int // outstanding half-open probes
-	probeOK  int // clean probes this half-open cycle
+	opens    int       // consecutive open transitions without a close
+	probes   int       // outstanding half-open probes
+	probeOK  int       // clean probes this half-open cycle
+	why      Reason    // why the breaker latched StuckOpen
+	since    time.Time // when it latched
 
 	reg      *obs.Registry
 	openSpan *obs.Span // measures the outage from first open to close
@@ -142,43 +158,33 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// Allow reports whether the SIMD path may run. In the half-open state each
-// positive answer consumes one probe from the budget; the caller must
-// resolve it with Record.
-func (b *Breaker) Allow() bool {
+// admit is BreakerSet.Admit for this breaker.
+func (b *Breaker) admit(probe bool) (allowed bool, why Reason) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if !probe {
+		return b.state != StateStuckOpen, b.why
+	}
 	b.maybeHalfOpen()
 	switch b.state {
 	case StateClosed:
-		return true
+		allowed = true
 	case StateHalfOpen:
+		// Each admitted probe consumes one slot of the budget; the caller
+		// must resolve it with a verdict or a Release.
 		if b.probes < b.cfg.ProbeBudget {
 			b.probes++
-			return true
+			allowed = true
 		}
-		return false
-	default: // StateOpen, StateStuckOpen
-		return false
 	}
+	return allowed, b.why
 }
 
-// Release returns an admitted-but-unresolved call's probe to the half-open
-// budget. Callers that were cancelled (or failed validation) after Allow but
-// before producing a verdict must call it, or the probe would stay consumed
-// and the breaker could never leave half-open.
-func (b *Breaker) Release() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == StateHalfOpen && b.probes > 0 {
-		b.probes--
-	}
-}
-
-// Record feeds one guard verdict (success = the spot-check came back clean
+// record feeds one guard verdict (success = the spot-check came back clean
 // or a retry recovered; failure = scalar fallback) into the breaker and
-// returns the resulting state.
-func (b *Breaker) Record(success bool) State {
+// returns the resulting state, and whether this verdict latched StuckOpen
+// through GiveUpAfter.
+func (b *Breaker) record(success bool) (st State, latched bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.cfg.Clock()
@@ -203,8 +209,9 @@ func (b *Breaker) Record(success bool) State {
 	default:
 		// A verdict from a call admitted before the trip landed late;
 		// open and stuck-open states ignore it.
+		return b.state, false
 	}
-	return b.state
+	return b.state, b.state == StateStuckOpen
 }
 
 // push appends an outcome to the sliding window. Callers hold mu.
@@ -249,10 +256,22 @@ func (b *Breaker) maybeHalfOpen() {
 func (b *Breaker) toOpen(now time.Time) {
 	b.opens++
 	if b.cfg.GiveUpAfter > 0 && b.opens > b.cfg.GiveUpAfter {
-		b.transition(StateStuckOpen, now)
+		b.latch(ReasonGiveUp, now)
 		return
 	}
 	b.transition(StateOpen, now)
+}
+
+// latch moves the breaker terminally to StuckOpen for why, reporting
+// whether this call latched it: a breaker already stuck-open keeps its
+// first reason. Callers hold mu.
+func (b *Breaker) latch(why Reason, now time.Time) bool {
+	if b.state == StateStuckOpen {
+		return false
+	}
+	b.why, b.since = why, now
+	b.transition(StateStuckOpen, now)
+	return true
 }
 
 // transition moves to a new state, resetting per-state bookkeeping and
@@ -306,26 +325,16 @@ func (b *Breaker) setStateGauge() {
 	}
 }
 
-// ForceStuckOpen latches the breaker terminally open regardless of its
-// window state — the supervisor's quarantine enforcement. Unlike a trip
-// reached through GiveUpAfter, it can land in any state; only a fresh
-// breaker (process restart with a clean quarantine journal) re-arms the
-// pair.
-func (b *Breaker) ForceStuckOpen() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.transition(StateStuckOpen, b.cfg.Clock())
-}
-
 // BreakerSet is a lazily populated family of breakers keyed by
 // (kernel, ISA), sharing one config and registry. It is what cv.Ops
-// dispatch consults and what the serving front-end reports from /readyz.
+// dispatch consults, what the serving front-end reports from /readyz, and
+// the one place a pair's quarantine lives (see the package comment).
 type BreakerSet struct {
 	mu      sync.Mutex
 	cfg     BreakerConfig
 	reg     *obs.Registry
 	m       map[string]*Breaker
-	onForce func(kernel, isa string)
+	onLatch atomic.Pointer[func(kernel, isa string)]
 }
 
 // NewBreakerSet builds an empty set; reg may be nil.
@@ -335,70 +344,135 @@ func NewBreakerSet(cfg BreakerConfig, reg *obs.Registry) *BreakerSet {
 
 func (s *BreakerSet) key(kernel, isa string) string { return kernel + "/" + isa }
 
-// For returns (creating on first use) the breaker for one pair.
-func (s *BreakerSet) For(kernel, isa string) *Breaker {
+// get returns the breaker for one pair, creating it on first use when
+// create is set and returning nil for an unseen pair otherwise.
+func (s *BreakerSet) get(kernel, isa string, create bool) *Breaker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := s.key(kernel, isa)
 	b, ok := s.m[k]
-	if !ok {
+	if !ok && create {
 		b = NewBreaker(kernel, isa, s.cfg, s.reg)
 		s.m[k] = b
 	}
 	return b
 }
 
-// Allow is For(kernel, isa).Allow().
-func (s *BreakerSet) Allow(kernel, isa string) bool { return s.For(kernel, isa).Allow() }
-
-// Record is For(kernel, isa).Record(success).
-func (s *BreakerSet) Record(kernel, isa string, success bool) State {
-	return s.For(kernel, isa).Record(success)
+// Admit is the one question an outermost kernel call asks: may the pair's
+// SIMD path run, and, when the pair is stuck-open, why. With probe set,
+// closed admits, open and stuck-open deny, and half-open admits up to
+// ProbeBudget outstanding probes, each to be resolved by a Record or a
+// Release. Without it only the latch is read, creating no breaker.
+func (s *BreakerSet) Admit(kernel, isa string, probe bool) (allowed bool, why Reason) {
+	if b := s.get(kernel, isa, probe); b != nil {
+		return b.admit(probe)
+	}
+	return true, ""
 }
 
-// Release is For(kernel, isa).Release().
-func (s *BreakerSet) Release(kernel, isa string) { s.For(kernel, isa).Release() }
+// Record feeds one verdict into the pair's breaker (see record), firing
+// the OnQuarantine hook when it latches the pair through GiveUpAfter.
+func (s *BreakerSet) Record(kernel, isa string, success bool) State {
+	st, latched := s.get(kernel, isa, true).record(success)
+	if latched {
+		s.latched(kernel, isa)
+	}
+	return st
+}
 
-// State is For(kernel, isa).State().
-func (s *BreakerSet) State(kernel, isa string) State { return s.For(kernel, isa).State() }
-
-// ForceStuckOpen is For(kernel, isa).ForceStuckOpen(), then fires the
-// OnForceStuckOpen hook. Every quarantine path in the tree — integrity
-// scoreboard trips, panic-quarantine enforcement, journal replay — lands
-// here, so the hook is the one place to observe "this pair is terminally
-// demoted".
-func (s *BreakerSet) ForceStuckOpen(kernel, isa string) {
-	s.For(kernel, isa).ForceStuckOpen()
-	s.mu.Lock()
-	fn := s.onForce
-	s.mu.Unlock()
-	if fn != nil {
-		fn(kernel, isa)
+// Release returns an admitted-but-unresolved call's probe to the half-open
+// budget. Callers that were cancelled (or failed validation) after a
+// probing Admit but before producing a verdict must call it, or the probe
+// would stay consumed and the breaker could never leave half-open.
+func (s *BreakerSet) Release(kernel, isa string) {
+	if b := s.get(kernel, isa, false); b != nil {
+		b.mu.Lock()
+		if b.state == StateHalfOpen && b.probes > 0 {
+			b.probes--
+		}
+		b.mu.Unlock()
 	}
 }
 
-// OnForceStuckOpen registers fn to run after every set-level
-// ForceStuckOpen. The result-memoization layer hangs cache invalidation
-// off it: a (kernel, ISA) pair caught corrupting must not keep serving
-// its cached history. fn must not call back into the set's ForceStuckOpen.
-func (s *BreakerSet) OnForceStuckOpen(fn func(kernel, isa string)) {
+// State reports the pair's state; a pair with no breaker yet is closed,
+// and asking creates none.
+func (s *BreakerSet) State(kernel, isa string) State {
+	if b := s.get(kernel, isa, false); b != nil {
+		return b.State()
+	}
+	return StateClosed
+}
+
+// Quarantine latches the pair stuck-open for why from any state, firing
+// the OnQuarantine hook if this call latched it; a stuck-open pair keeps
+// its first reason. Only a fresh set (a restart) re-arms the pair.
+func (s *BreakerSet) Quarantine(kernel, isa string, why Reason) {
+	b := s.get(kernel, isa, true)
+	b.mu.Lock()
+	latched := b.latch(why, b.cfg.Clock())
+	b.mu.Unlock()
+	if latched {
+		s.latched(kernel, isa)
+	}
+}
+
+// latched runs the OnQuarantine hook for a newly stuck-open pair.
+func (s *BreakerSet) latched(kernel, isa string) {
+	if fn := s.onLatch.Load(); fn != nil {
+		(*fn)(kernel, isa)
+	}
+}
+
+// OnQuarantine registers fn to run once for every pair that newly latches
+// stuck-open, whatever the reason. The result-memoization layer hangs
+// cache invalidation off it: a demoted (kernel, ISA) pair must not keep
+// serving its cached history. fn must not call back into the set's
+// Quarantine.
+func (s *BreakerSet) OnQuarantine(fn func(kernel, isa string)) { s.onLatch.Store(&fn) }
+
+// Quarantine is one stuck-open pair of the Quarantines view.
+type Quarantine struct {
+	Kernel   string `json:"kernel"`
+	ISA      string `json:"isa"`
+	Reason   Reason `json:"reason"`
+	UnixNano int64  `json:"unix_nano"` // the latch time, by the breaker clock
+
+}
+
+// Quarantines lists every stuck-open pair, sorted by kernel then ISA: the
+// one view /livez, /integrity and the telemetry stream read.
+func (s *BreakerSet) Quarantines() []Quarantine {
+	out := []Quarantine{}
+	for _, b := range s.breakers() {
+		b.mu.Lock()
+		if b.state == StateStuckOpen {
+			out = append(out, Quarantine{Kernel: b.kernel, ISA: b.isa, Reason: b.why, UnixNano: b.since.UnixNano()})
+		}
+		b.mu.Unlock()
+	}
+	return out
+}
+
+// breakers lists the set's breakers, sorted by kernel then ISA.
+func (s *BreakerSet) breakers() []*Breaker {
 	s.mu.Lock()
-	s.onForce = fn
+	out := make([]*Breaker, 0, len(s.m))
+	for _, b := range s.m {
+		out = append(out, b)
+	}
 	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Breaker) int {
+		return cmp.Or(cmp.Compare(a.kernel, b.kernel), cmp.Compare(a.isa, b.isa))
+	})
+	return out
 }
 
 // Snapshot returns every breaker's state keyed "kernel/isa", for readiness
-// endpoints and logs. Iteration order of the returned map is undefined.
+// endpoints and logs.
 func (s *BreakerSet) Snapshot() map[string]State {
-	s.mu.Lock()
-	breakers := make(map[string]*Breaker, len(s.m))
-	for k, b := range s.m {
-		breakers[k] = b
-	}
-	s.mu.Unlock()
-	out := make(map[string]State, len(breakers))
-	for k, b := range breakers {
-		out[k] = b.State()
+	out := map[string]State{}
+	for _, b := range s.breakers() {
+		out[s.key(b.kernel, b.isa)] = b.State()
 	}
 	return out
 }

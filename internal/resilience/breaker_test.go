@@ -169,9 +169,9 @@ func TestBreakerTransitions(t *testing.T) {
 				}
 				switch {
 				case s.record != nil:
-					b.Record(*s.record)
+					b.record(*s.record)
 				case s.allow != nil:
-					if got := b.Allow(); got != *s.allow {
+					if got, _ := b.admit(true); got != *s.allow {
 						t.Fatalf("step %d: Allow() = %v, want %v", i, got, *s.allow)
 					}
 				}
@@ -190,16 +190,16 @@ func TestBreakerClosingClearsWindow(t *testing.T) {
 	b := NewBreaker("k", "i", BreakerConfig{
 		Window: 8, MinSamples: 2, FailureRate: 0.5, OpenFor: time.Second, Clock: clk.Now,
 	}, nil)
-	b.Record(false)
-	b.Record(false)
+	b.record(false)
+	b.record(false)
 	if b.State() != StateOpen {
 		t.Fatal("breaker should have tripped")
 	}
 	clk.Advance(time.Second)
-	if !b.Allow() {
+	if ok, _ := b.admit(true); !ok {
 		t.Fatal("probe denied")
 	}
-	b.Record(true)
+	b.record(true)
 	if b.State() != StateClosed {
 		t.Fatal("clean probe should close")
 	}
@@ -208,10 +208,10 @@ func TestBreakerClosingClearsWindow(t *testing.T) {
 	// The point: the two pre-trip failures must be gone, so one success +
 	// one failure is exactly at the rate and trips — but three successes
 	// then one failure (1/4 = 25%) must not.
-	b.Record(true)
-	b.Record(true)
-	b.Record(true)
-	b.Record(false)
+	b.record(true)
+	b.record(true)
+	b.record(true)
+	b.record(false)
 	if got := b.State(); got != StateClosed {
 		t.Fatalf("stale failures leaked into the new window: %v", got)
 	}
@@ -225,13 +225,13 @@ func TestBreakerMetrics(t *testing.T) {
 	b := NewBreaker("GaussianBlur", "neon", BreakerConfig{
 		Window: 4, MinSamples: 2, FailureRate: 0.5, OpenFor: time.Second, Clock: clk.Now,
 	}, reg)
-	b.Record(false)
-	b.Record(false)
+	b.record(false)
+	b.record(false)
 	clk.Advance(time.Second)
-	if !b.Allow() {
+	if ok, _ := b.admit(true); !ok {
 		t.Fatal("probe denied")
 	}
-	b.Record(true)
+	b.record(true)
 
 	snap := reg.Snapshot()
 	for _, series := range []string{
@@ -279,7 +279,7 @@ func TestBreakerSetConcurrent(t *testing.T) {
 				kernel = "Threshold"
 			}
 			for i := 0; i < 500; i++ {
-				if s.Allow(kernel, "neon") {
+				if ok, _ := s.Admit(kernel, "neon", true); ok {
 					s.Record(kernel, "neon", i%3 != 0)
 				}
 				if i%50 == 0 {

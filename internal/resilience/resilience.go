@@ -5,6 +5,11 @@
 // deterministic jitter for the guard's retry loop, and a typed deadline
 // error carrying partial-progress accounting for cancelled work.
 //
+// The breaker set is the one quarantine latch: a pair is terminally
+// demoted when its breaker is stuck-open, with the Reason it latched for
+// (panic, corruption or give-up), one hook (OnQuarantine) fired once per
+// newly latched pair and one view (Quarantines).
+//
 // The paper's headline speedups only matter if the hand-SIMD fast path can
 // be trusted under sustained use. Boivin & Legaux show intrinsic speedups
 // are configuration-fragile, and the SIMD-everywhere work shows portability

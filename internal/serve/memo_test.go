@@ -13,6 +13,7 @@ import (
 
 	"simdstudy/internal/cv"
 	"simdstudy/internal/memo"
+	"simdstudy/internal/resilience"
 )
 
 func newMemoServer(t *testing.T, kernels ...string) (*Server, *httptest.Server) {
@@ -95,9 +96,10 @@ func TestMemoHitsCountTowardSLO(t *testing.T) {
 	}
 }
 
-// TestMemoQuarantineInvalidation: force-opening a (kernel, ISA) breaker —
-// the path every quarantine takes — drops that pair's cached entries, so
-// the next identical request recomputes on the demoted (scalar) path.
+// TestMemoQuarantineInvalidation: quarantining a (kernel, ISA) breaker —
+// the latch every quarantine route lands in — drops that pair's cached
+// entries, so the next identical request recomputes on the demoted
+// (scalar) path.
 func TestMemoQuarantineInvalidation(t *testing.T) {
 	s, ts := newMemoServer(t)
 	url := ts.URL + "/process?kernel=gaussian&width=96&height=64&isa=neon&seed=3"
@@ -109,7 +111,7 @@ func TestMemoQuarantineInvalidation(t *testing.T) {
 		t.Fatalf("second = %q", outcome)
 	}
 
-	s.Breakers().ForceStuckOpen("GaussianBlur", "neon")
+	s.Breakers().Quarantine("GaussianBlur", "neon", resilience.ReasonCorruption)
 	if st := s.Memo().Stats(); st.Invalidations != 1 {
 		t.Fatalf("invalidations = %d; want 1", st.Invalidations)
 	}

@@ -46,8 +46,9 @@ type Config struct {
 	// MaxPixels caps width*height per request. Default 1<<22 (4 Mpx).
 	MaxPixels int
 	// Guard is the guarded-dispatch policy shared by every worker Ops.
-	// The zero value takes cv.DefaultGuardPolicy with the kill-switch
-	// disabled — terminal demotion belongs to the breaker's GiveUpAfter.
+	// The zero value takes cv.DefaultGuardPolicy. KillAfter is ignored:
+	// every worker Ops has the server's breaker set, which owns terminal
+	// demotion.
 	Guard cv.GuardPolicy
 	// Breaker configures the per-(kernel, ISA) circuit breakers.
 	Breaker resilience.BreakerConfig
@@ -79,7 +80,8 @@ type Config struct {
 	// Quarantine tunes the panic supervisor shared by every worker Ops: a
 	// (kernel, ISA) pair whose SIMD path panics MaxPanics times is demoted
 	// to the scalar, serial path permanently (its breaker latches
-	// stuck-open). The zero value selects the supervisor defaults.
+	// stuck-open for panic). The zero value selects the supervisor
+	// defaults.
 	Quarantine super.QuarantinePolicy
 	// QuarantineJournal, when non-empty, persists quarantine decisions to
 	// this checkpoint journal and replays them at startup, so a restarted
@@ -106,12 +108,13 @@ type Config struct {
 	// dispatches on the scalar reference path and byte-compares the outputs
 	// (internal/integrity): a mismatch is silent corruption — it is counted,
 	// repaired from the reference, and fed to a corruption scoreboard whose
-	// threshold crossing latches the (kernel, ISA) breaker stuck-open, so a
-	// corrupting unit transparently demotes to scalar. The effective rate is
-	// scaled by admission-queue headroom: as the wait queue fills, audits
-	// shed first (down to zero at a full queue) so redundant recomputation
-	// never spends the latency SLO budget. Auditing also installs the pool
-	// scrubber that re-verifies parked scratch planes at reuse.
+	// threshold crossing latches the (kernel, ISA) breaker stuck-open for
+	// corruption, so a corrupting unit transparently demotes to scalar. The
+	// effective rate is scaled by admission-queue headroom: as the wait
+	// queue fills, audits shed first (down to zero at a full queue) so
+	// redundant recomputation never spends the latency SLO budget. Auditing
+	// also installs the pool scrubber that re-verifies parked scratch planes
+	// at reuse.
 	AuditRate float64
 	// AuditSeed drives the deterministic audit sampler; zero means 1.
 	AuditSeed uint64
@@ -154,7 +157,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Guard == (cv.GuardPolicy{}) {
 		c.Guard = cv.DefaultGuardPolicy()
-		c.Guard.KillAfter = -1
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -276,13 +278,11 @@ func NewServer(cfg Config) *Server {
 	}
 	s.memo = memo.New(mcfg)
 	if s.memo != nil {
-		// Every quarantine path — scoreboard trip, panic quarantine,
-		// journal replay — funnels through the set-level ForceStuckOpen,
-		// so this one hook keeps the cache honest: a (kernel, ISA) pair
-		// caught corrupting loses its cached results along with its
-		// dispatch rights. Registered before the quarantine journal is
+		// Every route to stuck-open fires the breaker set's one hook, so a
+		// demoted (kernel, ISA) pair loses its cached results along with
+		// its dispatch rights. Registered before the quarantine journal is
 		// replayed below so replay invalidations are not missed.
-		s.brk.OnForceStuckOpen(func(kernel, isa string) {
+		s.brk.OnQuarantine(func(kernel, isa string) {
 			s.memo.Invalidate(kernel, isa)
 		})
 	}
@@ -306,12 +306,8 @@ func NewServer(cfg Config) *Server {
 	if cfg.AuditRate > 0 {
 		s.aud = integrity.NewAuditor(integrity.AuditConfig{Rate: cfg.AuditRate, Seed: cfg.AuditSeed})
 		s.board = integrity.NewScoreboard(integrity.ScoreboardConfig{}, s.reg)
-		// A scoreboard trip is the quarantine handoff: latch the pair's
-		// breaker stuck-open so every subsequent dispatch demotes to the
-		// scalar path. Siblings keep their own (closed) breakers.
-		s.board.OnTrip(func(kernel, isa string) {
-			s.brk.ForceStuckOpen(kernel, isa)
-		})
+		// A scoreboard trip comes back through Auditor.Observe to the
+		// worker Ops, which quarantines the pair's breaker for corruption.
 		s.aud.SetScoreboard(s.board)
 		// The pool scrubber is process-wide (the scratch pool is shared);
 		// the first audited server installs it.
@@ -325,7 +321,6 @@ func NewServer(cfg Config) *Server {
 		isa := isa
 		s.pools[isa] = &sync.Pool{New: func() any {
 			o := cv.NewOps(isa, nil)
-			o.SetGuarded(true)
 			o.SetGuardPolicy(cfg.Guard)
 			o.SetBreakers(s.brk)
 			o.SetObserver(s.reg)
@@ -345,8 +340,8 @@ func NewServer(cfg Config) *Server {
 }
 
 // openQuarantineJournal applies the serve-layer resume policy for the
-// quarantine journal: replay a matching journal (latching the replayed
-// pairs' breakers stuck-open), cold-start over a missing or corrupt one,
+// quarantine journal: replay a matching journal (quarantining the replayed
+// pairs' breakers for panic), cold-start over a missing or corrupt one,
 // and — uniquely here — degrade to no persistence on a mismatched file
 // rather than failing startup: serving traffic beats remembering
 // quarantines.
@@ -371,7 +366,7 @@ func (s *Server) openQuarantineJournal(path string) {
 		return
 	}
 	for _, qr := range replayed {
-		s.brk.ForceStuckOpen(qr.Kernel, qr.ISA)
+		s.brk.Quarantine(qr.Kernel, qr.ISA, resilience.ReasonPanic)
 	}
 	s.reg.Emit("quarantine.journal_open", map[string]any{
 		"path": path, "resumed": resumed, "quarantines": len(replayed),
@@ -516,8 +511,9 @@ func (s *Server) flightEnd(f *inflight) {
 
 // handleLive is the supervision view: always 200 (the process is alive to
 // answer), reporting in-flight requests with their ages, live watchdog
-// sections, total stalls declared, and the quarantined (kernel, ISA)
-// pairs. Status "degraded" means at least one pair is quarantined.
+// sections, total stalls declared, and every stuck-open (kernel, ISA) pair
+// with its reason (panic, corruption or give-up) and latch time. Status
+// "degraded" means at least one pair is quarantined.
 func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
 	s.flightMu.Lock()
@@ -533,7 +529,7 @@ func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
 		return inFlight[i]["id"].(string) < inFlight[j]["id"].(string)
 	})
 
-	quarantines := s.sup.Quarantines()
+	quarantines := s.brk.Quarantines()
 	status := "ok"
 	if len(quarantines) > 0 {
 		status = "degraded"
@@ -553,18 +549,12 @@ func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
 // handleIntegrity is the corruption-defense status view: the audit
 // sampler's configured and load-scaled effective rates with its lifetime
 // tallies, the scoreboard's per-(kernel, ISA) decayed mismatch scores, and
-// which pairs have latched quarantine. With auditing disabled it reports
+// the pairs quarantined for corruption. With auditing disabled it reports
 // {"enabled": false} so dashboards can probe the endpoint unconditionally.
 func (s *Server) handleIntegrity(w http.ResponseWriter, _ *http.Request) {
 	if s.aud == nil {
 		s.writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
-	}
-	quarantined := []string{}
-	for _, p := range s.board.Snapshot() {
-		if p.Tripped {
-			quarantined = append(quarantined, p.Kernel+"/"+p.ISA)
-		}
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"enabled":         true,
@@ -574,8 +564,20 @@ func (s *Server) handleIntegrity(w http.ResponseWriter, _ *http.Request) {
 		"skipped":         s.aud.Skipped(),
 		"mismatches":      s.aud.Mismatches(),
 		"pairs":           s.board.Snapshot(),
-		"quarantined":     quarantined,
+		"quarantined":     s.corrupted(),
 	})
+}
+
+// corrupted lists the "kernel/isa" pairs quarantined for corruption, for
+// the /integrity view and the stream frame's audit summary.
+func (s *Server) corrupted() []string {
+	out := []string{}
+	for _, q := range s.brk.Quarantines() {
+		if q.Reason == resilience.ReasonCorruption {
+			out = append(out, q.Kernel+"/"+q.ISA)
+		}
+	}
+	return out
 }
 
 // writeJSON emits one JSON response and counts it under requests_total.

@@ -36,7 +36,8 @@ type StreamFrame struct {
 	SLO []SLOStatus `json:"slo,omitempty"`
 	// Breakers maps "kernel/isa" to breaker state for every live breaker.
 	Breakers map[string]string `json:"breakers,omitempty"`
-	// Quarantined lists "kernel/isa" pairs the supervisor has demoted.
+	// Quarantined lists every stuck-open "kernel/isa" pair, whatever the
+	// reason.
 	Quarantined []string `json:"quarantined,omitempty"`
 	// InFlight is the number of admitted /process requests right now.
 	InFlight int `json:"in_flight"`
@@ -79,8 +80,8 @@ type AuditStats struct {
 	EffectiveRate float64 `json:"effective_rate"`
 	Sampled       uint64  `json:"sampled"`
 	Mismatches    uint64  `json:"mismatches"`
-	// Quarantined lists "kernel/isa" pairs the corruption scoreboard has
-	// latched stuck-open.
+	// Quarantined lists the "kernel/isa" pairs quarantined for
+	// corruption.
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
@@ -169,21 +170,16 @@ func (s *Server) buildFrame(window time.Duration) StreamFrame {
 			f.Breakers[k] = st.String()
 		}
 	}
-	for _, qr := range s.sup.Quarantines() {
-		f.Quarantined = append(f.Quarantined, qr.Kernel+"/"+qr.ISA)
+	for _, q := range s.brk.Quarantines() {
+		f.Quarantined = append(f.Quarantined, q.Kernel+"/"+q.ISA)
 	}
 	if s.aud != nil {
-		a := &AuditStats{
+		f.Audit = &AuditStats{
 			EffectiveRate: s.aud.EffectiveRate(),
 			Sampled:       s.aud.Sampled(),
 			Mismatches:    s.aud.Mismatches(),
+			Quarantined:   s.corrupted(),
 		}
-		for _, p := range s.board.Snapshot() {
-			if p.Tripped {
-				a.Quarantined = append(a.Quarantined, p.Kernel+"/"+p.ISA)
-			}
-		}
-		f.Audit = a
 	}
 	if s.memo != nil {
 		st := s.memo.Stats()

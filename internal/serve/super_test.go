@@ -107,8 +107,8 @@ func TestRepeatedPanicsQuarantine(t *testing.T) {
 			t.Fatalf("poisoned request %d: status %d, want 500", i, code)
 		}
 	}
-	if !s.Supervisor().Quarantined("GaussianBlur", "neon") {
-		t.Fatal("pair not quarantined after 3 panics")
+	if qs := s.Breakers().Quarantines(); len(qs) != 1 || qs[0].Reason != resilience.ReasonPanic {
+		t.Fatalf("pair not quarantined for panic after 3 panics: %+v", qs)
 	}
 	if st := s.Breakers().State("GaussianBlur", "neon"); st != resilience.StateStuckOpen {
 		t.Errorf("breaker state = %v, want stuck-open", st)
@@ -131,7 +131,7 @@ func TestRepeatedPanicsQuarantine(t *testing.T) {
 		t.Fatalf("/livez quarantined = %v", body["quarantined"])
 	}
 	q := qs[0].(map[string]any)
-	if q["kernel"] != "GaussianBlur" || q["isa"] != "neon" {
+	if q["kernel"] != "GaussianBlur" || q["isa"] != "neon" || q["reason"] != "panic" || q["unix_nano"] == nil {
 		t.Errorf("/livez quarantine entry = %v", q)
 	}
 }
@@ -151,16 +151,16 @@ func TestQuarantineJournalSurvivesRestart(t *testing.T) {
 		get(t, url)
 	}
 	ts.Close()
-	if !s.Supervisor().Quarantined("GaussianBlur", "neon") {
-		t.Fatal("pair not quarantined in first process")
+	if st := s.Breakers().State("GaussianBlur", "neon"); st != resilience.StateStuckOpen {
+		t.Fatalf("pair not quarantined in first process: %v", st)
 	}
 
 	// "Restart": a fresh server over the same journal, with no injector —
 	// the quarantine must hold without any new panics.
 	s2 := NewServer(Config{QuarantineJournal: path})
 	defer s2.Close()
-	if !s2.Supervisor().Quarantined("GaussianBlur", "neon") {
-		t.Fatal("restarted server lost the quarantine")
+	if qs := s2.Breakers().Quarantines(); len(qs) != 1 || qs[0].Kernel != "GaussianBlur" || qs[0].Reason != resilience.ReasonPanic {
+		t.Fatalf("restarted server lost the quarantine: %+v", qs)
 	}
 	if st := s2.Breakers().State("GaussianBlur", "neon"); st != resilience.StateStuckOpen {
 		t.Errorf("restarted breaker state = %v, want stuck-open", st)

@@ -2,22 +2,22 @@
 // parallel bands and the serving front-end's workers: a heartbeat watchdog
 // that detects wedged bands and cancels their siblings (watchdog.go), and a
 // panic supervisor that promotes "rethrow the lowest band panic" into a
-// policy — a (kernel, ISA) pair that panics repeatedly is quarantined to
-// the scalar, serial path and its circuit breaker is latched terminally
-// open, with the quarantine decision journaled (internal/checkpoint) so a
-// restarted process does not re-probe a known-poisonous path.
+// policy — it counts panics per (kernel, ISA) pair, names the record that
+// crosses QuarantinePolicy.MaxPanics, and journals that decision
+// (internal/checkpoint) so a restarted process does not re-probe a
+// known-poisonous path.
 //
 // The split of responsibilities with internal/resilience: breakers answer
-// "should this call use SIMD right now?" from guard verdicts; the
-// supervisor answers "should this pair ever run SIMD again in this
-// process?" from crashes and stalls — and enforces its answer through the
-// breaker's terminal StuckOpen state.
+// "should this call use SIMD right now?" from guard verdicts, and hold
+// every quarantine as a stuck-open breaker with a reason; the supervisor
+// answers "has this pair panicked too often?" and leaves the latch to its
+// caller (the cv call frame quarantines the pair's breaker for panic, the
+// serving layer replays the journal into the same breakers at startup).
 package super
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,14 +51,13 @@ type QuarantineRecord struct {
 	UnixNano int64  `json:"unix_nano"`
 }
 
-// Supervisor tracks panics per (kernel, ISA) pair and quarantines repeat
-// offenders. All methods are safe for concurrent use.
+// Supervisor tracks panics per (kernel, ISA) pair and names repeat
+// offenders for quarantine. All methods are safe for concurrent use.
 type Supervisor struct {
 	mu      sync.Mutex
 	policy  QuarantinePolicy
 	reg     *obs.Registry
 	panics  map[string]int
-	q       map[string]QuarantineRecord
 	journal *checkpoint.Journal
 	clock   func() time.Time
 }
@@ -70,7 +69,6 @@ func NewSupervisor(policy QuarantinePolicy, reg *obs.Registry) *Supervisor {
 		policy: policy.normalized(),
 		reg:    reg,
 		panics: map[string]int{},
-		q:      map[string]QuarantineRecord{},
 		clock:  time.Now,
 	}
 }
@@ -88,16 +86,15 @@ func (s *Supervisor) SetClock(clock func() time.Time) {
 func key(kernel, isa string) string { return kernel + "/" + isa }
 
 // AttachJournal binds a checkpoint journal to the supervisor: existing
-// records are replayed into the quarantine set (so a restarted process
-// keeps its quarantines) and future quarantine decisions are appended to
-// it. It returns the replayed records so the caller can mirror them into
-// other subsystems (the serving layer latches the matching breakers
-// stuck-open).
+// records are replayed (a replayed pair counts as at least MaxPanics, so
+// it is never named for quarantine twice) and future quarantine decisions
+// are appended to it. It returns the replayed records for the caller to
+// latch (the serving layer quarantines the matching breakers for panic).
 func (s *Supervisor) AttachJournal(j *checkpoint.Journal) ([]QuarantineRecord, error) {
 	replayed := make([]QuarantineRecord, 0, j.Len())
 	for _, rec := range j.Records() {
 		var qr QuarantineRecord
-		if err := checkpointUnmarshal(rec, &qr); err != nil {
+		if err := json.Unmarshal(rec.Data, &qr); err != nil {
 			return nil, fmt.Errorf("super: quarantine journal record %d: %w", rec.Seq, err)
 		}
 		replayed = append(replayed, qr)
@@ -107,33 +104,21 @@ func (s *Supervisor) AttachJournal(j *checkpoint.Journal) ([]QuarantineRecord, e
 	s.journal = j
 	for _, qr := range replayed {
 		k := key(qr.Kernel, qr.ISA)
-		if _, ok := s.q[k]; ok {
-			continue
-		}
-		s.q[k] = qr
-		if s.panics[k] < qr.Panics {
-			s.panics[k] = qr.Panics
-		}
-		s.gaugeLocked(qr.Kernel, qr.ISA)
+		s.panics[k] = max(s.panics[k], qr.Panics, s.policy.MaxPanics)
 	}
 	return replayed, nil
 }
 
-func checkpointUnmarshal(rec checkpoint.Record, v any) error {
-	return json.Unmarshal(rec.Data, v)
-}
-
 // RecordPanic counts one panic for the pair and reports whether this very
-// record pushed it into quarantine (so the caller can take the one-time
-// enforcement action, e.g. latch the breaker stuck-open). Already-
-// quarantined pairs return false.
+// record pushed it to MaxPanics, so the caller can take the one-time
+// enforcement action (latch the pair's breaker stuck-open). Later panics
+// of the same pair return false.
 func (s *Supervisor) RecordPanic(kernel, isa string, value any) bool {
 	s.mu.Lock()
 	k := key(kernel, isa)
 	s.panics[k]++
 	n := s.panics[k]
-	_, already := s.q[k]
-	newly := !already && n >= s.policy.MaxPanics
+	newly := n == s.policy.MaxPanics
 	var rec QuarantineRecord
 	if newly {
 		rec = QuarantineRecord{
@@ -141,13 +126,9 @@ func (s *Supervisor) RecordPanic(kernel, isa string, value any) bool {
 			Reason:   fmt.Sprintf("panic: %v", value),
 			UnixNano: s.clock().UnixNano(),
 		}
-		s.q[k] = rec
 	}
 	j := s.journal
 	reg := s.reg
-	if reg != nil {
-		s.gaugeLocked(kernel, isa)
-	}
 	s.mu.Unlock()
 
 	if reg != nil {
@@ -155,7 +136,7 @@ func (s *Supervisor) RecordPanic(kernel, isa string, value any) bool {
 		reg.Counter("worker_panics_total", lk, li).Inc()
 		reg.Emit("supervisor.panic", map[string]any{
 			"kernel": kernel, "isa": isa, "count": n,
-			"panic": fmt.Sprint(value), "quarantined": newly || already,
+			"panic": fmt.Sprint(value), "quarantined": n >= s.policy.MaxPanics,
 		})
 		if newly {
 			reg.Counter("quarantine_total", lk, li).Inc()
@@ -170,42 +151,4 @@ func (s *Supervisor) RecordPanic(kernel, isa string, value any) bool {
 		}
 	}
 	return newly
-}
-
-// gaugeLocked publishes the pair's quarantine flag. Callers hold mu.
-func (s *Supervisor) gaugeLocked(kernel, isa string) {
-	if s.reg == nil {
-		return
-	}
-	v := 0.0
-	if _, ok := s.q[key(kernel, isa)]; ok {
-		v = 1.0
-	}
-	s.reg.Gauge("quarantined", obs.L("kernel", kernel), obs.L("isa", isa)).Set(v)
-}
-
-// Quarantined reports whether the pair is quarantined.
-func (s *Supervisor) Quarantined(kernel, isa string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.q[key(kernel, isa)]
-	return ok
-}
-
-// Quarantines returns every quarantine decision, sorted by (kernel, ISA),
-// for the /livez view and logs.
-func (s *Supervisor) Quarantines() []QuarantineRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]QuarantineRecord, 0, len(s.q))
-	for _, rec := range s.q {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kernel != out[j].Kernel {
-			return out[i].Kernel < out[j].Kernel
-		}
-		return out[i].ISA < out[j].ISA
-	})
-	return out
 }

@@ -8,35 +8,50 @@ import (
 
 	"simdstudy/internal/checkpoint"
 	"simdstudy/internal/obs"
+	"simdstudy/internal/resilience"
 )
+
+// latchPanics mirrors the cv call frame: a panic that RecordPanic names
+// for quarantine latches the pair's breaker stuck-open for panic.
+func latchPanics(s *Supervisor, brk *resilience.BreakerSet, kernel, isa string, value any) bool {
+	newly := s.RecordPanic(kernel, isa, value)
+	if newly {
+		brk.Quarantine(kernel, isa, resilience.ReasonPanic)
+	}
+	return newly
+}
 
 func TestSupervisorQuarantine(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := NewSupervisor(QuarantinePolicy{MaxPanics: 3}, reg)
+	brk := resilience.NewBreakerSet(resilience.BreakerConfig{}, reg)
+	quarantined := func(kernel, isa string) bool {
+		return brk.State(kernel, isa) == resilience.StateStuckOpen
+	}
 
 	for i := 1; i <= 2; i++ {
-		if s.RecordPanic("Canny", "neon", "bad") {
+		if latchPanics(s, brk, "Canny", "neon", "bad") {
 			t.Fatalf("panic %d should not quarantine", i)
 		}
-		if s.Quarantined("Canny", "neon") {
+		if quarantined("Canny", "neon") {
 			t.Fatalf("quarantined after %d panics", i)
 		}
 	}
-	if !s.RecordPanic("Canny", "neon", "bad") {
+	if !latchPanics(s, brk, "Canny", "neon", "bad") {
 		t.Fatal("third panic must newly quarantine")
 	}
-	if !s.Quarantined("Canny", "neon") {
+	if !quarantined("Canny", "neon") {
 		t.Fatal("pair not quarantined")
 	}
 	// Only the quarantining record returns true.
-	if s.RecordPanic("Canny", "neon", "bad") {
+	if latchPanics(s, brk, "Canny", "neon", "bad") {
 		t.Fatal("already-quarantined pair must not report newly")
 	}
 	if n := s.panics[key("Canny", "neon")]; n != 4 {
 		t.Fatalf("panic count = %d, want 4", n)
 	}
 	// Other pairs are unaffected.
-	if s.Quarantined("Canny", "sse2") || s.Quarantined("SobelFilter", "neon") {
+	if quarantined("Canny", "sse2") || quarantined("SobelFilter", "neon") {
 		t.Fatal("quarantine leaked to other pairs")
 	}
 
@@ -47,12 +62,12 @@ func TestSupervisorQuarantine(t *testing.T) {
 	if got := snap[`worker_panics_total{isa="neon",kernel="Canny"}`]; got != 4 {
 		t.Errorf("worker_panics_total = %v, want 4", got)
 	}
-	if got := snap[`quarantined{isa="neon",kernel="Canny"}`]; got != 1 {
-		t.Errorf("quarantined gauge = %v, want 1", got)
+	if got := snap[`breaker_state{isa="neon",kernel="Canny"}`]; got != float64(resilience.StateStuckOpen) {
+		t.Errorf("breaker_state gauge = %v, want %d (stuck-open)", got, resilience.StateStuckOpen)
 	}
 
-	qs := s.Quarantines()
-	if len(qs) != 1 || qs[0].Kernel != "Canny" || qs[0].ISA != "neon" || qs[0].Panics != 3 {
+	qs := brk.Quarantines()
+	if len(qs) != 1 || qs[0].Kernel != "Canny" || qs[0].ISA != "neon" || qs[0].Reason != resilience.ReasonPanic {
 		t.Errorf("Quarantines = %+v", qs)
 	}
 }
@@ -94,8 +109,22 @@ func TestQuarantineJournalPersistence(t *testing.T) {
 	if !strings.Contains(qr.Reason, "index out of range") {
 		t.Errorf("Reason = %q", qr.Reason)
 	}
-	if !s2.Quarantined("MedianBlur3x3", "sse2") {
-		t.Fatal("restarted supervisor lost the quarantine")
+	// The restarted process latches the replayed pair, and the replayed
+	// count keeps a later panic from naming it (and journaling it) again.
+	brk := resilience.NewBreakerSet(resilience.BreakerConfig{}, nil)
+	for _, qr := range replayed {
+		brk.Quarantine(qr.Kernel, qr.ISA, resilience.ReasonPanic)
+	}
+	if st := brk.State("MedianBlur3x3", "sse2"); st != resilience.StateStuckOpen {
+		t.Fatalf("restarted process lost the quarantine: %v", st)
+	}
+	for i := 0; i < 4; i++ {
+		if s2.RecordPanic("MedianBlur3x3", "sse2", "again") {
+			t.Fatalf("replayed pair named for quarantine again at panic %d", i+1)
+		}
+	}
+	if j2.Len() != 1 {
+		t.Fatalf("journal holds %d records, want 1", j2.Len())
 	}
 }
 
