@@ -103,7 +103,7 @@ func (o *Ops) cannyStagedNMS(src, nms *image.Mat, lowThresh, highThresh int16) e
 	mag := par.GetMat(w, h, image.S16)
 	defer par.PutMat(mag)
 	n := w * h
-	parFlat(o, n, cannyMagArgs{gx.S16Pix, gy.S16Pix, mag.S16Pix}, cannyMagChunk)
+	parFlat(o, n, cannyMagArgs{gx.S16Pix, gy.S16Pix, mag.S16Pix}, cannyMagChunk, nil)
 
 	// Stage 3: non-maximum suppression. Direction is quantized to
 	// horizontal / vertical / the two diagonals using the |gy| vs |gx|
@@ -113,7 +113,7 @@ func (o *Ops) cannyStagedNMS(src, nms *image.Mat, lowThresh, highThresh int16) e
 	parRows(o, h, cannyNMSArgs{
 		gx: gx.S16Pix, gy: gy.S16Pix, mag: mag.S16Pix, nms: nms.U8Pix,
 		w: w, h: h, low: lowThresh, high: highThresh,
-	}, cannyNMSRow)
+	}, cannyNMSRow, nil)
 	return nil
 }
 

@@ -60,7 +60,7 @@ type grayArgs struct {
 
 func (o *Ops) rgbToGrayScalar(src *image.RGB, dst *image.Mat) {
 	a := grayArgs{rgb: src.Pix, d: dst.U8Pix}
-	parFlat(o, dst.Pixels(), a, grayScalarChunk)
+	parFlat(o, dst.Pixels(), a, grayScalarChunk, nil)
 }
 
 func grayScalarChunk(b *Ops, a grayArgs, lo, hi int) {
@@ -87,7 +87,7 @@ func (o *Ops) rgbToGrayNEON(src *image.RGB, dst *image.Mat) {
 	a.wr = o.n.VdupNU8(grayR)
 	a.wg = o.n.VdupNU8(grayG)
 	a.wb = o.n.VdupNU8(grayB)
-	parFlat(o, dst.Pixels(), a, grayNEONChunk)
+	parFlat(o, dst.Pixels(), a, grayNEONChunk, grayNEONChunkLanes)
 }
 
 func grayNEONChunk(b *Ops, a grayArgs, lo, hi int) {

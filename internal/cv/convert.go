@@ -60,7 +60,7 @@ type convArgs struct {
 //
 //	for (; x < size.width; x++) dst[x] = saturate_cast<short>(src[x]);
 func (o *Ops) convertScalar(src, dst *image.Mat) {
-	parFlat(o, len(src.F32Pix), convArgs{src.F32Pix, dst.S16Pix}, convScalarChunk)
+	parFlat(o, len(src.F32Pix), convArgs{src.F32Pix, dst.S16Pix}, convScalarChunk, nil)
 }
 
 func convScalarChunk(b *Ops, a convArgs, lo, hi int) {
@@ -96,7 +96,7 @@ func (o *Ops) cvRound(v float32) int32 {
 // bookkeeping instructions.
 func (o *Ops) convertNEON(src, dst *image.Mat) {
 	defer o.n.Session("convert", o.curSpan()).End()
-	parFlat(o, len(src.F32Pix), convArgs{src.F32Pix, dst.S16Pix}, convNEONChunk)
+	parFlat(o, len(src.F32Pix), convArgs{src.F32Pix, dst.S16Pix}, convNEONChunk, convNEONChunkLanes)
 }
 
 func convNEONChunk(b *Ops, a convArgs, lo, hi int) {
@@ -133,7 +133,7 @@ func convNEONChunk(b *Ops, a convArgs, lo, hi int) {
 // Section III-A listing: 8 pixels per iteration, 6 SSE2 instructions.
 func (o *Ops) convertSSE2(src, dst *image.Mat) {
 	defer o.s.Session("convert", o.curSpan()).End()
-	parFlat(o, len(src.F32Pix), convArgs{src.F32Pix, dst.S16Pix}, convSSE2Chunk)
+	parFlat(o, len(src.F32Pix), convArgs{src.F32Pix, dst.S16Pix}, convSSE2Chunk, convSSE2ChunkLanes)
 }
 
 func convSSE2Chunk(b *Ops, a convArgs, lo, hi int) {

@@ -94,7 +94,7 @@ type magThreshArgs struct {
 
 func (o *Ops) magThreshScalar(gx, gy, dst *image.Mat, thresh int16) {
 	a := magThreshArgs{gx: gx.S16Pix, gy: gy.S16Pix, d: dst.U8Pix, thresh: thresh}
-	parFlat(o, dst.Pixels(), a, magThreshScalarChunk)
+	parFlat(o, dst.Pixels(), a, magThreshScalarChunk, nil)
 }
 
 func magThreshScalarChunk(b *Ops, a magThreshArgs, lo, hi int) {
@@ -116,7 +116,7 @@ func (o *Ops) magThreshNEON(gx, gy, dst *image.Mat, thresh int16) {
 	defer o.n.Session("magthresh", o.curSpan()).End()
 	a := magThreshArgs{gx: gx.S16Pix, gy: gy.S16Pix, d: dst.U8Pix, thresh: thresh}
 	a.vthresh = o.n.VdupqNS16(thresh)
-	parFlat(o, dst.Pixels(), a, magThreshNEONChunk)
+	parFlat(o, dst.Pixels(), a, magThreshNEONChunk, magThreshNEONChunkLanes)
 }
 
 func magThreshNEONChunk(b *Ops, a magThreshArgs, lo, hi int) {
@@ -147,7 +147,7 @@ func (o *Ops) magThreshSSE2(gx, gy, dst *image.Mat, thresh int16) {
 	defer o.s.Session("magthresh", o.curSpan()).End()
 	a := magThreshArgs{gx: gx.S16Pix, gy: gy.S16Pix, d: dst.U8Pix, thresh: thresh}
 	a.vthresh = o.s.Set1Epi16(thresh)
-	parFlat(o, dst.Pixels(), a, magThreshSSE2Chunk)
+	parFlat(o, dst.Pixels(), a, magThreshSSE2Chunk, magThreshSSE2ChunkLanes)
 }
 
 func magThreshSSE2Chunk(b *Ops, a magThreshArgs, lo, hi int) {
@@ -194,7 +194,7 @@ func (o *Ops) GradientMagnitude(gx, gy, dst *image.Mat) error {
 		if err := sameShape(gy, dst); err != nil {
 			return err
 		}
-		parFlat(o, dst.Pixels(), cannyMagArgs{gx.S16Pix, gy.S16Pix, dst.S16Pix}, cannyMagChunk)
+		parFlat(o, dst.Pixels(), cannyMagArgs{gx.S16Pix, gy.S16Pix, dst.S16Pix}, cannyMagChunk, nil)
 		return nil
 	})
 }

@@ -232,21 +232,27 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 	gyW.Bind(gy.S16Pix, w, g.Cap[fsDiffV])
 	magW.Bind(mag.S16Pix, w, g.Cap[fsMag])
 
-	// Body selection and per-sweep hoists, mirroring the staged pass
-	// wrappers: the SSE2 horizontal passes each hoist one unpack constant,
-	// so the fused sweep records exactly two SetzeroSi128 as well.
+	// Body selection, with each body's lane twin, and per-sweep hoists,
+	// mirroring the staged pass wrappers: the SSE2 horizontal passes each
+	// hoist one unpack constant, so the fused sweep records exactly two
+	// SetzeroSi128 as well.
 	diffHBody, smoothVBody, smoothHBody, diffVBody := sobelDiffHScalarRow,
 		sobelSmoothVScalarRow, sobelSmoothHScalarRow, sobelDiffVScalarRow
+	var diffHLanes, smoothVLanes, smoothHLanes, diffVLanes func(*Ops, sobelArgs, int)
 	var zeroDiffH, zeroSmoothH vec.V128
 	switch o.path() {
 	case ISANEON:
 		defer o.n.Session("canny.fused", o.curSpan()).End()
 		diffHBody, smoothVBody = sobelDiffHNEONRow, sobelSmoothVNEONRow
 		smoothHBody, diffVBody = sobelSmoothHNEONRow, sobelDiffVNEONRow
+		diffHLanes, smoothVLanes = sobelDiffHNEONRowLanes, sobelSmoothVNEONRowLanes
+		smoothHLanes, diffVLanes = sobelSmoothHNEONRowLanes, sobelDiffVNEONRowLanes
 	case ISASSE2:
 		defer o.s.Session("canny.fused", o.curSpan()).End()
 		diffHBody, smoothVBody = sobelDiffHSSE2Row, sobelSmoothVSSE2Row
 		smoothHBody, diffVBody = sobelSmoothHSSE2Row, sobelDiffVSSE2Row
+		diffHLanes, smoothVLanes = sobelDiffHSSE2RowLanes, sobelSmoothVSSE2RowLanes
+		smoothHLanes, diffVLanes = sobelSmoothHSSE2RowLanes, sobelDiffVSSE2RowLanes
 		zeroDiffH = o.s.SetzeroSi128()
 		zeroSmoothH = o.s.SetzeroSi128()
 	}
@@ -258,7 +264,7 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 			parRowsRange(o, y0, y1, sobelArgs{
 				in8: src.U8Pix, out: t1W.Buf(), w: w, h: h,
 				outLo: t1W.Lo(), zero: zeroDiffH,
-			}, diffHBody)
+			}, diffHBody, diffHLanes)
 		}
 		gxW.Slide(g.Keep(fsSmoothV, k))
 		if y0, y1 := g.StageRows(fsSmoothV, k); y1 > y0 {
@@ -266,7 +272,7 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 			parRowsRange(o, y0, y1, sobelArgs{
 				in16: t1W.Buf(), out: gxW.Buf(), w: w, h: h,
 				inLo: t1W.Lo(), outLo: gxW.Lo(),
-			}, smoothVBody)
+			}, smoothVBody, smoothVLanes)
 		}
 		t2W.Slide(g.Keep(fsSmoothH, k))
 		if y0, y1 := g.StageRows(fsSmoothH, k); y1 > y0 {
@@ -274,7 +280,7 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 			parRowsRange(o, y0, y1, sobelArgs{
 				in8: src.U8Pix, out: t2W.Buf(), w: w, h: h,
 				outLo: t2W.Lo(), zero: zeroSmoothH,
-			}, smoothHBody)
+			}, smoothHBody, smoothHLanes)
 		}
 		gyW.Slide(g.Keep(fsDiffV, k))
 		if y0, y1 := g.StageRows(fsDiffV, k); y1 > y0 {
@@ -282,7 +288,7 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 			parRowsRange(o, y0, y1, sobelArgs{
 				in16: t2W.Buf(), out: gyW.Buf(), w: w, h: h,
 				inLo: t2W.Lo(), outLo: gyW.Lo(),
-			}, diffVBody)
+			}, diffVBody, diffVLanes)
 		}
 		magW.Slide(g.Keep(fsMag, k))
 		if y0, y1 := g.StageRows(fsMag, k); y1 > y0 {
@@ -293,7 +299,7 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 				gx:  gxW.Buf()[(y0-gxW.Lo())*w:],
 				gy:  gyW.Buf()[(y0-gyW.Lo())*w:],
 				mag: magW.Buf()[(y0-magW.Lo())*w:],
-			}, cannyMagChunk)
+			}, cannyMagChunk, nil)
 		}
 		if y0, y1 := g.StageRows(fsNMS, k); y1 > y0 {
 			if gxW.Lo() != gyW.Lo() {
@@ -303,7 +309,7 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 				gx: gxW.Buf(), gy: gyW.Buf(), mag: magW.Buf(), nms: nms.U8Pix,
 				w: w, h: h, magLo: magW.Lo(), gLo: gxW.Lo(),
 				low: lowThresh, high: highThresh,
-			}, cannyNMSRow)
+			}, cannyNMSRow, nil)
 		}
 	}
 
@@ -344,19 +350,25 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 	diffHBody, smoothVBody, smoothHBody, diffVBody := sobelDiffHScalarRow,
 		sobelSmoothVScalarRow, sobelSmoothHScalarRow, sobelDiffVScalarRow
 	combineBody := magThreshScalarChunk
+	var diffHLanes, smoothVLanes, smoothHLanes, diffVLanes func(*Ops, sobelArgs, int)
+	var combineLanes func(*Ops, magThreshArgs, int, int)
 	var zeroDiffH, zeroSmoothH, vthresh vec.V128
 	switch o.path() {
 	case ISANEON:
 		defer o.n.Session("edges.fused", o.curSpan()).End()
 		diffHBody, smoothVBody = sobelDiffHNEONRow, sobelSmoothVNEONRow
 		smoothHBody, diffVBody = sobelSmoothHNEONRow, sobelDiffVNEONRow
-		combineBody = magThreshNEONChunk
+		diffHLanes, smoothVLanes = sobelDiffHNEONRowLanes, sobelSmoothVNEONRowLanes
+		smoothHLanes, diffVLanes = sobelSmoothHNEONRowLanes, sobelDiffVNEONRowLanes
+		combineBody, combineLanes = magThreshNEONChunk, magThreshNEONChunkLanes
 		vthresh = o.n.VdupqNS16(thresh)
 	case ISASSE2:
 		defer o.s.Session("edges.fused", o.curSpan()).End()
 		diffHBody, smoothVBody = sobelDiffHSSE2Row, sobelSmoothVSSE2Row
 		smoothHBody, diffVBody = sobelSmoothHSSE2Row, sobelDiffVSSE2Row
-		combineBody = magThreshSSE2Chunk
+		diffHLanes, smoothVLanes = sobelDiffHSSE2RowLanes, sobelSmoothVSSE2RowLanes
+		smoothHLanes, diffVLanes = sobelSmoothHSSE2RowLanes, sobelDiffVSSE2RowLanes
+		combineBody, combineLanes = magThreshSSE2Chunk, magThreshSSE2ChunkLanes
 		zeroDiffH = o.s.SetzeroSi128()
 		zeroSmoothH = o.s.SetzeroSi128()
 		vthresh = o.s.Set1Epi16(thresh)
@@ -370,7 +382,7 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 			parRowsRange(o, y0, y1, sobelArgs{
 				in8: src.U8Pix, out: t1W.Buf(), w: w, h: h,
 				outLo: t1W.Lo(), zero: zeroDiffH,
-			}, diffHBody)
+			}, diffHBody, diffHLanes)
 		}
 		gxW.Slide(g.Keep(fsSmoothV, k))
 		if y0, y1 := g.StageRows(fsSmoothV, k); y1 > y0 {
@@ -378,7 +390,7 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 			parRowsRange(o, y0, y1, sobelArgs{
 				in16: t1W.Buf(), out: gxW.Buf(), w: w, h: h,
 				inLo: t1W.Lo(), outLo: gxW.Lo(),
-			}, smoothVBody)
+			}, smoothVBody, smoothVLanes)
 		}
 		t2W.Slide(g.Keep(fsSmoothH, k))
 		if y0, y1 := g.StageRows(fsSmoothH, k); y1 > y0 {
@@ -386,7 +398,7 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 			parRowsRange(o, y0, y1, sobelArgs{
 				in8: src.U8Pix, out: t2W.Buf(), w: w, h: h,
 				outLo: t2W.Lo(), zero: zeroSmoothH,
-			}, smoothHBody)
+			}, smoothHBody, smoothHLanes)
 		}
 		gyW.Slide(g.Keep(fsDiffV, k))
 		if y0, y1 := g.StageRows(fsDiffV, k); y1 > y0 {
@@ -394,7 +406,7 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 			parRowsRange(o, y0, y1, sobelArgs{
 				in16: t2W.Buf(), out: gyW.Buf(), w: w, h: h,
 				inLo: t2W.Lo(), outLo: gyW.Lo(),
-			}, diffVBody)
+			}, diffVBody, diffVLanes)
 		}
 		// Combine everything the gradients now cover, rounded down to the
 		// staged chunk grid; the final strip takes the plane's tail too.
@@ -411,7 +423,7 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 			parFlatRange(o, done-base, c1-base, magThreshArgs{
 				gx: gxW.Buf(), gy: gyW.Buf(), d: dst.U8Pix[base:],
 				thresh: thresh, vthresh: vthresh,
-			}, combineBody)
+			}, combineBody, combineLanes)
 			done = c1
 		}
 	}

@@ -12,7 +12,16 @@ import (
 // (weights sum to exactly 256), the discretization OpenCV's 8-bit filters
 // use. The paper's benchmark 3 convolves with an anisotropic Gaussian of
 // standard deviation 1; for 8U images OpenCV derives a 7-tap kernel.
-var GaussKernel7 = [7]uint16{1, 14, 62, 102, 62, 14, 1}
+var GaussKernel7 = [7]uint16{gaussW0, gaussW1, gaussW2, gaussW3, gaussW2, gaussW1, gaussW0}
+
+// The kernel's symmetric weights, outermost tap first, as constants so
+// the scalar taps multiply by immediates.
+const (
+	gaussW0 = 1
+	gaussW1 = 14
+	gaussW2 = 62
+	gaussW3 = 102
+)
 
 const gaussShift = 8 // fixed-point fractional bits; kernel sums to 1<<8
 
@@ -115,7 +124,7 @@ type gaussArgs struct {
 
 func (o *Ops) gaussHorizScalar(src, dst *image.Mat) {
 	a := gaussArgs{src: src.U8Pix, dst: dst.U8Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, gaussHorizScalarRow)
+	parRows(o, src.Height, a, gaussHorizScalarRow, nil)
 }
 
 func gaussHorizScalarRow(b *Ops, a gaussArgs, y int) {
@@ -134,18 +143,18 @@ func gaussHorizScalarRow(b *Ops, a gaussArgs, y int) {
 }
 
 // gaussTaps filters seven in-range taps exactly as gaussPixelH and
-// gaussPixelV do.
+// gaussPixelV do. It is the scalar rows' inner loop and so the guard
+// referee's: folding the symmetric taps onto constant weights keeps the
+// referee a small share of a guarded call as the emulated rows speed up.
 func gaussTaps(t *[7]uint8) uint8 {
-	var acc uint32
-	for k, v := range t {
-		acc += uint32(GaussKernel7[k]) * uint32(v)
-	}
+	acc := gaussW0*(uint32(t[0])+uint32(t[6])) + gaussW1*(uint32(t[1])+uint32(t[5])) +
+		gaussW2*(uint32(t[2])+uint32(t[4])) + gaussW3*uint32(t[3])
 	return uint8((acc + 1<<(gaussShift-1)) >> gaussShift)
 }
 
 func (o *Ops) gaussVertScalar(src, dst *image.Mat) {
 	a := gaussArgs{src: src.U8Pix, dst: dst.U8Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, gaussVertScalarRow)
+	parRows(o, src.Height, a, gaussVertScalarRow, nil)
 }
 
 func gaussVertScalarRow(b *Ops, a gaussArgs, y int) {
@@ -185,7 +194,7 @@ func (o *Ops) gaussHorizNEON(src, dst *image.Mat) {
 	for k := range a.wd {
 		a.wd[k] = o.n.VdupNU8(uint8(GaussKernel7[k]))
 	}
-	parRows(o, src.Height, a, gaussHorizNEONRow)
+	parRows(o, src.Height, a, gaussHorizNEONRow, gaussHorizNEONRowLanes)
 }
 
 func gaussHorizNEONRow(b *Ops, a gaussArgs, y int) {
@@ -224,7 +233,7 @@ func (o *Ops) gaussVertNEON(src, dst *image.Mat) {
 	for k := range a.wd {
 		a.wd[k] = o.n.VdupNU8(uint8(GaussKernel7[k]))
 	}
-	parRows(o, src.Height, a, gaussVertNEONRow)
+	parRows(o, src.Height, a, gaussVertNEONRow, gaussVertNEONRowLanes)
 }
 
 func gaussVertNEONRow(b *Ops, a gaussArgs, y int) {
@@ -263,7 +272,7 @@ func (o *Ops) gaussHorizSSE2(src, dst *image.Mat) {
 		a.wv[k] = o.s.Set1Epi16(int16(GaussKernel7[k]))
 	}
 	a.half = o.s.Set1Epi16(1 << (gaussShift - 1))
-	parRows(o, src.Height, a, gaussHorizSSE2Row)
+	parRows(o, src.Height, a, gaussHorizSSE2Row, gaussHorizSSE2RowLanes)
 }
 
 func gaussHorizSSE2Row(b *Ops, a gaussArgs, y int) {
@@ -304,7 +313,7 @@ func (o *Ops) gaussVertSSE2(src, dst *image.Mat) {
 		a.wv[k] = o.s.Set1Epi16(int16(GaussKernel7[k]))
 	}
 	a.half = o.s.Set1Epi16(1 << (gaussShift - 1))
-	parRows(o, src.Height, a, gaussVertSSE2Row)
+	parRows(o, src.Height, a, gaussVertSSE2Row, gaussVertSSE2RowLanes)
 }
 
 func gaussVertSSE2Row(b *Ops, a gaussArgs, y int) {

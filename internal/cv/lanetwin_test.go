@@ -1,0 +1,110 @@
+package cv
+
+import (
+	"testing"
+
+	"simdstudy/internal/faults"
+	"simdstudy/internal/image"
+	"simdstudy/internal/trace"
+	"simdstudy/internal/vec"
+)
+
+// nopInjector leaves every value and address as it is. Attaching it forces
+// the instrumented bodies without changing a result.
+type nopInjector struct{}
+
+func (nopInjector) V128(_ faults.Site, v vec.V128) vec.V128 { return v }
+func (nopInjector) V64(_ faults.Site, v vec.V64) vec.V64    { return v }
+func (nopInjector) Skew(faults.Site, int) int               { return 0 }
+
+// laneRun is one kernel call on a fresh Ops, returning its output plane.
+type laneRun func(tc *trace.Counter, inj faults.Injector) (*image.Mat, error)
+
+// checkLaneTwins holds a kernel's lane twins to its instrumented bodies:
+// the twin path (no injector) writes the plane the instrumented path (a
+// no-op injector) writes, and counted twins (a traced Ops) record exactly
+// the ops the instrumented bodies record (a counter capturing a sequence,
+// whose tallies refuse to bind).
+func checkLaneTwins(t *testing.T, what string, run laneRun) {
+	t.Helper()
+	twin, errT := run(nil, nil)
+	inst, errI := run(nil, nopInjector{})
+	if (errT == nil) != (errI == nil) {
+		t.Fatalf("%s: twin error %v, instrumented error %v", what, errT, errI)
+	}
+	if errT != nil {
+		return
+	}
+	if !twin.EqualTo(inst) {
+		t.Fatalf("%s: %d pixels differ between the twin and instrumented paths", what, twin.DiffCount(inst, 0))
+	}
+	counted, listed := &trace.Counter{}, &trace.Counter{SeqCap: 1}
+	if _, err := run(counted, nil); err != nil {
+		t.Fatalf("%s traced: %v", what, err)
+	}
+	if _, err := run(listed, nil); err != nil {
+		t.Fatalf("%s listed: %v", what, err)
+	}
+	if got, want := counted.Summary(), listed.Summary(); got != want {
+		t.Fatalf("%s: counted twins record\n%s\ninstrumented bodies record\n%s", what, got, want)
+	}
+}
+
+// TestLaneTwinsMatchInstrumented: for every served kernel on NEON and SSE2,
+// over widths around the 8- and 16-lane quanta, heights with and without
+// an interior, one and four workers, fused and staged, the lane twins are
+// indistinguishable from the instrumented bodies in planes and counts.
+func TestLaneTwinsMatchInstrumented(t *testing.T) {
+	for ki, k := range fuzzKernels {
+		for _, isa := range []ISA{ISANEON, ISASSE2} {
+			for _, w := range []int{1, 7, 8, 9, 17, 640} {
+				for _, h := range []int{1, 3, 480} {
+					if raceEnabled && w == 640 && h == 480 {
+						// The race build hunts data races, which the narrow
+						// 480-row planes band as well; the full VGA plane
+						// costs it minutes.
+						continue
+					}
+					seed := uint64(ki)*0x9E3779B97F4A7C15 + uint64(w*h)
+					src := fuzzSource(k.src, w, h, seed)
+					dw, dh := w, h
+					if k.halfDst {
+						dw, dh = max(w/2, 1), max(h/2, 1)
+					}
+					for _, workers := range []int{1, 4} {
+						for _, fuse := range []bool{false, true} {
+							if fuse && !k.fusable {
+								continue
+							}
+							checkLaneTwins(t, k.name+" "+isa.String(), func(tc *trace.Counter, inj faults.Injector) (*image.Mat, error) {
+								o := NewOps(isa, tc)
+								o.SetParallel(ParallelConfig{Workers: workers, MinRowsPerBand: 1})
+								o.SetFuse(FuseConfig{Enabled: fuse})
+								if inj != nil {
+									o.SetFaultInjector(inj)
+								}
+								dst := image.NewMat(dw, dh, k.dst)
+								return dst, k.run(o, seed, src, dst)
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	// RGBToGray is not served, but its NEON chunk has a twin too.
+	for _, w := range []int{1, 7, 8, 9, 17, 640} {
+		for _, workers := range []int{1, 4} {
+			src := image.SyntheticRGB(image.Resolution{Width: w, Height: 3}, uint64(w))
+			checkLaneTwins(t, "RGBToGray", func(tc *trace.Counter, inj faults.Injector) (*image.Mat, error) {
+				o := NewOps(ISANEON, tc)
+				o.SetParallel(ParallelConfig{Workers: workers, MinRowsPerBand: 1})
+				if inj != nil {
+					o.SetFaultInjector(inj)
+				}
+				dst := image.NewMat(w, 3, image.U8)
+				return dst, o.RGBToGray(src, dst)
+			})
+		}
+	}
+}

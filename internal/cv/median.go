@@ -104,7 +104,7 @@ type medianArgs struct {
 
 func (o *Ops) medianScalar(src, dst *image.Mat) {
 	a := medianArgs{src: src.U8Pix, dst: dst.U8Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, medianScalarRow)
+	parRows(o, src.Height, a, medianScalarRow, nil)
 }
 
 func medianScalarRow(b *Ops, a medianArgs, y int) {
@@ -161,7 +161,7 @@ func (o *Ops) medianNetworkNEON(p *[9]vec.V128) vec.V128 {
 
 func (o *Ops) medianNEON(src, dst *image.Mat) {
 	a := medianArgs{src: src.U8Pix, dst: dst.U8Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, medianNEONRow)
+	parRows(o, src.Height, a, medianNEONRow, medianNEONRowLanes)
 }
 
 func medianNEONRow(b *Ops, a medianArgs, y int) {
@@ -236,7 +236,7 @@ func (o *Ops) medianNetworkSSE2(p *[9]vec.V128) vec.V128 {
 
 func (o *Ops) medianSSE2(src, dst *image.Mat) {
 	a := medianArgs{src: src.U8Pix, dst: dst.U8Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, medianSSE2Row)
+	parRows(o, src.Height, a, medianSSE2Row, medianSSE2RowLanes)
 }
 
 func medianSSE2Row(b *Ops, a medianArgs, y int) {

@@ -1,5 +1,7 @@
 package cv
 
+//go:generate go run ../../cmd/lanegen
+
 import (
 	"context"
 	"runtime/pprof"
@@ -250,9 +252,11 @@ func (o *Ops) watchSerial(sec *super.Section, stop *atomic.Bool, loop func()) {
 
 // parRows runs body(b, a, y) for every row y in [0, rows), banded across
 // the configured workers. A is the pass's argument bundle; bodies are
-// package-level functions so the serial path allocates nothing.
-func parRows[A any](o *Ops, rows int, a A, body func(b *Ops, a A, y int)) {
-	parRowsRange(o, 0, rows, a, body)
+// package-level functions so the serial path allocates nothing. twin is
+// body's lane twin (lanes_gen.go), nil for a body that binds no unit: a
+// band whose unit takes its plain form runs twin instead (see units.run).
+func parRows[A any](o *Ops, rows int, a A, body, twin func(b *Ops, a A, y int)) {
+	parRowsRange(o, 0, rows, a, body, twin)
 }
 
 // parRowsRange is parRows over the half-open row interval [y0, y1) — the
@@ -260,15 +264,16 @@ func parRows[A any](o *Ops, rows int, a A, body func(b *Ops, a A, y int)) {
 // strip). Rows keep their absolute plane indices, so the fault injector's
 // per-row reseed positions are a pure function of the row like the staged
 // path's, and the watchdog heart beats once per row exactly as before.
-func parRowsRange[A any](o *Ops, y0, y1 int, a A, body func(b *Ops, a A, y int)) {
-	runBands(o, units[A]{row: body, first: y0, n: y1 - y0}, a)
+func parRowsRange[A any](o *Ops, y0, y1 int, a A, body, twin func(b *Ops, a A, y int)) {
+	runBands(o, units[A]{row: body, rowLanes: twin, first: y0, n: y1 - y0}, a)
 }
 
 // parFlat runs body(b, a, lo, hi) over [0, n) in flatQuantum-aligned
 // blocks, banded across the configured workers. Only the final block can be
-// a partial quantum, so the scalar tail lives in exactly one band.
-func parFlat[A any](o *Ops, n int, a A, body func(b *Ops, a A, lo, hi int)) {
-	parFlatRange(o, 0, n, a, body)
+// a partial quantum, so the scalar tail lives in exactly one band. twin is
+// body's lane twin, as for parRows.
+func parFlat[A any](o *Ops, n int, a A, body, twin func(b *Ops, a A, lo, hi int)) {
+	parFlatRange(o, 0, n, a, body, twin)
 }
 
 // parFlatRange is parFlat over the half-open element interval [e0, e1) —
@@ -278,33 +283,40 @@ func parFlat[A any](o *Ops, n int, a A, body func(b *Ops, a A, lo, hi int)) {
 // gating does) every block except the final one is a full quantum and the
 // vector/tail split — and with it the recorded instruction stream —
 // matches a single staged sweep exactly.
-func parFlatRange[A any](o *Ops, e0, e1 int, a A, body func(b *Ops, a A, lo, hi int)) {
-	runBands(o, units[A]{flat: body, first: e0, end: e1, n: (e1 - e0 + flatQuantum - 1) / flatQuantum}, a)
+func parFlatRange[A any](o *Ops, e0, e1 int, a A, body, twin func(b *Ops, a A, lo, hi int)) {
+	runBands(o, units[A]{flat: body, flatLanes: twin, first: e0, end: e1, n: (e1 - e0 + flatQuantum - 1) / flatQuantum}, a)
 }
 
 // units is one pass's work for runBands, numbered 0..n-1: rows first+i
 // when row is set, else the flatQuantum-element blocks of [first, end),
 // anchored at first. The pass's argument bundle travels beside it, so a
-// closure capturing both copies each by value when small.
+// closure capturing both copies each by value when small. rowLanes and
+// flatLanes are the bodies' lane twins, nil for bodies that bind no unit.
 type units[A any] struct {
-	row        func(b *Ops, a A, y int)
-	flat       func(b *Ops, a A, lo, hi int)
-	first, end int
-	n          int
+	row, rowLanes   func(b *Ops, a A, y int)
+	flat, flatLanes func(b *Ops, a A, lo, hi int)
+	first, end      int
+	n               int
 }
 
 // run runs units [lo, hi) on b with args a, reseeding rs (when set) at
 // each unit from its stripe: the row, or the block's quantum index in the
 // plane. A row tick counts toward the bound context's progress; a block
-// tick only polls.
+// tick only polls. The band runs the lane twins when b's unit takes its
+// plain form (no injector; untraced, or a tally it can bind), else the
+// instrumented bodies; the choice is made once, here.
 func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) {
+	row, flat := u.row, u.flat
+	if (u.rowLanes != nil || u.flatLanes != nil) && b.lanes() {
+		row, flat = u.rowLanes, u.flatLanes
+	}
 	for i := lo; i < hi; i++ {
-		if u.row != nil {
+		if row != nil {
 			y := u.first + i
 			if rs != nil {
 				rs.Reseed(stripeSalt(salt, y))
 			}
-			u.row(b, a, y)
+			row(b, a, y)
 			b.tick(true)
 			continue
 		}
@@ -312,9 +324,22 @@ func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) 
 		if rs != nil {
 			rs.Reseed(stripeSalt(salt, c/flatQuantum))
 		}
-		u.flat(b, a, c, min(c+flatQuantum, u.end))
+		flat(b, a, c, min(c+flatQuantum, u.end))
 		b.tick(false)
 	}
+}
+
+// lanes reports whether o's unit for its ISA — the one count tallies on —
+// takes its plain form, binding the unit's tally when traced, so lane
+// twins may run on it.
+func (o *Ops) lanes() bool {
+	var ok bool
+	if o.isa == ISASSE2 {
+		_, ok = o.s.Lanes()
+	} else {
+		_, ok = o.n.Lanes()
+	}
+	return ok
 }
 
 // runBands is the one band runner behind every pass. It splits u into

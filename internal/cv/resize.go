@@ -68,7 +68,7 @@ type resizeArgs struct {
 
 func (o *Ops) resizeHalfScalar(src, dst *image.Mat) {
 	a := resizeArgs{src: src.U8Pix, dst: dst.U8Pix, sw: src.Width, dw: dst.Width}
-	parRows(o, dst.Height, a, resizeScalarRow)
+	parRows(o, dst.Height, a, resizeScalarRow, nil)
 }
 
 func resizeScalarRow(b *Ops, a resizeArgs, y int) {
@@ -86,7 +86,7 @@ func resizeScalarRow(b *Ops, a resizeArgs, y int) {
 
 func (o *Ops) resizeHalfNEON(src, dst *image.Mat) {
 	a := resizeArgs{src: src.U8Pix, dst: dst.U8Pix, sw: src.Width, dw: dst.Width}
-	parRows(o, dst.Height, a, resizeNEONRow)
+	parRows(o, dst.Height, a, resizeNEONRow, resizeNEONRowLanes)
 }
 
 func resizeNEONRow(b *Ops, a resizeArgs, y int) {
@@ -125,7 +125,7 @@ func (o *Ops) resizeHalfSSE2(src, dst *image.Mat) {
 	a := resizeArgs{src: src.U8Pix, dst: dst.U8Pix, sw: src.Width, dw: dst.Width}
 	a.lowMask = o.s.Set1Epi16(0x00FF)
 	a.two = o.s.Set1Epi16(2)
-	parRows(o, dst.Height, a, resizeSSE2Row)
+	parRows(o, dst.Height, a, resizeSSE2Row, resizeSSE2RowLanes)
 }
 
 func resizeSSE2Row(b *Ops, a resizeArgs, y int) {

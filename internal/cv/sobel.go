@@ -123,7 +123,7 @@ type sobelArgs struct {
 
 func (o *Ops) sobelDiffHScalar(src, tmp *image.Mat) {
 	a := sobelArgs{in8: src.U8Pix, out: tmp.S16Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, sobelDiffHScalarRow)
+	parRows(o, src.Height, a, sobelDiffHScalarRow, nil)
 }
 
 func sobelDiffHScalarRow(b *Ops, a sobelArgs, y int) {
@@ -138,7 +138,7 @@ func sobelDiffHScalarRow(b *Ops, a sobelArgs, y int) {
 
 func (o *Ops) sobelSmoothHScalar(src, tmp *image.Mat) {
 	a := sobelArgs{in8: src.U8Pix, out: tmp.S16Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, sobelSmoothHScalarRow)
+	parRows(o, src.Height, a, sobelSmoothHScalarRow, nil)
 }
 
 func sobelSmoothHScalarRow(b *Ops, a sobelArgs, y int) {
@@ -153,7 +153,7 @@ func sobelSmoothHScalarRow(b *Ops, a sobelArgs, y int) {
 
 func (o *Ops) sobelSmoothVScalar(tmp, dst *image.Mat) {
 	a := sobelArgs{in16: tmp.S16Pix, out: dst.S16Pix, w: tmp.Width, h: tmp.Height}
-	parRows(o, tmp.Height, a, sobelSmoothVScalarRow)
+	parRows(o, tmp.Height, a, sobelSmoothVScalarRow, nil)
 }
 
 func sobelSmoothVScalarRow(b *Ops, a sobelArgs, y int) {
@@ -170,7 +170,7 @@ func sobelSmoothVScalarRow(b *Ops, a sobelArgs, y int) {
 
 func (o *Ops) sobelDiffVScalar(tmp, dst *image.Mat) {
 	a := sobelArgs{in16: tmp.S16Pix, out: dst.S16Pix, w: tmp.Width, h: tmp.Height}
-	parRows(o, tmp.Height, a, sobelDiffVScalarRow)
+	parRows(o, tmp.Height, a, sobelDiffVScalarRow, nil)
 }
 
 func sobelDiffVScalarRow(b *Ops, a sobelArgs, y int) {
@@ -198,7 +198,7 @@ func (o *Ops) sobelTailCost(pixels uint64) {
 func (o *Ops) sobelDiffHNEON(src, tmp *image.Mat) {
 	defer o.n.Session("sobel.diffH", o.curSpan()).End()
 	a := sobelArgs{in8: src.U8Pix, out: tmp.S16Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, sobelDiffHNEONRow)
+	parRows(o, src.Height, a, sobelDiffHNEONRow, sobelDiffHNEONRowLanes)
 }
 
 func sobelDiffHNEONRow(b *Ops, a sobelArgs, y int) {
@@ -229,7 +229,7 @@ func sobelDiffHNEONRow(b *Ops, a sobelArgs, y int) {
 func (o *Ops) sobelSmoothHNEON(src, tmp *image.Mat) {
 	defer o.n.Session("sobel.smoothH", o.curSpan()).End()
 	a := sobelArgs{in8: src.U8Pix, out: tmp.S16Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, sobelSmoothHNEONRow)
+	parRows(o, src.Height, a, sobelSmoothHNEONRow, sobelSmoothHNEONRowLanes)
 }
 
 func sobelSmoothHNEONRow(b *Ops, a sobelArgs, y int) {
@@ -263,7 +263,7 @@ func sobelSmoothHNEONRow(b *Ops, a sobelArgs, y int) {
 func (o *Ops) sobelSmoothVNEON(tmp, dst *image.Mat) {
 	defer o.n.Session("sobel.smoothV", o.curSpan()).End()
 	a := sobelArgs{in16: tmp.S16Pix, out: dst.S16Pix, w: tmp.Width, h: tmp.Height}
-	parRows(o, tmp.Height, a, sobelSmoothVNEONRow)
+	parRows(o, tmp.Height, a, sobelSmoothVNEONRow, sobelSmoothVNEONRowLanes)
 }
 
 func sobelSmoothVNEONRow(b *Ops, a sobelArgs, y int) {
@@ -292,7 +292,7 @@ func sobelSmoothVNEONRow(b *Ops, a sobelArgs, y int) {
 func (o *Ops) sobelDiffVNEON(tmp, dst *image.Mat) {
 	defer o.n.Session("sobel.diffV", o.curSpan()).End()
 	a := sobelArgs{in16: tmp.S16Pix, out: dst.S16Pix, w: tmp.Width, h: tmp.Height}
-	parRows(o, tmp.Height, a, sobelDiffVNEONRow)
+	parRows(o, tmp.Height, a, sobelDiffVNEONRow, sobelDiffVNEONRowLanes)
 }
 
 func sobelDiffVNEONRow(b *Ops, a sobelArgs, y int) {
@@ -322,7 +322,7 @@ func (o *Ops) sobelDiffHSSE2(src, tmp *image.Mat) {
 	defer o.s.Session("sobel.diffH", o.curSpan()).End()
 	a := sobelArgs{in8: src.U8Pix, out: tmp.S16Pix, w: src.Width, h: src.Height}
 	a.zero = o.s.SetzeroSi128()
-	parRows(o, src.Height, a, sobelDiffHSSE2Row)
+	parRows(o, src.Height, a, sobelDiffHSSE2Row, sobelDiffHSSE2RowLanes)
 }
 
 func sobelDiffHSSE2Row(b *Ops, a sobelArgs, y int) {
@@ -354,7 +354,7 @@ func (o *Ops) sobelSmoothHSSE2(src, tmp *image.Mat) {
 	defer o.s.Session("sobel.smoothH", o.curSpan()).End()
 	a := sobelArgs{in8: src.U8Pix, out: tmp.S16Pix, w: src.Width, h: src.Height}
 	a.zero = o.s.SetzeroSi128()
-	parRows(o, src.Height, a, sobelSmoothHSSE2Row)
+	parRows(o, src.Height, a, sobelSmoothHSSE2Row, sobelSmoothHSSE2RowLanes)
 }
 
 func sobelSmoothHSSE2Row(b *Ops, a sobelArgs, y int) {
@@ -387,7 +387,7 @@ func sobelSmoothHSSE2Row(b *Ops, a sobelArgs, y int) {
 func (o *Ops) sobelSmoothVSSE2(tmp, dst *image.Mat) {
 	defer o.s.Session("sobel.smoothV", o.curSpan()).End()
 	a := sobelArgs{in16: tmp.S16Pix, out: dst.S16Pix, w: tmp.Width, h: tmp.Height}
-	parRows(o, tmp.Height, a, sobelSmoothVSSE2Row)
+	parRows(o, tmp.Height, a, sobelSmoothVSSE2Row, sobelSmoothVSSE2RowLanes)
 }
 
 func sobelSmoothVSSE2Row(b *Ops, a sobelArgs, y int) {
@@ -416,7 +416,7 @@ func sobelSmoothVSSE2Row(b *Ops, a sobelArgs, y int) {
 func (o *Ops) sobelDiffVSSE2(tmp, dst *image.Mat) {
 	defer o.s.Session("sobel.diffV", o.curSpan()).End()
 	a := sobelArgs{in16: tmp.S16Pix, out: dst.S16Pix, w: tmp.Width, h: tmp.Height}
-	parRows(o, tmp.Height, a, sobelDiffVSSE2Row)
+	parRows(o, tmp.Height, a, sobelDiffVSSE2Row, sobelDiffVSSE2RowLanes)
 }
 
 func sobelDiffVSSE2Row(b *Ops, a sobelArgs, y int) {

@@ -118,7 +118,7 @@ type threshArgs struct {
 
 func (o *Ops) thresholdScalar(src, dst *image.Mat, thresh, maxval uint8, typ ThreshType) {
 	a := threshArgs{s: src.U8Pix, d: dst.U8Pix, thresh: thresh, maxval: maxval, typ: typ}
-	parFlat(o, len(src.U8Pix), a, threshScalarChunk)
+	parFlat(o, len(src.U8Pix), a, threshScalarChunk, nil)
 }
 
 func threshScalarChunk(b *Ops, a threshArgs, lo, hi int) {
@@ -146,7 +146,7 @@ func (o *Ops) thresholdNEON(src, dst *image.Mat, thresh, maxval uint8, typ Thres
 	if typ == ThreshBinary || typ == ThreshBinaryInv {
 		a.vmax = o.n.VdupqNU8(maxval)
 	}
-	parFlat(o, len(src.U8Pix), a, threshNEONChunk)
+	parFlat(o, len(src.U8Pix), a, threshNEONChunk, threshNEONChunkLanes)
 }
 
 func threshNEONChunk(b *Ops, a threshArgs, lo, hi int) {
@@ -198,7 +198,7 @@ func (o *Ops) thresholdSSE2(src, dst *image.Mat, thresh, maxval uint8, typ Thres
 	if typ == ThreshBinary || typ == ThreshBinaryInv {
 		a.vmax = o.s.Set1Epu8(maxval)
 	}
-	parFlat(o, len(src.U8Pix), a, threshSSE2Chunk)
+	parFlat(o, len(src.U8Pix), a, threshSSE2Chunk, threshSSE2ChunkLanes)
 }
 
 func threshSSE2Chunk(b *Ops, a threshArgs, lo, hi int) {

@@ -615,7 +615,7 @@ func (c *Cache) fly(ctx context.Context, k slot, lead func(context.Context) (*en
 
 		case <-f.token:
 			gen := c.generation(k)
-			e, err := lead(ctx)
+			e, err := c.runLead(ctx, k, f, lead)
 			if err != nil {
 				if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					// Cancelled leader: hand the token back so a waiter
@@ -639,6 +639,23 @@ func (c *Cache) fly(ctx context.Context, k slot, lead func(context.Context) (*en
 			return Miss, nil
 		}
 	}
+}
+
+// runLead runs lead for the flight's token holder. A lead that panics
+// hands the token back and drops the leader's reference before the panic
+// goes on up, so a waiter can promote itself and a later caller finds no
+// stranded flight to wait out its deadline on.
+func (c *Cache) runLead(ctx context.Context, k slot, f *flight, lead func(context.Context) (*entry, error)) (*entry, error) {
+	returned := false
+	defer func() {
+		if !returned {
+			f.token <- struct{}{}
+			c.leave(k, f)
+		}
+	}()
+	e, err := lead(ctx)
+	returned = true
+	return e, err
 }
 
 // leave drops one flight reference; the last participant out unmaps the

@@ -362,3 +362,33 @@ func TestMemoHitSkipsSynthesis(t *testing.T) {
 		t.Fatalf("a warm hit allocates %d B; want under 64 KiB (no synthesis, no plane)", perHit)
 	}
 }
+
+// TestMemoLeaderPanicReleasesFlight: a memo leader whose kernel panics
+// leaves no flight behind. The request fails with a 500, the memo reports
+// nothing in flight, and the identical request, sent with the injector
+// detached, is computed well inside its deadline instead of waiting the
+// deadline out on a flight whose leader is gone.
+func TestMemoLeaderPanicReleasesFlight(t *testing.T) {
+	s := NewServer(Config{FaultISA: "neon", Memo: memo.Config{MaxBytes: 16 << 20}})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	url := ts.URL + "/process?kernel=gaussian&width=64&height=48&isa=neon&seed=9&deadline_ms=3000"
+
+	s.SetFaultInjector(panicInjector{})
+	if code, body := get(t, url); code != http.StatusInternalServerError {
+		t.Fatalf("poisoned request = %d %v, want 500", code, body)
+	}
+	if flights, participants := s.Memo().InFlight(); flights != 0 || participants != 0 {
+		t.Fatalf("after the leader's panic: %d flights, %d participants in flight, want none", flights, participants)
+	}
+
+	s.SetFaultInjector(nil)
+	start := time.Now()
+	if code, body := get(t, url); code != http.StatusOK {
+		t.Fatalf("identical request after the panic = %d %v, want 200", code, body)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("identical request took %v of its 3 s deadline", took)
+	}
+}

@@ -525,21 +525,37 @@ func (l *Tally) Counts(c *Counter) *[MaxOps]uint64 {
 	return l.n
 }
 
+// Bind binds the tally to c, which must be non-nil, without recording, and
+// returns the count array it is bound to, as Counts would after a record.
+// It refuses, returning nil, where a record would bypass the array: once
+// the tally is shared, or while c captures a sequence (SeqCap > 0).
+func (l *Tally) Bind(c *Counter) *[MaxOps]uint64 {
+	if l.c == c {
+		return l.n
+	}
+	if l.shared || c.SeqCap > 0 {
+		return nil
+	}
+	l.Flush()
+	l.c, l.n = c, tallyArrays.Get().(*[MaxOps]uint64)
+	return l.n
+}
+
 // slow records past the array (shared tally, sequence capture, IDs beyond
 // MaxOps) or binds the tally to c, flushing what it held for another
 // counter.
 func (l *Tally) slow(c *Counter, id OpID, n uint64, one bool) {
-	if l.shared || c.SeqCap > 0 || id >= MaxOps {
-		if one {
-			c.RecordID(id)
-		} else {
-			c.RecordIDN(id, n)
+	if id < MaxOps {
+		if a := l.Bind(c); a != nil {
+			a[id] += n
+			return
 		}
-		return
 	}
-	l.Flush()
-	l.c, l.n = c, tallyArrays.Get().(*[MaxOps]uint64)
-	l.n[id] += n
+	if one {
+		c.RecordID(id)
+	} else {
+		c.RecordIDN(id, n)
+	}
 }
 
 // Flush folds the tallied counts into their Counter and returns the array

@@ -311,6 +311,38 @@ func TestTallySequenceCapture(t *testing.T) {
 	}
 }
 
+// TestTallyBind: Bind hands out the array records would land in without
+// recording anything, and refuses where records bypass the array.
+func TestTallyBind(t *testing.T) {
+	add := Intern("vadd.i16", SIMDALU, 0)
+	var c Counter
+	var l Tally
+	n := l.Bind(&c)
+	if n == nil || l.Counts(&c) != n || l.Bind(&c) != n {
+		t.Fatal("Bind must bind once and return the bound array")
+	}
+	n[add] += 3
+	l.Inc(&c, add)
+	l.Flush()
+	if c.Opcode("vadd.i16") != 4 || c.Total() != 4 {
+		t.Fatalf("bound array records = %d, want 4", c.Opcode("vadd.i16"))
+	}
+	// Binding with nothing recorded adds no entry.
+	var empty Counter
+	l.Bind(&empty)
+	l.Flush()
+	if empty.Total() != 0 || empty.Summary() != (&Counter{}).Summary() {
+		t.Fatalf("empty bind changed the counter:\n%s", empty.Summary())
+	}
+	if n := l.Bind(&Counter{SeqCap: 1}); n != nil {
+		t.Fatal("Bind must refuse a sequence-capturing counter")
+	}
+	l.Share()
+	if n := l.Bind(&c); n != nil {
+		t.Fatal("Bind must refuse a shared tally")
+	}
+}
+
 // TestAddAllocFree: merging a band's counts for opcodes the destination
 // already holds — the steady state of every banded kernel — allocates
 // nothing.
