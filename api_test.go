@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"simdstudy/internal/cv"
+	"simdstudy/internal/harness"
+	"simdstudy/internal/image"
+	"simdstudy/internal/platform"
+	"simdstudy/internal/vec"
 )
 
-// TestFacadeEndToEnd drives the whole study through the public API only,
-// the way the examples do.
+// TestFacadeEndToEnd drives the study through the public API the way the
+// examples do; the extended platform catalogue is read from its package.
 func TestFacadeEndToEnd(t *testing.T) {
 	if len(Platforms()) != 10 {
 		t.Fatal("ten Table I platforms")
 	}
-	if len(AllPlatforms()) != 11 {
+	if len(platform.All()) != 11 {
 		t.Fatal("plus the extrapolated A15")
 	}
 	if len(BenchNames()) != 5 {
@@ -58,8 +64,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if est.Seconds <= 0 {
 		t.Fatal("estimate must be positive")
 	}
-	s, err := Speedup(p, "GauBlu", Res03MP)
-	if err != nil || s <= 1 {
+	auto, err := EstimateRun(p, "GauBlu", Res03MP, Auto)
+	if s := auto.Seconds / est.Seconds; err != nil || s <= 1 {
 		t.Fatalf("speedup %v %v", s, err)
 	}
 }
@@ -84,15 +90,15 @@ func TestFacadeCustomKernelSurface(t *testing.T) {
 	if tr.Total() == 0 {
 		t.Fatal("units must record")
 	}
-	var v128 V128
+	var v128 vec.V128
 	v128.SetF32(2, 1.5)
 	if v128.F32(2) != 1.5 {
-		t.Fatal("V128 alias")
+		t.Fatal("V128 lanes")
 	}
-	var v64 V64
+	var v64 vec.V64
 	v64.SetI16(1, -3)
 	if v64.I16(1) != -3 {
-		t.Fatal("V64 alias")
+		t.Fatal("V64 lanes")
 	}
 }
 
@@ -106,7 +112,7 @@ func TestFacadeGridAndVerify(t *testing.T) {
 	if !strings.Contains(buf.String(), "BinThr") {
 		t.Fatal("grid CSV")
 	}
-	n, err := VerifyBenchmark("BinThr", Resolution{Width: 64, Height: 48})
+	n, err := harness.Verify("BinThr", Resolution{Width: 64, Height: 48})
 	if err != nil || n != 5 {
 		t.Fatalf("verify: %d %v", n, err)
 	}
@@ -114,7 +120,7 @@ func TestFacadeGridAndVerify(t *testing.T) {
 
 func TestFacadeReportingSurface(t *testing.T) {
 	var buf bytes.Buffer
-	RenderTable1(&buf, Platforms())
+	harness.RenderTable1(&buf, Platforms())
 	if !strings.Contains(buf.String(), "Pineview") {
 		t.Fatal("Table I render")
 	}
@@ -134,7 +140,7 @@ func TestFacadePGMRoundTrip(t *testing.T) {
 	if err := WritePGM(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPGM(&buf)
+	back, err := image.ReadPGM(&buf)
 	if err != nil || !src.EqualTo(back) {
 		t.Fatalf("PGM roundtrip: %v", err)
 	}
@@ -145,7 +151,7 @@ func TestFacadeThresholdConstants(t *testing.T) {
 	copy(src.U8Pix, []uint8{0, 50, 150, 250})
 	dst := NewMat(4, 1, U8)
 	o := NewOps(ISASSE2, nil)
-	for _, typ := range []ThreshType{ThreshBinary, ThreshBinaryInv, ThreshTrunc, ThreshToZero, ThreshToZeroInv} {
+	for _, typ := range []cv.ThreshType{cv.ThreshBinary, cv.ThreshBinaryInv, ThreshTrunc, cv.ThreshToZero, cv.ThreshToZeroInv} {
 		if err := o.Threshold(src, dst, 100, 255, typ); err != nil {
 			t.Fatalf("%v: %v", typ, err)
 		}

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"simdstudy/internal/cv"
 	"simdstudy/internal/harness"
 	"simdstudy/internal/image"
 	"simdstudy/internal/memo"
@@ -25,6 +26,7 @@ import (
 	"simdstudy/internal/serve"
 	"simdstudy/internal/sse2"
 	"simdstudy/internal/timing"
+	"simdstudy/internal/trace"
 	"simdstudy/internal/vectorizer"
 )
 
@@ -34,7 +36,7 @@ var renderMu sync.Mutex
 func BenchmarkTable1_Platforms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		RenderTable1(&buf, Platforms())
+		harness.RenderTable1(&buf, Platforms())
 		if buf.Len() == 0 {
 			b.Fatal("empty table")
 		}
@@ -214,8 +216,8 @@ func BenchmarkHostConvertAuditedOff(b *testing.B) {
 // benchmarks share: the acceptance floor is a verified cache hit at least
 // 5x faster than recomputing this kernel at 2592x1920.
 func benchMemoConvert() (src, dst *Mat, o *Ops) {
-	src = SyntheticF32(Res5MP, 1)
-	dst = NewMat(Res5MP.Width, Res5MP.Height, S16)
+	src = SyntheticF32(image.Res5MP, 1)
+	dst = NewMat(image.Res5MP.Width, image.Res5MP.Height, S16)
 	o = NewOps(ISANEON, nil)
 	return src, dst, o
 }
@@ -253,7 +255,7 @@ func BenchmarkHostConvertMemoHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if outcome != MemoHit {
+		if outcome != memo.Hit {
 			b.Fatalf("outcome = %v; want hit", outcome)
 		}
 	}
@@ -409,7 +411,7 @@ func benchHostPipeline(b *testing.B, fuse bool, run func(o *Ops, src, dst *Mat) 
 			dst := NewMat(res.Width, res.Height, U8)
 			o := NewOps(ISANEON, nil)
 			if fuse {
-				o.SetFuse(FuseConfig{Enabled: true})
+				o.SetFuse(cv.FuseConfig{Enabled: true})
 			}
 			if err := run(o, src, dst); err != nil {
 				b.Fatal(err)
@@ -463,7 +465,7 @@ func BenchmarkHostTraceOverhead(b *testing.B) {
 		for _, k := range kernels {
 			for _, traced := range []bool{false, true} {
 				name := fmt.Sprintf("%v/%s/untraced", isa, k.name)
-				var tr *Trace
+				var tr *trace.Counter
 				if traced {
 					name = fmt.Sprintf("%v/%s/traced", isa, k.name)
 					tr = NewTrace()
@@ -524,8 +526,10 @@ func BenchmarkAblationSerializationModel(b *testing.B) {
 		for _, s := range []float64{0.0, 0.4, 0.8} {
 			p := atom
 			p.M.Serialization = s
-			if _, err := timing.Speedup(p, "ConvertFloatShort", image.Res8MP); err != nil {
-				b.Fatal(err)
+			for _, impl := range []timing.Impl{timing.Auto, timing.Hand} {
+				if _, err := timing.EstimateRun(p, "ConvertFloatShort", image.Res8MP, impl); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}
@@ -561,7 +565,7 @@ func BenchmarkCacheTraffic(b *testing.B) {
 // conversion (the related-work Tegra study's showcase kernel).
 func BenchmarkHostRGBToGrayNEONEmu(b *testing.B) {
 	res := Resolution{Width: 640, Height: 480}
-	src := SyntheticRGB(res, 1)
+	src := image.SyntheticRGB(res, 1)
 	dst := NewMat(res.Width, res.Height, U8)
 	b.Run("scalar", func(b *testing.B) {
 		o := NewOps(ISAScalar, nil)
@@ -607,7 +611,7 @@ func BenchmarkHostParallel(b *testing.B) {
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", k.name, workers), func(b *testing.B) {
 				o := NewOps(ISANEON, nil)
-				o.SetParallel(ParallelConfig{Workers: workers})
+				o.SetParallel(cv.ParallelConfig{Workers: workers})
 				b.SetBytes(int64(res.Width * res.Height))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -625,7 +629,7 @@ func BenchmarkHostParallel(b *testing.B) {
 // and a serial server take, bands=2 is what a two-worker server runs on
 // the par pool for each request's source plane.
 func BenchmarkHostSynthesize(b *testing.B) {
-	m := image.NewMat(Res5MP.Width, Res5MP.Height, image.U8)
+	m := image.NewMat(image.Res5MP.Width, image.Res5MP.Height, image.U8)
 	run := func(n int, band func(i int)) {
 		if p := par.FirstPanic(par.Run(n, band), nil); p != nil {
 			panic(p)
@@ -665,7 +669,7 @@ func BenchmarkExtensionEnergyTable(b *testing.B) {
 func BenchmarkExtensionRelatedWorkKernels(b *testing.B) {
 	res := Resolution{Width: 320, Height: 240}
 	src := Synthetic(res, 1)
-	rgb := SyntheticRGB(res, 1)
+	rgb := image.SyntheticRGB(res, 1)
 	dst := NewMat(res.Width, res.Height, U8)
 	half := NewMat(res.Width/2, res.Height/2, U8)
 

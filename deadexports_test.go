@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
@@ -32,7 +33,8 @@ var deadExportAllowlist = map[string]string{
 	"internal/exec/exec.go": "IR semantic referee for the internal/kernels tests",
 
 	// Paper artifacts.
-	"internal/cv.Ops.RGBToGray": "the paper's vld3 color conversion: BenchmarkHostRGBToGray and the golden tests run it",
+	"internal/cv.Ops.RGBToGray":   "the paper's vld3 color conversion: BenchmarkHostRGBToGray and the golden tests run it",
+	"internal/image.SyntheticRGB": "the RGBToGray input: its golden, benchmark and cv tests synthesize their color planes with it",
 
 	// Cross-package tests.
 	"internal/cv.Ops.GradientMagnitude": "internal/kernels tests check the IR magnitude loop against it",
@@ -53,37 +55,47 @@ var deadExportAllowlist = map[string]string{
 // implements another such interface.
 var stdMethods = map[string]bool{"Error": true, "String": true, "Unwrap": true}
 
-// declNode is one top-level declaration of a non-test file: a function,
-// method, type, or one name of a var/const spec.
+// declNode is one top-level declaration: a function, method, type, or one
+// name of a var/const spec.
 type declNode struct {
 	dir, file string // package directory and file, slash-separated, root-relative
 	name      string // declared identifier
 	method    string // method name, or "" for a non-method
-	root      bool   // always live: outside internal/, init, blank assertion
+	root      bool   // always live: a binary, example or benchmark, init, blank assertion
 	pos       token.Position
 	refs      []string // keys of same-tree declarations it names
 	sels      []string // selector names not qualified by an import (method calls)
 }
 
 // declGraph is a syntactic reference graph of a source tree's non-test Go
-// files. Resolution is by name only, with no type checking: an identifier
-// names its own package's declaration of that name, pkg.Name names the
-// imported package's, and x.M names every method called M.
+// files and the root package's example tests. Resolution is by name only,
+// with no type checking: an identifier names its own package's
+// declaration of that name, pkg.Name names the imported package's, and
+// x.M names every method called M.
 type declGraph struct {
 	nodes map[string]*declNode // keyed "dir.Name" or "dir.Type.Method"
 }
 
-// scanDecls parses every non-test Go file under root (nested modules
-// included, testdata and dot-directories excluded) into a declGraph.
-// module is the import-path prefix of root.
-func scanDecls(root, module string) (*declGraph, error) {
-	type parsed struct {
-		dir, file string
-		f         *ast.File
-	}
-	fset := token.NewFileSet()
-	var files []parsed
-	pkgNames := map[string]string{}
+// srcFile is one parsed file of a srcTree.
+type srcFile struct {
+	dir, file string // package directory and file, slash-separated, root-relative
+	f         *ast.File
+	example   bool // a root-package example*_test.go file
+}
+
+// srcTree holds the parsed files of a source tree: every non-test Go file
+// (nested modules included, testdata and dot-directories excluded) and the
+// root package's example*_test.go files, which are the facade's users.
+type srcTree struct {
+	fset     *token.FileSet
+	module   string            // import-path prefix of the root
+	files    []srcFile         // in walk order
+	pkgNames map[string]string // package directory -> package name
+}
+
+// parseTree parses the tree under root; module is its import-path prefix.
+func parseTree(root, module string) (*srcTree, error) {
+	t := &srcTree{fset: token.NewFileSet(), module: module, pkgNames: map[string]string{}}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -95,10 +107,11 @@ func scanDecls(root, module string) (*declGraph, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		example := filepath.Dir(p) == filepath.Clean(root) && strings.HasPrefix(name, "example") && strings.HasSuffix(name, "_test.go")
+		if !strings.HasSuffix(name, ".go") || (strings.HasSuffix(name, "_test.go") && !example) {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(t.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -107,55 +120,82 @@ func scanDecls(root, module string) (*declGraph, error) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		files = append(files, parsed{path.Dir(rel), rel, f})
-		pkgNames[path.Dir(rel)] = f.Name.Name
+		t.files = append(t.files, srcFile{path.Dir(rel), rel, f, example})
+		if !example {
+			t.pkgNames[path.Dir(rel)] = f.Name.Name
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return t, nil
+}
 
+// imports maps a file's local package names to the tree's package
+// directories; imports from outside the tree are left out.
+func (t *srcTree) imports(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, im := range f.Imports {
+		ipath, _ := strconv.Unquote(im.Path.Value)
+		dir, ok := strings.CutPrefix(ipath, t.module+"/")
+		if ipath == t.module {
+			dir, ok = ".", true
+		}
+		if !ok {
+			continue
+		}
+		local := t.pkgNames[dir]
+		if im.Name != nil {
+			local = im.Name.Name
+		}
+		imports[local] = dir
+	}
+	return imports
+}
+
+// scanDecls parses the tree under root into a declGraph. Declarations in
+// binaries, examples, the benchmark module and the root example tests are
+// roots; those under internal/ and the root package's own (the api.go
+// facade) are live only if a root reaches them.
+func scanDecls(root, module string) (*declGraph, error) {
+	t, err := parseTree(root, module)
+	if err != nil {
+		return nil, err
+	}
 	g := &declGraph{nodes: map[string]*declNode{}}
-	for _, pf := range files {
-		imports := map[string]string{} // local name -> package dir
-		for _, im := range pf.f.Imports {
-			ipath, _ := strconv.Unquote(im.Path.Value)
-			dir, ok := strings.CutPrefix(ipath, module+"/")
-			if !ok {
-				continue
-			}
-			local := pkgNames[dir]
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = dir
+	for _, pf := range t.files {
+		imports := t.imports(pf.f)
+		dir := pf.dir
+		if pf.example {
+			dir += "_test" // the external test package, apart from the facade
 		}
 		add := func(id *ast.Ident, key, method string, body ast.Node) {
-			n := &declNode{dir: pf.dir, file: pf.file, name: id.Name, method: method, pos: fset.Position(id.Pos())}
-			n.root = !strings.HasPrefix(pf.dir, "internal/") || stdMethods[method]
+			n := &declNode{dir: dir, file: pf.file, name: id.Name, method: method, pos: t.fset.Position(id.Pos())}
+			n.root = pf.example || stdMethods[method] || !(strings.HasPrefix(dir, "internal/") || dir == ".")
 			if (id.Name == "init" && method == "") || id.Name == "_" {
 				n.root = true
 				key += "@" + n.pos.String() // several per package
 			}
-			n.collect(body, pf.dir, imports)
+			n.collect(body, dir, imports)
 			g.nodes[key] = n
 		}
 		for _, decl := range pf.f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
-					add(d.Name, pf.dir+"."+d.Name.Name, "", d)
+					add(d.Name, dir+"."+d.Name.Name, "", d)
 				} else if recv := recvName(d.Recv.List[0].Type); recv != "" {
-					add(d.Name, pf.dir+"."+recv+"."+d.Name.Name, d.Name.Name, d)
+					add(d.Name, dir+"."+recv+"."+d.Name.Name, d.Name.Name, d)
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						add(s.Name, pf.dir+"."+s.Name.Name, "", s)
+						add(s.Name, dir+"."+s.Name.Name, "", s)
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
-							add(id, pf.dir+"."+id.Name, "", s)
+							add(id, dir+"."+id.Name, "", s)
 						}
 					}
 				}
@@ -225,10 +265,10 @@ func allowKey(allow map[string]string, key string, n *declNode) string {
 	return ""
 }
 
-// live marks every declaration reachable from the roots: all declarations
-// outside internal/ (binaries, examples, the benchmark, the root package),
-// init functions, blank-named assertions and standard-interface methods,
-// plus the extra roots given.
+// live marks every declaration reachable from the roots (binaries,
+// examples, the benchmark module, the root example tests, init functions,
+// blank-named assertions and standard-interface methods) plus the extra
+// roots given.
 func (g *declGraph) live(extra func(key string, n *declNode) bool) map[string]bool {
 	byMethod := map[string][]string{}
 	for key, n := range g.nodes {
@@ -268,11 +308,11 @@ func (g *declGraph) live(extra func(key string, n *declNode) bool) map[string]bo
 	return seen
 }
 
-// check returns the unexempted internal/ exports that no root reaches and
-// the allowlist entries that exempt nothing.
+// check returns the unexempted internal/ and facade exports that no root
+// reaches and the allowlist entries that exempt nothing.
 func (g *declGraph) check(allow map[string]string) (dead, stale []string) {
-	// Everything outside internal/ is a root, so only internal/
-	// declarations can fall outside a live set. An entry exempts something
+	// Only internal/ and facade declarations are not roots, so only they
+	// can fall outside a live set. An entry exempts something
 	// when a declaration under it is alive only because of the allowlist.
 	base := g.live(func(string, *declNode) bool { return false })
 	exempting := map[string]bool{}
@@ -348,5 +388,245 @@ func TestDeadExportAllowlistStale(t *testing.T) {
 	}
 	if !execRun {
 		t.Errorf("without its entry, exec.Run should be dead; dead = %v", dead)
+	}
+}
+
+// TestDeadFacadeExportReported: in a synthetic tree, a facade export that
+// only a plain test uses is dead, and so is the internal export that only
+// it reached; what an example test uses stays live.
+func TestDeadFacadeExportReported(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"api.go": "package m\n\nimport \"m/internal/p\"\n\n" +
+			"func Used() int { return p.Live() }\n\nfunc Unused() int { return p.OnlyFacade() }\n",
+		"api_test.go":          "package m\n\nimport \"testing\"\n\nfunc TestUnused(t *testing.T) { Unused() }\n",
+		"example_used_test.go": "package m_test\n\nimport \"m\"\n\nfunc ExampleUsed() { m.Used() }\n",
+		"internal/p/p.go":      "package p\n\nfunc Live() int { return 1 }\n\nfunc OnlyFacade() int { return 2 }\n",
+	}
+	writeTree(t, dir, files)
+	g, err := scanDecls(dir, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, stale := g.check(nil)
+	want := []string{"..Unused (api.go:7)", "internal/p.OnlyFacade (internal/p/p.go:5)"}
+	if strings.Join(dead, ",") != strings.Join(want, ",") || len(stale) != 0 {
+		t.Errorf("dead = %v, stale = %v; want dead = %v", dead, stale, want)
+	}
+}
+
+// configFieldAllowlist names the exported fields of internal/ config types
+// ("dir.Type.Field") that no non-test code sets, each with the reason it
+// stays. An entry that exempts nothing fails the census.
+var configFieldAllowlist = map[string]string{
+	"internal/resilience.BreakerConfig.Clock":        "breaker, cv and serve tests inject a manual clock to expire cooldowns deterministically",
+	"internal/par.Config.MinRowsPerBand":             "parallel bit-exactness tests band tiny images with one row per band",
+	"internal/harness.CampaignConfig.Burst":          "campaign, checkpoint and audit tests run shorter or longer bursts than the paper's 5 images",
+	"internal/harness.CampaignConfig.Policy":         "campaign tests disable retries and the kill-switch so every detection falls back",
+	"internal/harness.CampaignConfig.Sites":          "TestFaultCampaignSiteRestriction confines a campaign to store sites",
+	"internal/harness.CampaignConfig.Kinds":          "TestFaultCampaignSiteRestriction confines a campaign to bit flips",
+	"internal/integrity.ScoreboardConfig.Threshold":  "cv audit tests trip the scoreboard at a low threshold within a few audits",
+	"internal/integrity.ScoreboardConfig.MinSamples": "scoreboard tests trip a pair with no minimum or after a short warm-up",
+}
+
+// configType reports whether an exported type name declares a knob set:
+// a *Config, *Policy or *Options struct.
+func configType(name string) bool {
+	return ast.IsExported(name) && (strings.HasSuffix(name, "Config") ||
+		strings.HasSuffix(name, "Policy") || strings.HasSuffix(name, "Options"))
+}
+
+// unsetConfigFields returns the exported fields of the config structs
+// declared under internal/ that no non-test code sets, keyed
+// "dir.Type.Field". A composite-literal key sets its literal's field,
+// resolved through type aliases (api.go's, cv.ParallelConfig). An
+// assignment x.F = v sets every config field named F, since resolving x's
+// type needs a type checker; only an assignment through the receiver of the
+// type's own normalized method, and a literal of the type inside it, does
+// not count. The same holds for the type's exported Normalized.
+func (t *srcTree) unsetConfigFields() map[string]token.Position {
+	fields := map[string]token.Position{} // "dir.Type.Field"
+	byName := map[string][]string{}       // field name -> "dir.Type.Field" keys
+	alias := map[string]string{}          // "dir.Alias" -> "pkgdir.Type"
+	resolve := func(e ast.Expr, dir string, imports map[string]string) string {
+		if s, ok := e.(*ast.StarExpr); ok {
+			e = s.X
+		}
+		key := ""
+		switch x := e.(type) {
+		case *ast.Ident:
+			key = dir + "." + x.Name
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+				key = imports[id.Name] + "." + x.Sel.Name
+			}
+		}
+		for alias[key] != "" {
+			key = alias[key]
+		}
+		return key
+	}
+	for _, pf := range t.files {
+		if pf.example {
+			continue
+		}
+		imports := t.imports(pf.f)
+		for _, decl := range pf.f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range d.Specs {
+				s, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				if s.Assign != 0 {
+					if target := resolve(s.Type, pf.dir, imports); target != "" {
+						alias[pf.dir+"."+s.Name.Name] = target
+					}
+					continue
+				}
+				st, ok := s.Type.(*ast.StructType)
+				if !ok || !configType(s.Name.Name) || !strings.HasPrefix(pf.dir, "internal/") {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							key := pf.dir + "." + s.Name.Name + "." + id.Name
+							fields[key] = t.fset.Position(id.Pos())
+							byName[id.Name] = append(byName[id.Name], key)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	set := map[string]bool{}
+	for _, pf := range t.files {
+		if pf.example {
+			continue
+		}
+		imports := t.imports(pf.f)
+		for _, decl := range pf.f.Decls {
+			own, recv := "", "" // the normalized method's type and receiver
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && strings.EqualFold(fd.Name.Name, "normalized") {
+				r := fd.Recv.List[0]
+				own = resolve(r.Type, pf.dir, imports)
+				if len(r.Names) > 0 {
+					recv = r.Names[0].Name
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CompositeLit:
+					if x.Type == nil {
+						return true
+					}
+					typ := resolve(x.Type, pf.dir, imports)
+					if typ == own {
+						return true
+					}
+					for _, elt := range x.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								set[typ+"."+id.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						sel, ok := lhs.(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						if id, ok := sel.X.(*ast.Ident); ok && own != "" && id.Name == recv {
+							continue
+						}
+						for _, key := range byName[sel.Sel.Name] {
+							set[key] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key := range set {
+		delete(fields, key)
+	}
+	return fields
+}
+
+// TestNoUnsetConfigFields fails on an exported field of an exported
+// *Config, *Policy or *Options struct under internal/ that no binary,
+// example, benchmark or facade code sets, unless configFieldAllowlist
+// exempts it, and on allowlist entries that exempt nothing. A field only
+// its defaults and tests touch is a knob no program turns: delete it and
+// keep its default as a constant, rather than grow the list.
+func TestNoUnsetConfigFields(t *testing.T) {
+	tree, err := parseTree(".", "simdstudy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unset := tree.unsetConfigFields()
+	var keys []string
+	for key := range unset {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if configFieldAllowlist[key] == "" {
+			p := unset[key]
+			t.Errorf("config field no program sets: %s (%s:%d)", key, p.Filename, p.Line)
+		}
+	}
+	for key := range configFieldAllowlist {
+		if _, ok := unset[key]; !ok {
+			t.Errorf("config-field allowlist entry exempts nothing, remove it: %s", key)
+		}
+	}
+}
+
+// writeTree writes a synthetic source tree of slash-separated file names.
+func writeTree(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
+	for name, src := range files {
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConfigCensusSynthetic: in a synthetic tree, a field set by a binary
+// through a facade alias, or by assignment, is set; one that only its
+// type's normalized method or a test sets is not.
+func TestConfigCensusSynthetic(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{
+		"api.go": "package m\n\nimport \"m/internal/p\"\n\ntype Opts = p.RunConfig\n",
+		"internal/p/p.go": "package p\n\ntype RunConfig struct {\n\tKeyed, Assigned, Defaulted, TestOnly int\n}\n\n" +
+			"func (c RunConfig) normalized() RunConfig {\n\tc.Defaulted = 1\n\treturn c\n}\n",
+		"internal/p/p_test.go": "package p\n\nvar _ = RunConfig{TestOnly: 1}\n",
+		"cmd/run/main.go":      "package main\n\nimport \"m\"\n\nfunc main() {\n\to := m.Opts{Keyed: 1}\n\to.Assigned = 2\n\t_ = o\n}\n",
+	})
+	tree, err := parseTree(dir, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for key := range tree.unsetConfigFields() {
+		got = append(got, key)
+	}
+	sort.Strings(got)
+	want := "internal/p.RunConfig.Defaulted,internal/p.RunConfig.TestOnly"
+	if strings.Join(got, ",") != want {
+		t.Errorf("unset = %v, want %s", got, want)
 	}
 }

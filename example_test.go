@@ -40,12 +40,13 @@ func ExampleNewTrace() {
 	// Output: 1.75 instructions per pixel
 }
 
-// ExampleSpeedup asks the timing model for the paper's headline number:
-// the Exynos 3110's convert speedup.
-func ExampleSpeedup() {
+// ExampleEstimateRun asks the timing model for the paper's headline
+// number: the Exynos 3110's convert speedup, AUTO time over HAND time.
+func ExampleEstimateRun() {
 	p, _ := simdstudy.PlatformByName("Exynos 3110")
-	s, _ := simdstudy.Speedup(p, "ConvertFloatShort", simdstudy.Res8MP)
-	fmt.Printf("hand NEON is %.0fx faster than auto-vectorized\n", s)
+	auto, _ := simdstudy.EstimateRun(p, "ConvertFloatShort", simdstudy.Res8MP, simdstudy.Auto)
+	hand, _ := simdstudy.EstimateRun(p, "ConvertFloatShort", simdstudy.Res8MP, simdstudy.Hand)
+	fmt.Printf("hand NEON is %.0fx faster than auto-vectorized\n", auto.Seconds/hand.Seconds)
 	// Output: hand NEON is 14x faster than auto-vectorized
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"testing"
+
+	"simdstudy/internal/image"
 )
 
 // Golden checksums pin the exact observable behaviour of every kernel on
@@ -32,7 +34,7 @@ func TestGoldenSyntheticImages(t *testing.T) {
 	if got := crcU8(src.U8Pix); got != 0xce73dbba {
 		t.Errorf("synthetic u8 CRC changed: %#x", got)
 	}
-	rgb := SyntheticRGB(goldenRes(), 1)
+	rgb := image.SyntheticRGB(goldenRes(), 1)
 	if got := crcU8(rgb.Pix); got != 0x571e54c1 {
 		t.Errorf("synthetic rgb CRC changed: %#x", got)
 	}
@@ -42,7 +44,7 @@ func TestGoldenKernelOutputs(t *testing.T) {
 	res := goldenRes()
 	src := Synthetic(res, 1)
 	srcF := SyntheticF32(res, 1)
-	rgb := SyntheticRGB(res, 1)
+	rgb := image.SyntheticRGB(res, 1)
 
 	type result struct {
 		name string

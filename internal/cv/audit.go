@@ -38,19 +38,18 @@ import (
 // auditor's scoreboard.
 func (o *Ops) SetAuditor(a *integrity.Auditor) { o.aud = a }
 
-// auditCompare diffs the SIMD output against the scalar reference over the
-// auditor's row window with the kernel's tolerance, returning nil when
-// clean or a typed CorruptionError locating the divergence.
+// auditCompare diffs the SIMD output against the full scalar reference
+// plane with the kernel's tolerance, returning nil when clean or a typed
+// CorruptionError locating the divergence.
 func (o *Ops) auditCompare(kernel string, got, want *image.Mat, tol int) *integrity.CorruptionError {
-	r0, r1 := o.aud.Window(got.Height)
-	w := got.Width
-	first, diffs := diffSpan(got, want, r0*w, r0*w, (r1-r0)*w, tol)
+	w, h := got.Width, got.Height
+	first, diffs := diffSpan(got, want, 0, 0, w*h, tol)
 	if diffs == 0 {
 		return nil
 	}
 	return &integrity.CorruptionError{
 		Kernel: kernel, ISA: o.isa.String(),
-		Region:    integrity.Region{Row0: r0, Row1: r1, Width: w},
+		Region:    integrity.Region{Row0: 0, Row1: h, Width: w},
 		FirstDiff: first, Diffs: diffs,
 	}
 }

@@ -160,10 +160,6 @@ type GuardPolicy struct {
 	KillAfter int
 	// Seed drives the deterministic row sampler.
 	Seed uint64
-	// Backoff spaces SIMD retries after a detection. The zero value keeps
-	// the historical immediate retry; waits are interruptible by the
-	// context bound through the Ctx kernel variants.
-	Backoff resilience.Backoff
 }
 
 // DefaultGuardPolicy returns the policy used when none is set.
@@ -512,11 +508,6 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 	o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionDetected, Rows: bad, Diffs: diffs})
 
 	for try := 0; try < o.policy.MaxRetries; try++ {
-		if d := o.policy.Backoff.Delay(try); d > 0 {
-			if err := resilience.Sleep(o.ctx, d); err != nil {
-				panic(ctxCanceled{err})
-			}
-		}
 		o.ctxCheck()
 		retrySpan := o.curSpan().Child("guard.retry")
 		if err := simd(); err != nil {

@@ -376,30 +376,3 @@ func TestCancelledProbeIsReleased(t *testing.T) {
 		t.Fatalf("breaker = %v, want closed — the cancelled probe leaked", st)
 	}
 }
-
-// TestGuardBackoffHonorsContext: with a backoff between retries, a context
-// cancelled during the wait must abort the retry loop as a DeadlineError.
-func TestGuardBackoffHonorsContext(t *testing.T) {
-	src := image.Synthetic(image.Resolution{Width: 64, Height: 48}, 18)
-	g := NewOps(ISASSE2, nil)
-	g.SetGuardPolicy(GuardPolicy{
-		SampleRows: 48, MaxRetries: 3, KillAfter: -1,
-		Backoff: resilience.Backoff{Base: time.Hour, Seed: 1},
-	})
-	g.SetFaultInjector(&corruptor{site: faults.SiteALU, remaining: -1})
-	dst := image.NewMat(64, 48, image.U8)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- g.ThresholdCtx(ctx, src, dst, 100, 255, ThreshTrunc) }()
-	time.Sleep(20 * time.Millisecond) // reach the hour-long backoff sleep
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want cancellation through the backoff sleep", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not interrupt the backoff sleep")
-	}
-}

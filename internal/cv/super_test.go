@@ -319,8 +319,7 @@ func TestHalfOpenProbePanicReleasesBudget(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
 	brk := resilience.NewBreakerSet(resilience.BreakerConfig{
-		MinSamples: 1, FailureRate: 1, OpenFor: time.Second,
-		ProbeBudget: 1, Clock: clock,
+		MinSamples: 1, FailureRate: 1, OpenFor: time.Second, Clock: clock,
 	}, nil)
 
 	o := NewOps(ISANEON, &trace.Counter{})

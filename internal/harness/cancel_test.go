@@ -13,10 +13,10 @@ import (
 	"simdstudy/internal/resilience"
 )
 
-// TestRunGridCtxCancelMidGrid cancels a concurrent grid after the third
-// cell starts and asserts the resilience contract: a typed DeadlineError
-// with cell-granular accounting, completed cells keeping their Metrics
-// snapshots in the partial grid, and no leaked worker goroutines.
+// TestRunGridCtxCancelMidGrid cancels a grid after the third cell starts
+// and asserts the resilience contract: a typed DeadlineError with
+// cell-granular accounting, completed cells keeping their Metrics
+// snapshots in the partial grid, and no leaked goroutines.
 func TestRunGridCtxCancelMidGrid(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -30,7 +30,7 @@ func TestRunGridCtxCancelMidGrid(t *testing.T) {
 	defer func() { testCellStart = nil }()
 
 	g, err := RunGridCtx(ctx, "BinThr", platform.Paper(), smallSizes,
-		GridOptions{Obs: obs.NewRegistry(), Concurrency: 2})
+		GridOptions{Obs: obs.NewRegistry()})
 
 	var de *resilience.DeadlineError
 	if !errors.As(err, &de) {
@@ -64,7 +64,7 @@ func TestRunGridCtxCancelMidGrid(t *testing.T) {
 		t.Errorf("%d cells carry Metrics, DeadlineError reports %d completed", withMetrics, de.Completed)
 	}
 
-	// No worker goroutines may outlive the call.
+	// No goroutines may outlive the call.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

@@ -54,7 +54,7 @@ type Grid struct {
 // RunGrid evaluates a benchmark for every platform and size. Reported
 // seconds are per single image run (the paper reports the average of 100
 // runs; the model is deterministic so mean == single run). It is RunGridCtx
-// with no deadline and no retries.
+// with no deadline and no journal.
 func RunGrid(bench string, platforms []platform.Platform, sizes []image.Resolution) (*Grid, error) {
 	return RunGridCtx(context.Background(), bench, platforms, sizes, GridOptions{})
 }

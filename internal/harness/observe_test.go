@@ -11,16 +11,14 @@ import (
 	"simdstudy/internal/platform"
 )
 
-// TestGridObservability runs a full grid concurrently against one shared
-// registry: every cell must land a span on its own track, carry a private
-// metrics snapshot, and the merged registry must account for every attempt.
-// Run under -race this also exercises concurrent cells merging into one
-// registry.
+// TestGridObservability runs a full grid against one shared registry:
+// every cell must land a span on its own track, carry a private metrics
+// snapshot, and the merged registry must account for every attempt.
 func TestGridObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	plats := platform.Paper()
 	g, err := RunGridCtx(context.Background(), "BinThr", plats, smallSizes,
-		GridOptions{Obs: reg, Concurrency: 8})
+		GridOptions{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"simdstudy/internal/checkpoint"
@@ -24,7 +22,7 @@ import (
 )
 
 // This file is the harness's robustness layer: context-aware variants of
-// RunGrid and Verify (deadlines, per-cell retry with backoff) and the fault
+// RunGrid and Verify (deadlines, a resumable grid journal) and the fault
 // campaign — run every hand-SIMD kernel under a seeded fault plan with the
 // cv guard enabled and report injected vs. detected vs. masked faults.
 
@@ -123,22 +121,12 @@ func (s benchSpec) burst(res image.Resolution, n int) []*image.Mat {
 
 // GridOptions tunes RunGridCtx.
 type GridOptions struct {
-	// Retries is how many extra attempts each grid cell gets after a
-	// failure before the grid run is abandoned.
-	Retries int
-	// Backoff is the wait before the first retry; it doubles per attempt.
-	// Zero means no wait.
-	Backoff time.Duration
 	// Obs, when non-nil, receives grid observability: a root span per
 	// grid, one span per cell (on its own Chrome-trace track, carrying the
-	// modeled seconds and cycles), attempt/retry counters and per-cell
+	// modeled seconds and cycles), an attempt counter and per-cell
 	// modeled-seconds gauges. Each cell records into a private registry
-	// that is merged in at cell completion, so concurrent cells contend
-	// only at the merge.
+	// that is merged in at cell completion.
 	Obs *obs.Registry
-	// Concurrency is the number of cells evaluated in flight at once.
-	// Values below 2 run the grid sequentially.
-	Concurrency int
 	// CheckpointPath, when non-empty, journals every completed cell to this
 	// file (versioned, checksummed, atomically replaced — see
 	// internal/checkpoint) and replays already-journaled cells on a later
@@ -159,11 +147,10 @@ type GridOptions struct {
 // deadlines cannot land between two specific cells reliably.
 var testCellStart func()
 
-// RunGridCtx is RunGrid with a context deadline and per-cell retry with
-// exponential backoff. The context is checked before every cell and while
-// backing off, so a deadline cancels mid-grid instead of after the fact.
-// With opt.Concurrency > 1 cells are evaluated by a bounded worker pool;
-// the first cell error cancels the remaining work.
+// RunGridCtx is RunGrid with a context deadline and a resumable journal.
+// Cells are analytic timing-model estimates, evaluated once each in order;
+// the context is checked before every cell, so a deadline cancels mid-grid
+// instead of after the fact, and the first cell error ends the run.
 //
 // When the caller's context expires mid-grid, the partially filled grid is
 // returned alongside a *resilience.DeadlineError accounting for the cells
@@ -222,94 +209,61 @@ func RunGridCtx(ctx context.Context, bench string, platforms []platform.Platform
 		journal = j
 	}
 
-	conc := opt.Concurrency
-	if conc < 1 {
-		conc = 1
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, conc)
-	var (
-		wg        sync.WaitGroup
-		errMu     sync.Mutex
-		firstErr  error
-		completed atomic.Int64
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	completed.Add(int64(replayed))
+	completed := replayed
 	track := 1
-launch:
+cells:
 	for si := range sizes {
 		for pi := range platforms {
 			track++
-			if done != nil && done[[2]int{si, pi}] {
+			if done[[2]int{si, pi}] {
 				continue
 			}
-			select {
-			case <-cctx.Done():
-				break launch
-			case sem <- struct{}{}:
+			if ctx.Err() != nil {
+				break cells
 			}
-			wg.Add(1)
-			go func(si, pi, track int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				cell, err := runCell(cctx, bench, platforms[pi], sizes[si], opt, track)
-				if err != nil {
-					fail(err)
-					return
+			cell, err := runCell(bench, platforms[pi], sizes[si], opt.Obs, track)
+			if err != nil {
+				return nil, err
+			}
+			g.Cells[si][pi] = cell
+			completed++
+			if journal != nil {
+				if err := journal.Append(gridCellRecord{
+					Size: si, Plat: pi,
+					SizeName: sizes[si].Name, PlatName: platforms[pi].Name,
+					Auto: cell.AutoSeconds, Hand: cell.HandSeconds,
+					Metrics: cell.Metrics,
+				}); err != nil {
+					return nil, fmt.Errorf("harness: grid checkpoint: %w", err)
 				}
-				g.Cells[si][pi] = cell
-				completed.Add(1)
-				if journal != nil {
-					if err := journal.Append(gridCellRecord{
-						Size: si, Plat: pi,
-						SizeName: sizes[si].Name, PlatName: platforms[pi].Name,
-						Auto: cell.AutoSeconds, Hand: cell.HandSeconds,
-						Metrics: cell.Metrics,
-					}); err != nil {
-						fail(fmt.Errorf("harness: grid checkpoint: %w", err))
-						return
-					}
-					if opt.CheckpointHook != nil {
-						opt.CheckpointHook(journal.Len())
-					}
+				if opt.CheckpointHook != nil {
+					opt.CheckpointHook(journal.Len())
 				}
-			}(si, pi, track)
+			}
 		}
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return g, &resilience.DeadlineError{
 			Op: "harness.grid." + bench, Cause: err,
-			Completed: int(completed.Load()),
+			Completed: completed,
 			Total:     len(sizes) * len(platforms),
 			Unit:      "cells",
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	return g, nil
 }
 
-// runCell evaluates one (platform, size) cell, retrying per GridOptions.
-// track is the Chrome-trace timeline row the cell's span renders on.
-func runCell(ctx context.Context, bench string, p platform.Platform,
-	res image.Resolution, opt GridOptions, track int) (Cell, error) {
+// runCell evaluates one (platform, size) cell, reporting into a private
+// registry merged into parent (which may be nil). track is the
+// Chrome-trace timeline row the cell's span renders on.
+func runCell(bench string, p platform.Platform, res image.Resolution,
+	parent *obs.Registry, track int) (Cell, error) {
 	if testCellStart != nil {
 		testCellStart()
 	}
 	var reg *obs.Registry
 	var sp *obs.Span
-	if opt.Obs != nil {
+	if parent != nil {
 		reg = obs.NewRegistry()
 		sp = reg.StartSpan("cell."+bench,
 			obs.L("platform", p.Name), obs.L("size", res.Name))
@@ -323,44 +277,26 @@ func runCell(ctx context.Context, bench string, p platform.Platform,
 		}
 		sp.End()
 		cell.Metrics = reg.Snapshot()
-		opt.Obs.Merge(reg)
+		parent.Merge(reg)
 		return cell, err
 	}
 
-	backoff := opt.Backoff
-	var lastErr error
-	for attempt := 0; attempt <= opt.Retries; attempt++ {
-		if attempt > 0 {
-			reg.Counter("grid_cell_retries_total", lBench, lPlat).Inc()
-			if backoff > 0 {
-				select {
-				case <-ctx.Done():
-					return finish(Cell{}, fmt.Errorf("harness: grid cell retry: %w", ctx.Err()))
-				case <-time.After(backoff):
-				}
-				backoff *= 2
-			}
-		}
-		reg.Counter("grid_cell_attempts_total", lBench, lPlat).Inc()
-		auto, err := timing.EstimateRun(p, bench, res, timing.Auto)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		hand, err := timing.EstimateRun(p, bench, res, timing.Hand)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		lSize := obs.L("size", res.Name)
-		reg.Gauge("cell_auto_seconds", lBench, lPlat, lSize).Set(auto.Seconds)
-		reg.Gauge("cell_hand_seconds", lBench, lPlat, lSize).Set(hand.Seconds)
-		sp.SetAttr("auto_seconds", auto.Seconds)
-		sp.SetAttr("hand_seconds", hand.Seconds)
-		sp.SetCycles(hand.CyclesPerPixel * float64(res.Width) * float64(res.Height))
-		return finish(Cell{AutoSeconds: auto.Seconds, HandSeconds: hand.Seconds}, nil)
+	reg.Counter("grid_cell_attempts_total", lBench, lPlat).Inc()
+	auto, err := timing.EstimateRun(p, bench, res, timing.Auto)
+	if err != nil {
+		return finish(Cell{}, err)
 	}
-	return finish(Cell{}, lastErr)
+	hand, err := timing.EstimateRun(p, bench, res, timing.Hand)
+	if err != nil {
+		return finish(Cell{}, err)
+	}
+	lSize := obs.L("size", res.Name)
+	reg.Gauge("cell_auto_seconds", lBench, lPlat, lSize).Set(auto.Seconds)
+	reg.Gauge("cell_hand_seconds", lBench, lPlat, lSize).Set(hand.Seconds)
+	sp.SetAttr("auto_seconds", auto.Seconds)
+	sp.SetAttr("hand_seconds", hand.Seconds)
+	sp.SetCycles(hand.CyclesPerPixel * float64(res.Width) * float64(res.Height))
+	return finish(Cell{AutoSeconds: auto.Seconds, HandSeconds: hand.Seconds}, nil)
 }
 
 // VerifyCtx is Verify with a context deadline, checked between images so a

@@ -15,15 +15,6 @@ func validPGM() []byte {
 	return buf.Bytes()
 }
 
-func validPPM() []byte {
-	m := SyntheticRGB(Resolution{Width: 8, Height: 6, Name: "8x6"}, 1)
-	var buf bytes.Buffer
-	if err := WritePPM(&buf, m); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzReadPGM: hostile, truncated, or giant-header inputs must return an
 // error, never panic, and never allocate beyond the declared-pixel cap.
 func FuzzReadPGM(f *testing.F) {
@@ -63,40 +54,6 @@ func FuzzReadPGM(f *testing.F) {
 	})
 }
 
-// FuzzReadPPM is FuzzReadPGM for the 3-channel decoder.
-func FuzzReadPPM(f *testing.F) {
-	f.Add(validPPM())
-	f.Add([]byte("P6\n1 1\n255\nrgb"))
-	f.Add([]byte("P6"))
-	f.Add([]byte("P6\n65535 65535\n255\n"))
-	f.Add([]byte("P6\n0 5\n255\n"))
-	f.Add([]byte("P5\n1 1\n255\nx")) // wrong magic
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadPPM(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if m == nil {
-			t.Fatal("nil RGB with nil error")
-		}
-		if m.Width <= 0 || m.Height <= 0 || m.Width*m.Height > maxPNMPixels {
-			t.Fatalf("accepted unreasonable dimensions %dx%d", m.Width, m.Height)
-		}
-		if len(m.Pix) != 3*m.Width*m.Height {
-			t.Fatalf("pixel buffer %d for %dx%d", len(m.Pix), m.Width, m.Height)
-		}
-		var buf bytes.Buffer
-		if err := WritePPM(&buf, m); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		m2, err := ReadPPM(&buf)
-		if err != nil || !m.EqualTo(m2) {
-			t.Fatalf("round-trip failed: %v", err)
-		}
-	})
-}
-
 // TestTryConstructors covers the error-returning constructors directly.
 func TestTryConstructors(t *testing.T) {
 	if _, err := TryNewMat(0, 5, U8); err == nil {
@@ -112,12 +69,8 @@ func TestTryConstructors(t *testing.T) {
 	if err != nil || len(m.F32Pix) != 12 {
 		t.Fatalf("TryNewMat(4,3,F32) = %v, %v", m, err)
 	}
-	if _, err := TryNewRGB(-1, 1); err == nil {
-		t.Error("TryNewRGB(-1,1) should error")
-	}
-	rgb, err := TryNewRGB(2, 2)
-	if err != nil || len(rgb.Pix) != 12 {
-		t.Fatalf("TryNewRGB(2,2) = %v, %v", rgb, err)
+	if rgb := NewRGB(2, 2); len(rgb.Pix) != 12 {
+		t.Fatalf("NewRGB(2,2) has %d bytes", len(rgb.Pix))
 	}
 
 	// The panicking wrappers must still panic for internal misuse.

@@ -310,32 +310,6 @@ func TestSyntheticRGBChannelsDiffer(t *testing.T) {
 	}
 }
 
-func TestPPMRoundTrip(t *testing.T) {
-	m := SyntheticRGB(Resolution{Width: 19, Height: 7}, 5)
-	var buf bytes.Buffer
-	if err := WritePPM(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPPM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.EqualTo(back) {
-		t.Fatal("PPM roundtrip altered pixels")
-	}
-	bad := []string{
-		"P5\n2 2\n255\n" + strings.Repeat("x", 12), // wrong magic
-		"P6\n2 2\n128\n" + strings.Repeat("x", 12), // maxval
-		"P6\n2 2\n255\nxx",                         // short data
-		"P6\n0 2\n255\n",                           // zero dim
-	}
-	for i, s := range bad {
-		if _, err := ReadPPM(strings.NewReader(s)); err == nil {
-			t.Errorf("bad PPM %d accepted", i)
-		}
-	}
-}
-
 // TestSyntheticChecksums pins Synthetic and SyntheticF32 byte for byte:
 // FNV-64a sums of their output (SyntheticF32's as little-endian float32
 // bits) over odd, tiny and paper-sized shapes and seeds 0-5. The U8 sums

@@ -27,17 +27,17 @@ func WritePGM(w io.Writer, m *Mat) error {
 // header would otherwise commit 4 GiB before a single pixel byte is read.
 const maxPNMPixels = 1 << 26
 
-// readPNMHeader parses "<magic> <width> <height> <maxval>" with bounded
-// reads: the magic is exactly two bytes (never an unbounded token), header
+// readPGMHeader parses "P5 <width> <height> <maxval>" with bounded reads:
+// the magic is exactly two bytes (never an unbounded token), header
 // integers are value-capped, and the width*height product is checked
 // against maxPNMPixels before any allocation.
-func readPNMHeader(br *bufio.Reader, wantMagic, format string) (width, height int, err error) {
+func readPGMHeader(br *bufio.Reader) (width, height int, err error) {
 	var magic [2]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return 0, 0, fmt.Errorf("image: bad %s header: %w", format, err)
+		return 0, 0, fmt.Errorf("image: bad PGM header: %w", err)
 	}
-	if string(magic[:]) != wantMagic {
-		return 0, 0, fmt.Errorf("image: not a binary %s (magic %q)", format, magic[:])
+	if string(magic[:]) != "P5" {
+		return 0, 0, fmt.Errorf("image: not a binary PGM (magic %q)", magic[:])
 	}
 	width, err = readPNMInt(br)
 	if err != nil {
@@ -52,14 +52,14 @@ func readPNMHeader(br *bufio.Reader, wantMagic, format string) (width, height in
 		return 0, 0, err
 	}
 	if maxval != 255 {
-		return 0, 0, fmt.Errorf("image: unsupported %s maxval %d", format, maxval)
+		return 0, 0, fmt.Errorf("image: unsupported PGM maxval %d", maxval)
 	}
 	if width <= 0 || height <= 0 || width > 1<<16 || height > 1<<16 {
-		return 0, 0, fmt.Errorf("image: unreasonable %s dimensions %dx%d", format, width, height)
+		return 0, 0, fmt.Errorf("image: unreasonable PGM dimensions %dx%d", width, height)
 	}
 	if width*height > maxPNMPixels {
-		return 0, 0, fmt.Errorf("image: %s dimensions %dx%d exceed the %d-pixel limit",
-			format, width, height, maxPNMPixels)
+		return 0, 0, fmt.Errorf("image: PGM dimensions %dx%d exceed the %d-pixel limit",
+			width, height, maxPNMPixels)
 	}
 	return width, height, nil
 }
@@ -68,7 +68,7 @@ func readPNMHeader(br *bufio.Reader, wantMagic, format string) (width, height in
 // hostile headers return errors; allocation is bounded by maxPNMPixels.
 func ReadPGM(r io.Reader) (*Mat, error) {
 	br := bufio.NewReader(r)
-	width, height, err := readPNMHeader(br, "P5", "PGM")
+	width, height, err := readPGMHeader(br)
 	if err != nil {
 		return nil, err
 	}

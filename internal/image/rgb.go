@@ -1,10 +1,6 @@
 package image
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // RGB is a 3-channel interleaved color image (R,G,B byte triplets in
 // row-major order), the layout camera pipelines hand to color-conversion
@@ -16,23 +12,13 @@ type RGB struct {
 	Pix    []uint8 // len = 3*Width*Height
 }
 
-// TryNewRGB allocates a zeroed color image, returning an error for
-// non-positive dimensions.
-func TryNewRGB(width, height int) (*RGB, error) {
-	if width <= 0 || height <= 0 {
-		return nil, fmt.Errorf("image: invalid dimensions %dx%d", width, height)
-	}
-	return &RGB{Width: width, Height: height, Pix: make([]uint8, 3*width*height)}, nil
-}
-
-// NewRGB allocates a zeroed color image, panicking on invalid dimensions;
-// external input goes through TryNewRGB.
+// NewRGB allocates a zeroed color image, panicking on non-positive
+// dimensions.
 func NewRGB(width, height int) *RGB {
-	m, err := TryNewRGB(width, height)
-	if err != nil {
-		panic(err.Error())
+	if width <= 0 || height <= 0 {
+		panic(fmt.Sprintf("image: invalid dimensions %dx%d", width, height))
 	}
-	return m
+	return &RGB{Width: width, Height: height, Pix: make([]uint8, 3*width*height)}
 }
 
 // Pixels returns the pixel count.
@@ -78,34 +64,4 @@ func SyntheticRGB(res Resolution, seed uint64) *RGB {
 		}
 	}
 	return m
-}
-
-// WritePPM encodes as binary PPM (P6).
-func WritePPM(w io.Writer, m *RGB) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", m.Width, m.Height); err != nil {
-		return err
-	}
-	if _, err := bw.Write(m.Pix); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadPPM decodes a binary PPM (P6). Truncated or hostile headers return
-// errors; allocation is bounded the same way as ReadPGM.
-func ReadPPM(r io.Reader) (*RGB, error) {
-	br := bufio.NewReader(r)
-	width, height, err := readPNMHeader(br, "P6", "PPM")
-	if err != nil {
-		return nil, err
-	}
-	m, err := TryNewRGB(width, height)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(br, m.Pix); err != nil {
-		return nil, fmt.Errorf("image: short PPM pixel data: %w", err)
-	}
-	return m, nil
 }

@@ -8,13 +8,13 @@ import (
 	"simdstudy/internal/obs"
 )
 
+// scoreDecay is the EWMA weight a new audit verdict carries: score becomes
+// (1-scoreDecay)*score + scoreDecay*verdict (verdict 1 on mismatch, 0 on
+// clean), so a pure mismatch burst reaches score 1-(0.75)^n after n audits.
+const scoreDecay = 0.25
+
 // ScoreboardConfig tunes the corruption scoreboard.
 type ScoreboardConfig struct {
-	// Decay is the EWMA weight a new audit verdict carries: score becomes
-	// (1-Decay)*score + Decay*verdict (verdict 1 on mismatch, 0 on clean).
-	// Zero selects the default 0.25; a pure mismatch burst therefore
-	// reaches score 1-(0.75)^n after n audits.
-	Decay float64
 	// Threshold is the decayed mismatch rate that quarantines a pair.
 	// Zero selects the default 0.5.
 	Threshold float64
@@ -25,9 +25,6 @@ type ScoreboardConfig struct {
 }
 
 func (c ScoreboardConfig) normalized() ScoreboardConfig {
-	if c.Decay <= 0 || c.Decay > 1 {
-		c.Decay = 0.25
-	}
 	if c.Threshold <= 0 {
 		c.Threshold = 0.5
 	}
@@ -106,7 +103,7 @@ func (b *Scoreboard) Record(kernel, isa string, mismatch bool) (score float64, t
 		c.mismatches++
 	}
 	c.audits++
-	c.score = (1-b.cfg.Decay)*c.score + b.cfg.Decay*v
+	c.score = (1-scoreDecay)*c.score + scoreDecay*v
 	score = c.score
 	enough := b.cfg.MinSamples < 0 || c.audits >= uint64(b.cfg.MinSamples)
 	if !c.tripped && enough && c.score >= b.cfg.Threshold {

@@ -16,8 +16,8 @@ type State int
 
 // Breaker states. The happy path is Closed; repeated guard fallbacks open
 // the breaker (SIMD demoted to scalar); after a cooldown the breaker goes
-// half-open and admits a bounded number of probe calls; clean probes close
-// it again. StuckOpen is the terminal state, the quarantine: reached after
+// half-open and admits one probe call at a time; a clean probe closes it
+// again. StuckOpen is the terminal state, the quarantine: reached after
 // the configured number of failed re-arm cycles or forced by
 // BreakerSet.Quarantine, it demotes only its own pair, and the Reason it
 // latched for says which route got it there.
@@ -55,11 +55,7 @@ type BreakerConfig struct {
 	// Window is how many recent outcomes the failure rate is computed
 	// over (a sliding ring). Default 16.
 	Window int
-	// WindowAge, when positive, additionally expires outcomes older than
-	// this from the window, so a burst of ancient failures cannot trip a
-	// breaker that has been idle. Zero disables age-based expiry.
-	WindowAge time.Duration
-	// MinSamples is the minimum number of live outcomes in the window
+	// MinSamples is the minimum number of outcomes in the window
 	// before the breaker may trip. Default 4.
 	MinSamples int
 	// FailureRate opens the breaker when failures/samples reaches this
@@ -68,12 +64,6 @@ type BreakerConfig struct {
 	// OpenFor is the cooldown an open breaker waits before going
 	// half-open. Default 5s.
 	OpenFor time.Duration
-	// ProbeBudget is the maximum number of outstanding half-open probe
-	// calls. Default 1.
-	ProbeBudget int
-	// ProbeSuccesses is how many clean probes close a half-open breaker.
-	// Default 1.
-	ProbeSuccesses int
 	// GiveUpAfter, when positive, is how many consecutive open trips the
 	// breaker tolerates without managing to close; the next trip latches
 	// StuckOpen with ReasonGiveUp — the terminal action, recorded by cv as
@@ -99,22 +89,10 @@ func (c BreakerConfig) normalized() BreakerConfig {
 	if c.OpenFor <= 0 {
 		c.OpenFor = 5 * time.Second
 	}
-	if c.ProbeBudget <= 0 {
-		c.ProbeBudget = 1
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 1
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
 	return c
-}
-
-// outcome is one recorded guard verdict in the sliding window.
-type outcome struct {
-	at time.Time
-	ok bool
 }
 
 // Breaker is one per-(kernel, ISA) circuit breaker. All methods are safe
@@ -126,13 +104,12 @@ type Breaker struct {
 	isa    string
 
 	state    State
-	ring     []outcome
-	next     int // ring write cursor
-	filled   int // live entries in ring
+	ring     []bool // recent verdicts, true = clean; ring[:filled] are live
+	next     int    // ring write cursor
+	filled   int    // live entries in ring
 	openedAt time.Time
 	opens    int       // consecutive open transitions without a close
-	probes   int       // outstanding half-open probes
-	probeOK  int       // clean probes this half-open cycle
+	probing  bool      // a half-open probe is outstanding
 	why      Reason    // why the breaker latched StuckOpen
 	since    time.Time // when it latched
 
@@ -144,7 +121,7 @@ type Breaker struct {
 // reg (which may be nil).
 func NewBreaker(kernel, isa string, cfg BreakerConfig, reg *obs.Registry) *Breaker {
 	c := cfg.normalized()
-	b := &Breaker{cfg: c, kernel: kernel, isa: isa, ring: make([]outcome, c.Window), reg: reg}
+	b := &Breaker{cfg: c, kernel: kernel, isa: isa, ring: make([]bool, c.Window), reg: reg}
 	b.setStateGauge()
 	return b
 }
@@ -170,12 +147,10 @@ func (b *Breaker) admit(probe bool) (allowed bool, why Reason) {
 	case StateClosed:
 		allowed = true
 	case StateHalfOpen:
-		// Each admitted probe consumes one slot of the budget; the caller
-		// must resolve it with a verdict or a Release.
-		if b.probes < b.cfg.ProbeBudget {
-			b.probes++
-			allowed = true
-		}
+		// One probe at a time; the caller must resolve it with a verdict
+		// or a Release.
+		allowed = !b.probing
+		b.probing = true
 	}
 	return allowed, b.why
 }
@@ -187,24 +162,18 @@ func (b *Breaker) admit(probe bool) (allowed bool, why Reason) {
 func (b *Breaker) record(success bool) (st State, latched bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.cfg.Clock()
 	switch b.state {
 	case StateClosed:
-		b.push(now, success)
-		if b.tripped(now) {
-			b.toOpen(now)
+		b.push(success)
+		if b.tripped() {
+			b.toOpen(b.cfg.Clock())
 		}
 	case StateHalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
+		b.probing = false
 		if success {
-			b.probeOK++
-			if b.probeOK >= b.cfg.ProbeSuccesses {
-				b.transition(StateClosed, now)
-			}
+			b.transition(StateClosed, b.cfg.Clock())
 		} else {
-			b.toOpen(now)
+			b.toOpen(b.cfg.Clock())
 		}
 	default:
 		// A verdict from a call admitted before the trip landed late;
@@ -214,31 +183,27 @@ func (b *Breaker) record(success bool) (st State, latched bool) {
 	return b.state, b.state == StateStuckOpen
 }
 
-// push appends an outcome to the sliding window. Callers hold mu.
-func (b *Breaker) push(now time.Time, ok bool) {
-	b.ring[b.next] = outcome{at: now, ok: ok}
+// push appends a verdict to the sliding window. Callers hold mu.
+func (b *Breaker) push(ok bool) {
+	b.ring[b.next] = ok
 	b.next = (b.next + 1) % len(b.ring)
 	if b.filled < len(b.ring) {
 		b.filled++
 	}
 }
 
-// tripped reports whether the live window crosses the failure rate.
+// tripped reports whether the window crosses the failure rate. The ring
+// fills from index 0 after every reset, so ring[:filled] is the window.
 // Callers hold mu.
-func (b *Breaker) tripped(now time.Time) bool {
-	var samples, failures int
-	for i := 0; i < b.filled; i++ {
-		o := b.ring[(b.next-1-i+2*len(b.ring))%len(b.ring)]
-		if b.cfg.WindowAge > 0 && now.Sub(o.at) > b.cfg.WindowAge {
-			continue // expired
-		}
-		samples++
-		if !o.ok {
+func (b *Breaker) tripped() bool {
+	failures := 0
+	for _, ok := range b.ring[:b.filled] {
+		if !ok {
 			failures++
 		}
 	}
-	return samples >= b.cfg.MinSamples &&
-		float64(failures) >= b.cfg.FailureRate*float64(samples)
+	return b.filled >= b.cfg.MinSamples &&
+		float64(failures) >= b.cfg.FailureRate*float64(b.filled)
 }
 
 // maybeHalfOpen promotes an open breaker whose cooldown has lapsed.
@@ -287,9 +252,9 @@ func (b *Breaker) transition(to State, now time.Time) {
 	switch to {
 	case StateOpen:
 		b.openedAt = now
-		b.probes, b.probeOK = 0, 0
+		b.probing = false
 	case StateHalfOpen:
-		b.probes, b.probeOK = 0, 0
+		b.probing = false
 	case StateClosed:
 		b.opens = 0
 		b.filled, b.next = 0, 0
@@ -360,9 +325,9 @@ func (s *BreakerSet) get(kernel, isa string, create bool) *Breaker {
 
 // Admit is the one question an outermost kernel call asks: may the pair's
 // SIMD path run, and, when the pair is stuck-open, why. With probe set,
-// closed admits, open and stuck-open deny, and half-open admits up to
-// ProbeBudget outstanding probes, each to be resolved by a Record or a
-// Release. Without it only the latch is read, creating no breaker.
+// closed admits, open and stuck-open deny, and half-open admits one
+// outstanding probe, to be resolved by a Record or a Release. Without it
+// only the latch is read, creating no breaker.
 func (s *BreakerSet) Admit(kernel, isa string, probe bool) (allowed bool, why Reason) {
 	if b := s.get(kernel, isa, probe); b != nil {
 		return b.admit(probe)
@@ -380,15 +345,15 @@ func (s *BreakerSet) Record(kernel, isa string, success bool) State {
 	return st
 }
 
-// Release returns an admitted-but-unresolved call's probe to the half-open
-// budget. Callers that were cancelled (or failed validation) after a
+// Release frees an admitted-but-unresolved call's half-open probe slot.
+// Callers that were cancelled (or failed validation) after a
 // probing Admit but before producing a verdict must call it, or the probe
 // would stay consumed and the breaker could never leave half-open.
 func (s *BreakerSet) Release(kernel, isa string) {
 	if b := s.get(kernel, isa, false); b != nil {
 		b.mu.Lock()
-		if b.state == StateHalfOpen && b.probes > 0 {
-			b.probes--
+		if b.state == StateHalfOpen {
+			b.probing = false
 		}
 		b.mu.Unlock()
 	}

@@ -44,11 +44,11 @@ func tick(d time.Duration, s State) step { return step{advance: d, want: s} }
 
 // TestBreakerTransitions drives the state machine through its scripted
 // transitions: trip on failure rate, cooldown to half-open, probe success
-// and failure, window expiry, and the stuck-open latch.
+// and failure, and the stuck-open latch.
 func TestBreakerTransitions(t *testing.T) {
 	base := BreakerConfig{
 		Window: 8, MinSamples: 4, FailureRate: 0.5,
-		OpenFor: time.Second, ProbeBudget: 1, ProbeSuccesses: 1,
+		OpenFor: time.Second,
 	}
 	cases := []struct {
 		name  string
@@ -84,7 +84,7 @@ func TestBreakerTransitions(t *testing.T) {
 				allow(false, StateOpen),
 				tick(time.Second, StateHalfOpen),
 				allow(true, StateHalfOpen),  // the probe
-				allow(false, StateHalfOpen), // budget of 1 exhausted
+				allow(false, StateHalfOpen), // one probe at a time
 				rec(true, StateClosed),
 				allow(true, StateClosed),
 			},
@@ -100,41 +100,6 @@ func TestBreakerTransitions(t *testing.T) {
 				rec(false, StateOpen), // probe diverged
 				allow(false, StateOpen),
 				tick(time.Second, StateHalfOpen),
-				allow(true, StateHalfOpen),
-				rec(true, StateClosed),
-			},
-		},
-		{
-			name: "window expiry forgets ancient failures",
-			cfg: func() BreakerConfig {
-				c := base
-				c.WindowAge = 10 * time.Second
-				return c
-			}(),
-			steps: []step{
-				rec(false, StateClosed), rec(false, StateClosed), rec(false, StateClosed),
-				// The three failures above age out before the fourth
-				// arrives, so the live window holds one sample — below
-				// MinSamples, no trip.
-				tick(11*time.Second, StateClosed),
-				rec(false, StateClosed),
-				allow(true, StateClosed),
-			},
-		},
-		{
-			name: "two clean probes required when ProbeSuccesses is 2",
-			cfg: func() BreakerConfig {
-				c := base
-				c.ProbeSuccesses = 2
-				c.ProbeBudget = 2
-				return c
-			}(),
-			steps: []step{
-				rec(false, StateClosed), rec(false, StateClosed),
-				rec(false, StateClosed), rec(false, StateOpen),
-				tick(time.Second, StateHalfOpen),
-				allow(true, StateHalfOpen),
-				rec(true, StateHalfOpen), // one of two
 				allow(true, StateHalfOpen),
 				rec(true, StateClosed),
 			},

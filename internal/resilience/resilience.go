@@ -1,8 +1,7 @@
 // Package resilience is the runtime policy layer that turns the cv guard's
 // one-shot fault outcomes into long-horizon robustness: per-(kernel, ISA)
 // circuit breakers that demote a flaky SIMD unit to scalar code before users
-// see retries and re-arm it with half-open probes, exponential backoff with
-// deterministic jitter for the guard's retry loop, and a typed deadline
+// see retries and re-arm it with half-open probes, and a typed deadline
 // error carrying partial-progress accounting for cancelled work.
 //
 // The breaker set is the one quarantine latch: a pair is terminally
@@ -18,7 +17,7 @@
 // guard in internal/cv cannot ask, because it only sees single calls.
 //
 // Everything here is dependency-free (stdlib + internal/obs), safe for
-// concurrent use, and deterministic under an injected clock and seed, so
+// concurrent use, and deterministic under an injected clock, so
 // the serving front-end (cmd/simdserved), the harness and the tests all
 // share one policy implementation.
 package resilience

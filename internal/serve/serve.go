@@ -45,11 +45,6 @@ type Config struct {
 	MaxDeadline time.Duration
 	// MaxPixels caps width*height per request. Default 1<<22 (4 Mpx).
 	MaxPixels int
-	// Guard is the guarded-dispatch policy shared by every worker Ops.
-	// The zero value takes cv.DefaultGuardPolicy. KillAfter is ignored:
-	// every worker Ops has the server's breaker set, which owns terminal
-	// demotion.
-	Guard cv.GuardPolicy
 	// Breaker configures the per-(kernel, ISA) circuit breakers.
 	Breaker resilience.BreakerConfig
 	// FaultISA restricts the attached fault injector to one ISA name
@@ -154,9 +149,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxPixels <= 0 {
 		c.MaxPixels = 1 << 22
-	}
-	if c.Guard == (cv.GuardPolicy{}) {
-		c.Guard = cv.DefaultGuardPolicy()
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -321,7 +313,10 @@ func NewServer(cfg Config) *Server {
 		isa := isa
 		s.pools[isa] = &sync.Pool{New: func() any {
 			o := cv.NewOps(isa, nil)
-			o.SetGuardPolicy(cfg.Guard)
+			// Every worker guards with the default policy; its KillAfter
+			// is moot, since the server's breaker set owns terminal
+			// demotion.
+			o.SetGuardPolicy(cv.DefaultGuardPolicy())
 			o.SetBreakers(s.brk)
 			o.SetObserver(s.reg)
 			o.SetParallel(cfg.Parallel)

@@ -25,11 +25,12 @@ type SLOConfig struct {
 	// budget — a shed request is a correct server decision but still a
 	// client that got no image back. Default 0.999.
 	AvailabilityTarget float64
-	// Windows are the burn-rate windows exported per objective, shortest
-	// first. Default {1m, 5m} — the short window catches a fast burn, the
-	// long one confirms it is sustained (multi-window alerting).
-	Windows []time.Duration
 }
+
+// sloWindows are the burn-rate windows exported per objective, shortest
+// first: the short window catches a fast burn, the long one confirms it is
+// sustained (multi-window alerting).
+var sloWindows = [...]time.Duration{time.Minute, 5 * time.Minute}
 
 func (c SLOConfig) normalized() SLOConfig {
 	if c.LatencyObjective <= 0 {
@@ -40,9 +41,6 @@ func (c SLOConfig) normalized() SLOConfig {
 	}
 	if c.AvailabilityTarget <= 0 || c.AvailabilityTarget >= 1 {
 		c.AvailabilityTarget = 0.999
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []time.Duration{time.Minute, 5 * time.Minute}
 	}
 	return c
 }
@@ -82,8 +80,7 @@ type sloTracker struct {
 // baseline snapshot.
 func newSLOTracker(cfg SLOConfig, clock func() time.Time) *sloTracker {
 	cfg = cfg.normalized()
-	longest := cfg.Windows[len(cfg.Windows)-1]
-	cap := int(longest/time.Second) + 2
+	cap := int(sloWindows[len(sloWindows)-1]/time.Second) + 2
 	t := &sloTracker{cfg: cfg, clock: clock, ring: make([]sloPoint, cap)}
 	t.ring[0] = sloPoint{t: clock()}
 	t.head, t.n = 1, 1
@@ -136,8 +133,8 @@ type sloBurn struct {
 	Requests     uint64
 }
 
-// burnRates computes the burn rate of both objectives over every
-// configured window, ending now. A window with no traffic burns 0.
+// burnRates computes the burn rate of both objectives over every window
+// in sloWindows, ending now. A window with no traffic burns 0.
 func (t *sloTracker) burnRates() []sloBurn {
 	if t == nil {
 		return nil
@@ -145,8 +142,8 @@ func (t *sloTracker) burnRates() []sloBurn {
 	now := t.clock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]sloBurn, 0, len(t.cfg.Windows))
-	for _, w := range t.cfg.Windows {
+	out := make([]sloBurn, 0, len(sloWindows))
+	for _, w := range sloWindows {
 		cutoff := now.Add(-w)
 		if !t.cur.t.After(cutoff) {
 			// The last recorded request predates the whole window: no

@@ -200,7 +200,6 @@ func TestSLOBurnMath(t *testing.T) {
 		LatencyObjective:   100 * time.Millisecond,
 		LatencyTarget:      0.99,  // 1% latency budget
 		AvailabilityTarget: 0.999, // 0.1% availability budget
-		Windows:            []time.Duration{time.Minute},
 	}, clk.Now)
 
 	// 100 requests over 50s: 90 good-fast, 5 slow (latency-bad), 5 shed
@@ -217,8 +216,8 @@ func TestSLOBurnMath(t *testing.T) {
 		}
 	}
 	burns := tr.burnRates()
-	if len(burns) != 1 {
-		t.Fatalf("burnRates len = %d", len(burns))
+	if len(burns) != len(sloWindows) || burns[0].Window != time.Minute {
+		t.Fatalf("burnRates = %+v, want the 1m window first of %d", burns, len(sloWindows))
 	}
 	b := burns[0]
 	if b.Requests != 100 {

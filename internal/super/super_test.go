@@ -175,7 +175,7 @@ func TestWatchdogDetectsStall(t *testing.T) {
 }
 
 func TestWatchdogBeatsPreventStall(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Deadline: 50 * time.Millisecond, Poll: time.Millisecond}, nil)
+	w := NewWatchdog(WatchdogConfig{Deadline: 50 * time.Millisecond}, nil)
 	defer w.Stop()
 	sec := w.Section("ResizeHalf", "sse2", 1, nil)
 	defer sec.Close()
@@ -228,14 +228,14 @@ func TestWatchdogConfigDefaults(t *testing.T) {
 	if c.Deadline != time.Second {
 		t.Errorf("default Deadline = %v", c.Deadline)
 	}
-	if c.Poll != c.Deadline/8 {
-		t.Errorf("default Poll = %v", c.Poll)
+	if c.poll() != c.Deadline/8 {
+		t.Errorf("default poll = %v", c.poll())
 	}
-	if p := (WatchdogConfig{Deadline: time.Microsecond}).normalized().Poll; p != time.Millisecond {
-		t.Errorf("Poll floor = %v, want 1ms", p)
+	if p := (WatchdogConfig{Deadline: time.Microsecond}).normalized().poll(); p != time.Millisecond {
+		t.Errorf("poll floor = %v, want 1ms", p)
 	}
-	if p := (WatchdogConfig{Deadline: time.Hour}).normalized().Poll; p != 250*time.Millisecond {
-		t.Errorf("Poll ceiling = %v, want 250ms", p)
+	if p := (WatchdogConfig{Deadline: time.Hour}).normalized().poll(); p != 250*time.Millisecond {
+		t.Errorf("poll ceiling = %v, want 250ms", p)
 	}
 	if q := (QuarantinePolicy{}).normalized(); q.MaxPanics != 3 {
 		t.Errorf("default MaxPanics = %d", q.MaxPanics)

@@ -41,25 +41,18 @@ type WatchdogConfig struct {
 	// Deadline is how long a band's heartbeat may stay silent before the
 	// section is declared stalled. Default 1s.
 	Deadline time.Duration
-	// Poll is the monitor's scan interval. Default Deadline/8, clamped to
-	// [1ms, 250ms].
-	Poll time.Duration
 }
 
 func (c WatchdogConfig) normalized() WatchdogConfig {
 	if c.Deadline <= 0 {
 		c.Deadline = time.Second
 	}
-	if c.Poll <= 0 {
-		c.Poll = c.Deadline / 8
-	}
-	if c.Poll < time.Millisecond {
-		c.Poll = time.Millisecond
-	}
-	if c.Poll > 250*time.Millisecond {
-		c.Poll = 250 * time.Millisecond
-	}
 	return c
+}
+
+// poll is the monitor's scan interval: Deadline/8, clamped to [1ms, 250ms].
+func (c WatchdogConfig) poll() time.Duration {
+	return min(max(c.Deadline/8, time.Millisecond), 250*time.Millisecond)
 }
 
 // Heart is one band's heartbeat slot. Beat is called from the band's row
@@ -190,7 +183,7 @@ func (w *Watchdog) Section(op, isa string, bands int, onStall func()) *Section {
 
 // monitor scans every poll interval until Stop.
 func (w *Watchdog) monitor() {
-	t := time.NewTicker(w.cfg.Poll)
+	t := time.NewTicker(w.cfg.poll())
 	defer t.Stop()
 	for {
 		select {

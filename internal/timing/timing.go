@@ -363,18 +363,3 @@ func EstimateRun(p platform.Platform, bench string, res image.Resolution, impl I
 		BytesPerPixel:  bytesPP,
 	}, nil
 }
-
-// Speedup returns the HAND-over-AUTO speedup factor for a benchmark on a
-// platform at a resolution — the quantity plotted in the paper's
-// Figures 2-6.
-func Speedup(p platform.Platform, bench string, res image.Resolution) (float64, error) {
-	auto, err := EstimateRun(p, bench, res, Auto)
-	if err != nil {
-		return 0, err
-	}
-	hand, err := EstimateRun(p, bench, res, Hand)
-	if err != nil {
-		return 0, err
-	}
-	return auto.Seconds / hand.Seconds, nil
-}

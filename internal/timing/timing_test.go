@@ -198,7 +198,7 @@ func TestTimesScaleWithImageSize(t *testing.T) {
 func TestPaperShapeTargets(t *testing.T) {
 	res := image.Res8MP
 	sp := func(p platform.Platform, bench string) float64 {
-		s, err := Speedup(p, bench, res)
+		s, err := speedup(p, bench, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestSpeedupsSizeInvariant(t *testing.T) {
 	for _, p := range []platform.Platform{platform.AtomD510(), platform.Exynos4412()} {
 		var lo, hi float64
 		for i, res := range image.Resolutions {
-			s, err := Speedup(p, "ConvertFloatShort", res)
+			s, err := speedup(p, "ConvertFloatShort", res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,4 +348,19 @@ func TestSpeedupsSizeInvariant(t *testing.T) {
 			t.Errorf("%s: speedup varies %.2f-%.2f across sizes", p.Name, lo, hi)
 		}
 	}
+}
+
+// speedup returns the HAND-over-AUTO speedup factor for a benchmark on a
+// platform at a resolution — the quantity plotted in the paper's
+// Figures 2-6.
+func speedup(p platform.Platform, bench string, res image.Resolution) (float64, error) {
+	auto, err := EstimateRun(p, bench, res, Auto)
+	if err != nil {
+		return 0, err
+	}
+	hand, err := EstimateRun(p, bench, res, Hand)
+	if err != nil {
+		return 0, err
+	}
+	return auto.Seconds / hand.Seconds, nil
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"simdstudy/internal/cv"
 )
 
 var updateTraceGolden = flag.Bool("update-trace-golden", false, "rewrite testdata/trace_summary.golden")
@@ -39,7 +41,7 @@ func TestTraceSummaryGolden(t *testing.T) {
 			for _, workers := range []int{1, 2, 7} {
 				tr := NewTrace()
 				o := NewOps(isa, tr)
-				o.SetParallel(ParallelConfig{Workers: workers})
+				o.SetParallel(cv.ParallelConfig{Workers: workers})
 				if err := b.run(o); err != nil {
 					t.Fatalf("%s/%v/w=%d: %v", b.name, isa, workers, err)
 				}
