@@ -308,6 +308,30 @@ func BenchmarkHostServeMemoHit(b *testing.B) {
 	b.ReportMetric((float64(tTwin)/float64(twins))/(float64(tTimed)/float64(b.N)), "x-compute")
 }
 
+// BenchmarkHostServeCompute serves VGA gaussian, convert and canny on
+// NEON through the handler of a memo-off server: synthesis, admission, the
+// guarded kernel, the checksum and the response. Every plane a request
+// touches comes from the par recycler, so CI fails a sub-benchmark above
+// 64 KiB/op; allocating the source and destination per request measured
+// 0.66-1.9 MB/op.
+func BenchmarkHostServeCompute(b *testing.B) {
+	s := serve.NewServer(serve.Config{})
+	defer s.Close()
+	h := s.Handler()
+	for _, k := range []string{"gaussian", "convert", "canny"} {
+		b.Run(k, func(b *testing.B) {
+			url := "/process?kernel=" + k + "&width=640&height=480&isa=neon&seed=1"
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s: %d: %s", url, rec.Code, rec.Body.Bytes())
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkHostGaussianNEONEmu measures the heaviest kernel end to end.
 func BenchmarkHostGaussianNEONEmu(b *testing.B) {
 	res := Resolution{Width: 640, Height: 480}

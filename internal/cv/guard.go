@@ -344,7 +344,11 @@ func (r *refRows) row(y int) int {
 }
 
 // rowReferee computes the scalar reference of just the output rows the
-// guard compares. Output row y reads source rows [s·y-halo, s·y+s+halo),
+// guard compares, packed into one window taken from the par recycler at
+// a stable height, the most rows len(rows) windows can cover
+// (len(rows)·(2·halo+scale), capped at dst's), and resliced down to the
+// rows it fills: every referee for one dst shape takes one size class.
+// Output row y reads source rows [s·y-halo, s·y+s+halo),
 // clamped to the plane; overlapping or touching windows merge, and each
 // merged window runs rerun on a serial referee over a row view of the
 // source. Every windowed kernel replicates its borders (clampIdx), so a
@@ -372,7 +376,8 @@ func (o *Ops) rowReferee(spec guardSpec, srcH int, dst *image.Mat, rows []int, r
 		ref.win[i] = refWin{y0: y0, y1: y1, off: total}
 		total += y1 - y0
 	}
-	ref.m = par.GetMat(dst.Width, total, dst.Kind)
+	ref.m = par.GetMat(dst.Width, min(len(rows)*(2*halo+s), dst.Height), dst.Kind)
+	*ref.m = *ref.m.Rows(0, total)
 	ro := o.refereeOps(false)
 	view := new(image.Mat) // one row view of ref.m, re-pointed per window
 	for i, sw := range srcWins {

@@ -57,6 +57,47 @@ func TestPoolScrubberWiredIntoPar(t *testing.T) {
 	par.PutMat(g)
 }
 
+// TestPoolScrubberVerifiesEveryParkedPlane: the fingerprint rides beside
+// the idle plane in the recycler, so no number of later parks can push a
+// plane out of verification. A hundred planes park, the first one parked
+// is corrupted, and taking them all back must catch it.
+func TestPoolScrubberVerifiesEveryParkedPlane(t *testing.T) {
+	reg := obs.NewRegistry()
+	par.SetScrubber(NewPoolScrubber(reg))
+	defer par.SetScrubber(nil)
+
+	const w, h, n = 41, 29, 100
+	mats := make([]*image.Mat, n)
+	for i := range mats {
+		mats[i] = par.GetMat(w, h, image.U8)
+		for j := range mats[i].U8Pix {
+			mats[i].U8Pix[j] = byte(i + j)
+		}
+	}
+	for _, m := range mats {
+		par.PutMat(m)
+	}
+	first := mats[0]
+	first.U8Pix[7] ^= 0x40
+
+	for i := range mats {
+		g := par.GetMat(w, h, image.U8)
+		if g == first {
+			t.Fatal("the corrupted first-parked plane was handed back")
+		}
+		mats[i] = g
+	}
+	if got := metricValue(t, reg, `plane_scrub_total{result="corrupt"}`); got != 1 {
+		t.Fatalf("corrupt scrubs = %v, want 1", got)
+	}
+	if got := metricValue(t, reg, `plane_scrub_total{result="ok"}`); got != n-1 {
+		t.Fatalf("clean scrubs = %v, want %d", got, n-1)
+	}
+	for _, m := range mats {
+		par.PutMat(m)
+	}
+}
+
 func metricValue(t *testing.T, reg *obs.Registry, series string) float64 {
 	t.Helper()
 	var buf strings.Builder

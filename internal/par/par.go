@@ -24,8 +24,11 @@
 //     requests) therefore compose without oversubscribing the machine: the
 //     pool is global and capacity-bounded, and every caller always makes
 //     progress on its own goroutine.
-//   - GetMat/PutMat, a size-bucketed sync.Pool of scratch images so
-//     steady-state kernel execution does not allocate planes.
+//   - GetMat/PutMat, the plane recycler behind every scratch, source and
+//     destination plane a request touches, so steady-state serving does
+//     not allocate planes. Checked-out plus idle planes are capped at
+//     twice the most bytes the process has ever had checked out at once
+//     (planes.go).
 //
 // Run's workers must only execute leaf work: a band body must never call
 // Run itself (directly or via a kernel), or pool workers could block waiting
@@ -35,9 +38,6 @@ package par
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
-
-	"simdstudy/internal/image"
 )
 
 // Config sizes a parallel section.
@@ -205,111 +205,4 @@ func FirstPanic(panics []any, sentinel func(any) bool) any {
 		return p
 	}
 	return nil
-}
-
-// --- Pooled scratch images ---
-
-// matPools buckets recycled Mats by pixel kind. Capacity is checked on Get;
-// undersized pooled Mats are simply dropped for the garbage collector.
-var matPools [3]sync.Pool
-
-// Scrubber is the integrity hook around the scratch pool: Stamp
-// fingerprints a plane as it is parked, Check re-verifies it at the reuse
-// boundary — before GetMat reslices or clears anything — and a false
-// return means the plane changed while parked, so the Mat is discarded
-// instead of reused. internal/integrity.PoolScrubber implements it; the
-// indirection keeps par free of a dependency on the integrity layer.
-type Scrubber interface {
-	Stamp(m *image.Mat)
-	Check(m *image.Mat) bool
-}
-
-// scrubCell wraps the hook for atomic.Value's consistent-type requirement.
-type scrubCell struct{ s Scrubber }
-
-var scrubHook atomic.Value // scrubCell
-
-// SetScrubber installs (or, with nil, removes) the process-wide pool
-// scrubber. Off by default: fingerprinting every parked plane costs a
-// hash pass per Put and Get, which the serving and campaign layers opt
-// into alongside audits.
-func SetScrubber(s Scrubber) { scrubHook.Store(scrubCell{s: s}) }
-
-func scrubber() Scrubber {
-	c, _ := scrubHook.Load().(scrubCell)
-	return c.s
-}
-
-// GetMat returns a w x h scratch Mat of the given kind with zeroed planes
-// (kernels such as Canny's non-maximum suppression rely on zero
-// initialization exactly like image.NewMat provides). Return it with PutMat
-// when done; steady-state reuse allocates nothing.
-func GetMat(w, h int, kind image.Type) *image.Mat {
-	return getMat(w, h, kind, true)
-}
-
-// GetMatForOverwrite is GetMat without the zeroing pass. Only for callers
-// that fully overwrite every element before reading any — the memo hit
-// path copies a complete cached plane over the Mat — where the clear
-// would be a wasted write sweep. Stale pool contents are visible until
-// the overwrite lands, so never hand such a Mat to a kernel that assumes
-// zero initialization (Canny's NMS does).
-func GetMatForOverwrite(w, h int, kind image.Type) *image.Mat {
-	return getMat(w, h, kind, false)
-}
-
-func getMat(w, h int, kind image.Type, zero bool) *image.Mat {
-	n := w * h
-	m, _ := matPools[kind].Get().(*image.Mat)
-	if m == nil {
-		return image.NewMat(w, h, kind)
-	}
-	if sc := scrubber(); sc != nil && !sc.Check(m) {
-		// The plane changed while parked: silent corruption at rest. Never
-		// reuse it — the replacement is allocated fresh and zeroed.
-		return image.NewMat(w, h, kind)
-	}
-	m.Width, m.Height = w, h
-	switch kind {
-	case image.U8:
-		if cap(m.U8Pix) < n {
-			return image.NewMat(w, h, kind)
-		}
-		m.U8Pix = m.U8Pix[:n]
-		if zero {
-			clear(m.U8Pix)
-		}
-	case image.S16:
-		if cap(m.S16Pix) < n {
-			return image.NewMat(w, h, kind)
-		}
-		m.S16Pix = m.S16Pix[:n]
-		if zero {
-			clear(m.S16Pix)
-		}
-	case image.F32:
-		if cap(m.F32Pix) < n {
-			return image.NewMat(w, h, kind)
-		}
-		m.F32Pix = m.F32Pix[:n]
-		if zero {
-			clear(m.F32Pix)
-		}
-	}
-	return m
-}
-
-// PutMat recycles a Mat obtained from GetMat (or any Mat the caller no
-// longer needs). The Mat must not be used after PutMat returns.
-func PutMat(m *image.Mat) {
-	if m == nil {
-		return
-	}
-	if int(m.Kind) < 0 || int(m.Kind) >= len(matPools) {
-		return
-	}
-	if sc := scrubber(); sc != nil {
-		sc.Stamp(m)
-	}
-	matPools[m.Kind].Put(m)
 }

@@ -15,6 +15,7 @@ import (
 
 	"simdstudy/internal/cv"
 	"simdstudy/internal/image"
+	"simdstudy/internal/par"
 )
 
 // maxDim bounds a single request dimension before the pixel-count check,
@@ -64,10 +65,15 @@ func (k kernelSpec) dstDims(w, h int) (int, int) {
 	return w, h
 }
 
-// dst allocates the destination plane, rejecting degenerate geometry.
+// dst takes the zeroed destination plane from the par recycler, rejecting
+// degenerate geometry with image.TryNewMat's message. The caller returns
+// it with par.PutMat.
 func (k kernelSpec) dst(w, h int) (*image.Mat, error) {
 	dw, dh := k.dstDims(w, h)
-	return image.TryNewMat(dw, dh, k.dstKind)
+	if dw < 1 || dh < 1 {
+		return nil, fmt.Errorf("image: invalid dimensions %dx%d", dw, dh)
+	}
+	return par.GetMat(dw, dh, k.dstKind), nil
 }
 
 var kernels = map[string]kernelSpec{

@@ -624,6 +624,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // burn gauges are recomputed on every scrape so they are never stale.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.slo.publish(s.reg)
+	publishPlanes(s.reg)
 	format := r.URL.Query().Get("format")
 	if format == "openmetrics" ||
 		(format == "" && strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")) {
@@ -634,6 +635,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.reg.WritePrometheus(w)
+}
+
+// publishPlanes sets the plane recycler's byte gauges: bytes checked out
+// and idle now, and the high-water mark of checked-out bytes, twice which
+// bounds the other two together.
+func publishPlanes(reg *obs.Registry) {
+	ps := par.ReadPlaneStats()
+	reg.Gauge("plane_bytes", obs.L("state", "checked_out")).Set(float64(ps.CheckedOut))
+	reg.Gauge("plane_bytes", obs.L("state", "idle")).Set(float64(ps.Idle))
+	reg.Gauge("plane_bytes_high_water").Set(float64(ps.HighWater))
 }
 
 // statusWriter captures the response status so the SLO tracker can judge
@@ -708,12 +719,14 @@ func (s *Server) processRequest(w *statusWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	src := s.synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
 	dst, err := spec.dst(req.Width, req.Height)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
+	defer par.PutMat(dst)
+	src := s.synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
+	defer par.PutMat(src)
 
 	faults, elapsed, err := s.dispatch(ctx, req, spec, src, dst)
 	w.kernel = spec.name
@@ -787,6 +800,7 @@ func (s *Server) processMemo(ctx context.Context, w *statusWriter, req Request, 
 		}
 		defer s.adm.release()
 		src := s.synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
+		defer par.PutMat(src)
 		dst := par.GetMat(dw, dh, spec.dstKind)
 		defer par.PutMat(dst)
 		f, _, err := s.dispatch(ctx, req, spec, src, dst)
@@ -921,9 +935,11 @@ func (s *Server) injectorFor(isa cv.ISA) faults.Injector {
 
 // synthesize builds a request's source plane across the band count its
 // kernels use, on the par pool. The bytes are image.Synthetic's (or
-// image.SyntheticF32's) whatever the band count.
+// image.SyntheticF32's) whatever the band count. SynthesizeInto writes
+// every pixel, so the plane comes from the par recycler unzeroed; the
+// caller returns it with par.PutMat.
 func (s *Server) synthesize(kind image.Type, w, h int, seed uint64) *image.Mat {
-	m := image.NewMat(w, h, kind)
+	m := par.GetMatForOverwrite(w, h, kind)
 	image.SynthesizeInto(m, seed, par.NBands(h, s.synthPar.Workers, s.synthPar.MinRowsPerBand), runBands)
 	return m
 }

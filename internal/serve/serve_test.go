@@ -14,6 +14,7 @@ import (
 	"simdstudy/internal/cv"
 	"simdstudy/internal/faults"
 	"simdstudy/internal/image"
+	"simdstudy/internal/par"
 	"simdstudy/internal/vec"
 )
 
@@ -368,18 +369,24 @@ func TestFusedServing(t *testing.T) {
 
 // TestSynthesizeBandsMatchSerial: a server that bands synthesis over the
 // par pool builds the same source planes as image.Synthetic and
-// image.SyntheticF32.
+// image.SyntheticF32. Each plane goes back to the recycler, so later
+// rounds synthesize a new seed over the previous round's pixels.
 func TestSynthesizeBandsMatchSerial(t *testing.T) {
-	for _, workers := range []int{0, 2, 5, -1} {
+	for i, workers := range []int{0, 2, 5, -1} {
 		s := NewServer(Config{Parallel: cv.ParallelConfig{Workers: workers}})
+		seed := uint64(3 + i)
 		for _, sh := range [][2]int{{640, 480}, {33, 65}, {7, 1}} {
 			res := image.Resolution{Width: sh[0], Height: sh[1]}
-			if got := s.synthesize(image.U8, sh[0], sh[1], 3); !got.EqualTo(image.Synthetic(res, 3)) {
+			got := s.synthesize(image.U8, sh[0], sh[1], seed)
+			if !got.EqualTo(image.Synthetic(res, seed)) {
 				t.Errorf("workers %d %dx%d: U8 plane differs from Synthetic", workers, sh[0], sh[1])
 			}
-			if got := s.synthesize(image.F32, sh[0], sh[1], 3); !got.EqualTo(image.SyntheticF32(res, 3)) {
+			par.PutMat(got)
+			got = s.synthesize(image.F32, sh[0], sh[1], seed)
+			if !got.EqualTo(image.SyntheticF32(res, seed)) {
 				t.Errorf("workers %d %dx%d: F32 plane differs from SyntheticF32", workers, sh[0], sh[1])
 			}
+			par.PutMat(got)
 		}
 		s.Close()
 	}
