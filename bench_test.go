@@ -370,7 +370,7 @@ func medianBlur(o *Ops, src, dst *Mat) error {
 func benchHostGuarded(b *testing.B, run func(o *Ops, src, dst *Mat) error) {
 	guarded := NewOps(ISANEON, nil)
 	guarded.SetGuarded(true)
-	benchHostTwin(b, run, U8, guarded, NewOps(ISANEON, nil), "x-unguarded")
+	benchHostTwin(b, vga, run, U8, guarded, NewOps(ISANEON, nil), "x-unguarded")
 }
 
 // BenchmarkHostMedianNEONEmu times the 640x480 emulated NEON median, the
@@ -379,7 +379,7 @@ func benchHostGuarded(b *testing.B, run func(o *Ops, src, dst *Mat) error) {
 // pixel data or an out-of-line fault-hook call per intrinsic measure
 // 2.2-2.4x.
 func BenchmarkHostMedianNEONEmu(b *testing.B) {
-	benchHostTwin(b, medianBlur, U8, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
+	benchHostTwin(b, vga, medianBlur, U8, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
 }
 
 // BenchmarkHostSobelNEONEmu times the 640x480 emulated NEON x-gradient
@@ -389,17 +389,19 @@ func BenchmarkHostMedianNEONEmu(b *testing.B) {
 // 16-bit op it measured 7-9x.
 func BenchmarkHostSobelNEONEmu(b *testing.B) {
 	sobelX := func(o *Ops, src, dst *Mat) error { return o.SobelFilter(src, dst, 1, 0) }
-	benchHostTwin(b, sobelX, S16, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
+	benchHostTwin(b, vga, sobelX, S16, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
 }
 
-// benchHostTwin times run on a 640x480 image with timed, into a destination
+// vga is the 640x480 frame most host benchmarks time.
+var vga = Resolution{Width: 640, Height: 480}
+
+// benchHostTwin times run on a res image with timed, into a destination
 // of kind dstKind. Each iteration also runs it with twin, off the benchmark
 // clock, and reports timed over twin time as metric; interleaving the two
 // keeps host drift out of the ratio.
-func benchHostTwin(b *testing.B, run func(o *Ops, src, dst *Mat) error, dstKind image.Type, timed, twin *Ops, metric string) {
-	res := Resolution{Width: 640, Height: 480}
+func benchHostTwin(b *testing.B, res Resolution, run func(o *Ops, src, dst *Mat) error, dstKind image.Type, timed, twin *Ops, metric string) {
 	src := Synthetic(res, 1)
-	dst := NewMat(640, 480, dstKind)
+	dst := NewMat(res.Width, res.Height, dstKind)
 	var tTwin, tTimed time.Duration
 	b.SetBytes(int64(src.Bytes()))
 	b.ResetTimer()
@@ -468,6 +470,30 @@ func BenchmarkHostCannyFused(b *testing.B) { benchHostPipeline(b, true, hostCann
 func BenchmarkHostDetectEdgesStaged(b *testing.B) { benchHostPipeline(b, false, hostEdges) }
 
 func BenchmarkHostDetectEdgesFused(b *testing.B) { benchHostPipeline(b, true, hostEdges) }
+
+// BenchmarkHostFusedBanded times fused Canny and DetectEdges at the
+// paper's 5 Mpx class on emulated NEON with two workers, guarded as the
+// server guards, and reports x-staged: fused over the interleaved staged
+// twin's time. A fused call is one band-major section (DESIGN.md §16); CI
+// fails above 1.05, as per-strip barriers and a whole-plane Canny referee
+// measured 1.2-2.3.
+func BenchmarkHostFusedBanded(b *testing.B) {
+	for _, k := range []struct {
+		name string
+		run  func(o *Ops, src, dst *Mat) error
+	}{{"canny", hostCanny}, {"edges", hostEdges}} {
+		b.Run(k.name, func(b *testing.B) {
+			newOps := func(fuse bool) *Ops {
+				o := NewOps(ISANEON, nil)
+				o.SetGuardPolicy(cv.DefaultGuardPolicy())
+				o.SetParallel(cv.ParallelConfig{Workers: 2})
+				o.SetFuse(cv.FuseConfig{Enabled: fuse})
+				return o
+			}
+			benchHostTwin(b, Resolution{Width: 2592, Height: 1920}, k.run, U8, newOps(true), newOps(false), "x-staged")
+		})
+	}
+}
 
 // BenchmarkHostTraceOverhead quantifies instruction-accounting cost by
 // running the same kernel with and without a trace attached, for both

@@ -29,7 +29,8 @@ func (o *Ops) Canny(src, dst *image.Mat, lowThresh, highThresh int16) error {
 // CannyCtx is Canny with row-granular cancellation through the four Sobel
 // passes and the NMS pass (the flat magnitude stage and the hysteresis
 // traversal check at block/entry granularity only). Staged and fused
-// execution tick the same 5 x height row budget.
+// execution tick the same 5 x height row budget, plus the seam rows of a
+// band-major fused sweep.
 func (o *Ops) CannyCtx(ctx context.Context, src, dst *image.Mat, lowThresh, highThresh int16) error {
 	return o.call(ctx, "Canny", 5*dst.Height, func() error {
 		if err := requireKind(src, image.U8, "Canny src"); err != nil {
@@ -51,15 +52,22 @@ func (o *Ops) CannyCtx(ctx context.Context, src, dst *image.Mat, lowThresh, high
 			// Canny's breaker admission.
 			return o.cannyStaged(src, dst, lowThresh, highThresh)
 		}
-		fused := func() error { return o.cannyFused(src, dst, lowThresh, highThresh) }
+		nms := par.GetMatForOverwrite(src.Width, src.Height, image.U8)
+		defer par.PutMat(nms)
+		fused := func() error { return o.cannyFused(src, nms, dst, lowThresh, highThresh) }
 		if !o.UseOptimized() {
 			return fused()
 		}
-		// The referee is the staged scalar pipeline over the whole plane
-		// (hysteresis is global), and the fused output is compared against it.
-		return o.guardedRun(gkCanny, src.Height, dst, fused,
+		// The spot-check compares sampled rows of the NMS marker plane the
+		// sweep built against row windows of the staged scalar pipeline up
+		// to NMS. An audit and a fallback take the final output from the
+		// whole staged scalar pipeline, since hysteresis is global.
+		return o.guardedCheck(gkCanny, src.Height, dst, nms, fused,
 			func(ref *Ops, r0, r1 int, d *image.Mat) error {
 				return ref.cannyStaged(src.Rows(r0, r1), d, lowThresh, highThresh)
+			},
+			func(ref *Ops, r0, r1 int, d *image.Mat) error {
+				return ref.cannyStagedNMS(src.Rows(r0, r1), d, lowThresh, highThresh)
 			})
 	})
 }
@@ -67,7 +75,7 @@ func (o *Ops) CannyCtx(ctx context.Context, src, dst *image.Mat, lowThresh, high
 // cannyStaged is the unfused pipeline: each stage materializes its full
 // intermediate plane before the next begins.
 func (o *Ops) cannyStaged(src, dst *image.Mat, lowThresh, highThresh int16) error {
-	nms := par.GetMat(src.Width, src.Height, image.U8)
+	nms := par.GetMatForOverwrite(src.Width, src.Height, image.U8)
 	defer par.PutMat(nms)
 	if err := o.cannyStagedNMS(src, nms, lowThresh, highThresh); err != nil {
 		return err
@@ -79,13 +87,12 @@ func (o *Ops) cannyStaged(src, dst *image.Mat, lowThresh, highThresh int16) erro
 // cannyStagedNMS runs the staged pipeline up to the NMS marker plane
 // (0 none, 1 weak, 2 strong). Split out so the gradient and magnitude
 // planes go back to the pool, where a concurrent call can reuse them,
-// before the serial hysteresis pass runs. nms must be zero-initialized.
+// before the serial hysteresis pass runs. Every marker is written.
 func (o *Ops) cannyStagedNMS(src, nms *image.Mat, lowThresh, highThresh int16) error {
 	w, h := src.Width, src.Height
 
-	// Stage 1: gradients (SIMD-accelerated when enabled). The scratch
-	// planes come from the shared pool; GetMat zero-fills them, which the
-	// NMS marker plane below relies on.
+	// Stage 1: gradients (SIMD-accelerated when enabled), on scratch
+	// planes from the shared pool.
 	gx := par.GetMat(w, h, image.S16)
 	defer par.PutMat(gx)
 	gy := par.GetMat(w, h, image.S16)
@@ -193,7 +200,7 @@ func cannyMagChunk(b *Ops, a cannyMagArgs, lo, hi int) {
 // cannyNMSArgs bundles the NMS stage. magLo and gLo are the plane rows at
 // which the mag and gx/gy slices begin (zero on the staged path, the
 // rolling windows' first live rows on the fused path); nms is always the
-// full marker plane.
+// full marker plane, whose row y the body writes whole.
 type cannyNMSArgs struct {
 	gx, gy, mag []int16
 	nms         []uint8
@@ -204,6 +211,7 @@ type cannyNMSArgs struct {
 
 func cannyNMSRow(b *Ops, a cannyNMSArgs, y int) {
 	w := a.w
+	clear(a.nms[y*w : (y+1)*w])
 	if y >= 1 && y < a.h-1 {
 		mr := (y - a.magLo) * w
 		gr := (y - a.gLo) * w

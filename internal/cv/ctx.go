@@ -126,7 +126,9 @@ func (o *Ops) exit(kernel string, rows int, bind, watched, outer bool, r any, er
 	case ctxCanceled:
 		if bind {
 			*errp = &resilience.DeadlineError{
-				Op: "cv." + kernel, Cause: u.err, Completed: o.ctxRows, Total: rows, Unit: "rows",
+				// A band-major fused sweep also ticks the seam rows its
+				// bands recompute, so progress can pass the planned rows.
+				Op: "cv." + kernel, Cause: u.err, Completed: min(o.ctxRows, rows), Total: rows, Unit: "rows",
 			}
 			r = nil
 		}

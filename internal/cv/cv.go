@@ -78,10 +78,13 @@ type Ops struct {
 
 	// Parallel banding state (see par.go). par sizes intra-kernel
 	// parallelism (zero: serial); passSeq numbers parallel sections so
-	// fault streams are per-(pass, row) deterministic; bandPool recycles
-	// per-band Ops clones; stop and reseed are set only on band clones.
+	// fault streams are per-(pass, row) deterministic; sections counts the
+	// par.Run barriers this Ops has paid, which tests pin per call;
+	// bandPool recycles per-band Ops clones; stop and reseed are set only
+	// on band clones.
 	par      ParallelConfig
 	passSeq  atomic.Uint64
+	sections atomic.Uint64
 	bandPool sync.Pool
 	stop     *atomic.Bool
 	reseed   faults.Reseeder

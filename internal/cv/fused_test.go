@@ -3,6 +3,7 @@ package cv
 import (
 	"testing"
 
+	"simdstudy/internal/faults"
 	"simdstudy/internal/image"
 	"simdstudy/internal/obs"
 	"simdstudy/internal/trace"
@@ -158,47 +159,124 @@ func TestFusedBytesSavedMetric(t *testing.T) {
 	}
 }
 
-// TestFusedStripsBandAt5MP: automatic strip heights are floored at
-// Workers × MinRowsPerBand, so at 2592x1920 with two workers every
-// full-height strip pass of both fused pipelines splits into at least two
-// bands; only a stage's final, plane-clipped pass may run on one. An
-// explicit StripRows is kept as given.
-func TestFusedStripsBandAt5MP(t *testing.T) {
-	const w, h = 2592, 1920
-	rowStages := map[string][]int{
-		"Canny":       {fsDiffH, fsSmoothV, fsSmoothH, fsDiffV, fsNMS},
-		"DetectEdges": {fsDiffH, fsSmoothV, fsSmoothH, fsDiffV},
+// TestBandMajorFusedMatchesStaged: an untraced fused call with no
+// injector sweeps band-major, each band recomputing its seam rows. Across
+// band counts (including bands shorter than the seam halo), strip heights,
+// all three ISAs and guarded dispatch, its output must be byte-identical
+// to the serial staged pipeline's.
+func TestBandMajorFusedMatchesStaged(t *testing.T) {
+	kernels := []struct {
+		name string
+		run  func(o *Ops, src, dst *image.Mat) error
+	}{
+		{"Canny", func(o *Ops, src, dst *image.Mat) error { return o.Canny(src, dst, 60, 200) }},
+		{"DetectEdges", func(o *Ops, src, dst *image.Mat) error { return o.DetectEdges(src, dst, 90) }},
 	}
-	for kernel, stages := range rowStages {
-		o := NewOps(ISANEON, nil)
-		o.SetParallel(ParallelConfig{Workers: 2})
-		o.SetFuse(FuseConfig{Enabled: true})
-		g, err := o.fusedGeometry(kernel, w, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, i := range stages {
-			last := -1
-			for k := 0; k < g.Strips; k++ {
-				if y0, y1 := g.StageRows(i, k); y1 > y0 {
-					last = k
+	sizes := []image.Resolution{
+		{Width: 61, Height: 53}, {Width: 130, Height: 47}, {Width: 64, Height: 64},
+		{Width: 61, Height: 5}, {Width: 33, Height: 3}, {Width: 640, Height: 21},
+	}
+	for _, kc := range kernels {
+		for _, res := range sizes {
+			src := image.Synthetic(res, 7)
+			for _, isa := range []ISA{ISAScalar, ISANEON, ISASSE2} {
+				want := image.NewMat(res.Width, res.Height, image.U8)
+				if err := kc.run(NewOps(isa, nil), src, want); err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{2, 3, 4, 7} {
+					for _, strip := range []int{3, 8, 17, res.Height} {
+						for _, guarded := range []bool{false, true} {
+							o := NewOps(isa, nil)
+							o.SetParallel(ParallelConfig{Workers: workers, MinRowsPerBand: 1})
+							o.SetFuse(FuseConfig{Enabled: true, StripRows: strip})
+							o.SetGuarded(guarded)
+							got := image.NewMat(res.Width, res.Height, image.U8)
+							if err := kc.run(o, src, got); err != nil {
+								t.Fatal(err)
+							}
+							if !want.EqualTo(got) {
+								t.Fatalf("%s %dx%d %v workers=%d strip=%d guarded=%v: band-major output differs from staged in %d pixels",
+									kc.name, res.Width, res.Height, isa, workers, strip, guarded, want.DiffCount(got, 0))
+							}
+							if n := len(o.Faults()); n != 0 {
+								t.Fatalf("%s %dx%d %v workers=%d strip=%d: %d spurious fault records: %v",
+									kc.name, res.Width, res.Height, isa, workers, strip, n, o.Faults())
+							}
+						}
+					}
 				}
 			}
-			for k := 0; k < last; k++ {
-				y0, y1 := g.StageRows(i, k)
-				if nb := o.nBands(y1-y0, o.par.MinRowsPerBand); nb < 2 {
-					t.Errorf("%s stage %d strip %d: %d rows run on %d band(s) (strip rows %d)",
-						kernel, i, k, y1-y0, nb, g.StripRows)
-				}
-			}
 		}
+	}
+}
 
+// TestFusedCallIsOneSection: a banded untraced fused call, guarded or not,
+// pays one par.Run barrier for its whole sweep; a traced one sweeps as one
+// band and pays none.
+func TestFusedCallIsOneSection(t *testing.T) {
+	res := image.Resolution{Width: 320, Height: 240}
+	src := image.Synthetic(res, 3)
+	dst := image.NewMat(res.Width, res.Height, image.U8)
+	for _, tc := range []struct {
+		name     string
+		guarded  bool
+		tr       *trace.Counter
+		sections uint64
+	}{
+		{"unguarded", false, nil, 1},
+		{"guarded", true, nil, 1},
+		{"traced", false, &trace.Counter{}, 0},
+	} {
+		o := NewOps(ISANEON, tc.tr)
+		o.SetParallel(ParallelConfig{Workers: 2})
 		o.SetFuse(FuseConfig{Enabled: true, StripRows: 8})
-		if g, err = o.fusedGeometry(kernel, w, h); err != nil {
+		o.SetGuarded(tc.guarded)
+		for name, run := range map[string]func() error{
+			"Canny":       func() error { return o.Canny(src, dst, 60, 200) },
+			"DetectEdges": func() error { return o.DetectEdges(src, dst, 90) },
+		} {
+			before := o.sections.Load()
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := o.sections.Load() - before; got != tc.sections {
+				t.Errorf("%s %s: %d parallel sections, want %d", tc.name, name, got, tc.sections)
+			}
+		}
+	}
+}
+
+// TestFusedCannyGuardChecksMarkers: when a unit corrupts lane 0 of every
+// gradient vector, guarded fused Canny's spot-check of the NMS marker
+// plane catches it, and the caller receives the scalar plane.
+func TestFusedCannyGuardChecksMarkers(t *testing.T) {
+	res := image.Resolution{Width: 96, Height: 72}
+	src := image.Synthetic(res, 5)
+	for _, isa := range []ISA{ISANEON, ISASSE2} {
+		ref := NewOps(isa, nil)
+		ref.SetUseOptimized(false)
+		want := image.NewMat(res.Width, res.Height, image.U8)
+		if err := ref.Canny(src, want, 60, 200); err != nil {
 			t.Fatal(err)
 		}
-		if g.StripRows != 8 {
-			t.Errorf("%s: explicit StripRows 8 planned as %d", kernel, g.StripRows)
+		o := NewOps(isa, nil)
+		o.SetGuarded(true)
+		o.SetFuse(FuseConfig{Enabled: true, StripRows: 8})
+		o.SetFaultInjector(&corruptor{site: faults.SiteALU, remaining: -1})
+		got := image.NewMat(res.Width, res.Height, image.U8)
+		if err := o.Canny(src, got, 60, 200); err != nil {
+			t.Fatal(err)
+		}
+		if !want.EqualTo(got) {
+			t.Fatalf("%v: caller got a plane %d pixels off the scalar one", isa, want.DiffCount(got, 0))
+		}
+		actions := map[FaultAction]int{}
+		for _, f := range o.Faults() {
+			actions[f.Action]++
+		}
+		if actions[ActionDetected] != 1 || actions[ActionFallback] != 1 {
+			t.Fatalf("%v: fault records %v, want one detection ending in a fallback", isa, o.Faults())
 		}
 	}
 }

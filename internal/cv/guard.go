@@ -27,10 +27,11 @@ import (
 // code would flag legitimate divergence as faults.
 //
 // The referee computes only what the spot-check compares: each sampled
-// output row plus its stencil halo of source rows (see rowReferee). The
-// full scalar plane is built only when it is used whole — a fallback copy,
-// an audit-sampled call's full-window compare, or fused Canny, whose
-// hysteresis makes every output row depend on the whole plane.
+// row plus its stencil halo of source rows (see rowReferee). The full
+// scalar plane is built only when it is used whole — a fallback copy or
+// an audit-sampled call's full-window compare. Fused Canny's hysteresis
+// makes every output row depend on the whole plane, so its spot-check
+// samples the NMS marker plane its sweep builds instead (guardedCheck).
 
 // guardKernel indexes guardSpecs, the table of guarded entry points.
 type guardKernel int
@@ -47,10 +48,6 @@ const (
 	gkGaussian
 	gkCanny // fused only; staged Canny guards its Sobel calls instead
 )
-
-// wholePlane is the halo of a kernel whose output rows may depend on any
-// source row: its referee always computes the full plane.
-const wholePlane = -1
 
 // guardSpec declares, once per guarded entry point, what its scalar referee
 // needs: the per-element tolerance against it, by ISA (nonzero only where
@@ -77,7 +74,7 @@ var guardSpecs = [...]guardSpec{
 	gkEdges:      {name: "DetectEdges", halo: 1, scale: 1},
 	gkMedian:     {name: "MedianBlur3x3", halo: 1, scale: 1},
 	gkGaussian:   {name: "GaussianBlur", halo: 3, scale: 1}, // 7 taps
-	gkCanny:      {name: "Canny", halo: wholePlane, scale: 1},
+	gkCanny:      {name: "Canny", halo: 2, scale: 1},        // NMS markers: 3x3 Sobel, then 3x3 NMS
 }
 
 // Tolerance returns the per-element divergence kernel's SIMD output on isa
@@ -436,6 +433,17 @@ func (o *Ops) plane(k guardKernel, src, dst *image.Mat, run func(op *Ops, s, d *
 // compare is its only check (see audit.go).
 func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 	simd func() error, rerun refRun) error {
+	return o.guardedCheck(k, srcH, dst, dst, simd, rerun, rerun)
+}
+
+// guardedCheck is guardedRun with a spot-check plane of its own: the guard
+// compares the sampled rows of chk, which simd also fills, against row
+// windows of chkRerun, while an audit and a fallback compare and
+// substitute dst against the whole plane of rerun. Fused Canny checks its
+// NMS marker plane this way, since a row of its final output may depend
+// on every source row.
+func (o *Ops) guardedCheck(k guardKernel, srcH int, dst, chk *image.Mat,
+	simd func() error, rerun, chkRerun refRun) error {
 	if o.inGuard {
 		// A nested kernel call (DetectEdges → SobelFilter) already covered
 		// by the outer guard or audit.
@@ -466,20 +474,28 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 	}
 	refSpan := o.curSpan().Child(spName)
 	full := func(ref *Ops, d *image.Mat) error { return rerun(ref, 0, srcH, d) }
-	want := &refRows{}
+	// whole is dst's full-plane referee, built only for an audit; want is
+	// what the spot-check compares chk against: whole, when that covers
+	// chk, else the sampled rows' windows.
+	var whole *image.Mat
 	var err error
-	if audit || spec.halo == wholePlane {
-		want.m, err = o.referee(dst.Width, dst.Height, dst.Kind, full)
-	} else {
-		want, err = o.rowReferee(spec, srcH, dst, rows, rerun)
+	if audit {
+		if whole, err = o.referee(dst.Width, dst.Height, dst.Kind, full); err != nil {
+			refSpan.End()
+			return fmt.Errorf("cv: %s referee: %w", kernel, err)
+		}
+		defer par.PutMat(whole)
 	}
-	if err != nil {
-		refSpan.End()
-		return fmt.Errorf("cv: %s referee: %w", kernel, err)
+	want := &refRows{m: whole}
+	if o.guarded && (whole == nil || chk != dst) {
+		if want, err = o.rowReferee(spec, srcH, chk, rows, chkRerun); err != nil {
+			refSpan.End()
+			return fmt.Errorf("cv: %s referee: %w", kernel, err)
+		}
+		defer par.PutMat(want.m)
 	}
-	defer par.PutMat(want.m)
 
-	bad, diffs := diffRows(dst, want, rows, tol)
+	bad, diffs := diffRows(chk, want, rows, tol)
 
 	// The audit compares the first SIMD output against the full referee
 	// over the audit window. In guarded mode the spot-check keeps sole
@@ -490,7 +506,7 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 	// breaker's.
 	var ce *integrity.CorruptionError
 	if audit {
-		ce = o.auditCompare(kernel, dst, want.m, tol)
+		ce = o.auditCompare(kernel, dst, whole, tol)
 		if ce != nil {
 			refSpan.SetAttr("mismatch", true)
 		}
@@ -505,7 +521,7 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 
 	if len(bad) == 0 {
 		if ce != nil {
-			copyPixels(dst, want.m)
+			copyPixels(dst, whole)
 		}
 		o.verdict(o.guarded || ce == nil)
 		return nil
@@ -519,7 +535,7 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 			retrySpan.End()
 			return err
 		}
-		if b, _ := diffRows(dst, want, rows, tol); len(b) == 0 {
+		if b, _ := diffRows(chk, want, rows, tol); len(b) == 0 {
 			retrySpan.End()
 			o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionRetryRecovered})
 			o.verdict(true)
@@ -531,8 +547,8 @@ func (o *Ops) guardedRun(k guardKernel, srcH int, dst *image.Mat,
 	// Degrade gracefully: substitute the full scalar plane, computed now
 	// unless the referee already built it.
 	fbSpan := o.curSpan().Child("guard.fallback")
-	fb := want.m
-	if want.win != nil {
+	fb := whole
+	if fb == nil {
 		m, err := o.referee(dst.Width, dst.Height, dst.Kind, full)
 		if err != nil {
 			fbSpan.End()

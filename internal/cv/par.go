@@ -19,7 +19,9 @@ import (
 // pass — a row loop for the stencil kernels, an element loop for the flat
 // ones — routes through parRows or parFlat, which split the pass into
 // deterministic bands (see internal/par) and run each band on a clone of
-// the Ops:
+// the Ops. A fused sweep (fused.go) is one such section over its output
+// rows, each band running every stage of its strips inline (sweepPass).
+// Each band clone is set up the same way:
 //
 //   - the clone's NEON/SSE2 units tally into private, unsynchronized
 //     trace.Tally arrays that fold into the parent's counter under one lock
@@ -65,8 +67,6 @@ const flatQuantum = 4096
 // safe default everywhere); a negative Workers means one band per
 // available core; MinRowsPerBand<=0 uses par.DefaultMinRows.
 func (o *Ops) SetParallel(cfg ParallelConfig) {
-	// The cached fused strip geometries are sized for the band layout.
-	o.fusedGeoms = o.fusedGeoms[:0]
 	if cfg.Workers == 0 || cfg.Workers == 1 {
 		o.par = ParallelConfig{Workers: 1}
 		return
@@ -109,6 +109,17 @@ func (o *Ops) nBands(n, minPer int) int {
 		return 1
 	}
 	return par.NBands(n, o.par.Workers, minPer)
+}
+
+// sweepBands returns the band count of a fused sweep over h output rows.
+// Bands recompute their seam rows (fused.go), so a sweep whose instruction
+// stream something records — a trace or a fault injector — runs as one
+// band, whose rows and passes are exactly the staged path's.
+func (o *Ops) sweepBands(h int) int {
+	if o.T != nil || o.injector != nil {
+		return 1
+	}
+	return o.nBands(h, o.par.MinRowsPerBand)
 }
 
 // getBand returns a pooled Ops clone wired for one band of a parallel
@@ -256,16 +267,7 @@ func (o *Ops) watchSerial(sec *super.Section, stop *atomic.Bool, loop func()) {
 // body's lane twin (lanes_gen.go), nil for a body that binds no unit: a
 // band whose unit takes its plain form runs twin instead (see units.run).
 func parRows[A any](o *Ops, rows int, a A, body, twin func(b *Ops, a A, y int)) {
-	parRowsRange(o, 0, rows, a, body, twin)
-}
-
-// parRowsRange is parRows over the half-open row interval [y0, y1) — the
-// strip-granular form the fusion executor drives, one call per (stage,
-// strip). Rows keep their absolute plane indices, so the fault injector's
-// per-row reseed positions are a pure function of the row like the staged
-// path's, and the watchdog heart beats once per row exactly as before.
-func parRowsRange[A any](o *Ops, y0, y1 int, a A, body, twin func(b *Ops, a A, y int)) {
-	runBands(o, units[A]{row: body, rowLanes: twin, first: y0, n: y1 - y0}, a)
+	runBands(o, units[A]{row: body, rowLanes: twin, n: rows}, a)
 }
 
 // parFlat runs body(b, a, lo, hi) over [0, n) in flatQuantum-aligned
@@ -273,28 +275,55 @@ func parRowsRange[A any](o *Ops, y0, y1 int, a A, body, twin func(b *Ops, a A, y
 // a partial quantum, so the scalar tail lives in exactly one band. twin is
 // body's lane twin, as for parRows.
 func parFlat[A any](o *Ops, n int, a A, body, twin func(b *Ops, a A, lo, hi int)) {
-	parFlatRange(o, 0, n, a, body, twin)
+	runBands(o, units[A]{flat: body, flatLanes: twin, end: n, n: (n + flatQuantum - 1) / flatQuantum}, a)
 }
 
-// parFlatRange is parFlat over the half-open element interval [e0, e1) —
-// the fusion executor's per-strip form of the flat combine stages. The
+// sweepRows runs rows [y0, y1) of one fused stage on b, the Ops a band of
+// the sweep o opened runs on. Rows keep their absolute plane indices, so
+// the fault injector's per-row reseed positions are a pure function of
+// the row like the staged path's, and the watchdog heart beats once per
+// row exactly as there.
+func sweepRows[A any](o, b *Ops, y0, y1 int, a A, body, twin func(b *Ops, a A, y int)) {
+	sweepPass(o, b, units[A]{row: body, rowLanes: twin, first: y0, n: y1 - y0}, a)
+}
+
+// sweepFlat is sweepRows for a flat stage over elements [e0, e1). The
 // block grid is anchored at e0, so when the caller advances e0 in
-// flatQuantum multiples (as the fused sweep's absolute-aligned chunk
+// flatQuantum multiples (as the fused combine's absolute-aligned chunk
 // gating does) every block except the final one is a full quantum and the
 // vector/tail split — and with it the recorded instruction stream —
 // matches a single staged sweep exactly.
-func parFlatRange[A any](o *Ops, e0, e1 int, a A, body, twin func(b *Ops, a A, lo, hi int)) {
-	runBands(o, units[A]{flat: body, flatLanes: twin, first: e0, end: e1, n: (e1 - e0 + flatQuantum - 1) / flatQuantum}, a)
+func sweepFlat[A any](o, b *Ops, e0, e1 int, a A, body, twin func(b *Ops, a A, lo, hi int)) {
+	sweepPass(o, b, units[A]{flat: body, flatLanes: twin, first: e0, end: e1, n: (e1 - e0 + flatQuantum - 1) / flatQuantum}, a)
+}
+
+// sweepPass runs one stage of one strip of a fused sweep inline on b. It
+// is numbered as a pass of o, drawing the fault streams a parRows section
+// over the same units would, so a one-band sweep's fault schedule is the
+// staged path's.
+func sweepPass[A any](o, b *Ops, u units[A], a A) {
+	if u.n <= 0 {
+		return
+	}
+	rs := o.sectionReseeder()
+	var salt uint64
+	if rs != nil {
+		salt = o.passSeq.Add(1)
+	}
+	u.run(b, a, 0, u.n, rs, salt)
 }
 
 // units is one pass's work for runBands, numbered 0..n-1: rows first+i
 // when row is set, else the flatQuantum-element blocks of [first, end),
-// anchored at first. The pass's argument bundle travels beside it, so a
-// closure capturing both copies each by value when small. rowLanes and
-// flatLanes are the bodies' lane twins, nil for bodies that bind no unit.
+// anchored at first — or, when band is set, the output rows of a fused
+// sweep, each band of which band sweeps itself (fused.go). The pass's
+// argument bundle travels beside it, so a closure capturing both copies
+// each by value when small. rowLanes and flatLanes are the bodies' lane
+// twins, nil for bodies that bind no unit.
 type units[A any] struct {
 	row, rowLanes   func(b *Ops, a A, y int)
 	flat, flatLanes func(b *Ops, a A, lo, hi int)
+	band            func(b *Ops, a A, y0, y1 int)
 	first, end      int
 	n               int
 }
@@ -306,6 +335,10 @@ type units[A any] struct {
 // plain form (no injector; untraced, or a tally it can bind), else the
 // instrumented bodies; the choice is made once, here.
 func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) {
+	if u.band != nil {
+		u.band(b, a, u.first+lo, u.first+hi)
+		return
+	}
 	row, flat := u.row, u.flat
 	if (u.rowLanes != nil || u.flatLanes != nil) && b.lanes() {
 		row, flat = u.rowLanes, u.flatLanes
@@ -342,23 +375,28 @@ func (o *Ops) lanes() bool {
 	return ok
 }
 
-// runBands is the one band runner behind every pass. It splits u into
-// deterministic bands (par.Span over units) and runs them in one of three
-// modes: inline on serialOps with no goroutine, section or allocation
-// (one band, no watchdog); inline under a watchdog section (one band);
-// or on pooled band clones through par.Run.
+// runBands is the one band runner behind every pass and fused sweep. It
+// splits u into deterministic bands (par.Span over units) and runs them in
+// one of three modes: inline on serialOps with no goroutine, section or
+// allocation (one band, no watchdog); inline under a watchdog section (one
+// band); or on pooled band clones through par.Run. A fused sweep's stages
+// number their own passes (sweepPass), so the sweep itself draws none.
 func runBands[A any](o *Ops, u units[A], a A) {
 	if u.n <= 0 {
 		return
 	}
-	minPer := 1
-	if u.row != nil {
-		minPer = o.par.MinRowsPerBand
+	var nb int
+	switch {
+	case u.band != nil:
+		nb = o.sweepBands(u.n)
+	case u.row != nil:
+		nb = o.nBands(u.n, o.par.MinRowsPerBand)
+	default:
+		nb = o.nBands(u.n, 1)
 	}
-	nb := o.nBands(u.n, minPer)
 	rs := o.sectionReseeder()
 	var salt uint64
-	if rs != nil {
+	if rs != nil && u.band == nil {
 		salt = o.passSeq.Add(1)
 	}
 	if nb == 1 && o.wd == nil {
@@ -387,6 +425,7 @@ func runBands[A any](o *Ops, u units[A], a A) {
 		b.watchSerial(sec, &stop, func() { uu.run(b, aa, 0, uu.n, rs, salt) })
 		return
 	}
+	o.sections.Add(1)
 	bands := make([]*Ops, nb)
 	for i := range bands {
 		bands[i] = o.getBand(&stop)

@@ -40,6 +40,11 @@ func refereeCases() []refereeCase {
 		{"DetectEdges", gkEdges, image.U8, mat(func(ref *Ops, s, d *image.Mat) error { return ref.DetectEdges(s, d, 80) })},
 		{"MedianBlur3x3", gkMedian, image.U8, mat(func(o *Ops, s, d *image.Mat) error { return o.MedianBlur3x3Ctx(context.Background(), s, d) })},
 		{"GaussianBlur", gkGaussian, image.U8, mat((*Ops).GaussianBlur)},
+		// Fused Canny's spot-check windows: staged NMS markers, before the
+		// global hysteresis.
+		{"CannyNMS", gkCanny, image.U8, mat(func(ref *Ops, s, d *image.Mat) error {
+			return ref.cannyStagedNMS(s, d, 60, 200)
+		})},
 	}
 }
 
@@ -51,10 +56,7 @@ func refereeCases() []refereeCase {
 // below the 16-lane vector quantum. The guard's own merged sample sets
 // are checked too.
 func TestRefereeRowsMatchFullPlane(t *testing.T) {
-	if guardSpecs[gkCanny].halo != wholePlane {
-		t.Fatal("fused Canny's hysteresis is global: its referee must be whole-plane")
-	}
-	covered := map[guardKernel]bool{gkCanny: true}
+	covered := map[guardKernel]bool{}
 	heights := []int{1, 2, 3, 4, 7, 8, 33, 480}
 	for _, c := range refereeCases() {
 		covered[c.k] = true
@@ -124,8 +126,8 @@ func checkRefereeRows(t *testing.T, name string, o *Ops, spec guardSpec, srcH, w
 	check(all)
 }
 
-// TestRefereeBandConfig: the whole-plane referee (fallback, sampled audit,
-// fused Canny) bands like its parent unless the parent is quarantined to
+// TestRefereeBandConfig: the whole-plane referee (fallback, sampled audit)
+// bands like its parent unless the parent is quarantined to
 // serial; the row-window referee runs serially.
 func TestRefereeBandConfig(t *testing.T) {
 	o := NewOps(ISANEON, nil)

@@ -29,6 +29,18 @@
 // (Frontier(i,k-1), Frontier(i,k)] — every plane row exactly once
 // across the sweep, in the same top-to-bottom order as the staged path.
 //
+// # Bands
+//
+// A band-major sweep splits the last stage's rows into bands, and each
+// band sweeps its own strips through its own windows (Geometry.Interval).
+// A band over rows [y0, y1) starts every stage lead_i rows above y0 and
+// ends it lead_i rows below y1-1, clamped to the plane, so the rows
+// within a stencil's reach of a seam are computed by both bands that
+// share it. Bands therefore read nothing their neighbours write and need
+// no barrier between stages; the price is the recomputed seam rows,
+// which is why the caller bands only a sweep whose instruction stream
+// nothing records.
+//
 // # Halo-row carry
 //
 // Between strips, the rows a consumer still needs (its halo above the
@@ -142,19 +154,23 @@ func (p Plan) slack(lead []int) []int {
 	return extra
 }
 
-// Geometry is a planned sweep over an h-row image in strips of
-// StripRows rows, with per-stage leads and rolling-buffer capacities.
+// Geometry is a planned sweep in strips of StripRows rows over output
+// rows [Y0, Y1) of an H-row plane — the whole plane, or one band of it —
+// with per-stage leads and rolling-buffer capacities.
 type Geometry struct {
 	H         int
+	Y0, Y1    int // the last stage's rows: [0, H) for a whole-plane sweep
 	StripRows int
 	Strips    int
 	Lead      []int // rows past the sweep frontier each stage runs ahead
 	Cap       []int // rolling-buffer rows per stage (0 for Full stages)
 
-	plan Plan
+	extra []int // slack rows per stage (see Plan.slack)
+	plan  Plan
 }
 
-// Geometry plans a sweep. stripRows is the nominal rows per strip.
+// Geometry plans a whole-plane sweep. stripRows is the nominal rows per
+// strip.
 func (p Plan) Geometry(h, stripRows int) (Geometry, error) {
 	if err := p.Validate(); err != nil {
 		return Geometry{}, err
@@ -166,37 +182,44 @@ func (p Plan) Geometry(h, stripRows int) (Geometry, error) {
 		return Geometry{}, fmt.Errorf("fuse: plan %q: strip rows %d", p.Name, stripRows)
 	}
 	lead := p.leads()
-	extra := p.slack(lead)
-	caps := make([]int, len(p.Stages))
-	for i, st := range p.Stages {
-		if st.Full {
-			continue
-		}
-		c := stripRows + lead[i] + extra[i]
-		if c > h {
-			c = h
-		}
-		caps[i] = c
-	}
-	return Geometry{
-		H: h, StripRows: stripRows,
-		Strips: (h + stripRows - 1) / stripRows,
-		Lead:   lead, Cap: caps,
-		plan: p,
-	}, nil
+	g := Geometry{H: h, StripRows: stripRows, Lead: lead, extra: p.slack(lead), plan: p}
+	return g.Interval(0, h), nil
 }
 
-// Frontier is the last row stage i has produced after strip k
-// (-1 for k < 0: nothing produced yet).
+// Interval is the same sweep restricted to output rows [y0, y1) of the
+// plane, as one band of a band-major sweep runs it. Every stage starts
+// Lead rows above y0 (clamped to the plane) and ends Lead rows below
+// y1-1, so the band recomputes the seam rows its stencils share with the
+// neighbouring bands and needs nothing they produce. A window then opens
+// holding up to 2·Lead rows beyond its strip, which Cap covers.
+func (g Geometry) Interval(y0, y1 int) Geometry {
+	g.Y0, g.Y1 = y0, y1
+	g.Strips = 0
+	if y1 > y0 {
+		g.Strips = (y1 - y0 + g.StripRows - 1) / g.StripRows
+	}
+	g.Cap = make([]int, len(g.plan.Stages))
+	for i, st := range g.plan.Stages {
+		if st.Full || g.Strips == 0 {
+			continue
+		}
+		c := g.StripRows + g.Lead[i] + g.extra[i]
+		if y0 > 0 {
+			c = g.StripRows + 2*g.Lead[i] // ≥ the above: extra never exceeds lead
+		}
+		g.Cap[i] = min(c, g.Frontier(i, g.Strips-1)-g.Frontier(i, -1))
+	}
+	return g
+}
+
+// Frontier is the last row stage i has produced after strip k. Before the
+// first strip (k < 0) it is the row above the stage's first: -1 for a
+// sweep from the top, Y0-Lead-1 for a band below it.
 func (g Geometry) Frontier(i, k int) int {
 	if k < 0 {
-		return -1
+		return max(-1, g.Y0-1-g.Lead[i])
 	}
-	f := (k+1)*g.StripRows - 1 + g.Lead[i]
-	if f > g.H-1 {
-		f = g.H - 1
-	}
-	return f
+	return min(g.H-1, g.Y1-1+g.Lead[i], g.Y0+(k+1)*g.StripRows-1+g.Lead[i])
 }
 
 // StageRows is the half-open row interval stage i computes during

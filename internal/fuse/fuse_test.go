@@ -61,67 +61,104 @@ func TestStageRowsCoverEachRowOnce(t *testing.T) {
 	}
 }
 
-// TestSweepSimulation drives Strip windows through a full sweep and
-// checks that every input row a stage needs is live in its producer's
-// window, that values survive the halo-carry slides, and that windows
-// never exceed their planned capacity.
+// TestSweepSimulation drives Strip windows through full sweeps and
+// band-major ones (each band an Interval with its own windows) and checks
+// that every input row a stage needs is live in its producer's window,
+// that values survive the halo-carry slides, that windows never exceed
+// their planned capacity, and that the bands together produce every row
+// of the last stage exactly once.
 func TestSweepSimulation(t *testing.T) {
-	p := cannyPlan()
-	const w = 5
-	for _, h := range []int{1, 3, 8, 9, 40, 53} {
-		for _, s := range []int{1, 3, 8, 17, h} {
-			g, err := p.Geometry(h, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wins := make([]Strip[int], len(p.Stages))
-			for i := range p.Stages {
-				if p.Stages[i].Full {
-					continue
+	for _, p := range []Plan{cannyPlan(), edgesPlan(3)} {
+		last := len(p.Stages) - 1
+		for _, h := range []int{1, 3, 5, 8, 9, 40, 53} {
+			for _, s := range []int{1, 3, 8, 17, h} {
+				whole, err := p.Geometry(h, s)
+				if err != nil {
+					t.Fatal(err)
 				}
-				wins[i].Bind(make([]int, g.Cap[i]*w), w, g.Cap[i])
-			}
-			for k := 0; k < g.Strips; k++ {
-				for i, st := range p.Stages {
-					if !st.Full {
-						wins[i].Slide(g.Keep(i, k))
+				for nb := 1; nb <= min(h, 5); nb++ {
+					out := make([]int, h)
+					for b := 0; b < nb; b++ {
+						y0, y1 := b*h/nb, (b+1)*h/nb
+						g := whole.Interval(y0, y1)
+						name := fmt.Sprintf("%s h=%d s=%d band [%d,%d)", p.Name, h, s, y0, y1)
+						simulateSweep(t, name, p, g, h)
+						for k := 0; k < g.Strips; k++ {
+							r0, r1 := g.StageRows(last, k)
+							for y := r0; y < r1; y++ {
+								out[y]++
+							}
+						}
 					}
-					y0, y1 := g.StageRows(i, k)
-					if y1 == y0 {
+					for y, n := range out {
+						if n != 1 {
+							t.Fatalf("%s h=%d s=%d %d bands: last-stage row %d produced %d times", p.Name, h, s, nb, y, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// edgesPlan mirrors DetectEdges' shape: the combine reads the gradients
+// with the chunk halo hc.
+func edgesPlan(hc int) Plan {
+	return Plan{
+		Name: "edges",
+		Stages: []Stage{
+			{Name: "diffH", Inputs: []Input{{Stage: External}}, Elem: 2},
+			{Name: "smoothV", Inputs: []Input{{Stage: 0, Halo: 1}}, Elem: 2},
+			{Name: "smoothH", Inputs: []Input{{Stage: External}}, Elem: 2},
+			{Name: "diffV", Inputs: []Input{{Stage: 2, Halo: 1}}, Elem: 2},
+			{Name: "combine", Inputs: []Input{{Stage: 1, Halo: hc}, {Stage: 3, Halo: hc}}, Elem: 1, Full: true},
+		},
+	}
+}
+
+// simulateSweep runs g's strips over stamped windows: each produced row
+// holds stamp(stage, row), and each input row a stage reads must hold its
+// producer's stamp.
+func simulateSweep(t *testing.T, name string, p Plan, g Geometry, h int) {
+	t.Helper()
+	const w = 5
+	wins := make([]Strip[int], len(p.Stages))
+	for i := range p.Stages {
+		if p.Stages[i].Full {
+			continue
+		}
+		wins[i].Bind(make([]int, g.Cap[i]*w), w, g.Cap[i])
+	}
+	for k := 0; k < g.Strips; k++ {
+		for i, st := range p.Stages {
+			if !st.Full {
+				wins[i].Slide(g.Keep(i, k))
+			}
+			y0, y1 := g.StageRows(i, k)
+			if y1 == y0 {
+				continue
+			}
+			if !st.Full {
+				wins[i].Produce(y1 - 1) // panics past the planned capacity
+			}
+			for y := y0; y < y1; y++ {
+				for _, in := range st.Inputs {
+					if in.Stage == External {
 						continue
 					}
-					if !st.Full {
-						wins[i].Produce(y1 - 1)
+					for d := -in.Halo; d <= in.Halo; d++ {
+						yy := min(max(y+d, 0), h-1)
+						row := liveRow(&wins[in.Stage], yy) // panics if not live
+						if row[0] != stamp(in.Stage, yy) {
+							t.Fatalf("%s stage %d strip %d row %d: input %d row %d holds %d, want %d",
+								name, i, k, y, in.Stage, yy, row[0], stamp(in.Stage, yy))
+						}
 					}
-					for y := y0; y < y1; y++ {
-						sum := 0
-						for _, in := range st.Inputs {
-							if in.Stage == External {
-								continue
-							}
-							for d := -in.Halo; d <= in.Halo; d++ {
-								yy := y + d
-								if yy < 0 {
-									yy = 0
-								}
-								if yy > h-1 {
-									yy = h - 1
-								}
-								row := liveRow(&wins[in.Stage], yy) // panics if not live
-								if row[0] != stamp(in.Stage, yy) {
-									t.Fatalf("h=%d s=%d stage %d strip %d row %d: input %d row %d holds %d, want %d",
-										h, s, i, k, y, in.Stage, yy, row[0], stamp(in.Stage, yy))
-								}
-								sum += row[0]
-							}
-						}
-						if !st.Full {
-							row := liveRow(&wins[i], y)
-							for x := range row {
-								row[x] = stamp(i, y)
-							}
-							_ = sum
-						}
+				}
+				if !st.Full {
+					row := liveRow(&wins[i], y)
+					for x := range row {
+						row[x] = stamp(i, y)
 					}
 				}
 			}

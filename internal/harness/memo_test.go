@@ -65,9 +65,15 @@ func TestCampaignMemoExclusions(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in race-detector builds (race_test.go).
+var raceEnabled bool
+
 // TestRunMemoBenchSpeedupFloor pins the acceptance bar: at 5 Mpx a
 // verified cache hit must be at least 5x faster than recomputing the
-// kernel, and byte-identical to it.
+// kernel, and byte-identical to it. Under the race detector the ratio
+// measures instrumentation — the hit is an instrumented checksum pass
+// over the whole plane, while the compute runs on lane twins the detector
+// barely touches — so there only the identity is asserted.
 func TestRunMemoBenchSpeedupFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5 Mpx timing run")
@@ -79,7 +85,7 @@ func TestRunMemoBenchSpeedupFloor(t *testing.T) {
 	if !r.Identical {
 		t.Fatal("cache hit served a plane that differs from direct computation")
 	}
-	if r.Speedup < 5 {
+	if !raceEnabled && r.Speedup < 5 {
 		t.Errorf("hit speedup %.1fx (cold %.2fms, hit %.2fms); want >= 5x",
 			r.Speedup, r.ColdSeconds*1e3, r.HitSeconds*1e3)
 	}

@@ -228,7 +228,7 @@ func GetMat(w, h int, kind image.Type) *image.Mat {
 // writes every pixel, the memo hit path copies a complete cached plane
 // over the Mat — where the clear would be a wasted write sweep. Stale
 // contents are visible until the overwrite lands, so never hand such a
-// Mat to a kernel that assumes zero initialization (Canny's NMS does).
+// Mat to a kernel that assumes zero initialization.
 func GetMatForOverwrite(w, h int, kind image.Type) *image.Mat {
 	return planes.get(w, h, kind, false)
 }
