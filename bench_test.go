@@ -332,19 +332,14 @@ func BenchmarkHostServeCompute(b *testing.B) {
 	}
 }
 
-// BenchmarkHostGaussianNEONEmu measures the heaviest kernel end to end.
+// BenchmarkHostGaussianNEONEmu times the 640x480 emulated NEON Gaussian,
+// the heaviest kernel: a chain of widening multiply-accumulates by
+// broadcast taps (vmull.u8/vmlal.u8), and x-scalar reports its time over
+// the scalar build's. CI fails above 1.1: with four lane multiplies per
+// word and an out-of-line call per vmlal it measured 1.6-1.8x, with the
+// broadcast multiplies 0.72-0.88x.
 func BenchmarkHostGaussianNEONEmu(b *testing.B) {
-	res := Resolution{Width: 640, Height: 480}
-	src := Synthetic(res, 1)
-	dst := NewMat(640, 480, U8)
-	o := NewOps(ISANEON, nil)
-	b.SetBytes(int64(src.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := o.GaussianBlur(src, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchHostTwin(b, vga, (*Ops).GaussianBlur, U8, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
 }
 
 // BenchmarkHostGuardedGaussianNEONEmu / BenchmarkHostGuardedMedianNEONEmu

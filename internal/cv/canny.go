@@ -138,6 +138,25 @@ var hystStackPool = sync.Pool{New: func() any {
 // after the sweep — the traversal is global, so it is the one stage fusion
 // leaves unfused.
 func (o *Ops) cannyHysteresis(nms, dst []uint8, w, h int) {
+	visits := hysteresis(nms, dst, w, h)
+	if o.T != nil {
+		o.count(opHysteresis, uint64(3*visits))
+		o.count(opHysteresisBr, uint64(visits))
+	}
+}
+
+// hystNeighbor is one of a pixel's eight neighbours: its index offset and
+// its column step.
+type hystNeighbor struct{ d, dx int }
+
+// hysteresis runs cannyHysteresis's traversal and returns how many
+// neighbours it examined. A neighbour's column is the popped pixel's x
+// plus its step, so a pop costs one division, not one per neighbour. A
+// neighbour is examined when it lies in the plane and its column step
+// stays on the row; at widths 1 and 2 every in-plane neighbour is, as the
+// original wrap test (j%w against x, which there never differ by more
+// than one) let them be.
+func hysteresis(nms, dst []uint8, w, h int) (visits int) {
 	n := w * h
 	for i := range dst[:n] {
 		dst[i] = 0
@@ -150,21 +169,19 @@ func (o *Ops) cannyHysteresis(nms, dst []uint8, w, h int) {
 			dst[i] = 255
 		}
 	}
-	neighbors := [8]int{-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1}
-	visits := 0
+	neighbors := [8]hystNeighbor{{-w - 1, -1}, {-w, 0}, {-w + 1, 1}, {-1, -1}, {1, 1}, {w - 1, -1}, {w, 0}, {w + 1, 1}}
+	narrow := w < 3
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		x := i % w
-		for _, d := range neighbors {
-			j := i + d
-			if j < 0 || j >= n {
+		left, right := narrow || x > 0, narrow || x < w-1
+		for _, nb := range neighbors {
+			if nb.dx < 0 && !left || nb.dx > 0 && !right {
 				continue
 			}
-			// Guard horizontal wraparound.
-			xj := j % w
-			dx := x - xj
-			if dx < -1 || dx > 1 {
+			j := i + nb.d
+			if j < 0 || j >= n {
 				continue
 			}
 			visits++
@@ -176,10 +193,7 @@ func (o *Ops) cannyHysteresis(nms, dst []uint8, w, h int) {
 	}
 	*sp = stack
 	hystStackPool.Put(sp)
-	if o.T != nil {
-		o.count(opHysteresis, uint64(3*visits))
-		o.count(opHysteresisBr, uint64(visits))
-	}
+	return visits
 }
 
 type cannyMagArgs struct {

@@ -176,3 +176,77 @@ func TestCannyAmdahlStory(t *testing.T) {
 		t.Error("Canny's gradient stages must still use SIMD")
 	}
 }
+
+// hysteresisWrapRef is the hysteresis traversal as it was written before
+// the neighbour columns were derived from the popped pixel's: the column
+// of every neighbour is j % w, and a neighbour more than one column away
+// from x is a horizontal wrap. Kept as the reference for
+// TestHysteresisMatchesWrapReference.
+func hysteresisWrapRef(nms, dst []uint8, w, h int) (visits int) {
+	n := w * h
+	for i := range dst[:n] {
+		dst[i] = 0
+	}
+	var stack []int
+	for i, v := range nms[:n] {
+		if v == 2 {
+			stack = append(stack, i)
+			dst[i] = 255
+		}
+	}
+	neighbors := [8]int{-w - 1, -w, -w + 1, -1, 1, w - 1, w, w + 1}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		x := i % w
+		for _, d := range neighbors {
+			j := i + d
+			if j < 0 || j >= n {
+				continue
+			}
+			xj := j % w
+			dx := x - xj
+			if dx < -1 || dx > 1 {
+				continue
+			}
+			visits++
+			if nms[j] == 1 && dst[j] == 0 {
+				dst[j] = 255
+				stack = append(stack, j)
+			}
+		}
+	}
+	return visits
+}
+
+// TestHysteresisMatchesWrapReference: the traversal links the same pixels
+// and examines the same number of neighbours (the count the trace
+// records) as the per-neighbour wrap test it replaced, at widths 1 and 2,
+// where that test never rejects a neighbour, and at 3, 8 and 641.
+func TestHysteresisMatchesWrapReference(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 8, 641} {
+		for _, h := range []int{1, 2, 5, 37} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				nms := make([]uint8, w*h)
+				s := seed * 0x9E3779B97F4A7C15
+				for i := range nms {
+					s ^= s << 13
+					s ^= s >> 7
+					s ^= s << 17
+					// Mostly weak pixels, so the traversal spreads far.
+					nms[i] = [8]uint8{0, 1, 1, 1, 1, 1, 0, 2}[s%8]
+				}
+				got, want := make([]uint8, w*h), make([]uint8, w*h)
+				gv, wv := hysteresis(nms, got, w, h), hysteresisWrapRef(nms, want, w, h)
+				if gv != wv {
+					t.Fatalf("%dx%d seed %d: %d neighbour visits, reference %d", w, h, seed, gv, wv)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%dx%d seed %d: pixel %d = %d, reference %d", w, h, seed, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

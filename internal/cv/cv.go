@@ -100,6 +100,11 @@ type Ops struct {
 	injector     faults.Injector
 	kernelFaults []KernelFault
 	fallbacks    int
+	// refOnly is set only on a row referee's Ops (rowReferee): the rows of
+	// the current source window whose output the guard compares. A kernel
+	// whose last pass is a scalar row body computes just those rows of it
+	// (lastPass); nil computes every row.
+	refOnly []int
 
 	// Integrity audit state (see audit.go). aud, when set, samples SIMD
 	// kernel calls for redundant scalar re-execution; a sampled call that

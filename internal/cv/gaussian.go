@@ -154,7 +154,7 @@ func gaussTaps(t *[7]uint8) uint8 {
 
 func (o *Ops) gaussVertScalar(src, dst *image.Mat) {
 	a := gaussArgs{src: src.U8Pix, dst: dst.U8Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, gaussVertScalarRow, nil)
+	lastPass(o, src.Height, a, gaussVertScalarRow)
 }
 
 func gaussVertScalarRow(b *Ops, a gaussArgs, y int) {

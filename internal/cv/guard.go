@@ -348,10 +348,13 @@ func (r *refRows) row(y int) int {
 // Output row y reads source rows [s·y-halo, s·y+s+halo),
 // clamped to the plane; overlapping or touching windows merge, and each
 // merged window runs rerun on a serial referee over a row view of the
-// source. Every windowed kernel replicates its borders (clampIdx), so a
-// window clamped only at true plane edges reproduces the full-plane rows
-// byte for byte (TestRefereeRowsMatchFullPlane). The caller returns the
-// result's Mat with par.PutMat.
+// source. The referee's refOnly names the window's sampled rows, so a
+// kernel whose output pass is a scalar row body (Gaussian's vertical pass,
+// the median) computes only those rows of the window (lastPass). Every
+// windowed kernel replicates its borders (clampIdx), so a window clamped
+// only at true plane edges reproduces the full-plane rows byte for byte
+// (TestRefereeRowsMatchFullPlane). The caller returns the result's Mat
+// with par.PutMat.
 func (o *Ops) rowReferee(spec guardSpec, srcH int, dst *image.Mat, rows []int, rerun refRun) (*refRows, error) {
 	ys := slices.Clone(rows)
 	slices.Sort(ys)
@@ -377,9 +380,16 @@ func (o *Ops) rowReferee(spec guardSpec, srcH int, dst *image.Mat, rows []int, r
 	*ref.m = *ref.m.Rows(0, total)
 	ro := o.refereeOps(false)
 	view := new(image.Mat) // one row view of ref.m, re-pointed per window
+	// ys[next] is the first sampled row not yet placed in a window.
+	next := 0
 	for i, sw := range srcWins {
 		wi := ref.win[i]
+		first := next
+		for ; next < len(ys) && ys[next] < wi.y1; next++ {
+			ys[next] -= wi.y0 // now a row of the window
+		}
 		*view = *ref.m.Rows(wi.off, wi.off+wi.y1-wi.y0)
+		ro.refOnly = ys[first:next]
 		if err := rerun(ro, sw.r0, sw.r1, view); err != nil {
 			par.PutMat(ref.m)
 			return nil, err

@@ -104,7 +104,7 @@ type medianArgs struct {
 
 func (o *Ops) medianScalar(src, dst *image.Mat) {
 	a := medianArgs{src: src.U8Pix, dst: dst.U8Pix, w: src.Width, h: src.Height}
-	parRows(o, src.Height, a, medianScalarRow, nil)
+	lastPass(o, src.Height, a, medianScalarRow)
 }
 
 func medianScalarRow(b *Ops, a medianArgs, y int) {

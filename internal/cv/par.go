@@ -270,6 +270,20 @@ func parRows[A any](o *Ops, rows int, a A, body, twin func(b *Ops, a A, y int)) 
 	runBands(o, units[A]{row: body, rowLanes: twin, n: rows}, a)
 }
 
+// lastPass runs the scalar row body of a kernel's output pass: every row
+// through parRows, or on a row referee just the rows the guard compares,
+// so the referee computes one output row per sampled row rather than the
+// whole window around it.
+func lastPass[A any](o *Ops, rows int, a A, body func(b *Ops, a A, y int)) {
+	if o.refOnly == nil {
+		parRows(o, rows, a, body, nil)
+		return
+	}
+	for _, y := range o.refOnly {
+		body(o, a, y)
+	}
+}
+
 // parFlat runs body(b, a, lo, hi) over [0, n) in flatQuantum-aligned
 // blocks, banded across the configured workers. Only the final block can be
 // a partial quantum, so the scalar tail lives in exactly one band. twin is

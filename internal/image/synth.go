@@ -155,11 +155,11 @@ type u8Gen struct {
 	pix      []uint8
 	w, h, n  int
 	gy       int
-	rowScale int // h * gy, the vertical gradient's divisor
-	col      []int
-	noise    [256]int
-	s0       uint64 // stream state before pixel 0
-	ends     []int  // ends[2i+j]: band i segment j's last noise value
+	rowScale int       // h * gy, the vertical gradient's divisor
+	col      []uint16  // per-column term, at most 254+128
+	noise    [256]int8 // noise step per random byte, within ±15
+	s0       uint64    // stream state before pixel 0
+	ends     []int     // ends[2i+j]: band i segment j's last noise value
 }
 
 func newU8Gen(m *Mat, seed uint64, n int) *u8Gen {
@@ -171,21 +171,22 @@ func newU8Gen(m *Mat, seed uint64, n int) *u8Gen {
 	edgePeriod := int(r.next()%97) + 32
 	noiseAmp := int(r.next()%24) + 8
 	g := &u8Gen{pix: m.U8Pix, w: w, h: m.Height, n: n, gy: gy, rowScale: m.Height * gy,
-		col: make([]int, w), s0: r.s, ends: make([]int, 2*n)}
+		col: make([]uint16, w), s0: r.s, ends: make([]int, 2*n)}
 	// Per-column term: the horizontal gradient plus 128 in columns on the
 	// raised side of a hard vertical edge (every edgePeriod columns). The
 	// pixel is (rowBase+col)/2, and for the non-negative sums here
 	// (a+128)/2 == a/2+64, so folding the edge in before the halving is
 	// exact.
 	for x := range g.col {
-		g.col[x] = (x * gx * 255) / (w * gx)
+		c := (x * gx * 255) / (w * gx)
 		if (x/edgePeriod)%2 == 1 {
-			g.col[x] += 128
+			c += 128
 		}
+		g.col[x] = uint16(c)
 	}
 	// Noise step per random byte b: b % noiseAmp - noiseAmp/2.
 	for b := range g.noise {
-		g.noise[b] = int(uint8(b)%uint8(noiseAmp)) - noiseAmp/2
+		g.noise[b] = int8(int(uint8(b)%uint8(noiseAmp)) - noiseAmp/2)
 	}
 	return g
 }
@@ -219,8 +220,8 @@ func (g *u8Gen) band(i int) {
 		base := g.rowBase(odd)
 		for x, c := range g.col {
 			b.s = xsStep(b.s)
-			b.prev = (b.prev + g.noise[(b.s*xsMul)>>56]) / 2
-			row[x] = u8Pixel(base+c, b.prev)
+			b.prev = (b.prev + int(g.noise[(b.s*xsMul)>>56])) / 2
+			row[x] = u8Pixel(base+int(c), b.prev)
 		}
 	}
 	g.ends[2*i], g.ends[2*i+1] = a.prev, b.prev
@@ -236,10 +237,10 @@ func (g *u8Gen) fillRows(ya, yb int, a, b *chain) {
 	sa, pa, sb, pb := a.s, a.prev, b.s, b.prev
 	for x, c := range col {
 		sa, sb = xsStep(sa), xsStep(sb)
-		pa = (pa + noise[(sa*xsMul)>>56]) / 2
-		pb = (pb + noise[(sb*xsMul)>>56]) / 2
-		rowA[x] = u8Pixel(ra+c, pa)
-		rowB[x] = u8Pixel(rb+c, pb)
+		pa = (pa + int(noise[(sa*xsMul)>>56])) / 2
+		pb = (pb + int(noise[(sb*xsMul)>>56])) / 2
+		rowA[x] = u8Pixel(ra+int(c), pa)
+		rowB[x] = u8Pixel(rb+int(c), pb)
 	}
 	a.s, a.prev, b.s, b.prev = sa, pa, sb, pb
 }
@@ -272,9 +273,9 @@ func (g *u8Gen) repair(lo, hi, in, specEnd int) int {
 			return specEnd
 		}
 		s = xsStep(s)
-		d := g.noise[(s*xsMul)>>56]
+		d := int(g.noise[(s*xsMul)>>56])
 		spec, tru = (spec+d)/2, (tru+d)/2
-		g.pix[p] = u8Pixel(g.rowBase(p/g.w)+g.col[p%g.w], tru)
+		g.pix[p] = u8Pixel(g.rowBase(p/g.w)+int(g.col[p%g.w]), tru)
 	}
 	return tru
 }

@@ -3,6 +3,7 @@ package memo
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -484,6 +485,46 @@ func TestCorruptEntryEvictedAndRecomputed(t *testing.T) {
 		}
 		if got, out, _ := c.DoSum(context.Background(), rk, nil); out != Hit || got != want {
 			t.Fatalf("flip %d: recomputed entry = (%#x, %v); want (%#x, hit)", i, got, out, uint64(want))
+		}
+	}
+}
+
+// TestPlaneCheckCatchesEveryFlip: flipping any one bit of any element of
+// a content entry's plane changes its check word, for every element kind,
+// in the word-at-a-time body and in the tail alike (37 elements leave a
+// tail for every kind).
+func TestPlaneCheckCatchesEveryFlip(t *testing.T) {
+	for _, kind := range []image.Type{image.U8, image.S16, image.F32} {
+		m := image.NewMat(37, 1, kind)
+		fillDst(m, 3)
+		for i := range m.S16Pix {
+			m.S16Pix[i] = int16(i * 977)
+		}
+		for i := range m.F32Pix {
+			m.F32Pix[i] = float32(i) * 1.5
+		}
+		want := planeCheck(m)
+		for i := 0; i < 37; i++ {
+			for bit := 0; bit < 8*kind.Size(); bit++ {
+				flip := func() {
+					switch kind {
+					case image.U8:
+						m.U8Pix[i] ^= 1 << bit
+					case image.S16:
+						m.S16Pix[i] ^= 1 << bit
+					case image.F32:
+						m.F32Pix[i] = math.Float32frombits(math.Float32bits(m.F32Pix[i]) ^ 1<<bit)
+					}
+				}
+				flip()
+				if planeCheck(m) == want {
+					t.Fatalf("%v element %d bit %d: check word unchanged", kind, i, bit)
+				}
+				flip()
+			}
+		}
+		if planeCheck(m) != want {
+			t.Fatalf("%v: check word not restored", kind)
 		}
 	}
 }

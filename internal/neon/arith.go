@@ -273,7 +273,7 @@ func (u *Unit) VmlaqNS16(a, b vec.V128, s int16) vec.V128 {
 // (vmlal.u8).
 func (u *Unit) VmlalU8(acc vec.V128, a, b vec.V64) vec.V128 {
 	u.rec(opVmlalU8)
-	return fault(u, faults.SiteALU, vec.AddU16(acc, vec.MulLoU16(vec.WidenU8(a), vec.WidenU8(b))))
+	return fault(u, faults.SiteALU, vec.MlalU8(acc, a, b))
 }
 
 // VmlalS16 widening multiply-accumulate into int32 lanes (vmlal.s16).
@@ -290,7 +290,7 @@ func (u *Unit) VmlalS16(acc vec.V128, a, b vec.V64) vec.V128 {
 // (vmull.u8).
 func (u *Unit) VmullU8(a, b vec.V64) vec.V128 {
 	u.rec(opVmullU8)
-	return fault(u, faults.SiteALU, vec.MulLoU16(vec.WidenU8(a), vec.WidenU8(b)))
+	return fault(u, faults.SiteALU, vec.MlalU8(vec.V128{}, a, b))
 }
 
 // VmullS16 widening multiply of int16 D registers into int32 lanes

@@ -1,6 +1,8 @@
 package neon
 
 import (
+	"math"
+
 	"simdstudy/internal/faults"
 	"simdstudy/internal/sat"
 	"simdstudy/internal/vec"
@@ -12,11 +14,19 @@ import (
 // with saturation (vcvt.s32.f32). Core of the convert benchmark.
 func (u *Unit) VcvtqS32F32(a vec.V128) vec.V128 {
 	u.rec(opVcvtS32F32)
-	var r vec.V128
-	for i := 0; i < 4; i++ {
-		r.SetI32(i, sat.Float32ToInt32Truncate(a.F32(i)))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, cvtqS32F32(a))
+}
+
+// cvtqS32F32 is vcvt.s32.f32 read and written a word at a time: each
+// 64-bit word holds two float lanes, converted in place.
+func cvtqS32F32(a vec.V128) vec.V128 {
+	return vec.V128{Lo: cvtS32F32(a.Lo) | cvtS32F32(a.Lo>>32)<<32, Hi: cvtS32F32(a.Hi) | cvtS32F32(a.Hi>>32)<<32}
+}
+
+// cvtS32F32 converts the float32 in the low 32 bits of x (vcvt.s32.f32 on
+// one lane) and returns the int32's bits.
+func cvtS32F32(x uint64) uint64 {
+	return uint64(uint32(sat.Float32ToInt32Truncate(math.Float32frombits(uint32(x)))))
 }
 
 // VcvtqF32S32 converts four int32 lanes to float (vcvt.f32.s32).
@@ -76,11 +86,7 @@ func (u *Unit) VcvtqNS32F32(a vec.V128, n uint) vec.V128 {
 // register (vqmovn.s32). The paper's convert loop uses two of these.
 func (u *Unit) VqmovnS32(a vec.V128) vec.V64 {
 	u.rec(opVqmovnS32)
-	var r vec.V64
-	for i := 0; i < 4; i++ {
-		r.SetI16(i, sat.NarrowInt32ToInt16(a.I32(i)))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, vec.SatI16I32(a))
 }
 
 // VqmovnS16 saturating narrow: eight int16 lanes to eight int8 lanes
@@ -212,7 +218,7 @@ func (u *Unit) VrshrqNS32(a vec.V128, n uint) vec.V128 {
 func (u *Unit) VrshrnNU16(a vec.V128, n uint) vec.V64 {
 	u.rec(opVrshrnU16)
 	// vrshrn truncates; callers keep values in range.
-	return fault(u, faults.SiteConvert, vec.NarrowU16(vec.RoundShrU16(a, n)))
+	return fault(u, faults.SiteConvert, vec.RoundShrNarrowU16(a, n))
 }
 
 // VqrshrnNS32 saturating rounding shift right narrow: int32 to int16

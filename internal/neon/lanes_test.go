@@ -401,6 +401,7 @@ func TestLaneOpsMatchReference(t *testing.T) {
 			}
 		}
 	})
+	t.Run("spec", testLaneSpec)
 	// The float compares only share the mask widening; their predicates,
 	// NaN and signed-zero behaviour included, are the language's own.
 	t.Run("f32", func(t *testing.T) {

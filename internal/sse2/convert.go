@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"simdstudy/internal/faults"
-	"simdstudy/internal/sat"
 	"simdstudy/internal/vec"
 )
 
@@ -25,11 +24,19 @@ func roundToEvenSat(v float64) int32 {
 // integer-indefinite 0x80000000. Core of the paper's SSE2 convert loop.
 func (u *Unit) CvtpsEpi32(a vec.V128) vec.V128 {
 	u.rec(opCvtps2dq)
-	var r vec.V128
-	for i := 0; i < 4; i++ {
-		r.SetI32(i, roundToEvenSat(float64(a.F32(i))))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, cvtpsEpi32(a))
+}
+
+// cvtpsEpi32 is cvtps2dq read and written a word at a time: each 64-bit
+// word holds two float lanes, converted in place.
+func cvtpsEpi32(a vec.V128) vec.V128 {
+	return vec.V128{Lo: cvtps(a.Lo) | cvtps(a.Lo>>32)<<32, Hi: cvtps(a.Hi) | cvtps(a.Hi>>32)<<32}
+}
+
+// cvtps converts the float32 in the low 32 bits of x (cvtps2dq on one
+// lane) and returns the int32's bits.
+func cvtps(x uint64) uint64 {
+	return uint64(uint32(roundToEvenSat(float64(math.Float32frombits(uint32(x))))))
 }
 
 // CvttpsEpi32 converts four floats to int32 truncating toward zero
@@ -84,13 +91,11 @@ func (u *Unit) CvtpdPs(a vec.V128) vec.V128 {
 // vqmovn plus a vcombine.
 func (u *Unit) PacksEpi32(a, b vec.V128) vec.V128 {
 	u.rec(opPackssdw)
-	var r vec.V128
-	for i := 0; i < 4; i++ {
-		r.SetI16(i, sat.NarrowInt32ToInt16(a.I32(i)))
-		r.SetI16(4+i, sat.NarrowInt32ToInt16(b.I32(i)))
-	}
-	return fault(u, faults.SiteConvert, r)
+	return fault(u, faults.SiteConvert, packs32(a, b))
 }
+
+// packs32 is packssdw, out of line so the intrinsic calling it inlines.
+func packs32(a, b vec.V128) vec.V128 { return vec.Combine(vec.SatI16I32(a), vec.SatI16I32(b)) }
 
 // PacksEpi16 packs two registers of int16 into int8 with signed saturation
 // (_mm_packs_epi16 / packsswb).
@@ -103,7 +108,18 @@ func (u *Unit) PacksEpi16(a, b vec.V128) vec.V128 {
 // saturation (_mm_packus_epi16 / packuswb).
 func (u *Unit) PackusEpi16(a, b vec.V128) vec.V128 {
 	u.rec(opPackuswb)
-	return fault(u, faults.SiteConvert, vec.Combine(vec.SatU8I16(a), vec.SatU8I16(b)))
+	return fault(u, faults.SiteConvert, packus(a, b))
+}
+
+// packus is packuswb. Packing a register with itself, the kernels' way to
+// narrow one register to its low half, saturates it once.
+func packus(a, b vec.V128) vec.V128 {
+	lo := vec.SatU8I16(a)
+	hi := lo
+	if b != a {
+		hi = vec.SatU8I16(b)
+	}
+	return vec.Combine(lo, hi)
 }
 
 // --- Unpacks ---

@@ -334,6 +334,7 @@ func TestLaneOpsMatchReference(t *testing.T) {
 			}
 		}
 	})
+	t.Run("spec", testLaneSpec)
 	// The 32-bit and float compares only share the mask widening; their
 	// predicates, NaN and signed-zero behaviour included, are the
 	// language's own.

@@ -12,7 +12,10 @@
 // than one element in memory, so an array register would be spilled and
 // reloaded around every intrinsic call. The lane ops the kernels issue most
 // are built from per-word helpers (SIMD within a register) that are
-// closure-free, branch-free and small enough to inline.
+// closure-free, branch-free and small enough to inline. The multiplies and
+// the byte interleave test one operand's shape (a broadcast, zero) and take
+// a cheaper word form that is exact for that shape; they never branch on
+// lane values.
 package vec
 
 import (
@@ -478,11 +481,13 @@ func bit(c bool) uint8 {
 func Mask32(c bool) uint32 { return -uint32(bit(c)) }
 
 const (
-	hi8   = 0x8080808080808080 // top bit of every byte
-	lsb16 = 0x0001000100010001 // bit 0 of every 16-bit lane
-	msb16 = 0x8000800080008000 // bit 15 of every 16-bit lane
-	low8  = 0x00FF00FF00FF00FF // low byte of every 16-bit lane
-	low32 = 0x00000000FFFFFFFF // low 32-bit lane of a word
+	splat8 = 0x0101010101010101 // bit 0 of every byte
+	hi8    = 0x8080808080808080 // top bit of every byte
+	lsb16  = 0x0001000100010001 // bit 0 of every 16-bit lane
+	msb16  = 0x8000800080008000 // bit 15 of every 16-bit lane
+	low8   = 0x00FF00FF00FF00FF // low byte of every 16-bit lane
+	even16 = 0x0000FFFF0000FFFF // 16-bit lanes 0 and 2 of a word
+	low32  = 0x00000000FFFFFFFF // low 32-bit lane of a word
 )
 
 // bytes8 widens a per-byte top-bit predicate to 0xFF bytes.
@@ -594,9 +599,40 @@ func mul16(a, b uint64) uint64 {
 		uint64(uint16(a>>48)*uint16(b>>48))<<48
 }
 
+// mulBy16 is every 16-bit lane of a times c < 2^16, mod 2^16, in two
+// multiplies. Lanes 0 and 2 sit 32 bits apart, so each product, below
+// 2^32, stays clear of the other (lane 2's bits past 64 are its high half,
+// which the lane drops anyway); lanes 1 and 3 take the same shifted down.
+func mulBy16(a, c uint64) uint64 {
+	return (a&even16)*c&even16 | (a>>16&even16)*c&even16<<16
+}
+
 // MulLoU16 returns the low half of each 16-bit lane product (vmul.i16,
-// pmullw); signed and unsigned products share it.
-func MulLoU16(a, b V128) V128 { return V128{mul16(a.Lo, b.Lo), mul16(a.Hi, b.Hi)} }
+// pmullw); signed and unsigned products share it. A broadcast b (the SSE2
+// Gaussian's taps, the by-scalar forms) takes two multiplies a word
+// (mulBy16), exact mod 2^16 for any a; any other b takes four.
+func MulLoU16(a, b V128) V128 {
+	if c := b.Lo & 0xFFFF; b.Lo == c*lsb16 && b.Hi == b.Lo {
+		return V128{mulBy16(a.Lo, c), mulBy16(a.Hi, c)}
+	}
+	return V128{mul16(a.Lo, b.Lo), mul16(a.Hi, b.Hi)}
+}
+
+// MlalU8 returns acc plus the eight 16-bit products of the byte lanes of a
+// and b, wrapping (vmlal.u8; vmull.u8 into a zero acc). When b is a
+// broadcast c every lane product is at most 255*255 < 2^16, so a widened
+// word of a times c is four exact lane products with no carry between
+// them: one multiply per four lanes. Any other b widens both and
+// multiplies lane by lane.
+func MlalU8(acc V128, a, b V64) V128 {
+	lo, hi := widen8(a.W&low32), widen8(a.W>>32)
+	if c := b.W & 0xFF; b.W == c*splat8 {
+		lo, hi = lo*c, hi*c
+	} else {
+		lo, hi = mul16(lo, widen8(b.W&low32)), mul16(hi, widen8(b.W>>32))
+	}
+	return V128{add16(acc.Lo, lo), add16(acc.Hi, hi)}
+}
 
 // shl16 shifts every 16-bit lane of a left by n; n >= 16 clears them.
 func shl16(a uint64, n uint) uint64 { return a << n & (lsb16 * uint64(uint16(0xFFFF)<<n)) }
@@ -629,12 +665,20 @@ func SarI16(a V128, n uint) V128 {
 // rshr16 is the per-lane rounding shift (x + 2^(n-1)) >> n of a word of
 // uint16 lanes, for n <= 16. It adds the rounding bit after the shift,
 // (x >> n) + bit n-1 of x, so the 17-bit intermediate never exists and no
-// carry reaches the next lane.
-func rshr16(a uint64, n uint) uint64 { return shr16(a, n) + shr16(a, n-1)&lsb16 }
+// carry reaches the next lane: a shifted lane is below 2^(16-n). Bit n-1
+// lands on bit 0 of its own lane, so lsb16 alone masks it; n = 0 shifts
+// by 2^64-1, which reads zero.
+func rshr16(a uint64, n uint) uint64 { return shr16(a, n) + a>>(n-1)&lsb16 }
 
 // RoundShrU16 returns the lane-wise uint16 rounding shift
 // (x + 2^(n-1)) >> n (vrshr.u16); n = 0 leaves the lanes unchanged.
 func RoundShrU16(a V128, n uint) V128 { return V128{rshr16(a.Lo, n), rshr16(a.Hi, n)} }
+
+// RoundShrNarrowU16 is RoundShrU16 narrowed to the low byte of each lane
+// (vrshrn.i16), one call for the pair.
+func RoundShrNarrowU16(a V128, n uint) V64 {
+	return V64{narrow8(rshr16(a.Lo, n)) | narrow8(rshr16(a.Hi, n))<<32}
+}
 
 // widen8 zero-extends the four bytes in the low 32 bits of x into the
 // four 16-bit lanes of a word.
@@ -659,12 +703,14 @@ func WidenU8(a V64) V128 { return V128{widen8(a.W & low32), widen8(a.W >> 32)} }
 func NarrowU16(a V128) V64 { return V64{narrow8(a.Lo) | narrow8(a.Hi)<<32} }
 
 // InterleaveLoU8 interleaves the low eight bytes of a and b, a first
-// (punpcklbw, vzip.8 low half).
+// (punpcklbw, vzip.8 low half). Against a zero b, the SSE2 idiom for a
+// zero-extending widen, b's bytes contribute nothing and it is WidenU8.
 func InterleaveLoU8(a, b V128) V128 {
-	return V128{
-		widen8(a.Lo&low32) | widen8(b.Lo&low32)<<8,
-		widen8(a.Lo>>32) | widen8(b.Lo>>32)<<8,
+	lo, hi := widen8(a.Lo&low32), widen8(a.Lo>>32)
+	if b.Lo != 0 {
+		lo, hi = lo|widen8(b.Lo&low32)<<8, hi|widen8(b.Lo>>32)<<8
 	}
+	return V128{lo, hi}
 }
 
 // InterleaveHiU8 interleaves the high eight bytes of a and b, a first
@@ -697,6 +743,18 @@ func SatU8I16(a V128) V64 { return V64{narrow8(satU8(a.Lo)) | narrow8(satU8(a.Hi
 // SatI8I16 narrows int16 lanes to int8 with signed saturation
 // (vqmovn.s16, one half of packsswb).
 func SatI8I16(a V128) V64 { return V64{narrow8(satI8(a.Lo)) | narrow8(satI8(a.Hi))<<32} }
+
+// sat16 clamps each of the two int32 lanes of w to int16 and packs the
+// results into the low 32 bits; min and max compile to conditional moves,
+// not branches.
+func sat16(w uint64) uint64 {
+	return uint64(uint16(min(max(int32(w), math.MinInt16), math.MaxInt16))) |
+		uint64(uint16(min(max(int32(w>>32), math.MinInt16), math.MaxInt16)))<<16
+}
+
+// SatI16I32 narrows four int32 lanes to int16 with signed saturation
+// (vqmovn.s32, one half of packssdw), two lanes from each word.
+func SatI16I32(a V128) V64 { return V64{sat16(a.Lo) | sat16(a.Hi)<<32} }
 
 // addsI16 is the per-lane signed saturating sum of two words: where the
 // operands share a sign the sum does not, the lane takes 0x7FFF or 0x8000
