@@ -26,7 +26,6 @@ import (
 	"simdstudy/internal/serve"
 	"simdstudy/internal/sse2"
 	"simdstudy/internal/timing"
-	"simdstudy/internal/trace"
 	"simdstudy/internal/vectorizer"
 )
 
@@ -383,8 +382,7 @@ func BenchmarkHostMedianNEONEmu(b *testing.B) {
 // fails above 3.0: with registers passed in memory and a lane loop per
 // 16-bit op it measured 7-9x.
 func BenchmarkHostSobelNEONEmu(b *testing.B) {
-	sobelX := func(o *Ops, src, dst *Mat) error { return o.SobelFilter(src, dst, 1, 0) }
-	benchHostTwin(b, vga, sobelX, S16, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
+	benchHostTwin(b, vga, hostSobelX, S16, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
 }
 
 // vga is the 640x480 frame most host benchmarks time.
@@ -448,8 +446,9 @@ func benchHostPipeline(b *testing.B, fuse bool, run func(o *Ops, src, dst *Mat) 
 	}
 }
 
-func hostCanny(o *Ops, src, dst *Mat) error { return o.Canny(src, dst, 60, 200) }
-func hostEdges(o *Ops, src, dst *Mat) error { return o.DetectEdges(src, dst, 100) }
+func hostCanny(o *Ops, src, dst *Mat) error  { return o.Canny(src, dst, 60, 200) }
+func hostEdges(o *Ops, src, dst *Mat) error  { return o.DetectEdges(src, dst, 100) }
+func hostSobelX(o *Ops, src, dst *Mat) error { return o.SobelFilter(src, dst, 1, 0) }
 
 // BenchmarkHostCannyStaged / BenchmarkHostCannyFused compare the staged
 // and cache-blocked fused execution of the 6-stage Canny pipeline on the
@@ -490,40 +489,29 @@ func BenchmarkHostFusedBanded(b *testing.B) {
 	}
 }
 
-// BenchmarkHostTraceOverhead quantifies instruction-accounting cost by
-// running the same kernel with and without a trace attached, for both
-// emulated ISAs on an elementwise kernel (Threshold) and a stencil one
-// (GaussianBlur). Each traced/untraced pair shares a prefix; CI fails when
-// any pair's ns/op ratio exceeds 1.5 or a traced run allocates.
+// BenchmarkHostTraceOverhead quantifies instruction-accounting cost: each
+// traced call is timed interleaved with the same call untraced
+// (benchHostTwin), and their ratio is reported as x-untraced, for both
+// emulated ISAs on an elementwise kernel (Threshold), a stencil one
+// (GaussianBlur) and the two with the most counted ops per pixel
+// (SobelFilter, DetectEdges). CI fails when any ratio exceeds 1.3 or a
+// traced call allocates.
 func BenchmarkHostTraceOverhead(b *testing.B) {
-	res := Resolution{Width: 640, Height: 480}
-	src := Synthetic(res, 1)
-	dst := NewMat(640, 480, U8)
 	kernels := []struct {
 		name string
-		run  func(o *Ops) error
+		dst  image.Type
+		run  func(o *Ops, src, dst *Mat) error
 	}{
-		{"threshold", func(o *Ops) error { return o.Threshold(src, dst, 128, 255, ThreshTrunc) }},
-		{"gaussian", func(o *Ops) error { return o.GaussianBlur(src, dst) }},
+		{"threshold", U8, func(o *Ops, src, dst *Mat) error { return o.Threshold(src, dst, 128, 255, ThreshTrunc) }},
+		{"gaussian", U8, (*Ops).GaussianBlur},
+		{"sobel", S16, hostSobelX},
+		{"edges", U8, hostEdges},
 	}
 	for _, isa := range []ISA{ISANEON, ISASSE2} {
 		for _, k := range kernels {
-			for _, traced := range []bool{false, true} {
-				name := fmt.Sprintf("%v/%s/untraced", isa, k.name)
-				var tr *trace.Counter
-				if traced {
-					name = fmt.Sprintf("%v/%s/traced", isa, k.name)
-					tr = NewTrace()
-				}
-				o := NewOps(isa, tr)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if err := k.run(o); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("%v/%s", isa, k.name), func(b *testing.B) {
+				benchHostTwin(b, vga, k.run, k.dst, NewOps(isa, NewTrace()), NewOps(isa, nil), "x-untraced")
+			})
 		}
 	}
 }

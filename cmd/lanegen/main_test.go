@@ -66,6 +66,17 @@ func TestLaneGenRefusesUntwinnable(t *testing.T) {
 		{name: "passed without its twin", want: "pass passes row without its lane twin rowLanes",
 			src: "func row(b *Ops, a int, y int) { u := b.n; u.VaddqS16(a, a) }\n\n" +
 				"func pass(o *Ops) { parRows(o, 1, 0, row, nil) }"},
+		{name: "exit with no flush", want: "row has no lane twin: it panics, an exit its counting twin cannot flush on",
+			src: "func row(b *Ops, x int) { u := b.n; u.VaddqS16(x, x); if x > 0 { panic(x) } }"},
+		{name: "count after the flush", want: "row has no lane twin: its counting twin cannot count the call of VaddqS16 there",
+			src: "func row(b *Ops, x int) { u := b.n; defer func() { u.VaddqS16(x, x) }() }"},
+		{name: "call in a loop condition", want: "row has no lane twin: its counting twin cannot count the call of VaddqS16 there",
+			src: "func row(b *Ops, x int) { u := b.n; for u.VaddqS16(x, x) != x {} }"},
+		{name: "count not a constant", want: "row has no lane twin: it passes Overhead a count that is not an integer constant",
+			src: "func row(b *Ops, x int) { u := b.n; u.Overhead(x, 1, 0) }"},
+		{name: "intrinsic counting conditionally", want: "(*Unit).Bad has no lane form: it counts other than once per call",
+			src:  "func row(b *Ops, x int) { u := b.n; u.Bad(x) }",
+			neon: "package neon\n\ntype Unit struct{}\n\nfunc (u *Unit) Bad(x int) int {\n\tif x > 0 {\n\t\tu.rec(opBad)\n\t}\n\treturn x\n}\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,10 +95,11 @@ func TestLaneGenRefusesUntwinnable(t *testing.T) {
 		})
 	}
 
-	// The same row, twinnable and passed with its twin, generates.
+	// The same row, twinnable and passed with its twin, generates; its
+	// counting twin flushes on both of its exits.
 	d := real
 	d.CV = writePkg(t, map[string]string{"ops.go": ops, "row.go": "package cv\n\n" +
-		"func row(b *Ops, a int, y int) { u := b.n; u.VaddqS16(a, a) }\n\n" +
+		"func row(b *Ops, a int, y int) { u := b.n; if y > 0 { u.VaddqS16(a, a); return }; u.Overhead(2, 1, 0) }\n\n" +
 		"func pass(o *Ops) { parRows(o, 1, 0, row, rowLanes) }\n"})
 	out, err := Generate(d)
 	if err != nil {
@@ -95,10 +107,29 @@ func TestLaneGenRefusesUntwinnable(t *testing.T) {
 	}
 	twin := string(out[filepath.Join(d.CV, genFile)])
 	lanes := string(out[filepath.Join(d.NEON, genFile)])
-	if !strings.Contains(twin, "func rowLanes(b *Ops, a int, y int) {\n\tu, _ := b.n.Lanes()") {
-		t.Fatalf("twin file:\n%s", twin)
+	for _, want := range []string{
+		"var rowLanes = &twins[func(b *Ops, a int, y int)]{rowPlain, rowCounted}",
+		"func rowPlain(b *Ops, a int, y int) {\n\tu := neon.Lanes{}\n\tif y > 0 {\n\t\tu.VaddqS16(a, a)\n",
+		"func rowCounted(b *Ops, a int, y int) {\n\tvar nAddMovAddr, nCmpB, nVaddI16 uint64\n\tu, tally := neon.Lanes{}, b.n.Counts()\n",
+		"\t\tnVaddI16++\n\t\tu.VaddqS16(a, a)\n\t\ttally[neon.OpAddMovAddr] += nAddMovAddr\n",
+		"\tnAddMovAddr += 2\n\tnCmpB++\n\tu.Overhead(2, 1, 0)\n\ttally[neon.OpAddMovAddr] += nAddMovAddr\n",
+	} {
+		if !strings.Contains(twin, want) {
+			t.Fatalf("twin file lacks %q:\n%s", want, twin)
+		}
 	}
-	if !strings.Contains(lanes, "func (u Lanes) VaddqS16(") || strings.Contains(lanes, "VsubqS16") {
-		t.Fatalf("lane methods must be exactly those the twins reach:\n%s", lanes)
+	if n := strings.Count(twin, "tally[neon.OpVaddI16] += nVaddI16"); n != 2 {
+		t.Fatalf("the counting twin flushes %d times, want once per exit:\n%s", n, twin)
+	}
+	if strings.Contains(twin, "OpMov") {
+		t.Fatalf("a count of zero needs no local:\n%s", twin)
+	}
+	for _, want := range []string{"func (u Lanes) VaddqS16(", "func (u Lanes) Overhead(", "OpVaddI16 = opVaddI16"} {
+		if !strings.Contains(strings.Join(strings.Fields(lanes), " "), want) {
+			t.Fatalf("lane file lacks %q:\n%s", want, lanes)
+		}
+	}
+	if strings.Contains(lanes, "VsubqS16") || strings.Contains(lanes, "u.rec") || strings.Contains(lanes, "u.recN") {
+		t.Fatalf("lane methods must be exactly those the twins reach, counting nothing:\n%s", lanes)
 	}
 }

@@ -226,7 +226,7 @@ func (o *Ops) fusedSession(name string) *obs.Span {
 // wrappers, selecting the SSE2 stages records those two SetzeroSi128.
 type fusedSobel struct {
 	diffH, smoothV, smoothH, diffV                     func(*Ops, sobelArgs, int)
-	diffHLanes, smoothVLanes, smoothHLanes, diffVLanes func(*Ops, sobelArgs, int)
+	diffHLanes, smoothVLanes, smoothHLanes, diffVLanes *twins[func(*Ops, sobelArgs, int)]
 	zeroDiffH, zeroSmoothH                             vec.V128
 }
 
@@ -398,13 +398,14 @@ func cannyBand(b *Ops, a cannySweep, y0, y1 int) {
 
 // edgesSweep is one fused DetectEdges call as each of its bands sees it.
 type edgesSweep struct {
-	o                     *Ops // the Ops that opened the sweep
-	g                     *fuse.Geometry
-	src, dst              *image.Mat
-	thresh                int16
-	vthresh               vec.V128
-	sobel                 fusedSobel
-	combine, combineLanes func(*Ops, magThreshArgs, int, int)
+	o            *Ops // the Ops that opened the sweep
+	g            *fuse.Geometry
+	src, dst     *image.Mat
+	thresh       int16
+	vthresh      vec.V128
+	sobel        fusedSobel
+	combine      func(*Ops, magThreshArgs, int, int)
+	combineLanes *twins[func(*Ops, magThreshArgs, int, int)]
 }
 
 // edgesFused runs the DetectEdges pipeline as one fused sweep. The

@@ -21,10 +21,11 @@ func (nopInjector) Skew(faults.Site, int) int               { return 0 }
 type laneRun func(tc *trace.Counter, inj faults.Injector) (*image.Mat, error)
 
 // checkLaneTwins holds a kernel's lane twins to its instrumented bodies:
-// the twin path (no injector) writes the plane the instrumented path (a
-// no-op injector) writes, and counted twins (a traced Ops) record exactly
-// the ops the instrumented bodies record (a counter capturing a sequence,
-// whose tallies refuse to bind).
+// the plain twins (no injector, untraced) write the plane the instrumented
+// path (a no-op injector) writes, and the counting twins (a traced Ops,
+// whose tallies bind) flush exactly the per-op counts the instrumented
+// bodies record (a counter capturing a sequence, whose tallies refuse to
+// bind).
 func checkLaneTwins(t *testing.T, what string, run laneRun) {
 	t.Helper()
 	twin, errT := run(nil, nil)
@@ -54,12 +55,15 @@ func checkLaneTwins(t *testing.T, what string, run laneRun) {
 // over widths around the 8- and 16-lane quanta, heights with and without
 // an interior, one and four workers, fused and staged, the lane twins are
 // indistinguishable from the instrumented bodies in planes and counts.
+// That covers every counting twin: the row and flat-chunk twins, the ones
+// fused Canny and DetectEdges sweeps run, the median networks their rows
+// hand a count array, and RGBToGray's chunk.
 func TestLaneTwinsMatchInstrumented(t *testing.T) {
 	for ki, k := range fuzzKernels {
 		for _, isa := range []ISA{ISANEON, ISASSE2} {
-			for _, w := range []int{1, 7, 8, 9, 17, 640} {
+			for _, w := range []int{1, 7, 8, 9, 17, 641} {
 				for _, h := range []int{1, 3, 480} {
-					if raceEnabled && w == 640 && h == 480 {
+					if raceEnabled && w == 641 && h == 480 {
 						// The race build hunts data races, which the narrow
 						// 480-row planes band as well; the full VGA plane
 						// costs it minutes.
@@ -93,7 +97,7 @@ func TestLaneTwinsMatchInstrumented(t *testing.T) {
 		}
 	}
 	// RGBToGray is not served, but its NEON chunk has a twin too.
-	for _, w := range []int{1, 7, 8, 9, 17, 640} {
+	for _, w := range []int{1, 7, 8, 9, 17, 641} {
 		for _, workers := range []int{1, 4} {
 			src := image.SyntheticRGB(image.Resolution{Width: w, Height: 3}, uint64(w))
 			checkLaneTwins(t, "RGBToGray", func(tc *trace.Counter, inj faults.Injector) (*image.Mat, error) {
@@ -105,6 +109,46 @@ func TestLaneTwinsMatchInstrumented(t *testing.T) {
 				dst := image.NewMat(w, 3, image.U8)
 				return dst, o.RGBToGray(src, dst)
 			})
+		}
+	}
+}
+
+// TestUnitsRunChoosesTwin: a band runs the plain twin when its unit is
+// untraced, the counting twin (with its unit's count array bound) when
+// the tally binds, and the instrumented body under an injector or a
+// counter capturing a sequence, for one band and for several.
+func TestUnitsRunChoosesTwin(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tc   *trace.Counter
+		inj  faults.Injector
+		want string
+	}{
+		{"untraced", nil, nil, "plain"},
+		{"traced", &trace.Counter{}, nil, "counted"},
+		{"sequence capture", &trace.Counter{SeqCap: 1}, nil, "body"},
+		{"injector", nil, nopInjector{}, "body"},
+		{"traced with injector", &trace.Counter{}, nopInjector{}, "body"},
+	} {
+		for _, workers := range []int{1, 2} {
+			var ran [2]string // the bodies a row ran, one slot per row
+			rec := func(what string) func(b *Ops, _ int, y int) {
+				return func(b *Ops, _ int, y int) {
+					ran[y] = what
+					if what == "counted" && b.n.Counts() == nil {
+						ran[y] = "counted without a count array"
+					}
+				}
+			}
+			o := NewOps(ISANEON, c.tc)
+			o.SetParallel(ParallelConfig{Workers: workers, MinRowsPerBand: 1})
+			if c.inj != nil {
+				o.SetFaultInjector(c.inj)
+			}
+			parRows(o, len(ran), 0, rec("body"), &twins[func(*Ops, int, int)]{rec("plain"), rec("counted")})
+			if ran != [2]string{c.want, c.want} {
+				t.Errorf("%s, %d workers: rows ran %q, want %s", c.name, workers, ran, c.want)
+			}
 		}
 	}
 }

@@ -261,12 +261,15 @@ func (o *Ops) watchSerial(sec *super.Section, stop *atomic.Bool, loop func()) {
 	loop()
 }
 
+// twins are a body's lane twins (lanes_gen.go), plain then counting, as
+// LaneTwin numbers them.
+type twins[F any] [2]F
+
 // parRows runs body(b, a, y) for every row y in [0, rows), banded across
 // the configured workers. A is the pass's argument bundle; bodies are
 // package-level functions so the serial path allocates nothing. twin is
-// body's lane twin (lanes_gen.go), nil for a body that binds no unit: a
-// band whose unit takes its plain form runs twin instead (see units.run).
-func parRows[A any](o *Ops, rows int, a A, body, twin func(b *Ops, a A, y int)) {
+// body's lane twins, which a band runs in its place where it can.
+func parRows[A any](o *Ops, rows int, a A, body func(b *Ops, a A, y int), twin *twins[func(b *Ops, a A, y int)]) {
 	runBands(o, units[A]{row: body, rowLanes: twin, n: rows}, a)
 }
 
@@ -287,8 +290,8 @@ func lastPass[A any](o *Ops, rows int, a A, body func(b *Ops, a A, y int)) {
 // parFlat runs body(b, a, lo, hi) over [0, n) in flatQuantum-aligned
 // blocks, banded across the configured workers. Only the final block can be
 // a partial quantum, so the scalar tail lives in exactly one band. twin is
-// body's lane twin, as for parRows.
-func parFlat[A any](o *Ops, n int, a A, body, twin func(b *Ops, a A, lo, hi int)) {
+// body's lane twins, as for parRows.
+func parFlat[A any](o *Ops, n int, a A, body func(b *Ops, a A, lo, hi int), twin *twins[func(b *Ops, a A, lo, hi int)]) {
 	runBands(o, units[A]{flat: body, flatLanes: twin, end: n, n: (n + flatQuantum - 1) / flatQuantum}, a)
 }
 
@@ -297,7 +300,7 @@ func parFlat[A any](o *Ops, n int, a A, body, twin func(b *Ops, a A, lo, hi int)
 // the fault injector's per-row reseed positions are a pure function of
 // the row like the staged path's, and the watchdog heart beats once per
 // row exactly as there.
-func sweepRows[A any](o, b *Ops, y0, y1 int, a A, body, twin func(b *Ops, a A, y int)) {
+func sweepRows[A any](o, b *Ops, y0, y1 int, a A, body func(b *Ops, a A, y int), twin *twins[func(b *Ops, a A, y int)]) {
 	sweepPass(o, b, units[A]{row: body, rowLanes: twin, first: y0, n: y1 - y0}, a)
 }
 
@@ -307,7 +310,7 @@ func sweepRows[A any](o, b *Ops, y0, y1 int, a A, body, twin func(b *Ops, a A, y
 // gating does) every block except the final one is a full quantum and the
 // vector/tail split — and with it the recorded instruction stream —
 // matches a single staged sweep exactly.
-func sweepFlat[A any](o, b *Ops, e0, e1 int, a A, body, twin func(b *Ops, a A, lo, hi int)) {
+func sweepFlat[A any](o, b *Ops, e0, e1 int, a A, body func(b *Ops, a A, lo, hi int), twin *twins[func(b *Ops, a A, lo, hi int)]) {
 	sweepPass(o, b, units[A]{flat: body, flatLanes: twin, first: e0, end: e1, n: (e1 - e0 + flatQuantum - 1) / flatQuantum}, a)
 }
 
@@ -328,34 +331,35 @@ func sweepPass[A any](o, b *Ops, u units[A], a A) {
 }
 
 // units is one pass's work for runBands, numbered 0..n-1: rows first+i
-// when row is set, else the flatQuantum-element blocks of [first, end),
-// anchored at first — or, when band is set, the output rows of a fused
-// sweep, each band of which band sweeps itself (fused.go). The pass's
-// argument bundle travels beside it, so a closure capturing both copies
-// each by value when small. rowLanes and flatLanes are the bodies' lane
-// twins, nil for bodies that bind no unit.
+// when row (or its twins rowLanes) is set, else the flatQuantum-element
+// blocks of [first, end), anchored at first — or, when band is set, the
+// output rows of a fused sweep, each band of which band sweeps itself
+// (fused.go). The pass's argument bundle travels beside it, so a closure
+// capturing both copies each by value when small.
 type units[A any] struct {
-	row, rowLanes   func(b *Ops, a A, y int)
-	flat, flatLanes func(b *Ops, a A, lo, hi int)
-	band            func(b *Ops, a A, y0, y1 int)
-	first, end      int
-	n               int
+	row           func(b *Ops, a A, y int)
+	rowLanes      *twins[func(b *Ops, a A, y int)]
+	flat          func(b *Ops, a A, lo, hi int)
+	flatLanes     *twins[func(b *Ops, a A, lo, hi int)]
+	band          func(b *Ops, a A, y0, y1 int)
+	first, end, n int
 }
 
 // run runs units [lo, hi) on b with args a, reseeding rs (when set) at
 // each unit from its stripe: the row, or the block's quantum index in the
 // plane. A row tick counts toward the bound context's progress; a block
-// tick only polls. The band runs the lane twins when b's unit takes its
-// plain form (no injector; untraced, or a tally it can bind), else the
-// instrumented bodies; the choice is made once, here.
+// tick only polls. The body is chosen once, here: a lane twin when b's
+// unit allows one (see LaneTwin), else the instrumented body.
 func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) {
 	if u.band != nil {
 		u.band(b, a, u.first+lo, u.first+hi)
 		return
 	}
 	row, flat := u.row, u.flat
-	if (u.rowLanes != nil || u.flatLanes != nil) && b.lanes() {
-		row, flat = u.rowLanes, u.flatLanes
+	if k, ok := b.laneTwin(); ok && u.rowLanes != nil {
+		row = u.rowLanes[k]
+	} else if ok && u.flatLanes != nil {
+		flat = u.flatLanes[k]
 	}
 	for i := lo; i < hi; i++ {
 		if row != nil {
@@ -376,17 +380,12 @@ func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) 
 	}
 }
 
-// lanes reports whether o's unit for its ISA — the one count tallies on —
-// takes its plain form, binding the unit's tally when traced, so lane
-// twins may run on it.
-func (o *Ops) lanes() bool {
-	var ok bool
+// laneTwin is LaneTwin of o's unit for its ISA, the one count tallies on.
+func (o *Ops) laneTwin() (int, bool) {
 	if o.isa == ISASSE2 {
-		_, ok = o.s.Lanes()
-	} else {
-		_, ok = o.n.Lanes()
+		return o.s.LaneTwin()
 	}
-	return ok
+	return o.n.LaneTwin()
 }
 
 // runBands is the one band runner behind every pass and fused sweep. It

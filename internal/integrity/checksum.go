@@ -100,6 +100,7 @@ func matBlockSum4(m *image.Mat, lo, block int) (s [4]uint32) {
 	case image.U8:
 		p := m.U8Pix[lo : lo+4*block]
 		a, b, c, d := p[:block], p[block:2*block], p[2*block:3*block], p[3*block:]
+		b, c, d = b[:len(a)], c[:len(a)], d[:len(a)] // one bounds check, not three per element
 		for i, v := range a {
 			h0 = hashU8(h0, v)
 			h1 = hashU8(h1, b[i])
@@ -109,6 +110,7 @@ func matBlockSum4(m *image.Mat, lo, block int) (s [4]uint32) {
 	case image.S16:
 		p := m.S16Pix[lo : lo+4*block]
 		a, b, c, d := p[:block], p[block:2*block], p[2*block:3*block], p[3*block:]
+		b, c, d = b[:len(a)], c[:len(a)], d[:len(a)] // one bounds check, not three per element
 		for i, v := range a {
 			h0 = hashU16(h0, uint16(v))
 			h1 = hashU16(h1, uint16(b[i]))
@@ -118,6 +120,7 @@ func matBlockSum4(m *image.Mat, lo, block int) (s [4]uint32) {
 	case image.F32:
 		p := m.F32Pix[lo : lo+4*block]
 		a, b, c, d := p[:block], p[block:2*block], p[2*block:3*block], p[3*block:]
+		b, c, d = b[:len(a)], c[:len(a)], d[:len(a)] // one bounds check, not three per element
 		for i, v := range a {
 			h0 = hashU32(h0, math.Float32bits(v))
 			h1 = hashU32(h1, math.Float32bits(b[i]))

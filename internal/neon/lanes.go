@@ -2,44 +2,33 @@ package neon
 
 import "simdstudy/internal/trace"
 
-// Lanes is the plain form of a Unit that a lane twin runs on: a value with
-// no fault hook, whose intrinsics are inline lane arithmetic plus, when n
-// is set, one increment of a bound tally's count array. Its intrinsic
-// methods are generated from the Unit's (lanes_gen.go; see cmd/lanegen),
-// so each intrinsic's lane body is written once.
-type Lanes struct{ n *[trace.MaxOps]uint64 }
+// Lanes is the plain form of a Unit that a lane twin runs on: a zero-size
+// value with no hooks, whose intrinsics are inline lane arithmetic and
+// count nothing. Its methods are generated from the Unit's (lanes_gen.go;
+// see cmd/lanegen), so each intrinsic's lane body is written once; a
+// counting twin counts beside the calls and adds its counts to Counts.
+type Lanes struct{}
 
-// Lanes returns the unit's plain form and true when nothing needs the
-// instrumented one: no injector is attached, and either the unit is
-// untraced (the lanes count nothing) or its tally binds to T (the lanes
-// count into the bound array, which Flush folds as usual). A shared unit or
-// a counter capturing a sequence keeps the instrumented intrinsics.
-func (u *Unit) Lanes() (Lanes, bool) {
-	if u.F != nil {
-		return Lanes{}, false
+// LaneTwin reports whether a lane twin may stand in for the instrumented
+// intrinsics, and which: 0, the plain twin, on an untraced unit; 1, the
+// counting twin, on a traced one, whose tally it binds to T so that Counts
+// returns the array the twin adds to (Flush folds it as usual). With an
+// injector attached, or a tally that cannot bind (shared, or a counter
+// capturing a sequence), it answers false.
+func (u *Unit) LaneTwin() (int, bool) {
+	switch {
+	case u.F != nil:
+		return 0, false
+	case u.T == nil:
+		return 0, true
+	case u.cnt == nil:
+		if u.cnt = u.tl.Bind(u.T); u.cnt == nil {
+			return 0, false
+		}
 	}
-	if u.T == nil || u.cnt != nil {
-		return Lanes{u.cnt}, true
-	}
-	return u.bindLanes()
+	return 1, true
 }
 
-// bindLanes binds the unit's tally for Lanes, out of line so the bound
-// case inlines.
-func (u *Unit) bindLanes() (Lanes, bool) {
-	n := u.tl.Bind(u.T)
-	if n == nil {
-		return Lanes{}, false
-	}
-	u.cnt = n
-	return Lanes{n}, true
-}
-
-// Overhead is (*Unit).Overhead on lanes.
-func (u Lanes) Overhead(addrCalcs, branches, moves int) {
-	if u.n != nil {
-		u.n[opAddMovAddr] += uint64(addrCalcs)
-		u.n[opCmpB] += uint64(branches)
-		u.n[opMov] += uint64(moves)
-	}
-}
+// Counts returns the count array LaneTwin bound, nil until then: a
+// counting twin reads it once per call to flush into.
+func (u *Unit) Counts() *[trace.MaxOps]uint64 { return u.cnt }

@@ -182,6 +182,69 @@ var neonSpecs = []laneSpec{
 			}
 			return vec.FromU16x8(d)
 		}},
+	// The Sobel and gradient-magnitude ops the lane twins run.
+	{"VaddlU8",
+		func(u *Unit, x specArgs) vec.V128 { return u.VaddlU8(x.a.Low(), x.b.Low()) },
+		func(x specArgs) vec.V128 {
+			a, b := x.a.ToU8x16(), x.b.ToU8x16()
+			var d [8]uint16
+			for e := range d {
+				d[e] = uint16(a[e]) + uint16(b[e])
+			}
+			return vec.FromU16x8(d)
+		}},
+	{"VsublU8",
+		func(u *Unit, x specArgs) vec.V128 { return u.VsublU8(x.a.Low(), x.b.Low()) },
+		func(x specArgs) vec.V128 {
+			a, b := x.a.ToU8x16(), x.b.ToU8x16()
+			var d [8]int16
+			for e := range d {
+				d[e] = int16(int32(a[e]) - int32(b[e]))
+			}
+			return vec.FromI16x8(d)
+		}},
+	{"VaddwU8",
+		func(u *Unit, x specArgs) vec.V128 { return u.VaddwU8(x.c, x.a.Low()) },
+		func(x specArgs) vec.V128 {
+			a, d := x.a.ToU8x16(), x.c.ToU16x8()
+			for e := range d {
+				d[e] += uint16(a[e])
+			}
+			return vec.FromU16x8(d)
+		}},
+	{"VqabsqS16",
+		func(u *Unit, x specArgs) vec.V128 { return u.VqabsqS16(x.a) },
+		func(x specArgs) vec.V128 {
+			d := x.a.ToI16x8()
+			for e, v := range d {
+				a := int64(v)
+				if a < 0 {
+					a = -a
+				}
+				d[e] = signedSat16(a)
+			}
+			return vec.FromI16x8(d)
+		}},
+	{"Vld1qS16",
+		func(u *Unit, x specArgs) vec.V128 {
+			a, b := x.a.ToI16x8(), x.b.ToI16x8()
+			return u.Vld1qS16(append(a[:], b[:]...))
+		},
+		func(x specArgs) vec.V128 { return x.a }},
+	{"Vst1qS16",
+		func(u *Unit, x specArgs) vec.V128 {
+			var buf [10]int16
+			for i := range buf {
+				buf[i] = -0x5A5B
+			}
+			u.Vst1qS16(buf[1:], x.a)
+			r := vec.FromI16x8([8]int16(buf[1:9]))
+			if buf[0] != -0x5A5B || buf[9] != -0x5A5B {
+				r.SetI16(0, ^r.I16(0)) // a store outside its eight elements
+			}
+			return r
+		},
+		func(x specArgs) vec.V128 { return x.a }},
 }
 
 // mulSpec is vmul.i16: the low 16 bits of each lane product.
@@ -227,12 +290,25 @@ var specSeeds = [][]byte{
 	{0x01, 0xFF, 0x10, 0x0F, 0x00, 0x80, 0xFF, 0x7F, 0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0xC0, 0x7F},
 }
 
-// specCorpus is every seed pattern under every form of b.
+// specCorpus is every seed pattern under every form of b, and the 16-bit
+// edges 0x7FFF, 0x8000, 0x00FF and 0xFFFF filling the registers with each
+// of the shift counts 0, 15 and 16.
 func specCorpus() [][]byte {
 	var out [][]byte
 	for _, p := range specSeeds {
 		for form := 0; form < bForms; form++ {
 			out = append(out, append([]byte{byte(form)}, p...))
+		}
+	}
+	for _, edge := range [][2]byte{{0xFF, 0x7F}, {0x00, 0x80}, {0xFF, 0x00}, {0xFF, 0xFF}} {
+		for _, n := range []byte{0, 15, 16} {
+			for form := 0; form < bForms; form++ {
+				seed := []byte{byte(form)}
+				for len(seed) < 1+48 {
+					seed = append(seed, edge[:]...)
+				}
+				out = append(out, append(seed, n))
+			}
 		}
 	}
 	return out

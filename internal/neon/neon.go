@@ -130,10 +130,26 @@ func (u *Unit) rec(id trace.OpID) {
 	}
 }
 
+// recN notes n retired instances of id, as rec notes one, with no
+// sequence capture.
+func (u *Unit) recN(id trace.OpID, n int) {
+	if u.cnt != nil {
+		u.cnt[id] += uint64(n)
+	} else if u.T != nil {
+		u.tallyN(id, n)
+	}
+}
+
 // tally counts one retired instruction in the unit's tally and caches the
 // count array it is now bound to.
 func (u *Unit) tally(id trace.OpID) {
 	u.tl.Inc(u.T, id)
+	u.bind()
+}
+
+// tallyN is tally for recN.
+func (u *Unit) tallyN(id trace.OpID, n int) {
+	u.tl.Add(u.T, id, uint64(n))
 	u.bind()
 }
 
@@ -176,25 +192,9 @@ func (u *Unit) Share() {
 // intrinsic body in compiled code: the paper's Section V counts 6 such
 // instructions (address adds, compare, branch, moves) per 8-pixel iteration.
 func (u *Unit) Overhead(addrCalcs, branches, moves int) {
-	if u.T != nil {
-		u.overhead(addrCalcs, branches, moves)
-	}
-}
-
-// overhead tallies Overhead's instructions, out of line so the nil check
-// inlines: into the cached count array when the tally is bound, through
-// the tally (which binds it) otherwise.
-func (u *Unit) overhead(addrCalcs, branches, moves int) {
-	if n := u.cnt; n != nil {
-		n[opAddMovAddr] += uint64(addrCalcs)
-		n[opCmpB] += uint64(branches)
-		n[opMov] += uint64(moves)
-		return
-	}
-	u.tl.Add(u.T, opAddMovAddr, uint64(addrCalcs))
-	u.tl.Add(u.T, opCmpB, uint64(branches))
-	u.tl.Add(u.T, opMov, uint64(moves))
-	u.bind()
+	u.recN(opAddMovAddr, addrCalcs)
+	u.recN(opCmpB, branches)
+	u.recN(opMov, moves)
 }
 
 // --- Data movement: loads ---

@@ -17,8 +17,12 @@ import (
 // TestLaneOpsMatchReference hold the *Unit methods to it; FuzzSSE2Lanes
 // holds the generated Lanes methods to the *Unit methods.
 
-// specArgs are one spec case's operands: two registers.
-type specArgs struct{ a, b vec.V128 }
+// specArgs are one spec case's operands: two registers and a shift count
+// in 0..16.
+type specArgs struct {
+	a, b vec.V128
+	n    uint
+}
 
 // The forms of the second operand b. Each fast path tests b, so the
 // operands must reach both sides of every test: a broadcast and a
@@ -35,14 +39,14 @@ const (
 )
 
 // specOperands draws a spec case from fuzz input: data[0] picks b's form,
-// the rest fills the registers, cycling.
+// the rest fills the registers and the shift count, cycling.
 func specOperands(data []byte) specArgs {
 	if len(data) == 0 {
 		return specArgs{}
 	}
 	r := laneOperands{data: data[1:]}
 	reg := func() vec.V128 { return vec.V128{Lo: r.bits(8), Hi: r.bits(8)} }
-	x := specArgs{a: reg(), b: reg()}
+	x := specArgs{a: reg(), b: reg(), n: uint(r.byte() % 17)}
 	switch form := int(data[0]) % bForms; form {
 	case bSplat8:
 		x.b = vec.Splat8(x.b.U8(0))
@@ -165,6 +169,59 @@ var sse2Specs = []laneSpec{
 			}
 			return vec.FromU8x16(d)
 		}},
+	// The Sobel and gradient-magnitude ops the lane twins run.
+	{"PacksEpi16",
+		func(u *Unit, x specArgs) vec.V128 { return u.PacksEpi16(x.a, x.b) },
+		func(x specArgs) vec.V128 {
+			a, b := x.a.ToI16x8(), x.b.ToI16x8()
+			var d [16]uint8
+			for e := 0; e < 8; e++ {
+				d[e] = uint8(signedSaturate8(a[e]))
+				d[8+e] = uint8(signedSaturate8(b[e]))
+			}
+			return vec.FromU8x16(d)
+		}},
+	{"SraiEpi16",
+		func(u *Unit, x specArgs) vec.V128 { return u.SraiEpi16(x.a, x.n) },
+		func(x specArgs) vec.V128 {
+			d := x.a.ToI16x8()
+			for e, v := range d {
+				n := min(x.n, 15) // counts past 15 fill with the sign bit
+				d[e] = int16(int32(v) >> n)
+			}
+			return vec.FromI16x8(d)
+		}},
+	{"LoaduSi128S16",
+		func(u *Unit, x specArgs) vec.V128 {
+			a, b := x.a.ToI16x8(), x.b.ToI16x8()
+			return u.LoaduSi128S16(append(a[:], b[:]...))
+		},
+		func(x specArgs) vec.V128 { return x.a }},
+	{"StoreuSi128S16",
+		func(u *Unit, x specArgs) vec.V128 {
+			var buf [10]int16
+			for i := range buf {
+				buf[i] = -0x5A5B
+			}
+			u.StoreuSi128S16(buf[1:], x.a)
+			r := vec.FromI16x8([8]int16(buf[1:9]))
+			if buf[0] != -0x5A5B || buf[9] != -0x5A5B {
+				r.SetI16(0, ^r.I16(0)) // a store outside its eight elements
+			}
+			return r
+		},
+		func(x specArgs) vec.V128 { return x.a }},
+}
+
+// signedSaturate8 is SignedSaturate(x) of a word to a byte.
+func signedSaturate8(x int16) int8 {
+	if x > math.MaxInt8 {
+		return math.MaxInt8
+	}
+	if x < math.MinInt8 {
+		return math.MinInt8
+	}
+	return int8(x)
 }
 
 // checkLaneSpecs runs every spec case on the operands data encodes.
@@ -174,7 +231,7 @@ func checkLaneSpecs(t *testing.T, data []byte) {
 	u := New(nil)
 	for _, s := range sse2Specs {
 		if got, want := s.unit(u, x), s.spec(x); got != want {
-			t.Fatalf("%s(a=%v b=%v) = %v, spec %v", s.name, x.a, x.b, got, want)
+			t.Fatalf("%s(a=%v b=%v n=%d) = %v, spec %v", s.name, x.a, x.b, x.n, got, want)
 		}
 	}
 }
@@ -191,12 +248,25 @@ var specSeeds = [][]byte{
 	{0x01, 0xFF, 0x10, 0x0F, 0x00, 0x80, 0xFF, 0x7F, 0x00, 0x00, 0x00, 0x3F, 0x00, 0x00, 0xC0, 0x7F},
 }
 
-// specCorpus is every seed pattern under every form of b.
+// specCorpus is every seed pattern under every form of b, and the 16-bit
+// edges 0x7FFF, 0x8000, 0x00FF and 0xFFFF filling the registers with each
+// of the shift counts 0, 15 and 16.
 func specCorpus() [][]byte {
 	var out [][]byte
 	for _, p := range specSeeds {
 		for form := 0; form < bForms; form++ {
 			out = append(out, append([]byte{byte(form)}, p...))
+		}
+	}
+	for _, edge := range [][2]byte{{0xFF, 0x7F}, {0x00, 0x80}, {0xFF, 0x00}, {0xFF, 0xFF}} {
+		for _, n := range []byte{0, 15, 16} {
+			for form := 0; form < bForms; form++ {
+				seed := []byte{byte(form)}
+				for len(seed) < 1+32 {
+					seed = append(seed, edge[:]...)
+				}
+				out = append(out, append(seed, n))
+			}
 		}
 	}
 	return out
@@ -219,7 +289,7 @@ func testLaneSpec(t *testing.T) {
 		checkLaneSpecs(t, data)
 	}
 	rng := rand.New(rand.NewSource(27))
-	data := make([]byte, 33)
+	data := make([]byte, 34)
 	for i := 0; i < 20000; i++ {
 		rng.Read(data)
 		checkLaneSpecs(t, data)

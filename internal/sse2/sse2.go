@@ -123,10 +123,26 @@ func (u *Unit) rec(id trace.OpID) {
 	}
 }
 
+// recN notes n retired instances of id, as rec notes one, with no
+// sequence capture.
+func (u *Unit) recN(id trace.OpID, n int) {
+	if u.cnt != nil {
+		u.cnt[id] += uint64(n)
+	} else if u.T != nil {
+		u.tallyN(id, n)
+	}
+}
+
 // tally counts one retired instruction in the unit's tally and caches the
 // count array it is now bound to.
 func (u *Unit) tally(id trace.OpID) {
 	u.tl.Inc(u.T, id)
+	u.bind()
+}
+
+// tallyN is tally for recN.
+func (u *Unit) tallyN(id trace.OpID, n int) {
+	u.tl.Add(u.T, id, uint64(n))
 	u.bind()
 }
 
@@ -168,25 +184,9 @@ func (u *Unit) Share() {
 // Overhead records the loop/address bookkeeping instructions surrounding the
 // intrinsic body in compiled x86 code (lea/add, cmp+jcc, mov).
 func (u *Unit) Overhead(addrCalcs, branches, moves int) {
-	if u.T != nil {
-		u.overhead(addrCalcs, branches, moves)
-	}
-}
-
-// overhead tallies Overhead's instructions, out of line so the nil check
-// inlines: into the cached count array when the tally is bound, through
-// the tally (which binds it) otherwise.
-func (u *Unit) overhead(addrCalcs, branches, moves int) {
-	if n := u.cnt; n != nil {
-		n[opLeaAdd] += uint64(addrCalcs)
-		n[opCmpJcc] += uint64(branches)
-		n[opMov] += uint64(moves)
-		return
-	}
-	u.tl.Add(u.T, opLeaAdd, uint64(addrCalcs))
-	u.tl.Add(u.T, opCmpJcc, uint64(branches))
-	u.tl.Add(u.T, opMov, uint64(moves))
-	u.bind()
+	u.recN(opLeaAdd, addrCalcs)
+	u.recN(opCmpJcc, branches)
+	u.recN(opMov, moves)
 }
 
 // --- Loads ---
