@@ -657,22 +657,37 @@ func BenchmarkHostParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkHostSynthesize measures the synthetic-input generator on a
-// 5 Mpx plane, filled in place: bands=1 is the path every Synthetic caller
-// and a serial server take, bands=2 is what a two-worker server runs on
-// the par pool for each request's source plane.
+// BenchmarkHostSynthesize measures the synthetic-input generator, filling
+// a plane in place, on the planes requests are served from. bands=1 is the
+// path every Synthetic caller and a serial server take, bands=2 what a
+// two-worker server runs on the par pool for each request's source plane.
+// The unprefixed cases are the 5 Mpx U8 plane; vga is the 640x480 U8 plane
+// most requests synthesize, and f32 and f32-vga the float planes the
+// conversion kernel reads at 5 Mpx and 640x480.
 func BenchmarkHostSynthesize(b *testing.B) {
-	m := image.NewMat(image.Res5MP.Width, image.Res5MP.Height, image.U8)
 	run := func(n int, band func(i int)) {
 		if p := par.FirstPanic(par.Run(n, band), nil); p != nil {
 			panic(p)
 		}
 	}
-	for _, bands := range []int{1, 2} {
-		b.Run(fmt.Sprintf("bands=%d", bands), func(b *testing.B) {
+	cases := []struct {
+		name  string
+		res   Resolution
+		kind  image.Type
+		bands int
+	}{
+		{"bands=1", image.Res5MP, image.U8, 1},
+		{"bands=2", image.Res5MP, image.U8, 2},
+		{"vga/bands=1", vga, image.U8, 1},
+		{"f32/bands=1", image.Res5MP, image.F32, 1},
+		{"f32-vga/bands=1", vga, image.F32, 1},
+	}
+	for _, c := range cases {
+		m := image.NewMat(c.res.Width, c.res.Height, c.kind)
+		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(m.Bytes()))
 			for i := 0; i < b.N; i++ {
-				image.SynthesizeInto(m, uint64(i%5+1), bands, run)
+				image.SynthesizeInto(m, uint64(i%5+1), c.bands, run)
 			}
 		})
 	}

@@ -133,3 +133,80 @@ func TestLaneGenRefusesUntwinnable(t *testing.T) {
 		t.Fatalf("lane methods must be exactly those the twins reach, counting nothing:\n%s", lanes)
 	}
 }
+
+// TestLaneGenFusesExchanges: a min intrinsic's result assigned, then in the
+// next statement the max intrinsic's over the same operands, becomes one
+// vec.MinMaxU8 call in both twins, the counting one still counting both
+// instructions. Anything else stays two calls.
+func TestLaneGenFusesExchanges(t *testing.T) {
+	real := moduleDirs(filepath.Join("..", ".."))
+	const ops = "package cv\n\nimport \"simdstudy/internal/vec\"\n\ntype Ops struct{ n, s any }\n\nvar _ vec.V128\n"
+	gen := func(t *testing.T, src string) string {
+		t.Helper()
+		d := real
+		d.CV = writePkg(t, map[string]string{"ops.go": ops, "row.go": "package cv\n\n" +
+			"func row(b *Ops, x, y, z vec.V128) {\n" + src + "\n}\n\n" +
+			"func pass(o *Ops) { parRows(o, 1, 0, row, rowLanes) }\n"})
+		out, err := Generate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out[filepath.Join(d.CV, genFile)])
+	}
+	fused := []struct {
+		name, src, plain, counted, flushMax string
+	}{
+		{name: "neon define", src: "u := b.n\nlo := u.VminqU8(x, y)\nhi := u.VmaxqU8(x, y)\nkeep(lo, hi)",
+			plain:    "func rowPlain(b *Ops, x, y, z vec.V128) {\n\tlo, hi := vec.MinMaxU8(x, y)\n\tkeep(lo, hi)\n}",
+			counted:  "\tnVminU8++\n\tnVmaxU8++\n\tlo, hi := vec.MinMaxU8(x, y)\n",
+			flushMax: "tally[neon.OpVmaxU8] += nVmaxU8"},
+		{name: "sse2 assign", src: "u := b.s\nvar lo, hi vec.V128\nlo = u.MinEpu8(x, y)\nhi = u.MaxEpu8(x, y)\nkeep(lo, hi)",
+			plain:    "\tvar lo, hi vec.V128\n\tlo, hi = vec.MinMaxU8(x, y)\n",
+			counted:  "\tnPminub++\n\tnPmaxub++\n\tlo, hi = vec.MinMaxU8(x, y)\n",
+			flushMax: "tally[sse2.OpPmaxub] += nPmaxub"},
+		{name: "indexed operands in a closure", src: "u := b.n\np := [2]vec.V128{x, y}\nop := func(i, j int) {\nlo := u.VminqU8(p[i], p[j])\nhi := u.VmaxqU8(p[i], p[j])\np[i], p[j] = lo, hi\n}\nop(0, 1)",
+			plain:    "\t\tlo, hi := vec.MinMaxU8(p[i], p[j])\n\t\tp[i], p[j] = lo, hi\n",
+			counted:  "\t\tnVminU8++\n\t\tnVmaxU8++\n\t\tlo, hi := vec.MinMaxU8(p[i], p[j])\n",
+			flushMax: "tally[neon.OpVmaxU8] += nVmaxU8"},
+	}
+	for _, c := range fused {
+		t.Run(c.name, func(t *testing.T) {
+			twin := gen(t, c.src)
+			for _, want := range []string{c.plain, c.counted, c.flushMax} {
+				if !strings.Contains(twin, want) {
+					t.Fatalf("twin file lacks %q:\n%s", want, twin)
+				}
+			}
+			if strings.Contains(twin, "u := ") || strings.Contains(twin, "u, tally") {
+				t.Fatalf("a twin left with no intrinsic to call must not bind u:\n%s", twin)
+			}
+		})
+	}
+	kept := []struct{ name, src string }{
+		{"different operands", "lo := u.VminqU8(x, y)\nhi := u.VmaxqU8(x, z)\nkeep(lo, hi)"},
+		{"swapped operands", "lo := u.VminqU8(x, y)\nhi := u.VmaxqU8(y, x)\nkeep(lo, hi)"},
+		{"a statement between", "lo := u.VminqU8(x, y)\nkeep(lo)\nhi := u.VmaxqU8(x, y)\nkeep(hi)"},
+		{"an operand reassigned between", "x = u.VminqU8(x, y)\nz = u.VmaxqU8(x, y)\nkeep(x, z)"},
+		{"max before min", "hi := u.VmaxqU8(x, y)\nlo := u.VminqU8(x, y)\nkeep(lo, hi)"},
+		{"an operand that calls", "lo := u.VminqU8(f(x), y)\nhi := u.VmaxqU8(f(x), y)\nkeep(lo, hi)"},
+		{"mixed assignment", "var hi vec.V128\nlo := u.VminqU8(x, y)\nhi = u.VmaxqU8(x, y)\nkeep(lo, hi)"},
+		{"not a byte exchange", "lo := u.VminqS16(x, y)\nhi := u.VmaxqS16(x, y)\nkeep(lo, hi)"},
+	}
+	for _, c := range kept {
+		t.Run(c.name, func(t *testing.T) {
+			twin := gen(t, "u := b.n\n"+c.src)
+			if strings.Contains(twin, "MinMaxU8") {
+				t.Fatalf("the pair must stay two calls:\n%s", twin)
+			}
+			minCall, maxCall, nMin, nMax := "u.VminqU8(", "u.VmaxqU8(", "nVminU8++", "nVmaxU8++"
+			if strings.Contains(c.src, "S16") {
+				minCall, maxCall, nMin, nMax = "u.VminqS16(", "u.VmaxqS16(", "nVminS16++", "nVmaxS16++"
+			}
+			for want, n := range map[string]int{minCall: 2, maxCall: 2, nMin: 1, nMax: 1} {
+				if got := strings.Count(twin, want); got != n {
+					t.Fatalf("twin file has %d of %q, want %d:\n%s", got, want, n, twin)
+				}
+			}
+		})
+	}
+}

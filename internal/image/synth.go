@@ -28,8 +28,15 @@ import (
 //     dozen pixels in practice) depends on convergence.
 //   - Two chains per band. Each band fills its rows as two halves advanced
 //     in the same loop iteration, so two independent xorshift and
-//     noise chains overlap instead of one 6-op serial dependency setting
-//     the pace. A one-band fill is therefore faster than a plain loop too.
+//     noise chains overlap. A one-band fill is therefore faster than a
+//     plain loop too.
+//   - Tables. A chain holds its noise value offset by noiseBias, so every
+//     value it meets is a small non-negative index: the step per random
+//     byte is one lookup in the seed's noise table, the halving one in
+//     halfTab and the clamp one in clampTab, in place of a signed divide
+//     and a two-sided clamp. The loop is bound by the instructions it
+//     executes, not by the chains' latency, so fewer instructions per
+//     pixel is what pays; its masked indexes carry no bounds checks.
 
 // xsMul is the xorshift64* output multiplier.
 const xsMul = 0x2545F4914F6CDD1D
@@ -143,11 +150,32 @@ func segments(i, n, h int) (lo, mid, hi int) {
 }
 
 // chain is one segment's generator state: the xorshift64 state and the
-// noise value of the pixel last drawn.
+// noise value of the pixel last drawn, offset by noiseBias.
 type chain struct {
-	s    uint64
-	prev int
+	s uint64
+	p uint
 }
+
+// noiseBias offsets every noise value a chain holds or steps by. Noise
+// values and steps lie within ±15, so offset ones lie in [17, 47].
+const noiseBias = 32
+
+// halfTab and clampTab are the chain's halving and clamp, on offset
+// values. For P = prev+noiseBias and D = d+noiseBias, halfTab[P+D] is
+// (prev+d)/2 + noiseBias, truncated toward zero as the chain's divide is;
+// P+D lies in [34, 94]. clampTab[base>>1 + P] is base>>1 + prev clamped to
+// [0, 255], the pixel of gradient sum base; with base at most 254+382 the
+// index is at most 365. Every index is masked to its table's length, which
+// never changes one in range and lets the compiler drop the bounds checks.
+var halfTab, clampTab = func() (half [128]uint8, clamp [512]uint8) {
+	for i := range half {
+		half[i] = uint8((i-2*noiseBias)/2 + noiseBias)
+	}
+	for i := range clamp {
+		clamp[i] = uint8(min(max(i-noiseBias, 0), 255))
+	}
+	return half, clamp
+}()
 
 // u8Gen is one U8 fill: the per-image parameters every band reads, and
 // the speculative noise value each segment ended on.
@@ -155,11 +183,11 @@ type u8Gen struct {
 	pix      []uint8
 	w, h, n  int
 	gy       int
-	rowScale int       // h * gy, the vertical gradient's divisor
-	col      []uint16  // per-column term, at most 254+128
-	noise    [256]int8 // noise step per random byte, within ±15
-	s0       uint64    // stream state before pixel 0
-	ends     []int     // ends[2i+j]: band i segment j's last noise value
+	rowScale int        // h * gy, the vertical gradient's divisor
+	col      []uint16   // per-column term, at most 254+128
+	noise    [256]uint8 // noise step per random byte, offset by noiseBias
+	s0       uint64     // stream state before pixel 0
+	ends     []uint     // ends[2i+j]: band i segment j's last noise value, offset
 }
 
 func newU8Gen(m *Mat, seed uint64, n int) *u8Gen {
@@ -171,7 +199,7 @@ func newU8Gen(m *Mat, seed uint64, n int) *u8Gen {
 	edgePeriod := int(r.next()%97) + 32
 	noiseAmp := int(r.next()%24) + 8
 	g := &u8Gen{pix: m.U8Pix, w: w, h: m.Height, n: n, gy: gy, rowScale: m.Height * gy,
-		col: make([]uint16, w), s0: r.s, ends: make([]int, 2*n)}
+		col: make([]uint16, w), s0: r.s, ends: make([]uint, 2*n)}
 	// Per-column term: the horizontal gradient plus 128 in columns on the
 	// raised side of a hard vertical edge (every edgePeriod columns). The
 	// pixel is (rowBase+col)/2, and for the non-negative sums here
@@ -186,45 +214,40 @@ func newU8Gen(m *Mat, seed uint64, n int) *u8Gen {
 	}
 	// Noise step per random byte b: b % noiseAmp - noiseAmp/2.
 	for b := range g.noise {
-		g.noise[b] = int8(int(uint8(b)%uint8(noiseAmp)) - noiseAmp/2)
+		g.noise[b] = uint8(int(uint8(b)%uint8(noiseAmp)) - noiseAmp/2 + noiseBias)
 	}
 	return g
 }
 
 // rowBase is row y's vertical gradient term.
-func (g *u8Gen) rowBase(y int) int { return y * g.gy * 255 / g.rowScale }
+func (g *u8Gen) rowBase(y int) uint { return uint(y * g.gy * 255 / g.rowScale) }
 
-// u8Pixel is the pixel of gradient sum base plus noise value prev,
-// clamped to [0, 255].
-func u8Pixel(base, prev int) uint8 {
-	v := base>>1 + prev
-	if v < 0 {
-		v = 0
-	}
-	if v > 255 {
-		v = 255
-	}
-	return uint8(v)
-}
+// halve is the chain step from noise value p by noise step d, both
+// offset: (prev+d)/2, offset.
+func halve(p, d uint) uint { return uint(halfTab[(p+d)&127]) }
+
+// pixel is the pixel of gradient sum base at offset noise value p.
+func pixel(base, p uint) uint8 { return clampTab[(base>>1+p)&511] }
 
 // band fills band i, each segment's noise chain starting at zero.
 func (g *u8Gen) band(i int) {
 	lo, mid, hi := segments(i, g.n, g.h)
-	a := chain{s: xsJump(g.s0, uint64(lo*g.w))}
-	b := chain{s: xsJump(g.s0, uint64(mid*g.w))}
+	a := chain{s: xsJump(g.s0, uint64(lo*g.w)), p: noiseBias}
+	b := chain{s: xsJump(g.s0, uint64(mid*g.w)), p: noiseBias}
 	for y := lo; y < mid; y++ {
 		g.fillRows(y, mid-lo+y, &a, &b)
 	}
 	if odd := mid + (mid - lo); odd < hi {
-		row := g.pix[odd*g.w:][:g.w]
+		col := g.col
+		row := g.pix[odd*len(col):][:len(col)]
 		base := g.rowBase(odd)
-		for x, c := range g.col {
+		for x, c := range col {
 			b.s = xsStep(b.s)
-			b.prev = (b.prev + int(g.noise[(b.s*xsMul)>>56])) / 2
-			row[x] = u8Pixel(base+int(c), b.prev)
+			b.p = halve(b.p, uint(g.noise[(b.s*xsMul)>>56]))
+			row[x] = pixel(base+uint(c), b.p)
 		}
 	}
-	g.ends[2*i], g.ends[2*i+1] = a.prev, b.prev
+	g.ends[2*i], g.ends[2*i+1] = a.p, b.p
 }
 
 // fillRows fills row ya from chain a and row yb from chain b in one pass,
@@ -234,15 +257,15 @@ func (g *u8Gen) fillRows(ya, yb int, a, b *chain) {
 	rowA := g.pix[ya*len(col):][:len(col)]
 	rowB := g.pix[yb*len(col):][:len(col)]
 	ra, rb := g.rowBase(ya), g.rowBase(yb)
-	sa, pa, sb, pb := a.s, a.prev, b.s, b.prev
+	sa, pa, sb, pb := a.s, a.p, b.s, b.p
 	for x, c := range col {
 		sa, sb = xsStep(sa), xsStep(sb)
-		pa = (pa + int(noise[(sa*xsMul)>>56])) / 2
-		pb = (pb + int(noise[(sb*xsMul)>>56])) / 2
-		rowA[x] = u8Pixel(ra+int(c), pa)
-		rowB[x] = u8Pixel(rb+int(c), pb)
+		pa = halve(pa, uint(noise[(sa*xsMul)>>56]))
+		pb = halve(pb, uint(noise[(sb*xsMul)>>56]))
+		rowA[x] = pixel(ra+uint(c), pa)
+		rowB[x] = pixel(rb+uint(c), pb)
 	}
-	a.s, a.prev, b.s, b.prev = sa, pa, sb, pb
+	a.s, a.p, b.s, b.p = sa, pa, sb, pb
 }
 
 // stitch repairs every seam in order, carrying the true noise value from
@@ -261,21 +284,21 @@ func (g *u8Gen) stitch() {
 // repair reruns the segment of pixels [lo, hi) from the true incoming
 // noise value in beside its speculative chain (started at zero, ended on
 // specEnd), rewriting pixels until the two agree, and returns the true
-// noise value at the segment's end.
-func (g *u8Gen) repair(lo, hi, in, specEnd int) int {
+// noise value at the segment's end. All three values are offset.
+func (g *u8Gen) repair(lo, hi int, in, specEnd uint) uint {
 	if lo == hi {
 		return in
 	}
 	s := xsJump(g.s0, uint64(lo))
-	spec, tru := 0, in
+	spec, tru := uint(noiseBias), in
 	for p := lo; p < hi; p++ {
 		if spec == tru {
 			return specEnd
 		}
 		s = xsStep(s)
-		d := int(g.noise[(s*xsMul)>>56])
-		spec, tru = (spec+d)/2, (tru+d)/2
-		g.pix[p] = u8Pixel(g.rowBase(p/g.w)+int(g.col[p%g.w]), tru)
+		d := uint(g.noise[(s*xsMul)>>56])
+		spec, tru = halve(spec, d), halve(tru, d)
+		g.pix[p] = pixel(g.rowBase(p/g.w)+uint(g.col[p%g.w]), tru)
 	}
 	return tru
 }

@@ -11,8 +11,15 @@ import (
 // verbatim as the plain reference the banded generator must reproduce
 // byte for byte.
 func refSynthetic(res Resolution, seed uint64) *Mat {
+	m, _, _ := refSyntheticClamps(res, seed)
+	return m
+}
+
+// refSyntheticClamps is refSynthetic, also counting the pixels it clamps
+// up to 0 (low) and down to 255 (high).
+func refSyntheticClamps(res Resolution, seed uint64) (m *Mat, low, high int) {
 	w := res.Width
-	m := NewMat(w, res.Height, U8)
+	m = NewMat(w, res.Height, U8)
 	r := newRNG(seed*0x9E3779B9 + 1)
 	gx := int(r.next()%5) + 1
 	gy := int(r.next()%5) + 1
@@ -42,14 +49,16 @@ func refSynthetic(res Resolution, seed uint64) *Mat {
 			v := (rowBase+c)>>1 + prev
 			if v < 0 {
 				v = 0
+				low++
 			}
 			if v > 255 {
 				v = 255
+				high++
 			}
 			row[x] = uint8(v)
 		}
 	}
-	return m
+	return m, low, high
 }
 
 // refSyntheticF32 is the serial float generator SynthesizeInto replaced.
@@ -139,9 +148,15 @@ func checkSynthesize(t *testing.T, kind Type, w, h int, seed uint64, bands, orde
 }
 
 // TestSynthesizeMatchesReference covers the shapes, seeds and band counts
-// the banded generator was sized on, in every execution order.
+// the banded generator was sized on, in every execution order. At 64x8,
+// seed 2 drives the clamp at both ends: its noise takes 2 pixels near the
+// top-left corner below 0 and 37 in the raised columns of the lower rows
+// above 255.
 func TestSynthesizeMatchesReference(t *testing.T) {
-	shapes := [][2]int{{640, 480}, {17, 3}, {1, 1}, {33, 65}, {1, 40}, {5, 9}}
+	if _, low, high := refSyntheticClamps(Resolution{Width: 64, Height: 8}, 2); low == 0 || high == 0 {
+		t.Fatalf("64x8 seed 2 clamps %d pixels low and %d high, want both ends reached", low, high)
+	}
+	shapes := [][2]int{{640, 480}, {17, 3}, {1, 1}, {33, 65}, {1, 40}, {5, 9}, {64, 8}}
 	if !testing.Short() {
 		shapes = append(shapes, [2]int{2592, 1920})
 	}
@@ -165,6 +180,37 @@ func TestSynthesizeOnePixelSegments(t *testing.T) {
 		for order := 0; order < numOrders; order++ {
 			checkSynthesize(t, U8, 1, 64, seed, 64, order)
 			checkSynthesize(t, F32, 1, 64, seed, 64, order)
+		}
+	}
+}
+
+// TestHalfTab holds the chain's halving table to the divide it replaces:
+// for every noise value p and step d the chain can meet, both within ±15,
+// halve of their offset forms is (p+d)/2 offset, truncated toward zero.
+func TestHalfTab(t *testing.T) {
+	for p := -15; p <= 15; p++ {
+		for d := -15; d <= 15; d++ {
+			if got, want := int(halve(uint(p+noiseBias), uint(d+noiseBias)))-noiseBias, (p+d)/2; got != want {
+				t.Fatalf("halve(%d, %d) = %d, want %d", p, d, got, want)
+			}
+		}
+	}
+}
+
+// TestClampTab holds the clamp table to the clamp it replaces, over its
+// whole index range and over every gradient sum and noise value a pixel
+// can meet: sums up to 254+382, noise within ±15.
+func TestClampTab(t *testing.T) {
+	for i, v := range clampTab {
+		if want := min(max(i-noiseBias, 0), 255); int(v) != want {
+			t.Fatalf("clampTab[%d] = %d, want %d", i, v, want)
+		}
+	}
+	for base := 0; base <= 254+382; base++ {
+		for p := -15; p <= 15; p++ {
+			if got, want := pixel(uint(base), uint(p+noiseBias)), min(max(base>>1+p, 0), 255); int(got) != want {
+				t.Fatalf("pixel(%d, %d) = %d, want %d", base, p, got, want)
+			}
 		}
 	}
 }

@@ -531,6 +531,15 @@ func MaxU8(a, b V128) V128 {
 	return V128{lo, hi}
 }
 
+// MinMaxU8 returns the lane-wise unsigned byte minimum and maximum, MinU8
+// and MaxU8 of the same operands from one byte compare per word: a
+// compare-exchange (vmin.u8 and vmax.u8, pminub and pmaxub, on one pair).
+func MinMaxU8(a, b V128) (lo, hi V128) {
+	lo.Lo, hi.Lo = minMaxU8(a.Lo, b.Lo)
+	lo.Hi, hi.Hi = minMaxU8(a.Hi, b.Hi)
+	return lo, hi
+}
+
 // absDiffU8 is the per-byte |a-b| of two words: max-min never borrows, so
 // one 64-bit subtract serves eight lanes.
 func absDiffU8(a, b uint64) uint64 {

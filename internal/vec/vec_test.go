@@ -448,3 +448,41 @@ func TestLanesMatchByteLayout(t *testing.T) {
 		t.Fatalf("V64 SetI64 = %#x", d.U64())
 	}
 }
+
+// Property: MinMaxU8 is a lane-wise compare-exchange, the lower byte
+// first, and agrees with MinU8 and MaxU8 of the same operands. Random
+// words rarely tie or straddle the sign bit, so every byte pair with
+// those edges is checked as well.
+func TestQuickMinMaxU8(t *testing.T) {
+	check := func(x, y [16]byte) bool {
+		a, b := FromU8x16(x), FromU8x16(y)
+		lo, hi := MinMaxU8(a, b)
+		if lo != MinU8(a, b) || hi != MaxU8(a, b) {
+			return false
+		}
+		for i := range x {
+			if lo.U8(i) != min(x[i], y[i]) || hi.U8(i) != max(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+	edges := []byte{0, 1, 0x7E, 0x7F, 0x80, 0x81, 0xFE, 0xFF}
+	for _, p := range edges {
+		for _, q := range edges {
+			var x, y [16]byte
+			for i := range x {
+				x[i], y[i] = p, q
+				if i%3 == 1 {
+					x[i], y[i] = q, p
+				}
+			}
+			if !check(x, y) {
+				t.Fatalf("MinMaxU8 of bytes %#x and %#x is not their compare-exchange", p, q)
+			}
+		}
+	}
+}
