@@ -341,6 +341,16 @@ func BenchmarkHostGaussianNEONEmu(b *testing.B) {
 	benchHostTwin(b, vga, (*Ops).GaussianBlur, U8, NewOps(ISANEON, nil), NewOps(ISAScalar, nil), "x-scalar")
 }
 
+// BenchmarkHostGaussianSSE2Emu times the 640x480 emulated SSE2 Gaussian:
+// bytes unpacked against zero, a pmullw and a paddw per broadcast tap, a
+// rounding shift and a self-pack. Its lane twins run that chain on split
+// registers (DESIGN.md §2), and x-scalar reports its time over the scalar
+// build's. CI fails above 0.8: with an out-of-line punpcklbw and pmullw
+// per tap it measured 1.05-1.3x.
+func BenchmarkHostGaussianSSE2Emu(b *testing.B) {
+	benchHostTwin(b, vga, (*Ops).GaussianBlur, U8, NewOps(ISASSE2, nil), NewOps(ISAScalar, nil), "x-scalar")
+}
+
 // BenchmarkHostGuardedGaussianNEONEmu / BenchmarkHostGuardedMedianNEONEmu
 // time a 640x480 emulated NEON kernel under the default guard: SIMD run,
 // scalar referee of the 8 sampled rows plus their stencil halo,

@@ -210,3 +210,138 @@ func TestLaneGenFusesExchanges(t *testing.T) {
 		})
 	}
 }
+
+// funcSource returns the source of func name in a generated file.
+func funcSource(t *testing.T, file, name string) string {
+	t.Helper()
+	i := strings.Index(file, "\nfunc "+name+"(")
+	if i < 0 {
+		t.Fatalf("no func %s in:\n%s", name, file)
+	}
+	j := strings.Index(file[i:], "\n}\n")
+	return file[i : i+j+3]
+}
+
+// TestLaneGenSplitsTapChain: the SSE2 Gaussian rows' plain and counting
+// twins run their tap chain on split registers behind the row test, with
+// the loop as it was for a failing test, and the counting twin counts the
+// same instructions in both loops. The NEON Gaussian's vmull/vmlal chain
+// and every shape the rule does not cover keep their loop as it is.
+func TestLaneGenSplitsTapChain(t *testing.T) {
+	real := moduleDirs(filepath.Join("..", ".."))
+	out, err := Generate(real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := string(out[filepath.Join(real.CV, genFile)])
+	for _, name := range []string{"gaussHorizSSE2Row", "gaussVertSSE2Row"} {
+		for _, suffix := range []string{plainSuffix, countedSuffix} {
+			fn := funcSource(t, twin, name+suffix)
+			test := "if vec.SplitFits(a.zero, a.wv[:], a.half, gaussShift) {"
+			split, fallback, ok := strings.Cut(fn, "} else {")
+			if !strings.Contains(split, test) || !ok {
+				t.Fatalf("%s%s has no split loop behind the row test:\n%s", name, suffix, fn)
+			}
+			for _, want := range []string{"vec.SplitU8(u.LoadlEpi64U8(", "vec.SplitMulU16(v, a.wv[0])",
+				"acc = vec.SplitAddU16(acc, vec.SplitMulU16(v, a.wv[k]))", "u.SrliEpi16(vec.SplitAddU16(acc, a.half), gaussShift)",
+				"u.StorelEpi64U8(out[x:], vec.SplitPackU8("} {
+				if !strings.Contains(split, want) {
+					t.Fatalf("%s%s's split loop lacks %q:\n%s", name, suffix, want, fn)
+				}
+			}
+			if strings.Contains(split, "u.UnpackloEpi8") || strings.Contains(split, "u.MulloEpi16") ||
+				strings.Contains(fallback, "vec.Split") || !strings.Contains(fallback, "u.PackusEpi16(") {
+				t.Fatalf("%s%s mixes its split and fallback loops:\n%s", name, suffix, fn)
+			}
+			if suffix == countedSuffix {
+				for _, inc := range []string{"nPunpcklbw++", "nPmullw++", "nPaddw++", "nPsrlw++", "nPackuswb++", "nMovqLd++", "nMovqSt++"} {
+					if a, b := strings.Count(split, inc), strings.Count(fallback, inc); a == 0 || a != b {
+						t.Fatalf("%s%s counts %s %d times in the split loop and %d in the fallback:\n%s", name, suffix, inc, a, b, fn)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range []string{"gaussHorizNEONRow", "gaussVertNEONRow"} {
+		for _, suffix := range []string{plainSuffix, countedSuffix} {
+			if fn := funcSource(t, twin, name+suffix); strings.Contains(fn, "vec.Split") {
+				t.Fatalf("the NEON vmull/vmlal chain must stay as it is:\n%s", fn)
+			}
+		}
+	}
+
+	const ops = "package cv\n\nimport \"simdstudy/internal/vec\"\n\ntype Ops struct{ n, s any }\n\n" +
+		"type args struct {\n\tsrc, dst []uint8\n\tw int\n\twv [7]vec.V128\n\twd [7]vec.V64\n\tzero, half vec.V128\n}\n\nconst shift = 8\n"
+	gen := func(t *testing.T, params, src string) string {
+		t.Helper()
+		d := real
+		d.CV = writePkg(t, map[string]string{"ops.go": ops, "row.go": "package cv\n\n" +
+			"func row(b *Ops, " + params + ", y int) {\n" + src + "\n}\n\n" +
+			"func pass(o *Ops) { parRows(o, 1, args{}, row, rowLanes) }\n"})
+		out, err := Generate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out[filepath.Join(d.CV, genFile)])
+	}
+	const loop = `u := b.s
+x := 0
+for ; x+8 <= a.w; x += 8 {
+	v := u.UnpackloEpi8(u.LoadlEpi64U8(a.src[x:]), a.zero)
+	acc := u.MulloEpi16(v, a.wv[0])
+	for k := 1; k < 7; k++ {
+		v = u.UnpackloEpi8(u.LoadlEpi64U8(a.src[x+k:]), a.zero)
+		acc = u.AddEpi16(acc, u.MulloEpi16(v, a.wv[k]))
+	}
+	r := u.SrliEpi16(u.AddEpi16(acc, a.half), shift)
+	u.StorelEpi64U8(a.dst[x:], u.PackusEpi16(r, r))
+	u.Overhead(2, 1, 0)
+}`
+	if twin := gen(t, "a args", loop); !strings.Contains(twin, "if vec.SplitFits(a.zero, a.wv[:], a.half, shift) {") ||
+		strings.Count(twin, "vec.SplitPackU8(r)") != 2 {
+		t.Fatalf("the rule must split the chain in both twins:\n%s", twin)
+	}
+	kept := []struct {
+		name, params string
+		edits        []string // from, to pairs, each replaced throughout
+	}{
+		{"zero assigned in the body", "a args, z vec.V128", []string{"a.zero)", "z)", "x := 0", "x := 0\nz = a.half"}},
+		{"a tap assigned in the body", "a args", []string{"x := 0", "x := 0\na.wv[3] = a.half"}},
+		{"the args taken by address", "a args", []string{"x := 0", "x := 0\nkeep(&a)"}},
+		{"the args declared anew", "a args", []string{"x := 0", "x := 0\nvar a args"}},
+		{"args behind a pointer", "a *args", nil},
+		{"a tap in a loop local", "a args", []string{"a.wv[k]", "taps[k]", "x := 0", "x := 0\ntaps := a.wv"}},
+		{"the first tap among the loop's", "a args", []string{"k := 1", "k := 0"}},
+		{"a tap count that varies", "a args", []string{"k < 7", "k < y"}},
+		{"a shift that is no constant", "a args", []string{"a.half), shift)", "a.half), uint(y))"}},
+		{"an unpack operand that differs", "a args", []string{"a.src[x+k:]), a.zero)", "a.src[x+k:]), a.half)"}},
+		{"a pack of two registers", "a args", []string{"u.PackusEpi16(r, r)", "u.PackusEpi16(r, acc)"}},
+		{"a result stored unpacked", "a args", []string{"u.StorelEpi64U8(a.dst[x:], u.PackusEpi16(r, r))", "u.StorelEpi64U8(a.dst[x:], r)"}},
+		{"a result read after the store", "a args", []string{"u.Overhead(2, 1, 0)", "keep(r)"}},
+		{"a signed shift", "a args", []string{"u.SrliEpi16(", "u.SraiEpi16("}},
+		{"a saturating add", "a args", []string{"acc = u.AddEpi16(", "acc = u.AddsEpi16("}},
+	}
+	for _, c := range kept {
+		t.Run(c.name, func(t *testing.T) {
+			src := strings.NewReplacer(c.edits...).Replace(loop)
+			if twin := gen(t, c.params, src); strings.Contains(twin, "vec.Split") {
+				t.Fatalf("the loop must stay as it is:\n%s", twin)
+			}
+		})
+	}
+	t.Run("neon vmull/vmlal chain", func(t *testing.T) {
+		src := `u := b.n
+x := 0
+for ; x+8 <= a.w; x += 8 {
+	acc := u.VmullU8(u.Vld1U8(a.src[x:]), a.wd[0])
+	for k := 1; k < 7; k++ {
+		acc = u.VmlalU8(acc, u.Vld1U8(a.src[x+k:]), a.wd[k])
+	}
+	u.Vst1U8(a.dst[x:], u.VrshrnNU16(acc, shift))
+	u.Overhead(2, 1, 0)
+}`
+		if twin := gen(t, "a args", src); strings.Contains(twin, "vec.Split") {
+			t.Fatalf("the NEON chain must stay as it is:\n%s", twin)
+		}
+	})
+}

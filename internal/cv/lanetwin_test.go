@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"fmt"
 	"testing"
 
 	"simdstudy/internal/faults"
@@ -108,6 +109,62 @@ func TestLaneTwinsMatchInstrumented(t *testing.T) {
 				}
 				dst := image.NewMat(w, 3, image.U8)
 				return dst, o.RGBToGray(src, dst)
+			})
+		}
+	}
+}
+
+// TestSSE2GaussianTwinsOffSplit: the SSE2 Gaussian twins run their tap
+// chain on split registers only behind vec.SplitFits, and the real
+// kernel's taps always pass it, so their fallback loop never runs on a
+// served call. Here args that fail the row test (a tap of 256, taps whose
+// 255-fold sum overflows a lane, a non-zero unpack operand, a rounding
+// half that is no broadcast) drive both passes' rows directly, and the
+// plain and counting twins still match the instrumented bodies in planes
+// and counts. The real taps run as a control.
+func TestSSE2GaussianTwinsOffSplit(t *testing.T) {
+	cases := []struct {
+		name  string
+		edit  func(a *gaussArgs)
+		split bool
+	}{
+		{"real taps", func(*gaussArgs) {}, true},
+		{"tap of 256", func(a *gaussArgs) { a.wv[3] = vec.Splat16(256) }, false},
+		{"taps' sum overflows", func(a *gaussArgs) {
+			for k := range a.wv {
+				a.wv[k] = vec.Splat16(40)
+			}
+		}, false},
+		{"non-zero unpack operand", func(a *gaussArgs) { a.zero = vec.Splat8(1) }, false},
+		{"half no broadcast", func(a *gaussArgs) { a.half.Lo ^= 1 }, false},
+	}
+	const h = 5
+	for _, c := range cases {
+		var a gaussArgs
+		for k := range a.wv {
+			a.wv[k] = vec.Splat16(GaussKernel7[k])
+		}
+		a.half = vec.Splat16(1 << (gaussShift - 1))
+		c.edit(&a)
+		if got := vec.SplitFits(a.zero, a.wv[:], a.half, gaussShift); got != c.split {
+			t.Fatalf("%s: SplitFits = %v, want %v", c.name, got, c.split)
+		}
+		for _, w := range []int{1, 7, 8, 9, 641} {
+			src := fuzzSource(image.U8, w, h, uint64(w))
+			checkLaneTwins(t, fmt.Sprintf("%s, width %d", c.name, w), func(tc *trace.Counter, inj faults.Injector) (*image.Mat, error) {
+				o := NewOps(ISASSE2, tc)
+				if inj != nil {
+					o.SetFaultInjector(inj)
+				}
+				// The horizontal pass fills the top h rows, the vertical
+				// pass, over the same source, the bottom h.
+				out := image.NewMat(w, 2*h, image.U8)
+				a.src, a.w, a.h = src.U8Pix, w, h
+				a.dst = out.U8Pix[:w*h]
+				parRows(o, h, a, gaussHorizSSE2Row, gaussHorizSSE2RowLanes)
+				a.dst = out.U8Pix[w*h:]
+				parRows(o, h, a, gaussVertSSE2Row, gaussVertSSE2RowLanes)
+				return out, nil
 			})
 		}
 	}

@@ -163,16 +163,20 @@ const noiseBias = 32
 // halfTab and clampTab are the chain's halving and clamp, on offset
 // values. For P = prev+noiseBias and D = d+noiseBias, halfTab[P+D] is
 // (prev+d)/2 + noiseBias, truncated toward zero as the chain's divide is;
-// P+D lies in [34, 94]. clampTab[base>>1 + P] is base>>1 + prev clamped to
-// [0, 255], the pixel of gradient sum base; with base at most 254+382 the
-// index is at most 365. Every index is masked to its table's length, which
-// never changes one in range and lets the compiler drop the bounds checks.
-var halfTab, clampTab = func() (half [128]uint8, clamp [512]uint8) {
+// P+D lies in [34, 94]. clampTab[base + 2P] is base>>1 + prev clamped to
+// [0, 255], the pixel of gradient sum base: the halving of base rides in
+// the index, since (base+2P)>>1 is base>>1 + P. With base at most 254+382
+// the index is at most 730. A row's vertical gradient term, below 255,
+// folds into a per-row slice of the table (rowClamp), which the row's
+// pixels index by column term plus 2P, below 382+94. Every index is masked
+// to its table's length, which never changes one in range and lets the
+// compiler drop the bounds checks.
+var halfTab, clampTab = func() (half [128]uint8, clamp [1024]uint8) {
 	for i := range half {
 		half[i] = uint8((i-2*noiseBias)/2 + noiseBias)
 	}
 	for i := range clamp {
-		clamp[i] = uint8(min(max(i-noiseBias, 0), 255))
+		clamp[i] = uint8(min(max(i>>1-noiseBias, 0), 255))
 	}
 	return half, clamp
 }()
@@ -227,7 +231,11 @@ func (g *u8Gen) rowBase(y int) uint { return uint(y * g.gy * 255 / g.rowScale) }
 func halve(p, d uint) uint { return uint(halfTab[(p+d)&127]) }
 
 // pixel is the pixel of gradient sum base at offset noise value p.
-func pixel(base, p uint) uint8 { return clampTab[(base>>1+p)&511] }
+func pixel(base, p uint) uint8 { return clampTab[(base+2*p)&1023] }
+
+// rowClamp is clampTab for the rows of vertical gradient term base:
+// rowClamp(base)[c+2p] is pixel(base+c, p) for a column term c.
+func rowClamp(base uint) *[512]uint8 { return (*[512]uint8)(clampTab[base:]) }
 
 // band fills band i, each segment's noise chain starting at zero.
 func (g *u8Gen) band(i int) {
@@ -235,7 +243,7 @@ func (g *u8Gen) band(i int) {
 	a := chain{s: xsJump(g.s0, uint64(lo*g.w)), p: noiseBias}
 	b := chain{s: xsJump(g.s0, uint64(mid*g.w)), p: noiseBias}
 	for y := lo; y < mid; y++ {
-		g.fillRows(y, mid-lo+y, &a, &b)
+		a, b = g.fillRows(y, mid-lo+y, a, b)
 	}
 	if odd := mid + (mid - lo); odd < hi {
 		col := g.col
@@ -251,21 +259,25 @@ func (g *u8Gen) band(i int) {
 }
 
 // fillRows fills row ya from chain a and row yb from chain b in one pass,
-// the two chains' serial dependencies overlapping.
-func (g *u8Gen) fillRows(ya, yb int, a, b *chain) {
-	col, noise := g.col, &g.noise
+// the two chains' serial dependencies overlapping, and returns both
+// chains advanced. The loop's live values fill Go's registers, so it
+// keeps as few as it can: chains by value (no addresses), per-row clamp
+// slices (no row bases), and a stack copy of the noise table, which it
+// indexes from the stack pointer (no generator pointer).
+func (g *u8Gen) fillRows(ya, yb int, a, b chain) (chain, chain) {
+	col, noise := g.col, g.noise
 	rowA := g.pix[ya*len(col):][:len(col)]
 	rowB := g.pix[yb*len(col):][:len(col)]
-	ra, rb := g.rowBase(ya), g.rowBase(yb)
+	tabA, tabB := rowClamp(g.rowBase(ya)), rowClamp(g.rowBase(yb))
 	sa, pa, sb, pb := a.s, a.p, b.s, b.p
 	for x, c := range col {
 		sa, sb = xsStep(sa), xsStep(sb)
 		pa = halve(pa, uint(noise[(sa*xsMul)>>56]))
 		pb = halve(pb, uint(noise[(sb*xsMul)>>56]))
-		rowA[x] = pixel(ra+uint(c), pa)
-		rowB[x] = pixel(rb+uint(c), pb)
+		rowA[x] = tabA[(uint(c)+2*pa)&511]
+		rowB[x] = tabB[(uint(c)+2*pb)&511]
 	}
-	a.s, a.p, b.s, b.p = sa, pa, sb, pb
+	return chain{sa, pa}, chain{sb, pb}
 }
 
 // stitch repairs every seam in order, carrying the true noise value from

@@ -199,10 +199,12 @@ func TestHalfTab(t *testing.T) {
 
 // TestClampTab holds the clamp table to the clamp it replaces, over its
 // whole index range and over every gradient sum and noise value a pixel
-// can meet: sums up to 254+382, noise within ±15.
+// can meet: sums up to 254+382, noise within ±15. A row's slice of it
+// (rowClamp) gives the same pixels for every row term below 255 and column
+// term up to 382.
 func TestClampTab(t *testing.T) {
 	for i, v := range clampTab {
-		if want := min(max(i-noiseBias, 0), 255); int(v) != want {
+		if want := min(max(i>>1-noiseBias, 0), 255); int(v) != want {
 			t.Fatalf("clampTab[%d] = %d, want %d", i, v, want)
 		}
 	}
@@ -210,6 +212,16 @@ func TestClampTab(t *testing.T) {
 		for p := -15; p <= 15; p++ {
 			if got, want := pixel(uint(base), uint(p+noiseBias)), min(max(base>>1+p, 0), 255); int(got) != want {
 				t.Fatalf("pixel(%d, %d) = %d, want %d", base, p, got, want)
+			}
+		}
+	}
+	for row := uint(0); row < 255; row++ {
+		tab := rowClamp(row)
+		for c := uint(0); c <= 382; c++ {
+			for p := uint(noiseBias - 15); p <= noiseBias+15; p++ {
+				if got, want := tab[(c+2*p)&511], pixel(row+c, p); got != want {
+					t.Fatalf("rowClamp(%d)[%d+2*%d] = %d, want %d", row, c, p, got, want)
+				}
 			}
 		}
 	}

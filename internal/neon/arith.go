@@ -68,7 +68,7 @@ func (u *Unit) VqaddqU8(a, b vec.V128) vec.V128 {
 // (vaddl.u8 q, d, d).
 func (u *Unit) VaddlU8(a, b vec.V64) vec.V128 {
 	u.rec(opVaddlU8)
-	return fault(u, faults.SiteALU, vec.AddU16(vec.WidenU8(a), vec.WidenU8(b)))
+	return fault(u, faults.SiteALU, vec.AddlU8(a, b))
 }
 
 // VaddlS16 widens and adds int16 pairs into int32 lanes (vaddl.s16).
@@ -85,7 +85,7 @@ func (u *Unit) VaddlS16(a, b vec.V64) vec.V128 {
 // (vaddw.u8).
 func (u *Unit) VaddwU8(a vec.V128, b vec.V64) vec.V128 {
 	u.rec(opVaddwU8)
-	return fault(u, faults.SiteALU, vec.AddU16(a, vec.WidenU8(b)))
+	return fault(u, faults.SiteALU, vec.AddwU8(a, b))
 }
 
 // VhaddqU8 halving add: (a+b)>>1 without overflow (vhadd.u8).
@@ -177,7 +177,7 @@ func (u *Unit) VqsubqU8(a, b vec.V128) vec.V128 {
 // form pixel differences without overflow.
 func (u *Unit) VsublU8(a, b vec.V64) vec.V128 {
 	u.rec(opVsublU8)
-	return fault(u, faults.SiteALU, vec.SubU16(vec.WidenU8(a), vec.WidenU8(b)))
+	return fault(u, faults.SiteALU, vec.SublU8(a, b))
 }
 
 // VsublS16 widening subtract of int16 D registers into int32 lanes.

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +140,44 @@ func TestRounding(t *testing.T) {
 		}
 		if got := RoundHalfToEven(c.v); got != c.ev {
 			t.Errorf("RoundHalfToEven(%v): got %d want %d", c.v, got, c.ev)
+		}
+	}
+}
+
+// roundAwayBranch is RoundHalfAwayFromZero as OpenCV spells it, branching
+// on the sign.
+func roundAwayBranch(v float64) int32 {
+	if v >= 0 {
+		return Float64ToInt32(v + 0.5)
+	}
+	return Float64ToInt32(v - 0.5)
+}
+
+// TestRoundHalfAwayFromZeroMatchesBranch holds the branch-free rounding to
+// the branching form over signed zeros, ties, the largest float below a
+// half, NaN, infinities, the int32 rails and seeded random values.
+func TestRoundHalfAwayFromZeroMatchesBranch(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1.5, -1.5, 2.5, -2.5,
+		float64(float32(0.49999997)), -float64(float32(0.49999997)), math.Nextafter(0.5, 0), -math.Nextafter(0.5, 0),
+		math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxInt32, math.MaxInt32 - 0.5, math.MaxInt32 + 0.5, math.MaxInt32 + 1,
+		math.MinInt32, math.MinInt32 + 0.5, math.MinInt32 - 0.5, math.MinInt32 - 1}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		// Pixel-scale values with their ties, and float32-rounded ones as
+		// the convert kernel feeds them.
+		v := (rng.Float64() - 0.5) * 1024
+		switch i % 3 {
+		case 1:
+			v = math.Round(v) + 0.5
+		case 2:
+			v = float64(float32(v))
+		}
+		vals = append(vals, v)
+	}
+	for _, v := range vals {
+		if got, want := RoundHalfAwayFromZero(v), roundAwayBranch(v); got != want {
+			t.Fatalf("RoundHalfAwayFromZero(%v) = %d, want %d", v, got, want)
 		}
 	}
 }

@@ -401,18 +401,18 @@ func StoreV64(b []byte, v V64) { binary.LittleEndian.PutUint64(b[:8], v.W) }
 // Load16x8 reads eight 16-bit lanes from p. It panics if p is shorter than
 // eight elements. The lanes are spelled out so it inlines.
 func Load16x8[T ~int16 | ~uint16](p []T) V128 {
-	a := (*[8]T)(p)
+	_ = p[7]
 	return V128{
-		uint64(uint16(a[0])) | uint64(uint16(a[1]))<<16 | uint64(uint16(a[2]))<<32 | uint64(uint16(a[3]))<<48,
-		uint64(uint16(a[4])) | uint64(uint16(a[5]))<<16 | uint64(uint16(a[6]))<<32 | uint64(uint16(a[7]))<<48,
+		uint64(uint16(p[0])) | uint64(uint16(p[1]))<<16 | uint64(uint16(p[2]))<<32 | uint64(uint16(p[3]))<<48,
+		uint64(uint16(p[4])) | uint64(uint16(p[5]))<<16 | uint64(uint16(p[6]))<<32 | uint64(uint16(p[7]))<<48,
 	}
 }
 
 // Store16x8 writes the eight 16-bit lanes of v to p.
 func Store16x8[T ~int16 | ~uint16](p []T, v V128) {
-	a := (*[8]T)(p)
-	a[0], a[1], a[2], a[3] = T(v.Lo), T(v.Lo>>16), T(v.Lo>>32), T(v.Lo>>48)
-	a[4], a[5], a[6], a[7] = T(v.Hi), T(v.Hi>>16), T(v.Hi>>32), T(v.Hi>>48)
+	_ = p[7]
+	p[0], p[1], p[2], p[3] = T(v.Lo), T(v.Lo>>16), T(v.Lo>>32), T(v.Lo>>48)
+	p[4], p[5], p[6], p[7] = T(v.Hi), T(v.Hi>>16), T(v.Hi>>32), T(v.Hi>>48)
 }
 
 // Load16x4 reads four 16-bit lanes from p into a V64.
@@ -621,7 +621,8 @@ func mulBy16(a, c uint64) uint64 {
 // Gaussian's taps, the by-scalar forms) takes two multiplies a word
 // (mulBy16), exact mod 2^16 for any a; any other b takes four.
 func MulLoU16(a, b V128) V128 {
-	if c := b.Lo & 0xFFFF; b.Lo == c*lsb16 && b.Hi == b.Lo {
+	if broadcast16(b) {
+		c := b.Lo & 0xFFFF
 		return V128{mulBy16(a.Lo, c), mulBy16(a.Hi, c)}
 	}
 	return V128{mul16(a.Lo, b.Lo), mul16(a.Hi, b.Hi)}
@@ -659,16 +660,16 @@ func ShlU16(a V128, n uint) V128 { return V128{shl16(a.Lo, n), shl16(a.Hi, n)} }
 func ShrU16(a V128, n uint) V128 { return V128{shr16(a.Lo, n), shr16(a.Hi, n)} }
 
 // sar16 shifts every 16-bit lane of a right by n < 16, filling with the
-// lane's sign bit.
-func sar16(a uint64, n uint) uint64 {
-	return shr16(a, n) | (a&msb16>>15)*uint64(uint16(0xFFFF)<<(16-n))
-}
+// lane's sign bit: keep masks the bits a logical shift by n keeps in each
+// lane, and the sign fills the rest.
+func sar16(a uint64, n uint, keep uint64) uint64 { return a>>n&keep | lanes16(a)&^keep }
 
 // SarI16 shifts every int16 lane right by n, filling with the sign bit
 // (vshr.s16, psraw); n >= 16 leaves only the sign.
 func SarI16(a V128, n uint) V128 {
 	n = min(n, 15)
-	return V128{sar16(a.Lo, n), sar16(a.Hi, n)}
+	keep := lsb16 * uint64(uint16(0xFFFF)>>n)
+	return V128{sar16(a.Lo, n, keep), sar16(a.Hi, n, keep)}
 }
 
 // rshr16 is the per-lane rounding shift (x + 2^(n-1)) >> n of a word of
@@ -704,9 +705,44 @@ func narrow8(x uint64) uint64 {
 	return (x | x>>16) & low32
 }
 
-// WidenU8 zero-extends eight bytes to eight uint16 lanes (vmovl.u8, the
-// widening step of vaddl/vsubl/vaddw/vmull/vmlal.u8).
+// WidenU8 zero-extends eight bytes to eight uint16 lanes (vmovl.u8).
 func WidenU8(a V64) V128 { return V128{widen8(a.W & low32), widen8(a.W >> 32)} }
+
+// AddlU8 and SublU8 never widen a byte alone. They mask the even and the
+// odd bytes of each operand word into the four 16-bit lanes of a word,
+// where two bytes sum below 2^9, so one plain 64-bit add serves four
+// lanes, and zip16 interleaves the two results back into lane order.
+// AddlU8 and AddwU8 fit the inline budget; SublU8's lift and flip take it
+// past (cost 88).
+
+// zip16 interleaves the 16-bit lanes of e and o, the results for the even
+// and the odd bytes of a word: e0 o0 e1 o1 | e2 o2 e3 o3.
+func zip16(e, o uint64) V128 {
+	p := e&even16 | o<<16&^even16 // e0 o0 e2 o2
+	q := e>>16&even16 | o&^even16 // e1 o1 e3 o3
+	return V128{p&low32 | q<<32, p>>32 | q&^low32}
+}
+
+// AddlU8 returns the eight 16-bit sums of the widened byte lanes of a and
+// b (vaddl.u8).
+func AddlU8(a, b V64) V128 {
+	return zip16(a.W&low8+b.W&low8, a.W>>8&low8+b.W>>8&low8)
+}
+
+// SublU8 returns the eight 16-bit differences of the widened byte lanes of
+// a and b, wrapping (vsubl.u8). Each lane of a is lifted by 2^15, which no
+// byte of b can borrow through, and the lift is flipped back:
+// ((a|0x8000) - b) ^ 0x8000 per lane.
+func SublU8(a, b V64) V128 {
+	d := zip16((a.W&low8|msb16)-b.W&low8, (a.W>>8&low8|msb16)-b.W>>8&low8)
+	return V128{d.Lo ^ msb16, d.Hi ^ msb16}
+}
+
+// AddwU8 returns a plus the widened byte lanes of b, wrapping (vaddw.u8):
+// add16 with b's top bits known clear.
+func AddwU8(a V128, b V64) V128 {
+	return V128{(a.Lo&^msb16 + widen8(b.W&low32)) ^ a.Lo&msb16, (a.Hi&^msb16 + widen8(b.W>>32)) ^ a.Hi&msb16}
+}
 
 // NarrowU16 keeps the low byte of each 16-bit lane (vmovn.i16).
 func NarrowU16(a V128) V64 { return V64{narrow8(a.Lo) | narrow8(a.Hi)<<32} }
@@ -720,6 +756,63 @@ func InterleaveLoU8(a, b V128) V128 {
 		lo, hi = lo|widen8(b.Lo&low32)<<8, hi|widen8(b.Lo>>32)<<8
 	}
 	return V128{lo, hi}
+}
+
+// --- split layout ---
+//
+// A chain of u8 taps widened against zero (punpcklbw), multiplied by
+// broadcast taps (pmullw), summed (paddw), rounded, shifted (psrlw) and
+// packed back to bytes with itself (packuswb) can run on split registers
+// when SplitFits shows that no lane of it carries or saturates: Lo holds
+// the 16-bit lanes of the even bytes of a row, Hi those of the odd bytes.
+// Widening is then one mask per word, each tap one multiply and one plain
+// add per word, and the pack a mask and a shift. A per-lane shift does not
+// care which lane sits where, so it runs on split registers unchanged.
+// cmd/lanegen writes these calls into the lane twins, behind SplitFits; a
+// split register means nothing outside such a chain.
+
+// SplitFits is a split chain's row test: z is zero, every tap a 16-bit
+// broadcast below 2^8, h a broadcast, and 255 times the taps' sum plus h,
+// the most a lane can reach, stays below 2^16 and, shifted right by n,
+// below 2^8. The chain may use each tap at most once.
+func SplitFits(z V128, taps []V128, h V128, n uint) bool {
+	if z != (V128{}) || !broadcast16(h) {
+		return false
+	}
+	var sum uint64
+	for _, t := range taps {
+		if !broadcast16(t) || t.Lo&0xFFFF > 0xFF {
+			return false
+		}
+		sum += t.Lo & 0xFFFF
+	}
+	top := 255*sum + h.Lo&0xFFFF
+	return top < 1<<16 && top>>n < 1<<8
+}
+
+// broadcast16 reports whether every 16-bit lane of v holds the same value.
+func broadcast16(v V128) bool { return v.Lo == v.Lo&0xFFFF*lsb16 && v.Hi == v.Lo }
+
+// SplitU8 is punpcklbw of a's low eight bytes against zero, split: one mask
+// per word.
+func SplitU8(a V128) V128 { return V128{a.Lo & low8, a.Lo >> 8 & low8} }
+
+// SplitMulU16 is pmullw by a broadcast tap t, split: one multiply per word,
+// exact while no lane product reaches 2^16.
+func SplitMulU16(a, t V128) V128 {
+	c := t.Lo & 0xFFFF
+	return V128{a.Lo * c, a.Hi * c}
+}
+
+// SplitAddU16 is paddw, split: one plain add per word, exact while no lane
+// sum reaches 2^16.
+func SplitAddU16(a, b V128) V128 { return V128{a.Lo + b.Lo, a.Hi + b.Hi} }
+
+// SplitPackU8 is packuswb of a split register with itself, in lane order:
+// a shift and an or, exact while every lane is below 2^8.
+func SplitPackU8(a V128) V128 {
+	w := a.Lo | a.Hi<<8
+	return V128{w, w}
 }
 
 // InterleaveHiU8 interleaves the high eight bytes of a and b, a first

@@ -486,3 +486,150 @@ func TestQuickMinMaxU8(t *testing.T) {
 		}
 	}
 }
+
+// TestQuickWideningU8: AddlU8, SublU8 and AddwU8, the word forms of
+// vaddl.u8, vsubl.u8 and vaddw.u8, against their per-lane definitions, on
+// random lanes and on every pairing of the byte edges (with 16-bit edges
+// for vaddw's wide operand).
+func TestQuickWideningU8(t *testing.T) {
+	check := func(x, y [8]byte, z [8]uint16) bool {
+		a, b, c := FromU8x8(x), FromU8x8(y), FromU16x8(z)
+		l, d, w := AddlU8(a, b), SublU8(a, b), AddwU8(c, b)
+		for i := range x {
+			if l.U16(i) != uint16(x[i])+uint16(y[i]) || d.U16(i) != uint16(x[i])-uint16(y[i]) || w.U16(i) != z[i]+uint16(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
+	}
+	edges := []byte{0, 0x7F, 0x80, 0xFF}
+	wide := []uint16{0, 0x7F, 0x80, 0xFF, 0x7FFF, 0x8000, 0xFF01, 0xFFFF}
+	for _, p := range edges {
+		for _, q := range edges {
+			var x, y [8]byte
+			var z [8]uint16
+			for i := range x {
+				x[i], y[i], z[i] = p, q, wide[(i+int(p))%len(wide)]
+				if i%3 == 1 {
+					x[i], y[i] = q, p
+				}
+			}
+			if !check(x, y, z) {
+				t.Fatalf("widening ops of bytes %#x and %#x (wide %v) differ from their lanes", p, q, z)
+			}
+		}
+	}
+}
+
+// splitChain runs the SSE2 Gaussian's tap chain on seven rows of eight
+// bytes, once on split registers and once lane by lane as the
+// instructions define it (punpcklbw against zero, pmullw, paddw, psrlw,
+// packuswb of the result with itself), and reports whether SplitFits
+// admits its operands.
+func splitChain(rows [7][8]byte, taps [7]uint16, h uint16, n uint) (split, lanes [8]byte, fits bool) {
+	var tv [7]V128
+	for k := range taps {
+		tv[k] = Splat16(taps[k])
+	}
+	hv := Splat16(h)
+	fits = SplitFits(V128{}, tv[:], hv, n)
+	acc := SplitMulU16(SplitU8(V128{Lo: FromU8x8(rows[0]).W}), tv[0])
+	for k := 1; k < len(rows); k++ {
+		acc = SplitAddU16(acc, SplitMulU16(SplitU8(V128{Lo: FromU8x8(rows[k]).W}), tv[k]))
+	}
+	p := SplitPackU8(ShrU16(SplitAddU16(acc, hv), n))
+	if p.Hi != p.Lo {
+		return split, lanes, fits // a self-pack repeats its low half
+	}
+	split = V64{p.Lo}.ToU8x8()
+	for i := range lanes {
+		s := h
+		for k := range rows {
+			s += uint16(rows[k][i]) * taps[k]
+		}
+		var v uint16
+		if n < 16 {
+			v = s >> n
+		}
+		lanes[i] = uint8(min(max(int16(v), 0), 255))
+	}
+	return split, lanes, fits
+}
+
+// TestQuickSplitChain: whenever SplitFits admits a chain's operands, the
+// split chain writes the bytes of its per-lane definition: on random rows,
+// taps, halves and shifts, and on rows of byte edges under the Gaussian's
+// own taps and under taps at the row test's limit. SplitFits refuses a
+// non-zero unpack operand, a tap of 256, a half that is no broadcast and
+// a bound one past either limit.
+func TestQuickSplitChain(t *testing.T) {
+	admitted := 0
+	check := func(rows [7][8]byte, raw [7]uint8, h uint16, n uint8) bool {
+		var taps [7]uint16
+		for k := range taps {
+			taps[k] = uint16(raw[k] % 40)
+		}
+		split, lanes, fits := splitChain(rows, taps, h%2048, uint(n%12))
+		if fits {
+			admitted++
+		}
+		return !fits || split == lanes
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if admitted < 100 {
+		t.Fatalf("SplitFits admitted only %d of 2000 random chains", admitted)
+	}
+	gauss := [7]uint16{1, 14, 62, 102, 62, 14, 1}
+	limit := [7]uint16{255, 2, 0, 0, 0, 0, 0} // 255*257 = 65535 with h = 0
+	for _, c := range []struct {
+		taps [7]uint16
+		h    uint16
+		n    uint
+	}{{gauss, 128, 8}, {limit, 0, 8}} {
+		for _, p := range []byte{0, 0x7F, 0x80, 0xFF} {
+			for _, q := range []byte{0, 0x7F, 0x80, 0xFF} {
+				var rows [7][8]byte
+				for k := range rows {
+					for i := range rows[k] {
+						rows[k][i] = p
+						if (i+k)%2 == 1 {
+							rows[k][i] = q
+						}
+					}
+				}
+				split, lanes, fits := splitChain(rows, c.taps, c.h, c.n)
+				if !fits || split != lanes {
+					t.Fatalf("taps %v, bytes %#x/%#x: fits %v, split %v, lanes %v", c.taps, p, q, fits, split, lanes)
+				}
+			}
+		}
+	}
+	var taps [7]V128
+	for k := range taps {
+		taps[k] = Splat16(gauss[k])
+	}
+	half := Splat16(128)
+	if !SplitFits(V128{}, taps[:], half, 8) {
+		t.Fatal("SplitFits refuses the Gaussian's taps")
+	}
+	over := taps
+	over[3] = Splat16(256)
+	skew := half
+	skew.Hi ^= 1 << 16
+	for name, ok := range map[string]bool{
+		"a non-zero unpack operand":   SplitFits(Splat8(1), taps[:], half, 8),
+		"a tap of 256":                SplitFits(V128{}, over[:], half, 8),
+		"a half that is no broadcast": SplitFits(V128{}, taps[:], skew, 8),
+		"a lane reaching 2^16":        SplitFits(V128{}, []V128{Splat16(255), Splat16(2)}, Splat16(1), 8),
+		"a shifted lane reaching 2^8": SplitFits(V128{}, taps[:], half, 7),
+	} {
+		if ok {
+			t.Errorf("SplitFits admits %s", name)
+		}
+	}
+}
