@@ -66,12 +66,24 @@ func TestLaneGenRefusesUntwinnable(t *testing.T) {
 		{name: "passed without its twin", want: "pass passes row without its lane twin rowLanes",
 			src: "func row(b *Ops, a int, y int) { u := b.n; u.VaddqS16(a, a) }\n\n" +
 				"func pass(o *Ops) { parRows(o, 1, 0, row, nil) }"},
-		{name: "exit with no flush", want: "row has no lane twin: it panics, an exit its counting twin cannot flush on",
+		{name: "exit with no flush", want: "row has no lane twin: it panics, an exit its skeleton cannot flush on",
 			src: "func row(b *Ops, x int) { u := b.n; u.VaddqS16(x, x); if x > 0 { panic(x) } }"},
-		{name: "count after the flush", want: "row has no lane twin: its counting twin cannot count the call of VaddqS16 there",
+		{name: "count after the flush", want: "row has no lane twin: its skeleton cannot count the call of VaddqS16 there",
 			src: "func row(b *Ops, x int) { u := b.n; defer func() { u.VaddqS16(x, x) }() }"},
-		{name: "call in a loop condition", want: "row has no lane twin: its counting twin cannot count the call of VaddqS16 there",
+		{name: "call in a loop condition", want: "row has no lane twin: a loop bound, condition or switch tag reads the result of VaddqS16",
 			src: "func row(b *Ops, x int) { u := b.n; for u.VaddqS16(x, x) != x {} }"},
+		{name: "if condition reads a lane", want: "row has no lane twin: a loop bound, condition or switch tag reads the result of VaddqS16",
+			src: "func row(b *Ops, x int) { u := b.n; if u.VaddqS16(x, x) > 0 { u.VaddqS16(x, x) } }"},
+		{name: "loop bound reads a lane", want: "row has no lane twin: a loop bound, condition or switch tag reads the result of VaddqS16",
+			src: "func row(b *Ops, x int) { u := b.n; for i := 0; i < u.VaddqS16(x, x); i++ { u.VaddqS16(i, i) } }"},
+		{name: "switch tag reads a lane", want: "row has no lane twin: a loop bound, condition or switch tag reads the result of VaddqS16",
+			src: "func row(b *Ops, x int) { u := b.n; switch u.VaddqS16(x, x) { case 0: u.VaddqS16(x, x) } }"},
+		{name: "lane read through a local", want: "row has no lane twin: a loop bound, condition or switch tag reads the result of VaddqS16",
+			src: "func row(b *Ops, x int) { u := b.n; v := u.VaddqS16(x, x); n := v + 1; for i := 0; i < n; i++ { u.VaddqS16(i, i) } }"},
+		{name: "bound read from a store", want: "row has no lane twin: its skeleton would keep a store or closure its control reads",
+			src: "func row(b *Ops, x int) { u := b.n; var n [1]int; n[0] = x; for i := 0; i < n[0]; i++ { u.VaddqS16(i, i) } }"},
+		{name: "closure counting under control", want: "row has no lane twin: its skeleton cannot count a call of op: it counts under control",
+			src: "func row(b *Ops, x int) { u := b.n; op := func() { if x > 0 { u.VaddqS16(x, x) } }; op() }"},
 		{name: "count not a constant", want: "row has no lane twin: it passes Overhead a count that is not an integer constant",
 			src: "func row(b *Ops, x int) { u := b.n; u.Overhead(x, 1, 0) }"},
 		{name: "intrinsic counting conditionally", want: "(*Unit).Bad has no lane form: it counts other than once per call",
@@ -95,11 +107,14 @@ func TestLaneGenRefusesUntwinnable(t *testing.T) {
 		})
 	}
 
-	// The same row, twinnable and passed with its twin, generates; its
-	// counting twin flushes on both of its exits.
+	// A twinnable row passed with its twin generates. Its skeleton keeps
+	// the early return, counts the vector loop's trips in closed form, calls
+	// no intrinsic, stores nothing, drops the scalar tail and flushes on
+	// both exits.
 	d := real
 	d.CV = writePkg(t, map[string]string{"ops.go": ops, "row.go": "package cv\n\n" +
-		"func row(b *Ops, a int, y int) { u := b.n; if y > 0 { u.VaddqS16(a, a); return }; u.Overhead(2, 1, 0) }\n\n" +
+		"func row(b *Ops, a int, y int) {\nu := b.n\nout := make([]int, a)\nif y > 0 { u.VaddqS16(a, a); return }\n" +
+		"x := 0\nfor ; x+8 <= a; x += 8 { out[x] = u.VaddqS16(x, x); u.Overhead(2, 1, 0) }\nfor ; x < a; x++ { out[x] = x }\n}\n\n" +
 		"func pass(o *Ops) { parRows(o, 1, 0, row, rowLanes) }\n"})
 	out, err := Generate(d)
 	if err != nil {
@@ -108,18 +123,23 @@ func TestLaneGenRefusesUntwinnable(t *testing.T) {
 	twin := string(out[filepath.Join(d.CV, genFile)])
 	lanes := string(out[filepath.Join(d.NEON, genFile)])
 	for _, want := range []string{
-		"var rowLanes = &twins[func(b *Ops, a int, y int)]{rowPlain, rowCounted}",
-		"func rowPlain(b *Ops, a int, y int) {\n\tu := neon.Lanes{}\n\tif y > 0 {\n\t\tu.VaddqS16(a, a)\n",
-		"func rowCounted(b *Ops, a int, y int) {\n\tvar nAddMovAddr, nCmpB, nVaddI16 uint64\n\tu, tally := neon.Lanes{}, b.n.Counts()\n",
-		"\t\tnVaddI16++\n\t\tu.VaddqS16(a, a)\n\t\ttally[neon.OpAddMovAddr] += nAddMovAddr\n",
-		"\tnAddMovAddr += 2\n\tnCmpB++\n\tu.Overhead(2, 1, 0)\n\ttally[neon.OpAddMovAddr] += nAddMovAddr\n",
+		"var rowLanes = &twins[func(b *Ops, a int, y int)]{rowPlain, rowSkeleton}",
+		"func rowPlain(b *Ops, a int, y int) {\n\tu := neon.Lanes{}\n\tout := make([]int, a)\n\tif y > 0 {\n\t\tu.VaddqS16(a, a)\n",
 	} {
 		if !strings.Contains(twin, want) {
 			t.Fatalf("twin file lacks %q:\n%s", want, twin)
 		}
 	}
-	if n := strings.Count(twin, "tally[neon.OpVaddI16] += nVaddI16"); n != 2 {
-		t.Fatalf("the counting twin flushes %d times, want once per exit:\n%s", n, twin)
+	const flush = "tally[neon.OpAddMovAddr] += nAddMovAddr\n\ttally[neon.OpCmpB] += nCmpB\n\ttally[neon.OpVaddI16] += nVaddI16\n"
+	skel := "\nfunc rowSkeleton(b *Ops, a int, y int) {\n\tvar nAddMovAddr, nCmpB, nVaddI16 uint64\n\ttally := b.n.Counts()\n" +
+		"\tif y > 0 {\n\t\tnVaddI16++\n\t\t" + strings.ReplaceAll(flush, "\n\t", "\n\t\t") + "\t\treturn\n\t}\n" +
+		"\tx := 0\n\tif trips0 := a - (x + 8); trips0 >= 0 {\n\t\ttrips0 = trips0/8 + 1\n\t\tx += trips0 * 8\n" +
+		"\t\tnAddMovAddr += 2 * uint64(trips0)\n\t\tnCmpB += uint64(trips0)\n\t\tnVaddI16 += uint64(trips0)\n\t}\n\t" + flush + "}\n"
+	if got := funcSource(t, twin, "rowSkeleton"); got != skel {
+		t.Fatalf("skeleton\n%s\nwant\n%s", got, skel)
+	}
+	if strings.Contains(skel, "u.") || strings.Contains(skel, "out") || strings.Count(skel, "tally[neon.OpVaddI16] += nVaddI16") != 2 {
+		t.Fatal("a skeleton calls no intrinsic, stores nothing and flushes once per exit")
 	}
 	if strings.Contains(twin, "OpMov") {
 		t.Fatalf("a count of zero needs no local:\n%s", twin)
@@ -136,8 +156,9 @@ func TestLaneGenRefusesUntwinnable(t *testing.T) {
 
 // TestLaneGenFusesExchanges: a min intrinsic's result assigned, then in the
 // next statement the max intrinsic's over the same operands, becomes one
-// vec.MinMaxU8 call in both twins, the counting one still counting both
-// instructions. Anything else stays two calls.
+// vec.MinMaxU8 call in the plain twin, while the skeleton, cut from the
+// hand-written body, counts both instructions. Anything else stays two
+// calls.
 func TestLaneGenFusesExchanges(t *testing.T) {
 	real := moduleDirs(filepath.Join("..", ".."))
 	const ops = "package cv\n\nimport \"simdstudy/internal/vec\"\n\ntype Ops struct{ n, s any }\n\nvar _ vec.V128\n"
@@ -154,25 +175,25 @@ func TestLaneGenFusesExchanges(t *testing.T) {
 		return string(out[filepath.Join(d.CV, genFile)])
 	}
 	fused := []struct {
-		name, src, plain, counted, flushMax string
+		name, src, plain, skeleton, flushMax string
 	}{
 		{name: "neon define", src: "u := b.n\nlo := u.VminqU8(x, y)\nhi := u.VmaxqU8(x, y)\nkeep(lo, hi)",
 			plain:    "func rowPlain(b *Ops, x, y, z vec.V128) {\n\tlo, hi := vec.MinMaxU8(x, y)\n\tkeep(lo, hi)\n}",
-			counted:  "\tnVminU8++\n\tnVmaxU8++\n\tlo, hi := vec.MinMaxU8(x, y)\n",
+			skeleton: "\ttally := b.n.Counts()\n\tnVmaxU8++\n\tnVminU8++\n",
 			flushMax: "tally[neon.OpVmaxU8] += nVmaxU8"},
 		{name: "sse2 assign", src: "u := b.s\nvar lo, hi vec.V128\nlo = u.MinEpu8(x, y)\nhi = u.MaxEpu8(x, y)\nkeep(lo, hi)",
 			plain:    "\tvar lo, hi vec.V128\n\tlo, hi = vec.MinMaxU8(x, y)\n",
-			counted:  "\tnPminub++\n\tnPmaxub++\n\tlo, hi = vec.MinMaxU8(x, y)\n",
+			skeleton: "\ttally := b.s.Counts()\n\tnPmaxub++\n\tnPminub++\n",
 			flushMax: "tally[sse2.OpPmaxub] += nPmaxub"},
 		{name: "indexed operands in a closure", src: "u := b.n\np := [2]vec.V128{x, y}\nop := func(i, j int) {\nlo := u.VminqU8(p[i], p[j])\nhi := u.VmaxqU8(p[i], p[j])\np[i], p[j] = lo, hi\n}\nop(0, 1)",
 			plain:    "\t\tlo, hi := vec.MinMaxU8(p[i], p[j])\n\t\tp[i], p[j] = lo, hi\n",
-			counted:  "\t\tnVminU8++\n\t\tnVmaxU8++\n\t\tlo, hi := vec.MinMaxU8(p[i], p[j])\n",
+			skeleton: "\ttally := b.n.Counts()\n\tnVmaxU8++\n\tnVminU8++\n",
 			flushMax: "tally[neon.OpVmaxU8] += nVmaxU8"},
 	}
 	for _, c := range fused {
 		t.Run(c.name, func(t *testing.T) {
 			twin := gen(t, c.src)
-			for _, want := range []string{c.plain, c.counted, c.flushMax} {
+			for _, want := range []string{c.plain, c.skeleton, c.flushMax} {
 				if !strings.Contains(twin, want) {
 					t.Fatalf("twin file lacks %q:\n%s", want, twin)
 				}
@@ -202,7 +223,7 @@ func TestLaneGenFusesExchanges(t *testing.T) {
 			if strings.Contains(c.src, "S16") {
 				minCall, maxCall, nMin, nMax = "u.VminqS16(", "u.VmaxqS16(", "nVminS16++", "nVmaxS16++"
 			}
-			for want, n := range map[string]int{minCall: 2, maxCall: 2, nMin: 1, nMax: 1} {
+			for want, n := range map[string]int{minCall: 1, maxCall: 1, nMin: 1, nMax: 1} {
 				if got := strings.Count(twin, want); got != n {
 					t.Fatalf("twin file has %d of %q, want %d:\n%s", got, want, n, twin)
 				}
@@ -222,11 +243,12 @@ func funcSource(t *testing.T, file, name string) string {
 	return file[i : i+j+3]
 }
 
-// TestLaneGenSplitsTapChain: the SSE2 Gaussian rows' plain and counting
-// twins run their tap chain on split registers behind the row test, with
-// the loop as it was for a failing test, and the counting twin counts the
-// same instructions in both loops. The NEON Gaussian's vmull/vmlal chain
-// and every shape the rule does not cover keep their loop as it is.
+// TestLaneGenSplitsTapChain: the SSE2 Gaussian rows' plain twins run their
+// tap chain on split registers behind the row test, with the loop as it was
+// for a failing test, while their skeletons, cut from the hand-written
+// bodies, count the intrinsics the split replaces. The NEON Gaussian's
+// vmull/vmlal chain and every shape the rule does not cover keep their
+// loop as it is.
 func TestLaneGenSplitsTapChain(t *testing.T) {
 	real := moduleDirs(filepath.Join("..", ".."))
 	out, err := Generate(real)
@@ -235,38 +257,36 @@ func TestLaneGenSplitsTapChain(t *testing.T) {
 	}
 	twin := string(out[filepath.Join(real.CV, genFile)])
 	for _, name := range []string{"gaussHorizSSE2Row", "gaussVertSSE2Row"} {
-		for _, suffix := range []string{plainSuffix, countedSuffix} {
-			fn := funcSource(t, twin, name+suffix)
-			test := "if vec.SplitFits(a.zero, a.wv[:], a.half, gaussShift) {"
-			split, fallback, ok := strings.Cut(fn, "} else {")
-			if !strings.Contains(split, test) || !ok {
-				t.Fatalf("%s%s has no split loop behind the row test:\n%s", name, suffix, fn)
+		fn := funcSource(t, twin, name+plainSuffix)
+		test := "if vec.SplitFits(a.zero, a.wv[:], a.half, gaussShift) {"
+		split, fallback, ok := strings.Cut(fn, "} else {")
+		if !strings.Contains(split, test) || !ok {
+			t.Fatalf("%s has no split loop behind the row test:\n%s", name, fn)
+		}
+		for _, want := range []string{"vec.SplitU8(u.LoadlEpi64U8(", "vec.SplitMulU16(v, a.wv[0])",
+			"acc = vec.SplitAddU16(acc, vec.SplitMulU16(v, a.wv[k]))", "u.SrliEpi16(vec.SplitAddU16(acc, a.half), gaussShift)",
+			"u.StorelEpi64U8(out[x:], vec.SplitPackU8("} {
+			if !strings.Contains(split, want) {
+				t.Fatalf("%s's split loop lacks %q:\n%s", name, want, fn)
 			}
-			for _, want := range []string{"vec.SplitU8(u.LoadlEpi64U8(", "vec.SplitMulU16(v, a.wv[0])",
-				"acc = vec.SplitAddU16(acc, vec.SplitMulU16(v, a.wv[k]))", "u.SrliEpi16(vec.SplitAddU16(acc, a.half), gaussShift)",
-				"u.StorelEpi64U8(out[x:], vec.SplitPackU8("} {
-				if !strings.Contains(split, want) {
-					t.Fatalf("%s%s's split loop lacks %q:\n%s", name, suffix, want, fn)
-				}
-			}
-			if strings.Contains(split, "u.UnpackloEpi8") || strings.Contains(split, "u.MulloEpi16") ||
-				strings.Contains(fallback, "vec.Split") || !strings.Contains(fallback, "u.PackusEpi16(") {
-				t.Fatalf("%s%s mixes its split and fallback loops:\n%s", name, suffix, fn)
-			}
-			if suffix == countedSuffix {
-				for _, inc := range []string{"nPunpcklbw++", "nPmullw++", "nPaddw++", "nPsrlw++", "nPackuswb++", "nMovqLd++", "nMovqSt++"} {
-					if a, b := strings.Count(split, inc), strings.Count(fallback, inc); a == 0 || a != b {
-						t.Fatalf("%s%s counts %s %d times in the split loop and %d in the fallback:\n%s", name, suffix, inc, a, b, fn)
-					}
-				}
+		}
+		if strings.Contains(split, "u.UnpackloEpi8") || strings.Contains(split, "u.MulloEpi16") ||
+			strings.Contains(fallback, "vec.Split") || !strings.Contains(fallback, "u.PackusEpi16(") {
+			t.Fatalf("%s mixes its split and fallback loops:\n%s", name, fn)
+		}
+		sk := funcSource(t, twin, name+skeletonSuffix)
+		if strings.Contains(sk, "Split") || strings.Contains(sk, "u.") {
+			t.Fatalf("%s's skeleton must count the hand-written chain and call nothing:\n%s", name, sk)
+		}
+		for _, inc := range []string{"nPunpcklbw += ", "nPmullw += ", "nPaddw += ", "nPsrlw += ", "nPackuswb += ", "nMovqLd += ", "nMovqSt += "} {
+			if !strings.Contains(sk, inc) {
+				t.Fatalf("%s's skeleton lacks %s:\n%s", name, inc, sk)
 			}
 		}
 	}
 	for _, name := range []string{"gaussHorizNEONRow", "gaussVertNEONRow"} {
-		for _, suffix := range []string{plainSuffix, countedSuffix} {
-			if fn := funcSource(t, twin, name+suffix); strings.Contains(fn, "vec.Split") {
-				t.Fatalf("the NEON vmull/vmlal chain must stay as it is:\n%s", fn)
-			}
+		if fn := funcSource(t, twin, name+plainSuffix); strings.Contains(fn, "vec.Split") {
+			t.Fatalf("the NEON vmull/vmlal chain must stay as it is:\n%s", fn)
 		}
 	}
 
@@ -298,8 +318,8 @@ for ; x+8 <= a.w; x += 8 {
 	u.Overhead(2, 1, 0)
 }`
 	if twin := gen(t, "a args", loop); !strings.Contains(twin, "if vec.SplitFits(a.zero, a.wv[:], a.half, shift) {") ||
-		strings.Count(twin, "vec.SplitPackU8(r)") != 2 {
-		t.Fatalf("the rule must split the chain in both twins:\n%s", twin)
+		strings.Count(twin, "vec.SplitPackU8(r)") != 1 {
+		t.Fatalf("the rule must split the chain in the plain twin:\n%s", twin)
 	}
 	kept := []struct {
 		name, params string
@@ -344,4 +364,53 @@ for ; x+8 <= a.w; x += 8 {
 			t.Fatalf("the NEON chain must stay as it is:\n%s", twin)
 		}
 	})
+}
+
+// TestLaneGenHoistsTrips: a skeleton loop whose body counts alike on every
+// trip runs once, its counts scaled by the trip count, for each header
+// shape the closed form covers; any other loop keeps running.
+func TestLaneGenHoistsTrips(t *testing.T) {
+	real := moduleDirs(filepath.Join("..", ".."))
+	const ops = "package cv\n\ntype Ops struct{ n, s any }\n"
+	gen := func(t *testing.T, src string) string {
+		t.Helper()
+		d := real
+		d.CV = writePkg(t, map[string]string{"ops.go": ops, "row.go": "package cv\n\n" +
+			"func row(b *Ops, a int, y int) {\nu := b.n\nx := y\n" + src + "\n}\n\n" +
+			"func pass(o *Ops) { parRows(o, 1, 0, row, rowLanes) }\n"})
+		out, err := Generate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return funcSource(t, string(out[filepath.Join(d.CV, genFile)]), "rowSkeleton")
+	}
+	hoisted := []struct{ name, src, want string }{
+		{"declared counter", "for k := 1; k < 7; k++ { u.VaddqS16(a, a) }",
+			"\tif trips0 := 7 - 1 - 1; trips0 >= 0 {\n\t\ttrips0++\n\t\tnVaddI16 += uint64(trips0)\n\t}\n"},
+		{"stepped bound", "for ; x <= a-4; x += 4 { u.VaddqS16(a, a) }",
+			"\tif trips0 := a - 4 - x; trips0 >= 0 {\n\t\ttrips0 = trips0/4 + 1\n\t\tx += trips0 * 4\n\t\tnVaddI16 += uint64(trips0)\n\t}\n"},
+		{"nested, under a switch", "for ; x+8 <= a; x += 8 { switch y { case 1: u.VaddqS16(a, a) }; for k := 0; k < 3; k++ { u.VaddqS16(a, a) } }",
+			"\t\tswitch y {\n\t\tcase 1:\n\t\t\tnVaddI16 += uint64(trips0)\n\t\t}\n\t\tif trips1 := 3 - 1 - 0; trips1 >= 0 {\n\t\t\ttrips1++\n\t\t\tnVaddI16 += uint64(trips1) * uint64(trips0)\n"},
+	}
+	for _, c := range hoisted {
+		t.Run(c.name, func(t *testing.T) {
+			if sk := gen(t, c.src); !strings.Contains(sk, c.want) || strings.Contains(sk, "for ") {
+				t.Fatalf("skeleton\n%s\nlacks\n%s", sk, c.want)
+			}
+		})
+	}
+	kept := []struct{ name, src string }{
+		{"a condition of two parts", "for ; x < a && y > 0; x++ { u.VaddqS16(a, a) }"},
+		{"a body reading the counter", "for ; x < a; x++ { if x > 3 { u.VaddqS16(a, a) } }"},
+		{"a body moving the bound", "for ; x < a; x++ { u.VaddqS16(a, a); a-- }"},
+		{"a step that is no constant", "for ; x < a; x += y { u.VaddqS16(a, a) }"},
+		{"a greater-than bound", "for ; a > x; x++ { u.VaddqS16(a, a) }"},
+	}
+	for _, c := range kept {
+		t.Run(c.name, func(t *testing.T) {
+			if sk := gen(t, c.src); strings.Contains(sk, "trips") || !strings.Contains(sk, "\tfor ;") {
+				t.Fatalf("the loop must keep running:\n%s", sk)
+			}
+		})
+	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // The split tap-chain rule. The SSE2 Gaussian's vector loop widens eight
-// bytes against zero, multiplies them by each tap, sums the products,
-// adds a rounding half, shifts and packs:
+// bytes against zero, multiplies them by each tap, sums, adds a rounding
+// half, shifts and packs:
 //
 //	v := u.UnpackloEpi8(X0, Z)
 //	acc := u.MulloEpi16(v, T[i0])
@@ -21,31 +21,22 @@ import (
 //	r := u.SrliEpi16(u.AddEpi16(acc, H), N)
 //	u.StorelEpi64U8(Q, u.PackusEpi16(r, r))
 //
-// followed by intrinsic calls that do not read v, acc or r. When no lane of
-// that chain can carry or saturate, it can run on split registers: Lo
-// holds the lanes of the even bytes and Hi those of the odd ones, so the
-// widening is one mask per word, each tap one multiply and one plain add
-// per word, and the pack a mask and a shift (vec's Split* helpers). A
-// per-lane shift does not care where a lane sits, so it runs unchanged.
+// followed by intrinsic calls that do not read v, acc or r. When no lane
+// can carry or saturate, the chain runs on split registers (Lo the even
+// bytes' lanes, Hi the odd ones'): one mask per word to widen, one
+// multiply and one plain add per word and tap, a mask and a shift to pack
+// (vec's Split* helpers); the per-lane shift runs unchanged. So a plain
+// twin runs such a loop as `if vec.SplitFits(Z, T[:], H, N) { split copy }
+// else { the loop }`: Z zero, every tap a 16-bit broadcast below 2^8, H a
+// broadcast, 255·ΣT + H below 2^16 and that bound shifted by N below 2^8.
+// The test reads the whole tap array, a superset of the taps used (i0 < i).
 //
-// A twin therefore runs such a loop behind a row test, vec.SplitFits(Z,
-// T[:], H, N): Z is zero, every tap a 16-bit broadcast below 2^8, H a
-// broadcast, 255 times the taps' sum plus H below 2^16, and that bound
-// shifted by N below 2^8. Passing, a copy of the loop runs the split chain;
-// failing, the loop runs as it was. The test reads the whole tap array, a
-// superset of the taps the loop uses once each (i0 < i), so it passes only
-// when the taps used fit too.
-//
-// The rule is narrow. The intrinsics are matched by their lane forms
-// (laneForm), so only ops computing exactly punpcklbw, pmullw, paddw, psrlw,
-// packuswb and a low-half store fit. Z, H and T must be fields of a value
-// parameter that the body never assigns, declares anew, takes the address
-// of or calls a method on; T[i0] and i, j integer constants; N an integer
-// constant; X0, Xk and Q may not read v, acc or r, take an address or hold
-// a closure. Any other shape, such as NEON's vmull/vmlal chain, a tap held
-// in a local or a result fed anywhere but the self-pack and store, is left
-// as it is. The counting twin counts the split calls as the intrinsics
-// they stand for, so its counts do not change.
+// The rule is narrow: the intrinsics are matched by their lane forms
+// (laneForm); Z, H and T must be fields of a value parameter the body never
+// assigns, declares anew, takes the address of or calls a method on; i0, i,
+// j and N integer constants; X0, Xk and Q may not read v, acc or r, take an
+// address or hold a closure. Any other shape, such as NEON's vmull/vmlal
+// chain, is left as it is.
 
 // The lane forms (laneForm) the chain's intrinsics must have.
 const (
@@ -72,10 +63,8 @@ type tapChain struct {
 
 // splitChains replaces every vector loop in tw's body that tapChain
 // matches with the row test choosing between a split copy of the loop and
-// the loop itself, and returns the vec calls in the copies with the
-// intrinsic each stands for.
-func (lp *lanePkg) splitChains(tw *ast.FuncDecl, consts map[string]bool) map[*ast.CallExpr][]string {
-	stand := map[*ast.CallExpr][]string{}
+// the loop itself.
+func (lp *lanePkg) splitChains(tw *ast.FuncDecl, consts map[string]bool) {
 	fixed := fixedOperands(tw)
 	walkFields(reflect.ValueOf(tw.Body), func(v reflect.Value) {
 		if v.Type() != stmtsType {
@@ -88,16 +77,15 @@ func (lp *lanePkg) splitChains(tw *ast.FuncDecl, consts map[string]bool) map[*as
 				continue
 			}
 			if _, ok := lp.tapChain(loop, fixed, consts); ok {
-				list[i] = lp.guardedSplit(loop, fixed, consts, stand)
+				list[i] = lp.guardedSplit(loop, fixed, consts)
 			}
 		}
 	})
-	return stand
 }
 
 // guardedSplit returns `if vec.SplitFits(...) { split copy } else { loop }`
 // for a loop tapChain matched.
-func (lp *lanePkg) guardedSplit(loop *ast.ForStmt, fixed func(ast.Expr) bool, consts map[string]bool, stand map[*ast.CallExpr][]string) ast.Stmt {
+func (lp *lanePkg) guardedSplit(loop *ast.ForStmt, fixed func(ast.Expr) bool, consts map[string]bool) ast.Stmt {
 	cp := copyNode(loop).(*ast.ForStmt)
 	ch, _ := lp.tapChain(cp, fixed, consts)
 	rewriteExprs(cp.Body, func(e ast.Expr) ast.Expr {
@@ -106,9 +94,7 @@ func (lp *lanePkg) guardedSplit(loop *ast.ForStmt, fixed func(ast.Expr) bool, co
 			return e
 		}
 		name := ch.calls[call]
-		split := vecCall(name, call.Args[:splitArgs[name]]...)
-		stand[split] = []string{intrinsic(call)}
-		return split
+		return vecCall(name, call.Args[:splitArgs[name]]...)
 	})
 	test := vecCall("SplitFits", copyNode(ch.z).(ast.Expr), &ast.SliceExpr{X: copyNode(ch.taps).(ast.Expr)},
 		copyNode(ch.h).(ast.Expr), copyNode(ch.n).(ast.Expr))
@@ -333,21 +319,15 @@ func fixedOperands(fn *ast.FuncDecl) func(ast.Expr) bool {
 	}
 	touched := map[string]bool{}
 	touch := func(e ast.Expr) {
-		if id := rootIdent(e); id != nil {
+		if _, id := pathOf(e); id != nil {
 			touched[id.Name] = true
 		}
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		for _, l := range lhs(n) {
+			touch(l)
+		}
 		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
-				touch(l)
-			}
-		case *ast.IncDecStmt:
-			touch(n.X)
-		case *ast.RangeStmt:
-			touch(n.Key)
-			touch(n.Value)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				touch(n.X)
@@ -355,10 +335,6 @@ func fixedOperands(fn *ast.FuncDecl) func(ast.Expr) bool {
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				touch(sel.X)
-			}
-		case *ast.ValueSpec:
-			for _, id := range n.Names {
-				touched[id.Name] = true
 			}
 		case *ast.Field:
 			for _, id := range n.Names {
@@ -377,27 +353,5 @@ func fixedOperands(fn *ast.FuncDecl) func(ast.Expr) bool {
 		}
 		id, ok := e.(*ast.Ident)
 		return ok && params[id.Name] && !touched[id.Name]
-	}
-}
-
-// rootIdent is the variable an lvalue or operand path starts from, or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
 	}
 }

@@ -2,6 +2,7 @@ package cv
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"simdstudy/internal/faults"
@@ -23,10 +24,10 @@ type laneRun func(tc *trace.Counter, inj faults.Injector) (*image.Mat, error)
 
 // checkLaneTwins holds a kernel's lane twins to its instrumented bodies:
 // the plain twins (no injector, untraced) write the plane the instrumented
-// path (a no-op injector) writes, and the counting twins (a traced Ops,
-// whose tallies bind) flush exactly the per-op counts the instrumented
-// bodies record (a counter capturing a sequence, whose tallies refuse to
-// bind).
+// path (a no-op injector) writes, and so do the plain twins followed by
+// their skeletons (a traced Ops, whose tallies bind), which flush exactly
+// the per-op counts the instrumented bodies record (a counter capturing a
+// sequence, whose tallies refuse to bind).
 func checkLaneTwins(t *testing.T, what string, run laneRun) {
 	t.Helper()
 	twin, errT := run(nil, nil)
@@ -41,14 +42,18 @@ func checkLaneTwins(t *testing.T, what string, run laneRun) {
 		t.Fatalf("%s: %d pixels differ between the twin and instrumented paths", what, twin.DiffCount(inst, 0))
 	}
 	counted, listed := &trace.Counter{}, &trace.Counter{SeqCap: 1}
-	if _, err := run(counted, nil); err != nil {
+	traced, err := run(counted, nil)
+	if err != nil {
 		t.Fatalf("%s traced: %v", what, err)
+	}
+	if !traced.EqualTo(inst) {
+		t.Fatalf("%s: %d pixels differ between the traced twin and instrumented paths", what, traced.DiffCount(inst, 0))
 	}
 	if _, err := run(listed, nil); err != nil {
 		t.Fatalf("%s listed: %v", what, err)
 	}
 	if got, want := counted.Summary(), listed.Summary(); got != want {
-		t.Fatalf("%s: counted twins record\n%s\ninstrumented bodies record\n%s", what, got, want)
+		t.Fatalf("%s: lane twins and skeletons record\n%s\ninstrumented bodies record\n%s", what, got, want)
 	}
 }
 
@@ -56,9 +61,9 @@ func checkLaneTwins(t *testing.T, what string, run laneRun) {
 // over widths around the 8- and 16-lane quanta, heights with and without
 // an interior, one and four workers, fused and staged, the lane twins are
 // indistinguishable from the instrumented bodies in planes and counts.
-// That covers every counting twin: the row and flat-chunk twins, the ones
-// fused Canny and DetectEdges sweeps run, the median networks their rows
-// hand a count array, and RGBToGray's chunk.
+// That covers every skeleton: the row and flat-chunk ones, the ones fused
+// Canny and DetectEdges sweeps run, the median rows counting their
+// networks, and RGBToGray's chunk.
 func TestLaneTwinsMatchInstrumented(t *testing.T) {
 	for ki, k := range fuzzKernels {
 		for _, isa := range []ISA{ISANEON, ISASSE2} {
@@ -120,7 +125,7 @@ func TestLaneTwinsMatchInstrumented(t *testing.T) {
 // served call. Here args that fail the row test (a tap of 256, taps whose
 // 255-fold sum overflows a lane, a non-zero unpack operand, a rounding
 // half that is no broadcast) drive both passes' rows directly, and the
-// plain and counting twins still match the instrumented bodies in planes
+// plain twins and skeletons still match the instrumented bodies in planes
 // and counts. The real taps run as a control.
 func TestSSE2GaussianTwinsOffSplit(t *testing.T) {
 	cases := []struct {
@@ -171,9 +176,10 @@ func TestSSE2GaussianTwinsOffSplit(t *testing.T) {
 }
 
 // TestUnitsRunChoosesTwin: a band runs the plain twin when its unit is
-// untraced, the counting twin (with its unit's count array bound) when
-// the tally binds, and the instrumented body under an injector or a
-// counter capturing a sequence, for one band and for several.
+// untraced, the plain twin and then the skeleton (with its unit's count
+// array bound) when the tally binds, and the instrumented body under an
+// injector or a counter capturing a sequence, for one band and for
+// several.
 func TestUnitsRunChoosesTwin(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -182,7 +188,7 @@ func TestUnitsRunChoosesTwin(t *testing.T) {
 		want string
 	}{
 		{"untraced", nil, nil, "plain"},
-		{"traced", &trace.Counter{}, nil, "counted"},
+		{"traced", &trace.Counter{}, nil, "plain skeleton"},
 		{"sequence capture", &trace.Counter{SeqCap: 1}, nil, "body"},
 		{"injector", nil, nopInjector{}, "body"},
 		{"traced with injector", &trace.Counter{}, nopInjector{}, "body"},
@@ -191,10 +197,10 @@ func TestUnitsRunChoosesTwin(t *testing.T) {
 			var ran [2]string // the bodies a row ran, one slot per row
 			rec := func(what string) func(b *Ops, _ int, y int) {
 				return func(b *Ops, _ int, y int) {
-					ran[y] = what
-					if what == "counted" && b.n.Counts() == nil {
-						ran[y] = "counted without a count array"
+					if what == "skeleton" && b.n.Counts() == nil {
+						what = "skeleton without a count array"
 					}
+					ran[y] = strings.TrimSpace(ran[y] + " " + what)
 				}
 			}
 			o := NewOps(ISANEON, c.tc)
@@ -202,7 +208,7 @@ func TestUnitsRunChoosesTwin(t *testing.T) {
 			if c.inj != nil {
 				o.SetFaultInjector(c.inj)
 			}
-			parRows(o, len(ran), 0, rec("body"), &twins[func(*Ops, int, int)]{rec("plain"), rec("counted")})
+			parRows(o, len(ran), 0, rec("body"), &twins[func(*Ops, int, int)]{rec("plain"), rec("skeleton")})
 			if ran != [2]string{c.want, c.want} {
 				t.Errorf("%s, %d workers: rows ran %q, want %s", c.name, workers, ran, c.want)
 			}

@@ -261,8 +261,8 @@ func (o *Ops) watchSerial(sec *super.Section, stop *atomic.Bool, loop func()) {
 	loop()
 }
 
-// twins are a body's lane twins (lanes_gen.go), plain then counting, as
-// LaneTwin numbers them.
+// twins are a body's lane twins (lanes_gen.go): its plain twin, then its
+// skeleton, which counts what the plain twin's intrinsics did not.
 type twins[F any] [2]F
 
 // parRows runs body(b, a, y) for every row y in [0, rows), banded across
@@ -348,18 +348,27 @@ type units[A any] struct {
 // run runs units [lo, hi) on b with args a, reseeding rs (when set) at
 // each unit from its stripe: the row, or the block's quantum index in the
 // plane. A row tick counts toward the bound context's progress; a block
-// tick only polls. The body is chosen once, here: a lane twin when b's
-// unit allows one (see LaneTwin), else the instrumented body.
+// tick only polls. The body is chosen once, here: a plain lane twin when
+// b's unit allows one (see LaneTwin), followed on a traced unit by the
+// twin's skeleton, else the instrumented body.
 func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) {
 	if u.band != nil {
 		u.band(b, a, u.first+lo, u.first+hi)
 		return
 	}
 	row, flat := u.row, u.flat
-	if k, ok := b.laneTwin(); ok && u.rowLanes != nil {
-		row = u.rowLanes[k]
+	var rowSkel func(b *Ops, a A, y int)
+	var flatSkel func(b *Ops, a A, lo, hi int)
+	if traced, ok := b.laneTwin(); ok && u.rowLanes != nil {
+		row = u.rowLanes[0]
+		if traced {
+			rowSkel = u.rowLanes[1]
+		}
 	} else if ok && u.flatLanes != nil {
-		flat = u.flatLanes[k]
+		flat = u.flatLanes[0]
+		if traced {
+			flatSkel = u.flatLanes[1]
+		}
 	}
 	for i := lo; i < hi; i++ {
 		if row != nil {
@@ -368,6 +377,9 @@ func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) 
 				rs.Reseed(stripeSalt(salt, y))
 			}
 			row(b, a, y)
+			if rowSkel != nil {
+				rowSkel(b, a, y)
+			}
 			b.tick(true)
 			continue
 		}
@@ -375,13 +387,17 @@ func (u units[A]) run(b *Ops, a A, lo, hi int, rs faults.Reseeder, salt uint64) 
 		if rs != nil {
 			rs.Reseed(stripeSalt(salt, c/flatQuantum))
 		}
-		flat(b, a, c, min(c+flatQuantum, u.end))
+		end := min(c+flatQuantum, u.end)
+		flat(b, a, c, end)
+		if flatSkel != nil {
+			flatSkel(b, a, c, end)
+		}
 		b.tick(false)
 	}
 }
 
 // laneTwin is LaneTwin of o's unit for its ISA, the one count tallies on.
-func (o *Ops) laneTwin() (int, bool) {
+func (o *Ops) laneTwin() (traced, ok bool) {
 	if o.isa == ISASSE2 {
 		return o.s.LaneTwin()
 	}

@@ -146,7 +146,7 @@ func values(vs []reflect.Value) []any {
 // checkLaneMethods drives every Lanes method against its *Unit method on
 // operands drawn from data: the lanes must match a traced unit bit for bit,
 // in what they return and what they store. What a call counts is the
-// counting twins' part (TestLaneTwinsMatchInstrumented in internal/cv).
+// skeletons' part (TestLaneTwinsMatchInstrumented in internal/cv).
 func checkLaneMethods(t *testing.T, data []byte) {
 	lt, ut := reflect.TypeOf(Lanes{}), reflect.TypeOf(&Unit{})
 	for i := 0; i < lt.NumMethod(); i++ {
