@@ -368,7 +368,9 @@ for ; x+8 <= a.w; x += 8 {
 
 // TestLaneGenHoistsTrips: a skeleton loop whose body counts alike on every
 // trip runs once, its counts scaled by the trip count, for each header
-// shape the closed form covers; any other loop keeps running.
+// shape the closed form covers, conjunctions of bounds among them, so an
+// edge loop left with nothing to count moves its counter without looping;
+// any other loop keeps running.
 func TestLaneGenHoistsTrips(t *testing.T) {
 	real := moduleDirs(filepath.Join("..", ".."))
 	const ops = "package cv\n\ntype Ops struct{ n, s any }\n"
@@ -391,6 +393,10 @@ func TestLaneGenHoistsTrips(t *testing.T) {
 			"\tif trips0 := a - 4 - x; trips0 >= 0 {\n\t\ttrips0 = trips0/4 + 1\n\t\tx += trips0 * 4\n\t\tnVaddI16 += uint64(trips0)\n\t}\n"},
 		{"nested, under a switch", "for ; x+8 <= a; x += 8 { switch y { case 1: u.VaddqS16(a, a) }; for k := 0; k < 3; k++ { u.VaddqS16(a, a) } }",
 			"\t\tswitch y {\n\t\tcase 1:\n\t\t\tnVaddI16 += uint64(trips0)\n\t\t}\n\t\tif trips1 := 3 - 1 - 0; trips1 >= 0 {\n\t\t\ttrips1++\n\t\t\tnVaddI16 += uint64(trips1) * uint64(trips0)\n"},
+		{"a conjunction of bounds", "for ; x < 3 && x+1 <= a; x++ { u.VaddqS16(a, a) }",
+			"\tif trips0 := min(3-1-x, a-(x+1)); trips0 >= 0 {\n\t\ttrips0++\n\t\tx += trips0\n\t\tnVaddI16 += uint64(trips0)\n\t}\n"},
+		{"an empty edge loop", "for ; x < 3 && x < a; x++ {}\nfor ; x+8 <= a; x += 8 { u.VaddqS16(a, a) }",
+			"\tif trips0 := min(3-1-x, a-1-x); trips0 >= 0 {\n\t\ttrips0++\n\t\tx += trips0\n\t}\n\tif trips0 := a - (x + 8); trips0 >= 0 {\n"},
 	}
 	for _, c := range hoisted {
 		t.Run(c.name, func(t *testing.T) {
@@ -410,6 +416,63 @@ func TestLaneGenHoistsTrips(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			if sk := gen(t, c.src); strings.Contains(sk, "trips") || !strings.Contains(sk, "\tfor ;") {
 				t.Fatalf("the loop must keep running:\n%s", sk)
+			}
+		})
+	}
+}
+
+// TestLaneGenRewritesSSE2Idioms: the plain twins run SSE2's sign-mask
+// absolute value as vec.AbsSatI16 and a pack of a compare mask with itself
+// as the truncating narrow, while the skeletons count the intrinsics the
+// body calls; any other shape keeps its calls.
+func TestLaneGenRewritesSSE2Idioms(t *testing.T) {
+	real := moduleDirs(filepath.Join("..", ".."))
+	const ops = "package cv\n\nimport \"simdstudy/internal/vec\"\n\ntype Ops struct{ n, s any }\n\nvar _ vec.V128\n"
+	gen := func(t *testing.T, src string) string {
+		t.Helper()
+		d := real
+		d.CV = writePkg(t, map[string]string{"ops.go": ops, "row.go": "package cv\n\n" +
+			"func row(b *Ops, x, y, z vec.V128) {\nu := b.s\n" + src + "\n}\n\n" +
+			"func pass(o *Ops) { parRows(o, 1, 0, row, rowLanes) }\n"})
+		out, err := Generate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out[filepath.Join(d.CV, genFile)])
+	}
+	rewritten := []struct{ name, src, plain, skeleton string }{
+		{"abs in a closure", "abs := func(v vec.V128) vec.V128 {\nsign := u.SraiEpi16(v, 15)\nreturn u.SubsEpi16(u.XorSi128(v, sign), sign)\n}\nkeep(abs(x))",
+			"\tabs := func(v vec.V128) vec.V128 {\n\t\treturn vec.AbsSatI16(v)\n\t}\n",
+			"\tnPsraw++\n\tnPsubsw++\n\tnPxor++\n"},
+		{"abs, xor operands swapped", "s := u.SraiEpi16(x, 15)\nr := u.SubsEpi16(u.XorSi128(s, x), s)\nkeep(r)",
+			"\tr := vec.AbsSatI16(x)\n\tkeep(r)\n", "\tnPsraw++\n\tnPsubsw++\n\tnPxor++\n"},
+		{"mask pack", "m := u.CmpgtEpi16(x, y)\nu.StorelEpi64U8(nil, u.PacksEpi16(m, m))",
+			"\tm := u.CmpgtEpi16(x, y)\n\tu.StorelEpi64U8(nil, vec.Combine(vec.NarrowU16(m), vec.NarrowU16(m)))\n",
+			"\tnMovqSt++\n\tnPacksswb++\n\tnPcmpgtw++\n"},
+	}
+	for _, c := range rewritten {
+		t.Run(c.name, func(t *testing.T) {
+			twin := gen(t, c.src)
+			if plain := funcSource(t, twin, "rowPlain"); !strings.Contains(plain, c.plain) {
+				t.Fatalf("plain twin lacks\n%s\n%s", c.plain, plain)
+			}
+			if sk := funcSource(t, twin, "rowSkeleton"); !strings.Contains(sk, c.skeleton) {
+				t.Fatalf("skeleton lacks\n%s\n%s", c.skeleton, sk)
+			}
+		})
+	}
+	kept := []struct{ name, src, call string }{
+		{"a shift other than 15", "s := u.SraiEpi16(x, 14)\nkeep(u.SubsEpi16(u.XorSi128(x, s), s))", "u.SraiEpi16("},
+		{"the sign mask read again", "s := u.SraiEpi16(x, 15)\nr := u.SubsEpi16(u.XorSi128(x, s), s)\nkeep(r, s)", "u.SraiEpi16("},
+		{"another operand", "s := u.SraiEpi16(x, 15)\nkeep(u.SubsEpi16(u.XorSi128(y, s), s))", "u.SraiEpi16("},
+		{"a statement between", "s := u.SraiEpi16(x, 15)\nkeep(s)\nkeep(u.SubsEpi16(u.XorSi128(x, s), s))", "u.SraiEpi16("},
+		{"a pack of two registers", "m := u.CmpgtEpi16(x, y)\nkeep(u.PacksEpi16(m, x))", "u.PacksEpi16("},
+		{"a pack of no mask", "m := u.AddsEpi16(x, y)\nkeep(u.PacksEpi16(m, m))", "u.PacksEpi16("},
+	}
+	for _, c := range kept {
+		t.Run(c.name, func(t *testing.T) {
+			if plain := funcSource(t, gen(t, c.src), "rowPlain"); !strings.Contains(plain, c.call) || strings.Contains(plain, "AbsSatI16") || strings.Contains(plain, "NarrowU16") {
+				t.Fatalf("the calls must stay:\n%s", plain)
 			}
 		})
 	}

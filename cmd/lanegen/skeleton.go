@@ -308,10 +308,12 @@ func (s *skeleton) cut(list []ast.Stmt) []ast.Stmt {
 // closed form: the body once, its increments scaled by the trip count
 // (named trips), behind a test that the loop runs at all, with the loop
 // variable left where the loop leaves it. The header must read
-// [v := e]; v[+c] < R (or <=); v++ (or v += s), and the body neither read
-// v nor keep a statement. Any other loop gets nil.
+// [v := e]; C; v++ (or v += s), where C is v[+c] < R (or <=) or a
+// conjunction (&&) of such bounds, and the body neither read v nor keep a
+// statement. The loop stops at the first bound it reaches, so a
+// conjunction runs the fewest trips of its parts: their distances to go
+// are taken at their min. Any other loop gets nil.
 func (s *skeleton) hoist(loop *ast.ForStmt, trips string) ast.Stmt {
-	cond, _ := loop.Cond.(*ast.BinaryExpr)
 	v, step := "", "1"
 	switch post := loop.Post.(type) {
 	case *ast.IncDecStmt:
@@ -324,40 +326,60 @@ func (s *skeleton) hoist(loop *ast.ForStmt, trips string) ast.Stmt {
 			v, step = id.Name, lit.Value
 		}
 	}
-	if v == "" || cond == nil || cond.Op != token.LSS && cond.Op != token.LEQ || s.counting(loop.Body) {
-		return nil
-	}
-	from := cond.X // v or v + c
-	if sum, ok := from.(*ast.BinaryExpr); ok && sum.Op == token.ADD && !uses(sum.Y)[v] {
-		from = sum.X
-	}
+	conds := conjuncts(loop.Cond)
 	// A kept statement assigns what the skeleton needs; the counts and
 	// the trip counts of inner loops it does not.
-	if !isIdent(from, v) || uses(loop.Body)[v] || uses(cond.Y)[v] || overlaps(s.assigned(loop.Body), s.need) {
+	if v == "" || conds == nil || s.counting(loop.Body) || uses(loop.Body)[v] || overlaps(s.assigned(loop.Body), s.need) {
 		return nil
 	}
-	first := cond.X // where the left side starts
+	var init ast.Expr // where v starts, if the header sets it
 	if as, ok := loop.Init.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && isIdent(as.Lhs[0], v) {
-		first = as.Rhs[0]
-		if sum, ok := cond.X.(*ast.BinaryExpr); ok && sum.Op == token.ADD {
-			first = &ast.BinaryExpr{X: first, Op: token.ADD, Y: sum.Y}
-		}
+		init = as.Rhs[0]
 	} else if loop.Init != nil {
 		return nil
 	}
-	start := types.ExprString(first)
-	if _, sum := first.(*ast.BinaryExpr); sum {
-		start = "(" + start + ")"
+	var togo []string // each bound's distance to go, as source
+	for _, cond := range conds {
+		if cond.Op != token.LSS && cond.Op != token.LEQ {
+			return nil
+		}
+		from := cond.X // v or v + c
+		if sum, ok := from.(*ast.BinaryExpr); ok && sum.Op == token.ADD && !uses(sum.Y)[v] {
+			from = sum.X
+		}
+		if !isIdent(from, v) || uses(cond.Y)[v] {
+			return nil
+		}
+		first := cond.X // where the left side starts
+		if init != nil {
+			first = init
+			if sum, ok := cond.X.(*ast.BinaryExpr); ok && sum.Op == token.ADD {
+				first = &ast.BinaryExpr{X: first, Op: token.ADD, Y: sum.Y}
+			}
+		}
+		start := types.ExprString(first)
+		if _, sum := first.(*ast.BinaryExpr); sum {
+			start = "(" + start + ")"
+		}
+		bound := types.ExprString(cond.Y)
+		if cond.Op == token.LSS {
+			bound += " - 1"
+		}
+		togo = append(togo, bound+" - "+start)
 	}
-	bound, count := types.ExprString(cond.Y), trips+"++"
-	if cond.Op == token.LSS {
-		bound += " - 1"
+	diff, count := togo[0], trips+"++"
+	if len(togo) > 1 {
+		diff = "min(" + strings.Join(togo, ", ") + ")"
 	}
 	if step != "1" {
 		count = fmt.Sprintf("%[1]s = %[1]s/%[2]s + 1", trips, step)
 	}
-	text := fmt.Sprintf("if %[1]s := %[2]s - %[3]s; %[1]s >= 0 {\n%[4]s\n", trips, bound, start, count)
-	if loop.Init == nil {
+	text := fmt.Sprintf("if %[1]s := %[2]s; %[1]s >= 0 {\n%[3]s\n", trips, diff, count)
+	switch {
+	case loop.Init != nil:
+	case step == "1":
+		text += fmt.Sprintf("%s += %s\n", v, trips)
+	default:
 		text += fmt.Sprintf("%s += %s * %s\n", v, trips, step)
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "", "package p\nfunc _() {\n"+text+"}\n}\n", parser.SkipObjectResolution)
@@ -437,6 +459,23 @@ func (s *skeleton) flush() []ast.Stmt {
 			Tok: token.ADD_ASSIGN, Rhs: []ast.Expr{ast.NewIdent(local)}})
 	}
 	return out
+}
+
+// conjuncts returns the comparisons a condition joins with &&, nil when
+// any part is something else.
+func conjuncts(e ast.Expr) []*ast.BinaryExpr {
+	b, ok := e.(*ast.BinaryExpr)
+	if !ok {
+		return nil
+	}
+	if b.Op != token.LAND {
+		return []*ast.BinaryExpr{b}
+	}
+	x, y := conjuncts(b.X), conjuncts(b.Y)
+	if x == nil || y == nil {
+		return nil
+	}
+	return append(x, y...)
 }
 
 // lhs returns what an assignment, increment, range or declaration n

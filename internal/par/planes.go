@@ -215,10 +215,10 @@ func scrubber() Scrubber {
 	return c.s
 }
 
-// GetMat returns a w x h plane of the given kind with zeroed pixels
-// (kernels such as Canny's non-maximum suppression rely on zero
-// initialization exactly like image.NewMat provides). Return it with
-// PutMat when done; steady-state reuse allocates nothing.
+// GetMat returns a w x h plane of the given kind with zeroed pixels, as
+// image.NewMat provides, for a caller that reads an element before it
+// writes it. Return it with PutMat when done; steady-state reuse
+// allocates nothing.
 func GetMat(w, h int, kind image.Type) *image.Mat {
 	return planes.get(w, h, kind, true)
 }
@@ -226,7 +226,9 @@ func GetMat(w, h int, kind image.Type) *image.Mat {
 // GetMatForOverwrite is GetMat without the zeroing pass. Only for callers
 // that fully overwrite every element before reading any — input synthesis
 // writes every pixel, the memo hit path copies a complete cached plane
-// over the Mat — where the clear would be a wasted write sweep. Stale
+// over the Mat, a Sobel, Canny or DetectEdges stage writes its scratch
+// plane or strip window whole — where the clear would be a wasted write
+// sweep. Stale
 // contents are visible until the overwrite lands, so never hand such a
 // Mat to a kernel that assumes zero initialization.
 func GetMatForOverwrite(w, h int, kind image.Type) *image.Mat {

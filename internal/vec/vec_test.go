@@ -633,3 +633,33 @@ func TestQuickSplitChain(t *testing.T) {
 		}
 	}
 }
+
+// TestSSE2IdiomsMatchLaneForms: the two SSE2 spellings cmd/lanegen runs as
+// one lane form are that form on every input. The sign-mask absolute
+// value (psraw 15, pxor, psubsw) is AbsSatI16 on every int16 lane value;
+// packing a 16-bit compare mask with itself (packsswb) is the truncating
+// narrow, on masks of every lane pattern.
+func TestSSE2IdiomsMatchLaneForms(t *testing.T) {
+	for x := math.MinInt16; x <= math.MaxInt16; x += 8 {
+		var v V128
+		for i := 0; i < 8; i++ {
+			v.SetI16(i, int16(x+i))
+		}
+		sign := SarI16(v, 15)
+		if got, want := SubSatI16(Xor(v, sign), sign), AbsSatI16(v); got != want {
+			t.Fatalf("lanes from %d: sign-mask abs %v, AbsSatI16 %v", x, got, want)
+		}
+	}
+	for bits := 0; bits < 256; bits++ {
+		var a, b V128
+		for i := 0; i < 8; i++ {
+			a.SetI16(i, int16(i*4099-15000))
+			b.SetI16(i, int16(i*4099-15000+bits>>i&1))
+		}
+		for _, m := range []V128{GtI16(a, b), GtI16(b, a), EqU16(a, b)} {
+			if got, want := Combine(NarrowU16(m), NarrowU16(m)), Combine(SatI8I16(m), SatI8I16(m)); got != want {
+				t.Fatalf("mask %v: narrow %v, packsswb %v", m, got, want)
+			}
+		}
+	}
+}
