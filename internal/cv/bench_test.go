@@ -2,6 +2,7 @@ package cv
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"simdstudy/internal/image"
@@ -99,4 +100,38 @@ func BenchmarkCanny(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) { benchKernel(b, ISAScalar, run) })
 	b.Run("neon", func(b *testing.B) { benchKernel(b, ISANEON, run) })
 	b.Run("sse2", func(b *testing.B) { benchKernel(b, ISASSE2, run) })
+}
+
+// BenchmarkHostCannyTail times the Canny stages that follow the gradients
+// — magnitude, non-maximum suppression and hysteresis — on their own, at
+// 0.3 and 5 Mpx. They are the same scalar code on every ISA, so they set
+// the floor under every Canny call. The gradient planes are made once,
+// outside the timer, and one warmup call fills the pools: CI holds the
+// timed loop at 0 allocs/op.
+func BenchmarkHostCannyTail(b *testing.B) {
+	for _, res := range []image.Resolution{{Width: 640, Height: 480}, {Width: 2592, Height: 1920}} {
+		b.Run(fmt.Sprintf("%dx%d", res.Width, res.Height), func(b *testing.B) {
+			w, h := res.Width, res.Height
+			src := image.Synthetic(res, 1)
+			gx, gy := image.NewMat(w, h, image.S16), image.NewMat(w, h, image.S16)
+			nms, dst := image.NewMat(w, h, image.U8), image.NewMat(w, h, image.U8)
+			o := NewOps(ISANEON, nil)
+			if err := o.SobelFilter(src, gx, 1, 0); err != nil {
+				b.Fatal(err)
+			}
+			if err := o.SobelFilter(src, gy, 0, 1); err != nil {
+				b.Fatal(err)
+			}
+			tail := func() {
+				o.cannyMagNMS(gx, gy, nms, 60, 200)
+				o.cannyHysteresis(nms.U8Pix, dst.U8Pix, w, h)
+			}
+			tail()
+			b.SetBytes(int64(src.Bytes()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tail()
+			}
+		})
+	}
 }
